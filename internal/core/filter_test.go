@@ -1,0 +1,475 @@
+package core
+
+import (
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"egoist/internal/sampling"
+)
+
+// This file holds the solver's pruning to its promise (see the comment
+// atop br.go): the pruned greedy + local search must return the same set
+// and the same objective, bit for bit, as the unpruned solver it replaced.
+// That solver is kept below as the reference, so the comparison also
+// catches a change to the evaluators themselves.
+
+// refBestResponse is the heuristic solver as it stood before pruning:
+// eager greedy, every swap priced in full.
+func refBestResponse(in *Instance, k int, opts BROptions) ([]int, float64) {
+	cands := in.candidates()
+	if k > len(cands) {
+		k = len(cands)
+	}
+	if k == 0 {
+		return nil, in.Eval(nil)
+	}
+	dests := in.dests()
+	chosen := refGreedy(in, k, cands, dests)
+	chosen, val := refLocalSearch(in, chosen, cands, dests, opts.maxPasses())
+	sort.Ints(chosen)
+	return chosen, val
+}
+
+func refGreedy(in *Instance, k int, cands, dests []int) []int {
+	best := make([]float64, in.n())
+	in.bestPerDestInto(nil, best)
+	used := make([]bool, in.n())
+	chosen := make([]int, 0, k)
+	for len(chosen) < k {
+		bestCand := -1
+		bestTotal := math.NaN()
+		for _, w := range cands {
+			if used[w] {
+				continue
+			}
+			acc := newAccum(in.Kind, in.Agg)
+			dw := in.Direct[w]
+			row := in.Resid[w]
+			for _, j := range dests {
+				c := best[j]
+				if alt := in.Kind.combine(dw, row[j]); in.Kind.better(alt, c) {
+					c = alt
+				}
+				acc.add(in.pref(j), in.Kind.finalize(c))
+			}
+			total := acc.value()
+			if bestCand == -1 || in.Kind.better(total, bestTotal) {
+				bestCand, bestTotal = w, total
+			}
+		}
+		if bestCand == -1 {
+			break
+		}
+		chosen = append(chosen, bestCand)
+		used[bestCand] = true
+		in.foldFacilities(best, chosen[len(chosen)-1:])
+	}
+	return chosen
+}
+
+func refLocalSearch(in *Instance, cur, cands, dests []int, maxPasses int) ([]int, float64) {
+	inSet := make([]bool, in.n())
+	for _, w := range cur {
+		inSet[w] = true
+	}
+	st := &refSwapState{
+		in:       in,
+		dests:    dests,
+		best1W:   make([]int, len(dests)),
+		best1Val: make([]float64, len(dests)),
+		best2V:   make([]float64, len(dests)),
+	}
+	st.rebuild(cur)
+	curVal := st.total()
+	for pass := 0; pass < maxPasses; pass++ {
+		improved := false
+		for si := range cur {
+			old := cur[si]
+			bestC := -1
+			bestVal := curVal
+			for _, c := range cands {
+				if inSet[c] {
+					continue
+				}
+				if v := st.swapValue(old, c); in.Kind.better(v, bestVal) {
+					bestVal, bestC = v, c
+				}
+			}
+			if bestC >= 0 {
+				cur[si] = bestC
+				inSet[old] = false
+				inSet[bestC] = true
+				curVal = bestVal
+				st.rebuild(cur)
+				improved = true
+			}
+		}
+		if !improved {
+			break
+		}
+	}
+	return cur, curVal
+}
+
+type refSwapState struct {
+	in               *Instance
+	dests            []int
+	best1W           []int
+	best1Val, best2V []float64
+}
+
+func (st *refSwapState) rebuild(cur []int) {
+	in := st.in
+	for di := range st.dests {
+		st.best1W[di] = -1
+		st.best1Val[di] = in.Kind.worst()
+		st.best2V[di] = in.Kind.worst()
+	}
+	fold := func(w int, removable bool) {
+		dw := in.Direct[w]
+		row := in.Resid[w]
+		for di, j := range st.dests {
+			c := in.Kind.combine(dw, row[j])
+			if in.Kind.better(c, st.best1Val[di]) {
+				st.best2V[di] = st.best1Val[di]
+				st.best1Val[di] = c
+				if removable {
+					st.best1W[di] = w
+				} else {
+					st.best1W[di] = -1
+				}
+			} else if in.Kind.better(c, st.best2V[di]) {
+				st.best2V[di] = c
+			}
+		}
+	}
+	for _, w := range in.Fixed {
+		fold(w, false)
+	}
+	for _, w := range cur {
+		fold(w, true)
+	}
+}
+
+func (st *refSwapState) total() float64 {
+	in := st.in
+	acc := newAccum(in.Kind, in.Agg)
+	for di, j := range st.dests {
+		acc.add(in.pref(j), in.Kind.finalize(st.best1Val[di]))
+	}
+	return acc.value()
+}
+
+func (st *refSwapState) swapValue(out, c int) float64 {
+	in := st.in
+	dc := in.Direct[c]
+	rowC := in.Resid[c]
+	acc := newAccum(in.Kind, in.Agg)
+	for di, j := range st.dests {
+		v := st.best1Val[di]
+		if st.best1W[di] == out {
+			v = st.best2V[di]
+		}
+		if cv := in.Kind.combine(dc, rowC[j]); in.Kind.better(cv, v) {
+			v = cv
+		}
+		acc.add(in.pref(j), in.Kind.finalize(v))
+	}
+	return acc.value()
+}
+
+// Cost flavours of filterInstance. The first three keep the instance
+// regular, so the pruning must stay on; the rest must each switch it off.
+const (
+	flavContinuous = iota // distinct real costs
+	flavInteger           // small integer costs: exact ties everywhere
+	flavSparse            // +Inf residuals, facilities that reach only themselves
+	flavPenalty           // a finite cost at or above DisconnectedPenalty
+	flavNaN               // a NaN cost
+	flavNegWeight         // a negative preference weight
+	flavNegCost           // a negative direct cost
+	numFlavours
+)
+
+// filterInstance draws a random instance of n nodes: random candidate,
+// destination and Fixed subsets, nil or non-nil Pref with zero weights
+// mixed in, and costs of the given flavour. It returns the instance and
+// the k to solve it for.
+func filterInstance(rng *rand.Rand, n int, kind CostKind, agg AggKind, flavour int) (*Instance, int) {
+	self := rng.Intn(n)
+	cost := func() float64 {
+		if flavour == flavInteger {
+			return float64(1 + rng.Intn(4))
+		}
+		return 1 + rng.Float64()*50
+	}
+	unreachable := math.Inf(1)
+	if kind == Bottleneck {
+		unreachable = 0
+	}
+	in := &Instance{Self: self, Kind: kind, Agg: agg, Direct: make([]float64, n), Resid: make([][]float64, n)}
+	for w := range in.Resid {
+		in.Direct[w] = cost()
+		row := make([]float64, n)
+		selfOnly := flavour == flavSparse && rng.Intn(3) == 0
+		for j := range row {
+			row[j] = cost()
+			if selfOnly || (flavour == flavSparse && rng.Intn(5) == 0) {
+				row[j] = unreachable
+			}
+		}
+		row[w] = 0
+		if kind == Bottleneck {
+			row[w] = math.Inf(1)
+		}
+		in.Resid[w] = row
+	}
+	others := make([]int, 0, n-1)
+	for j := 0; j < n; j++ {
+		if j != self {
+			others = append(others, j)
+		}
+	}
+	subset := func(min int) []int {
+		m := min + rng.Intn(len(others)-min+1)
+		out := append([]int(nil), others...)
+		rng.Shuffle(len(out), func(a, b int) { out[a], out[b] = out[b], out[a] })
+		return out[:m]
+	}
+	if rng.Intn(2) == 0 {
+		in.Candidates = subset(1)
+	}
+	if rng.Intn(2) == 0 {
+		in.Dests = subset(1)
+	}
+	if rng.Intn(3) == 0 {
+		in.Fixed = subset(0)
+		if len(in.Fixed) > 2 {
+			in.Fixed = in.Fixed[:2]
+		}
+	}
+	if rng.Intn(3) > 0 {
+		in.Pref = make([]float64, n)
+		for j := range in.Pref {
+			if rng.Intn(6) > 0 {
+				in.Pref[j] = rng.Float64() * 3
+				if flavour == flavInteger {
+					in.Pref[j] = float64(rng.Intn(3))
+				}
+			}
+		}
+	}
+	// The irregular value goes where the solver is sure to meet it: on a
+	// candidate's row, at a destination.
+	cands, dests := in.candidates(), in.dests()
+	c, d := cands[rng.Intn(len(cands))], dests[rng.Intn(len(dests))]
+	switch flavour {
+	case flavPenalty:
+		in.Direct[c] = DisconnectedPenalty
+	case flavNaN:
+		in.Resid[c][d] = math.NaN()
+	case flavNegWeight:
+		if in.Pref == nil {
+			in.Pref = make([]float64, n)
+			for j := range in.Pref {
+				in.Pref[j] = 1
+			}
+		}
+		in.Pref[d] = -0.5
+	case flavNegCost:
+		in.Direct[c] = -100
+	}
+	k := 1 + rng.Intn(len(cands))
+	switch rng.Intn(4) {
+	case 0:
+		k = 1
+	case 1:
+		k = len(cands)
+	}
+	return in, k
+}
+
+// checkFilter solves in with the pruned solver on scratch s and with the
+// reference, and requires the same set and the same value bits.
+func checkFilter(t testing.TB, in *Instance, k int, s *Scratch) {
+	t.Helper()
+	got, gotVal, err := BestResponseScratch(in, k, BROptions{}, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantVal := refBestResponse(in, k, BROptions{})
+	same := len(got) == len(want)
+	for i := 0; same && i < len(got); i++ {
+		same = got[i] == want[i]
+	}
+	if !same || math.Float64bits(gotVal) != math.Float64bits(wantVal) {
+		t.Fatalf("pruned solver diverged (kind %v agg %v n %d k %d): set %v value %v (%#x), reference %v value %v (%#x)",
+			in.Kind, in.Agg, in.n(), k, got, gotVal, math.Float64bits(gotVal), want, wantVal, math.Float64bits(wantVal))
+	}
+}
+
+// skips is the number of candidates the scratch's solver has skipped.
+func (s *Scratch) skips() int { return s.greedySkips + s.swapSkips }
+
+// TestFilterMatchesReference is the differential contract over seeded
+// random instances of every algebra, aggregation and cost flavour, solved
+// on one reused scratch so stale pruning state from the previous call
+// would show.
+func TestFilterMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(20080914))
+	var s Scratch
+	instances := 0
+	for _, kind := range []CostKind{Additive, Bottleneck} {
+		for _, agg := range []AggKind{AggSum, AggWorst} {
+			for flavour := 0; flavour < numFlavours; flavour++ {
+				pruned := 0
+				for trial := 0; trial < 90; trial++ {
+					in, k := filterInstance(rng, 3+rng.Intn(38), kind, agg, flavour)
+					before := s.skips()
+					checkFilter(t, in, k, &s)
+					pruned += s.skips() - before
+					instances++
+				}
+				// The penalty is an ordinary bandwidth under Bottleneck.
+				regular := flavour <= flavSparse || (flavour == flavPenalty && kind == Bottleneck)
+				switch {
+				case agg == AggSum && regular && pruned == 0:
+					t.Errorf("kind %v flavour %d: nothing was pruned on regular sum instances", kind, flavour)
+				case (agg == AggWorst || !regular) && pruned != 0:
+					t.Errorf("kind %v agg %v flavour %d: %d candidates pruned where the bounds do not hold", kind, agg, flavour, pruned)
+				}
+			}
+		}
+	}
+	if instances < 2000 {
+		t.Fatalf("only %d instances compared", instances)
+	}
+}
+
+// FuzzBestResponseFilter runs the same differential on fuzzer-chosen
+// generator inputs.
+func FuzzBestResponseFilter(f *testing.F) {
+	for flavour := 0; flavour < numFlavours; flavour++ {
+		f.Add(int64(flavour+1), uint8(5+3*flavour), uint8(flavour), flavour%2 == 0, flavour%3 == 0)
+	}
+	f.Add(int64(99), uint8(40), uint8(flavInteger), true, false)
+	f.Fuzz(func(t *testing.T, seed int64, n, flavour uint8, bottleneck, worst bool) {
+		kind, agg := Additive, AggSum
+		if bottleneck {
+			kind = Bottleneck
+		}
+		if worst {
+			agg = AggWorst
+		}
+		rng := rand.New(rand.NewSource(seed))
+		in, k := filterInstance(rng, 3+int(n)%60, kind, agg, int(flavour)%numFlavours)
+		checkFilter(t, in, k, &Scratch{})
+	})
+}
+
+// scaleShapedInstance builds a sampled instance of the shape the scale
+// engine hands the solver (sim.proposeScale): a dense local id space of
+// 100 candidates first, 150 further nodes and self last; a demand-weighted
+// sample of about 150 destinations, the candidates holding their share; two
+// thirds of the
+// candidates carrying a directory row of stretched metric distances with a
+// few entries clamped to unreachable, the rest creditable as direct links
+// only.
+func scaleShapedInstance(seed int64) (*Instance, *sampling.DestSample, int) {
+	const C, L, D, k = 100, 251, 150, 8
+	rng := rand.New(rand.NewSource(seed))
+	self := L - 1
+	x, y := make([]float64, L), make([]float64, L)
+	for a := range x {
+		x[a], y[a] = rng.Float64()*100, rng.Float64()*100
+	}
+	dist := func(a, b int) float64 { return 1 + math.Hypot(x[a]-x[b], y[a]-y[b]) }
+	in := &Instance{
+		Self:       self,
+		Kind:       Additive,
+		Direct:     make([]float64, L),
+		Resid:      make([][]float64, L),
+		Pref:       make([]float64, L),
+		Candidates: make([]int, C),
+	}
+	for b := 0; b < L-1; b++ {
+		in.Direct[b] = dist(self, b)
+		in.Pref[b] = 1 / (1 + 20*rng.Float64())
+	}
+	for a := 0; a < C; a++ {
+		in.Candidates[a] = a
+		row := make([]float64, L)
+		inDirectory := rng.Intn(3) > 0
+		for b := range row {
+			row[b] = math.Inf(1)
+			if inDirectory && rng.Intn(30) > 0 {
+				row[b] = dist(a, b) * (1.1 + 0.4*rng.Float64())
+			}
+		}
+		row[a], row[self] = 0, math.Inf(1)
+		in.Resid[a] = row
+	}
+	ds, err := sampling.Spec{Strategy: sampling.Demand, M: D}.Draw(rng, self, L, in.Pref, in.Direct)
+	if err != nil {
+		panic(err)
+	}
+	return in, ds, k
+}
+
+// TestFilterPruningRate keeps the filter switched on: at the engine's
+// shape local search must skip at least 80% of the swaps it considers and
+// greedy at least half of the candidates it meets after round 0.
+func TestFilterPruningRate(t *testing.T) {
+	var s Scratch
+	for seed := int64(1); seed <= 5; seed++ {
+		in, ds, k := scaleShapedInstance(seed)
+		if _, _, err := BestResponseSampled(in, k, ds, BROptions{}, &s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	swap := float64(s.swapSkips) / float64(s.swapSkips+s.swapEvals)
+	greedy := float64(s.greedySkips) / float64(s.greedySkips+s.greedyEvals)
+	t.Logf("skipped %.1f%% of %d swaps, %.1f%% of %d greedy candidates after round 0",
+		100*swap, s.swapSkips+s.swapEvals, 100*greedy, s.greedySkips+s.greedyEvals)
+	if swap < 0.80 {
+		t.Errorf("local search skipped only %.1f%% of swap evaluations, want >= 80%%", 100*swap)
+	}
+	if greedy < 0.50 {
+		t.Errorf("greedy skipped only %.1f%% of evaluations after round 0, want >= 50%%", 100*greedy)
+	}
+}
+
+// TestBestResponseSampledAllocs pins the warm-scratch allocation count of
+// the sampled solver at what it was before pruning — the weighted copy of
+// the instance and the returned set: the pruning tables live in the
+// Scratch.
+func TestBestResponseSampledAllocs(t *testing.T) {
+	in, ds, k := scaleShapedInstance(1)
+	var s Scratch
+	run := func() {
+		if _, _, err := BestResponseSampled(in, k, ds, BROptions{}, &s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(20, run); allocs > 2 {
+		t.Errorf("warm-scratch BestResponseSampled allocates %.0f times per call, want <= 2", allocs)
+	}
+}
+
+// brSink keeps the benchmarked call's result alive.
+var brSink []int
+
+// BenchmarkBestResponseSampled is the core layer's benchmark of the
+// sampled path at the scale engine's shape, on a warm scratch.
+func BenchmarkBestResponseSampled(b *testing.B) {
+	in, ds, k := scaleShapedInstance(1)
+	var s Scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		brSink, _, _ = BestResponseSampled(in, k, ds, BROptions{}, &s)
+	}
+}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"egoist/internal/graph"
 )
 
@@ -23,10 +25,42 @@ type Scratch struct {
 	destBuf []int     // materialized destination list
 	prefW   []float64 // weighted preference vector (BestResponseSampled)
 
-	// Swap-evaluation caches of localSearch, indexed positionally by dests.
-	sw1W []int
-	sw1V []float64
-	sw2V []float64
+	// Solver pruning state (see br.go): the positional destination
+	// weights, each candidate's last measured greedy total with the
+	// objective it was measured against, and localSearch's swap caches.
+	w                 []float64
+	lazyTot, lazyBase []float64
+	swap              swapState
+
+	// Pruning tallies, read by tests only: candidates priced and skipped by
+	// greedy after round 0 and by local search.
+	greedyEvals, greedySkips int
+	swapEvals, swapSkips     int
+}
+
+// loadWeights fills s.w with the destinations' preference weights,
+// indexed positionally like dests, and reports whether the instance's
+// weights and Fixed facilities are regular in the sense the solver's
+// pruning needs: no weight negative or NaN, no irregular Fixed cost.
+func (s *Scratch) loadWeights(in *Instance, dests []int) bool {
+	s.w = floats(s.w, len(dests))
+	ok := true
+	for di, j := range dests {
+		p := in.pref(j)
+		s.w[di] = p
+		if p < 0 || math.IsNaN(p) {
+			ok = false
+		}
+	}
+	for _, f := range in.Fixed {
+		df, row := in.Direct[f], in.Resid[f]
+		for _, j := range dests {
+			if !in.Kind.regular(in.Kind.combine(df, row[j])) {
+				ok = false
+			}
+		}
+	}
+	return ok
 }
 
 // floats returns buf resized to n, reusing its storage when possible.

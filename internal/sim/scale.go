@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -1001,6 +1002,21 @@ func (e *scaleEngine) pendingEvents() bool {
 		c.Churn.Events[e.churnAt].Time < float64(c.MaxEpochs)
 }
 
+// sortByKey orders the positions in order by key[x] ascending, ids[x]
+// breaking ties. Distinct ids make that a strict total order, so the
+// result does not depend on the sorting algorithm.
+func sortByKey(order []int, key []float64, ids []int) {
+	slices.SortFunc(order, func(xa, xb int) int {
+		switch {
+		case key[xa] < key[xb]:
+			return -1
+		case key[xa] > key[xb]:
+			return 1
+		}
+		return ids[xa] - ids[xb]
+	})
+}
+
 // proposeScale computes node i's sampled best response against the
 // current wiring (stable for the duration of the node's batch) and the
 // epoch's pool rows. g is the proposing shard's overlay replica
@@ -1120,13 +1136,7 @@ func (c *ScaleConfig) proposeScale(w *scaleWorker, eng *scaleEngine, g *graph.Di
 			w.delay[x] = c.Net.Delay(i, j)
 			w.order[x] = x
 		}
-		sort.Slice(w.order, func(a, b int) bool {
-			xa, xb := w.order[a], w.order[b]
-			if w.delay[xa] != w.delay[xb] {
-				return w.delay[xa] < w.delay[xb]
-			}
-			return ds.Dests[xa] < ds.Dests[xb]
-		})
+		sortByKey(w.order, w.delay, ds.Dests)
 		for _, x := range w.order[:nearDests] {
 			addCand(ds.Dests[x], nil)
 		}
@@ -1135,13 +1145,7 @@ func (c *ScaleConfig) proposeScale(w *scaleWorker, eng *scaleEngine, g *graph.Di
 				w.delay[x] = -demand(i, j)
 				w.order[x] = x
 			}
-			sort.Slice(w.order, func(a, b int) bool {
-				xa, xb := w.order[a], w.order[b]
-				if w.delay[xa] != w.delay[xb] {
-					return w.delay[xa] < w.delay[xb]
-				}
-				return ds.Dests[xa] < ds.Dests[xb]
-			})
+			sortByKey(w.order, w.delay, ds.Dests)
 			for _, x := range w.order[:heavyDests] {
 				addCand(ds.Dests[x], nil)
 			}
@@ -1170,13 +1174,7 @@ func (c *ScaleConfig) proposeScale(w *scaleWorker, eng *scaleEngine, g *graph.Di
 		w.delay[x] = c.Net.Delay(i, pool.ids[x])
 		w.order[x] = x
 	}
-	sort.Slice(w.order, func(a, b int) bool {
-		xa, xb := w.order[a], w.order[b]
-		if w.delay[xa] != w.delay[xb] {
-			return w.delay[xa] < w.delay[xb]
-		}
-		return pool.ids[xa] < pool.ids[xb]
-	})
+	sortByKey(w.order, w.delay, pool.ids)
 	need := m - m/2
 	for _, x := range w.order {
 		if need == 0 {

@@ -157,3 +157,25 @@ func TestScaleRejectsBadConfig(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkScaleConverge is one call of the repository benchmark's
+// scale-converge workload (n=600, k=8, demand:100, four epochs from the
+// bootstrap wiring, two workers): the handle for profiling the proposal
+// phase with -cpuprofile (README, "Where a proposal's time goes").
+func BenchmarkScaleConverge(b *testing.B) {
+	net, err := underlay.NewLite(600, 2009)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, err := RunScale(ScaleConfig{
+			N: 600, K: 8, Seed: 7, Net: net,
+			Sample:    sampling.Spec{Strategy: sampling.Demand, M: 100},
+			MaxEpochs: 4, ConvergedFrac: -1, Workers: 2,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
