@@ -15,15 +15,17 @@ import (
 // tree never used a changed node are verified untouched in O(k) per
 // edit, and affected rows recompute only the invalidated subtrees plus
 // an insertion relaxation — cost proportional to the churn, not to
-// |sources|·n. Arc weights must be stable per (u,v) pair (the scale
-// engine's delays are static); only the arc sets change.
+// |sources|·n. Rebase changes the source set over an unchanged graph
+// and builds rows only for the sources that are new. Arc weights must
+// be stable per (u,v) pair (the scale engine's delays are static); only
+// the arc sets change.
 //
 // Repaired distances are exactly the distances a fresh Dijkstra on the
 // edited graph would produce (same left-to-right per-path folds, same
 // minima), so callers can treat rows as always-fresh.
 //
-// Concurrency contract: Reset, Apply, AddSource and RemoveSource are
-// mutations and must run with no other call in flight. Between
+// Concurrency contract: Reset, Rebase, Apply, AddSource and RemoveSource
+// are mutations and must run with no other call in flight. Between
 // mutations, every read — Row, RowAt, Graph, Sources, SlotOf — is safe
 // from any number of goroutines concurrently: the scale engine's
 // parallel proposal phase prices candidates off these rows from all
@@ -37,18 +39,25 @@ type DynamicRows struct {
 	rev     [][]Arc // reverse adjacency: rev[v] lists arcs u->v as {To: u, W: w}
 	sources []int
 	slot    []int32 // node id -> row index, -1 when absent
-	dist    [][]float64
-	parent  [][]int32
+	// rows[i] is source i's row. Row storage no source holds at the
+	// moment is parked in rows[len(rows):cap(rows)], where AddSource and
+	// the next Reset/Rebase find it again.
+	rows    []dynRow
+	spare   []dynRow // the header array reseat builds the next rows in
+	fresh   []int    // row indices reseat has to build
 	workers int
 
 	scratch []*dynScratch
-	edits   []dynEdit
+	edits   []dynEdit // their arc buffers are reused from Apply to Apply
+	// The par.Do bodies (buildFresh and repairRow), bound by the first
+	// reseat: a function value handed to par.Do escapes, so binding at
+	// the call site would allocate on every Apply.
+	buildFn, repairFn func(worker, i int)
 
-	// resets counts full rebuilds (Reset calls), applies incremental
-	// repairs (Apply calls). The scale engine's churn tests pin the
-	// directory-maintenance invariant on them: membership events must
-	// never trigger a full rebuild, only Apply/AddSource/RemoveSource.
-	resets, applies int
+	// resets counts full rebuilds (Reset calls, Rebase's fall-through
+	// included), applies incremental repairs (Apply calls). fullRows
+	// counts the fresh Dijkstra rows built by any path.
+	resets, applies, fullRows int
 
 	// mutating is set for the duration of every mutation; readers check
 	// it to fail loudly on a contract violation (reads racing a
@@ -68,8 +77,14 @@ func (r *DynamicRows) beginMutate() func() {
 // concurrency contract above rules out.
 func (r *DynamicRows) checkRead() {
 	if r.mutating.Load() {
-		panic("graph: DynamicRows read during Reset/Apply/AddSource/RemoveSource")
+		panic("graph: DynamicRows read during Reset/Rebase/Apply/AddSource/RemoveSource")
 	}
+}
+
+// dynRow is one source's distances and shortest-path tree.
+type dynRow struct {
+	dist   []float64
+	parent []int32
 }
 
 // dynEdit is one node's out-set replacement with its prior arcs.
@@ -86,7 +101,7 @@ type dynScratch struct {
 	queue     []int32
 	oldDist   []float64
 	affected  []bool
-	heap      dheap
+	heap      []heapItem // dheap backing array, reused across rows
 }
 
 // RowEdit is one node's new out-arc set for Apply.
@@ -95,7 +110,8 @@ type RowEdit struct {
 	NewOut []Arc
 }
 
-// NewDynamicRows returns an empty row set; call Reset before use.
+// NewDynamicRows returns an empty row set; call Reset or Rebase before
+// use.
 func NewDynamicRows() *DynamicRows { return &DynamicRows{} }
 
 // Graph exposes the maintained graph. Callers may read it (e.g. run
@@ -118,7 +134,7 @@ func (r *DynamicRows) Sources() []int {
 func (r *DynamicRows) Row(v NodeID) []float64 {
 	r.checkRead()
 	if s := r.slot[v]; s >= 0 {
-		return r.dist[s]
+		return r.rows[s].dist
 	}
 	return nil
 }
@@ -126,7 +142,7 @@ func (r *DynamicRows) Row(v NodeID) []float64 {
 // RowAt returns the i-th source's distance row.
 func (r *DynamicRows) RowAt(i int) []float64 {
 	r.checkRead()
-	return r.dist[i]
+	return r.rows[i].dist
 }
 
 // SlotOf returns the row index of source v, or -1 if v is not a source.
@@ -135,11 +151,16 @@ func (r *DynamicRows) SlotOf(v NodeID) int {
 	return int(r.slot[v])
 }
 
-// Resets reports how many full rebuilds (Reset calls) have run.
+// Resets reports how many full rebuilds have run: Reset calls, and
+// Rebase calls that found a changed graph.
 func (r *DynamicRows) Resets() int { return r.resets }
 
 // Applies reports how many incremental repairs (Apply calls) have run.
 func (r *DynamicRows) Applies() int { return r.applies }
+
+// FullRows reports how many fresh Dijkstra rows have been built so far,
+// by Reset, Rebase and AddSource together — the work a rebuild did.
+func (r *DynamicRows) FullRows() int { return r.fullRows }
 
 // Reset rebuilds everything: graph copy, reverse adjacency, and one
 // full Dijkstra row per source, fanned out over workers (0 = NumCPU).
@@ -151,7 +172,6 @@ func (r *DynamicRows) Reset(g *Digraph, sources []int, workers int) {
 		r.g = New(n)
 	}
 	r.g.CopyFrom(g)
-	r.workers = par.Workers(workers)
 	if cap(r.rev) < n {
 		r.rev = make([][]Arc, n)
 	}
@@ -171,38 +191,121 @@ func (r *DynamicRows) Reset(g *Digraph, sources []int, workers int) {
 	for v := range r.slot {
 		r.slot[v] = -1
 	}
+	// With every slot clear reseat finds no row to keep; and the old ids
+	// must go, n may have shrunk under them.
+	r.sources = r.sources[:0]
+	r.reseat(sources, workers)
+}
+
+// Rebase makes sources the source set over graph g, like Reset, but
+// when g equals the maintained graph arc for arc it keeps the row of
+// every source that already has one and builds rows only for the new
+// sources, on the storage the departed sources leave behind. A kept row
+// is exact by the contract above — no edit has touched the graph since
+// it was last repaired. When g differs (or nothing is maintained yet)
+// Rebase is Reset. Either way the result is what a fresh Reset(g,
+// sources) holds: same source order, same slots, same distances.
+func (r *DynamicRows) Rebase(g *Digraph, sources []int, workers int) {
+	if r.g == nil || !sameArcs(r.g, g) {
+		r.Reset(g, sources, workers)
+		return
+	}
+	defer r.beginMutate()()
+	r.reseat(sources, workers)
+}
+
+// sameArcs reports whether a and b have the same nodes and, per node,
+// the same out-arcs in the same order. Order matters only in that a
+// reordered list reads as a difference, which costs Rebase a Reset and
+// nothing else.
+func sameArcs(a, b *Digraph) bool {
+	if a.n != b.n {
+		return false
+	}
+	for u, arcs := range a.out {
+		other := b.out[u]
+		if len(arcs) != len(other) {
+			return false
+		}
+		for x := range arcs {
+			if arcs[x] != other[x] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// reseat installs sources as the source set, in order, over the
+// maintained graph. A source that holds a row (has a slot) keeps it;
+// every other row is built fresh. Row storage is recycled — the rows of
+// departed sources and the parked spares go to the newcomers first — so
+// a steady rotation allocates nothing.
+func (r *DynamicRows) reseat(sources []int, workers int) {
+	n := r.g.N()
+	r.workers = par.Workers(workers)
+	for len(r.scratch) < r.workers {
+		r.scratch = append(r.scratch, &dynScratch{})
+	}
+	if r.buildFn == nil {
+		r.buildFn, r.repairFn = r.buildFresh, r.repairRow
+	}
+	old := r.rows[:cap(r.rows)]
+	next := r.spare[:0]
+	r.fresh = r.fresh[:0]
+	for i, s := range sources {
+		var row dynRow
+		if os := r.slot[s]; os >= 0 {
+			row, old[os] = old[os], dynRow{}
+		}
+		if row.dist == nil {
+			r.fresh = append(r.fresh, i)
+		}
+		next = append(next, row)
+	}
+	given := 0
+	for x, row := range old {
+		old[x] = dynRow{}
+		switch {
+		case len(row.dist) != n: // nothing here, or sized for another graph
+		case given < len(r.fresh):
+			next[r.fresh[given]] = row
+			given++
+		default:
+			next = append(next, row)
+		}
+	}
+	r.rows, r.spare = next[:len(sources)], old[:0]
+	for _, s := range r.sources {
+		r.slot[s] = -1
+	}
 	r.sources = append(r.sources[:0], sources...)
 	for i, s := range r.sources {
 		r.slot[s] = int32(i)
 	}
-	if cap(r.dist) < len(sources) {
-		r.dist = make([][]float64, len(sources))
-		r.parent = make([][]int32, len(sources))
-	}
-	r.dist = r.dist[:len(sources)]
-	r.parent = r.parent[:len(sources)]
-	if len(r.scratch) < r.workers {
-		r.scratch = make([]*dynScratch, r.workers)
-	}
-	par.Do(len(sources), r.workers, func(worker, i int) {
-		if r.dist[i] == nil || len(r.dist[i]) != n {
-			r.dist[i] = make([]float64, n)
-			r.parent[i] = make([]int32, n)
-		}
-		r.fullRow(i)
-	})
+	r.fullRows += len(r.fresh)
+	par.Do(len(r.fresh), r.workers, r.buildFn)
 }
 
-// fullRow runs a fresh Dijkstra with parent tracking for row i.
-func (r *DynamicRows) fullRow(i int) {
-	dist, parent := r.dist[i], r.parent[i]
+// buildFresh builds the x-th row of reseat's to-do list.
+func (r *DynamicRows) buildFresh(worker, x int) { r.fullRow(r.fresh[x], r.scratch[worker]) }
+
+// fullRow runs a fresh Dijkstra with parent tracking for row i,
+// allocating the row's storage if it has none.
+func (r *DynamicRows) fullRow(i int, sc *dynScratch) {
+	row := &r.rows[i]
+	if row.dist == nil {
+		n := r.g.N()
+		row.dist, row.parent = make([]float64, n), make([]int32, n)
+	}
+	dist, parent := row.dist, row.parent
 	for v := range dist {
 		dist[v] = Inf
 		parent[v] = -1
 	}
 	src := r.sources[i]
 	dist[src] = 0
-	h := dheap{}
+	h := dheap{items: sc.heap[:0]}
 	h.pushMin(src, 0)
 	for len(h.items) > 0 {
 		it := h.popMin()
@@ -218,6 +321,7 @@ func (r *DynamicRows) fullRow(i int) {
 			}
 		}
 	}
+	sc.heap = h.items
 }
 
 // Apply replaces the out-arc sets of the edited nodes and repairs every
@@ -230,10 +334,16 @@ func (r *DynamicRows) Apply(edits []RowEdit) {
 	r.applies++
 	r.edits = r.edits[:0]
 	for _, e := range edits {
-		de := dynEdit{node: e.Node}
-		de.old = append([]Arc(nil), r.g.Out(e.Node)...)
-		de.newOut = append([]Arc(nil), e.NewOut...)
-		r.edits = append(r.edits, de)
+		k := len(r.edits)
+		if k < cap(r.edits) {
+			r.edits = r.edits[:k+1]
+		} else {
+			r.edits = append(r.edits, dynEdit{})
+		}
+		de := &r.edits[k]
+		de.node = e.Node
+		de.old = append(de.old[:0], r.g.Out(e.Node)...)
+		de.newOut = append(de.newOut[:0], e.NewOut...)
 		// Update the graph and the reverse adjacency.
 		for _, a := range de.old {
 			r.removeRev(a.To, e.Node)
@@ -244,14 +354,7 @@ func (r *DynamicRows) Apply(edits []RowEdit) {
 			r.rev[a.To] = append(r.rev[a.To], Arc{To: e.Node, W: a.W})
 		}
 	}
-	par.Do(len(r.sources), r.workers, func(worker, i int) {
-		sc := r.scratch[worker]
-		if sc == nil {
-			sc = &dynScratch{}
-			r.scratch[worker] = sc
-		}
-		r.repairRow(i, sc)
-	})
+	par.Do(len(r.sources), r.workers, r.repairFn)
 }
 
 // AddSource adds v as a new source with one fresh Dijkstra row — the
@@ -263,22 +366,16 @@ func (r *DynamicRows) AddSource(v NodeID) {
 		return
 	}
 	defer r.beginMutate()()
-	n := r.g.N()
 	i := len(r.sources)
 	r.slot[v] = int32(i)
 	r.sources = append(r.sources, v)
-	if i < cap(r.dist) && i < cap(r.parent) {
-		r.dist = r.dist[:i+1]
-		r.parent = r.parent[:i+1]
+	if i < cap(r.rows) {
+		r.rows = r.rows[:i+1] // a parked spare, if one is left
 	} else {
-		r.dist = append(r.dist, nil)
-		r.parent = append(r.parent, nil)
+		r.rows = append(r.rows, dynRow{})
 	}
-	if r.dist[i] == nil || len(r.dist[i]) != n {
-		r.dist[i] = make([]float64, n)
-		r.parent[i] = make([]int32, n)
-	}
-	r.fullRow(i)
+	r.fullRows++
+	r.fullRow(i, r.scratch[0])
 }
 
 // RemoveSource drops source v's row in O(1) by swapping the last row
@@ -295,13 +392,11 @@ func (r *DynamicRows) RemoveSource(v NodeID) {
 	last := len(r.sources) - 1
 	moved := r.sources[last]
 	r.sources[s] = moved
-	r.dist[s], r.dist[last] = r.dist[last], r.dist[s]
-	r.parent[s], r.parent[last] = r.parent[last], r.parent[s]
+	r.rows[s], r.rows[last] = r.rows[last], r.rows[s]
 	r.slot[moved] = s
 	r.slot[v] = -1
 	r.sources = r.sources[:last]
-	r.dist = r.dist[:last]
-	r.parent = r.parent[:last]
+	r.rows = r.rows[:last]
 }
 
 // removeRev deletes the reverse-adjacency entry v <- u.
@@ -326,12 +421,17 @@ func (e *dynEdit) stillHas(v int) bool {
 	return false
 }
 
-// repairRow fixes row i after the recorded edits: subtree invalidation
-// and boundary re-relaxation for removed tree arcs, then a global
-// insertion relaxation for the added arcs.
-func (r *DynamicRows) repairRow(i int, sc *dynScratch) {
+// repairRow fixes row i after the recorded edits, on the worker's
+// scratch: subtree invalidation and boundary re-relaxation for removed
+// tree arcs, then a global insertion relaxation for the added arcs.
+func (r *DynamicRows) repairRow(worker, i int) {
+	sc := r.scratch[worker]
 	n := r.g.N()
-	dist, parent := r.dist[i], r.parent[i]
+	dist, parent := r.rows[i].dist, r.rows[i].parent
+	// The heap lives in a local for the duration: workers' scratch
+	// structs can share a cache line, and a heap pushed and popped through
+	// the pointer would write its header there on every operation.
+	h := dheap{items: sc.heap}
 
 	// Cut roots: former tree children of an edited node that lost their
 	// tree arc. The queue is deduplicated via the affected marks so the
@@ -382,7 +482,6 @@ func (r *DynamicRows) repairRow(i int, sc *dynScratch) {
 		}
 		// Boundary seeding via the reverse adjacency, then a Dijkstra
 		// restricted to the affected region.
-		h := &sc.heap
 		h.items = h.items[:0]
 		for _, v := range sc.queue {
 			for _, a := range r.rev[v] {
@@ -427,7 +526,6 @@ func (r *DynamicRows) repairRow(i int, sc *dynScratch) {
 	// decreases here they would stop at the region boundary (the
 	// restricted Dijkstra never relaxes outward), leaving violated arcs
 	// into untouched territory.
-	h := &sc.heap
 	h.items = h.items[:0]
 	for qi, v := range sc.queue {
 		if dist[v] < sc.oldDist[qi] {
@@ -462,4 +560,5 @@ func (r *DynamicRows) repairRow(i int, sc *dynScratch) {
 			}
 		}
 	}
+	sc.heap = h.items
 }

@@ -171,8 +171,8 @@ func (s *SPScratch) DijkstraDist(g *Digraph, src NodeID, dist []float64) {
 // starts from the seed arcs instead. Since a shortest path from src
 // never revisits src under non-negative weights, the result is exactly
 // the single-source distances of g with src's out-arc list replaced by
-// seeds — which is how the scale engine prices a node's current wiring
-// against a directory graph that may be a few re-wirings stale.
+// seeds — which is how the scale engine prices the current wiring of a
+// proposer that holds no directory row (DynamicRows.Row serves the rest).
 func (s *SPScratch) DijkstraDistSeeded(g *Digraph, src NodeID, seeds []Arc, dist []float64) {
 	for i := range dist {
 		dist[i] = Inf

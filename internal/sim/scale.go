@@ -2,9 +2,11 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"egoist/internal/churn"
@@ -32,14 +34,18 @@ import (
 //     facilities any node may wire this epoch are drawn from a bounded
 //     pool — every currently wired target plus a rotating crop of
 //     explorer nodes. One exact single-source shortest-path row per
-//     pool member is computed per epoch over the live overlay and
-//     shared by all nodes, so residual distances are real distances:
+//     pool member is kept over the live overlay — computed when the
+//     member enters the directory, repaired incrementally after every
+//     re-wiring, carried across the epoch boundary while the member
+//     stays — and shared by all nodes, so residual distances are real
+//     distances:
 //     an earlier design that estimated them from per-node induced
 //     subgraphs (or landmark shortcuts) either drowned the dynamics in
 //     phantom disconnection penalties or collapsed the overlay by
 //     trusting paths that vanished mid-epoch. Total distance work per
-//     epoch is O(|pool|·E·log n) — independent of it being shared by
-//     all n solvers.
+//     epoch is at most O(|pool|·E·log n), and in practice the repairs
+//     plus one Dijkstra per member the rotation brought in —
+//     independent of it being shared by all n solvers.
 //
 //  3. Staggered adoption in batches, a coarse version of the paper's
 //     one-node-at-a-time stagger: each epoch runs StaggerBatches
@@ -182,6 +188,33 @@ type ScaleConfig struct {
 	OnPhase func(ev PhaseEvent)
 	// BROpts tunes the per-node solver.
 	BROpts core.BROptions
+
+	// probe is the tests' window onto the directory-row reuse; nil
+	// everywhere else.
+	probe *scaleProbe
+}
+
+// scaleProbe lets the package's tests check and count the two places the
+// engine reads a shortest-path row the directory already holds instead
+// of computing it: a member proposer's live row, and a surviving
+// member's row at the epoch rebuild.
+type scaleProbe struct {
+	// checkRows makes a proposer that reads its live row from the
+	// directory run the seeded Dijkstra as well, and fails the run on any
+	// bit difference between the two rows.
+	checkRows bool
+	// seeded counts the seeded Dijkstras run for proposers that hold no
+	// directory row (checkRows' extra runs are not counted).
+	seeded atomic.Int64
+	// rebuilds records each directory rebuild, in epoch order.
+	rebuilds []probeRebuild
+}
+
+// probeRebuild is one directory rebuild: the membership it settled on
+// and the fresh Dijkstra rows it had to build.
+type probeRebuild struct {
+	ids  []int
+	rows int
 }
 
 // PhaseEvent is one timed engine phase, emitted through
@@ -204,10 +237,13 @@ type PhaseEvent struct {
 	// Rewires is the re-wirings applied (adopt: this sub-round; epoch:
 	// the epoch total).
 	Rewires int `json:"rewires,omitempty"`
-	// Resets / Applies are the directory's cumulative full resets and
-	// incremental applies (rebuild events).
+	// Resets / Applies are the directory's cumulative logical rebuilds
+	// and incremental applies (rebuild events); Rows is the fresh
+	// Dijkstra rows this rebuild built — every member's on the first,
+	// only the new members' once rows carry across the epoch boundary.
 	Resets  int `json:"resets,omitempty"`
 	Applies int `json:"applies,omitempty"`
+	Rows    int `json:"rows_built,omitempty"`
 	// Alive is the live membership after the phase (churn and epoch
 	// events).
 	Alive int `json:"alive,omitempty"`
@@ -352,10 +388,12 @@ type ScaleResult struct {
 	MeanSampleSize float64
 	// Joins and Leaves total the membership events applied over the run.
 	Joins, Leaves int
-	// DirectoryResets counts full facility-directory rebuilds (one per
-	// epoch by design) and DirectoryApplies its incremental repairs.
-	// The churn tests pin the maintenance invariant on them: membership
-	// events must never trigger a full rebuild.
+	// DirectoryResets counts logical facility-directory rebuilds — the
+	// per-epoch membership refresh, one per epoch by design, whether it
+	// recomputed every row or only the new members' — and
+	// DirectoryApplies its incremental repairs. The churn tests pin the
+	// maintenance invariant on them: membership events must never
+	// trigger a rebuild.
 	DirectoryResets, DirectoryApplies int
 }
 
@@ -365,7 +403,7 @@ type scaleWorker struct {
 	sp      graph.SPScratch
 	prefBuf []float64   // roster-length demand row (Demand strategy)
 	dirBuf  []float64   // roster-length direct-cost row (Stratified)
-	rowI    []float64   // live SSSP row of the proposing node
+	rowI    []float64   // live SSSP row of a proposer outside the directory
 	seeds   []graph.Arc // its current wiring as seed arcs
 	lid     []int32     // global -> local candidate id, -1 when absent
 
@@ -593,7 +631,7 @@ func (e *scaleEngine) adoptWiring(i int, set []int) {
 //
 // Directory-repair-on-leave invariant: membership events NEVER trigger
 // a full directory rebuild — the per-epoch rebuild is the only caller
-// of DynamicRows.Reset (pinned by TestScaleChurnIncrementalDirectory).
+// of DynamicRows.Rebase (pinned by TestScaleChurnIncrementalDirectory).
 // A leave drops the departed node's row (O(1) swap), clears its
 // out-arcs and rewrites each orphaned in-neighbor's arc set through
 // DynamicRows.Apply, whose repair cost is proportional to the affected
@@ -878,19 +916,25 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 			trace(PhaseEvent{Epoch: epoch, Sub: -1, Phase: "churn", NS: time.Since(t0).Nanoseconds(),
 				Alive: eng.aliveCount(), Joins: eng.joins, Leaves: eng.leaves})
 		}
-		// Membership is fixed for the epoch (full per-member Dijkstras
-		// once); the sub-round loop below keeps the rows exact against
-		// the live wiring via incremental repair. The stagger only
+		// Membership is fixed for the epoch (one Dijkstra per member the
+		// rebuild brings in; the others keep their rows); the sub-round
+		// loop below keeps the rows exact against the live wiring via
+		// incremental repair. The stagger only
 		// stabilizes the dynamics if later actors see earlier actors'
 		// moves: an epoch-frozen directory degenerates into synchronous
 		// play — every node re-wires trusting distances that its peers'
 		// simultaneous re-wirings have already invalidated, and the
 		// overlay collapses into a state nobody evaluated.
 		t0 = traceStart()
+		built := eng.pool.fullRows()
 		eng.pool.rebuild(&c, eng, epoch, workers)
+		built = eng.pool.fullRows() - built
 		if trace != nil {
 			trace(PhaseEvent{Epoch: epoch, Sub: -1, Phase: "rebuild", NS: time.Since(t0).Nanoseconds(),
-				Resets: eng.pool.resets, Applies: eng.pool.applies})
+				Resets: eng.pool.resets, Applies: eng.pool.applies, Rows: built})
+		}
+		if c.probe != nil {
+			c.probe.rebuilds = append(c.probe.rebuilds, probeRebuild{ids: slices.Clone(eng.pool.ids), rows: built})
 		}
 		demand := c.demandFor(epoch)
 		ep := ScaleEpoch{PoolSize: len(eng.pool.ids)}
@@ -1002,19 +1046,73 @@ func (e *scaleEngine) pendingEvents() bool {
 		c.Churn.Events[e.churnAt].Time < float64(c.MaxEpochs)
 }
 
-// sortByKey orders the positions in order by key[x] ascending, ids[x]
-// breaking ties. Distinct ids make that a strict total order, so the
-// result does not depend on the sorting algorithm.
-func sortByKey(order []int, key []float64, ids []int) {
-	slices.SortFunc(order, func(xa, xb int) int {
-		switch {
-		case key[xa] < key[xb]:
-			return -1
-		case key[xa] > key[xb]:
-			return 1
+// cmpByKey orders positions by key[x] ascending, ids[x] breaking ties.
+// Distinct ids make that a strict total order.
+func cmpByKey(key []float64, ids []int, xa, xb int) int {
+	switch {
+	case key[xa] < key[xb]:
+		return -1
+	case key[xa] > key[xb]:
+		return 1
+	}
+	return ids[xa] - ids[xb]
+}
+
+// selectByKey returns the k first positions of order under cmpByKey, in
+// that order — order[:k] of the fully sorted slice, without sorting the
+// rest: a bounded max-heap over order[:k] takes in every later position
+// that beats its root, then only the heap is sorted. The order being
+// strict and total, the result does not depend on how it was selected.
+// order is permuted.
+func selectByKey(order []int, key []float64, ids []int, k int) []int {
+	if k <= 0 {
+		return order[:0]
+	}
+	if k < len(order) {
+		heap := order[:k]
+		sift := func(x int) {
+			for {
+				top := x
+				for c := 2*x + 1; c <= 2*x+2 && c < k; c++ {
+					if cmpByKey(key, ids, heap[top], heap[c]) < 0 {
+						top = c
+					}
+				}
+				if top == x {
+					return
+				}
+				heap[x], heap[top] = heap[top], heap[x]
+				x = top
+			}
 		}
-		return ids[xa] - ids[xb]
-	})
+		for x := k/2 - 1; x >= 0; x-- {
+			sift(x)
+		}
+		for x := k; x < len(order); x++ {
+			if cmpByKey(key, ids, order[x], heap[0]) < 0 {
+				heap[0], order[x] = order[x], heap[0]
+				sift(0)
+			}
+		}
+		order = heap
+	}
+	slices.SortFunc(order, func(xa, xb int) int { return cmpByKey(key, ids, xa, xb) })
+	return order
+}
+
+// seededRow computes node i's live routing row into the worker's own
+// buffer: one Dijkstra over the overlay replica g with i's out-arcs
+// taken from its current wiring.
+func (w *scaleWorker) seededRow(c *ScaleConfig, g *graph.Digraph, i int, wiring []int) []float64 {
+	if w.rowI == nil {
+		w.rowI = make([]float64, c.N)
+	}
+	w.seeds = w.seeds[:0]
+	for _, v := range wiring {
+		w.seeds = append(w.seeds, graph.Arc{To: v, W: c.Net.Delay(i, v)})
+	}
+	w.sp.DijkstraDistSeeded(g, i, w.seeds, w.rowI)
+	return w.rowI
 }
 
 // proposeScale computes node i's sampled best response against the
@@ -1072,24 +1170,44 @@ func (c *ScaleConfig) proposeScale(w *scaleWorker, eng *scaleEngine, g *graph.Di
 	// re-wire en masse next epoch, an oscillation that never settles.
 	ds = ds.EnsureCertain(wiring[i])
 
-	// The node's live routing row: one Dijkstra over the directory graph
-	// from i, with i's out-arcs taken from its *current* wiring (the
-	// directory graph may be a few re-wirings stale under the refresh
-	// hysteresis, and i's own links must never be). It prices the
-	// current wiring exactly (estCur below) and anchors the
-	// contamination clamp on the pool rows.
-	if w.rowI == nil {
-		w.rowI = make([]float64, n)
+	// The node's live routing row: i's exact shortest-path distances
+	// over the live overlay. It prices the current wiring exactly (estCur
+	// below) and anchors the contamination clamp on the pool rows. A
+	// proposer that is itself a directory member already has that row in
+	// the directory and reads it from there; only the others run a
+	// Dijkstra, seeded with their current wiring. The two are the same
+	// row bit for bit. Both are exact distances over the same replica g —
+	// the directory keeps its rows fresh-Dijkstra-exact, and Dijkstra
+	// distances under non-negative weights are a unique fixed point that
+	// no pop order changes — so they could differ only if g's copy of i's
+	// out-arcs differed from the seeds, and it never does when i
+	// proposes: the directory graph is the live wiring with Net.Delay
+	// weights, built from eng.wiring at the rebuild, and every later
+	// change to a wiring — an adoption (adoptBatch → pool.apply), an
+	// orphaning leave, a join — is folded into it in the same serial
+	// section, before anybody proposes again. A change to wiring[i] that
+	// bypassed the directory would break this read; the probe's checkRows
+	// re-derives the row in the churn, shard and rescue suites to catch
+	// it.
+	rowI := pool.row(i)
+	if rowI == nil {
+		rowI = w.seededRow(c, g, i, wiring[i])
+		if c.probe != nil {
+			c.probe.seeded.Add(1)
+		}
+	} else if c.probe != nil && c.probe.checkRows {
+		for v, d := range w.seededRow(c, g, i, wiring[i]) {
+			if math.Float64bits(d) != math.Float64bits(rowI[v]) {
+				return scaleProposal{}, fmt.Errorf("sim: epoch %d node %d: directory row says %v to node %d, seeded Dijkstra %v", epoch, i, rowI[v], v, d)
+			}
+		}
+	}
+	if w.lid == nil {
 		w.lid = make([]int32, n)
 		for x := range w.lid {
 			w.lid[x] = -1
 		}
 	}
-	w.seeds = w.seeds[:0]
-	for _, v := range wiring[i] {
-		w.seeds = append(w.seeds, graph.Arc{To: v, W: c.Net.Delay(i, v)})
-	}
-	w.sp.DijkstraDistSeeded(g, i, w.seeds, w.rowI)
 
 	// Candidate set: the destinations a direct link could plausibly
 	// serve — every dark sampled destination (unreachable right now:
@@ -1119,7 +1237,7 @@ func (c *ScaleConfig) proposeScale(w *scaleWorker, eng *scaleEngine, g *graph.Di
 		w.grows = append(w.grows, row)
 	}
 	for _, j := range ds.Dests {
-		if w.rowI[j] >= graph.Inf {
+		if rowI[j] >= graph.Inf {
 			addCand(j, nil) // dark: rescue candidate
 		}
 	}
@@ -1136,8 +1254,7 @@ func (c *ScaleConfig) proposeScale(w *scaleWorker, eng *scaleEngine, g *graph.Di
 			w.delay[x] = c.Net.Delay(i, j)
 			w.order[x] = x
 		}
-		sortByKey(w.order, w.delay, ds.Dests)
-		for _, x := range w.order[:nearDests] {
+		for _, x := range selectByKey(w.order, w.delay, ds.Dests, nearDests) {
 			addCand(ds.Dests[x], nil)
 		}
 		if demand != nil {
@@ -1145,8 +1262,7 @@ func (c *ScaleConfig) proposeScale(w *scaleWorker, eng *scaleEngine, g *graph.Di
 				w.delay[x] = -demand(i, j)
 				w.order[x] = x
 			}
-			sortByKey(w.order, w.delay, ds.Dests)
-			for _, x := range w.order[:heavyDests] {
+			for _, x := range selectByKey(w.order, w.delay, ds.Dests, heavyDests) {
 				addCand(ds.Dests[x], nil)
 			}
 		}
@@ -1165,27 +1281,18 @@ func (c *ScaleConfig) proposeScale(w *scaleWorker, eng *scaleEngine, g *graph.Di
 	for _, x := range w.perm[:m/2] {
 		addCand(pool.ids[x], pool.rowAt(x))
 	}
-	// ...nearest half: order the directory by direct cost once (cached
-	// delays, ids as tie-break) and take the closest members not yet
-	// picked.
+	// ...nearest half: the closest members by direct cost (ids as
+	// tie-break) among those not yet picked.
 	w.delay = floatsN(w.delay, P)
-	w.order = intsN(w.order, P)
-	for x := 0; x < P; x++ {
-		w.delay[x] = c.Net.Delay(i, pool.ids[x])
-		w.order[x] = x
+	w.order = intsN(w.order, P)[:0]
+	for x, v := range pool.ids {
+		if v != i && w.lid[v] < 0 {
+			w.delay[x] = c.Net.Delay(i, v)
+			w.order = append(w.order, x)
+		}
 	}
-	sortByKey(w.order, w.delay, pool.ids)
-	need := m - m/2
-	for _, x := range w.order {
-		if need == 0 {
-			break
-		}
-		v := pool.ids[x]
-		if v == i || w.lid[v] >= 0 {
-			continue
-		}
-		addCand(v, pool.rowAt(x))
-		need--
+	for _, x := range selectByKey(w.order, w.delay, pool.ids, min(m-m/2, len(w.order))) {
+		addCand(pool.ids[x], pool.rowAt(x))
 	}
 	for _, v := range wiring[i] {
 		addCand(v, nil)
@@ -1211,7 +1318,7 @@ func (c *ScaleConfig) proposeScale(w *scaleWorker, eng *scaleEngine, g *graph.Di
 	// them is how an earlier design collapsed the overlay: every node
 	// believed its destinations stayed covered "through itself" while
 	// re-purposing the very links that carried them.
-	w.resid = w.residMatrix(L)
+	w.resid = w.residMatrix(C, L)
 	w.direct = floatsN(w.direct, L)
 	w.pref = floatsN(w.pref, L)
 	w.lcands = intsN(w.lcands, C)
@@ -1229,7 +1336,7 @@ func (c *ScaleConfig) proposeScale(w *scaleWorker, eng *scaleEngine, g *graph.Di
 				gb := w.gcands[b]
 				d := grow[gb]
 				if d < graph.Inf && toSelf < graph.Inf {
-					if via := toSelf + w.rowI[gb]; via <= d*(1+1e-12)+1e-9 && via >= d*(1-1e-12)-1e-9 {
+					if via := toSelf + rowI[gb]; via <= d*(1+1e-12)+1e-9 && via >= d*(1-1e-12)-1e-9 {
 						d = graph.Inf
 					}
 				}
@@ -1274,7 +1381,7 @@ func (c *ScaleConfig) proposeScale(w *scaleWorker, eng *scaleEngine, g *graph.Di
 	// model and sample as the proposal, so model mismatch and sampling
 	// noise cancel in the comparison.
 	estCur := ds.Estimate(func(j int) float64 {
-		d := w.rowI[j]
+		d := rowI[j]
 		if d >= graph.Inf {
 			d = core.DisconnectedPenalty
 		}
@@ -1346,21 +1453,25 @@ func (c *ScaleConfig) proposeScale(w *scaleWorker, eng *scaleEngine, g *graph.Di
 	return p, nil
 }
 
-// residMatrix sizes the dense local residual matrix to L×L rows over
-// the worker's reusable backing block (L varies job to job with the
-// Demand strategy's Poisson draw; the block only ever grows).
-func (w *scaleWorker) residMatrix(L int) [][]float64 {
-	if cap(w.flat) < L*L {
-		w.flat = make([]float64, L*L)
+// residMatrix sizes the dense local residual matrix over the worker's
+// reusable backing block: L row slots of which only the C facility rows
+// (the candidates, first in the local id space) have storage — the
+// solver reads Resid by facility, never by destination (L varies job to
+// job with the Demand strategy's Poisson draw; the block only ever
+// grows).
+func (w *scaleWorker) residMatrix(C, L int) [][]float64 {
+	if cap(w.flat) < C*L {
+		w.flat = make([]float64, C*L)
 	}
-	flat := w.flat[:L*L]
+	flat := w.flat[:C*L]
 	if cap(w.resid) < L {
 		w.resid = make([][]float64, L)
 	}
 	w.resid = w.resid[:L]
-	for a := range w.resid {
+	for a := range w.resid[:C] {
 		w.resid[a] = flat[a*L : (a+1)*L : (a+1)*L]
 	}
+	clear(w.resid[C:])
 	return w.resid
 }
 

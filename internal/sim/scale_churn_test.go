@@ -63,6 +63,11 @@ func TestScaleChurnDeterministicAcrossWorkers(t *testing.T) {
 	cfgA.Workers = 1
 	cfgB := base
 	cfgB.Workers = 8
+	// The second twin also re-derives every member proposer's directory
+	// row with a seeded Dijkstra (and fails the run on a bit difference):
+	// joins, leaves and rebuilds must all leave the directory graph in
+	// step with the wiring. The probe must not show in the result.
+	cfgB.probe = &scaleProbe{checkRows: true}
 	a, err := RunScale(cfgA)
 	if err != nil {
 		t.Fatal(err)
@@ -93,13 +98,23 @@ func TestScaleChurnIncrementalDirectory(t *testing.T) {
 	for v := 0; v < 10; v++ {
 		sched.Events = append(sched.Events, churn.Event{Time: 3.5, Node: v * 3, On: true})
 	}
+	probe := &scaleProbe{}
 	res, err := RunScale(ScaleConfig{
 		N: n, K: 3, Seed: 23, MaxEpochs: 6, Workers: 2,
 		Sample: sampling.Spec{Strategy: sampling.Uniform, M: 30},
 		Churn:  sched,
+		probe:  probe,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Nor does a rebuild recompute what the events left exact: past the
+	// first, it builds rows for new members at most (a mid-epoch joiner
+	// is new to the membership record but already holds its row).
+	for e := 1; e < len(probe.rebuilds); e++ {
+		if rb, isNew := probe.rebuilds[e], newMembers(probe.rebuilds[e-1].ids, probe.rebuilds[e].ids); rb.rows > isNew {
+			t.Errorf("epoch %d rebuild built %d rows for %d new members of %d", e, rb.rows, isNew, len(rb.ids))
+		}
 	}
 	if res.Leaves != 20 || res.Joins != 10 {
 		t.Fatalf("events applied: joins=%d leaves=%d, want 10/20", res.Joins, res.Leaves)
@@ -145,6 +160,7 @@ func TestScaleRescueWithinOneEpoch(t *testing.T) {
 		run := base
 		run.MaxEpochs = preEpochs + 1
 		run.Churn = waveSchedule(n, preEpochs, victims, false)
+		run.probe = &scaleProbe{checkRows: true} // the orphans' rows, re-derived
 		res, err := RunScale(run)
 		if err != nil {
 			t.Fatal(err)
@@ -237,6 +253,9 @@ func TestScaleJoinWave(t *testing.T) {
 		N: n, K: 3, Seed: 5, Workers: 2, MaxEpochs: 8,
 		Sample: sampling.Spec{Strategy: sampling.Uniform, M: 30},
 		Churn:  waveSchedule(n, 3.1, joiners, true),
+		// Most joiners act later in the epoch they joined in, reading the
+		// row their join gave them: re-derive it.
+		probe: &scaleProbe{checkRows: true},
 	})
 	if err != nil {
 		t.Fatal(err)

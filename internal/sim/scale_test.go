@@ -2,7 +2,9 @@ package sim
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"egoist/internal/core"
@@ -158,24 +160,122 @@ func TestScaleRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// BenchmarkScaleConverge is one call of the repository benchmark's
-// scale-converge workload (n=600, k=8, demand:100, four epochs from the
-// bootstrap wiring, two workers): the handle for profiling the proposal
-// phase with -cpuprofile (README, "Where a proposal's time goes").
-func BenchmarkScaleConverge(b *testing.B) {
+// scaleConvergeConfig is the repository benchmark's scale-converge
+// workload: n=600, k=8, demand:100, four epochs from the bootstrap
+// wiring, two workers.
+func scaleConvergeConfig(tb testing.TB) ScaleConfig {
 	net, err := underlay.NewLite(600, 2009)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return ScaleConfig{
+		N: 600, K: 8, Seed: 7, Net: net,
+		Sample:    sampling.Spec{Strategy: sampling.Demand, M: 100},
+		MaxEpochs: 4, ConvergedFrac: -1, Workers: 2,
+	}
+}
+
+// BenchmarkScaleConverge is one call of the scale-converge workload:
+// the handle for profiling the proposal phase with -cpuprofile (README,
+// "Where a proposal's time goes").
+func BenchmarkScaleConverge(b *testing.B) {
+	cfg := scaleConvergeConfig(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := RunScale(ScaleConfig{
-			N: 600, K: 8, Seed: 7, Net: net,
-			Sample:    sampling.Spec{Strategy: sampling.Demand, M: 100},
-			MaxEpochs: 4, ConvergedFrac: -1, Workers: 2,
-		})
-		if err != nil {
+		if _, err := RunScale(cfg); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestScaleRowReuse pins what the directory-row reuse saves on the
+// scale-converge workload, against figures the test derives on its own
+// from the run's membership record: after the first rebuild a rebuild
+// builds one fresh row per member the rotation brought in and none for
+// the survivors, and the proposal phase runs a seeded Dijkstra for
+// exactly the proposers outside the directory.
+func TestScaleRowReuse(t *testing.T) {
+	cfg := scaleConvergeConfig(t)
+	cfg.probe = &scaleProbe{}
+	var traced []int
+	cfg.OnPhase = func(ev PhaseEvent) {
+		if ev.Phase == "rebuild" {
+			traced = append(traced, ev.Rows)
+		}
+	}
+	res, err := RunScale(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuilds := cfg.probe.rebuilds
+	if len(rebuilds) != res.Epochs || res.DirectoryResets != res.Epochs {
+		t.Fatalf("%d rebuilds recorded, %d logical resets, %d epochs", len(rebuilds), res.DirectoryResets, res.Epochs)
+	}
+	nonMembers, carried := 0, 0
+	for e, rb := range rebuilds {
+		if len(rb.ids) != res.PerEpoch[e].PoolSize {
+			t.Fatalf("epoch %d: probe saw %d members, the epoch record %d", e, len(rb.ids), res.PerEpoch[e].PoolSize)
+		}
+		// No churn: everybody proposes once an epoch and membership only
+		// changes at the rebuild.
+		nonMembers += res.PerEpoch[e].Acted - len(rb.ids)
+		isNew := len(rb.ids)
+		if e > 0 {
+			isNew = newMembers(rebuilds[e-1].ids, rb.ids)
+			carried += len(rb.ids) - isNew
+		}
+		if rb.rows != isNew {
+			t.Errorf("epoch %d rebuild built %d rows for %d new members of %d", e, rb.rows, isNew, len(rb.ids))
+		}
+		if traced[e] != rb.rows {
+			t.Errorf("epoch %d rebuild event says rows_built=%d, the directory built %d", e, traced[e], rb.rows)
+		}
+	}
+	if carried == 0 {
+		t.Error("no member survived an epoch boundary: the run does not exercise the carry")
+	}
+	if got := int(cfg.probe.seeded.Load()); got != nonMembers || nonMembers == 0 {
+		t.Errorf("%d seeded Dijkstras for %d proposals by non-members", got, nonMembers)
+	}
+}
+
+// newMembers counts the ids of cur that are not in prev.
+func newMembers(prev, cur []int) int {
+	was := map[int]bool{}
+	for _, v := range prev {
+		was[v] = true
+	}
+	count := 0
+	for _, v := range cur {
+		if !was[v] {
+			count++
+		}
+	}
+	return count
+}
+
+// TestSelectByKeyMatchesSort checks the bounded selection against the
+// full sort it replaced, ties on the key included, for every k.
+func TestSelectByKeyMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(40)
+		key := make([]float64, n)
+		ids := rng.Perm(n)
+		for x := range key {
+			key[x] = float64(rng.Intn(6)) // few distinct keys: ids decide most comparisons
+		}
+		sorted := make([]int, 0, n)
+		for x := 0; x < n; x += 1 + rng.Intn(2) { // a subset of the positions, as the nearest-half passes
+			sorted = append(sorted, x)
+		}
+		slices.SortFunc(sorted, func(xa, xb int) int { return cmpByKey(key, ids, xa, xb) })
+		for k := 0; k <= len(sorted); k++ {
+			order := slices.Clone(sorted)
+			rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
+			if got := selectByKey(order, key, ids, k); !slices.Equal(got, sorted[:k]) {
+				t.Fatalf("trial %d k=%d: selectByKey = %v, sorted prefix %v", trial, k, got, sorted[:k])
+			}
 		}
 	}
 }

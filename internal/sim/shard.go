@@ -112,9 +112,12 @@ type scalePool struct {
 // rebuild recomputes the directory membership for the epoch — all wired
 // targets (trimmed to the cap by in-degree, ties to lower ids) plus the
 // epoch's explorer rotation and any nodes that joined since the last
-// rebuild — and runs the full per-member Dijkstras, fanned out shard ×
-// worker. Within the epoch, apply/addMember/dropMember keep the rows
-// exact incrementally.
+// rebuild — and rebases every shard instance onto it, fanned out shard ×
+// worker: the first rebuild runs every member's Dijkstra, later ones
+// only the new members', because the overlay they would run over is the
+// one the previous epoch's repairs already left the rows exact for.
+// Within the epoch, apply/addMember/dropMember keep the rows exact
+// incrementally.
 func (sp *scalePool) rebuild(c *ScaleConfig, eng *scaleEngine, epoch, workers int) {
 	n := c.N
 	if sp.insts == nil {
@@ -197,15 +200,25 @@ func (sp *scalePool) rebuild(c *ScaleConfig, eng *scaleEngine, epoch, workers in
 		sp.pos[v] = int32(x)
 	}
 	sp.resets++
-	// Fan the full per-member Dijkstras out across the shard instances:
-	// each shard Resets with its band's member subset (sorted ids cut at
-	// the shard bounds) over the same build graph, using its slice of
-	// the worker budget. Every instance replicates the overlay graph, so
-	// the proposal phase that follows reads shard-local memory only.
+	// Fan the rebuild out across the shard instances: each shard rebases
+	// onto its band's member subset (sorted ids cut at the shard bounds)
+	// over the same build graph, using its slice of the worker budget.
+	// Every instance replicates the overlay graph, so the proposal phase
+	// that follows reads shard-local memory only.
 	sp.cutBuf = sp.plan.cut(sp.ids, sp.cutBuf)
 	par.Do(sp.plan.s, workers, func(_, s int) {
-		sp.insts[s].Reset(sp.gbuild, sp.cutBuf[s], sp.wPer)
+		sp.insts[s].Rebase(sp.gbuild, sp.cutBuf[s], sp.wPer)
 	})
+}
+
+// fullRows totals the fresh Dijkstra rows the shard instances have
+// built so far.
+func (sp *scalePool) fullRows() int {
+	total := 0
+	for _, inst := range sp.insts {
+		total += inst.FullRows()
+	}
+	return total
 }
 
 // addMember bootstraps node v into the live directory with one fresh

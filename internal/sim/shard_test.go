@@ -36,6 +36,9 @@ func TestScaleResultJSONByteIdenticalAcrossShards(t *testing.T) {
 			}
 			cfg := churnHeavyConfig(workers)
 			cfg.Shards = shards
+			// Every shard layout also re-derives its member proposers'
+			// directory rows against its own graph replica.
+			cfg.probe = &scaleProbe{checkRows: true}
 			got, err := RunScale(cfg)
 			if err != nil {
 				t.Fatal(err)
