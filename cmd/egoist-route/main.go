@@ -335,10 +335,9 @@ func bucketSlice(h *obs.Histogram) []int64 {
 // shard (with clients <= shards no two clients share a cache or a
 // counter — the multi-core scaling shape). The route mode draws sources
 // from a 64-node hot set so the row cache behaves as it does for a
-// skewed production workload (sources repeat), and warms it the
-// production way: the priming queries feed the per-source counters,
-// and a re-publish lets the server's hot-row precompute seed every
-// shard. The measured loops are the zero-alloc paths (Shard.OneHop,
+// skewed production workload (sources repeat): each hot source earns
+// its row within its first few queries and the run is served from
+// rows. The measured loops are the zero-alloc paths (Shard.OneHop,
 // Shard.AppendRoute with a recycled buffer).
 func runBench(srv *plane.Server, snap *plane.Snapshot, k int, mode string, clients int, dur time.Duration, seed int64) (ServeRecord, error) {
 	n := snap.N()
@@ -359,15 +358,6 @@ func runBench(srv *plane.Server, snap *plane.Snapshot, k int, mode string, clien
 			}
 		}
 		sort.Ints(hot)
-		// Prime the hot-row counters, then re-publish: the measurement
-		// is the serving path over publish-warmed rows, not the
-		// one-time row fill.
-		for _, src := range hot {
-			if _, _, err := srv.Shard(0).RouteCost(src, (src+1)%n); err != nil {
-				return ServeRecord{}, err
-			}
-		}
-		srv.Publish(srv.Current())
 	default:
 		return ServeRecord{}, fmt.Errorf("unknown bench mode %q (want onehop or route)", mode)
 	}

@@ -1,5 +1,7 @@
 package graph
 
+import "sync"
+
 // CSR is an immutable directed weighted graph packed in compressed
 // sparse row form: one offsets array and two parallel arc arrays,
 // cache-dense and shareable across any number of concurrent readers.
@@ -12,6 +14,9 @@ type CSR struct {
 	off []int32
 	to  []int32
 	w   []float64
+
+	revOnce sync.Once
+	rev     *CSR
 }
 
 // NewCSR packs n nodes with the given adjacency into CSR form. adj is
@@ -86,11 +91,38 @@ func (c *CSR) Out(u NodeID) (to []int32, w []float64) {
 	return c.to[lo:hi], c.w[lo:hi]
 }
 
+// Reverse returns c's in-arc view: Out(v) of the result lists the tails
+// and weights of the arcs into v, ascending by tail (parallel arcs in
+// c's order). It is built on first use in O(n + m) and shared by every
+// later caller — a graph that only ever answers one-hop or whole-row
+// queries never pays for it.
+func (c *CSR) Reverse() *CSR {
+	c.revOnce.Do(func() {
+		r := &CSR{n: c.n, off: make([]int32, c.n+1), to: make([]int32, len(c.to)), w: make([]float64, len(c.w))}
+		for _, v := range c.to {
+			r.off[v+1]++
+		}
+		for v := 0; v < c.n; v++ {
+			r.off[v+1] += r.off[v]
+		}
+		next := append([]int32(nil), r.off[:c.n]...)
+		for u := 0; u < c.n; u++ {
+			for x := c.off[u]; x < c.off[u+1]; x++ {
+				v := c.to[x]
+				r.to[next[v]], r.w[next[v]] = int32(u), c.w[x]
+				next[v]++
+			}
+		}
+		c.rev = r
+	})
+	return c.rev
+}
+
 // DijkstraCSR computes single-source shortest additive distances from
 // src over a CSR graph into dist and parent, which must both have
 // length c.N(). parent[v] is the predecessor of v on a shortest path
 // (-1 for src and unreachable nodes), so callers can reconstruct
-// routes with PathTo32. It is DijkstraDist on the packed layout plus
+// routes by walking it back from the destination. It is DijkstraDist on the packed layout plus
 // parent tracking — the inline 4-ary heap, stale entries skipped by
 // key comparison, no allocations beyond first-use heap growth.
 func (s *SPScratch) DijkstraCSR(c *CSR, src NodeID, dist []float64, parent []int32) {
@@ -118,30 +150,4 @@ func (s *SPScratch) DijkstraCSR(c *CSR, src NodeID, dist []float64, parent []int
 		}
 	}
 	s.items = h.items[:0]
-}
-
-// PathTo32 reconstructs the src→dst path from an int32 parent array
-// (inclusive of both endpoints), or nil if dst was unreachable. It is
-// PathTo for the parent layout DijkstraCSR produces.
-func PathTo32(parent []int32, src, dst NodeID) []NodeID {
-	if src == dst {
-		return []NodeID{src}
-	}
-	if parent[dst] == -1 {
-		return nil
-	}
-	var rev []NodeID
-	for v := dst; v != -1; v = int(parent[v]) {
-		rev = append(rev, v)
-		if v == src {
-			break
-		}
-	}
-	if rev[len(rev)-1] != src {
-		return nil
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
 }

@@ -72,15 +72,15 @@ func TestDijkstraCSRMatchesDigraph(t *testing.T) {
 				if dist[v] >= Inf || v == src {
 					continue
 				}
-				path := PathTo32(parent, src, v)
-				if path == nil {
-					t.Fatalf("trial %d: no path %d->%d despite dist %v", trial, src, v, dist[v])
-				}
-				cost := 0.0
-				for i := 1; i < len(path); i++ {
-					w, ok := g.Weight(path[i-1], path[i])
+				cost, hops := 0.0, 0
+				for x := v; x != src; x, hops = int(parent[x]), hops+1 {
+					p := int(parent[x])
+					if p < 0 || hops > n {
+						t.Fatalf("trial %d: parent chain of %d does not lead back to %d despite dist %v", trial, v, src, dist[v])
+					}
+					w, ok := g.Weight(p, x)
 					if !ok {
-						t.Fatalf("trial %d: path %v uses missing arc %d->%d", trial, path, path[i-1], path[i])
+						t.Fatalf("trial %d: parent chain of %d uses missing arc %d->%d", trial, v, p, x)
 					}
 					cost += w
 				}
@@ -89,25 +89,5 @@ func TestDijkstraCSRMatchesDigraph(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestPathTo32Unreachable covers the nil cases.
-func TestPathTo32Unreachable(t *testing.T) {
-	g := New(3)
-	g.AddArc(0, 1, 1)
-	c := csrOf(g)
-	var s SPScratch
-	dist := make([]float64, 3)
-	parent := make([]int32, 3)
-	s.DijkstraCSR(c, 0, dist, parent)
-	if p := PathTo32(parent, 0, 2); p != nil {
-		t.Fatalf("path to unreachable node: %v", p)
-	}
-	if p := PathTo32(parent, 0, 0); len(p) != 1 || p[0] != 0 {
-		t.Fatalf("self path: %v", p)
-	}
-	if p := PathTo32(parent, 0, 1); len(p) != 2 || p[1] != 1 {
-		t.Fatalf("one-hop path: %v", p)
 	}
 }

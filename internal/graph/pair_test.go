@@ -1,0 +1,311 @@
+package graph
+
+import (
+	"encoding/json"
+	"math"
+	"math/rand"
+	"os"
+	"testing"
+
+	"egoist/internal/underlay"
+)
+
+// Weight classes of the PairCSR differential. Continuous weights are
+// what the data plane serves (tie-free, so the pair search must answer
+// itself); the other three manufacture ties, absorbed sums and
+// zero-weight plateaus — where exact=false is the only honest answer —
+// and sums whose float value depends on association.
+const (
+	pairContinuous = iota
+	pairSmallInt
+	pairFractional // 0.1·k + 0.3: not representable, association shows
+	pairZeroHeavy
+	pairClasses
+)
+
+func pairWeight(class int, rng *rand.Rand) float64 {
+	switch class {
+	case pairSmallInt:
+		return float64(1 + rng.Intn(4))
+	case pairFractional:
+		return 0.1*float64(rng.Intn(10)) + 0.3
+	case pairZeroHeavy:
+		return float64(rng.Intn(3)) // a third of the arcs weigh nothing
+	}
+	return 1 + rng.Float64()*99
+}
+
+// pairGraph draws a sparse CSR with the shapes a search can trip on:
+// isolated nodes, dead ends (in-arcs only), sources nobody reaches,
+// parallel arcs with equal and different weights.
+func pairGraph(n, class int, rng *rand.Rand) *CSR {
+	deg := 1 + rng.Intn(5)
+	return NewCSR(n, func(u int) []Arc {
+		if rng.Intn(10) == 0 {
+			return nil
+		}
+		var arcs []Arc
+		for a := rng.Intn(deg + 1); a > 0; a-- {
+			v := rng.Intn(n)
+			if v == u {
+				continue
+			}
+			arcs = append(arcs, Arc{To: v, W: pairWeight(class, rng)})
+			if rng.Intn(10) == 0 {
+				arcs = append(arcs, Arc{To: v, W: pairWeight(class, rng)}, arcs[len(arcs)-1])
+			}
+		}
+		return arcs
+	})
+}
+
+// pairTally counts what a differential run saw.
+type pairTally struct{ pairs, exact, reachable int }
+
+// checkAllPairs compares PairCSR with DijkstraCSR's row for every
+// ordered pair of c, on the caller's (reused) scratch.
+func checkAllPairs(t *testing.T, c *CSR, ps *PairScratch, tally *pairTally) {
+	t.Helper()
+	n := c.N()
+	dist, parent := make([]float64, n), make([]int32, n)
+	for src := 0; src < n; src++ {
+		ps.DijkstraCSR(c, src, dist, parent)
+		for dst := 0; dst < n; dst++ {
+			d, exact := ps.PairCSR(c, src, dst)
+			tally.pairs++
+			// The distance is the forward search's own label, so it is
+			// the row's whether or not the parents are pinned.
+			if math.Float64bits(d) != math.Float64bits(dist[dst]) {
+				t.Fatalf("n=%d (%d,%d): PairCSR dist %v (%x), row says %v (%x), exact=%v", n, src, dst, d, math.Float64bits(d), dist[dst], math.Float64bits(dist[dst]), exact)
+			}
+			if ps.Settled() > 2*n {
+				t.Fatalf("n=%d (%d,%d): settled %d nodes, two searches can settle at most %d", n, src, dst, ps.Settled(), 2*n)
+			}
+			if !exact {
+				continue
+			}
+			tally.exact++
+			if d >= Inf || src == dst {
+				continue
+			}
+			tally.reachable++
+			got := ps.Parent()
+			for v, hops := dst, 0; v != src; v, hops = int(parent[v]), hops+1 {
+				if got[v] != parent[v] {
+					t.Fatalf("n=%d (%d,%d): parent[%d] = %d, row says %d", n, src, dst, v, got[v], parent[v])
+				}
+				if hops > n {
+					t.Fatalf("n=%d (%d,%d): parent chain does not reach src", n, src, dst)
+				}
+			}
+		}
+	}
+}
+
+// TestPairCSRMatchesRow is the exactness pin: on every ordered pair of
+// random graphs of every weight class, PairCSR's distance is
+// Float64bits-equal to the row's (so unreachable ⇔ +Inf), and whenever
+// it says exact every parent on the path is the row's. On continuous
+// weights it must say exact on ≥ 99% of pairs, or the row fallback has
+// quietly become the path.
+func TestPairCSRMatchesRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	var ps PairScratch
+	var tallies [pairClasses]pairTally
+	for trial := 0; trial < 240; trial++ {
+		class := trial % pairClasses
+		checkAllPairs(t, pairGraph(2+rng.Intn(45), class, rng), &ps, &tallies[class])
+	}
+	for class, ta := range tallies {
+		t.Logf("class %d: %d pairs, %d exact, %d exact with a path", class, ta.pairs, ta.exact, ta.reachable)
+		if ta.reachable == 0 {
+			t.Fatalf("class %d: no exact reachable pair — the generator stopped exercising the path check", class)
+		}
+	}
+	if c := tallies[pairContinuous]; float64(c.exact) < 0.99*float64(c.pairs) {
+		t.Fatalf("continuous weights: exact on %d of %d pairs, want >= 99%%", c.exact, c.pairs)
+	}
+	if z := tallies[pairZeroHeavy]; z.exact == z.pairs {
+		t.Fatal("zero-heavy weights never reported exact=false")
+	}
+}
+
+// FuzzPairCSR builds the graph from the fuzzer's bytes: n, weight
+// class, then (tail, head, weight) triples, isolated nodes and parallel
+// arcs falling out of whatever the bytes say.
+func FuzzPairCSR(f *testing.F) {
+	f.Add([]byte{5, pairZeroHeavy, 0, 1, 0, 1, 2, 0, 0, 2, 0, 2, 4, 1, 3, 4, 2})
+	f.Add([]byte{9, pairFractional, 0, 1, 3, 1, 2, 4, 0, 2, 7, 2, 3, 1, 0, 3, 9, 3, 8, 2})
+	f.Add([]byte{12, pairContinuous, 0, 5, 200, 5, 7, 13, 7, 0, 99, 0, 7, 45, 11, 5, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		n, class := 2+int(data[0])%30, int(data[1])%pairClasses
+		adj := make([][]Arc, n)
+		for x := 2; x+2 < len(data); x += 3 {
+			u, v, b := int(data[x])%n, int(data[x+1])%n, float64(data[x+2])
+			if u == v {
+				continue
+			}
+			w := 1 + b*0.37
+			switch class {
+			case pairSmallInt:
+				w = 1 + math.Mod(b, 4)
+			case pairFractional:
+				w = 0.1*math.Mod(b, 10) + 0.3
+			case pairZeroHeavy:
+				w = math.Mod(b, 3)
+			}
+			adj[u] = append(adj[u], Arc{To: v, W: w})
+		}
+		var ps PairScratch
+		var ta pairTally
+		checkAllPairs(t, NewCSR(n, func(u int) []Arc { return adj[u] }), &ps, &ta)
+	})
+}
+
+// TestReverseCSR: the in-arc view holds every arc once, ascending by
+// tail, with its weight.
+func TestReverseCSR(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	c := pairGraph(40, pairSmallInt, rng)
+	r := c.Reverse()
+	if r != c.Reverse() {
+		t.Fatal("Reverse built twice")
+	}
+	if r.N() != c.N() || r.NumArcs() != c.NumArcs() {
+		t.Fatalf("shape %d/%d, want %d/%d", r.N(), r.NumArcs(), c.N(), c.NumArcs())
+	}
+	type arc struct {
+		u, v int32
+		w    float64
+	}
+	want := map[arc]int{}
+	for u := 0; u < c.N(); u++ {
+		to, w := c.Out(u)
+		for x := range to {
+			want[arc{int32(u), to[x], w[x]}]++
+		}
+	}
+	for v := 0; v < r.N(); v++ {
+		from, w := r.Out(v)
+		for x := range from {
+			if x > 0 && from[x] < from[x-1] {
+				t.Fatalf("in-arcs of %d not ascending by tail: %v", v, from)
+			}
+			want[arc{from[x], int32(v), w[x]}]--
+		}
+	}
+	for a, left := range want {
+		if left != 0 {
+			t.Fatalf("arc %v: forward and reverse counts differ by %d", a, left)
+		}
+	}
+}
+
+// servedFixture loads the overlay the repository benchmark serves
+// (read-only, from the nested module's directory) priced the way
+// egoist-route prices it, or skips.
+func servedFixture(tb testing.TB) *CSR {
+	tb.Helper()
+	data, err := os.ReadFile("../../benchmark/fixtures/wiring-n2500-k8.json")
+	if err != nil {
+		tb.Skipf("fixture not available: %v", err)
+	}
+	var wf struct {
+		N      int     `json:"n"`
+		Seed   int64   `json:"seed"`
+		Wiring [][]int `json:"wiring"`
+	}
+	if err := json.Unmarshal(data, &wf); err != nil {
+		tb.Fatal(err)
+	}
+	net, err := underlay.NewLite(wf.N, wf.Seed+1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var arcs []Arc
+	return NewCSR(wf.N, func(u int) []Arc {
+		arcs = arcs[:0]
+		for _, v := range wf.Wiring[u] {
+			arcs = append(arcs, Arc{To: v, W: net.Delay(u, v)})
+		}
+		return arcs
+	})
+}
+
+// BenchmarkPairCSR is the kernel ratio the serve path's miss policy
+// rests on: one whole row against one pair search on the served
+// fixture, with the nodes each settles.
+func BenchmarkPairCSR(b *testing.B) {
+	c := servedFixture(b)
+	n := c.N()
+	rng := rand.New(rand.NewSource(1))
+	pairs := make([][2]int, 1024)
+	for i := range pairs {
+		pairs[i] = [2]int{rng.Intn(n), rng.Intn(n)}
+	}
+	var ps PairScratch
+	dist, parent := make([]float64, n), make([]int32, n)
+	b.Run("row", func(b *testing.B) {
+		settled := 0
+		for i := 0; i < b.N; i++ {
+			ps.DijkstraCSR(c, pairs[i%len(pairs)][0], dist, parent)
+			for _, d := range dist {
+				if d < Inf {
+					settled++
+				}
+			}
+		}
+		b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
+	})
+	b.Run("pair", func(b *testing.B) {
+		c.Reverse()
+		b.ResetTimer()
+		settled, inexact := 0, 0
+		for i := 0; i < b.N; i++ {
+			p := pairs[i%len(pairs)]
+			if _, exact := ps.PairCSR(c, p[0], p[1]); !exact {
+				inexact++
+			}
+			settled += ps.Settled()
+		}
+		b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
+		if inexact > b.N/100 {
+			b.Fatalf("%d of %d searches on continuous delays asked for the row", inexact, b.N)
+		}
+	})
+}
+
+// TestPairCSRServedFixture runs the differential where it matters: on
+// the served overlay, 40 sources × 75 destinations.
+func TestPairCSRServedFixture(t *testing.T) {
+	c := servedFixture(t)
+	n := c.N()
+	rng := rand.New(rand.NewSource(5))
+	var ps PairScratch
+	dist, parent := make([]float64, n), make([]int32, n)
+	settled, pairs := 0, 0
+	for s := 0; s < 40; s++ {
+		src := rng.Intn(n)
+		ps.DijkstraCSR(c, src, dist, parent)
+		for q := 0; q < 75; q++ {
+			dst := rng.Intn(n)
+			d, exact := ps.PairCSR(c, src, dst)
+			if !exact || math.Float64bits(d) != math.Float64bits(dist[dst]) {
+				t.Fatalf("(%d,%d): PairCSR %v exact=%v, row says %v", src, dst, d, exact, dist[dst])
+			}
+			for v := dst; v != src; v = int(parent[v]) {
+				if ps.Parent()[v] != parent[v] {
+					t.Fatalf("(%d,%d): parent[%d] = %d, row says %d", src, dst, v, ps.Parent()[v], parent[v])
+				}
+			}
+			settled += ps.Settled()
+			pairs++
+		}
+	}
+	if mean := settled / pairs; mean > n/2 {
+		t.Fatalf("a pair search settles %d nodes on average, more than half a row (%d)", mean, n)
+	}
+}

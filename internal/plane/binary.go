@@ -221,42 +221,7 @@ func (h Shard) AnswerBinary(req, dst []byte) ([]byte, error) {
 			continue
 		}
 		nRoute++
-		sh.hit(src)
-		if src == dstID {
-			dst = append(dst, BinOK)
-			dst = appendF64(dst, 0)
-			dst = appendU32(dst, 1)
-			dst = appendU32(dst, uint32(src))
-			continue
-		}
-		row := snap.rows.get(src)
-		if row.dist[dstID] >= graph.Inf {
-			dst = append(dst, BinUnreachable)
-			dst = appendF64(dst, -1)
-			dst = appendU32(dst, 0)
-			continue
-		}
-		dst = append(dst, BinOK)
-		dst = appendF64(dst, row.dist[dstID])
-		plenPos := len(dst)
-		dst = appendU32(dst, 0)
-		start := len(dst)
-		// Walk dst→src over the parent pointers straight into the
-		// response, then reverse the u32 run in place — the path Route
-		// builds, without its allocation.
-		for v := int32(dstID); ; v = row.parent[v] {
-			dst = appendU32(dst, uint32(v))
-			if int(v) == src {
-				break
-			}
-		}
-		plen := (len(dst) - start) / 4
-		for a, b := start, len(dst)-4; a < b; a, b = a+4, b-4 {
-			for x := 0; x < 4; x++ {
-				dst[a+x], dst[b+x] = dst[b+x], dst[a+x]
-			}
-		}
-		binary.LittleEndian.PutUint32(dst[plenPos:], uint32(plen))
+		dst = appendBinRoute(dst, snap, src, dstID)
 	}
 	if nOneHop > 0 {
 		sh.onehop.Add(nOneHop)
@@ -271,6 +236,25 @@ func (h Shard) AnswerBinary(req, dst []byte) ([]byte, error) {
 		sh.m.batchNs.ObserveShard(sh.idx, time.Since(t0).Nanoseconds())
 	}
 	return dst, nil
+}
+
+// appendBinRoute appends one route-mode result. It is kept out of
+// AnswerBinary's loop so the one-hop batch does not carry its frame.
+func appendBinRoute(dst []byte, snap *Snapshot, src, dstID int) []byte {
+	var hops [32]int32
+	path, cost, ok := snap.RouteInto(src, dstID, hops[:0])
+	if !ok {
+		dst = append(dst, BinUnreachable)
+		dst = appendF64(dst, -1)
+		return appendU32(dst, 0)
+	}
+	dst = append(dst, BinOK)
+	dst = appendF64(dst, cost)
+	dst = appendU32(dst, uint32(len(path)))
+	for _, v := range path {
+		dst = appendU32(dst, uint32(v))
+	}
+	return dst
 }
 
 // handleBatchBin is POST /routes.bin: the binary batch protocol over

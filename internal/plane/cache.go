@@ -7,66 +7,88 @@ import (
 	"egoist/internal/graph"
 )
 
-// rowCache is the snapshot's lazy per-source shortest-path row store:
-// an LRU bounded at cap rows with singleflight per source, so N
-// concurrent queries from one source cost one Dijkstra and a source
-// evicted under memory pressure simply recomputes on next use. Rows
-// are immutable once their ready channel closes; eviction only drops
-// the cache's reference, so readers holding a row keep a consistent
-// view for as long as they need it.
+// rowCache answers a snapshot's shortest-path queries and decides,
+// per source, what to pay for them. In order: a resident row answers
+// (an LRU bounded at cap rows; a row in flight is waited for, so N
+// concurrent fills of one source cost one Dijkstra); otherwise an exact
+// pair search (graph.PairCSR) answers the one query at a fraction of a
+// row's cost; once a source has spent a whole row's worth of settled
+// nodes on pair searches its row is computed and cached. That is the
+// ski-rental rule — rent until the rent paid equals the purchase price
+// — so whatever the traffic, a source costs at most twice what the
+// better of "always search" and "fill at once" would have, and a source
+// seen once never pushes a hot row out. Rows are immutable once their
+// ready channel closes; eviction only drops the cache's reference, so
+// readers holding a row keep a consistent view for as long as they
+// need it.
 type rowCache struct {
 	snap *Snapshot
 	cap  int
+	// spent[src] is the number of nodes src's pair searches have settled
+	// since its row was last absent; zeroed when the row is evicted.
+	spent []atomic.Uint32
 
 	mu      sync.Mutex
 	entries map[int]*rowEntry
 	head    *rowEntry // most recently used
 	tail    *rowEntry // least recently used
 	ready   int       // computed entries (only these are evictable)
-	stats   *cacheStats
-
-	scratch sync.Pool // *graph.SPScratch
+	stats   atomic.Pointer[cacheStats]
 }
 
-// cacheStats are demand-path row-cache counters, owned by whoever
-// serves the cache (the Server threads one instance through every
-// snapshot and shard view it publishes, so the series survives
-// publishes). A hit found a computed row; a collapse joined a row
-// another goroutine was still computing (the singleflight path — the
-// miss-storm signal); a miss paid the Dijkstra. Publish-time row
-// warming and carry-over seeding are deliberate precompute, not demand
-// traffic, and are not counted.
+// searchScratch recycles search state across queries, caches and
+// snapshots: a PairScratch re-sizes itself when the node count changes.
+var searchScratch = sync.Pool{New: func() any { return new(graph.PairScratch) }}
+
+// cacheStats are the route path's counters, owned by whoever serves
+// the cache (the Server threads one instance through every snapshot
+// and shard view it publishes, so the series survives publishes; an
+// unpublished snapshot counts into a private one). Every lookup is
+// exactly one of: a hit (found a computed row), a collapse (joined a
+// row another goroutine was still computing — the miss-storm signal),
+// or a miss (no row for the source). What a miss then paid is counted
+// beside it: a pair search (with the nodes it settled), a row fill, or
+// — a fallback — both, when a tie kept the search from pinning the
+// path. Rows carried over by Patch or seeded into a shard view are not
+// demand traffic and are not counted.
 type cacheStats struct {
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
 	collapses atomic.Int64
+	fills     atomic.Int64
+	searches  atomic.Int64
+	settled   atomic.Int64
+	fallbacks atomic.Int64
 }
 
-// CacheStats is one consistent-enough read of the row-cache counters.
+// CacheStats is one consistent-enough read of the route-path counters.
 type CacheStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-	Collapses int64 `json:"collapses"`
+	Hits          int64 `json:"hits"`
+	Misses        int64 `json:"misses"`
+	Evictions     int64 `json:"evictions"`
+	Collapses     int64 `json:"collapses"`
+	Fills         int64 `json:"fills"`
+	PairSearches  int64 `json:"pair_searches"`
+	PairSettled   int64 `json:"pair_settled"`
+	PairFallbacks int64 `json:"pair_fallbacks"`
 }
 
 func (st *cacheStats) read() CacheStats {
 	return CacheStats{
-		Hits:      st.hits.Load(),
-		Misses:    st.misses.Load(),
-		Evictions: st.evictions.Load(),
-		Collapses: st.collapses.Load(),
+		Hits:          st.hits.Load(),
+		Misses:        st.misses.Load(),
+		Evictions:     st.evictions.Load(),
+		Collapses:     st.collapses.Load(),
+		Fills:         st.fills.Load(),
+		PairSearches:  st.searches.Load(),
+		PairSettled:   st.settled.Load(),
+		PairFallbacks: st.fallbacks.Load(),
 	}
 }
 
-// setStats attaches the owner's counters (nil detaches). Rows computed
-// while no stats are attached are simply not counted.
-func (c *rowCache) setStats(st *cacheStats) {
-	c.mu.Lock()
-	c.stats = st
-	c.mu.Unlock()
-}
+// setStats attaches the owner's counters.
+func (c *rowCache) setStats(st *cacheStats) { c.stats.Store(st) }
 
 // rowEntry is one source's distance/parent row plus its LRU links.
 type rowEntry struct {
@@ -81,32 +103,96 @@ func newRowCache(s *Snapshot, capRows int) *rowCache {
 	if capRows <= 0 {
 		capRows = 256
 	}
-	return &rowCache{
+	c := &rowCache{
 		snap:    s,
 		cap:     capRows,
+		spent:   make([]atomic.Uint32, s.csr.N()),
 		entries: make(map[int]*rowEntry),
 	}
+	c.stats.Store(new(cacheStats))
+	return c
 }
 
-// get returns src's row, computing it (or waiting for the computation
-// another goroutine already started) as needed.
-func (c *rowCache) get(src int) *rowEntry {
+// resolve answers src→dst (src != dst, both in range): the cost, +Inf
+// when dst is unreachable, and when wantPath the nodes src..dst
+// appended to buf. Whichever way the answer is produced it is the one
+// src's DijkstraCSR row holds, bit for bit (graph.PairCSR says why).
+func (c *rowCache) resolve(src, dst int, buf []int32, wantPath bool) ([]int32, float64) {
+	st := c.stats.Load()
+	e := c.find(src, st)
+	if e == nil && int(c.spent[src].Load()) < c.snap.nLive {
+		ps := searchScratch.Get().(*graph.PairScratch)
+		cost, exact := ps.PairCSR(c.snap.csr, src, dst)
+		c.spent[src].Add(uint32(ps.Settled()))
+		st.searches.Add(1)
+		st.settled.Add(int64(ps.Settled()))
+		if exact && wantPath && cost < graph.Inf {
+			buf = appendPath(buf, ps.Parent(), src, dst)
+		}
+		searchScratch.Put(ps)
+		if exact {
+			return buf, cost
+		}
+		st.fallbacks.Add(1)
+	}
+	if e == nil {
+		e = c.fill(src, st)
+	}
+	cost := e.dist[dst]
+	if wantPath && cost < graph.Inf {
+		buf = appendPath(buf, e.parent, src, dst)
+	}
+	return buf, cost
+}
+
+// appendPath appends the nodes src..dst to buf by walking parent from
+// dst back to src and reversing the run in place.
+func appendPath(buf, parent []int32, src, dst int) []int32 {
+	start := len(buf)
+	for v := int32(dst); ; v = parent[v] {
+		buf = append(buf, v)
+		if int(v) == src {
+			break
+		}
+	}
+	for i, j := start, len(buf)-1; i < j; i, j = i+1, j-1 {
+		buf[i], buf[j] = buf[j], buf[i]
+	}
+	return buf
+}
+
+// find returns src's row if one is resident or being computed (waiting
+// for it in that case), else nil. It classifies the lookup: hit,
+// collapse or miss.
+func (c *rowCache) find(src int, st *cacheStats) *rowEntry {
+	c.mu.Lock()
+	e, ok := c.entries[src]
+	if !ok {
+		c.mu.Unlock()
+		st.misses.Add(1)
+		return nil
+	}
+	c.moveFront(e)
+	c.mu.Unlock()
+	// Classify before blocking: a still-open ready channel means this
+	// query joined an in-flight compute — the singleflight collapse the
+	// miss-storm diagnostics watch.
+	select {
+	case <-e.done:
+		st.hits.Add(1)
+	default:
+		st.collapses.Add(1)
+	}
+	<-e.done
+	return e
+}
+
+// fill computes and caches src's row — or, if another goroutine began
+// to since the caller's find, waits for that one.
+func (c *rowCache) fill(src int, st *cacheStats) *rowEntry {
 	c.mu.Lock()
 	if e, ok := c.entries[src]; ok {
-		c.moveFront(e)
-		st := c.stats
 		c.mu.Unlock()
-		if st != nil {
-			// Classify before blocking: a still-open ready channel means
-			// this query joined an in-flight compute — the singleflight
-			// collapse the miss-storm diagnostics watch.
-			select {
-			case <-e.done:
-				st.hits.Add(1)
-			default:
-				st.collapses.Add(1)
-			}
-		}
 		<-e.done
 		return e
 	}
@@ -114,20 +200,15 @@ func (c *rowCache) get(src int) *rowEntry {
 	c.entries[src] = e
 	c.pushFront(e)
 	c.evictLocked()
-	if c.stats != nil {
-		c.stats.misses.Add(1)
-	}
 	c.mu.Unlock()
+	st.fills.Add(1)
 
-	sp, _ := c.scratch.Get().(*graph.SPScratch)
-	if sp == nil {
-		sp = &graph.SPScratch{}
-	}
+	ps := searchScratch.Get().(*graph.PairScratch)
 	n := c.snap.csr.N()
 	e.dist = make([]float64, n)
 	e.parent = make([]int32, n)
-	sp.DijkstraCSR(c.snap.csr, src, e.dist, e.parent)
-	c.scratch.Put(sp)
+	ps.DijkstraCSR(c.snap.csr, src, e.dist, e.parent)
+	searchScratch.Put(ps)
 
 	c.mu.Lock()
 	c.ready++
@@ -148,9 +229,8 @@ func (c *rowCache) evictLocked() {
 			c.unlink(e)
 			delete(c.entries, e.src)
 			c.ready--
-			if c.stats != nil {
-				c.stats.evictions.Add(1)
-			}
+			c.spent[e.src].Store(0)
+			c.stats.Load().evictions.Add(1)
 		default:
 		}
 		e = prev

@@ -7,6 +7,17 @@ import (
 	"time"
 )
 
+// get returns src's row, computing it (or waiting for the computation
+// another goroutine already started) as needed: resolve without the
+// pair search, for the tests that exercise the row store itself.
+func (c *rowCache) get(src int) *rowEntry {
+	st := c.stats.Load()
+	if e := c.find(src, st); e != nil {
+		return e
+	}
+	return c.fill(src, st)
+}
+
 // cacheSnapshot compiles a small snapshot with a row-cache cap low
 // enough that the tests below can push it over.
 func cacheSnapshot(t *testing.T, n, capRows int) *Snapshot {
@@ -20,10 +31,11 @@ func cacheSnapshot(t *testing.T, n, capRows int) *Snapshot {
 // entries (in-flight rows are never evicted), but once the misses
 // resolve and one more get runs eviction, the population is back at
 // cap. The bound is asserted against the cache's real counters — the
-// resident population is exactly misses − evictions, and every get is
-// classified exactly once as hit, miss, or singleflight collapse — so
-// the test watches the same signals /metrics exports instead of
-// private LRU state.
+// resident population is exactly fills − evictions, and every get is
+// classified exactly once as hit, miss, or singleflight collapse (two
+// gets that miss the same source at once fill it once) — so the test
+// watches the same signals /metrics exports instead of private LRU
+// state.
 func TestRowCacheOverCapBound(t *testing.T) {
 	const n, capRows, g = 120, 8, 16
 	snap := cacheSnapshot(t, n, capRows)
@@ -42,10 +54,10 @@ func TestRowCacheOverCapBound(t *testing.T) {
 			// a single Dijkstra.
 			for i := 0; i < n; i++ {
 				snap.rows.get((w + i) % n)
-				// Misses first, evictions second: evictions only grow, so
+				// Fills first, evictions second: evictions only grow, so
 				// the estimate never exceeds the true population at the
-				// time the miss counter was read.
-				if held := st.misses.Load() - st.evictions.Load(); held > capRows+g {
+				// time the fill counter was read.
+				if held := st.fills.Load() - st.evictions.Load(); held > capRows+g {
 					t.Errorf("cache held %d rows, over-cap bound is cap+G = %d", held, capRows+g)
 				}
 			}
@@ -63,12 +75,15 @@ func TestRowCacheOverCapBound(t *testing.T) {
 	// in-flight row itself, which resolves before get returns... and is
 	// then evictable, so bound at cap+1).
 	snap.rows.get(0)
-	held := st.misses.Load() - st.evictions.Load()
+	if f, m := st.fills.Load(), st.misses.Load(); f > m {
+		t.Fatalf("%d fills for %d misses: a row was computed nobody missed", f, m)
+	}
+	held := st.fills.Load() - st.evictions.Load()
 	if held > capRows+1 {
 		t.Fatalf("counters say %d rows held after misses drained, want <= cap+1 = %d", held, capRows+1)
 	}
 	if got := snap.rows.size(); int64(got) != held {
-		t.Fatalf("misses-evictions = %d but cache holds %d entries — counters drifted from the population", held, got)
+		t.Fatalf("fills-evictions = %d but cache holds %d entries — counters drifted from the population", held, got)
 	}
 }
 
@@ -266,51 +281,5 @@ func TestShardViewsShareRowStorage(t *testing.T) {
 	view1.rows.mu.Unlock()
 	if leaked {
 		t.Fatal("a miss in shard 0's cache appeared in shard 1's")
-	}
-}
-
-// TestPublishWarmsHotRows: per-source route-query counters drive the
-// publish-time precompute — after re-publishing, the top-K queried
-// sources are resident in every shard's cache before any query runs.
-func TestPublishWarmsHotRows(t *testing.T) {
-	const n = 80
-	snap := cacheSnapshot(t, n, 64)
-	srv := NewServerShards(2)
-	srv.SetHotRows(4)
-	srv.Publish(snap)
-
-	// Query sources 10..15 through shard handles with a skew: 10 and 11
-	// hottest.
-	for i, src := range []int{10, 10, 10, 11, 11, 12, 13, 14, 15} {
-		if _, _, err := srv.Shard(i%2).RouteCost(src, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	next := Compile(1, randomWiring(n, 4, rand.New(rand.NewSource(31))), nil, testNet(t, n), Options{})
-	srv.Publish(next)
-
-	for i := 0; i < 2; i++ {
-		view := srv.Shard(i).Current()
-		view.rows.mu.Lock()
-		resident := len(view.rows.entries)
-		_, hot10 := view.rows.entries[10]
-		_, hot11 := view.rows.entries[11]
-		view.rows.mu.Unlock()
-		if !hot10 || !hot11 {
-			t.Fatalf("shard %d: hottest sources resident = (10:%v, 11:%v), want both", i, hot10, hot11)
-		}
-		if resident != 4 {
-			t.Fatalf("shard %d holds %d precomputed rows, want hot-row budget 4", i, resident)
-		}
-	}
-
-	// Warmed rows answer identically to cold computation.
-	cold := Compile(1, randomWiring(n, 4, rand.New(rand.NewSource(31))), nil, testNet(t, n), Options{})
-	for dst := 0; dst < n; dst++ {
-		want := cold.RouteCost(10, dst)
-		if got := srv.Shard(0).Current().RouteCost(10, dst); got != want {
-			t.Fatalf("warmed RouteCost(10,%d) = %v, cold compile says %v", dst, got, want)
-		}
 	}
 }

@@ -15,7 +15,7 @@ type serverMetrics struct {
 	onehopNs  *obs.Histogram // per one-hop decision, per-shard cells
 	routeNs   *obs.Histogram // per shortest-path answer, per-shard cells
 	batchNs   *obs.Histogram // per binary batch answered, per-shard cells
-	publishNs *obs.Histogram // per Publish (hot-row warming included)
+	publishNs *obs.Histogram // per Publish
 }
 
 // EnableMetrics registers the serving layer's instrument set on reg
@@ -30,7 +30,9 @@ type serverMetrics struct {
 //	plane_queries_onehop_total{shard=...}  delivered one-hop answers
 //	plane_queries_route_total{shard=...}   delivered route answers
 //	plane_queries_failed_total{shard=...}  rejected queries
-//	plane_cache_{hits,misses,evictions,collapses}_total  row cache
+//	plane_cache_{hits,misses,collapses}_total  route lookups, by what they found
+//	plane_cache_{fills,evictions}_total        rows computed on demand / dropped
+//	plane_pair_{searches,settled,fallbacks}_total  pair searches a miss paid
 //	plane_snapshot_epoch / _age_seconds / _live  serving snapshot
 //	plane_{onehop,route,batch,publish}_latency_ns  summaries
 func (s *Server) EnableMetrics(reg *obs.Registry) {
@@ -39,7 +41,7 @@ func (s *Server) EnableMetrics(reg *obs.Registry) {
 		onehopNs:  reg.HistogramVec("plane_onehop_latency_ns", "one-hop decision latency", p),
 		routeNs:   reg.HistogramVec("plane_route_latency_ns", "shortest-path answer latency (cache-warm or not)", p),
 		batchNs:   reg.HistogramVec("plane_batch_latency_ns", "binary batch answer latency (whole batch)", p),
-		publishNs: reg.Histogram("plane_publish_latency_ns", "snapshot publish latency, hot-row warming included"),
+		publishNs: reg.Histogram("plane_publish_latency_ns", "snapshot publish latency"),
 	}
 	reg.CounterVecFunc("plane_queries_onehop_total", "delivered one-hop answers", p,
 		func(i int) int64 { return s.shards[i].onehop.Load() })
@@ -49,8 +51,16 @@ func (s *Server) EnableMetrics(reg *obs.Registry) {
 		func(i int) int64 { return s.shards[i].failed.Load() })
 	reg.CounterFunc("plane_cache_hits_total", "row-cache lookups answered from a computed row",
 		func() int64 { return s.cstats.hits.Load() })
-	reg.CounterFunc("plane_cache_misses_total", "row-cache lookups that paid a Dijkstra",
+	reg.CounterFunc("plane_cache_misses_total", "row-cache lookups that found no row for the source (answered by a pair search or a fill)",
 		func() int64 { return s.cstats.misses.Load() })
+	reg.CounterFunc("plane_cache_fills_total", "shortest-path rows computed on demand (one Dijkstra each)",
+		func() int64 { return s.cstats.fills.Load() })
+	reg.CounterFunc("plane_pair_searches_total", "misses answered by an exact pair search",
+		func() int64 { return s.cstats.searches.Load() })
+	reg.CounterFunc("plane_pair_settled_total", "nodes settled by pair searches (a filled row settles every live node)",
+		func() int64 { return s.cstats.settled.Load() })
+	reg.CounterFunc("plane_pair_fallbacks_total", "pair searches that hit a tie and were answered from a filled row instead",
+		func() int64 { return s.cstats.fallbacks.Load() })
 	reg.CounterFunc("plane_cache_evictions_total", "row-cache rows dropped under the cap",
 		func() int64 { return s.cstats.evictions.Load() })
 	reg.CounterFunc("plane_cache_collapses_total", "row-cache lookups that joined an in-flight compute (singleflight)",

@@ -26,7 +26,9 @@ func TestServerMetricsExposition(t *testing.T) {
 		if _, _, err := srv.Shard(0).OneHop(i, n-1); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := srv.Shard(1).RouteCost(i%3, n-1); err != nil {
+	}
+	for i := 0; i < 60; i++ {
+		if _, _, err := srv.Shard(1).RouteCost(i%3, n-1-i%7); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -43,9 +45,9 @@ func TestServerMetricsExposition(t *testing.T) {
 	for series, want := range map[string]float64{
 		`plane_queries_onehop_total{shard="0"}`: 12, // 10 direct + 2 binary pairs
 		`plane_queries_onehop_total{shard="1"}`: 0,
-		`plane_queries_route_total{shard="1"}`:  10,
+		`plane_queries_route_total{shard="1"}`:  60,
 		`plane_onehop_latency_ns_count`:         10, // binary pairs land in the batch histogram
-		`plane_route_latency_ns_count`:          10,
+		`plane_route_latency_ns_count`:          60,
 		`plane_batch_latency_ns_count`:          1,
 		`plane_publish_latency_ns_count`:        1,
 		`plane_snapshot_epoch`:                  7,
@@ -55,19 +57,30 @@ func TestServerMetricsExposition(t *testing.T) {
 			t.Errorf("series %s = %v (present=%v), want %v", series, got, ok, want)
 		}
 	}
-	// 10 RouteCost calls over 3 sources: 3 misses then hits.
-	if m["plane_cache_misses_total"] != 3 {
-		t.Errorf("cache misses = %v, want 3", m["plane_cache_misses_total"])
-	}
-	if m["plane_cache_hits_total"] != 7 {
-		t.Errorf("cache hits = %v, want 7", m["plane_cache_hits_total"])
+	// 60 route lookups over 3 cold sources. Each source is answered by
+	// pair searches until they have settled a row's worth of nodes (the
+	// 80 live ones), then its row is filled once and every later lookup
+	// hits it: 18 searches + 3 fills are the 21 misses, the other 39 are
+	// hits, and continuous delays never tie, so no search fell back.
+	for series, want := range map[string]float64{
+		"plane_cache_hits_total":      39,
+		"plane_cache_misses_total":    21,
+		"plane_cache_fills_total":     3,
+		"plane_pair_searches_total":   18,
+		"plane_pair_settled_total":    253,
+		"plane_pair_fallbacks_total":  0,
+		"plane_cache_evictions_total": 0,
+	} {
+		if got, ok := m[series]; !ok || got != want {
+			t.Errorf("series %s = %v (present=%v), want %v", series, got, ok, want)
+		}
 	}
 	if age, ok := m["plane_snapshot_age_seconds"]; !ok || age < 0 {
 		t.Errorf("snapshot age = %v (present=%v), want >= 0", age, ok)
 	}
 	st := srv.CacheStats()
-	if st.Misses != 3 || st.Hits != 7 {
-		t.Errorf("CacheStats() = %+v, want 3 misses / 7 hits", st)
+	if want := (CacheStats{Hits: 39, Misses: 21, Fills: 3, PairSearches: 18, PairSettled: 253}); st != want {
+		t.Errorf("CacheStats() = %+v, want %+v", st, want)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -24,15 +23,6 @@ const (
 	maxBatchPairs = 10000
 	maxBatchBytes = 1 << 20 // comfortably holds maxBatchPairs of JSON pairs
 )
-
-// DefaultHotRows is the publish-time row-precompute budget: at every
-// Publish the server ranks sources by their route-query counters and
-// pre-computes the shortest-path rows of the top DefaultHotRows before
-// swapping the snapshot in, so a skewed production workload (the load
-// generator's 64-source hot set, a popular CDN origin) never pays a
-// Dijkstra on the serving path — the cost moves to publish time, once,
-// instead of per-shard per-epoch. SetHotRows overrides; 0 disables.
-const DefaultHotRows = 64
 
 // Server is the query-serving layer, sharded per core: each shard owns
 // an atomic snapshot pointer, its own shortest-path row cache (a
@@ -54,9 +44,8 @@ type Server struct {
 	base    atomic.Pointer[Snapshot]
 	rr      atomic.Uint32 // round-robin shard pick for unpinned callers
 	mu      sync.Mutex    // serializes Publish bookkeeping
-	hotK    int
-	pubTime atomic.Int64 // UnixNano of the last Publish (0 = never)
-	cstats  cacheStats   // row-cache counters, threaded through every publish
+	pubTime atomic.Int64  // UnixNano of the last Publish (0 = never)
+	cstats  cacheStats    // row-cache counters, threaded through every publish
 }
 
 // shard is one core's serving state. The counters of different shards
@@ -68,13 +57,9 @@ type shard struct {
 	onehop atomic.Int64
 	routes atomic.Int64
 	failed atomic.Int64
-	// hits counts route-mode queries per source id — the signal the
-	// publish-time hot-row precompute ranks on. Swapped wholesale when
-	// the snapshot's node-id space changes size.
-	hits atomic.Pointer[[]uint64]
-	idx  int            // this shard's index (metrics cell selector)
-	m    *serverMetrics // nil until Server.EnableMetrics
-	_    [64]byte
+	idx    int            // this shard's index (metrics cell selector)
+	m      *serverMetrics // nil until Server.EnableMetrics
+	_      [64]byte
 }
 
 // NewServer returns a single-shard Server with no snapshot published —
@@ -91,7 +76,7 @@ func NewServerShards(p int) *Server {
 	if p <= 0 {
 		p = runtime.GOMAXPROCS(0)
 	}
-	s := &Server{shards: make([]*shard, p), hotK: DefaultHotRows}
+	s := &Server{shards: make([]*shard, p)}
 	for i := range s.shards {
 		s.shards[i] = &shard{idx: i}
 	}
@@ -111,15 +96,6 @@ func (s *Server) Shard(i int) Shard {
 	return Shard{sh: s.shards[i%len(s.shards)]}
 }
 
-// SetHotRows sets the publish-time hot-row precompute budget (0
-// disables). Call before serving; the new budget applies from the next
-// Publish.
-func (s *Server) SetHotRows(k int) {
-	s.mu.Lock()
-	s.hotK = k
-	s.mu.Unlock()
-}
-
 // pick spreads unpinned callers across shards. The round-robin counter
 // is the one shared atomic on this path — callers that care about the
 // last nanoseconds hold a Shard handle instead.
@@ -130,33 +106,19 @@ func (s *Server) pick() *shard {
 	return s.shards[int(s.rr.Add(1))%len(s.shards)]
 }
 
-// Publish installs snap as the serving snapshot on every shard. Before
-// the swap it pre-computes the shortest-path rows of the top-K sources
-// by route-query count into snap's cache (pay at publish, not per
-// query), then hands each shard its own view: same immutable topology,
-// a private row cache seeded with every row snap already has — hot
-// rows included — shared by reference, so the per-shard caches start
-// warm without copying a byte. With one shard, snap itself serves
-// (exact pre-sharding behavior).
+// Publish installs snap as the serving snapshot on every shard, handing
+// each its own view: same immutable topology, a private row cache
+// seeded with every row snap already has (the rows a Patch carried
+// over, typically) shared by reference, so the per-shard caches start
+// as warm as snap without copying a byte. With one shard, snap itself
+// serves (exact pre-sharding behavior). Nothing is computed here: a
+// source whose row a change crossed is answered by pair searches until
+// it has earned the row back.
 func (s *Server) Publish(snap *Snapshot) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t0 := time.Now()
-	// Counters stay detached while warming: publish-time precompute is
-	// deliberate work, not demand traffic, and must not skew the
-	// hit/miss signal adaptive sizing would read.
-	snap.rows.setStats(nil)
-	if k := s.hotK; k > 0 {
-		snap.warmRows(s.topHot(snap, k))
-	}
 	snap.rows.setStats(&s.cstats)
-	n := snap.N()
-	for _, sh := range s.shards {
-		if p := sh.hits.Load(); p == nil || len(*p) != n {
-			fresh := make([]uint64, n)
-			sh.hits.Store(&fresh)
-		}
-	}
 	s.base.Store(snap)
 	if len(s.shards) == 1 {
 		s.shards[0].cur.Store(snap)
@@ -171,39 +133,6 @@ func (s *Server) Publish(snap *Snapshot) {
 	if m := s.shards[0].m; m != nil {
 		m.publishNs.Observe(time.Since(t0).Nanoseconds())
 	}
-}
-
-// topHot ranks sources by summed per-shard route-query counters and
-// returns the top k live ones (count desc, id asc — deterministic for
-// a given counter state). Sources never queried stay cold.
-func (s *Server) topHot(snap *Snapshot, k int) []int {
-	n := snap.N()
-	sum := make([]uint64, n)
-	for _, sh := range s.shards {
-		p := sh.hits.Load()
-		if p == nil || len(*p) != n {
-			continue
-		}
-		for i := range *p {
-			sum[i] += atomic.LoadUint64(&(*p)[i])
-		}
-	}
-	var cand []int
-	for i, c := range sum {
-		if c > 0 && snap.Live(i) {
-			cand = append(cand, i)
-		}
-	}
-	sort.Slice(cand, func(a, b int) bool {
-		if sum[cand[a]] != sum[cand[b]] {
-			return sum[cand[a]] > sum[cand[b]]
-		}
-		return cand[a] < cand[b]
-	})
-	if len(cand) > k {
-		cand = cand[:k]
-	}
-	return cand
 }
 
 // Current returns the published base snapshot, or nil before the first
@@ -251,14 +180,6 @@ type Shard struct {
 // snapshot but own their row cache.
 func (h Shard) Current() *Snapshot { return h.sh.cur.Load() }
 
-// hit records one route-mode query against src for the publish-time
-// hot-row ranking.
-func (sh *shard) hit(src int) {
-	if p := sh.hits.Load(); p != nil && src < len(*p) {
-		atomic.AddUint64(&(*p)[src], 1)
-	}
-}
-
 // OneHop answers one one-hop query from this shard — zero allocations
 // end-to-end (gated by TestServeHotPathsZeroAlloc).
 func (h Shard) OneHop(src, dst int) (Decision, int64, error) {
@@ -295,7 +216,6 @@ func (h Shard) Route(src, dst int) (Route, bool, int64, error) {
 		return Route{}, false, snap.epoch, err
 	}
 	h.sh.routes.Add(1)
-	h.sh.hit(src)
 	if m := h.sh.m; m != nil {
 		t0 := time.Now()
 		r, ok := snap.Route(src, dst)
@@ -308,7 +228,7 @@ func (h Shard) Route(src, dst int) (Route, bool, int64, error) {
 
 // RouteCost answers one shortest-path cost query from this shard
 // (+Inf when unreachable), skipping path reconstruction — zero
-// allocations once the source row is cached.
+// allocations whether a row or a pair search answers.
 func (h Shard) RouteCost(src, dst int) (float64, int64, error) {
 	snap := h.sh.cur.Load()
 	if snap == nil {
@@ -320,7 +240,6 @@ func (h Shard) RouteCost(src, dst int) (float64, int64, error) {
 		return graph.Inf, snap.epoch, err
 	}
 	h.sh.routes.Add(1)
-	h.sh.hit(src)
 	if m := h.sh.m; m != nil {
 		t0 := time.Now()
 		c := snap.RouteCost(src, dst)
@@ -332,8 +251,8 @@ func (h Shard) RouteCost(src, dst int) (float64, int64, error) {
 
 // AppendRoute answers one full shortest-path query, appending the path
 // to buf (pass the previous call's path[:0] to reuse storage) — the
-// zero-allocation serving path once the source row is cached. ok=false
-// means unreachable (cost +Inf, empty path).
+// zero-allocation serving path. ok=false means unreachable (cost +Inf,
+// empty path).
 func (h Shard) AppendRoute(src, dst int, buf []int32) (path []int32, cost float64, ok bool, err error) {
 	snap := h.sh.cur.Load()
 	if snap == nil {
@@ -345,7 +264,6 @@ func (h Shard) AppendRoute(src, dst int, buf []int32) (path []int32, cost float6
 		return buf[:0], graph.Inf, false, err
 	}
 	h.sh.routes.Add(1)
-	h.sh.hit(src)
 	if m := h.sh.m; m != nil {
 		t0 := time.Now()
 		path, cost, ok = snap.RouteInto(src, dst, buf)
@@ -445,7 +363,6 @@ func answerPair(sh *shard, snap *Snapshot, mode string, src, dst int) routeResul
 		}
 	case "route":
 		sh.routes.Add(1)
-		sh.hit(src)
 		t0 := time.Time{}
 		if sh.m != nil {
 			t0 = time.Now()
@@ -513,7 +430,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// Bound the request: egoistd exposes this endpoint publicly, and an
 	// unbounded pairs array is an amplification vector (each route-mode
-	// pair can cost a Dijkstra).
+	// pair can cost a search).
 	var req batchRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBytes)).Decode(&req); err != nil {
 		http.Error(w, "plane: bad batch: "+err.Error(), http.StatusBadRequest)

@@ -12,10 +12,11 @@
 //     or via whichever of src's k overlay neighbors minimizes the
 //     first-hop delay plus the neighbor's direct delay to the
 //     destination. No per-destination state, constant work per query.
-//   - Route: the full overlay shortest path, from per-source Dijkstra
-//     rows computed lazily on first use and kept behind an LRU with
-//     singleflight, so a popular source costs one Dijkstra no matter
-//     how many concurrent clients ask.
+//   - Route: the full overlay shortest path. A source that is asked
+//     about rarely is answered by an exact point-to-point search; one
+//     that keeps being asked gets its whole Dijkstra row computed and
+//     kept behind an LRU with singleflight, so a popular source costs
+//     one Dijkstra no matter how many concurrent clients ask.
 //
 // Snapshots are immutable after Compile: readers never lock, and the
 // control plane publishes a fresh Snapshot per epoch through
@@ -27,9 +28,6 @@ package plane
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"egoist/internal/graph"
 )
@@ -59,7 +57,7 @@ func (d DelayFunc) Delay(i, j int) float64 { return d.Fn(i, j) }
 type Options struct {
 	// RouteCacheRows bounds the shortest-path row cache (default 256
 	// rows; one row is 12·n bytes). Lookups never fail when the cache
-	// is cold or thrashing — they just recompute.
+	// is cold or thrashing — they search or recompute.
 	RouteCacheRows int
 }
 
@@ -231,19 +229,19 @@ type Route struct {
 }
 
 // Route returns the overlay shortest path src→dst, or ok=false when dst
-// is not reachable over overlay links. The underlying per-source row is
-// computed on first use and cached; the returned path is freshly
+// is not reachable over overlay links. The returned path is freshly
 // allocated and owned by the caller.
 func (s *Snapshot) Route(src, dst int) (Route, bool) {
-	s.mustPair(src, dst)
-	if src == dst {
-		return Route{Path: []int{src}, Cost: 0}, true
-	}
-	row := s.rows.get(src)
-	if row.dist[dst] >= graph.Inf {
+	var hops [32]int32
+	path32, cost, ok := s.RouteInto(src, dst, hops[:0])
+	if !ok {
 		return Route{}, false
 	}
-	return Route{Path: graph.PathTo32(row.parent, src, dst), Cost: row.dist[dst]}, true
+	path := make([]int, len(path32))
+	for i, v := range path32 {
+		path[i] = int(v)
+	}
+	return Route{Path: path, Cost: cost}, true
 }
 
 // RouteCost returns just the overlay shortest-path cost src→dst (+Inf
@@ -253,73 +251,23 @@ func (s *Snapshot) RouteCost(src, dst int) float64 {
 	if src == dst {
 		return 0
 	}
-	return s.rows.get(src).dist[dst]
+	_, cost := s.rows.resolve(src, dst, nil, false)
+	return cost
 }
 
 // RouteInto is Route with caller-owned path storage: the path is
 // appended to buf (pass the previous call's path[:0] to reuse its
-// backing array), so a serving loop that recycles its buffer runs the
-// cache-warm route path without allocating. ok=false means dst is not
-// overlay-reachable (cost +Inf, empty path) — note Route returns a
-// zero cost there; RouteInto reports the row's actual +Inf.
+// backing array), so a serving loop that recycles its buffer answers
+// without allocating. ok=false means dst is not overlay-reachable (cost
+// +Inf, empty path) — note Route returns a zero cost there; RouteInto
+// reports the actual +Inf.
 func (s *Snapshot) RouteInto(src, dst int, buf []int32) (path []int32, cost float64, ok bool) {
 	s.mustPair(src, dst)
-	path = buf[:0]
 	if src == dst {
-		return append(path, int32(src)), 0, true
+		return append(buf[:0], int32(src)), 0, true
 	}
-	row := s.rows.get(src)
-	if row.dist[dst] >= graph.Inf {
-		return path, graph.Inf, false
-	}
-	// Walk dst→src over the parent pointers, then reverse in place —
-	// the same route PathTo32 builds, without its allocation.
-	for v := int32(dst); ; v = row.parent[v] {
-		path = append(path, v)
-		if int(v) == src {
-			break
-		}
-	}
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path, row.dist[dst], true
-}
-
-// warmRows pre-computes (or re-uses) the shortest-path rows of srcs in
-// parallel — the publish-time hot-row precompute. Row contents are
-// identical to lazy computation (DijkstraCSR is deterministic), so
-// warming never changes an answer, only when its cost is paid.
-func (s *Snapshot) warmRows(srcs []int) {
-	if len(srcs) == 0 {
-		return
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(srcs) {
-		workers = len(srcs)
-	}
-	if workers <= 1 {
-		for _, src := range srcs {
-			s.rows.get(src)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(srcs) {
-					return
-				}
-				s.rows.get(srcs[i])
-			}
-		}()
-	}
-	wg.Wait()
+	path, cost = s.rows.resolve(src, dst, buf[:0], true)
+	return path, cost, cost < graph.Inf
 }
 
 // shardView returns a serving view of s for one server shard: the same

@@ -201,7 +201,8 @@ type ScaleConfig struct {
 type scaleProbe struct {
 	// checkRows makes a proposer that reads its live row from the
 	// directory run the seeded Dijkstra as well, and fails the run on any
-	// bit difference between the two rows.
+	// bit difference between the two rows; and makes every churn drain
+	// fail the run if it leaves a wiring row pointing at a departed node.
 	checkRows bool
 	// seeded counts the seeded Dijkstras run for proposers that hold no
 	// directory row (checkRows' extra runs are not counted).
@@ -639,10 +640,10 @@ func (e *scaleEngine) adoptWiring(i int, set []int) {
 // plus one Apply for its bootstrap arcs. poolLive is false at the
 // epoch boundary, where the imminent per-epoch rebuild absorbs the
 // membership change and per-event pool repair would be wasted work.
-func (e *scaleEngine) runScaleChurn(t float64, poolLive bool) {
+func (e *scaleEngine) runScaleChurn(t float64, poolLive bool) error {
 	c := e.c
 	if c.Churn == nil {
-		return
+		return nil
 	}
 	events := c.Churn.Events
 	changed := false
@@ -662,7 +663,17 @@ func (e *scaleEngine) runScaleChurn(t float64, poolLive bool) {
 	}
 	if changed {
 		e.rebuildAlive()
+		if c.probe != nil && c.probe.checkRows {
+			for u, w := range e.wiring {
+				for _, v := range w {
+					if !e.active[u] || !e.active[v] {
+						return fmt.Errorf("sim: churn drain before t=%v left link %d→%d with active = %v→%v", t, u, v, e.active[u], e.active[v])
+					}
+				}
+			}
+		}
 	}
+	return nil
 }
 
 // join turns v on: bootstrap wiring over the alive roster (same recipe
@@ -674,12 +685,14 @@ func (e *scaleEngine) join(v int, poolLive bool) {
 	e.joins++
 	e.markChanged(v)
 	// The alive roster does not include v yet; that is exactly the
-	// population a newcomer may wire. A joiner into an empty overlay
-	// waits unwired for company.
+	// population a newcomer may wire. It is as of the start of this
+	// drain, though — a node that left earlier in the same drain is
+	// still listed — so the bootstrap is told who is alive right now.
+	// A joiner into an empty overlay waits unwired for company.
 	var w []int
 	if len(e.aliveIDs) > 0 {
 		rng := policyRNG(c.Seed, -2-e.evIdx, v)
-		w = c.bootstrapWiring(rng, v, e.aliveIDs)
+		w = c.bootstrapWiring(rng, v, e.aliveIDs, e.active)
 	}
 	e.wiring[v] = w
 	for _, u := range w {
@@ -743,7 +756,10 @@ func (e *scaleEngine) leave(v int, poolLive bool) {
 // roster (aliveIDs nil, the static path's original behavior) or the
 // alive roster under churn. The random majority keeps the bootstrap
 // overlay strongly connected; see the bootstrap note in RunScale.
-func (c *ScaleConfig) bootstrapWiring(rng *rand.Rand, i int, aliveIDs []int) []int {
+// active, when non-nil, vetoes roster entries that have since left:
+// a vetoed draw is skipped, not replaced, so the RNG stream — and the
+// wiring — is what it always was unless a departed node came up.
+func (c *ScaleConfig) bootstrapWiring(rng *rand.Rand, i int, aliveIDs []int, active []bool) []int {
 	probeSpec := sampling.Spec{Strategy: sampling.Uniform, M: 4 * c.K}
 	var probe *sampling.DestSample
 	var err error
@@ -757,15 +773,19 @@ func (c *ScaleConfig) bootstrapWiring(rng *rand.Rand, i int, aliveIDs []int) []i
 		// bootstrap (withDefaults and the K+2 churn floor).
 		panic(err)
 	}
-	cands := probe.Dests
-	closest := 0
-	for x, j := range cands {
-		if c.Net.Delay(i, j) < c.Net.Delay(i, cands[closest]) {
-			closest = x
+	gone := func(v int) bool { return active != nil && !active[v] }
+	var w []int
+	have := map[int]bool{i: true}
+	closest := -1
+	for _, j := range probe.Dests {
+		if !gone(j) && (closest < 0 || c.Net.Delay(i, j) < c.Net.Delay(i, closest)) {
+			closest = j
 		}
 	}
-	w := []int{cands[closest]}
-	have := map[int]bool{i: true, cands[closest]: true}
+	if closest >= 0 {
+		w = append(w, closest)
+		have[closest] = true
+	}
 	if aliveIDs == nil {
 		for len(w) < c.K {
 			j := rng.Intn(c.N)
@@ -776,16 +796,15 @@ func (c *ScaleConfig) bootstrapWiring(rng *rand.Rand, i int, aliveIDs []int) []i
 		}
 	} else {
 		// The alive population may be smaller than K+1; wire what exists.
-		limit := len(aliveIDs)
+		limit := 0
 		for _, v := range aliveIDs {
-			if v == i {
-				limit--
-				break
+			if v != i && !gone(v) {
+				limit++
 			}
 		}
 		for len(w) < c.K && len(w) < limit {
 			j := aliveIDs[rng.Intn(len(aliveIDs))]
-			if !have[j] {
+			if !have[j] && !gone(j) {
 				have[j] = true
 				w = append(w, j)
 			}
@@ -852,7 +871,7 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 			return nil
 		}
 		rng := policyRNG(c.Seed, -1, i)
-		eng.wiring[i] = c.bootstrapWiring(rng, i, eng.aliveIDs)
+		eng.wiring[i] = c.bootstrapWiring(rng, i, eng.aliveIDs, nil)
 		return nil
 	})
 	if err != nil {
@@ -911,7 +930,9 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 		// (before the first rebuild, which absorbs it for free) only
 		// catches events scheduled before epoch 0.
 		t0 := traceStart()
-		eng.runScaleChurn(float64(epoch), false)
+		if err := eng.runScaleChurn(float64(epoch), false); err != nil {
+			return nil, err
+		}
 		if trace != nil {
 			trace(PhaseEvent{Epoch: epoch, Sub: -1, Phase: "churn", NS: time.Since(t0).Nanoseconds(),
 				Alive: eng.aliveCount(), Joins: eng.joins, Leaves: eng.leaves})
@@ -945,7 +966,9 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 				// Mid-epoch membership events land between sub-rounds
 				// and repair the live directory incrementally.
 				t0 = traceStart()
-				eng.runScaleChurn(float64(epoch)+float64(b)/float64(len(batches)), true)
+				if err := eng.runScaleChurn(float64(epoch)+float64(b)/float64(len(batches)), true); err != nil {
+					return nil, err
+				}
 				if trace != nil {
 					trace(PhaseEvent{Epoch: epoch, Sub: b, Phase: "churn", NS: time.Since(t0).Nanoseconds(),
 						Alive: eng.aliveCount(), Joins: eng.joins, Leaves: eng.leaves})
@@ -989,7 +1012,9 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 		// 1/StaggerBatches of the run's last epoch would silently never
 		// apply while pendingEvents still counted them.
 		t0 = traceStart()
-		eng.runScaleChurn(float64(epoch+1), true)
+		if err := eng.runScaleChurn(float64(epoch+1), true); err != nil {
+			return nil, err
+		}
 		if trace != nil {
 			trace(PhaseEvent{Epoch: epoch, Sub: len(batches), Phase: "churn", NS: time.Since(t0).Nanoseconds(),
 				Alive: eng.aliveCount(), Joins: eng.joins, Leaves: eng.leaves})

@@ -274,6 +274,53 @@ func TestScaleJoinWave(t *testing.T) {
 	}
 }
 
+// TestScaleChurnJoinAfterLeaveSameWindow: the alive roster a joiner
+// bootstraps over is only refreshed once a whole churn drain is done,
+// so a node that left earlier in the same drain is still on it. Here
+// two thirds of that roster leave and five nodes join, all between the
+// same two sub-rounds: a bootstrap that trusted the roster would wire
+// the joiners to departed nodes (and the next proposal of such a joiner
+// indexed a facility row that does not exist). The probe checks after
+// every drain that no link points at a departed node.
+func TestScaleChurnJoinAfterLeaveSameWindow(t *testing.T) {
+	const n, k, on = 60, 3, 45
+	sched := emptySchedule(n)
+	for v := on; v < n; v++ {
+		sched.InitialOn[v] = false
+	}
+	for v := 0; v < 30; v++ {
+		sched.Events = append(sched.Events, churn.Event{Time: 1.26, Node: v, On: false})
+	}
+	for v := on; v < on+5; v++ {
+		sched.Events = append(sched.Events, churn.Event{Time: 1.27, Node: v, On: true})
+	}
+	res, err := RunScale(ScaleConfig{
+		N: n, K: k, Seed: 41, Workers: 2, MaxEpochs: 4, StaggerBatches: 4,
+		Sample:        sampling.Spec{Strategy: sampling.Uniform, M: 20},
+		ConvergedFrac: -1,
+		Churn:         sched,
+		probe:         &scaleProbe{checkRows: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Leaves != 30 || res.Joins != 5 {
+		t.Fatalf("applied %d leaves and %d joins, want 30 and 5", res.Leaves, res.Joins)
+	}
+	for v := on; v < on+5; v++ {
+		if len(res.Wiring[v]) != k {
+			t.Fatalf("joiner %d ended with wiring %v, want %d links", v, res.Wiring[v], k)
+		}
+	}
+	for u, w := range res.Wiring {
+		for _, v := range w {
+			if v < 30 || v >= on+5 {
+				t.Fatalf("node %d ended wired to %d, which is not a member", u, v)
+			}
+		}
+	}
+}
+
 // TestScaleChurnRejectsBadConfig covers the churn validation paths.
 func TestScaleChurnRejectsBadConfig(t *testing.T) {
 	spec := sampling.Spec{Strategy: sampling.Uniform, M: 10}
