@@ -8,7 +8,7 @@
 //	egoist-bench -fig all -scale quick
 //	egoist-bench -list
 //	egoist-bench -scale 10000 -sample demand:500 -bench-json BENCH_scale.json
-//	egoist-bench -scale-sweep 10000,30000,100000 -shards 4 -bench-json BENCH_scale.json
+//	egoist-bench -scale-sweep 10000,30000,100000 -bench-json BENCH_scale.json
 //	egoist-bench -scenario leave-wave-10k -scenarios-json BENCH_scenarios.json
 //	egoist-bench -scenarios ci/scenarios -engines scale,full
 //
@@ -52,7 +52,7 @@ func loadScenario(arg string) (scenario.Spec, error) {
 
 // runScenarios executes specs × engines (a spec with an explicit
 // engine runs only there) and writes the metrics artifact.
-func runScenarios(specs []scenario.Spec, engines []string, workers, shards int, outJSON string) {
+func runScenarios(specs []scenario.Spec, engines []string, workers int, outJSON string) {
 	var recs []*scenario.Metrics
 	failed := false
 	for _, spec := range specs {
@@ -62,7 +62,7 @@ func runScenarios(specs []scenario.Spec, engines []string, workers, shards int, 
 		}
 		for _, eng := range specEngines {
 			start := time.Now()
-			m, err := scenario.Run(spec, scenario.Options{Engine: eng, Workers: workers, Shards: shards})
+			m, err := scenario.Run(spec, scenario.Options{Engine: eng, Workers: workers})
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "egoist-bench: scenario %s/%s: %v\n", spec.Name, eng, err)
 				failed = true
@@ -118,7 +118,7 @@ func writeSVG(dir string, fig *experiments.Figure) error {
 // runScaleSize executes one large-scale convergence run and returns
 // its benchmark record plus whether the run converged. A non-empty
 // tracePath streams every engine phase event as one JSON line.
-func runScaleSize(n int, sampleSpec string, epochs, k, workers, shards int, tracePath string) (experiments.BenchRecord, bool, error) {
+func runScaleSize(n int, sampleSpec string, epochs, k, workers int, tracePath string) (experiments.BenchRecord, bool, error) {
 	spec, err := sampling.ParseSpec(sampleSpec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "egoist-bench: %v\n", err)
@@ -132,7 +132,7 @@ func runScaleSize(n int, sampleSpec string, epochs, k, workers, shards int, trac
 	}
 	cfg := sim.ScaleConfig{
 		N: n, K: k, Seed: 2008, Sample: spec,
-		MaxEpochs: epochs, Workers: workers, Shards: shards,
+		MaxEpochs: epochs, Workers: workers,
 	}
 	if tracePath != "" {
 		tw, err := obs.OpenTrace(tracePath)
@@ -152,7 +152,7 @@ func runScaleSize(n int, sampleSpec string, epochs, k, workers, shards int, trac
 	if err != nil {
 		return rec, false, err
 	}
-	fmt.Printf("scale run: n=%d k=%d sample=%v workers=%d shards=%d\n", n, k, spec, workers, cfg.Shards)
+	fmt.Printf("scale run: n=%d k=%d sample=%v workers=%d\n", n, k, spec, workers)
 	fmt.Printf("%-7s %9s %14s %14s %6s %9s\n", "epoch", "rewires", "est cost", "95% band", "pool", "wall")
 	for e, ep := range res.PerEpoch {
 		fmt.Printf("%-7d %9d %14.1f %14.1f %6d %8.1fs\n",
@@ -166,8 +166,8 @@ func runScaleSize(n int, sampleSpec string, epochs, k, workers, shards int, trac
 
 // runScaleMode executes one large-scale convergence run and optionally
 // writes its BENCH_scale.json record.
-func runScaleMode(n int, sampleSpec string, epochs, k, workers, shards int, benchJSON, tracePath string) {
-	rec, _, err := runScaleSize(n, sampleSpec, epochs, k, workers, shards, tracePath)
+func runScaleMode(n int, sampleSpec string, epochs, k, workers int, benchJSON, tracePath string) {
+	rec, _, err := runScaleSize(n, sampleSpec, epochs, k, workers, tracePath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "egoist-bench: scale run: %v\n", err)
 		os.Exit(1)
@@ -187,7 +187,7 @@ func runScaleMode(n int, sampleSpec string, epochs, k, workers, shards int, benc
 // min(n/20, 500). Unlike the single -scale mode, a non-converging
 // size fails the sweep: the nightly n-sweep doubles as the
 // converges-within-the-bound acceptance gate.
-func runScaleSweep(sizesCSV string, epochs, k, workers, shards int, benchJSON string) {
+func runScaleSweep(sizesCSV string, epochs, k, workers int, benchJSON string) {
 	var sizes []int
 	for _, f := range strings.Split(sizesCSV, ",") {
 		n, err := parsePositiveInt(strings.TrimSpace(f))
@@ -214,7 +214,7 @@ func runScaleSweep(sizesCSV string, epochs, k, workers, shards int, benchJSON st
 		if m < kk+2 {
 			m = kk + 2
 		}
-		rec, converged, err := runScaleSize(n, fmt.Sprintf("demand:%d", m), epochs, k, workers, shards, "")
+		rec, converged, err := runScaleSize(n, fmt.Sprintf("demand:%d", m), epochs, k, workers, "")
 		if err == nil && !converged {
 			err = fmt.Errorf("n=%d did not converge in %d epochs", n, rec.N)
 		}
@@ -244,7 +244,6 @@ func main() {
 		sample    = flag.String("sample", "demand:500", "sampling spec for the large-scale engine: strategy:m (uniform, demand, strat)")
 		epochs    = flag.Int("epochs", 0, "epoch cap for the large-scale engine (0 = engine default)")
 		kFlag     = flag.Int("k", 0, "degree budget for the large-scale engine (0 = size default)")
-		shards    = flag.Int("shards", 0, "shard count for the scale engine's directory and proposal phase (0 = 1 for -scale runs, spec value for scenarios; results are byte-identical for any value)")
 		scaleSwp  = flag.String("scale-sweep", "", "comma-separated overlay sizes (e.g. 10000,30000,100000): run the large-scale engine once per size, ascending, and write one BENCH record each")
 		benchJSON = flag.String("bench-json", "", "write BENCH_scale.json-style records to this path (scale runs and -fig scale)")
 		traceOut  = flag.String("trace", "", "stream engine phase events (propose/adopt/churn/publish timings) as JSONL to this path during a -scale <n> run")
@@ -279,17 +278,17 @@ func main() {
 			}
 			specs = append(specs, dirSpecs...)
 		}
-		runScenarios(specs, engines, *workers, *shards, *scenJSON)
+		runScenarios(specs, engines, *workers, *scenJSON)
 		return
 	}
 
 	if *scaleSwp != "" {
-		runScaleSweep(*scaleSwp, *epochs, *kFlag, *workers, *shards, *benchJSON)
+		runScaleSweep(*scaleSwp, *epochs, *kFlag, *workers, *benchJSON)
 		return
 	}
 
 	if n, err := parsePositiveInt(*scale); err == nil {
-		runScaleMode(n, *sample, *epochs, *kFlag, *workers, *shards, *benchJSON, *traceOut)
+		runScaleMode(n, *sample, *epochs, *kFlag, *workers, *benchJSON, *traceOut)
 		return
 	}
 

@@ -34,7 +34,7 @@ func TestMainInProcess(t *testing.T) {
 	// The n-sweep path: both sizes converge well inside 24 epochs, and
 	// the artifact carries one record per size with the RSS column set.
 	sweepJSON := filepath.Join(dir, "sweep.json")
-	clitest.RunMain(t, main, "egoist-bench", "-scale-sweep", "60,40", "-epochs", "24", "-workers", "2", "-shards", "2",
+	clitest.RunMain(t, main, "egoist-bench", "-scale-sweep", "60,40", "-epochs", "24", "-workers", "2",
 		"-bench-json", sweepJSON)
 	recs, err := experiments.ReadBenchJSON(sweepJSON)
 	if err != nil {

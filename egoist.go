@@ -429,10 +429,6 @@ type ScaleOptions struct {
 	// results are byte-identical for any value).
 	Seed    int64
 	Workers int
-	// Shards partitions the facility directory and proposal phase into
-	// contiguous id bands (0 = 1). Like Workers a physical layout knob:
-	// results are byte-identical for any value.
-	Shards int
 	// Churn optionally drives dynamic membership (times in epochs):
 	// joins bootstrap into the overlay and its facility directory,
 	// leaves orphan their in-links immediately and the victims re-wire
@@ -495,8 +491,7 @@ func ScaleRun(opts ScaleOptions) (*ScaleRunResult, error) {
 	res, err := sim.RunScale(sim.ScaleConfig{
 		N: opts.N, K: k, Seed: opts.Seed, Sample: spec,
 		Epsilon: opts.Epsilon, MaxEpochs: opts.Epochs, Workers: opts.Workers,
-		Shards: opts.Shards,
-		Churn:  opts.Churn,
+		Churn: opts.Churn,
 	})
 	if err != nil {
 		return nil, err

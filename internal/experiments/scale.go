@@ -98,9 +98,8 @@ func FigScale(s Scale) (*Figure, error) {
 // MeasureScale runs one large-scale simulation and reports it as a
 // benchmark record (ns and allocations per epoch, plus the process
 // peak RSS after the run). The record name carries only (n, sample) —
-// Workers and Shards are physical layout knobs the engine's
-// determinism contract keeps invisible, so records gate cleanly
-// against baselines measured at any layout.
+// the engine's determinism contract keeps Workers invisible, so
+// records gate cleanly against baselines measured at any worker count.
 func MeasureScale(cfg sim.ScaleConfig) (*sim.ScaleResult, BenchRecord, error) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

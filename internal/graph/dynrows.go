@@ -380,9 +380,9 @@ func (r *DynamicRows) AddSource(v NodeID) {
 
 // RemoveSource drops source v's row in O(1) by swapping the last row
 // into its slot — used when a directory member leaves the overlay, so
-// its (now meaningless) row stops being repaired. Callers that index
-// rows positionally via RowAt must mirror the same swap on their own
-// id arrays. No-op when v is not a source.
+// its (now meaningless) row stops being repaired. Sources and RowAt
+// stay aligned: the last source takes over v's position in both. No-op
+// when v is not a source.
 func (r *DynamicRows) RemoveSource(v NodeID) {
 	s := r.slot[v]
 	if s < 0 {

@@ -5,14 +5,13 @@ import (
 	"testing"
 )
 
-// TestDynamicRowsPartitionedInstances pins the multi-instance lifecycle
-// the scale engine's shard layer builds on: the source set partitioned
-// across several DynamicRows instances — each Reset over the same
-// build graph and fed the identical Apply edit stream, with source
-// churn routed to the owning instance — yields exactly the rows a
-// single instance holding the full source set computes. This is the
-// graph-level statement of the shard determinism contract: instance
-// placement is invisible in the distances.
+// TestDynamicRowsPartitionedInstances checks that a row depends only on
+// its source and the graph, never on which other sources share the
+// instance: the source set partitioned across several DynamicRows
+// instances — each Reset over the same build graph and fed the
+// identical Apply edit stream, with source churn routed to the owning
+// instance — yields exactly the rows a single instance holding the full
+// source set computes.
 func TestDynamicRowsPartitionedInstances(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const n, parts = 90, 3

@@ -195,14 +195,6 @@ func (s Spec) Draw(rng *rand.Rand, self, n int, pref, direct []float64) (*DestSa
 // all relative to the sub-population, so estimates expand to totals
 // over ids, never crediting departed nodes. pref and direct stay
 // indexed by global node id.
-//
-// The draw is a pure function of (rng state, ids contents): how the
-// caller assembled ids is invisible. The scale engine's shard layer
-// leans on this — a roster concatenated from per-shard contiguous id
-// bands is element-wise equal to the globally assembled sorted roster,
-// so per-shard assembly changes neither the sample nor its HT weights
-// (pinned by TestDrawFromShardAssembledRoster), and EvalSampled stays
-// unbiased at any shard count.
 func (s Spec) DrawFrom(rng *rand.Rand, self int, ids []int, pref, direct []float64) (*DestSample, error) {
 	p := newRoster(ids, self, len(ids)+1)
 	if p.size() < 1 {

@@ -13,9 +13,9 @@ import (
 // This file is the delta-publication correctness suite: for every
 // committed CI scenario spec, a sub-epoch Patch chain driven by the
 // scale engine's OnPublish stream must stay digest-identical to a
-// from-scratch Compile at every single publication, at any (shards,
-// workers) combination — and the publication digest stream itself must
-// be byte-identical across those combinations.
+// from-scratch Compile at every single publication, at any worker
+// count — and the publication digest stream itself must be
+// byte-identical across worker counts.
 
 // deltaDigestStream runs one spec on the scale engine with a delta
 // subscriber attached: every publication extends the Patch chain,
@@ -23,7 +23,7 @@ import (
 // and records it. A couple of routes are warmed per publication so the
 // row-cache carry-over path runs against real churn, not just the
 // synthetic plane tests.
-func deltaDigestStream(t *testing.T, spec Spec, workers, shards int) []string {
+func deltaDigestStream(t *testing.T, spec Spec, workers int) []string {
 	t.Helper()
 	sampleStr := spec.Sample
 	if sampleStr == "" {
@@ -49,7 +49,7 @@ func deltaDigestStream(t *testing.T, spec Spec, workers, shards int) []string {
 	cfg := sim.ScaleConfig{
 		N: spec.N, K: spec.K, Seed: spec.Seed,
 		Sample: sample, Epsilon: spec.Epsilon,
-		MaxEpochs: spec.Epochs, Workers: workers, Shards: shards,
+		MaxEpochs: spec.Epochs, Workers: workers,
 		StaggerBatches: spec.Stagger,
 		Churn:          comp.sched,
 		DemandAt:       comp.demandAt,
@@ -64,8 +64,8 @@ func deltaDigestStream(t *testing.T, spec Spec, workers, shards int) []string {
 			fresh := plane.Compile(seq, pub.Wiring, pub.Active, net, plane.Options{})
 			got, want := cur.Digest(), fresh.Digest()
 			if got != want {
-				t.Fatalf("spec %s workers=%d shards=%d: patched chain diverged from Compile at publication (%d,%d): %x vs %x",
-					spec.Name, workers, shards, pub.Epoch, pub.SubRound, got, want)
+				t.Fatalf("spec %s workers=%d: patched chain diverged from Compile at publication (%d,%d): %x vs %x",
+					spec.Name, workers, pub.Epoch, pub.SubRound, got, want)
 			}
 			stream = append(stream, fmt.Sprintf("%d %d %x", pub.Epoch, pub.SubRound, got))
 			if n := cur.N(); n >= 2 {
@@ -90,23 +90,19 @@ func deltaDigestStream(t *testing.T, spec Spec, workers, shards int) []string {
 }
 
 // TestDeltaPatchDigestEquivalence pins the tentpole contract across
-// the whole committed scenario corpus at shards {1,4} × workers {1,4}.
+// the whole committed scenario corpus at workers {1,4}.
 func TestDeltaPatchDigestEquivalence(t *testing.T) {
 	for _, spec := range ciSpecs(t) {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			ref := deltaDigestStream(t, spec, 1, 1)
-			for _, ws := range [][2]int{{4, 1}, {1, 4}, {4, 4}} {
-				got := deltaDigestStream(t, spec, ws[0], ws[1])
-				if len(got) != len(ref) {
-					t.Fatalf("workers=%d shards=%d: %d publications vs %d at workers=1 shards=1",
-						ws[0], ws[1], len(got), len(ref))
-				}
-				for i := range got {
-					if got[i] != ref[i] {
-						t.Fatalf("workers=%d shards=%d: publication %d digest diverged:\n%s\n%s",
-							ws[0], ws[1], i, got[i], ref[i])
-					}
+			ref := deltaDigestStream(t, spec, 1)
+			got := deltaDigestStream(t, spec, 4)
+			if len(got) != len(ref) {
+				t.Fatalf("workers=4: %d publications vs %d at workers=1", len(got), len(ref))
+			}
+			for i := range got {
+				if got[i] != ref[i] {
+					t.Fatalf("workers=4: publication %d digest diverged:\n%s\n%s", i, got[i], ref[i])
 				}
 			}
 		})

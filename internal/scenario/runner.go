@@ -24,10 +24,6 @@ type Options struct {
 	// Workers is the engine parallelism (0 = NumCPU). Metrics are
 	// byte-identical for any value.
 	Workers int
-	// Shards overrides the spec's shard count (0 keeps it). Like
-	// Workers, a physical layout knob: metrics are byte-identical for
-	// any value. Scale engine only.
-	Shards int
 }
 
 // Metrics is one run's deterministic record — the BENCH_scenarios.json
@@ -380,14 +376,10 @@ func runScaleEngine(spec *Spec, comp *compiled, opts Options, m *Metrics) error 
 	if err != nil {
 		return err
 	}
-	shards := spec.Shards
-	if opts.Shards != 0 {
-		shards = opts.Shards
-	}
 	cfg := sim.ScaleConfig{
 		N: spec.N, K: spec.K, Seed: spec.Seed,
 		Sample: sample, Epsilon: spec.Epsilon,
-		MaxEpochs: spec.Epochs, Workers: opts.Workers, Shards: shards,
+		MaxEpochs: spec.Epochs, Workers: opts.Workers,
 		StaggerBatches: spec.Stagger,
 		Churn:          comp.sched,
 		DemandAt:       comp.demandAt,
@@ -505,7 +497,7 @@ func (sp *servePlane) onEpoch(epoch int, wiring [][]int, active []bool) {
 // previous snapshot and the result is published. The bootstrap Full
 // publication compiles from scratch and only publishes. Runs serially
 // inside the engine with seeded randomness, so records stay
-// byte-identical at any (Workers, Shards).
+// byte-identical at any Workers.
 func (sp *servePlane) onPublish(pub sim.Publication) {
 	if pub.Full {
 		sp.prev = plane.Compile(sp.seq, pub.Wiring, pub.Active, sp.net, plane.Options{})

@@ -71,17 +71,11 @@ type Spec struct {
 	// (default "demand:max(k+2, min(n/20, 500))"). Ignored by the full
 	// engine.
 	Sample string `json:"sample,omitempty"`
-	// Shards partitions the scale engine's facility directory and
-	// proposal phase into contiguous id bands (0 = 1). A physical
-	// layout knob only: metrics records are byte-identical at any
-	// value, so it never appears in Metrics. Ignored by the full
-	// engine.
-	Shards int `json:"shards,omitempty"`
 	// Stagger overrides the scale engine's sub-round count per epoch
 	// (StaggerBatches; 0 keeps the engine default max(16, n/32)).
-	// Unlike Shards this is a dynamics knob — it changes when nodes
-	// act and how often sub-round publications fire — so it is part of
-	// the scenario, not the run options. Ignored by the full engine.
+	// A dynamics knob — it changes when nodes act and how often
+	// sub-round publications fire — so it is part of the scenario, not
+	// the run options. Ignored by the full engine.
 	Stagger int `json:"stagger,omitempty"`
 	// Demand selects the preference weights p_ij (nil = uniform).
 	Demand *DemandModel `json:"demand,omitempty"`
@@ -221,9 +215,6 @@ func (s *Spec) Validate() error {
 		if _, err := sampling.ParseSpec(s.Sample); err != nil {
 			return fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
-	}
-	if s.Shards < 0 || s.Shards > s.N {
-		return fmt.Errorf("scenario %s: shards = %d outside [0, n=%d]", s.Name, s.Shards, s.N)
 	}
 	if s.Stagger < 0 || s.Stagger > s.N {
 		return fmt.Errorf("scenario %s: stagger = %d outside [0, n=%d]", s.Name, s.Stagger, s.N)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -39,14 +40,17 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatalf("round trip changed the spec:\n%s\n%s", a, b)
 	}
-	// Unknown fields must be rejected (typo protection for hand-written
-	// specs).
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"name":"x","n":10,"k":2,"epochs":3,"bogus":1}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(bad); err == nil {
-		t.Fatal("unknown field accepted")
+	// Unknown fields must be rejected by name (typo protection for
+	// hand-written specs) — "shards", which older specs may still carry,
+	// included.
+	for _, field := range []string{"bogus", "shards"} {
+		bad := filepath.Join(t.TempDir(), "bad.json")
+		if err := os.WriteFile(bad, []byte(`{"name":"x","n":10,"k":2,"epochs":3,"`+field+`":4}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(bad); err == nil || !strings.Contains(err.Error(), `"`+field+`"`) {
+			t.Fatalf("spec with unknown field %q: Load error %v does not name it", field, err)
+		}
 	}
 }
 

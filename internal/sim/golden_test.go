@@ -10,10 +10,7 @@ import (
 
 // This file pins the scale engine's trajectory across refactors. The
 // digests below are the SHA-256 of the wall-clock-stripped ScaleResult
-// JSON, recorded on the engine as it stood BEFORE the PR-7 shard
-// refactor. Sharding is a physical partitioning of the same logical
-// computation, so any shard count — including the shards=1 default
-// every existing caller gets — must reproduce these bytes exactly.
+// JSON, recorded at PR 7 and reproduced by every engine refactor since.
 // A digest change here means the dynamics changed for existing users,
 // which is exactly what the no-regression acceptance criterion forbids;
 // do not regenerate these values to make a refactor pass.
@@ -51,7 +48,7 @@ func TestScaleGoldenDigest(t *testing.T) {
 			sum := sha256.Sum256(resultJSON(t, res))
 			got := hex.EncodeToString(sum[:])
 			if want := goldenDigests[name]; got != want {
-				t.Fatalf("ScaleResult digest drifted from the pre-shard-refactor engine:\n got %s\nwant %s", got, want)
+				t.Fatalf("ScaleResult digest drifted from the pinned engine trajectory:\n got %s\nwant %s", got, want)
 			}
 		})
 	}

@@ -159,17 +159,17 @@ func TestScalePublicationOrdering(t *testing.T) {
 }
 
 // TestScalePublicationDeterministic: the publication stream itself is
-// part of the byte-identical-at-any-(Workers,Shards) contract.
+// part of the byte-identical-at-any-Workers contract.
 func TestScalePublicationDeterministic(t *testing.T) {
 	const n, epochs = 100, 3
-	stream := func(workers, shards int) string {
+	stream := func(workers int) string {
 		var b strings.Builder
 		sched := emptySchedule(n)
 		for v := 0; v < n; v += 8 {
 			sched.Events = append(sched.Events, churn.Event{Time: 1 + float64(v)/float64(n), Node: v, On: false})
 		}
 		_, err := RunScale(ScaleConfig{
-			N: n, K: 3, Seed: 23, MaxEpochs: epochs, Workers: workers, Shards: shards,
+			N: n, K: 3, Seed: 23, MaxEpochs: epochs, Workers: workers,
 			Sample: sampling.Spec{Strategy: sampling.Uniform, M: 20},
 			Churn:  sched,
 			OnPublish: func(pub Publication) {
@@ -184,11 +184,8 @@ func TestScalePublicationDeterministic(t *testing.T) {
 		}
 		return b.String()
 	}
-	base := stream(1, 1)
-	for _, ws := range [][2]int{{4, 1}, {1, 4}, {4, 4}} {
-		if got := stream(ws[0], ws[1]); got != base {
-			t.Fatalf("publication stream diverged at workers=%d shards=%d", ws[0], ws[1])
-		}
+	if stream(4) != stream(1) {
+		t.Fatal("publication stream diverged between workers 1 and 4")
 	}
 }
 

@@ -94,13 +94,6 @@ type ScaleConfig struct {
 	// Workers is the parallelism of the proposal and pool-row phases
 	// (0 = NumCPU). Results are byte-identical for any value.
 	Workers int
-	// Shards partitions the facility directory and the proposal phase
-	// into this many contiguous node-id bands (0 = 1), each owning its
-	// own DynamicRows instance and a slice of the worker budget —
-	// two-level parallelism, shards × workers. Sharding is a physical
-	// layout choice only: results are byte-identical for any value, and
-	// Shards=1 is the pre-shard single-directory engine. See shard.go.
-	Shards int
 	// StaggerBatches splits each epoch into this many staggered
 	// adoption sub-rounds (default 32). 1 means fully synchronous play —
 	// unstable, see the package comment; n means the paper's
@@ -169,8 +162,8 @@ type ScaleConfig struct {
 	// slice and the wiring/active arrays are engine-owned scratch, not
 	// to be retained. The hook must stay deterministic — like OnEpoch
 	// it runs outside the parallel proposal phase, and the engine's
-	// byte-identical any-(workers, shards) contract extends to the
-	// publication sequence.
+	// byte-identical any-worker-count contract extends to the publication
+	// sequence.
 	//
 	// OnEpoch remains the full per-epoch compile fallback; both hooks
 	// may be set (each epoch's final-drain publication fires before
@@ -183,8 +176,8 @@ type ScaleConfig struct {
 	// on the engine goroutine, outside the parallel proposal phase.
 	// Durations are wall-clock and for diagnosis only: the hook never
 	// feeds back into the dynamics, so the engine's byte-identical
-	// any-(workers, shards) result contract is unaffected, and when the
-	// hook is nil the engine takes no extra clock readings at all.
+	// any-worker-count result contract is unaffected, and when the hook
+	// is nil the engine takes no extra clock readings at all.
 	OnPhase func(ev PhaseEvent)
 	// BROpts tunes the per-node solver.
 	BROpts core.BROptions
@@ -291,12 +284,6 @@ func (c *ScaleConfig) withDefaults() (ScaleConfig, error) {
 	}
 	if out.StaggerBatches > out.N {
 		out.StaggerBatches = out.N
-	}
-	if out.Shards <= 0 {
-		out.Shards = 1
-	}
-	if out.Shards > out.N {
-		return out, fmt.Errorf("sim: scale Shards = %d exceeds N = %d", out.Shards, out.N)
 	}
 	if out.PoolTarget <= 0 {
 		out.PoolTarget = 2*out.Sample.M + 256
@@ -436,7 +423,6 @@ type scaleEngine struct {
 	c      *ScaleConfig
 	wiring [][]int
 	pool   *scalePool
-	plan   shardPlan // contiguous node-id bands; see shard.go
 	active []bool
 	// aliveIDs is the sorted alive roster, nil when Churn is nil (the
 	// static path keeps its original full-range sampling). Rebuilt after
@@ -480,61 +466,36 @@ type scaleEngine struct {
 // a pure function of (config, seed) — never of scheduling. Churn
 // events land between sub-rounds, in the same serial section.
 //
-// The shard layer (PR 7) extends the contract to the shard-merge seam:
-// proposals are scheduled shard-by-shard (each shard's workers price
-// against the shard's own graph replica — identical to every other
-// replica by construction), and the serial half is shard-blind: it
-// folds proposals in ascending node-id order exactly as before, with
-// directory repair fanned to the per-shard instances. The shard count
-// therefore changes memory placement and scheduling, never a value —
-// see the contract note atop shard.go.
-//
 // Consequence, pinned by TestScaleDeterministicAcrossWorkers,
-// TestScaleResultJSONByteIdenticalAcrossShards, the churn twin-run
+// TestScaleResultJSONByteIdenticalAcrossWorkers, the churn twin-run
 // suites and the ci/scenarios engine-equivalence suite: ScaleResult is
-// byte-identical (WallNS aside) for any Workers value and any Shards
-// value. Anything added to the proposal phase must preserve both
-// halves of the contract: no writes to shared state, no RNG stream
-// shared across jobs.
+// byte-identical (WallNS aside) for any Workers value. Anything added
+// to the proposal phase must preserve both halves of the contract: no
+// writes to shared state, no RNG stream shared across jobs.
 
-// proposeBatch computes one sub-round's proposals in parallel,
-// two-level: the outer loop fans the batch's shard-contiguous
-// sub-slices across shards, the inner loop fans a shard's nodes across
-// its wPer-worker slice of the budget, each shard pricing against its
-// own graph replica. props slots of inactive nodes are zeroed so a
-// stale proposal from an earlier epoch can never be adopted on their
-// behalf.
+// proposeBatch computes one sub-round's proposals in parallel across
+// the workers, each on its own scratch slot of ws. props slots of
+// inactive nodes are zeroed so a stale proposal from an earlier epoch
+// can never be adopted on their behalf.
 func (e *scaleEngine) proposeBatch(ws []*scaleWorker, batch []int, epoch int, demand func(i, j int) float64, props []scaleProposal) error {
 	c := e.c
-	plan := &e.plan
-	wPer := e.pool.wPer
-	return par.DoErr(plan.s, c.Workers, func(_, s int) error {
-		// The batch is ascending, so a shard's slice of it is contiguous.
-		lo := sort.SearchInts(batch, plan.bounds[s])
-		hi := lo + sort.SearchInts(batch[lo:], plan.bounds[s+1])
-		sub := batch[lo:hi]
-		if len(sub) == 0 {
+	return par.DoErr(len(batch), len(ws), func(worker, bi int) error {
+		i := batch[bi]
+		if !e.active[i] {
+			props[i] = scaleProposal{}
 			return nil
 		}
-		g := e.pool.graphFor(s)
-		return par.DoErr(len(sub), wPer, func(worker, bi int) error {
-			i := sub[bi]
-			if !e.active[i] {
-				props[i] = scaleProposal{}
-				return nil
-			}
-			w := ws[s*wPer+worker]
-			if w == nil {
-				w = &scaleWorker{}
-				ws[s*wPer+worker] = w
-			}
-			p, err := c.proposeScale(w, e, g, epoch, i, demand)
-			if err != nil {
-				return err
-			}
-			props[i] = p
-			return nil
-		})
+		w := ws[worker]
+		if w == nil {
+			w = &scaleWorker{}
+			ws[worker] = w
+		}
+		p, err := c.proposeScale(w, e, epoch, i, demand)
+		if err != nil {
+			return err
+		}
+		props[i] = p
+		return nil
 	})
 }
 
@@ -705,7 +666,7 @@ func (e *scaleEngine) join(v int, poolLive bool) {
 			e.arcsBuf = append(e.arcsBuf, graph.Arc{To: u, W: c.Net.Delay(v, u)})
 		}
 		e.pool.applyEdits([]graph.RowEdit{{Node: v, NewOut: e.arcsBuf}})
-		e.pool.addMember(v)
+		e.pool.dir.AddSource(v)
 	}
 }
 
@@ -745,7 +706,7 @@ func (e *scaleEngine) leave(v int, poolLive bool) {
 		// Drop the dead member's row first so it is not repaired, then
 		// fold the orphaned re-wirings and v's cleared out-set into the
 		// surviving rows incrementally.
-		e.pool.dropMember(v)
+		e.pool.dir.RemoveSource(v)
 		e.editsBuf = append(e.editsBuf, graph.RowEdit{Node: v})
 		e.pool.applyEdits(e.editsBuf)
 	}
@@ -830,19 +791,11 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 	}
 	n := c.N
 	workers := par.Workers(c.Workers)
-	// Two-level scratch: each shard owns a wPer-slot slice (the same
-	// split the pool applies to its Reset budget), so concurrent shards
-	// never share a scaleWorker.
-	wPer := workers / c.Shards
-	if wPer < 1 {
-		wPer = 1
-	}
-	ws := make([]*scaleWorker, c.Shards*wPer)
+	ws := make([]*scaleWorker, workers) // one scratch slot per worker
 	eng := &scaleEngine{
 		c:      &c,
 		wiring: make([][]int, n),
-		pool:   &scalePool{},
-		plan:   newShardPlan(n, c.Shards),
+		pool:   newScalePool(n),
 		active: make([]bool, n),
 	}
 	for i := range eng.active {
@@ -947,18 +900,18 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 		// simultaneous re-wirings have already invalidated, and the
 		// overlay collapses into a state nobody evaluated.
 		t0 = traceStart()
-		built := eng.pool.fullRows()
+		built := eng.pool.dir.FullRows()
 		eng.pool.rebuild(&c, eng, epoch, workers)
-		built = eng.pool.fullRows() - built
+		built = eng.pool.dir.FullRows() - built
 		if trace != nil {
 			trace(PhaseEvent{Epoch: epoch, Sub: -1, Phase: "rebuild", NS: time.Since(t0).Nanoseconds(),
 				Resets: eng.pool.resets, Applies: eng.pool.applies, Rows: built})
 		}
 		if c.probe != nil {
-			c.probe.rebuilds = append(c.probe.rebuilds, probeRebuild{ids: slices.Clone(eng.pool.ids), rows: built})
+			c.probe.rebuilds = append(c.probe.rebuilds, probeRebuild{ids: slices.Clone(eng.pool.dir.Sources()), rows: built})
 		}
 		demand := c.demandFor(epoch)
-		ep := ScaleEpoch{PoolSize: len(eng.pool.ids)}
+		ep := ScaleEpoch{PoolSize: len(eng.pool.dir.Sources())}
 		samples := 0
 		acted := 0
 		for b, batch := range batches {
@@ -1055,10 +1008,8 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 		res.MeanSampleSize /= float64(res.Epochs)
 	}
 	res.Wiring = eng.wiring
-	if eng.pool.insts != nil {
-		res.DirectoryResets = eng.pool.resets
-		res.DirectoryApplies = eng.pool.applies
-	}
+	res.DirectoryResets = eng.pool.resets
+	res.DirectoryApplies = eng.pool.applies
 	return res, nil
 }
 
@@ -1126,8 +1077,8 @@ func selectByKey(order []int, key []float64, ids []int, k int) []int {
 }
 
 // seededRow computes node i's live routing row into the worker's own
-// buffer: one Dijkstra over the overlay replica g with i's out-arcs
-// taken from its current wiring.
+// buffer: one Dijkstra over the directory's overlay graph g with i's
+// out-arcs taken from its current wiring.
 func (w *scaleWorker) seededRow(c *ScaleConfig, g *graph.Digraph, i int, wiring []int) []float64 {
 	if w.rowI == nil {
 		w.rowI = make([]float64, c.N)
@@ -1142,13 +1093,11 @@ func (w *scaleWorker) seededRow(c *ScaleConfig, g *graph.Digraph, i int, wiring 
 
 // proposeScale computes node i's sampled best response against the
 // current wiring (stable for the duration of the node's batch) and the
-// epoch's pool rows. g is the proposing shard's overlay replica
-// (identical to every shard's — passed in so the whole pricing phase
-// reads shard-local memory); demand is the epoch's demand function
-// (may be nil for uniform preferences).
-func (c *ScaleConfig) proposeScale(w *scaleWorker, eng *scaleEngine, g *graph.Digraph, epoch, i int, demand func(i, j int) float64) (scaleProposal, error) {
+// epoch's pool rows. demand is the epoch's demand function (may be nil
+// for uniform preferences).
+func (c *ScaleConfig) proposeScale(w *scaleWorker, eng *scaleEngine, epoch, i int, demand func(i, j int) float64) (scaleProposal, error) {
 	n := c.N
-	wiring, pool := eng.wiring, eng.pool
+	wiring, dir := eng.wiring, eng.pool.dir
 	rng := policyRNG(c.Seed, epoch, i)
 
 	// Draw the destination sample with the strategy's required inputs.
@@ -1201,10 +1150,10 @@ func (c *ScaleConfig) proposeScale(w *scaleWorker, eng *scaleEngine, g *graph.Di
 	// proposer that is itself a directory member already has that row in
 	// the directory and reads it from there; only the others run a
 	// Dijkstra, seeded with their current wiring. The two are the same
-	// row bit for bit. Both are exact distances over the same replica g —
+	// row bit for bit. Both are exact distances over the same graph —
 	// the directory keeps its rows fresh-Dijkstra-exact, and Dijkstra
 	// distances under non-negative weights are a unique fixed point that
-	// no pop order changes — so they could differ only if g's copy of i's
+	// no pop order changes — so they could differ only if its copy of i's
 	// out-arcs differed from the seeds, and it never does when i
 	// proposes: the directory graph is the live wiring with Net.Delay
 	// weights, built from eng.wiring at the rebuild, and every later
@@ -1212,16 +1161,15 @@ func (c *ScaleConfig) proposeScale(w *scaleWorker, eng *scaleEngine, g *graph.Di
 	// orphaning leave, a join — is folded into it in the same serial
 	// section, before anybody proposes again. A change to wiring[i] that
 	// bypassed the directory would break this read; the probe's checkRows
-	// re-derives the row in the churn, shard and rescue suites to catch
-	// it.
-	rowI := pool.row(i)
+	// re-derives the row in the churn and rescue suites to catch it.
+	rowI := dir.Row(i)
 	if rowI == nil {
-		rowI = w.seededRow(c, g, i, wiring[i])
+		rowI = w.seededRow(c, dir.Graph(), i, wiring[i])
 		if c.probe != nil {
 			c.probe.seeded.Add(1)
 		}
 	} else if c.probe != nil && c.probe.checkRows {
-		for v, d := range w.seededRow(c, g, i, wiring[i]) {
+		for v, d := range w.seededRow(c, dir.Graph(), i, wiring[i]) {
 			if math.Float64bits(d) != math.Float64bits(rowI[v]) {
 				return scaleProposal{}, fmt.Errorf("sim: epoch %d node %d: directory row says %v to node %d, seeded Dijkstra %v", epoch, i, rowI[v], v, d)
 			}
@@ -1255,7 +1203,7 @@ func (c *ScaleConfig) proposeScale(w *scaleWorker, eng *scaleEngine, g *graph.Di
 			return
 		}
 		if row == nil {
-			row = pool.row(v)
+			row = dir.Row(v)
 		}
 		w.lid[v] = int32(len(w.gcands))
 		w.gcands = append(w.gcands, v)
@@ -1292,7 +1240,8 @@ func (c *ScaleConfig) proposeScale(w *scaleWorker, eng *scaleEngine, g *graph.Di
 			}
 		}
 	}
-	P := len(pool.ids)
+	ids := dir.Sources()
+	P := len(ids)
 	w.perm = intsN(w.perm, P)
 	for x := range w.perm {
 		w.perm[x] = x
@@ -1304,20 +1253,20 @@ func (c *ScaleConfig) proposeScale(w *scaleWorker, eng *scaleEngine, g *graph.Di
 	}
 	// Uniform half from the directory permutation...
 	for _, x := range w.perm[:m/2] {
-		addCand(pool.ids[x], pool.rowAt(x))
+		addCand(ids[x], dir.RowAt(x))
 	}
 	// ...nearest half: the closest members by direct cost (ids as
 	// tie-break) among those not yet picked.
 	w.delay = floatsN(w.delay, P)
 	w.order = intsN(w.order, P)[:0]
-	for x, v := range pool.ids {
+	for x, v := range ids {
 		if v != i && w.lid[v] < 0 {
 			w.delay[x] = c.Net.Delay(i, v)
 			w.order = append(w.order, x)
 		}
 	}
-	for _, x := range selectByKey(w.order, w.delay, pool.ids, min(m-m/2, len(w.order))) {
-		addCand(pool.ids[x], pool.rowAt(x))
+	for _, x := range selectByKey(w.order, w.delay, ids, min(m-m/2, len(w.order))) {
+		addCand(ids[x], dir.RowAt(x))
 	}
 	for _, v := range wiring[i] {
 		addCand(v, nil)
