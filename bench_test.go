@@ -1,7 +1,7 @@
 // Package-level benchmarks: one testing.B benchmark per paper table/figure
 // (regenerating its data series at Quick scale; use cmd/egoist-bench
 // -scale full for paper-scale output), plus ablation benches for the
-// design choices called out in DESIGN.md §5.
+// engine's design choices.
 package egoist
 
 import (
@@ -10,7 +10,6 @@ import (
 	"runtime"
 	"testing"
 
-	"egoist/internal/backbone"
 	"egoist/internal/churn"
 	"egoist/internal/core"
 	"egoist/internal/experiments"
@@ -18,7 +17,6 @@ import (
 	"egoist/internal/sampling"
 	"egoist/internal/sim"
 	"egoist/internal/topology"
-	"egoist/internal/underlay"
 )
 
 // benchFigure runs a figure's experiment once per iteration.
@@ -228,7 +226,7 @@ func BenchmarkScaleEpoch(b *testing.B) {
 	}
 }
 
-// --- ablation benches (DESIGN.md §5) ---------------------------------------
+// --- ablation benches -------------------------------------------------------
 
 // BenchmarkAblationExactVsLocal reports the cost gap between exact and
 // local-search BR on instances small enough to enumerate.
@@ -321,44 +319,6 @@ func BenchmarkAblationRewireMode(b *testing.B) {
 				eff = res.Efficiency.Mean
 			}
 			b.ReportMetric(eff*1000, "eff-x1000")
-		})
-	}
-}
-
-// BenchmarkAblationBackbone compares the construction and single-failure
-// maintenance cost of the cycle backbone against k-MST (Sect. 3.3's
-// design argument).
-func BenchmarkAblationBackbone(b *testing.B) {
-	const n = 50
-	u, err := underlay.New(underlay.Config{N: n, Seed: 5})
-	if err != nil {
-		b.Fatal(err)
-	}
-	active := make([]bool, n)
-	for i := range active {
-		active[i] = true
-	}
-	for _, kind := range []backbone.Kind{backbone.Cycles, backbone.MST} {
-		b.Run(kind.String(), func(b *testing.B) {
-			after := append([]bool(nil), active...)
-			after[n/2] = false
-			var churnLinks int
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				links, err := backbone.Links(kind, n, active, u.Delay, 2)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !backbone.Connected(links, active) {
-					b.Fatal("backbone disconnected")
-				}
-				churnLinks, err = backbone.MaintenanceCost(kind, n, active, after, u.Delay, 2)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(churnLinks), "links/failure")
 		})
 	}
 }

@@ -20,8 +20,8 @@
 // matrix across the listed engines, writing the BENCH_scenarios.json
 // artifact.
 //
-// See DESIGN.md §4 for the figure index and EXPERIMENTS.md for recorded
-// output.
+// -list prints the figure ids; README.md "Experiments" shows the common
+// invocations.
 package main
 
 import (
@@ -118,18 +118,8 @@ func writeSVG(dir string, fig *experiments.Figure) error {
 // runScaleSize executes one large-scale convergence run and returns
 // its benchmark record plus whether the run converged. A non-empty
 // tracePath streams every engine phase event as one JSON line.
-func runScaleSize(n int, sampleSpec string, epochs, k, workers int, tracePath string) (experiments.BenchRecord, bool, error) {
-	spec, err := sampling.ParseSpec(sampleSpec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "egoist-bench: %v\n", err)
-		os.Exit(2)
-	}
-	if k <= 0 {
-		k = 8
-		if n < 1000 {
-			k = 4
-		}
-	}
+func runScaleSize(n int, spec sampling.Spec, epochs, k, workers int, tracePath string) (experiments.BenchRecord, bool, error) {
+	k, _ = sim.HeadlineRecipe(n, k)
 	cfg := sim.ScaleConfig{
 		N: n, K: k, Seed: 2008, Sample: spec,
 		MaxEpochs: epochs, Workers: workers,
@@ -167,7 +157,12 @@ func runScaleSize(n int, sampleSpec string, epochs, k, workers int, tracePath st
 // runScaleMode executes one large-scale convergence run and optionally
 // writes its BENCH_scale.json record.
 func runScaleMode(n int, sampleSpec string, epochs, k, workers int, benchJSON, tracePath string) {
-	rec, _, err := runScaleSize(n, sampleSpec, epochs, k, workers, tracePath)
+	spec, err := sampling.ParseSpec(sampleSpec)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "egoist-bench: %v\n", err)
+		os.Exit(2)
+	}
+	rec, _, err := runScaleSize(n, spec, epochs, k, workers, tracePath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "egoist-bench: scale run: %v\n", err)
 		os.Exit(1)
@@ -183,10 +178,10 @@ func runScaleMode(n int, sampleSpec string, epochs, k, workers int, benchJSON, t
 
 // runScaleSweep runs the explicit n-sweep (sizes ascending, so each
 // VmHWM reading is that size's own peak — see peakRSSBytes) and writes
-// one record per size. Sample sizes follow the headline recipe
-// min(n/20, 500). Unlike the single -scale mode, a non-converging
-// size fails the sweep: the nightly n-sweep doubles as the
-// converges-within-the-bound acceptance gate.
+// one record per size. Sample sizes follow sim.HeadlineRecipe. Unlike
+// the single -scale mode, a non-converging size fails the sweep: the
+// nightly n-sweep doubles as the converges-within-the-bound acceptance
+// gate.
 func runScaleSweep(sizesCSV string, epochs, k, workers int, benchJSON string) {
 	var sizes []int
 	for _, f := range strings.Split(sizesCSV, ",") {
@@ -200,21 +195,8 @@ func runScaleSweep(sizesCSV string, epochs, k, workers int, benchJSON string) {
 	sort.Ints(sizes)
 	var recs []experiments.BenchRecord
 	for _, n := range sizes {
-		kk := k
-		if kk <= 0 {
-			kk = 8
-			if n < 1000 {
-				kk = 4
-			}
-		}
-		m := n / 20
-		if m > 500 {
-			m = 500
-		}
-		if m < kk+2 {
-			m = kk + 2
-		}
-		rec, converged, err := runScaleSize(n, fmt.Sprintf("demand:%d", m), epochs, k, workers, "")
+		_, spec := sim.HeadlineRecipe(n, k)
+		rec, converged, err := runScaleSize(n, spec, epochs, k, workers, "")
 		if err == nil && !converged {
 			err = fmt.Errorf("n=%d did not converge in %d epochs", n, rec.N)
 		}

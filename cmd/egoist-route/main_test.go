@@ -1,184 +1,221 @@
 package main
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"egoist/internal/clitest"
-	"egoist/internal/experiments"
+	"egoist/internal/obs"
+	"egoist/internal/plane"
 )
 
-// TestMainInProcess drives the converge→bench→save path in process for
-// coverage (subprocess binaries run uninstrumented).
+// TestMainInProcess drives converge → -save-wiring → -wiring load in
+// process for coverage (subprocess binaries run uninstrumented). The
+// re-save of the loaded file must reproduce it byte for byte: the file
+// carries everything the snapshot is compiled from.
 func TestMainInProcess(t *testing.T) {
 	dir := t.TempDir()
-	clitest.RunMain(t, main, "egoist-route",
-		"-n", "120", "-workers", "2", "-bench", "-bench-duration", "100ms",
-		"-bench-json", filepath.Join(dir, "BENCH_serve.json"),
-		"-save-wiring", filepath.Join(dir, "wiring.json"))
-}
-
-// TestMainPublishBench drives the -publish-bench path in process: the
-// artifact must carry the publish_full/publish_delta pair measured on
-// the same publication stream, alongside the lookup record, and the
-// lenient throughput baseline must pass.
-func TestMainPublishBench(t *testing.T) {
-	dir := t.TempDir()
-	jsonPath := filepath.Join(dir, "BENCH_serve.json")
-	lenient := filepath.Join(dir, "lenient.json")
-	if err := os.WriteFile(lenient, []byte(`{"min_onehop_qps": 10}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	clitest.RunMain(t, main, "egoist-route",
-		"-n", "120", "-workers", "2", "-bench", "-bench-duration", "50ms",
-		"-modes", "onehop", "-publish-bench", "1",
-		"-bench-json", jsonPath, "-baseline", lenient)
-	recs, err := experiments.ReadServeJSON(jsonPath)
+	first, second := filepath.Join(dir, "wiring.json"), filepath.Join(dir, "again.json")
+	clitest.RunMain(t, main, "egoist-route", "-n", "120", "-workers", "2", "-save-wiring", first)
+	clitest.RunMain(t, main, "egoist-route", "-wiring", first, "-save-wiring", second)
+	a, err := os.ReadFile(first)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byName := map[string]experiments.ServeRecord{}
-	for _, rec := range recs {
-		byName[rec.Name] = rec
-	}
-	for _, want := range []string{"serve_onehop", "publish_full", "publish_delta"} {
-		if _, ok := byName[want]; !ok {
-			t.Fatalf("artifact missing %s record: %+v", want, recs)
-		}
-	}
-	full, delta := byName["publish_full"], byName["publish_delta"]
-	if full.Lookups <= 0 || full.Lookups != delta.Lookups {
-		t.Fatalf("publication counts diverge: full %d vs delta %d (must be the same stream)",
-			full.Lookups, delta.Lookups)
-	}
-	if full.P50us <= 0 || delta.P50us <= 0 {
-		t.Fatalf("degenerate publish quantiles: full %+v delta %+v", full, delta)
-	}
-}
-
-// TestGateOutcomes covers the serve baseline gate's verdicts directly
-// (the failing ones call os.Exit through main, so they can't run via
-// RunMain).
-func TestGateOutcomes(t *testing.T) {
-	dir := t.TempDir()
-	base := filepath.Join(dir, "baseline.json")
-	write := func(body string) {
-		t.Helper()
-		if err := os.WriteFile(base, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	onehop := []ServeRecord{{Name: "serve_onehop", QPS: 500}}
-	write(`{"min_onehop_qps": 100}`)
-	if err := gate(onehop, base); err != nil {
-		t.Fatalf("met floor failed: %v", err)
-	}
-	write(`{"min_onehop_qps": 1000}`)
-	if err := gate(onehop, base); err == nil {
-		t.Fatal("missed floor passed")
-	}
-	write(`{}`)
-	if err := gate(onehop, base); err == nil {
-		t.Fatal("floorless baseline passed (no-op gate)")
-	}
-	write(`{"min_onehop_qps": 100}`)
-	if err := gate([]ServeRecord{{Name: "publish_full", P50us: 1}}, base); err == nil {
-		t.Fatal("gate passed without a serve_onehop record")
-	}
-	if err := gate(onehop, filepath.Join(dir, "missing.json")); err == nil {
-		t.Fatal("unreadable baseline passed")
-	}
-
-	// The multi-core gates: absolute floor, scaling ratio, and the
-	// missing-record shape (a baseline that names the gate must fail
-	// when the run produced no multicore record, not skip silently).
-	multi := []ServeRecord{
-		{Name: "serve_onehop", QPS: 500},
-		{Name: "serve_onehop_multicore", QPS: 1800, Cores: 4},
-	}
-	write(`{"min_onehop_qps": 100, "min_onehop_qps_multicore": 1500, "min_multicore_scaling": 3.0}`)
-	if err := gate(multi, base); err != nil {
-		t.Fatalf("met multicore gates failed: %v", err)
-	}
-	write(`{"min_onehop_qps": 100, "min_onehop_qps_multicore": 2500}`)
-	if err := gate(multi, base); err == nil {
-		t.Fatal("missed multicore floor passed")
-	}
-	write(`{"min_onehop_qps": 100, "min_multicore_scaling": 4.0}`)
-	if err := gate(multi, base); err == nil {
-		t.Fatal("missed scaling floor passed (1800/500 = 3.6x < 4x)")
-	}
-	write(`{"min_onehop_qps": 100, "min_multicore_scaling": 3.0}`)
-	if err := gate(onehop, base); err == nil {
-		t.Fatal("scaling gate passed without a serve_onehop_multicore record")
-	}
-
-	// The binary-vs-JSON batch gate.
-	batches := []ServeRecord{
-		{Name: "serve_onehop", QPS: 500},
-		{Name: "serve_batchjson", QPS: 300000, Protocol: "http-json", Batch: 256},
-		{Name: "serve_batchbin", QPS: 900000, Protocol: "tcp-binary", Batch: 256},
-	}
-	write(`{"min_onehop_qps": 100, "min_binary_batch_speedup": 2.0}`)
-	if err := gate(batches, base); err != nil {
-		t.Fatalf("met binary speedup failed: %v", err)
-	}
-	write(`{"min_onehop_qps": 100, "min_binary_batch_speedup": 4.0}`)
-	if err := gate(batches, base); err == nil {
-		t.Fatal("missed binary speedup passed (3x < 4x)")
-	}
-	write(`{"min_onehop_qps": 100, "min_binary_batch_speedup": 2.0}`)
-	if err := gate(onehop, base); err == nil {
-		t.Fatal("binary gate passed without batch records")
-	}
-}
-
-// TestMainMulticoreAndBatchModes drives the sharded server and both
-// batch transports in process: -cores 2 must add *_multicore records
-// with the cores column, the batch modes must carry protocol/batch
-// columns, and the lenient multi-core + binary gates must pass.
-func TestMainMulticoreAndBatchModes(t *testing.T) {
-	dir := t.TempDir()
-	jsonPath := filepath.Join(dir, "BENCH_serve.json")
-	lenient := filepath.Join(dir, "lenient.json")
-	// Throughput floors lenient enough for a loaded 1-core CI box; the
-	// scaling and absolute multicore gates are exercised at their real
-	// values only on the 4-core runner.
-	if err := os.WriteFile(lenient, []byte(`{"min_onehop_qps": 10, "min_onehop_qps_multicore": 10, "min_binary_batch_speedup": 1.2}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	clitest.RunMain(t, main, "egoist-route",
-		"-n", "120", "-workers", "2", "-cores", "2", "-batch", "64",
-		"-bench", "-bench-duration", "100ms",
-		"-modes", "onehop,route,batchjson,batchbin",
-		"-bench-json", jsonPath, "-baseline", lenient)
-	recs, err := experiments.ReadServeJSON(jsonPath)
+	b, err := os.ReadFile(second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byName := map[string]experiments.ServeRecord{}
-	for _, rec := range recs {
-		byName[rec.Name] = rec
+	if !bytes.Equal(a, b) {
+		t.Fatalf("load + re-save changed the wiring file (%d vs %d bytes)", len(a), len(b))
 	}
-	for _, want := range []string{"serve_onehop", "serve_onehop_multicore", "serve_route", "serve_route_multicore", "serve_batchjson", "serve_batchbin"} {
-		if _, ok := byName[want]; !ok {
-			t.Fatalf("artifact missing %s record: %+v", want, recs)
+	wf, err := loadWiring(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// n = 120 takes the below-1000 leg of the headline recipe.
+	if wf.N != 120 || wf.K != 4 {
+		t.Fatalf("saved n=%d k=%d, want 120 and the recipe's 4", wf.N, wf.K)
+	}
+}
+
+// freeAddr returns a loopback address nothing listens on right now.
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	return ln.Addr().String()
+}
+
+// servedSeries are the /metrics series egoist-route advertises.
+var servedSeries = []string{
+	"plane_queries_onehop_total", "plane_queries_route_total",
+	"plane_queries_failed_total", "plane_cache_hits_total", "plane_cache_misses_total",
+	"plane_cache_fills_total", "plane_pair_searches_total", "plane_pair_settled_total",
+	"plane_pair_fallbacks_total", "plane_snapshot_epoch", "plane_snapshot_age_seconds",
+	"plane_onehop_latency_ns_count", "plane_route_latency_ns_count",
+}
+
+// scrape fetches /metrics and sums each advertised series over its
+// label sets; a series that is absent stays out of the map.
+func scrape(base string) (map[string]float64, error) {
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	sums := map[string]float64{}
+	for series, v := range obs.ParsePrometheus(body) {
+		for _, name := range servedSeries {
+			if series == name || strings.HasPrefix(series, name+"{") {
+				sums[name] += v
+			}
 		}
 	}
-	multi := byName["serve_onehop_multicore"]
-	if multi.Cores != 2 || multi.Clients != 2 || multi.Lookups <= 0 {
-		t.Fatalf("multicore record %+v, want cores=2 clients=2", multi)
+	return sums, nil
+}
+
+// waitPublished polls /snapshot until the server reports a published
+// snapshot — the readiness check benchmark/child.go uses.
+func waitPublished(base string) error {
+	for start := time.Now(); time.Since(start) < 60*time.Second; time.Sleep(5 * time.Millisecond) {
+		resp, err := http.Get(base + "/snapshot")
+		if err != nil {
+			continue
+		}
+		var info struct {
+			Published bool `json:"published"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&info)
+		resp.Body.Close()
+		if err == nil && info.Published {
+			return nil
+		}
 	}
-	bj, bb := byName["serve_batchjson"], byName["serve_batchbin"]
-	if bj.Protocol != "http-json" || bb.Protocol != "tcp-binary" || bj.Batch != 64 || bb.Batch != 64 {
-		t.Fatalf("batch records missing protocol/batch columns: %+v %+v", bj, bb)
+	return fmt.Errorf("no published snapshot on %s/snapshot within 60 s", base)
+}
+
+// oneHopBatch answers one binary one-hop batch over addr and checks
+// every pair came back.
+func oneHopBatch(addr string, n int) error {
+	client, err := plane.DialBinary(addr)
+	if err != nil {
+		return err
 	}
-	if bb.QPS <= bj.QPS {
-		t.Fatalf("binary batch (%.0f qps) not faster than JSON (%.0f qps)", bb.QPS, bj.QPS)
+	defer client.Close()
+	pairs := make([]uint32, 0, 16)
+	for i := 0; i < 8; i++ {
+		pairs = append(pairs, uint32(i%n), uint32((i*7+1)%n))
+	}
+	resp, err := client.Do(plane.BinModeOneHop, pairs)
+	if err != nil {
+		return err
+	}
+	_, results, err := plane.DecodeBatchResponse(resp, plane.BinModeOneHop, nil)
+	if err != nil {
+		return err
+	}
+	if len(results) != len(pairs)/2 {
+		return fmt.Errorf("binary batch answered %d of %d pairs", len(results), len(pairs)/2)
+	}
+	for i, r := range results {
+		if r.Status != plane.BinOK {
+			return fmt.Errorf("pair %d: status %d", i, r.Status)
+		}
+	}
+	return nil
+}
+
+// TestMainServe runs the binary's actual job in process: converge,
+// listen on -http and -binary, answer until SIGTERM. While main serves,
+// a client checks /metrics the way CI's shell smoke used to: every
+// advertised series exists, a burst of 40 one-hop and 40 route queries
+// advances each query counter by exactly 40, and the routes were paid
+// for by row fills or pair searches.
+func TestMainServe(t *testing.T) {
+	const n = 120
+	httpAddr, binAddr := freeAddr(t), freeAddr(t)
+	base := "http://" + httpAddr
+	clientDone := make(chan struct{})
+	go func() {
+		defer close(clientDone)
+		// main installs its handler before it listens, so once the
+		// server has answered, the signal ends main and not the test.
+		defer syscall.Kill(os.Getpid(), syscall.SIGTERM)
+		if err := waitPublished(base); err != nil {
+			t.Error(err)
+			return
+		}
+		before, err := scrape(base)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for _, name := range servedSeries {
+			if _, ok := before[name]; !ok {
+				t.Errorf("/metrics is missing %s", name)
+			}
+		}
+		for i := 1; i <= 40; i++ {
+			for _, q := range []string{
+				fmt.Sprintf("mode=onehop&src=%d&dst=%d", i%n, (i*7+1)%n),
+				fmt.Sprintf("mode=route&src=%d&dst=%d", i%n, (i*13+3)%n),
+			} {
+				resp, err := http.Get(base + "/route?" + q)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("/route?%s: %s", q, resp.Status)
+				}
+			}
+		}
+		after, err := scrape(base)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for _, name := range []string{"plane_queries_onehop_total", "plane_queries_route_total"} {
+			if got := after[name] - before[name]; got != 40 {
+				t.Errorf("%s advanced by %v over a burst of 40", name, got)
+			}
+		}
+		paid := func(m map[string]float64) float64 {
+			return m["plane_cache_fills_total"] + m["plane_pair_searches_total"]
+		}
+		if paid(after) <= paid(before) {
+			t.Errorf("the route burst paid for no search and no row: fills + searches %v → %v", paid(before), paid(after))
+		}
+		if err := oneHopBatch(binAddr, n); err != nil {
+			t.Errorf("binary listener: %v", err)
+		}
+	}()
+	clitest.RunMain(t, main, "egoist-route", "-n", "120", "-workers", "2",
+		"-http", httpAddr, "-binary", binAddr, "-pprof")
+	<-clientDone
+	if _, err := http.Get(base + "/snapshot"); err == nil {
+		t.Error("HTTP listener still answers after main returned")
 	}
 }
 
@@ -201,62 +238,32 @@ func TestLoadWiringValidation(t *testing.T) {
 	if _, err := loadWiring(filepath.Join(dir, "missing.json")); err == nil {
 		t.Fatal("missing file accepted")
 	}
-	for name, body := range map[string]string{
-		"not-json":     "nope",
-		"short":        `{"n": 5, "k": 2, "wiring": [[1],[2]]}`,
-		"out-of-range": `{"n": 3, "k": 1, "wiring": [[1],[9],[0]]}`,
-	} {
-		bad := filepath.Join(dir, name+".json")
-		if err := os.WriteFile(bad, []byte(body), 0o644); err != nil {
+	for name, bad := range badWirings {
+		file := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(file, []byte(bad.body), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := loadWiring(bad); err == nil {
+		_, err := loadWiring(file)
+		if err == nil {
 			t.Errorf("%s accepted", name)
+		} else if !strings.Contains(err.Error(), bad.wantErr) {
+			t.Errorf("%s: error %q does not say %q", name, err, bad.wantErr)
 		}
 	}
 }
 
-// TestSmokeBenchArtifact converges a small overlay, runs the load
-// generator, and checks the BENCH_serve.json artifact has both lookup
-// paths with sane numbers.
-func TestSmokeBenchArtifact(t *testing.T) {
-	bin := clitest.Build(t, "egoist-route")
-	dir := t.TempDir()
-	jsonPath := filepath.Join(dir, "BENCH_serve.json")
-	out, err := exec.Command(bin, "-n", "150", "-workers", "2",
-		"-bench", "-bench-duration", "200ms", "-bench-json", jsonPath).CombinedOutput()
-	if err != nil {
-		t.Fatalf("egoist-route: %v\n%s", err, out)
-	}
-	text := string(out)
-	for _, want := range []string{"converged=", "bench serve_onehop", "bench serve_route", "wrote"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("output missing %q:\n%s", want, text)
-		}
-	}
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var recs []ServeRecord
-	if err := json.Unmarshal(data, &recs); err != nil {
-		t.Fatalf("artifact not parseable: %v\n%s", err, data)
-	}
-	if len(recs) != 2 {
-		t.Fatalf("got %d records, want 2", len(recs))
-	}
-	for _, rec := range recs {
-		if rec.N != 150 || rec.Lookups <= 0 || rec.QPS <= 0 || rec.Seconds <= 0 {
-			t.Errorf("degenerate record %+v", rec)
-		}
-		if rec.P50us <= 0 || rec.P99us < rec.P50us {
-			t.Errorf("bad quantiles %+v", rec)
-		}
-	}
+// badWirings are wiring files the loader must refuse, with what the
+// error has to name.
+var badWirings = map[string]struct{ body, wantErr string }{
+	"not-json":     {"nope", "invalid character"},
+	"short":        {`{"n": 5, "k": 2, "wiring": [[1],[2]]}`, "2 rows for n=5"},
+	"out-of-range": {`{"n": 3, "k": 1, "wiring": [[1],[9],[0]]}`, "node 1 wires out-of-range target 9"},
+	"self-link":    {`{"n": 3, "k": 1, "wiring": [[1],[2,1],[0]]}`, "node 1 wires itself"},
+	"repeated":     {`{"n": 3, "k": 1, "wiring": [[1],[2,0,2],[0]]}`, "node 1 wires target 2 twice"},
 }
 
-// TestSmokeWiringRoundTrip saves a converged wiring, reloads it, and
-// benches from the file — the serve-without-converging path.
+// TestSmokeWiringRoundTrip saves a converged wiring with the built
+// binary and loads it back — the serve-without-converging path.
 func TestSmokeWiringRoundTrip(t *testing.T) {
 	bin := clitest.Build(t, "egoist-route")
 	dir := t.TempDir()
@@ -265,61 +272,89 @@ func TestSmokeWiringRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("save: %v\n%s", err, out)
 	}
-	out, err = exec.Command(bin, "-wiring", wiring, "-bench", "-bench-duration", "100ms", "-modes", "onehop").CombinedOutput()
+	if !strings.Contains(string(out), "converged=") {
+		t.Fatalf("no convergence line:\n%s", out)
+	}
+	out, err = exec.Command(bin, "-wiring", wiring).CombinedOutput()
 	if err != nil {
-		t.Fatalf("load+bench: %v\n%s", err, out)
+		t.Fatalf("load: %v\n%s", err, out)
 	}
 	if !strings.Contains(string(out), "loaded wiring: n=150") {
 		t.Fatalf("unexpected output:\n%s", out)
 	}
 }
 
-// TestSmokeBaselineGate checks both gate outcomes: a met floor passes,
-// an absurd floor fails the process.
-func TestSmokeBaselineGate(t *testing.T) {
+// TestSmokeServeContract pins, in the root module, what the benchmark's
+// child.go relies on: the flags it passes, the two stdout lines it
+// takes the ephemeral addresses from, /snapshot's "published", a binary
+// batch answered, and exit status 0 on SIGTERM.
+func TestSmokeServeContract(t *testing.T) {
 	bin := clitest.Build(t, "egoist-route")
-	dir := t.TempDir()
-	wiring := filepath.Join(dir, "wiring.json")
-	if out, err := exec.Command(bin, "-n", "150", "-workers", "2", "-save-wiring", wiring).CombinedOutput(); err != nil {
-		t.Fatalf("save: %v\n%s", err, out)
-	}
-	lenient := filepath.Join(dir, "lenient.json")
-	if err := os.WriteFile(lenient, []byte(`{"min_onehop_qps": 10}`), 0o644); err != nil {
+	wiring := filepath.Join(t.TempDir(), "wiring.json")
+	wf := &wiringFile{N: 4, K: 2, Seed: 9, Wiring: [][]int{{1, 2}, {2, 3}, {3, 0}, {0, 1}}}
+	if err := saveWiring(wiring, wf); err != nil {
 		t.Fatal(err)
 	}
-	out, err := exec.Command(bin, "-wiring", wiring, "-bench", "-bench-duration", "100ms",
-		"-modes", "onehop", "-baseline", lenient).CombinedOutput()
+	cmd := exec.Command(bin, "-wiring", wiring, "-cores", "1",
+		"-http", "127.0.0.1:0", "-binary", "127.0.0.1:0")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	stdout, err := cmd.StdoutPipe()
 	if err != nil {
-		t.Fatalf("lenient gate failed: %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "serve gate: one-hop") {
-		t.Fatalf("no gate line:\n%s", out)
-	}
-	absurd := filepath.Join(dir, "absurd.json")
-	if err := os.WriteFile(absurd, []byte(`{"min_onehop_qps": 1e15}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if out, err := exec.Command(bin, "-wiring", wiring, "-bench", "-bench-duration", "100ms",
-		"-modes", "onehop", "-baseline", absurd).CombinedOutput(); err == nil {
-		t.Fatalf("absurd gate passed:\n%s", out)
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Process.Kill()
+	watchdog := time.AfterFunc(60*time.Second, func() { cmd.Process.Kill() })
+	defer watchdog.Stop()
+
+	// The same scan as child.go: the text after "http://" and "tcp://".
+	var httpAddr, binAddr string
+	sc := bufio.NewScanner(stdout)
+	for binAddr == "" && sc.Scan() {
+		line := sc.Text()
+		if i := strings.Index(line, "http://"); i >= 0 && httpAddr == "" {
+			httpAddr = strings.TrimSpace(line[i+len("http://"):])
+		}
+		if i := strings.Index(line, "tcp://"); i >= 0 {
+			binAddr = strings.TrimSpace(line[i+len("tcp://"):])
+		}
+	}
+	if httpAddr == "" || binAddr == "" {
+		t.Fatalf("no serving lines (http %q, tcp %q); stderr:\n%s", httpAddr, binAddr, stderr.String())
+	}
+	if err := waitPublished("http://" + httpAddr); err != nil {
+		t.Fatal(err)
+	}
+	if err := oneHopBatch(binAddr, wf.N); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	_, _ = io.Copy(io.Discard, stdout)
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("exit after SIGTERM: %v; stderr:\n%s", err, stderr.String())
 	}
 }
 
-// TestSmokeBadWiringRejected covers the loader's validation.
+// TestSmokeBadWiringRejected covers the loader's validation through
+// the binary: every malformed file is a non-zero exit.
 func TestSmokeBadWiringRejected(t *testing.T) {
 	bin := clitest.Build(t, "egoist-route")
 	dir := t.TempDir()
-	for name, body := range map[string]string{
-		"not-json":     "nope",
-		"short":        `{"n": 5, "k": 2, "wiring": [[1],[2]]}`,
-		"out-of-range": `{"n": 3, "k": 1, "wiring": [[1],[9],[0]]}`,
-	} {
+	for name, bad := range badWirings {
 		path := filepath.Join(dir, name+".json")
-		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(bad.body), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if out, err := exec.Command(bin, "-wiring", path).CombinedOutput(); err == nil {
+		out, err := exec.Command(bin, "-wiring", path).CombinedOutput()
+		if err == nil {
 			t.Errorf("%s accepted:\n%s", name, out)
+		} else if !strings.Contains(string(out), bad.wantErr) {
+			t.Errorf("%s: output does not say %q:\n%s", name, bad.wantErr, out)
 		}
 	}
 }

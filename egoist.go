@@ -19,8 +19,8 @@
 //     goroutine-per-node runtime speaking the link-state protocol over an
 //     in-memory bus or real UDP sockets.
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// figure-by-figure reproduction record.
+// See README.md for the package layout and how to regenerate the
+// paper's figures.
 package egoist
 
 import (
@@ -466,27 +466,12 @@ type ScaleRunResult struct {
 
 // ScaleRun executes one large-scale sampled simulation.
 func ScaleRun(opts ScaleOptions) (*ScaleRunResult, error) {
-	k := opts.K
-	if k <= 0 {
-		k = 8
-		if opts.N < 1000 {
-			k = 4
+	k, spec := sim.HeadlineRecipe(opts.N, opts.K)
+	if opts.Sample != "" {
+		var err error
+		if spec, err = sampling.ParseSpec(opts.Sample); err != nil {
+			return nil, err
 		}
-	}
-	specStr := opts.Sample
-	if specStr == "" {
-		m := opts.N / 20
-		if m < k+2 {
-			m = k + 2
-		}
-		if m > 500 {
-			m = 500 // the tuned headline configuration caps at demand:500
-		}
-		specStr = fmt.Sprintf("demand:%d", m)
-	}
-	spec, err := sampling.ParseSpec(specStr)
-	if err != nil {
-		return nil, err
 	}
 	res, err := sim.RunScale(sim.ScaleConfig{
 		N: opts.N, K: k, Seed: opts.Seed, Sample: spec,

@@ -7,27 +7,21 @@ import (
 	"sort"
 )
 
-// BenchRecord is one machine-readable benchmark measurement — the
-// shared schema of every BENCH_*.json artifact the CI pipeline uploads
-// (Go benchmark conversions from cmd/benchjson and scale-engine
-// measurements from cmd/egoist-bench alike).
+// BenchRecord is one machine-readable scale-engine measurement — the
+// schema of the BENCH_scale.json artifact cmd/egoist-bench writes and
+// the nightly sweep uploads.
 type BenchRecord struct {
-	// Name identifies the measurement, e.g.
-	// "BenchmarkBestResponseScratch/scratch" or "scale/n=10000/demand:500".
+	// Name identifies the measurement, e.g. "scale/n=10000/demand:500".
 	Name string `json:"name"`
-	// NsPerOp is nanoseconds per operation (per benchmark iteration, or
-	// per simulated epoch for scale records).
+	// NsPerOp is nanoseconds per simulated epoch.
 	NsPerOp float64 `json:"ns_per_op"`
-	// AllocsPerOp is heap allocations per operation (0 when not
-	// measured).
+	// AllocsPerOp is heap allocations per epoch (0 when not measured).
 	AllocsPerOp float64 `json:"allocs_per_op"`
-	// N is the iteration count behind the measurement (benchmark b.N,
-	// or epochs run for scale records).
+	// N is the number of epochs run.
 	N int `json:"n"`
 	// PeakRSSBytes is the process peak resident set (VmHWM) observed
 	// after the measurement — the memory-ceiling column of the scale
-	// n-sweep. Zero (and omitted) for Go benchmark conversions and on
-	// platforms without /proc.
+	// n-sweep. Zero (and omitted) on platforms without /proc.
 	PeakRSSBytes float64 `json:"peak_rss_bytes,omitempty"`
 }
 

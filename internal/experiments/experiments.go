@@ -2,8 +2,7 @@
 // (Sect. 4–6). Each FigXX function runs the workload behind one figure and
 // returns its data series in the same normalization the paper plots.
 // cmd/egoist-bench prints them; bench_test.go wraps them in testing.B
-// benchmarks; EXPERIMENTS.md records the measured shapes next to the
-// paper's.
+// benchmarks.
 package experiments
 
 import (

@@ -29,28 +29,6 @@ func scaleSweepSizes(s Scale) []int {
 	return []int{200, 400}
 }
 
-// scaleKFor picks the degree budget for an overlay size.
-func scaleKFor(n int) int {
-	if n >= 1000 {
-		return 8
-	}
-	return 4
-}
-
-// scaleMFor picks the destination-sample size for an overlay size:
-// n/20, clamped to [k+2, 500] — 500 matching the headline
-// "demand:500 at n=10000" configuration.
-func scaleMFor(n, k int) int {
-	m := n / 20
-	if m < k+2 {
-		m = k + 2
-	}
-	if m > 500 {
-		m = 500
-	}
-	return m
-}
-
 // ScaleSweepRecords runs the scale sweep and returns both the figure
 // and the machine-readable benchmark records for BENCH_scale.json.
 func ScaleSweepRecords(s Scale) (*Figure, []BenchRecord, error) {
@@ -65,8 +43,7 @@ func ScaleSweepRecords(s Scale) (*Figure, []BenchRecord, error) {
 	var xs, secs, epochs, relBand []float64
 	var recs []BenchRecord
 	for _, n := range sizes {
-		k := scaleKFor(n)
-		spec := sampling.Spec{Strategy: sampling.Demand, M: scaleMFor(n, k)}
+		k, spec := sim.HeadlineRecipe(n, 0)
 		res, rec, err := MeasureScale(sim.ScaleConfig{
 			N: n, K: k, Seed: p.seed, Sample: spec, Workers: Workers(),
 		})

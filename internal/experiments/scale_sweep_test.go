@@ -15,22 +15,6 @@ func TestScaleSweepHelpers(t *testing.T) {
 			t.Fatalf("sweep sizes not ascending: %v", full)
 		}
 	}
-	if k := scaleKFor(10000); k != 8 {
-		t.Fatalf("scaleKFor(10000) = %d, want 8", k)
-	}
-	if k := scaleKFor(200); k != 4 {
-		t.Fatalf("scaleKFor(200) = %d, want 4", k)
-	}
-	// m = n/20 clamped to [k+2, 500].
-	if m := scaleMFor(10000, 8); m != 500 {
-		t.Fatalf("scaleMFor(10000, 8) = %d, want 500", m)
-	}
-	if m := scaleMFor(200, 4); m != 10 {
-		t.Fatalf("scaleMFor(200, 4) = %d, want 10", m)
-	}
-	if m := scaleMFor(40, 4); m != 6 {
-		t.Fatalf("scaleMFor(40, 4) = %d, want k+2 = 6", m)
-	}
 }
 
 // TestScaleSweepRecordsQuick runs the quick-scale sweep end to end:

@@ -7,20 +7,12 @@ import (
 
 // The histogram bucket scheme, shared by every obs histogram: bucket i
 // spans [base·g^i, base·g^(i+1)) nanoseconds with g = 1.25, covering
-// ~45ns to ~80s in 96 buckets — ±12% quantile resolution. This is the
-// exact scheme the egoist-route load generator's private histogram
-// used before it moved here, so BENCH_serve.json quantiles are
-// bit-compatible across the change.
+// ~45ns to ~80s in 96 buckets — ±12% quantile resolution.
 const (
 	NumBuckets   = 96
 	BucketBase   = 45.0 // ns, lower bound of bucket 0's log range
 	BucketGrowth = 1.25
 )
-
-// BucketScheme names the scheme in artifacts that carry raw bucket
-// vectors, so downstream tooling can reconstruct bounds without
-// guessing.
-const BucketScheme = "log-ns-base45-g1.25-96"
 
 var bucketLogG = math.Log(BucketGrowth)
 
@@ -143,10 +135,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	}
 	return bucketQuantile(&buckets, count, q)
 }
-
-// QuantileUS is Quantile scaled to microseconds — the unit the
-// BENCH_serve.json schema reports.
-func (h *Histogram) QuantileUS(q float64) float64 { return h.Quantile(q) / 1e3 }
 
 // bucketQuantile locates the q-quantile in a merged bucket vector.
 func bucketQuantile(buckets *[NumBuckets]int64, count int64, q float64) float64 {

@@ -2,11 +2,15 @@ package obs
 
 import (
 	"bytes"
+	"io"
 	"math"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestCounterConcurrentStorm hammers one sharded counter and one
@@ -242,5 +246,44 @@ func TestInstrumentsZeroAlloc(t *testing.T) {
 		if allocs := testing.AllocsPerRun(1000, f); allocs != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", name, allocs)
 		}
+	}
+}
+
+// TestHTTPServerDropsStalledRequest pins the header deadline of the
+// shared server constructor: a peer that sends half a request line and
+// then stalls is disconnected by the server, not held for ever.
+func TestHTTPServerDropsStalledRequest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("waits out the header deadline")
+	}
+	t.Parallel()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewHTTPServer(http.NotFoundHandler())
+	go func() { _ = srv.Serve(ln) }()
+	defer srv.Close()
+	if srv.IdleTimeout <= 0 {
+		t.Error("no idle deadline on keep-alive connections")
+	}
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /metr")); err != nil {
+		t.Fatal(err)
+	}
+	// The server owes this connection nothing but the close (net/http
+	// may send a 408 first): reading must end, well before the client's
+	// own deadline.
+	_ = conn.SetReadDeadline(time.Now().Add(readHeaderTimeout + 10*time.Second))
+	start := time.Now()
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatalf("server kept the stalled connection open: %v", err)
+	}
+	if waited := time.Since(start); waited < readHeaderTimeout/2 {
+		t.Errorf("connection closed after %v, before the %v header deadline could have fired", waited, readHeaderTimeout)
 	}
 }

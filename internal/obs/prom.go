@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"time"
 )
 
 // WritePrometheus renders every registered instrument in Prometheus
@@ -98,4 +99,21 @@ func MountPprof(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+}
+
+// The two deadlines every HTTP listener of the repository carries, so a
+// peer that connects and then stalls cannot hold a connection (and its
+// goroutine) for ever: the request line and headers must arrive within
+// readHeaderTimeout, and a keep-alive connection may sit idle for
+// idleTimeout. There is deliberately no write timeout — pprof's 30 s
+// CPU profile streams over the same mux.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer returns the http.Server the serving binaries listen
+// with: h behind the header and idle deadlines above.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }

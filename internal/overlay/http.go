@@ -6,6 +6,7 @@ import (
 	"net/http"
 
 	"egoist/internal/graph"
+	"egoist/internal/obs"
 	"egoist/internal/vis"
 )
 
@@ -82,7 +83,7 @@ func (n *Node) ServeHTTPWith(addr string, mount func(mux *http.ServeMux)) (strin
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-	srv := &http.Server{Handler: mux}
+	srv := obs.NewHTTPServer(mux)
 	go func() {
 		_ = srv.Serve(ln)
 	}()

@@ -187,6 +187,28 @@ type ScaleConfig struct {
 	probe *scaleProbe
 }
 
+// HeadlineRecipe is the tuned configuration of every headline scale run
+// where the caller does not choose: degree budget 8 (4 below n = 1000)
+// and a demand-weighted sample of n/20 destinations clamped to
+// [k+2, 500] — 500 being the "demand:500 at n = 10000" configuration. A
+// positive k is kept and only the sample derived from it.
+func HeadlineRecipe(n, k int) (int, sampling.Spec) {
+	if k <= 0 {
+		k = 8
+		if n < 1000 {
+			k = 4
+		}
+	}
+	m := n / 20
+	if m < k+2 {
+		m = k + 2
+	}
+	if m > 500 {
+		m = 500
+	}
+	return k, sampling.Spec{Strategy: sampling.Demand, M: m}
+}
+
 // scaleProbe lets the package's tests check and count the two places the
 // engine reads a shortest-path row the directory already holds instead
 // of computing it: a member proposer's live row, and a surviving

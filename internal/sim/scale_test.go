@@ -160,6 +160,24 @@ func TestScaleRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// TestHeadlineRecipe pins the one definition of the headline
+// configuration: both legs of k, both clamps of m, and a caller's k
+// kept.
+func TestHeadlineRecipe(t *testing.T) {
+	for _, c := range []struct{ n, k, wantK, wantM int }{
+		{10000, 0, 8, 500},
+		{2500, 0, 8, 125},
+		{200, 0, 4, 10},
+		{40, 0, 4, 6},
+		{200, 12, 12, 14},
+	} {
+		k, spec := HeadlineRecipe(c.n, c.k)
+		if k != c.wantK || spec.Strategy != sampling.Demand || spec.M != c.wantM {
+			t.Errorf("HeadlineRecipe(%d, %d) = %d, %v; want %d, demand:%d", c.n, c.k, k, spec, c.wantK, c.wantM)
+		}
+	}
+}
+
 // scaleConvergeConfig is the repository benchmark's scale-converge
 // workload: n=600, k=8, demand:100, four epochs from the bootstrap
 // wiring, two workers.

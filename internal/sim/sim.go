@@ -380,7 +380,7 @@ func (st *state) estimateOne(i, j int) float64 {
 		return st.coordSys.Estimate(i, j)
 	case Load:
 		// The destination's announced (EWMA-smoothed) load is the cost of
-		// any link entering it; see DESIGN.md for the modeling note.
+		// any link entering it.
 		return st.loadMon[j].Value()
 	case Bandwidth:
 		return st.bwEst.Measure(st.und.AvailBW(i, j))

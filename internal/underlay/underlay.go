@@ -2,8 +2,8 @@
 // true pairwise one-way delays between sites, per-node CPU load, and the
 // available bandwidth between sites constrained by AS peering points.
 //
-// The paper ran on PlanetLab; this package is the synthetic substitute
-// (see DESIGN.md §2). It reproduces the structural properties the
+// The paper ran on PlanetLab; this package is the synthetic substitute.
+// It reproduces the structural properties the
 // evaluation depends on — geographically clustered delays, high-variance
 // node load, and per-session rate caps at AS peering points — without
 // requiring the real testbed. All state evolves deterministically from a
