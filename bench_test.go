@@ -169,12 +169,13 @@ func BenchmarkBestResponseParallel(b *testing.B) {
 	b.Run(fmt.Sprintf("parallel-%d", runtime.NumCPU()), func(b *testing.B) { run(b, runtime.NumCPU()) })
 }
 
-// BenchmarkResidIncremental contrasts the proposal phase's two
-// residual-matrix strategies at one epoch's scale: a full APSP per node
-// (BuildResidScratch) versus one shortest-path forest repaired
-// per node (SPForest.RemoveOut/RestoreOut, Config.Incremental). Both
-// produce bit-identical matrices; the forest pays one APSP up front and
-// then only the affected-subtree repairs.
+// BenchmarkResidIncremental contrasts the full engine's two
+// residual-matrix constructions at one epoch's scale: a full APSP per node
+// (BuildResidScratch, the sequential re-wiring path) versus one
+// shortest-path forest repaired per node (SPForest.RemoveOut/RestoreOut,
+// the speculative proposal phase). Both produce bit-identical matrices;
+// the forest pays one APSP up front and then only the affected-subtree
+// repairs.
 func BenchmarkResidIncremental(b *testing.B) {
 	const n = 192
 	rng := rand.New(rand.NewSource(11))

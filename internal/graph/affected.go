@@ -59,59 +59,3 @@ func rowHasArc(to []int32, w []float64, v int32, wt float64) bool {
 	}
 	return false
 }
-
-// arcsHaveArc is rowHasArc over an []Arc row.
-func arcsHaveArc(arcs []Arc, v int, wt float64) bool {
-	for _, a := range arcs {
-		if a.To == v && a.W == wt {
-			return true
-		}
-	}
-	return false
-}
-
-// rowCrossedArcs is RowCrossed with both rows in []Arc form (the
-// SPForest / RowEdit layout).
-func rowCrossedArcs(dist []float64, parent []int32, u int, oldArcs, newArcs []Arc) bool {
-	for _, a := range oldArcs {
-		if parent[a.To] == int32(u) && !arcsHaveArc(newArcs, a.To, a.W) {
-			return true
-		}
-	}
-	du := dist[u]
-	for _, a := range newArcs {
-		if arcsHaveArc(oldArcs, a.To, a.W) {
-			continue
-		}
-		if du+a.W < dist[a.To] {
-			return true
-		}
-	}
-	return false
-}
-
-// AffectedSources appends to out (and returns) the ascending list of
-// sources whose maintained shortest-path rows the given out-row
-// replacements can cross — the sources a publisher must recompute when
-// patching a snapshot incrementally; every other row is guaranteed
-// bit-identical after the edits. The edits describe complete
-// replacements of each node's out-row, exactly like DynamicRows.Apply;
-// the forest's own graph and matrices are not modified. Additive
-// algebra only (the forest must have been Reset with widest=false).
-func (f *SPForest) AffectedSources(edits []RowEdit, out []int) []int {
-	if f.widest {
-		panic("graph: AffectedSources on a widest-path forest")
-	}
-	if f.removedFrom >= 0 {
-		panic("graph: AffectedSources with a removal outstanding")
-	}
-	for src := 0; src < f.n; src++ {
-		for _, e := range edits {
-			if rowCrossedArcs(f.dist[src], f.parent[src], e.Node, f.g.Out(e.Node), e.NewOut) {
-				out = append(out, src)
-				break
-			}
-		}
-	}
-	return out
-}

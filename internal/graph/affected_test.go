@@ -50,50 +50,72 @@ func applyEditsTo(g *Digraph, edits []RowEdit) *Digraph {
 	return r
 }
 
+// splitArcs converts an []Arc row to the CSR layout RowCrossed reads.
+func splitArcs(arcs []Arc) (to []int32, w []float64) {
+	for _, a := range arcs {
+		to = append(to, int32(a.To))
+		w = append(w, a.W)
+	}
+	return to, w
+}
+
+// crossedByAny reports whether RowCrossed flags the row for any edit of
+// the batch — how plane.Patch decides which cached rows to drop.
+func crossedByAny(dist []float64, parent []int32, g *Digraph, edits []RowEdit) bool {
+	for _, e := range edits {
+		oldTo, oldW := splitArcs(g.Out(e.Node))
+		newTo, newW := splitArcs(e.NewOut)
+		if RowCrossed(dist, parent, e.Node, oldTo, oldW, newTo, newW) {
+			return true
+		}
+	}
+	return false
+}
+
 // TestAffectedSourcesVsBruteForce is the property the delta publisher
-// stands on: every source NOT reported by AffectedSources must have a
-// bit-identical distance row in a from-scratch recompute of the edited
-// graph. (Reported sources may or may not actually change — the test
-// additionally counts that the report is not trivially "everyone", so
-// the skip fast-path is exercised.)
+// stands on: every row RowCrossed does NOT flag for any edit of a batch
+// must be bit-identical to the same source's row in a from-scratch
+// recompute of the edited graph. Rows come from both producers — the
+// data plane's DijkstraCSR and the forest — and the truth from APSP.
+// (Flagged rows may or may not actually change — the test additionally
+// counts that the flag is not trivially "everyone", so the skip
+// fast-path is exercised.)
 func TestAffectedSourcesVsBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	f := NewSPForest()
+	var sc SPScratch
 	skipped, total := 0, 0
 	for trial := 0; trial < 40; trial++ {
 		n := 8 + rng.Intn(40)
 		g := randomDigraphInc(rng, n, 1+rng.Intn(3))
 		f.Reset(g, false)
+		c := NewCSR(n, func(u int) []Arc { return g.Out(u) })
 		edits := randomEdits(rng, n, 1+rng.Intn(3))
-		affected := f.AffectedSources(edits, nil)
-		isAffected := make([]bool, n)
-		for _, src := range affected {
-			isAffected[src] = true
-		}
 		truth := APSP(applyEditsTo(g, edits))
+		dist, parent := make([]float64, n), make([]int32, n)
 		for src := 0; src < n; src++ {
-			total++
-			if isAffected[src] {
-				continue
-			}
-			skipped++
-			for dst := 0; dst < n; dst++ {
-				if f.Dist()[src][dst] != truth[src][dst] {
-					t.Fatalf("trial %d: source %d not reported affected but dist[%d][%d] changed: %v -> %v (edits %v)",
-						trial, src, src, dst, f.Dist()[src][dst], truth[src][dst], edits)
+			sc.DijkstraCSR(c, src, dist, parent)
+			for _, row := range []struct {
+				name   string
+				dist   []float64
+				parent []int32
+			}{{"csr", dist, parent}, {"forest", f.dist[src], f.parent[src]}} {
+				total++
+				if crossedByAny(row.dist, row.parent, g, edits) {
+					continue
 				}
-			}
-		}
-		// The report must be ascending without duplicates — publishers
-		// feed it straight into sorted-set logic.
-		for i := 1; i < len(affected); i++ {
-			if affected[i] <= affected[i-1] {
-				t.Fatalf("trial %d: affected list not strictly ascending: %v", trial, affected)
+				skipped++
+				for dst := 0; dst < n; dst++ {
+					if row.dist[dst] != truth[src][dst] {
+						t.Fatalf("trial %d: %s row of source %d not flagged but dist[%d] changed: %v -> %v (edits %v)",
+							trial, row.name, src, dst, row.dist[dst], truth[src][dst], edits)
+					}
+				}
 			}
 		}
 	}
 	if skipped == 0 {
-		t.Fatalf("no source was ever skipped across %d rows — the fast path never ran", total)
+		t.Fatalf("no row was ever skipped across %d — the fast path never ran", total)
 	}
 }
 
@@ -107,44 +129,9 @@ func TestAffectedSourcesIdentityEdit(t *testing.T) {
 	f.Reset(g, false)
 	for u := 0; u < g.N(); u++ {
 		edit := RowEdit{Node: u, NewOut: append([]Arc(nil), g.Out(u)...)}
-		if got := f.AffectedSources([]RowEdit{edit}, nil); len(got) != 0 {
-			t.Fatalf("identity edit of node %d reported affected sources %v", u, got)
-		}
-	}
-}
-
-// TestRowCrossedParallelForm pins the CSR-layout predicate against the
-// []Arc-layout one on random rows — the data plane uses the former, the
-// forest the latter, and they must agree arc-for-arc.
-func TestRowCrossedParallelForm(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 200; trial++ {
-		n := 6 + rng.Intn(20)
-		g := randomDigraphInc(rng, n, 2)
-		f := NewSPForest()
-		f.Reset(g, false)
-		u := rng.Intn(n)
-		edit := randomEdits(rng, n, 1)[0]
-		edit.Node = u
-		oldArcs := g.Out(u)
-		oldTo := make([]int32, len(oldArcs))
-		oldW := make([]float64, len(oldArcs))
-		for i, a := range oldArcs {
-			oldTo[i] = int32(a.To)
-			oldW[i] = a.W
-		}
-		newTo := make([]int32, len(edit.NewOut))
-		newW := make([]float64, len(edit.NewOut))
-		for i, a := range edit.NewOut {
-			newTo[i] = int32(a.To)
-			newW[i] = a.W
-		}
-		for src := 0; src < n; src++ {
-			dist, parent := f.dist[src], f.parent[src]
-			want := rowCrossedArcs(dist, parent, u, oldArcs, edit.NewOut)
-			got := RowCrossed(dist, parent, u, oldTo, oldW, newTo, newW)
-			if got != want {
-				t.Fatalf("trial %d src %d: RowCrossed=%v, rowCrossedArcs=%v", trial, src, got, want)
+		for src := 0; src < g.N(); src++ {
+			if crossedByAny(f.dist[src], f.parent[src], g, []RowEdit{edit}) {
+				t.Fatalf("identity edit of node %d flagged source %d", u, src)
 			}
 		}
 	}

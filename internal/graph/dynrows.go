@@ -101,7 +101,7 @@ type dynScratch struct {
 	queue     []int32
 	oldDist   []float64
 	affected  []bool
-	heap      []heapItem // dheap backing array, reused across rows
+	sp        SPScratch // dheap backing array, reused across rows
 }
 
 // RowEdit is one node's new out-arc set for Apply.
@@ -298,30 +298,8 @@ func (r *DynamicRows) fullRow(i int, sc *dynScratch) {
 		n := r.g.N()
 		row.dist, row.parent = make([]float64, n), make([]int32, n)
 	}
-	dist, parent := row.dist, row.parent
-	for v := range dist {
-		dist[v] = Inf
-		parent[v] = -1
-	}
 	src := r.sources[i]
-	dist[src] = 0
-	h := dheap{items: sc.heap[:0]}
-	h.pushMin(src, 0)
-	for len(h.items) > 0 {
-		it := h.popMin()
-		u := it.node
-		if it.key != dist[u] {
-			continue
-		}
-		for _, a := range r.g.Out(u) {
-			if nd := it.key + a.W; nd < dist[a.To] {
-				dist[a.To] = nd
-				parent[a.To] = int32(u)
-				h.pushMin(a.To, nd)
-			}
-		}
-	}
-	sc.heap = h.items
+	sc.sp.shortest(r.g, src, r.g.Out(src), row.dist, row.parent)
 }
 
 // Apply replaces the out-arc sets of the edited nodes and repairs every
@@ -431,7 +409,7 @@ func (r *DynamicRows) repairRow(worker, i int) {
 	// The heap lives in a local for the duration: workers' scratch
 	// structs can share a cache line, and a heap pushed and popped through
 	// the pointer would write its header there on every operation.
-	h := dheap{items: sc.heap}
+	h := dheap{items: sc.sp.items}
 
 	// Cut roots: former tree children of an edited node that lost their
 	// tree arc. The queue is deduplicated via the affected marks so the
@@ -560,5 +538,5 @@ func (r *DynamicRows) repairRow(worker, i int) {
 			}
 		}
 	}
-	sc.heap = h.items
+	sc.sp.items = h.items
 }

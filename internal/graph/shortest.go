@@ -1,41 +1,16 @@
 package graph
 
-import (
-	"container/heap"
-	"math"
-)
+import "math"
 
 // Dijkstra computes single-source shortest additive path distances from src.
 // dist[v] is math.Inf(1) if v is unreachable. parent[v] is the predecessor
 // of v on a shortest path (-1 for src and unreachable nodes). Edge weights
 // must be non-negative.
 func Dijkstra(g *Digraph, src NodeID) (dist []float64, parent []NodeID) {
-	n := g.N()
-	dist = make([]float64, n)
-	parent = make([]NodeID, n)
-	for i := range dist {
-		dist[i] = Inf
-		parent[i] = -1
-	}
-	dist[src] = 0
-	pq := &nodeHeap{items: []heapItem{{node: src, key: 0}}, better: func(a, b float64) bool { return a < b }}
-	done := make([]bool, n)
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(heapItem)
-		u := it.node
-		if done[u] {
-			continue
-		}
-		done[u] = true
-		for _, a := range g.Out(u) {
-			if nd := dist[u] + a.W; nd < dist[a.To] {
-				dist[a.To] = nd
-				parent[a.To] = u
-				heap.Push(pq, heapItem{node: a.To, key: nd})
-			}
-		}
-	}
-	return dist, parent
+	dist = make([]float64, g.N())
+	p32 := make([]int32, g.N())
+	new(SPScratch).shortest(g, src, g.Out(src), dist, p32)
+	return dist, nodeIDs(p32)
 }
 
 // Widest computes single-source widest-path (maximum bottleneck) values
@@ -45,31 +20,20 @@ func Dijkstra(g *Digraph, src NodeID) (dist []float64, parent []NodeID) {
 // of Dijkstra. width[src] is math.Inf(1) (no bottleneck to oneself);
 // unreachable nodes have width 0.
 func Widest(g *Digraph, src NodeID) (width []float64, parent []NodeID) {
-	n := g.N()
-	width = make([]float64, n)
-	parent = make([]NodeID, n)
-	for i := range parent {
-		parent[i] = -1
+	width = make([]float64, g.N())
+	p32 := make([]int32, g.N())
+	new(SPScratch).widest(g, src, width, p32)
+	return width, nodeIDs(p32)
+}
+
+// nodeIDs widens a kernel parent row to the NodeID form of the allocating
+// API.
+func nodeIDs(p32 []int32) []NodeID {
+	out := make([]NodeID, len(p32))
+	for i, p := range p32 {
+		out[i] = NodeID(p)
 	}
-	width[src] = Inf
-	pq := &nodeHeap{items: []heapItem{{node: src, key: Inf}}, better: func(a, b float64) bool { return a > b }}
-	done := make([]bool, n)
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(heapItem)
-		u := it.node
-		if done[u] {
-			continue
-		}
-		done[u] = true
-		for _, a := range g.Out(u) {
-			if nw := math.Min(width[u], a.W); nw > width[a.To] {
-				width[a.To] = nw
-				parent[a.To] = u
-				heap.Push(pq, heapItem{node: a.To, key: nw})
-			}
-		}
-	}
-	return width, parent
+	return out
 }
 
 // APSP computes all-pairs shortest additive distances by running Dijkstra
@@ -135,17 +99,25 @@ type SPScratch struct {
 	items []heapItem
 }
 
-// DijkstraDist computes single-source shortest additive distances from src
-// into dist, which must have length g.N(). It is Dijkstra without the
-// parent tracking and without allocations (beyond heap growth on first
-// use), running on the specialized inline heap: at 10⁴-node scale the
-// engine spends most of its profile here, and container/heap's
-// per-push interface boxing plus per-comparison closure dispatch were
-// ~half of that cost. Stale heap entries are skipped by key comparison
-// instead of a done-array, saving an O(n) clear per run.
-func (s *SPScratch) DijkstraDist(g *Digraph, src NodeID, dist []float64) {
+// shortest is the one additive Dijkstra loop over a Digraph; every
+// exported variant is a call of it. It fills dist (length g.N()) with
+// the single-source distances from src over g with src's out-arc list
+// replaced by seeds, and, when parent is non-nil, parent[v] with v's
+// predecessor on a shortest path (-1 for src and unreachable nodes). A
+// shortest path never revisits src under non-negative weights, so src is
+// expanded exactly once, first, and g's stored out-arcs of src are never
+// read. It runs on the specialized inline heap with no allocations beyond
+// first-use heap growth: at 10⁴-node scale the engine spends most of its
+// profile here, and container/heap's per-push interface boxing plus
+// per-comparison closure dispatch were ~half of that cost. Stale heap
+// entries are skipped by key comparison instead of a done-array, saving
+// an O(n) clear per run.
+func (s *SPScratch) shortest(g *Digraph, src NodeID, seeds []Arc, dist []float64, parent []int32) {
 	for i := range dist {
 		dist[i] = Inf
+	}
+	for i := range parent {
+		parent[i] = -1
 	}
 	dist[src] = 0
 	h := dheap{items: s.items[:0]}
@@ -156,57 +128,48 @@ func (s *SPScratch) DijkstraDist(g *Digraph, src NodeID, dist []float64) {
 		if it.key != dist[u] {
 			continue
 		}
-		for _, a := range g.Out(u) {
+		arcs := g.Out(u)
+		if u == src {
+			arcs = seeds
+		}
+		for _, a := range arcs {
 			if nd := it.key + a.W; nd < dist[a.To] {
 				dist[a.To] = nd
+				if parent != nil {
+					parent[a.To] = int32(u)
+				}
 				h.pushMin(a.To, nd)
 			}
 		}
 	}
 	s.items = h.items[:0]
+}
+
+// DijkstraDist computes single-source shortest additive distances from src
+// into dist, which must have length g.N(): Dijkstra without the parent
+// tracking and without allocations.
+func (s *SPScratch) DijkstraDist(g *Digraph, src NodeID, dist []float64) {
+	s.shortest(g, src, g.Out(src), dist, nil)
 }
 
 // DijkstraDistSeeded is DijkstraDist with src's out-arcs supplied by the
 // caller: the graph's stored out-arcs of src are ignored and the search
-// starts from the seed arcs instead. Since a shortest path from src
-// never revisits src under non-negative weights, the result is exactly
-// the single-source distances of g with src's out-arc list replaced by
-// seeds — which is how the scale engine prices the current wiring of a
-// proposer that holds no directory row (DynamicRows.Row serves the rest).
+// starts from the seed arcs instead — which is how the scale engine
+// prices the current wiring of a proposer that holds no directory row
+// (DynamicRows.Row serves the rest).
 func (s *SPScratch) DijkstraDistSeeded(g *Digraph, src NodeID, seeds []Arc, dist []float64) {
-	for i := range dist {
-		dist[i] = Inf
-	}
-	dist[src] = 0
-	h := dheap{items: s.items[:0]}
-	for _, a := range seeds {
-		if a.To != src && a.W < dist[a.To] {
-			dist[a.To] = a.W
-			h.pushMin(a.To, a.W)
-		}
-	}
-	for len(h.items) > 0 {
-		it := h.popMin()
-		u := it.node
-		if it.key != dist[u] {
-			continue
-		}
-		for _, a := range g.Out(u) {
-			if nd := it.key + a.W; nd < dist[a.To] {
-				dist[a.To] = nd
-				h.pushMin(a.To, nd)
-			}
-		}
-	}
-	s.items = h.items[:0]
+	s.shortest(g, src, seeds, dist, nil)
 }
 
-// WidestDist computes single-source widest-path values from src into width,
-// which must have length g.N(). It is Widest without the parent tracking
-// and without allocations, on the same specialized heap as DijkstraDist.
-func (s *SPScratch) WidestDist(g *Digraph, src NodeID, width []float64) {
+// widest is shortest's counterpart under the bottleneck algebra: width
+// (length g.N()) receives the single-source widest-path values from src
+// and parent, when non-nil, the predecessors.
+func (s *SPScratch) widest(g *Digraph, src NodeID, width []float64, parent []int32) {
 	for i := range width {
 		width[i] = 0
+	}
+	for i := range parent {
+		parent[i] = -1
 	}
 	width[src] = Inf
 	h := dheap{items: s.items[:0]}
@@ -220,11 +183,21 @@ func (s *SPScratch) WidestDist(g *Digraph, src NodeID, width []float64) {
 		for _, a := range g.Out(u) {
 			if nw := math.Min(it.key, a.W); nw > width[a.To] {
 				width[a.To] = nw
+				if parent != nil {
+					parent[a.To] = int32(u)
+				}
 				h.pushMax(a.To, nw)
 			}
 		}
 	}
 	s.items = h.items[:0]
+}
+
+// WidestDist computes single-source widest-path values from src into width,
+// which must have length g.N(): Widest without the parent tracking and
+// without allocations.
+func (s *SPScratch) WidestDist(g *Digraph, src NodeID, width []float64) {
+	s.widest(g, src, width, nil)
 }
 
 // PathTo reconstructs the path from the source used to build parent up to
@@ -256,23 +229,4 @@ func PathTo(parent []NodeID, src, dst NodeID) []NodeID {
 type heapItem struct {
 	node NodeID
 	key  float64
-}
-
-// nodeHeap is a priority queue ordered by the better function
-// (min-heap for shortest paths, max-heap for widest paths).
-type nodeHeap struct {
-	items  []heapItem
-	better func(a, b float64) bool
-}
-
-func (h *nodeHeap) Len() int           { return len(h.items) }
-func (h *nodeHeap) Less(i, j int) bool { return h.better(h.items[i].key, h.items[j].key) }
-func (h *nodeHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *nodeHeap) Push(x interface{}) { h.items = append(h.items, x.(heapItem)) }
-func (h *nodeHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
 }

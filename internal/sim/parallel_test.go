@@ -98,6 +98,11 @@ func workerDeterminismConfigs() map[string]Config {
 		"kClosest/cycle": base(core.KClosest{}),
 		"kRegular":       base(core.KRegular{}),
 		"BR/churn/immed": base(core.BRPolicy{}),
+		// Two larger rows so that Workers 1 (from-scratch residual per
+		// slot) against Workers 8 (repaired forest) pins "forest residual ≡
+		// BuildResid" end to end, under churn and the bottleneck algebra.
+		"BR/epsilon/churn":   base(core.BRPolicy{}),
+		"HybridBR/bandwidth": base(core.BRPolicy{Donated: 2}),
 	}
 	for name, cfg := range cfgs {
 		switch name {
@@ -118,6 +123,11 @@ func workerDeterminismConfigs() map[string]Config {
 			cfg.Pref = func(i, j int) float64 { return 1 + float64((i+j)%5) }
 		case "kRandom/cycle", "kClosest/cycle":
 			cfg.EnforceCycle = true
+		case "BR/epsilon/churn":
+			cfg.N, cfg.Epsilon = 40, 0.1
+			cfg.Churn = testChurn(cfg.N)
+		case "HybridBR/bandwidth":
+			cfg.N, cfg.K, cfg.Metric = 30, 4, Bandwidth
 		}
 		cfgs[name] = cfg
 	}
@@ -176,44 +186,48 @@ func TestIntermediateWorkerCountsAgree(t *testing.T) {
 
 // TestSpeculativeProposalsMatchSequentialSlots drives one epoch's proposal
 // phase directly and checks the clean-slot equivalence invariant: with no
-// churn and no prior adoption, the speculative proposal for the first node
-// in stagger order equals what the sequential path computes at its slot.
+// churn and no prior adoption, every node's speculative proposal (forest
+// residual, per-worker scratch) equals, bit for bit, what propose computes
+// against the untouched live view (from-scratch residual) — the wiring
+// and both BR(ε) test values.
 func TestSpeculativeProposalsMatchSequentialSlots(t *testing.T) {
-	cfg := Config{
-		N: 16, K: 3, Seed: 9, Metric: DelayPing, Policy: core.BRPolicy{},
-		WarmEpochs: 0, MeasureEpochs: 1, Workers: 4,
-	}
-	st, err := newState(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	props, err := st.computeProposals(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if props == nil {
-		t.Fatal("no proposals at Workers: 4")
-	}
-	for i := 0; i < cfg.N; i++ {
-		if props[i].set == nil {
-			t.Fatalf("active node %d got no proposal", i)
-		}
-		if !props[i].hasEval {
-			t.Fatalf("BR proposal for node %d lacks adoption-test values", i)
-		}
-		// Recompute sequentially against the (untouched) live view.
-		req := &core.Request{
-			Self: i, K: cfg.K, Kind: cfg.Metric.Kind(), Direct: st.est[i],
-			Graph: st.announcedGraph(), Active: st.active,
-			Rng: policyRNG(cfg.Seed, 0, i),
-		}
-		seq, err := cfg.Policy.Select(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !equalInts(props[i].set, seq) {
-			t.Fatalf("node %d: speculative %v != sequential %v", i, props[i].set, seq)
-		}
+	for _, metric := range []Metric{DelayPing, Bandwidth} {
+		t.Run(metric.String(), func(t *testing.T) {
+			cfg := Config{
+				N: 16, K: 3, Seed: 9, Metric: metric, Policy: core.BRPolicy{},
+				WarmEpochs: 0, MeasureEpochs: 1, Workers: 4,
+			}
+			st, err := newState(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			props, err := st.computeProposals(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if props == nil {
+				t.Fatal("no proposals at Workers: 4")
+			}
+			live := view{g: st.announcedGraph(), active: st.active}
+			for i := 0; i < cfg.N; i++ {
+				spec := props[i]
+				if spec.set == nil {
+					t.Fatalf("active node %d got no proposal", i)
+				}
+				seq, err := st.propose(i, 0, live, st.wiring[i], &st.scratch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !equalInts(spec.set, seq.set) {
+					t.Fatalf("node %d: speculative %v != sequential %v", i, spec.set, seq.set)
+				}
+				if math.Float64bits(spec.curVal) != math.Float64bits(seq.curVal) ||
+					math.Float64bits(spec.newVal) != math.Float64bits(seq.newVal) {
+					t.Fatalf("node %d: speculative values (%v, %v) != sequential (%v, %v)",
+						i, spec.curVal, spec.newVal, seq.curVal, seq.newVal)
+				}
+			}
+		})
 	}
 }
 

@@ -446,13 +446,13 @@ type scaleEngine struct {
 	wiring [][]int
 	pool   *scalePool
 	active []bool
-	// aliveIDs is the sorted alive roster, nil when Churn is nil (the
-	// static path keeps its original full-range sampling). Rebuilt after
-	// every event batch; proposals read it concurrently in between.
+	// aliveIDs is the sorted alive roster (every id when Churn is nil).
+	// Rebuilt after every event batch; proposals read it concurrently in
+	// between.
 	aliveIDs []int
-	// inlinks[v] lists the alive nodes currently wiring v (unordered),
-	// nil when Churn is nil. It is what lets a leave event find and
-	// orphan the victims in O(in-degree) instead of O(n·k).
+	// inlinks[v] lists the alive nodes currently wiring v (unordered). It
+	// is what lets a leave event find and orphan the victims in
+	// O(in-degree) instead of O(n·k).
 	inlinks     [][]int32
 	recentJoins []int
 	churnAt     int
@@ -549,14 +549,6 @@ func (e *scaleEngine) adoptBatch(batch []int, props []scaleProposal, ep *ScaleEp
 	return acted, samples
 }
 
-// aliveCount reports the current alive population size.
-func (e *scaleEngine) aliveCount() int {
-	if e.aliveIDs == nil {
-		return e.c.N
-	}
-	return len(e.aliveIDs)
-}
-
 // rebuildAlive refreshes the sorted alive roster after an event batch.
 func (e *scaleEngine) rebuildAlive() {
 	e.aliveIDs = e.aliveIDs[:0]
@@ -568,15 +560,10 @@ func (e *scaleEngine) rebuildAlive() {
 }
 
 func (e *scaleEngine) addInlink(v, u int) {
-	if e.inlinks != nil {
-		e.inlinks[v] = append(e.inlinks[v], int32(u))
-	}
+	e.inlinks[v] = append(e.inlinks[v], int32(u))
 }
 
 func (e *scaleEngine) removeInlink(v, u int) {
-	if e.inlinks == nil {
-		return
-	}
 	l := e.inlinks[v]
 	for x := range l {
 		if l[x] == int32(u) {
@@ -590,21 +577,19 @@ func (e *scaleEngine) removeInlink(v, u int) {
 // adoptWiring installs node i's new wiring, keeping the reverse index
 // current (both wirings are sorted; merge-diff).
 func (e *scaleEngine) adoptWiring(i int, set []int) {
-	if e.inlinks != nil {
-		old := e.wiring[i]
-		a, b := 0, 0
-		for a < len(old) || b < len(set) {
-			switch {
-			case b >= len(set) || (a < len(old) && old[a] < set[b]):
-				e.removeInlink(old[a], i)
-				a++
-			case a >= len(old) || set[b] < old[a]:
-				e.addInlink(set[b], i)
-				b++
-			default:
-				a++
-				b++
-			}
+	old := e.wiring[i]
+	a, b := 0, 0
+	for a < len(old) || b < len(set) {
+		switch {
+		case b >= len(set) || (a < len(old) && old[a] < set[b]):
+			e.removeInlink(old[a], i)
+			a++
+		case a >= len(old) || set[b] < old[a]:
+			e.addInlink(set[b], i)
+			b++
+		default:
+			a++
+			b++
 		}
 	}
 	e.wiring[i] = set
@@ -735,22 +720,15 @@ func (e *scaleEngine) leave(v int, poolLive bool) {
 }
 
 // bootstrapWiring is the shared join recipe: wire the closest member of
-// a small uniform probe plus K-1 uniform random picks — over the full
-// roster (aliveIDs nil, the static path's original behavior) or the
-// alive roster under churn. The random majority keeps the bootstrap
-// overlay strongly connected; see the bootstrap note in RunScale.
+// a small uniform probe plus K-1 uniform random picks over the alive
+// roster. The random majority keeps the bootstrap overlay strongly
+// connected; see the bootstrap note in RunScale.
 // active, when non-nil, vetoes roster entries that have since left:
 // a vetoed draw is skipped, not replaced, so the RNG stream — and the
 // wiring — is what it always was unless a departed node came up.
 func (c *ScaleConfig) bootstrapWiring(rng *rand.Rand, i int, aliveIDs []int, active []bool) []int {
 	probeSpec := sampling.Spec{Strategy: sampling.Uniform, M: 4 * c.K}
-	var probe *sampling.DestSample
-	var err error
-	if aliveIDs == nil {
-		probe, err = probeSpec.Draw(rng, i, c.N, nil, nil)
-	} else {
-		probe, err = probeSpec.DrawFrom(rng, i, aliveIDs, nil, nil)
-	}
+	probe, err := probeSpec.DrawFrom(rng, i, aliveIDs, nil, nil)
 	if err != nil {
 		// Unreachable: populations are validated non-empty before any
 		// bootstrap (withDefaults and the K+2 churn floor).
@@ -769,28 +747,22 @@ func (c *ScaleConfig) bootstrapWiring(rng *rand.Rand, i int, aliveIDs []int, act
 		w = append(w, closest)
 		have[closest] = true
 	}
-	if aliveIDs == nil {
-		for len(w) < c.K {
-			j := rng.Intn(c.N)
-			if !have[j] {
-				have[j] = true
-				w = append(w, j)
+	// The alive population may be smaller than K+1; wire what exists
+	// (counting stops at K: a full-roster bootstrap must not scan the
+	// roster once per node).
+	limit := 0
+	for _, v := range aliveIDs {
+		if v != i && !gone(v) {
+			if limit++; limit == c.K {
+				break
 			}
 		}
-	} else {
-		// The alive population may be smaller than K+1; wire what exists.
-		limit := 0
-		for _, v := range aliveIDs {
-			if v != i && !gone(v) {
-				limit++
-			}
-		}
-		for len(w) < c.K && len(w) < limit {
-			j := aliveIDs[rng.Intn(len(aliveIDs))]
-			if !have[j] && !gone(j) {
-				have[j] = true
-				w = append(w, j)
-			}
+	}
+	for len(w) < c.K && len(w) < limit {
+		j := aliveIDs[rng.Intn(len(aliveIDs))]
+		if !have[j] && !gone(j) {
+			have[j] = true
+			w = append(w, j)
 		}
 	}
 	sort.Ints(w)
@@ -815,19 +787,19 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 	workers := par.Workers(c.Workers)
 	ws := make([]*scaleWorker, workers) // one scratch slot per worker
 	eng := &scaleEngine{
-		c:      &c,
-		wiring: make([][]int, n),
-		pool:   newScalePool(n),
-		active: make([]bool, n),
+		c:       &c,
+		wiring:  make([][]int, n),
+		pool:    newScalePool(n),
+		active:  make([]bool, n),
+		inlinks: make([][]int32, n),
 	}
 	for i := range eng.active {
 		eng.active[i] = true
 	}
 	if c.Churn != nil {
 		copy(eng.active, c.Churn.InitialOn)
-		eng.inlinks = make([][]int32, n)
-		eng.rebuildAlive()
 	}
+	eng.rebuildAlive()
 	if c.OnPublish != nil {
 		eng.pubMark = make([]bool, n)
 	}
@@ -852,11 +824,9 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if eng.inlinks != nil {
-		for i, w := range eng.wiring {
-			for _, v := range w {
-				eng.addInlink(v, i)
-			}
+	for i, w := range eng.wiring {
+		for _, v := range w {
+			eng.addInlink(v, i)
 		}
 	}
 	// Phase tracing: when OnPhase is nil the engine takes no extra
@@ -884,7 +854,7 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 			c.OnPublish(Publication{Epoch: -1, SubRound: -1, Rounds: c.StaggerBatches, Full: true, Wiring: eng.wiring, Active: eng.active})
 		}
 		if trace != nil {
-			trace(PhaseEvent{Epoch: -1, Sub: -1, Phase: "publish", NS: time.Since(t0).Nanoseconds(), Alive: eng.aliveCount()})
+			trace(PhaseEvent{Epoch: -1, Sub: -1, Phase: "publish", NS: time.Since(t0).Nanoseconds(), Alive: len(eng.aliveIDs)})
 		}
 	}
 
@@ -910,7 +880,7 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 		}
 		if trace != nil {
 			trace(PhaseEvent{Epoch: epoch, Sub: -1, Phase: "churn", NS: time.Since(t0).Nanoseconds(),
-				Alive: eng.aliveCount(), Joins: eng.joins, Leaves: eng.leaves})
+				Alive: len(eng.aliveIDs), Joins: eng.joins, Leaves: eng.leaves})
 		}
 		// Membership is fixed for the epoch (one Dijkstra per member the
 		// rebuild brings in; the others keep their rows); the sub-round
@@ -946,12 +916,12 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 				}
 				if trace != nil {
 					trace(PhaseEvent{Epoch: epoch, Sub: b, Phase: "churn", NS: time.Since(t0).Nanoseconds(),
-						Alive: eng.aliveCount(), Joins: eng.joins, Leaves: eng.leaves})
+						Alive: len(eng.aliveIDs), Joins: eng.joins, Leaves: eng.leaves})
 				}
 			}
 			// A drained overlay (fewer alive nodes than a wiring needs)
 			// sits the proposal phase out until joins replenish it.
-			if eng.aliveCount() < c.K+2 {
+			if len(eng.aliveIDs) < c.K+2 {
 				for _, i := range batch {
 					props[i].acted = false
 				}
@@ -992,7 +962,7 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 		}
 		if trace != nil {
 			trace(PhaseEvent{Epoch: epoch, Sub: len(batches), Phase: "churn", NS: time.Since(t0).Nanoseconds(),
-				Alive: eng.aliveCount(), Joins: eng.joins, Leaves: eng.leaves})
+				Alive: len(eng.aliveIDs), Joins: eng.joins, Leaves: eng.leaves})
 		}
 		// The epoch-final drain's delta publishes before OnEpoch so the
 		// legacy hook stays the epoch's last word.
@@ -1011,7 +981,7 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 		}
 		ep.Acted = acted
 		ep.Joins, ep.Leaves = eng.joins, eng.leaves
-		ep.Alive = eng.aliveCount()
+		ep.Alive = len(eng.aliveIDs)
 		ep.WallNS = time.Since(start).Nanoseconds()
 		if trace != nil {
 			trace(PhaseEvent{Epoch: epoch, Sub: -1, Phase: "epoch", NS: ep.WallNS,
@@ -1021,7 +991,7 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 		res.Joins += eng.joins
 		res.Leaves += eng.leaves
 		res.Epochs++
-		if float64(ep.Rewires) <= c.ConvergedFrac*float64(eng.aliveCount()) && !eng.pendingEvents() {
+		if float64(ep.Rewires) <= c.ConvergedFrac*float64(len(eng.aliveIDs)) && !eng.pendingEvents() {
 			res.Converged = true
 			break
 		}
@@ -1149,13 +1119,7 @@ func (c *ScaleConfig) proposeScale(w *scaleWorker, eng *scaleEngine, epoch, i in
 	// Under dynamic membership the draw runs over the alive roster, so
 	// the sample — and with it the certainty-inclusion set and the HT
 	// expansion — prices exactly the overlay that exists right now.
-	var ds *sampling.DestSample
-	var err error
-	if eng.aliveIDs != nil {
-		ds, err = c.Sample.DrawFrom(rng, i, eng.aliveIDs, pref, direct)
-	} else {
-		ds, err = c.Sample.Draw(rng, i, n, pref, direct)
-	}
+	ds, err := c.Sample.DrawFrom(rng, i, eng.aliveIDs, pref, direct)
 	if err != nil {
 		return scaleProposal{}, err
 	}

@@ -125,11 +125,14 @@ type Config struct {
 	PrefAt func(epoch int) func(i, j int) float64
 	// Workers sets the parallelism of the per-epoch best-response phase:
 	// every node's proposal is computed concurrently against the
-	// epoch-start link-state snapshot by up to Workers goroutines. Zero (or
-	// negative) selects runtime.NumCPU(). Results are byte-identical for
-	// any value — parallelism changes wall-clock time, never measurements.
-	// Custom Policy implementations must be safe for concurrent Select
-	// calls on distinct Requests.
+	// epoch-start link-state snapshot by up to Workers goroutines, each
+	// repairing its own shortest-path forest of the snapshot instead of
+	// recomputing all pairs per node. Zero (or negative) selects
+	// runtime.NumCPU(); with one worker there is no speculative phase and
+	// every node re-wires against the live view at its slot. Results are
+	// byte-identical for any value — parallelism changes wall-clock time,
+	// never measurements. Custom Policy implementations must be safe for
+	// concurrent Select calls on distinct Requests.
 	Workers int
 	// OnEpoch, when non-nil, is the data-plane publication hook: it is
 	// called serially once after the initial join (epoch -1) and once
@@ -154,16 +157,6 @@ type Config struct {
 	// changed when a target's membership flipped (its compiled arcs
 	// change even though the row did not).
 	OnPublish func(pub Publication)
-	// Incremental switches the proposal phase's residual-matrix
-	// construction from one full all-pairs computation per node to an
-	// incrementally repaired shortest-path forest per worker: each node's
-	// residual view is obtained by cutting just its out-links out of the
-	// shared epoch snapshot and repairing only the affected shortest-path
-	// trees, then undoing exactly. Produces bit-identical distances (and
-	// therefore byte-identical simulation results); it only changes the
-	// time complexity of the hot path. Applies to BR policies with
-	// Workers-driven proposals.
-	Incremental bool
 }
 
 func (c *Config) validate() error {
@@ -242,10 +235,13 @@ type state struct {
 	// sequential re-wiring path (see parallel.go).
 	epochDirty bool
 
-	// forests holds the per-worker incremental shortest-path forests of
-	// the Incremental proposal phase, persisted across epochs so their
-	// matrices are reused instead of reallocated every epoch.
-	forests []*graph.SPForest
+	// scratch serves the sequential re-wiring path; forests and scratches
+	// hold one shortest-path forest and one solver scratch per worker of
+	// the speculative phase. All persist across epochs so their matrices
+	// are reused instead of reallocated.
+	scratch   core.Scratch
+	forests   []*graph.SPForest
+	scratches []*core.Scratch
 }
 
 // Run executes one simulation and returns its measurements.
@@ -442,73 +438,18 @@ func (st *state) trueCost(u, v int) float64 {
 
 // rewire re-evaluates node i's wiring against the current (not snapshot)
 // link-state view — the sequential path used for initial joins, immediate
-// failure repair, and adoption fallback when churn invalidated the node's
-// parallel proposal. join indicates a fresh (re)join, which always adopts
-// the proposal. counter, when non-nil, records established links. epoch
-// seeds the per-(epoch,node) policy RNG (-1 for the initial join).
+// failure repair, and every stagger slot whose speculative proposal is
+// missing or stale (see adopt). join indicates a fresh (re)join, which
+// always adopts the proposal. counter, when non-nil, records established
+// links. epoch seeds the per-(epoch,node) policy RNG (-1 for the initial
+// join).
 func (st *state) rewire(i, epoch int, join bool, counter func(links int)) error {
-	req := &core.Request{
-		Self:   i,
-		K:      st.cfg.K,
-		Kind:   st.cfg.Metric.Kind(),
-		Direct: st.est[i],
-		Graph:  st.announcedGraph(),
-		Active: st.active,
-		Pref:   st.prefRow(i),
-		Rng:    policyRNG(st.cfg.Seed, epoch, i),
-	}
-	proposed, err := st.cfg.Policy.Select(req)
+	live := view{g: st.announcedGraph(), active: st.active}
+	p, err := st.propose(i, epoch, live, st.wiring[i], &st.scratch)
 	if err != nil {
-		return fmt.Errorf("sim: node %d: %w", i, err)
+		return err
 	}
-	cur := st.wiring[i]
-	adopt := join || len(cur) == 0
-	if !adopt {
-		// Drop dead neighbors from the current wiring before comparing.
-		aliveCur := cur[:0:0]
-		for _, v := range cur {
-			if st.active[v] {
-				aliveCur = append(aliveCur, v)
-			}
-		}
-		if len(aliveCur) < len(cur) {
-			cur = aliveCur
-			st.wiring[i] = aliveCur
-			adopt = true // lost links: must re-wire
-		}
-	}
-	if !adopt {
-		switch st.cfg.Policy.(type) {
-		case core.BRPolicy:
-			// BR(ε): adopt only a sufficient improvement, measured on the
-			// node's own announced view.
-			inst := &core.Instance{
-				Self:   i,
-				Kind:   st.cfg.Metric.Kind(),
-				Direct: st.est[i],
-				Resid:  core.BuildResid(req.Graph, i, st.cfg.Metric.Kind(), st.active),
-				Pref:   req.Pref,
-			}
-			adopt = core.ShouldRewire(st.cfg.Metric.Kind(), inst.Eval(cur), inst.Eval(proposed), st.cfg.Epsilon)
-		case core.KClosest:
-			adopt = true // tracks measurement changes every epoch
-		default:
-			// k-Random / k-Regular / full mesh: wiring is static absent
-			// churn, per the paper's baseline.
-			adopt = false
-		}
-	}
-	if !adopt {
-		return nil
-	}
-	added := measure.LinkDiff(st.wiring[i], proposed)
-	if added > 0 && counter != nil {
-		counter(added)
-	}
-	if added > 0 || len(proposed) != len(st.wiring[i]) {
-		st.wiring[i] = proposed
-		st.epochDirty = true
-	}
+	st.decide(i, &p, join, counter)
 	return nil
 }
 
