@@ -156,8 +156,11 @@ func converge(srv *plane.Server, n, k int, sampleSpec string, epochs int, seed i
 	cfg := sim.ScaleConfig{
 		N: n, K: k, Seed: seed, Sample: spec,
 		MaxEpochs: epochs, Workers: workers, Net: net,
-		OnEpoch: func(epoch int, wiring [][]int, active []bool) {
-			snap = plane.Compile(int64(epoch), wiring, active, net, plane.Options{RouteCacheRows: cacheRows})
+		OnPublish: func(pub sim.Publication) {
+			if !pub.EpochFinal() {
+				return
+			}
+			snap = plane.Compile(int64(pub.Epoch), pub.Wiring, pub.Active, net, plane.Options{RouteCacheRows: cacheRows})
 			srv.Publish(snap)
 		},
 	}

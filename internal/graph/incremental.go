@@ -36,7 +36,7 @@ type SPForest struct {
 	childHead []int32
 	childNext []int32
 	queue     []int32
-	items     []heapItem
+	sp        SPScratch // its heap serves Reset's rows and the repairs
 }
 
 // undoEntry records one overwritten (source, node) distance/parent pair.
@@ -90,14 +90,6 @@ func (f *SPForest) worstVal() float64 {
 	return Inf
 }
 
-// selfVal is the algebra's source self-distance.
-func (f *SPForest) selfVal() float64 {
-	if f.widest {
-		return Inf
-	}
-	return 0
-}
-
 // better reports whether a beats b under the algebra.
 func (f *SPForest) better(a, b float64) bool {
 	if f.widest {
@@ -118,31 +110,14 @@ func (f *SPForest) extend(base, w float64) float64 {
 }
 
 // sssp runs a full single-source computation for src into the forest's
-// matrices (used by Reset).
+// matrices (used by Reset): the shared Digraph kernel, whose heap and
+// strict-improvement parent rule the repairs below follow.
 func (f *SPForest) sssp(src int) {
-	dist, parent := f.dist[src], f.parent[src]
-	for i := range dist {
-		dist[i] = f.worstVal()
-		parent[i] = -1
+	if f.widest {
+		f.sp.widest(f.g, src, f.dist[src], f.parent[src])
+	} else {
+		f.sp.shortest(f.g, src, f.g.Out(src), f.dist[src], f.parent[src])
 	}
-	dist[src] = f.selfVal()
-	h := dheap{items: f.items[:0]}
-	f.push(&h, src, dist[src])
-	for len(h.items) > 0 {
-		it := f.pop(&h)
-		u := it.node
-		if !sameKey(it.key, dist[u]) {
-			continue
-		}
-		for _, a := range f.g.Out(u) {
-			if nd := f.extend(dist[u], a.W); f.better(nd, dist[a.To]) {
-				dist[a.To] = nd
-				parent[a.To] = int32(u)
-				f.push(&h, a.To, nd)
-			}
-		}
-	}
-	f.items = h.items[:0]
 }
 
 // push and pop dispatch to the heap order matching the algebra.
@@ -234,7 +209,7 @@ func (f *SPForest) repairAfterRemove(src, u int) {
 	// Re-relax from the unaffected boundary: any arc x->w with x intact
 	// and w affected seeds the repair heap, then a restricted Dijkstra
 	// settles the region (arcs between affected nodes included).
-	h := dheap{items: f.items[:0]}
+	h := dheap{items: f.sp.items[:0]}
 	for x := 0; x < f.n; x++ {
 		if f.affected[x] || dist[x] == f.worstVal() {
 			continue
@@ -267,7 +242,7 @@ func (f *SPForest) repairAfterRemove(src, u int) {
 			}
 		}
 	}
-	f.items = h.items[:0]
+	f.sp.items = h.items[:0]
 	for _, v := range f.queue {
 		f.affected[v] = false
 	}

@@ -281,6 +281,17 @@ func (s *Server) handleBatchBin(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(resp)
 }
 
+// Deadlines of a raw-TCP connection, the two the HTTP side uses
+// (obs.NewHTTPServer), so a peer that connects and stalls, sends half a
+// frame or never reads its response cannot hold a goroutine and two
+// buffers for ever: a connection may sit idle between frames for
+// binIdleTimeout, and once a frame's header has arrived its body must
+// follow and its response be taken within binFrameTimeout.
+const (
+	binIdleTimeout  = 2 * time.Minute
+	binFrameTimeout = 5 * time.Second
+)
+
 // ServeBinary serves the length-prefixed binary batch protocol on ln
 // until Accept fails (closing the listener is the shutdown path); the
 // error that stopped the accept loop is returned. Each connection is
@@ -292,21 +303,29 @@ func (s *Server) ServeBinary(ln net.Listener) error {
 		if err != nil {
 			return err
 		}
-		go s.serveBinaryConn(conn)
+		go s.serveBinaryConn(conn, binIdleTimeout, binFrameTimeout)
 	}
 }
 
-// serveBinaryConn answers frames on one connection until read error or
-// protocol violation. Request and response buffers are reused across
-// frames, so a steady-state connection allocates nothing per batch.
-func (s *Server) serveBinaryConn(conn net.Conn) {
+// serveBinaryConn answers frames on one connection until read error, a
+// missed deadline or a protocol violation. Request and response buffers
+// are reused across frames, so a steady-state connection allocates
+// nothing per batch. The two deadlines are parameters so the tests can
+// shorten them; ServeBinary passes the constants above.
+func (s *Server) serveBinaryConn(conn net.Conn, idle, frame time.Duration) {
 	defer conn.Close()
 	h := Shard{sh: s.pick()}
 	br := bufio.NewReaderSize(conn, 64<<10)
 	var lenBuf [4]byte
 	var req, resp []byte
 	for {
+		if conn.SetReadDeadline(time.Now().Add(idle)) != nil {
+			return
+		}
 		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
+			return
+		}
+		if conn.SetDeadline(time.Now().Add(frame)) != nil {
 			return
 		}
 		frameLen := int(binary.LittleEndian.Uint32(lenBuf[:]))

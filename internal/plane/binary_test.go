@@ -2,12 +2,15 @@ package plane
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"egoist/internal/graph"
 )
@@ -204,6 +207,89 @@ func TestBinaryTCPRoundTrip(t *testing.T) {
 			}
 		}
 		pairs[0], pairs[1] = uint32(rng.Intn(n)), uint32(rng.Intn(n))
+	}
+}
+
+// TestBinaryListenerDeadlines: a peer that connects and sends nothing,
+// and one that sends a frame header plus half the body, are both dropped
+// by the server once the (shortened) deadline passes, while a
+// well-behaved client on a third connection keeps getting answers.
+func TestBinaryListenerDeadlines(t *testing.T) {
+	const deadline = 200 * time.Millisecond
+	srv, snap := testServer(t, 60, 4)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go srv.serveBinaryConn(conn, deadline, deadline)
+		}
+	}()
+
+	pairs := binPairs(snap.N())
+	frame := AppendBatchRequest([]byte{0, 0, 0, 0}, BinModeOneHop, pairs)
+	binary.LittleEndian.PutUint32(frame[:4], uint32(len(frame)-4))
+	// dropped reports how a stalled peer's connection ended: the server
+	// must close it (EOF) well before the peer's own patience runs out.
+	dropped := func(send []byte) <-chan error {
+		done := make(chan error, 1)
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			defer conn.Close()
+			if _, err := conn.Write(send); err != nil {
+				done <- err
+				return
+			}
+			_ = conn.SetReadDeadline(time.Now().Add(20 * deadline))
+			if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+				done <- fmt.Errorf("read ended with %v, want EOF from a server-side close", err)
+				return
+			}
+			done <- nil
+		}()
+		return done
+	}
+	silent := dropped(nil)
+	halfFrame := dropped(frame[:4+(len(frame)-4)/2])
+
+	client, err := DialBinary(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	answered := 0
+	for silent != nil || halfFrame != nil {
+		select {
+		case err := <-silent:
+			if err != nil {
+				t.Errorf("silent peer: %v", err)
+			}
+			silent = nil
+		case err := <-halfFrame:
+			if err != nil {
+				t.Errorf("half-frame peer: %v", err)
+			}
+			halfFrame = nil
+		default:
+		}
+		resp, err := client.Do(BinModeOneHop, pairs)
+		if err != nil {
+			t.Fatalf("well-behaved client, frame %d: %v", answered, err)
+		}
+		if _, rs, err := DecodeBatchResponse(resp, BinModeOneHop, nil); err != nil || len(rs) != len(pairs)/2 {
+			t.Fatalf("well-behaved client, frame %d: %d results, %v", answered, len(rs), err)
+		}
+		answered++
+		time.Sleep(deadline / 20)
 	}
 }
 

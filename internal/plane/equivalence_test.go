@@ -60,7 +60,9 @@ func digestSnapshot(epoch int, snap *Snapshot) epochDigest {
 }
 
 // churnScaleConfig is a small but churn-heavy scale run: a leave wave
-// mid-epoch 1 and a join/rejoin wave in epoch 3.
+// mid-epoch 1 and a join/rejoin wave in epoch 3. hook sees the
+// epoch-final publications only: the bootstrap (epoch -1), then one per
+// epoch.
 func churnScaleConfig(workers int, hook func(epoch int, wiring [][]int, active []bool)) sim.ScaleConfig {
 	const n = 150
 	sched := &churn.Schedule{N: n, InitialOn: make([]bool, n)}
@@ -78,7 +80,11 @@ func churnScaleConfig(workers int, hook func(epoch int, wiring [][]int, active [
 		Sample:  sampling.Spec{Strategy: sampling.Uniform, M: 20},
 		Churn:   sched,
 		Workers: workers,
-		OnEpoch: hook,
+		OnPublish: func(pub sim.Publication) {
+			if pub.EpochFinal() {
+				hook(pub.Epoch, pub.Wiring, pub.Active)
+			}
+		},
 	}
 }
 
@@ -129,8 +135,7 @@ func TestSnapshotMatchesEngineWiring(t *testing.T) {
 		t.Fatal(err)
 	}
 	checked := 0
-	cfg := churnScaleConfig(2, nil)
-	cfg.OnEpoch = func(epoch int, wiring [][]int, active []bool) {
+	cfg := churnScaleConfig(2, func(epoch int, wiring [][]int, active []bool) {
 		snap := Compile(int64(epoch), wiring, active, net, Options{})
 		g := graph.New(net.N())
 		for u, ws := range wiring {
@@ -159,7 +164,7 @@ func TestSnapshotMatchesEngineWiring(t *testing.T) {
 				checked++
 			}
 		}
-	}
+	})
 	if _, err := sim.RunScale(cfg); err != nil {
 		t.Fatal(err)
 	}

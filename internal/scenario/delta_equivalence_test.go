@@ -15,7 +15,11 @@ import (
 // scale engine's OnPublish stream must stay digest-identical to a
 // from-scratch Compile at every single publication, at any worker
 // count — and the publication digest stream itself must be
-// byte-identical across worker counts.
+// byte-identical across worker counts. The EpochFinal publications —
+// all a per-epoch subscriber (publish mode "epoch", egoist-route's
+// converge) compiles — must be the bootstrap plus one per epoch, in
+// order; being publications, each one's Compile is checked against the
+// chain's tip like every other.
 
 // deltaDigestStream runs one spec on the scale engine with a delta
 // subscriber attached: every publication extends the Patch chain,
@@ -46,6 +50,7 @@ func deltaDigestStream(t *testing.T, spec Spec, workers int) []string {
 	var stream []string
 	var cur *plane.Snapshot
 	var seq int64
+	var finals []int
 	cfg := sim.ScaleConfig{
 		N: spec.N, K: spec.K, Seed: spec.Seed,
 		Sample: sample, Epsilon: spec.Epsilon,
@@ -68,6 +73,9 @@ func deltaDigestStream(t *testing.T, spec Spec, workers int) []string {
 					spec.Name, workers, pub.Epoch, pub.SubRound, got, want)
 			}
 			stream = append(stream, fmt.Sprintf("%d %d %x", pub.Epoch, pub.SubRound, got))
+			if pub.EpochFinal() {
+				finals = append(finals, pub.Epoch)
+			}
 			if n := cur.N(); n >= 2 {
 				// Warm two deterministic rows for the next Patch to carry
 				// or invalidate.
@@ -80,11 +88,18 @@ func deltaDigestStream(t *testing.T, spec Spec, workers int) []string {
 	if len(spec.Events) > 0 {
 		cfg.ConvergedFrac = -1
 	}
-	if _, err := sim.RunScale(cfg); err != nil {
+	res, err := sim.RunScale(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stream) == 0 {
-		t.Fatalf("spec %s: no publications fired", spec.Name)
+	if len(finals) != res.Epochs+1 {
+		t.Fatalf("spec %s: %d epoch-final publications over %d epochs, want the bootstrap plus one per epoch",
+			spec.Name, len(finals), res.Epochs)
+	}
+	for i, epoch := range finals {
+		if epoch != i-1 {
+			t.Fatalf("spec %s: epoch-final publications out of order: %v", spec.Name, finals)
+		}
 	}
 	return stream
 }

@@ -399,14 +399,13 @@ func runScaleEngine(spec *Spec, comp *compiled, opts Options, m *Metrics) error 
 			spec: spec, net: net, srv: plane.NewServer(),
 			m: &ServeMetrics{QueriesPerEpoch: spec.Serve.QueriesPerEpoch},
 		}
+		cfg.OnPublish = serve.onEpoch
 		if spec.Serve.Publish == PublishSubround {
 			// Sub-epoch cadence: the data plane re-publishes after every
 			// stagger sub-round via the delta-patch path, and the query
 			// panel measures each sub-round window against the snapshot
 			// published one sub-round earlier.
 			cfg.OnPublish = serve.onPublish
-		} else {
-			cfg.OnEpoch = serve.onEpoch
 		}
 	}
 	if len(spec.Events) > 0 {
@@ -458,8 +457,9 @@ func runScaleEngine(spec *Spec, comp *compiled, opts Options, m *Metrics) error 
 }
 
 // servePlane is the per-run serve-under-churn state behind the scale
-// engine's OnEpoch hook (publish mode "epoch") or OnPublish hook
-// (publish mode "subround").
+// engine's OnPublish hook: onEpoch (publish mode "epoch") keeps only the
+// epoch-final publications, onPublish (publish mode "subround") patches
+// on every one.
 type servePlane struct {
 	spec  *Spec
 	net   *underlay.Lite
@@ -467,9 +467,10 @@ type servePlane struct {
 	m     *ServeMetrics
 	alive []int
 
-	// Subround-mode state: the latest published snapshot (the delta
-	// chain's tip), a monotone publication sequence used as the
-	// snapshot epoch tag, and the current epoch's partial panel tally.
+	// Subround-mode state — the latest published snapshot (the delta
+	// chain's tip) and a monotone publication sequence used as the
+	// snapshot epoch tag — then the current epoch's panel tally, which
+	// both modes keep.
 	prev      *plane.Snapshot
 	seq       int64
 	epQueries int
@@ -477,16 +478,26 @@ type servePlane struct {
 	epStretch float64
 }
 
-// onEpoch is the engine hook: measure the epoch's query panel against
-// the previously published snapshot (what clients were served while
-// this epoch re-wired), then publish the epoch-final snapshot. The
-// bootstrap call (epoch -1) only publishes. Runs serially inside the
-// engine, with seeded randomness — deterministic at any worker count.
-func (sp *servePlane) onEpoch(epoch int, wiring [][]int, active []bool) {
-	if epoch >= 0 {
-		sp.measure(epoch, active)
+// onEpoch is the epoch-mode engine hook. It filters the publication
+// stream down to its epoch-final entries: measure the epoch's query
+// panel against the previously published snapshot (what clients were
+// served while this epoch re-wired), then compile and publish the
+// epoch-final snapshot. The bootstrap publication only publishes. Runs
+// serially inside the engine, with seeded randomness — deterministic at
+// any worker count.
+func (sp *servePlane) onEpoch(pub sim.Publication) {
+	if !pub.EpochFinal() {
+		return
 	}
-	sp.srv.Publish(plane.Compile(int64(epoch), wiring, active, sp.net, plane.Options{}))
+	if !pub.Full {
+		sp.setAlive(pub.Active)
+		if len(sp.alive) >= 2 {
+			rng := rand.New(rand.NewSource(sp.spec.Seed + 7717*(int64(pub.Epoch)+2)))
+			sp.panel(rng, sp.spec.Serve.QueriesPerEpoch)
+		}
+		sp.flush()
+	}
+	sp.srv.Publish(plane.Compile(int64(pub.Epoch), pub.Wiring, pub.Active, sp.net, plane.Options{}))
 }
 
 // onPublish is the subround-mode engine hook, one call per stagger
@@ -520,87 +531,64 @@ func (sp *servePlane) measureSlice(pub *sim.Publication) {
 	q := sp.spec.Serve.QueriesPerEpoch
 	slots := pub.Rounds + 1
 	lo, hi := q*pub.SubRound/slots, q*(pub.SubRound+1)/slots
-	sp.alive = sp.alive[:0]
-	for v, on := range pub.Active {
-		if on {
-			sp.alive = append(sp.alive, v)
-		}
-	}
+	sp.setAlive(pub.Active)
 	if hi > lo && len(sp.alive) >= 2 {
 		rng := rand.New(rand.NewSource(sp.spec.Seed + 7717*(int64(pub.Epoch)+2) + 104729*int64(pub.SubRound+1)))
-		snap := sp.srv.Current()
-		for i := lo; i < hi; i++ {
-			src := sp.alive[rng.Intn(len(sp.alive))]
-			dst := sp.alive[rng.Intn(len(sp.alive))]
-			for dst == src {
-				dst = sp.alive[rng.Intn(len(sp.alive))]
-			}
-			sp.m.Queries++
-			sp.epQueries++
-			if snap == nil {
-				sp.m.Failed++
-				continue
-			}
-			if cost := snap.RouteCost(src, dst); cost < graph.Inf {
-				sp.epReach++
-				sp.epStretch += cost / sp.net.Delay(src, dst)
-			}
-		}
+		sp.panel(rng, hi-lo)
 	}
 	if pub.SubRound == pub.Rounds {
-		if sp.epQueries == 0 {
-			sp.m.AvailabilityPerEpoch = append(sp.m.AvailabilityPerEpoch, -1)
-			sp.m.StretchPerEpoch = append(sp.m.StretchPerEpoch, -1)
-		} else {
-			sp.m.AvailabilityPerEpoch = append(sp.m.AvailabilityPerEpoch, float64(sp.epReach)/float64(sp.epQueries))
-			if sp.epReach > 0 {
-				sp.m.StretchPerEpoch = append(sp.m.StretchPerEpoch, sp.epStretch/float64(sp.epReach))
-			} else {
-				sp.m.StretchPerEpoch = append(sp.m.StretchPerEpoch, -1)
-			}
-		}
-		sp.epQueries, sp.epReach, sp.epStretch = 0, 0, 0
+		sp.flush()
 	}
 }
 
-func (sp *servePlane) measure(epoch int, active []bool) {
+// setAlive rebuilds the roster the panel draws its endpoints from.
+func (sp *servePlane) setAlive(active []bool) {
 	sp.alive = sp.alive[:0]
 	for v, on := range active {
 		if on {
 			sp.alive = append(sp.alive, v)
 		}
 	}
-	q := sp.spec.Serve.QueriesPerEpoch
-	if len(sp.alive) < 2 {
-		sp.m.AvailabilityPerEpoch = append(sp.m.AvailabilityPerEpoch, -1)
-		sp.m.StretchPerEpoch = append(sp.m.StretchPerEpoch, -1)
-		return
-	}
-	rng := rand.New(rand.NewSource(sp.spec.Seed + 7717*(int64(epoch)+2)))
+}
+
+// panel asks the currently served snapshot for queries routes between
+// distinct alive endpoints drawn from rng, adding them to the epoch's
+// tally. Needs two alive nodes.
+func (sp *servePlane) panel(rng *rand.Rand, queries int) {
 	snap := sp.srv.Current()
-	reachable, stretch := 0, 0.0
-	for i := 0; i < q; i++ {
+	for i := 0; i < queries; i++ {
 		src := sp.alive[rng.Intn(len(sp.alive))]
 		dst := sp.alive[rng.Intn(len(sp.alive))]
 		for dst == src {
 			dst = sp.alive[rng.Intn(len(sp.alive))]
 		}
 		sp.m.Queries++
+		sp.epQueries++
 		if snap == nil {
 			sp.m.Failed++
 			continue
 		}
 		if cost := snap.RouteCost(src, dst); cost < graph.Inf {
-			reachable++
-			stretch += cost / sp.net.Delay(src, dst)
+			sp.epReach++
+			sp.epStretch += cost / sp.net.Delay(src, dst)
 		}
 	}
-	sp.m.AvailabilityPerEpoch = append(sp.m.AvailabilityPerEpoch, float64(reachable)/float64(q))
-	if reachable > 0 {
-		sp.m.StretchPerEpoch = append(sp.m.StretchPerEpoch, stretch/float64(reachable))
-	} else {
-		sp.m.StretchPerEpoch = append(sp.m.StretchPerEpoch, -1)
+}
+
+// flush closes the epoch's tally into the per-epoch availability and
+// mean-stretch series; -1 marks an epoch with no query, or no reachable
+// one to take a stretch from.
+func (sp *servePlane) flush() {
+	avail, stretch := -1.0, -1.0
+	if sp.epQueries > 0 {
+		avail = float64(sp.epReach) / float64(sp.epQueries)
+		if sp.epReach > 0 {
+			stretch = sp.epStretch / float64(sp.epReach)
+		}
 	}
+	sp.m.AvailabilityPerEpoch = append(sp.m.AvailabilityPerEpoch, avail)
+	sp.m.StretchPerEpoch = append(sp.m.StretchPerEpoch, stretch)
+	sp.epQueries, sp.epReach, sp.epStretch = 0, 0, 0
 }
 
 // finish derives the aggregates.

@@ -63,14 +63,21 @@ func TestImmediateModeCostsMoreRewirings(t *testing.T) {
 }
 
 // skewPref concentrates preference on destination 0 (90%) and spreads the
-// rest uniformly — the skew footnote 8 says BR can exploit.
-func skewPref(n int) func(i, j int) float64 {
-	return func(i, j int) float64 {
+// rest uniformly — the skew footnote 8 says BR can exploit — the same
+// every epoch.
+func skewPref(n int) func(epoch int) func(i, j int) float64 {
+	return staticPref(func(i, j int) float64 {
 		if j == 0 {
 			return 0.9 * float64(n-1)
 		}
 		return 0.1 * float64(n-1) / float64(n-2)
-	}
+	})
+}
+
+// staticPref is the constant case of PrefAt / DemandAt: one preference
+// function for every epoch.
+func staticPref(pref func(i, j int) float64) func(epoch int) func(i, j int) float64 {
+	return func(int) func(i, j int) float64 { return pref }
 }
 
 func TestPreferenceAwareBRBeatsUniformBROnWeightedCost(t *testing.T) {
@@ -79,7 +86,7 @@ func TestPreferenceAwareBRBeatsUniformBROnWeightedCost(t *testing.T) {
 	// Preference-aware BR optimizes the skewed objective directly.
 	aware := run(t, Config{
 		N: n, K: 2, Seed: 6, Metric: DelayPing, Policy: core.BRPolicy{},
-		WarmEpochs: 6, MeasureEpochs: 4, Pref: pref,
+		WarmEpochs: 6, MeasureEpochs: 4, PrefAt: pref,
 	})
 	if aware.WeightedCost.N == 0 {
 		t.Fatal("weighted cost not reported")
@@ -88,7 +95,7 @@ func TestPreferenceAwareBRBeatsUniformBROnWeightedCost(t *testing.T) {
 	blind := run(t, Config{
 		N: n, K: 2, Seed: 6, Metric: DelayPing, Policy: core.KClosest{},
 		EnforceCycle: true,
-		WarmEpochs:   6, MeasureEpochs: 4, Pref: pref,
+		WarmEpochs:   6, MeasureEpochs: 4, PrefAt: pref,
 	})
 	if aware.WeightedCost.Mean >= blind.WeightedCost.Mean {
 		t.Fatalf("preference-aware BR weighted cost %.0f not below preference-blind %.0f",
@@ -99,13 +106,13 @@ func TestPreferenceAwareBRBeatsUniformBROnWeightedCost(t *testing.T) {
 func TestWeightedCostAbsentWithoutPref(t *testing.T) {
 	res := run(t, baseCfg(core.BRPolicy{}))
 	if res.WeightedCost.N != 0 {
-		t.Fatalf("WeightedCost reported without Pref: %+v", res.WeightedCost)
+		t.Fatalf("WeightedCost reported without PrefAt: %+v", res.WeightedCost)
 	}
 }
 
 func TestPrefDeterminism(t *testing.T) {
 	cfg := baseCfg(core.BRPolicy{})
-	cfg.Pref = skewPref(cfg.N)
+	cfg.PrefAt = skewPref(cfg.N)
 	a := run(t, cfg)
 	b := run(t, cfg)
 	if a.WeightedCost.Mean != b.WeightedCost.Mean || math.IsNaN(a.WeightedCost.Mean) {

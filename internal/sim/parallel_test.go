@@ -120,7 +120,7 @@ func workerDeterminismConfigs() map[string]Config {
 		case "BR/cheat":
 			cfg.Cheat = cheat.Single(cfg.N, 4, 2)
 		case "BR/pref":
-			cfg.Pref = func(i, j int) float64 { return 1 + float64((i+j)%5) }
+			cfg.PrefAt = staticPref(func(i, j int) float64 { return 1 + float64((i+j)%5) })
 		case "kRandom/cycle", "kClosest/cycle":
 			cfg.EnforceCycle = true
 		case "BR/epsilon/churn":

@@ -73,7 +73,7 @@ func (sp *scalePool) rebuild(c *ScaleConfig, eng *scaleEngine, epoch, workers in
 			sp.ids = append(sp.ids, v)
 		}
 	}
-	if len(sp.ids) > c.PoolTarget {
+	if len(sp.ids) > c.poolTarget {
 		// Trim the least-popular wired targets.
 		slices.SortFunc(sp.ids, func(a, b int) int {
 			if d := cmp.Compare(sp.indeg[b], sp.indeg[a]); d != 0 {
@@ -81,10 +81,10 @@ func (sp *scalePool) rebuild(c *ScaleConfig, eng *scaleEngine, epoch, workers in
 			}
 			return a - b
 		})
-		for _, v := range sp.ids[c.PoolTarget:] {
+		for _, v := range sp.ids[c.poolTarget:] {
 			sp.member[v] = false
 		}
-		sp.ids = sp.ids[:c.PoolTarget]
+		sp.ids = sp.ids[:c.poolTarget]
 	}
 	// Fresh joiners keep their directory seat through the rebuild after
 	// their join epoch, so the overlay can discover them even before
@@ -98,10 +98,10 @@ func (sp *scalePool) rebuild(c *ScaleConfig, eng *scaleEngine, epoch, workers in
 	eng.recentJoins = eng.recentJoins[:0]
 	// Explorer rotation: a consecutive id block shifted by the epoch, so
 	// every node periodically appears in the directory even with zero
-	// in-links and the whole roster is covered every n/PoolExplore
+	// in-links and the whole roster is covered every n/poolExplore
 	// epochs. Departed nodes sit the rotation out.
-	for e := 0; e < c.PoolExplore; e++ {
-		v := (epoch*c.PoolExplore + e) % n
+	for e := 0; e < c.poolExplore; e++ {
+		v := (epoch*c.poolExplore + e) % n
 		if !sp.member[v] && eng.active[v] {
 			sp.member[v] = true
 			sp.ids = append(sp.ids, v)

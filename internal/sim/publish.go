@@ -2,11 +2,13 @@ package sim
 
 import "sort"
 
-// Publication is one data-plane publication unit: the overlay state
-// right after one stagger sub-round folded, plus the exact set of rows
-// that changed since the previous publication — what an incremental
-// publisher (plane.Snapshot.Patch) needs to derive the next snapshot
-// without a full recompile.
+// Publication is one data-plane publication unit — the only way the
+// engine tells a subscriber its wiring changed (ScaleConfig.OnPublish):
+// the overlay state right after one stagger sub-round folded, plus the
+// exact set of rows that changed since the previous publication — what
+// an incremental publisher (plane.Snapshot.Patch) needs to derive the
+// next snapshot without a full recompile. A subscriber that wants one
+// full compile per epoch instead filters the stream on EpochFinal.
 type Publication struct {
 	// Epoch is the epoch in progress; -1 is the bootstrap publication.
 	Epoch int
@@ -27,11 +29,18 @@ type Publication struct {
 	// slice is engine scratch, valid only for the duration of the call.
 	Changed []int
 	// Wiring and Active are the engine's own live arrays, borrowed
-	// read-only for the duration of the call — same contract as
-	// OnEpoch's arguments.
+	// read-only for the duration of the call: a subscriber compiles or
+	// patches its immutable view (a plane.Snapshot) before returning and
+	// retains no reference.
 	Wiring [][]int
 	Active []bool
 }
+
+// EpochFinal reports whether the publication carries an epoch-final
+// state: the bootstrap (the state before epoch 0) or an epoch's last
+// publication, after its final churn drain. A run delivers exactly one
+// per epoch plus the bootstrap, in order.
+func (p Publication) EpochFinal() bool { return p.Full || p.SubRound == p.Rounds }
 
 // markChanged records node i into the pending publication's changed
 // set. No-op when no OnPublish subscriber is attached (pubMark nil), so
@@ -60,80 +69,4 @@ func (e *scaleEngine) publish(epoch, sub, rounds int) {
 		e.pubMark[i] = false
 	}
 	e.pubChanged = e.pubChanged[:0]
-}
-
-// pubTracker derives Publications for the full engine by diffing
-// against the last published state. The full engine mutates wirings
-// from several places (adoption, churn repair, the connectivity
-// fallback) and — unlike the scale engine — keeps departed nodes'
-// links in place awaiting delayed repair, so a row's *compiled* arcs
-// change whenever a target's membership flips even though the row
-// itself did not. Diffing against a retained copy, with flipped
-// targets counted as row changes, captures every mutation source
-// without instrumenting them; at full-engine sizes the O(n·k) scan per
-// publication is noise.
-type pubTracker struct {
-	cb      func(Publication)
-	rounds  int
-	wiring  [][]int // deep copy of the last published wiring
-	active  []bool
-	flipped []bool // scratch: membership flips this publication
-	changed []int
-}
-
-func newPubTracker(cb func(Publication), n, rounds int) *pubTracker {
-	return &pubTracker{
-		cb:      cb,
-		rounds:  rounds,
-		wiring:  make([][]int, n),
-		active:  make([]bool, n),
-		flipped: make([]bool, n),
-	}
-}
-
-// bootstrap fires the Full publication and retains the state.
-func (t *pubTracker) bootstrap(wiring [][]int, active []bool) {
-	t.retain(nil, wiring, active, true)
-	t.cb(Publication{Epoch: -1, SubRound: -1, Rounds: t.rounds, Full: true, Wiring: wiring, Active: active})
-}
-
-// publish diffs, fires, and retains.
-func (t *pubTracker) publish(epoch, sub int, wiring [][]int, active []bool) {
-	t.changed = t.changed[:0]
-	anyFlip := false
-	for v := range active {
-		t.flipped[v] = active[v] != t.active[v]
-		anyFlip = anyFlip || t.flipped[v]
-	}
-	for u := range wiring {
-		if t.flipped[u] || !sameWiring(wiring[u], t.wiring[u]) {
-			t.changed = append(t.changed, u)
-			continue
-		}
-		if anyFlip && active[u] {
-			for _, v := range wiring[u] {
-				if t.flipped[v] {
-					t.changed = append(t.changed, u)
-					break
-				}
-			}
-		}
-	}
-	t.retain(t.changed, wiring, active, false)
-	t.cb(Publication{Epoch: epoch, SubRound: sub, Rounds: t.rounds, Changed: t.changed, Wiring: wiring, Active: active})
-}
-
-// retain copies the rows of the changed set (or everything when full)
-// plus the membership array into the tracker's shadow state.
-func (t *pubTracker) retain(changed []int, wiring [][]int, active []bool, full bool) {
-	copy(t.active, active)
-	if full {
-		for u := range wiring {
-			t.wiring[u] = append(t.wiring[u][:0], wiring[u]...)
-		}
-		return
-	}
-	for _, u := range changed {
-		t.wiring[u] = append(t.wiring[u][:0], wiring[u]...)
-	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"egoist/internal/churn"
-	"egoist/internal/core"
 	"egoist/internal/sampling"
 )
 
@@ -15,9 +14,10 @@ import (
 // test the moment a changed set misses a row — if applying exactly the
 // Changed rows does not reproduce the engine's wiring and membership
 // bit-for-bit, the delta stream is unusable for incremental
-// publication. It also keeps an interleaved event log so the ordering
-// contract (bootstrap Full strictly first, lexicographic (epoch,
-// sub-round) order, epoch-final delta before OnEpoch) can be pinned.
+// publication. It also keeps an event log so the ordering contract
+// (bootstrap Full strictly first, lexicographic (epoch, sub-round)
+// order, EpochFinal on the bootstrap and on each epoch's last
+// publication only) can be pinned.
 type pubRecorder struct {
 	t        *testing.T
 	wiring   [][]int
@@ -32,10 +32,6 @@ type pubRecorder struct {
 
 func newPubRecorder(t *testing.T) *pubRecorder {
 	return &pubRecorder{t: t, lastE: -2}
-}
-
-func (r *pubRecorder) onEpoch(epoch int, wiring [][]int, active []bool) {
-	r.log = append(r.log, fmt.Sprintf("epoch %d", epoch))
 }
 
 func (r *pubRecorder) onPublish(pub Publication) {
@@ -56,7 +52,7 @@ func (r *pubRecorder) onPublish(pub Publication) {
 		}
 		r.active = append([]bool(nil), pub.Active...)
 		r.booted = true
-		r.log = append(r.log, "pub bootstrap")
+		r.record("pub bootstrap", pub)
 		return
 	}
 	if pub.Full {
@@ -97,29 +93,33 @@ func (r *pubRecorder) onPublish(pub Publication) {
 				pub.Epoch, pub.SubRound, u, r.wiring[u], pub.Wiring[u])
 		}
 	}
-	r.log = append(r.log, fmt.Sprintf("pub %d %d", pub.Epoch, pub.SubRound))
+	r.record(fmt.Sprintf("pub %d %d", pub.Epoch, pub.SubRound), pub)
 }
 
-// checkLog pins the interleaving contract against OnEpoch for epochs
-// 0..maxEpoch: bootstrap order is OnEpoch(-1) then the Full
-// publication, every epoch publishes sub-rounds 0..Rounds in order, and
-// the epoch-final drain delta (sub-round == Rounds) fires immediately
-// before that epoch's OnEpoch.
+// record logs one publication, tagging the epoch-final ones.
+func (r *pubRecorder) record(entry string, pub Publication) {
+	if pub.EpochFinal() {
+		entry += " final"
+	}
+	r.log = append(r.log, entry)
+}
+
+// checkLog pins the stream's shape for epochs 0..maxEpoch: the
+// bootstrap first, then every epoch's sub-rounds 0..Rounds in order,
+// with EpochFinal true on exactly the bootstrap and each epoch's drain
+// publication (sub-round == Rounds) — what a per-epoch subscriber keeps.
 func (r *pubRecorder) checkLog(maxEpoch int) {
 	t := r.t
 	t.Helper()
-	if len(r.log) < 2 || r.log[0] != "epoch -1" || r.log[1] != "pub bootstrap" {
-		t.Fatalf("bootstrap ordering wrong: log starts %v", r.log[:min(3, len(r.log))])
-	}
-	want := []string{"epoch -1", "pub bootstrap"}
+	want := []string{"pub bootstrap final"}
 	for e := 0; e <= maxEpoch; e++ {
-		for s := 0; s <= r.rounds; s++ {
+		for s := 0; s < r.rounds; s++ {
 			want = append(want, fmt.Sprintf("pub %d %d", e, s))
 		}
-		want = append(want, fmt.Sprintf("epoch %d", e))
+		want = append(want, fmt.Sprintf("pub %d %d final", e, r.rounds))
 	}
 	if got := strings.Join(r.log, "\n"); got != strings.Join(want, "\n") {
-		t.Fatalf("publication/epoch interleaving diverged from the contract:\ngot:\n%s\nwant:\n%s",
+		t.Fatalf("publication stream diverged from the contract:\ngot:\n%s\nwant:\n%s",
 			got, strings.Join(want, "\n"))
 	}
 }
@@ -143,7 +143,6 @@ func TestScalePublicationOrdering(t *testing.T) {
 		N: n, K: 3, Seed: 17, MaxEpochs: epochs,
 		Sample:    sampling.Spec{Strategy: sampling.Demand, M: 25},
 		Churn:     sched,
-		OnEpoch:   rec.onEpoch,
 		OnPublish: rec.onPublish,
 	})
 	if err != nil {
@@ -186,41 +185,5 @@ func TestScalePublicationDeterministic(t *testing.T) {
 	}
 	if stream(4) != stream(1) {
 		t.Fatal("publication stream diverged between workers 1 and 4")
-	}
-}
-
-// TestFullEnginePublications: the diff-based tracker in the full engine
-// honours the same contract — including under delayed repair, where
-// wiring rows keep departed targets and rows must count as changed when
-// a target's membership flips.
-func TestFullEnginePublications(t *testing.T) {
-	const n, warm, meas = 40, 2, 3
-	const total = warm + meas
-	sched := emptySchedule(n)
-	for _, v := range []int{4, 9, 14} {
-		sched.Events = append(sched.Events, churn.Event{Time: 1.3, Node: v, On: false})
-	}
-	for _, v := range []int{4, 9} {
-		sched.Events = append(sched.Events, churn.Event{Time: 3.4, Node: v, On: true})
-	}
-	rec := newPubRecorder(t)
-	res, err := Run(Config{
-		N: n, K: 3, Seed: 11,
-		Policy:     core.BRPolicy{},
-		WarmEpochs: warm, MeasureEpochs: meas,
-		Churn:     sched,
-		OnEpoch:   rec.onEpoch,
-		OnPublish: rec.onPublish,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = res
-	if rec.rounds != 16 {
-		t.Fatalf("full engine rounds = %d, want min(16, N) = 16", rec.rounds)
-	}
-	rec.checkLog(total - 1)
-	if rec.nonEmpty == 0 {
-		t.Fatal("every full-engine delta was empty")
 	}
 }

@@ -70,40 +70,6 @@ func TestFullEngineRescueWithinOneEpoch(t *testing.T) {
 	}
 }
 
-// TestPrefAtMatchesStaticPref checks the per-epoch preference override
-// degenerates to Pref when it always returns the same function.
-func TestPrefAtMatchesStaticPref(t *testing.T) {
-	pref := func(i, j int) float64 { return 1 + float64((i*3+j)%4) }
-	base := Config{
-		N: 25, K: 3, Seed: 11,
-		Policy:     core.BRPolicy{},
-		WarmEpochs: 2, MeasureEpochs: 4,
-	}
-	a := base
-	a.Pref = pref
-	b := base
-	b.PrefAt = func(epoch int) func(i, j int) float64 { return pref }
-	ra, err := Run(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := Run(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ra, rb) {
-		t.Fatal("PrefAt(const) diverged from Pref")
-	}
-	if len(ra.PerEpochCost) != 4 {
-		t.Fatalf("PerEpochCost has %d entries, want 4", len(ra.PerEpochCost))
-	}
-	for e, c := range ra.PerEpochCost {
-		if math.IsNaN(c) || c <= 0 {
-			t.Fatalf("PerEpochCost[%d] = %v", e, c)
-		}
-	}
-}
-
 // TestPrefAtShiftChangesDynamics checks a demand flip actually reaches
 // the policies: flipping the hotspot set mid-run must produce a
 // different final wiring than the unflipped run.
@@ -144,5 +110,13 @@ func TestPrefAtShiftChangesDynamics(t *testing.T) {
 	}
 	if reflect.DeepEqual(rf.FinalWiring, rs.FinalWiring) {
 		t.Fatal("demand flip left the final wiring untouched")
+	}
+	if len(rf.PerEpochCost) != 8 {
+		t.Fatalf("PerEpochCost has %d entries, want 8", len(rf.PerEpochCost))
+	}
+	for e, c := range rf.PerEpochCost {
+		if math.IsNaN(c) || c <= 0 {
+			t.Fatalf("PerEpochCost[%d] = %v", e, c)
+		}
 	}
 }

@@ -99,27 +99,14 @@ type ScaleConfig struct {
 	// unstable, see the package comment; n means the paper's
 	// one-at-a-time stagger, serial.
 	StaggerBatches int
-	// PoolTarget caps the facility directory (default 2·Sample.M + 256,
-	// at most N). The pool holds every currently wired target (trimmed
-	// by in-degree if over the cap) plus explorers.
-	PoolTarget int
-	// PoolExplore is the number of rotating explorer slots per epoch
-	// (default PoolTarget/8): nodes outside the wired set get their turn
-	// in the directory so the dynamics can discover them.
-	PoolExplore int
-	// CandSample is the per-node candidate-sample size drawn from the
-	// pool each re-wiring (default min(64, pool size)): half the
-	// nearest pool members by direct cost, half uniform.
-	CandSample int
-	// Demand, when non-nil, supplies the preference weight p_ij driving
-	// both the objective and the demand-proportional sampler. Must be
-	// safe for concurrent calls.
-	Demand func(i, j int) float64
-	// DemandAt, when non-nil, overrides Demand with a per-epoch demand
-	// function — the scenario harness's demand shifts. The engine
-	// re-draws every node's destination sample against the epoch's
-	// weights, so a shift propagates into the dynamics within one
-	// epoch. The returned function must be safe for concurrent calls.
+	// DemandAt, when non-nil, supplies the epoch's preference weights
+	// p_ij = DemandAt(epoch)(i, j) driving both the objective and the
+	// demand-proportional sampler (a nil function means uniform); a
+	// static demand returns the same function every epoch, the scenario
+	// harness's demand shifts a different one. The engine re-draws every
+	// node's destination sample against the epoch's weights, so a shift
+	// propagates into the dynamics within one epoch. The returned
+	// function must be safe for concurrent calls.
 	DemandAt func(epoch int) func(i, j int) float64
 	// Churn, when non-nil, drives dynamic membership: event times are
 	// in epoch units, fractional times land between stagger sub-rounds.
@@ -132,42 +119,29 @@ type ScaleConfig struct {
 	// Net overrides the default constant-memory geographic underlay
 	// (underlay.NewLite(N, Seed+1)).
 	Net ScaleNet
-	// OnEpoch, when non-nil, is the data-plane publication hook: it is
-	// called serially once after the bootstrap (epoch -1) and once at
-	// the end of every epoch — after that epoch's final churn drain, so
-	// the arguments are the epoch-final state. wiring and active are
-	// the engine's own live arrays, borrowed read-only for the duration
-	// of the call; publishers must compile an immutable view (e.g. a
-	// plane.Snapshot) before returning and must not retain references.
-	// The hook runs outside the parallel proposal phase and must stay
-	// deterministic to preserve the engine's any-worker-count contract.
-	OnEpoch func(epoch int, wiring [][]int, active []bool)
-	// OnPublish, when non-nil, is the sub-epoch publication hook: it is
-	// called serially after every stagger sub-round's serial fold (and
-	// after the epoch-final churn drain) with the set of rows that
-	// changed since the previous call, so a data-plane publisher can
-	// delta-patch its snapshot instead of recompiling per epoch.
+	// OnPublish, when non-nil, is the data-plane publication hook, the
+	// only one: it is called serially after the bootstrap, after every
+	// stagger sub-round's serial fold and after each epoch's final churn
+	// drain, with the set of rows that changed since the previous call,
+	// so a publisher can delta-patch its snapshot (plane.Snapshot.Patch)
+	// — or compile in full once per epoch by keeping only the
+	// publications whose EpochFinal() is true.
 	//
 	// Ordering contract, pinned by TestScalePublicationOrdering: the
 	// FIRST call is the bootstrap publication {Epoch: -1, SubRound: -1,
 	// Full: true}, delivered on the engine goroutine before any churn
-	// event or proposal is played — the same state OnEpoch(-1) sees,
-	// and delivered after OnEpoch(-1) when both hooks are set. Every
-	// later call is a delta that applies on top of the state of the
-	// previous call, in strict call order on the same goroutine: the
-	// first sub-round delta (which also carries any churn drained
-	// before epoch 0's first batch) applies on top of the bootstrap
-	// snapshot and can never race or precede it. Subscribers must
-	// finish deriving their snapshot before returning; the Changed
+	// event or proposal is played, so the data plane can answer from
+	// epoch 0's first sub-round onward. Every later call is a delta that
+	// applies on top of the state of the previous call, in strict call
+	// order on the same goroutine: the first sub-round delta (which also
+	// carries any churn drained before epoch 0's first batch) applies on
+	// top of the bootstrap snapshot and can never race or precede it;
+	// each epoch ends with its SubRound == Rounds publication. Subscribers
+	// must finish deriving their snapshot before returning; the Changed
 	// slice and the wiring/active arrays are engine-owned scratch, not
-	// to be retained. The hook must stay deterministic — like OnEpoch
-	// it runs outside the parallel proposal phase, and the engine's
-	// byte-identical any-worker-count contract extends to the publication
-	// sequence.
-	//
-	// OnEpoch remains the full per-epoch compile fallback; both hooks
-	// may be set (each epoch's final-drain publication fires before
-	// that epoch's OnEpoch call).
+	// to be retained. The hook runs outside the parallel proposal phase
+	// and must stay deterministic: the engine's byte-identical
+	// any-worker-count contract extends to the publication sequence.
 	OnPublish func(pub Publication)
 	// OnPhase, when non-nil, receives one timed PhaseEvent per engine
 	// phase — churn drains, directory rebuilds, each sub-round's
@@ -179,9 +153,17 @@ type ScaleConfig struct {
 	// any-worker-count result contract is unaffected, and when the hook
 	// is nil the engine takes no extra clock readings at all.
 	OnPhase func(ev PhaseEvent)
-	// BROpts tunes the per-node solver.
-	BROpts core.BROptions
 
+	// poolTarget caps the facility directory at min(2·Sample.M + 256, N):
+	// the pool holds every currently wired target (trimmed by in-degree
+	// if over the cap) plus explorers. poolExplore = max(poolTarget/8, 8)
+	// is the number of rotating explorer slots per epoch: nodes outside
+	// the wired set get their turn in the directory so the dynamics can
+	// discover them. candSample = max(64, 2K) is the per-node candidate
+	// sample drawn from the pool each re-wiring (at most the pool size):
+	// half the nearest members by direct cost, half uniform. All three
+	// are derived by withDefaults.
+	poolTarget, poolExplore, candSample int
 	// probe is the tests' window onto the directory-row reuse; nil
 	// everywhere else.
 	probe *scaleProbe
@@ -307,27 +289,9 @@ func (c *ScaleConfig) withDefaults() (ScaleConfig, error) {
 	if out.StaggerBatches > out.N {
 		out.StaggerBatches = out.N
 	}
-	if out.PoolTarget <= 0 {
-		out.PoolTarget = 2*out.Sample.M + 256
-	}
-	if out.PoolTarget > out.N {
-		out.PoolTarget = out.N
-	}
-	if out.PoolTarget < out.K+1 {
-		out.PoolTarget = out.K + 1
-	}
-	if out.PoolExplore <= 0 {
-		out.PoolExplore = out.PoolTarget / 8
-		if out.PoolExplore < 8 {
-			out.PoolExplore = 8
-		}
-	}
-	if out.CandSample <= 0 {
-		out.CandSample = 64
-	}
-	if out.CandSample < 2*out.K {
-		out.CandSample = 2 * out.K
-	}
+	out.poolTarget = min(2*out.Sample.M+256, out.N)
+	out.poolExplore = max(out.poolTarget/8, 8)
+	out.candSample = max(64, 2*out.K)
 	if out.Net == nil {
 		lite, err := underlay.NewLite(out.N, out.Seed+1)
 		if err != nil {
@@ -769,14 +733,6 @@ func (c *ScaleConfig) bootstrapWiring(rng *rand.Rand, i int, aliveIDs []int, act
 	return w
 }
 
-// demandFor resolves the epoch's demand function.
-func (c *ScaleConfig) demandFor(epoch int) func(i, j int) float64 {
-	if c.DemandAt != nil {
-		return c.DemandAt(epoch)
-	}
-	return c.Demand
-}
-
 // RunScale executes one large-scale sampled simulation.
 func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 	c, err := cfg.withDefaults()
@@ -840,19 +796,12 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 		return time.Now()
 	}
 
-	if c.OnEpoch != nil || c.OnPublish != nil {
+	if c.OnPublish != nil {
+		// The bootstrap publication — see the ordering contract at the
+		// OnPublish field: this Full publication is strictly first, and
+		// every sub-round delta below applies on top of it.
 		t0 := traceStart()
-		if c.OnEpoch != nil {
-			// Publish the bootstrap wiring so the data plane can answer
-			// queries from epoch 0's first sub-round onward.
-			c.OnEpoch(-1, eng.wiring, eng.active)
-		}
-		if c.OnPublish != nil {
-			// The bootstrap publication — see the ordering contract at the
-			// OnPublish field: this Full publication is strictly first, and
-			// every sub-round delta below applies on top of it.
-			c.OnPublish(Publication{Epoch: -1, SubRound: -1, Rounds: c.StaggerBatches, Full: true, Wiring: eng.wiring, Active: eng.active})
-		}
+		c.OnPublish(Publication{Epoch: -1, SubRound: -1, Rounds: c.StaggerBatches, Full: true, Wiring: eng.wiring, Active: eng.active})
 		if trace != nil {
 			trace(PhaseEvent{Epoch: -1, Sub: -1, Phase: "publish", NS: time.Since(t0).Nanoseconds(), Alive: len(eng.aliveIDs)})
 		}
@@ -902,7 +851,10 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 		if c.probe != nil {
 			c.probe.rebuilds = append(c.probe.rebuilds, probeRebuild{ids: slices.Clone(eng.pool.dir.Sources()), rows: built})
 		}
-		demand := c.demandFor(epoch)
+		var demand func(i, j int) float64
+		if c.DemandAt != nil {
+			demand = c.DemandAt(epoch)
+		}
 		ep := ScaleEpoch{PoolSize: len(eng.pool.dir.Sources())}
 		samples := 0
 		acted := 0
@@ -964,13 +916,9 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 			trace(PhaseEvent{Epoch: epoch, Sub: len(batches), Phase: "churn", NS: time.Since(t0).Nanoseconds(),
 				Alive: len(eng.aliveIDs), Joins: eng.joins, Leaves: eng.leaves})
 		}
-		// The epoch-final drain's delta publishes before OnEpoch so the
-		// legacy hook stays the epoch's last word.
+		// The epoch-final publication (EpochFinal) carries that drain.
 		t0 = traceStart()
 		eng.publish(epoch, len(batches), len(batches))
-		if c.OnEpoch != nil {
-			c.OnEpoch(epoch, eng.wiring, eng.active)
-		}
 		if trace != nil {
 			trace(PhaseEvent{Epoch: epoch, Sub: len(batches), Phase: "publish", NS: time.Since(t0).Nanoseconds()})
 		}
@@ -1233,7 +1181,7 @@ func (c *ScaleConfig) proposeScale(w *scaleWorker, eng *scaleEngine, epoch, i in
 		w.perm[x] = x
 	}
 	rng.Shuffle(P, func(a, b int) { w.perm[a], w.perm[b] = w.perm[b], w.perm[a] })
-	m := c.CandSample
+	m := c.candSample
 	if m > P {
 		m = P
 	}
@@ -1327,7 +1275,7 @@ func (c *ScaleConfig) proposeScale(w *scaleWorker, eng *scaleEngine, epoch, i in
 		Pref:       w.pref,
 		Candidates: w.lcands,
 	}
-	chosen, estNew, err := core.BestResponseSampled(inst, c.K, localDS, c.BROpts, &w.sc)
+	chosen, estNew, err := core.BestResponseSampled(inst, c.K, localDS, core.BROptions{}, &w.sc)
 	if err != nil {
 		for _, v := range w.gcands {
 			w.lid[v] = -1

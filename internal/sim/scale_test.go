@@ -34,7 +34,7 @@ func TestScaleDeterministicAcrossWorkers(t *testing.T) {
 	} {
 		base := ScaleConfig{
 			N: 120, K: 3, Seed: 11, Sample: spec, MaxEpochs: 4,
-			Demand: func(i, j int) float64 { return 1 + float64((i+j)%5) },
+			DemandAt: staticPref(func(i, j int) float64 { return 1 + float64((i+j)%5) }),
 		}
 		cfgA := base
 		cfgA.Workers = 1
@@ -50,6 +50,47 @@ func TestScaleDeterministicAcrossWorkers(t *testing.T) {
 		}
 		if !reflect.DeepEqual(stripWall(a), stripWall(b)) {
 			t.Fatalf("%v: Workers 1 vs 8 diverged", spec)
+		}
+	}
+}
+
+// TestScaleDerivedSizes pins the three sizes withDefaults derives — the
+// directory cap, the explorer slots and the candidate sample — against
+// the formulas the former PoolTarget / PoolExplore / CandSample defaults
+// computed, written out literally, on every side of every clamp (the
+// goldens pin one configuration only).
+func TestScaleDerivedSizes(t *testing.T) {
+	for _, c := range []struct{ n, k, m int }{
+		{10000, 8, 500}, // headline: no clamp anywhere (1256 / 157 / 64)
+		{600, 4, 100},   // scale-converge's shape (456 / 57 / 64)
+		{300, 4, 40},    // N < 2M+256: the cap is the roster, 300
+		{40, 3, 10},     // N < 64: 40/8 = 5 explorers, floor 8
+		{200, 40, 41},   // K > 32: the candidate sample is 2K = 80
+		{4, 3, 4},       // the cap's lowest value is K+1, by K < N and M >= K+1
+	} {
+		cfg := ScaleConfig{N: c.n, K: c.k, Sample: sampling.Spec{Strategy: sampling.Uniform, M: c.m}}
+		out, err := cfg.withDefaults()
+		if err != nil {
+			t.Fatalf("%+v: %v", c, err)
+		}
+		target := 2*c.m + 256
+		if target > c.n {
+			target = c.n
+		}
+		if target < c.k+1 {
+			target = c.k + 1
+		}
+		explore := target / 8
+		if explore < 8 {
+			explore = 8
+		}
+		sampled := 64
+		if sampled < 2*c.k {
+			sampled = 2 * c.k
+		}
+		if out.poolTarget != target || out.poolExplore != explore || out.candSample != sampled {
+			t.Fatalf("%+v: derived %d/%d/%d, want %d/%d/%d", c,
+				out.poolTarget, out.poolExplore, out.candSample, target, explore, sampled)
 		}
 	}
 }

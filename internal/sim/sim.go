@@ -95,33 +95,24 @@ type Config struct {
 	// EnforceCycle applies the paper's connectivity fallback after every
 	// epoch (used with k-Random and k-Closest).
 	EnforceCycle bool
-	// Underlay overrides the default underlay configuration (N and Seed
-	// are always taken from this Config).
-	Underlay *underlay.Config
 	// Network, when non-nil, replaces the synthetic underlay entirely —
 	// e.g. a TraceNetwork replaying a measured delay matrix. Its node
 	// count must equal N.
 	Network Network
-	// PingNoise is the relative RTT sample noise (default 0.05).
-	PingNoise float64
-	// CoordRounds is the coordinate-system calibration effort (default 15).
-	CoordRounds int
 	// Immediate switches failure repair from the paper's default delayed
 	// mode (dropped links are replaced at the node's next wiring epoch) to
 	// immediate mode (victims re-wire as soon as the failure is detected),
 	// per Sect. 3.3.
 	Immediate bool
-	// Pref, when non-nil, supplies non-uniform routing preferences
-	// p_ij = Pref(i,j) used by the wiring policies. Measurement reporting
-	// stays uniform (the paper's conservative choice, footnote 8), but
-	// Result.WeightedCost additionally reports the preference-weighted
-	// cost. With Workers > 1, Pref must be safe for concurrent calls.
-	Pref func(i, j int) float64
-	// PrefAt, when non-nil, overrides Pref with a per-epoch preference
-	// function — the scenario harness's demand shifts. The epoch's
-	// function is resolved once at the epoch boundary and drives both
-	// the wiring policies and the weighted-cost measurements of that
-	// epoch. The returned function must be safe for concurrent calls.
+	// PrefAt, when non-nil, supplies non-uniform routing preferences
+	// p_ij = PrefAt(epoch)(i, j) used by the wiring policies; a static
+	// preference returns the same function every epoch, the scenario
+	// harness's demand shifts a different one. The epoch's function is
+	// resolved once at the epoch boundary. Measurement reporting stays
+	// uniform (the paper's conservative choice, footnote 8), but
+	// Result.WeightedCost additionally reports that epoch's
+	// preference-weighted cost. The returned function must be safe for
+	// concurrent calls.
 	PrefAt func(epoch int) func(i, j int) float64
 	// Workers sets the parallelism of the per-epoch best-response phase:
 	// every node's proposal is computed concurrently against the
@@ -134,29 +125,6 @@ type Config struct {
 	// never measurements. Custom Policy implementations must be safe for
 	// concurrent Select calls on distinct Requests.
 	Workers int
-	// OnEpoch, when non-nil, is the data-plane publication hook: it is
-	// called serially once after the initial join (epoch -1) and once
-	// at the end of every epoch (warm and measured alike), after the
-	// epoch's final churn drain and connectivity fallback. wiring and
-	// active are the simulator's own live arrays, borrowed read-only
-	// for the duration of the call — wiring rows may still list links
-	// to departed nodes awaiting delayed repair, which publishers must
-	// filter with active (plane.Compile does). Must stay deterministic
-	// to preserve the any-worker-count contract.
-	OnEpoch func(epoch int, wiring [][]int, active []bool)
-	// OnPublish, when non-nil, is the sub-epoch publication hook — the
-	// full engine's counterpart of ScaleConfig.OnPublish, with the same
-	// Publication schema and ordering contract (bootstrap Full first,
-	// strictly ordered deltas after; see the contract note in
-	// scale.go). The per-node stagger is grouped into min(16, N)
-	// sub-rounds and a publication fires after each, plus one after the
-	// epoch-final churn drain and connectivity fallback. Changed sets
-	// are computed by diffing against the previously published state —
-	// unlike the scale engine, wiring rows here may keep links to
-	// departed nodes awaiting delayed repair, so a row also counts as
-	// changed when a target's membership flipped (its compiled arcs
-	// change even though the row did not).
-	OnPublish func(pub Publication)
 }
 
 func (c *Config) validate() error {
@@ -200,7 +168,7 @@ type Result struct {
 	// EpochsRun is the total number of epochs simulated.
 	EpochsRun int
 	// WeightedCost summarizes the preference-weighted per-node cost when
-	// Config.Pref (or PrefAt) is set (zero Summary otherwise).
+	// Config.PrefAt is set (zero Summary otherwise).
 	WeightedCost measure.Summary
 	// PerEpochCost is the mean true cost over alive nodes at each
 	// measured epoch's end (indexed by epoch - WarmEpochs) — the series
@@ -264,24 +232,15 @@ func newState(cfg Config) (*state, error) {
 		}
 		und = cfg.Network
 	} else {
-		ucfg := underlay.Config{N: cfg.N}
-		if cfg.Underlay != nil {
-			ucfg = *cfg.Underlay
-			ucfg.N = cfg.N
+		seed := cfg.UnderlaySeed
+		if seed == 0 {
+			seed = cfg.Seed + 1
 		}
-		ucfg.Seed = cfg.UnderlaySeed
-		if ucfg.Seed == 0 {
-			ucfg.Seed = cfg.Seed + 1
-		}
-		u, err := underlay.New(ucfg)
+		u, err := underlay.New(underlay.Config{N: cfg.N, Seed: seed})
 		if err != nil {
 			return nil, err
 		}
 		und = u
-	}
-	noise := cfg.PingNoise
-	if noise == 0 {
-		noise = 0.05
 	}
 	st := &state{
 		cfg:     cfg,
@@ -292,12 +251,11 @@ func newState(cfg Config) (*state, error) {
 		wiring:  make([][]int, cfg.N),
 		est:     make([][]float64, cfg.N),
 	}
-	st.pref = cfg.Pref
 	if cfg.PrefAt != nil {
 		// The initial join below plays under the first epoch's demand.
 		st.pref = cfg.PrefAt(0)
 	}
-	st.pinger = probe.NewPinger(cfg.Seed+2, noise, 0.3, st.account)
+	st.pinger = probe.NewPinger(cfg.Seed+2, 0.05, 0.3, st.account)
 	st.bwEst = probe.NewBandwidthEstimator(cfg.Seed+3, 0.05, st.account)
 	st.loadMon = make([]*probe.LoadMonitor, cfg.N)
 	for i := range st.loadMon {
@@ -315,15 +273,11 @@ func newState(cfg Config) (*state, error) {
 	}
 	if cfg.Metric == DelayCoords {
 		st.coordSys = coords.NewSystem(cfg.N)
-		rounds := cfg.CoordRounds
-		if rounds == 0 {
-			rounds = 15
-		}
 		sampler := func(i, j int) float64 {
 			st.account.Charge("coord", probe.CoordQueryBits(cfg.N)/float64(cfg.N))
 			return und.Delay(i, j) * (1 + st.rng.NormFloat64()*0.03)
 		}
-		st.coordSys.Calibrate(rounds, sampler)
+		st.coordSys.Calibrate(15, sampler)
 	}
 	st.order = st.rng.Perm(cfg.N)
 	st.refreshEstimates()
@@ -618,7 +572,6 @@ func (st *state) run() (*Result, error) {
 	effSamples := make([]int, cfg.N)
 	weighted := make([]float64, cfg.N)
 
-	hasPref := cfg.Pref != nil || cfg.PrefAt != nil
 	snapshot := func(endOfEpoch bool) {
 		// The connectivity fallback of k-Random/k-Closest is maintained
 		// continuously by the deployed systems; apply it before observing.
@@ -654,18 +607,6 @@ func (st *state) run() (*Result, error) {
 		}
 	}
 
-	if cfg.OnEpoch != nil {
-		cfg.OnEpoch(-1, st.wiring, st.active)
-	}
-	var pub *pubTracker
-	if cfg.OnPublish != nil {
-		rounds := 16
-		if cfg.N < rounds {
-			rounds = cfg.N
-		}
-		pub = newPubTracker(cfg.OnPublish, cfg.N, rounds)
-		pub.bootstrap(st.wiring, st.active)
-	}
 	total := cfg.WarmEpochs + cfg.MeasureEpochs
 	for epoch := 0; epoch < total; epoch++ {
 		if cfg.PrefAt != nil {
@@ -705,24 +646,11 @@ func (st *state) run() (*Result, error) {
 					return nil, err
 				}
 			}
-			if pub != nil {
-				// Group the per-node stagger into pub.rounds sub-rounds
-				// and publish at each boundary.
-				if sub := (p + 1) * pub.rounds / cfg.N; sub > p*pub.rounds/cfg.N {
-					pub.publish(epoch, sub-1, st.wiring, st.active)
-				}
-			}
 		}
 		if _, err := st.applyChurn(float64(epoch+1), counter); err != nil {
 			return nil, err
 		}
 		st.enforceCycleIfNeeded()
-		if pub != nil {
-			pub.publish(epoch, pub.rounds, st.wiring, st.active)
-		}
-		if cfg.OnEpoch != nil {
-			cfg.OnEpoch(epoch, st.wiring, st.active)
-		}
 
 		// Each node announces (192 + 32k bits) every Tannounce = T/3.
 		for i := 0; i < cfg.N; i++ {
@@ -747,7 +675,7 @@ func (st *state) run() (*Result, error) {
 	}
 	res.Cost = measure.Summarize(res.PerNodeCost)
 	res.Efficiency = measure.Summarize(res.PerNodeEfficiency)
-	if hasPref {
+	if cfg.PrefAt != nil {
 		for i := 0; i < cfg.N; i++ {
 			if costSamples[i] > 0 {
 				weighted[i] /= float64(costSamples[i])

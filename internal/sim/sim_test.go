@@ -116,7 +116,6 @@ func TestLoadMetricRuns(t *testing.T) {
 func TestCoordsMetricRuns(t *testing.T) {
 	cfg := baseCfg(core.BRPolicy{})
 	cfg.Metric = DelayCoords
-	cfg.CoordRounds = 8
 	res := run(t, cfg)
 	if math.IsNaN(res.Cost.Mean) || res.Cost.Mean <= 0 {
 		t.Fatalf("coords cost = %v", res.Cost.Mean)
