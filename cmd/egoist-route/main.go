@@ -53,14 +53,17 @@ func main() {
 		wiringIn  = flag.String("wiring", "", "load this wiring file instead of running the engine")
 		saveW     = flag.String("save-wiring", "", "save the converged wiring to this file")
 		httpAddr  = flag.String("http", "", "serve route queries over HTTP on this address")
-		cores     = flag.Int("cores", 1, "server shards, each with its own row cache and counters (0 = NumCPU)")
+		cores     = flag.Int("cores", 1, "must be 1: the server has one serving state (the flag stays for benchmark/child.go)")
 		binAddr   = flag.String("binary", "", "serve the length-prefixed binary batch protocol on this TCP address")
 		cacheRow  = flag.Int("cache-rows", 256, "shortest-path row cache size (rows)")
 		pprofFlag = flag.Bool("pprof", false, "also mount net/http/pprof under /debug/pprof/ on the -http mux")
 	)
 	flag.Parse()
+	if *cores != 1 {
+		fatal(fmt.Errorf("-cores %d: only -cores 1 is accepted (the server has one serving state)", *cores))
+	}
 
-	srv := plane.NewServerShards(*cores)
+	srv := plane.NewServer()
 	var snap *plane.Snapshot
 	var kUsed int
 	seedUsed := *seed

@@ -285,9 +285,9 @@ func TestSmokeWiringRoundTrip(t *testing.T) {
 }
 
 // TestSmokeServeContract pins, in the root module, what the benchmark's
-// child.go relies on: the flags it passes, the two stdout lines it
-// takes the ephemeral addresses from, /snapshot's "published", a binary
-// batch answered, and exit status 0 on SIGTERM.
+// child.go relies on: the flags it passes (-cores 1 included), the two
+// stdout lines it takes the ephemeral addresses from, /snapshot's
+// "published", a binary batch answered, and exit status 0 on SIGTERM.
 func TestSmokeServeContract(t *testing.T) {
 	bin := clitest.Build(t, "egoist-route")
 	wiring := filepath.Join(t.TempDir(), "wiring.json")
@@ -337,6 +337,29 @@ func TestSmokeServeContract(t *testing.T) {
 	_, _ = io.Copy(io.Discard, stdout)
 	if err := cmd.Wait(); err != nil {
 		t.Fatalf("exit after SIGTERM: %v; stderr:\n%s", err, stderr.String())
+	}
+}
+
+// TestSmokeCoresOnlyOne: the server has one serving state, so -cores
+// accepts only the 1 benchmark/child.go passes. Any other value is a
+// non-zero exit naming the flag, before the engine runs or a listener
+// opens.
+func TestSmokeCoresOnlyOne(t *testing.T) {
+	bin := clitest.Build(t, "egoist-route")
+	for _, cores := range []string{"2", "0"} {
+		cmd := exec.Command(bin, "-cores", cores, "-n", "120", "-http", "127.0.0.1:0", "-binary", "127.0.0.1:0")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err == nil {
+			t.Errorf("-cores %s accepted:\n%s", cores, stdout.String())
+			continue
+		}
+		if !strings.Contains(stderr.String(), "-cores") {
+			t.Errorf("-cores %s: stderr does not name the flag:\n%s", cores, stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("-cores %s: ran before refusing:\n%s", cores, stdout.String())
+		}
 	}
 }
 

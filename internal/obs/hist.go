@@ -50,8 +50,9 @@ func (c *histCell) observe(ns int64) {
 }
 
 // Histogram is a fixed-bucket log-scale latency histogram with one
-// padded cell per shard. Observe and ObserveShard are wait-free and
-// allocation-free; Merged/Quantile fold the cells at read time.
+// padded cell per writer shard (one unless HistogramVec asked for
+// more). Observe and ObserveShard are wait-free and allocation-free;
+// Merged/Quantile fold the cells at read time.
 type Histogram struct {
 	name, help string
 	cells      []histCell
@@ -71,16 +72,6 @@ func (r *Registry) HistogramVec(name, help string, shards int) *Histogram {
 	h := &Histogram{name: name, help: help, cells: make([]histCell, shards)}
 	r.register(h)
 	return h
-}
-
-// NewHistogram returns an unregistered histogram — for callers that
-// want the bucket math and quantiles without exposition (the load
-// generator's per-client cells).
-func NewHistogram(shards int) *Histogram {
-	if shards < 1 {
-		shards = 1
-	}
-	return &Histogram{cells: make([]histCell, shards)}
 }
 
 func (h *Histogram) metricName() string { return h.name }

@@ -13,12 +13,12 @@ import (
 	"time"
 )
 
-// TestCounterConcurrentStorm hammers one sharded counter and one
+// TestCounterConcurrentStorm hammers one counter and one multi-cell
 // histogram from many writers (run under -race in CI) and checks
 // nothing is lost: wait-free atomics, no torn reads.
 func TestCounterConcurrentStorm(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.CounterVec("storm_total", "", 4)
+	c := reg.Counter("storm_total", "")
 	h := reg.HistogramVec("storm_ns", "", 4)
 	g := reg.Gauge("storm_gauge", "")
 	const writers = 8
@@ -29,7 +29,7 @@ func TestCounterConcurrentStorm(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				c.AddShard(w, 1)
+				c.Add(1)
 				h.ObserveShard(w, int64(50+i%1000))
 				g.SetInt(int64(i))
 			}
@@ -83,7 +83,8 @@ func TestBucketBoundaries(t *testing.T) {
 		}
 		prev = idx
 	}
-	h := NewHistogram(1)
+	reg := NewRegistry()
+	h := reg.Histogram("point_ns", "")
 	h.Observe(1000) // bucket i, bounds [lo, lo*g)
 	i := BucketIndex(1000)
 	want := BucketLower(i) * math.Sqrt(BucketGrowth)
@@ -95,7 +96,7 @@ func TestBucketBoundaries(t *testing.T) {
 	if h.Quantile(0.5) < 1000*0.8 || h.Quantile(0.5) > 1000*1.25 {
 		t.Fatalf("quantile %v too far from the observed 1000ns", h.Quantile(0.5))
 	}
-	if NewHistogram(1).Quantile(0.5) != 0 {
+	if reg.Histogram("empty_ns", "").Quantile(0.5) != 0 {
 		t.Fatalf("empty histogram quantile must be 0")
 	}
 }
@@ -103,7 +104,7 @@ func TestBucketBoundaries(t *testing.T) {
 // TestQuantileMatchesSortedRank feeds a known spread and checks the
 // quantiles straddle the true ranks within one bucket's resolution.
 func TestQuantileMatchesSortedRank(t *testing.T) {
-	h := NewHistogram(2)
+	h := NewRegistry().HistogramVec("spread_ns", "", 2)
 	for i := 1; i <= 1000; i++ {
 		h.ObserveShard(i, int64(i)*100) // 100ns..100µs uniform
 	}
@@ -121,7 +122,6 @@ func TestQuantileMatchesSortedRank(t *testing.T) {
 func TestPrometheusExpositionGolden(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("queries_total", "answered queries")
-	cv := reg.CounterVec("sharded_total", "per-shard answered queries", 2)
 	g := reg.Gauge("snapshot_epoch", "serving epoch")
 	reg.GaugeFunc("alive", "live peers", func() float64 { return 7 })
 	reg.CounterFunc("drops_total", "", func() int64 { return 3 })
@@ -129,8 +129,6 @@ func TestPrometheusExpositionGolden(t *testing.T) {
 
 	c.Add(41)
 	c.Inc()
-	cv.AddShard(0, 5)
-	cv.AddShard(1, 6)
 	g.SetInt(9)
 	h.Observe(1000)
 	h.Observe(1000)
@@ -144,10 +142,6 @@ func TestPrometheusExpositionGolden(t *testing.T) {
 		"# HELP queries_total answered queries",
 		"# TYPE queries_total counter",
 		"queries_total 42",
-		"# HELP sharded_total per-shard answered queries",
-		"# TYPE sharded_total counter",
-		`sharded_total{shard="0"} 5`,
-		`sharded_total{shard="1"} 6`,
 		"# HELP snapshot_epoch serving epoch",
 		"# TYPE snapshot_epoch gauge",
 		"snapshot_epoch 9",
@@ -175,7 +169,7 @@ func TestPrometheusExpositionGolden(t *testing.T) {
 // through the scrape-side parser.
 func TestHandlerAndParseRoundTrip(t *testing.T) {
 	reg := NewRegistry()
-	reg.CounterVec("rt_total", "", 2).AddShard(1, 11)
+	reg.Counter("rt_total", "").Add(11)
 	reg.Gauge("rt_gauge", "").Set(2.5)
 	reg.Histogram("rt_ns", "").Observe(500)
 
@@ -194,8 +188,8 @@ func TestHandlerAndParseRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := ParsePrometheus(buf.Bytes())
-	if m[`rt_total{shard="0"}`] != 0 || m[`rt_total{shard="1"}`] != 11 {
-		t.Fatalf("parsed shard series wrong: %v", m)
+	if m["rt_total"] != 11 {
+		t.Fatalf("parsed counter wrong: %v", m)
 	}
 	if m["rt_gauge"] != 2.5 {
 		t.Fatalf("parsed gauge %v", m["rt_gauge"])
@@ -235,11 +229,11 @@ func TestInstrumentsZeroAlloc(t *testing.T) {
 		t.Skip("allocation counts are unreliable under -race")
 	}
 	reg := NewRegistry()
-	c := reg.CounterVec("za_total", "", 4)
+	c := reg.Counter("za_total", "")
 	h := reg.HistogramVec("za_ns", "", 4)
 	g := reg.Gauge("za_gauge", "")
 	for name, f := range map[string]func(){
-		"counter-add":       func() { c.AddShard(3, 1) },
+		"counter-add":       func() { c.Add(1) },
 		"histogram-observe": func() { h.ObserveShard(3, 1234) },
 		"gauge-set":         func() { g.Set(1.5) },
 	} {

@@ -7,7 +7,7 @@ import (
 
 // ParsePrometheus parses a text-exposition payload into a flat
 // series → value map, where a series is the sample name with its label
-// set verbatim (e.g. `plane_queries_onehop_total{shard="0"}`). Comment
+// set verbatim (e.g. `plane_onehop_latency_ns{quantile="0.5"}`). Comment
 // and malformed lines are skipped — the parser is the scrape side of
 // WritePrometheus, used by the lab harness to fold a fleet's /metrics
 // into one timeline, and it tolerates any exposition-format producer.

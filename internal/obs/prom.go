@@ -12,11 +12,11 @@ import (
 
 // WritePrometheus renders every registered instrument in Prometheus
 // text exposition format (version 0.0.4), in registration order.
-// Sharded counters emit one series per shard plus no synthetic total —
-// Prometheus sums at query time. Histograms are rendered as summaries
-// (p50/p90/p99 plus _sum and _count): the fixed bucket scheme makes
-// scrape-side quantiles exact enough, and 96 cumulative le-lines per
-// histogram would dominate every scrape.
+// Histograms are rendered as summaries
+// (p50/p90/p99 plus _sum and _count, folded over the histogram's
+// cells): the fixed bucket scheme makes scrape-side quantiles exact
+// enough, and 96 cumulative le-lines per histogram would dominate every
+// scrape.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	insts := make([]instrument, len(r.insts))
@@ -32,22 +32,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		switch m := inst.(type) {
 		case *Counter:
 			fmt.Fprintf(&buf, "# TYPE %s counter\n", name)
-			if len(m.cells) == 1 {
-				fmt.Fprintf(&buf, "%s %d\n", name, m.Value())
-				break
-			}
-			for i := range m.cells {
-				fmt.Fprintf(&buf, "%s{shard=\"%d\"} %d\n", name, i, m.cells[i].v.Load())
-			}
+			fmt.Fprintf(&buf, "%s %d\n", name, m.Value())
 		case *counterFunc:
 			fmt.Fprintf(&buf, "# TYPE %s counter\n", name)
-			if m.shards == 1 {
-				fmt.Fprintf(&buf, "%s %d\n", name, m.fn(0))
-				break
-			}
-			for i := 0; i < m.shards; i++ {
-				fmt.Fprintf(&buf, "%s{shard=\"%d\"} %d\n", name, i, m.fn(i))
-			}
+			fmt.Fprintf(&buf, "%s %d\n", name, m.fn())
 		case *Gauge:
 			fmt.Fprintf(&buf, "# TYPE %s gauge\n", name)
 			fmt.Fprintf(&buf, "%s %s\n", name, formatFloat(m.Value()))

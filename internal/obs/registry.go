@@ -1,6 +1,6 @@
 // Package obs is the repository's unified observability layer: a
-// dependency-free metrics registry (atomic counters, gauges, and
-// fixed-bucket log-scale histograms with padded per-shard cells), a
+// dependency-free metrics registry (atomic counters, gauges, scrape-time
+// counter and gauge callbacks, and fixed-bucket log-scale histograms), a
 // Prometheus-text /metrics handler, opt-in net/http/pprof mounting,
 // and a JSONL trace writer for engine phase events.
 //
@@ -74,33 +74,15 @@ func validMetricName(s string) bool {
 	return true
 }
 
-// cell is one padded counter slot: 64 bytes so neighboring cells of a
-// sharded instrument never share a cache line.
-type cell struct {
-	v atomic.Int64
-	_ [56]byte
-}
-
-// Counter is a monotonically increasing count with one padded cell per
-// shard. Single-cell counters use Add/Inc; sharded counters use
-// AddShard so writers pinned to different shards never contend.
+// Counter is a monotonically increasing count.
 type Counter struct {
 	name, help string
-	cells      []cell
+	v          atomic.Int64
 }
 
-// Counter registers a single-cell counter.
+// Counter registers a counter.
 func (r *Registry) Counter(name, help string) *Counter {
-	return r.CounterVec(name, help, 1)
-}
-
-// CounterVec registers a counter with shards padded cells, exposed as
-// one series per shard (label shard="i") when shards > 1.
-func (r *Registry) CounterVec(name, help string, shards int) *Counter {
-	if shards < 1 {
-		shards = 1
-	}
-	c := &Counter{name: name, help: help, cells: make([]cell, shards)}
+	c := &Counter{name: name, help: help}
 	r.register(c)
 	return c
 }
@@ -108,30 +90,14 @@ func (r *Registry) CounterVec(name, help string, shards int) *Counter {
 func (c *Counter) metricName() string { return c.name }
 func (c *Counter) metricHelp() string { return c.help }
 
-// Add adds n to cell 0.
-func (c *Counter) Add(n int64) { c.cells[0].v.Add(n) }
+// Add adds n.
+func (c *Counter) Add(n int64) { c.v.Add(n) }
 
-// Inc adds 1 to cell 0.
-func (c *Counter) Inc() { c.cells[0].v.Add(1) }
+// Inc adds 1.
+func (c *Counter) Inc() { c.v.Add(1) }
 
-// AddShard adds n to the given shard's cell (mod the cell count).
-func (c *Counter) AddShard(shard int, n int64) {
-	c.cells[uint(shard)%uint(len(c.cells))].v.Add(n)
-}
-
-// Value reports the summed count across cells.
-func (c *Counter) Value() int64 {
-	var sum int64
-	for i := range c.cells {
-		sum += c.cells[i].v.Load()
-	}
-	return sum
-}
-
-// ShardValue reports one shard's count.
-func (c *Counter) ShardValue(shard int) int64 {
-	return c.cells[uint(shard)%uint(len(c.cells))].v.Load()
-}
+// Value reports the count.
+func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Gauge is a settable instantaneous value (stored as float64 bits).
 type Gauge struct {
@@ -176,29 +142,19 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 func (g *gaugeFunc) metricName() string { return g.name }
 func (g *gaugeFunc) metricHelp() string { return g.help }
 
-// counterFunc is a counter whose per-shard values are read at scrape
-// time from state another subsystem maintains (the plane's padded
-// per-shard query counters predate this package; re-counting them into
-// obs cells would double every hot-path atomic add).
+// counterFunc is a counter whose value is read at scrape time from
+// state another subsystem maintains (the plane's query and row-cache
+// atomics; re-counting them into an obs Counter would double every
+// hot-path atomic add).
 type counterFunc struct {
 	name, help string
-	shards     int
-	fn         func(shard int) int64
+	fn         func() int64
 }
 
-// CounterFunc registers a scrape-time single-series counter callback.
+// CounterFunc registers a scrape-time counter callback. fn must be safe
+// to call from any goroutine.
 func (r *Registry) CounterFunc(name, help string, fn func() int64) {
-	r.register(&counterFunc{name: name, help: help, shards: 1, fn: func(int) int64 { return fn() }})
-}
-
-// CounterVecFunc registers a scrape-time counter callback exposed as
-// one series per shard (label shard="i") when shards > 1. fn must be
-// safe to call from any goroutine.
-func (r *Registry) CounterVecFunc(name, help string, shards int, fn func(shard int) int64) {
-	if shards < 1 {
-		shards = 1
-	}
-	r.register(&counterFunc{name: name, help: help, shards: shards, fn: fn})
+	r.register(&counterFunc{name: name, help: help, fn: fn})
 }
 
 func (c *counterFunc) metricName() string { return c.name }

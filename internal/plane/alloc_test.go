@@ -7,20 +7,20 @@ import (
 	"egoist/internal/obs"
 )
 
-// allocServer builds a sharded server with a published snapshot and
+// allocServer builds a server with a published snapshot and
 // pre-warms the rows the alloc gates will query, so every measured
 // iteration runs the cache-warm path. Metrics are enabled: the gates
 // hold for the instrumented paths — latency histogram observation and
 // cache-counter classification included — not just the bare ones.
-func allocServer(t *testing.T, shards int) (Shard, int) {
+func allocServer(t *testing.T) (*Server, int) {
 	t.Helper()
 	const n, k = 120, 4
 	net := testNet(t, n)
 	wiring := randomWiring(n, k, rand.New(rand.NewSource(77)))
-	srv := NewServerShards(shards)
+	srv := NewServer()
 	srv.EnableMetrics(obs.NewRegistry())
 	srv.Publish(Compile(0, wiring, nil, net, Options{}))
-	return srv.Shard(0), n
+	return srv, n
 }
 
 // TestServeHotPathsZeroAlloc is the ISSUE 9 allocation gate: the
@@ -32,11 +32,11 @@ func TestServeHotPathsZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on otherwise allocation-free paths")
 	}
-	h, n := allocServer(t, 4)
+	srv, n := allocServer(t)
 
 	// Warm the rows the route-mode gates touch.
 	for src := 0; src < 8; src++ {
-		if _, _, err := h.RouteCost(src, n-1); err != nil {
+		if _, _, err := srv.RouteCost(src, n-1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -44,24 +44,24 @@ func TestServeHotPathsZeroAlloc(t *testing.T) {
 	t.Run("onehop", func(t *testing.T) {
 		dst := 1
 		if got := testing.AllocsPerRun(200, func() {
-			if _, _, err := h.OneHop(0, dst); err != nil {
+			if _, _, err := srv.OneHop(0, dst); err != nil {
 				t.Fatal(err)
 			}
 			dst = (dst + 1) % n
 		}); got != 0 {
-			t.Fatalf("Shard.OneHop allocates %.1f/op, want 0", got)
+			t.Fatalf("Server.OneHop allocates %.1f/op, want 0", got)
 		}
 	})
 
 	t.Run("route-cost-warm", func(t *testing.T) {
 		src := 0
 		if got := testing.AllocsPerRun(200, func() {
-			if _, _, err := h.RouteCost(src, n-1); err != nil {
+			if _, _, err := srv.RouteCost(src, n-1); err != nil {
 				t.Fatal(err)
 			}
 			src = (src + 1) % 8
 		}); got != 0 {
-			t.Fatalf("Shard.RouteCost allocates %.1f/op on warm rows, want 0", got)
+			t.Fatalf("Server.RouteCost allocates %.1f/op on warm rows, want 0", got)
 		}
 	})
 
@@ -69,14 +69,14 @@ func TestServeHotPathsZeroAlloc(t *testing.T) {
 		buf := make([]int32, 0, n)
 		src := 0
 		if got := testing.AllocsPerRun(200, func() {
-			path, _, ok, err := h.AppendRoute(src, n-1, buf)
+			path, _, ok, err := srv.AppendRoute(src, n-1, buf)
 			if err != nil || !ok {
 				t.Fatalf("AppendRoute(%d,%d): ok=%v err=%v", src, n-1, ok, err)
 			}
 			buf = path[:0]
 			src = (src + 1) % 8
 		}); got != 0 {
-			t.Fatalf("Shard.AppendRoute allocates %.1f/op on warm rows, want 0", got)
+			t.Fatalf("Server.AppendRoute allocates %.1f/op on warm rows, want 0", got)
 		}
 	})
 
@@ -88,18 +88,18 @@ func TestServeHotPathsZeroAlloc(t *testing.T) {
 		for _, mode := range []byte{BinModeOneHop, BinModeRoute} {
 			req := AppendBatchRequest(nil, mode, pairs)
 			// First call grows the response buffer; steady state reuses it.
-			resp, err := h.AnswerBinary(req, nil)
+			resp, err := srv.AnswerBinary(req, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := testing.AllocsPerRun(200, func() {
-				out, err := h.AnswerBinary(req, resp[:0])
+				out, err := srv.AnswerBinary(req, resp[:0])
 				if err != nil {
 					t.Fatal(err)
 				}
 				resp = out
 			}); got != 0 {
-				t.Fatalf("Shard.AnswerBinary(mode=%d) allocates %.1f/op on warm rows, want 0", mode, got)
+				t.Fatalf("Server.AnswerBinary(mode=%d) allocates %.1f/op on warm rows, want 0", mode, got)
 			}
 		}
 	})

@@ -16,7 +16,7 @@ import (
 
 // The compact binary batch protocol — the production-rate alternative
 // to the JSON endpoints. One request/response exchange carries one
-// batch, answered from one shard's snapshot (one consistent epoch).
+// batch, answered from one snapshot (one consistent epoch).
 //
 // Over raw TCP (Server.ServeBinary / DialBinary) every payload is
 // length-prefixed:
@@ -156,14 +156,13 @@ func DecodeBatchResponse(payload []byte, mode byte, buf []BinResult) (epoch int6
 }
 
 // AnswerBinary answers one binary batch request payload from the
-// shard's current snapshot, appending the response payload to dst
+// current snapshot, appending the response payload to dst
 // (pass the previous call's response[:0] to reuse storage — the answer
 // loop allocates nothing once the buffer has grown). A missing
 // snapshot is answered in-band (batch-level error payload, nil error);
 // a malformed request returns a non-nil error and appends nothing —
 // transports treat that as a protocol violation.
-func (h Shard) AnswerBinary(req, dst []byte) ([]byte, error) {
-	sh := h.sh
+func (s *Server) AnswerBinary(req, dst []byte) ([]byte, error) {
 	if len(req) < 5 {
 		return dst, fmt.Errorf("plane: binary request of %d bytes is shorter than its header", len(req))
 	}
@@ -178,15 +177,12 @@ func (h Shard) AnswerBinary(req, dst []byte) ([]byte, error) {
 	if len(req) != 5+8*count {
 		return dst, fmt.Errorf("plane: binary request length %d does not match %d pairs", len(req), count)
 	}
-	snap := sh.cur.Load()
+	snap := s.cur.Load()
 	if snap == nil {
-		sh.failed.Add(1)
+		s.failed.Add(1)
 		return appendBinError(dst, ErrNoSnapshot.Error()), nil
 	}
-	t0 := time.Time{}
-	if sh.m != nil {
-		t0 = time.Now()
-	}
+	t0 := s.m.start()
 	dst = append(dst, binRespOK)
 	dst = appendU64(dst, uint64(snap.epoch))
 	dst = appendU32(dst, uint32(count))
@@ -224,17 +220,15 @@ func (h Shard) AnswerBinary(req, dst []byte) ([]byte, error) {
 		dst = appendBinRoute(dst, snap, src, dstID)
 	}
 	if nOneHop > 0 {
-		sh.onehop.Add(nOneHop)
+		s.onehop.Add(nOneHop)
 	}
 	if nRoute > 0 {
-		sh.routes.Add(nRoute)
+		s.routes.Add(nRoute)
 	}
 	if nFail > 0 {
-		sh.failed.Add(nFail)
+		s.failed.Add(nFail)
 	}
-	if sh.m != nil {
-		sh.m.batchNs.ObserveShard(sh.idx, time.Since(t0).Nanoseconds())
-	}
+	s.m.batch(t0)
 	return dst, nil
 }
 
@@ -272,7 +266,7 @@ func (s *Server) handleBatchBin(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "plane: bad binary batch: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	resp, err := Shard{sh: s.pick()}.AnswerBinary(req, nil)
+	resp, err := s.AnswerBinary(req, nil)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -281,40 +275,57 @@ func (s *Server) handleBatchBin(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(resp)
 }
 
-// Deadlines of a raw-TCP connection, the two the HTTP side uses
-// (obs.NewHTTPServer), so a peer that connects and stalls, sends half a
-// frame or never reads its response cannot hold a goroutine and two
-// buffers for ever: a connection may sit idle between frames for
-// binIdleTimeout, and once a frame's header has arrived its body must
-// follow and its response be taken within binFrameTimeout.
+// Bounds of the raw-TCP listener. The deadlines are the two the HTTP
+// side uses (obs.NewHTTPServer), so a peer that connects and stalls,
+// sends half a frame or never reads its response cannot hold a
+// goroutine and two buffers for ever: a connection may sit idle between
+// frames for binIdleTimeout, and once a frame's header has arrived its
+// body must follow and its response be taken within binFrameTimeout.
+// At most maxBinConns connections are served at once (each holds a
+// goroutine and a 64 KiB reader); one accepted over the cap is closed
+// at once and counted in plane_binary_conns_refused_total.
 const (
 	binIdleTimeout  = 2 * time.Minute
 	binFrameTimeout = 5 * time.Second
+	maxBinConns     = 1024
 )
 
 // ServeBinary serves the length-prefixed binary batch protocol on ln
 // until Accept fails (closing the listener is the shutdown path); the
-// error that stopped the accept loop is returned. Each connection is
-// pinned to one shard, so a client keeping a connection per worker
-// gets the same contention-free layout as in-process Shard handles.
+// error that stopped the accept loop is returned.
 func (s *Server) ServeBinary(ln net.Listener) error {
+	return s.serveBinary(ln, maxBinConns, binIdleTimeout, binFrameTimeout)
+}
+
+// serveBinary is ServeBinary's accept loop with its bounds as
+// parameters, so the tests can lower them.
+func (s *Server) serveBinary(ln net.Listener, maxConns int, idle, frame time.Duration) error {
+	slots := make(chan struct{}, maxConns)
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
 			return err
 		}
-		go s.serveBinaryConn(conn, binIdleTimeout, binFrameTimeout)
+		select {
+		case slots <- struct{}{}:
+		default:
+			s.binRefused.Add(1)
+			conn.Close()
+			continue
+		}
+		go func() {
+			defer func() { <-slots }()
+			s.serveBinaryConn(conn, idle, frame)
+		}()
 	}
 }
 
 // serveBinaryConn answers frames on one connection until read error, a
 // missed deadline or a protocol violation. Request and response buffers
 // are reused across frames, so a steady-state connection allocates
-// nothing per batch. The two deadlines are parameters so the tests can
-// shorten them; ServeBinary passes the constants above.
+// nothing per batch.
 func (s *Server) serveBinaryConn(conn net.Conn, idle, frame time.Duration) {
 	defer conn.Close()
-	h := Shard{sh: s.pick()}
 	br := bufio.NewReaderSize(conn, 64<<10)
 	var lenBuf [4]byte
 	var req, resp []byte
@@ -343,7 +354,7 @@ func (s *Server) serveBinaryConn(conn net.Conn, idle, frame time.Duration) {
 		// write.
 		resp = resp[:0]
 		resp = append(resp, 0, 0, 0, 0)
-		out, err := h.AnswerBinary(req, resp)
+		out, err := s.AnswerBinary(req, resp)
 		if err != nil {
 			// Protocol violation: report in-band, then drop the
 			// connection — framing can no longer be trusted.
@@ -362,8 +373,7 @@ func (s *Server) serveBinaryConn(conn net.Conn, idle, frame time.Duration) {
 
 // BinClient is a client connection to Server.ServeBinary: one
 // request/response exchange per Do call, buffers reused throughout.
-// Not safe for concurrent use — pin one client per worker, which also
-// pins a server shard per worker.
+// Not safe for concurrent use — keep one client per worker.
 type BinClient struct {
 	conn net.Conn
 	br   *bufio.Reader

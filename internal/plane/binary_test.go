@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"egoist/internal/graph"
+	"egoist/internal/obs"
 )
 
 // binPairs builds the test batch: valid pairs, a src==dst pair, and an
@@ -34,12 +35,11 @@ func binPairs(n int) []uint32 {
 // JSON -1 cost sentinel.
 func TestBinaryMatchesSnapshotAnswers(t *testing.T) {
 	srv, snap := testServer(t, 60, 4)
-	h := srv.Shard(0)
 	n := snap.N()
 	pairs := binPairs(n)
 
 	for _, mode := range []byte{BinModeOneHop, BinModeRoute} {
-		resp, err := h.AnswerBinary(AppendBatchRequest(nil, mode, pairs), nil)
+		resp, err := srv.AnswerBinary(AppendBatchRequest(nil, mode, pairs), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,9 +107,8 @@ func TestBinaryMatchesSnapshotAnswers(t *testing.T) {
 // back into DecodeBatchResponse must reuse its Path storage.
 func TestBinaryDecodeRecyclesBuffers(t *testing.T) {
 	srv, snap := testServer(t, 60, 4)
-	h := srv.Shard(0)
 	req := AppendBatchRequest(nil, BinModeRoute, []uint32{0, uint32(snap.N() - 1)})
-	resp, err := h.AnswerBinary(req, nil)
+	resp, err := srv.AnswerBinary(req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +134,6 @@ func TestBinaryDecodeRecyclesBuffers(t *testing.T) {
 // bytes appended), never panics or silent misparses.
 func TestBinaryMalformedRequests(t *testing.T) {
 	srv, _ := testServer(t, 20, 3)
-	h := srv.Shard(0)
 	bad := [][]byte{
 		{},                 // empty
 		{0, 1, 0},          // shorter than the header
@@ -145,7 +143,7 @@ func TestBinaryMalformedRequests(t *testing.T) {
 		AppendBatchRequest(nil, 0, make([]uint32, 2*(maxBatchPairs+1))), // over cap
 	}
 	for i, req := range bad {
-		out, err := h.AnswerBinary(req, nil)
+		out, err := srv.AnswerBinary(req, nil)
 		if err == nil {
 			t.Fatalf("malformed request %d was answered", i)
 		}
@@ -154,7 +152,7 @@ func TestBinaryMalformedRequests(t *testing.T) {
 		}
 	}
 	// Before the first publish: in-band batch-level error, nil error.
-	empty := NewServerShards(2).Shard(0)
+	empty := NewServer()
 	resp, err := empty.AnswerBinary(AppendBatchRequest(nil, BinModeOneHop, []uint32{0, 1}), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +164,7 @@ func TestBinaryMalformedRequests(t *testing.T) {
 
 // TestBinaryTCPRoundTrip: the length-prefixed TCP transport end to end
 // — ServeBinary + DialBinary — answers identically to the in-process
-// shard API, across multiple frames on one connection.
+// API, across multiple frames on one connection.
 func TestBinaryTCPRoundTrip(t *testing.T) {
 	srv, snap := testServer(t, 60, 4)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -222,15 +220,7 @@ func TestBinaryListenerDeadlines(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go srv.serveBinaryConn(conn, deadline, deadline)
-		}
-	}()
+	go srv.serveBinary(ln, maxBinConns, deadline, deadline)
 
 	pairs := binPairs(snap.N())
 	frame := AppendBatchRequest([]byte{0, 0, 0, 0}, BinModeOneHop, pairs)
@@ -290,6 +280,88 @@ func TestBinaryListenerDeadlines(t *testing.T) {
 		}
 		answered++
 		time.Sleep(deadline / 20)
+	}
+}
+
+// TestBinaryListenerConnCap: with the cap at 2, a third connection is
+// closed at accept (EOF, counted in plane_binary_conns_refused_total)
+// while the first two keep answering, and once one of them closes a new
+// connection is admitted.
+func TestBinaryListenerConnCap(t *testing.T) {
+	srv, snap := testServer(t, 60, 4)
+	reg := obs.NewRegistry()
+	srv.EnableMetrics(reg)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go srv.serveBinary(ln, 2, binIdleTimeout, binFrameTimeout)
+
+	pairs := binPairs(snap.N())
+	answer := func(c *BinClient) error {
+		resp, err := c.Do(BinModeOneHop, pairs)
+		if err != nil {
+			return err
+		}
+		_, rs, err := DecodeBatchResponse(resp, BinModeOneHop, nil)
+		if err == nil && len(rs) != len(pairs)/2 {
+			err = fmt.Errorf("%d results for %d pairs", len(rs), len(pairs)/2)
+		}
+		return err
+	}
+	var clients [2]*BinClient
+	for i := range clients {
+		if clients[i], err = DialBinary(ln.Addr().String()); err != nil {
+			t.Fatal(err)
+		}
+		defer clients[i].Close()
+		if err := answer(clients[i]); err != nil {
+			t.Fatalf("client %d: %v", i, err)
+		}
+	}
+
+	third, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer third.Close()
+	_ = third.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := third.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("connection over the cap: read ended with %v, want EOF", err)
+	}
+	for i, c := range clients {
+		if err := answer(c); err != nil {
+			t.Fatalf("client %d after the refusal: %v", i, err)
+		}
+	}
+	var exposition bytes.Buffer
+	if err := reg.WritePrometheus(&exposition); err != nil {
+		t.Fatal(err)
+	}
+	if got := obs.ParsePrometheus(exposition.Bytes())["plane_binary_conns_refused_total"]; got != 1 {
+		t.Fatalf("plane_binary_conns_refused_total = %v, want 1", got)
+	}
+
+	// Freeing a slot admits the next connection (the server notices the
+	// close asynchronously, so a dial may still land on the full cap).
+	clients[0].Close()
+	for start := time.Now(); ; time.Sleep(10 * time.Millisecond) {
+		c, err := DialBinary(ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = answer(c)
+		c.Close()
+		if err == nil {
+			break
+		}
+		if time.Since(start) > 10*time.Second {
+			t.Fatalf("no connection admitted after a slot was freed: %v", err)
+		}
+	}
+	if err := answer(clients[1]); err != nil {
+		t.Fatalf("client 1 after a slot was reused: %v", err)
 	}
 }
 

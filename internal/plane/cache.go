@@ -41,16 +41,16 @@ type rowCache struct {
 var searchScratch = sync.Pool{New: func() any { return new(graph.PairScratch) }}
 
 // cacheStats are the route path's counters, owned by whoever serves
-// the cache (the Server threads one instance through every snapshot
-// and shard view it publishes, so the series survives publishes; an
-// unpublished snapshot counts into a private one). Every lookup is
+// the cache (the Server threads one instance through every snapshot it
+// publishes, so the series survives publishes; an unpublished snapshot
+// counts into a private one). Every lookup is
 // exactly one of: a hit (found a computed row), a collapse (joined a
 // row another goroutine was still computing — the miss-storm signal),
 // or a miss (no row for the source). What a miss then paid is counted
 // beside it: a pair search (with the nodes it settled), a row fill, or
 // — a fallback — both, when a tie kept the search from pinning the
-// path. Rows carried over by Patch or seeded into a shard view are not
-// demand traffic and are not counted.
+// path. Rows carried over by Patch are not demand traffic and are not
+// counted.
 type cacheStats struct {
 	hits      atomic.Int64
 	misses    atomic.Int64

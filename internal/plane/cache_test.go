@@ -244,42 +244,3 @@ func TestEvictionSkipsInFlightRows(t *testing.T) {
 		t.Fatalf("cache holds %d entries after rows resolved, want <= cap+1 = %d", got, c.cap+1)
 	}
 }
-
-// TestShardViewsShareRowStorage: the per-shard caches of a sharded
-// server are views — a row computed in the base snapshot is seeded into
-// every shard by reference, not copied, and answers through a view are
-// identical to the base snapshot's.
-func TestShardViewsShareRowStorage(t *testing.T) {
-	const n = 80
-	snap := cacheSnapshot(t, n, 32)
-	baseRow := snap.rows.get(5)
-
-	srv := NewServerShards(4)
-	srv.Publish(snap)
-	for i := 0; i < 4; i++ {
-		view := srv.Shard(i).Current()
-		if view == snap {
-			t.Fatalf("shard %d serves the base snapshot, want a private view", i)
-		}
-		row := view.rows.get(5)
-		if &row.dist[0] != &baseRow.dist[0] {
-			t.Fatalf("shard %d copied row 5 instead of sharing it", i)
-		}
-		for dst := 0; dst < n; dst++ {
-			want := snap.RouteCost(5, dst)
-			if got := view.RouteCost(5, dst); got != want {
-				t.Fatalf("shard %d RouteCost(5,%d) = %v, base says %v", i, dst, got, want)
-			}
-		}
-	}
-	// Misses in one view must not leak into the others.
-	srv.Shard(0).Current().rows.get(17)
-	view1 := srv.Shard(1).Current()
-	view1.mustPair(17, 0)
-	view1.rows.mu.Lock()
-	_, leaked := view1.rows.entries[17]
-	view1.rows.mu.Unlock()
-	if leaked {
-		t.Fatal("a miss in shard 0's cache appeared in shard 1's")
-	}
-}

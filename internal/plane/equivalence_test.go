@@ -173,11 +173,9 @@ func TestSnapshotMatchesEngineWiring(t *testing.T) {
 	}
 }
 
-// digestServed fingerprints decisions as served — through Shard
-// handles, exercising the per-shard caches, counters, and the
-// publish-time hot-row precompute — rather than through the snapshot
-// API. Queries spread across handles (Shard wraps mod the shard
-// count), so any cross-shard divergence lands in the hash.
+// digestServed fingerprints decisions as served — through the server's
+// methods, exercising its admission, counters and the served row
+// cache — rather than through the snapshot API.
 func digestServed(t *testing.T, epoch int, srv *Server) epochDigest {
 	t.Helper()
 	h := fnv.New64a()
@@ -193,9 +191,8 @@ func digestServed(t *testing.T, epoch int, srv *Server) epochDigest {
 	rng := rand.New(rand.NewSource(int64(epoch) + 7))
 	var path []int32
 	for q := 0; q < 200; q++ {
-		sh := srv.Shard(q)
 		src, dst := rng.Intn(n), rng.Intn(n)
-		d, epoch1, err := sh.OneHop(src, dst)
+		d, epoch1, err := srv.OneHop(src, dst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +200,7 @@ func digestServed(t *testing.T, epoch int, srv *Server) epochDigest {
 		w64(math.Float64bits(d.Cost))
 		var cost float64
 		var ok bool
-		path, cost, ok, err = sh.AppendRoute(src, dst, path[:0])
+		path, cost, ok, err = srv.AppendRoute(src, dst, path[:0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +212,7 @@ func digestServed(t *testing.T, epoch int, srv *Server) epochDigest {
 		} else {
 			w64(^uint64(0))
 		}
-		rc, epoch2, err := sh.RouteCost(src, dst)
+		rc, epoch2, err := srv.RouteCost(src, dst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,23 +224,17 @@ func digestServed(t *testing.T, epoch int, srv *Server) epochDigest {
 	return epochDigest{epoch: epoch, hash: h.Sum64()}
 }
 
-// TestServedIdenticalAcrossShardsAndWorkers is the ISSUE 9 acceptance
-// gate: decisions served by the sharded server are byte-identical to
-// the single-shard server's, across engine workers {1,4} × server
-// shards {1,4}, with the hot-row precompute active (the route queries
-// the digest issues feed the counters that seed the next epoch's
-// warming — which must never change an answer, only its cost).
-func TestServedIdenticalAcrossShardsAndWorkers(t *testing.T) {
-	combos := [][2]int{{1, 1}, {1, 4}, {4, 1}, {4, 4}}
-	if raceEnabled {
-		combos = [][2]int{{1, 1}, {4, 4}} // trim the race run; the full grid runs in the normal pass
-	}
-	run := func(workers, shards int) []epochDigest {
+// TestServedIdenticalAcrossWorkers is the ISSUE 9 acceptance gate:
+// decisions served by the server are byte-identical across engine
+// workers {1,4} (the route queries the digest issues grow the served
+// row cache, which must never change an answer, only its cost).
+func TestServedIdenticalAcrossWorkers(t *testing.T) {
+	run := func(workers int) []epochDigest {
 		net, err := underlay.NewLite(150, 23+1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := NewServerShards(shards)
+		srv := NewServer()
 		var digests []epochDigest
 		cfg := churnScaleConfig(workers, func(epoch int, wiring [][]int, active []bool) {
 			srv.Publish(Compile(int64(epoch), wiring, active, net, Options{}))
@@ -254,19 +245,16 @@ func TestServedIdenticalAcrossShardsAndWorkers(t *testing.T) {
 		}
 		return digests
 	}
-	ref := run(combos[0][0], combos[0][1])
+	ref, got := run(1), run(4)
 	if len(ref) < 2 {
 		t.Fatalf("published only %d epochs", len(ref))
 	}
-	for _, c := range combos[1:] {
-		got := run(c[0], c[1])
-		if len(got) != len(ref) {
-			t.Fatalf("workers=%d shards=%d: published %d vs %d epochs", c[0], c[1], len(got), len(ref))
-		}
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("workers=%d shards=%d epoch %d: served digest %x, reference %x", c[0], c[1], got[i].epoch, got[i].hash, ref[i].hash)
-			}
+	if len(got) != len(ref) {
+		t.Fatalf("workers=4: published %d vs %d epochs", len(got), len(ref))
+	}
+	for i := range ref {
+		if got[i] != ref[i] {
+			t.Fatalf("workers=4 epoch %d: served digest %x, workers=1 %x", got[i].epoch, got[i].hash, ref[i].hash)
 		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // FuzzBinaryBatch fuzzes the one decoder in this package that reads
-// bytes off a raw socket: Shard.AnswerBinary, the payload handler behind
+// bytes off a raw socket: Server.AnswerBinary, the payload handler behind
 // both ServeBinary and POST /routes.bin. Properties: arbitrary bytes
 // never panic; a rejected request appends nothing; every accepted
 // request's response parses with DecodeBatchResponse, carries one result
@@ -30,7 +30,6 @@ func FuzzBinaryBatch(f *testing.F) {
 	snap := Compile(5, randomWiring(n, 3, rand.New(rand.NewSource(21))), active, testNet(f, n), Options{RouteCacheRows: 4})
 	srv := NewServer()
 	srv.Publish(snap)
-	h := srv.Shard(0)
 
 	for _, mode := range []byte{BinModeOneHop, BinModeRoute} {
 		good := AppendBatchRequest(nil, mode, binPairs(n))
@@ -49,7 +48,7 @@ func FuzzBinaryBatch(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, req []byte) {
-		resp, err := h.AnswerBinary(req, nil)
+		resp, err := srv.AnswerBinary(req, nil)
 		if err != nil {
 			if len(resp) != 0 {
 				t.Fatalf("rejected request (%v) appended %d bytes", err, len(resp))
@@ -71,7 +70,7 @@ func FuzzBinaryBatch(f *testing.F) {
 		for i, got := range results {
 			src := int(binary.LittleEndian.Uint32(req[5+8*i:]))
 			dst := int(binary.LittleEndian.Uint32(req[9+8*i:]))
-			want := answerPair(h.sh, snap, jsonMode, src, dst)
+			want := srv.answerPair(snap, jsonMode, src, dst)
 			status := BinOK
 			switch {
 			case want.Error != "":

@@ -3,8 +3,11 @@ package plane
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math/rand"
 	"net/http/httptest"
+	"sort"
+	"strings"
 	"testing"
 
 	"egoist/internal/obs"
@@ -12,28 +15,29 @@ import (
 
 // TestServerMetricsExposition drives queries through an instrumented
 // server and checks the registered series move: query counters track
-// the shard atomics, latency histograms observe, cache counters
-// classify, and the snapshot gauges report the serving epoch.
+// the server's atomics, latency histograms observe, cache counters
+// classify, and the snapshot gauges report the serving epoch. Every
+// series is unlabeled.
 func TestServerMetricsExposition(t *testing.T) {
 	const n, k = 80, 4
 	net := testNet(t, n)
-	srv := NewServerShards(2)
+	srv := NewServer()
 	reg := obs.NewRegistry()
 	srv.EnableMetrics(reg)
 	srv.Publish(Compile(7, randomWiring(n, k, rand.New(rand.NewSource(5))), nil, net, Options{}))
 
 	for i := 0; i < 10; i++ {
-		if _, _, err := srv.Shard(0).OneHop(i, n-1); err != nil {
+		if _, _, err := srv.OneHop(i, n-1); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 60; i++ {
-		if _, _, err := srv.Shard(1).RouteCost(i%3, n-1-i%7); err != nil {
+		if _, _, err := srv.RouteCost(i%3, n-1-i%7); err != nil {
 			t.Fatal(err)
 		}
 	}
 	req := AppendBatchRequest(nil, BinModeOneHop, []uint32{1, 2, 3, 4})
-	if _, err := srv.Shard(0).AnswerBinary(req, nil); err != nil {
+	if _, err := srv.AnswerBinary(req, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -42,16 +46,22 @@ func TestServerMetricsExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := obs.ParsePrometheus(buf.Bytes())
+	for series := range m {
+		if strings.Contains(series, "shard=") {
+			t.Errorf("series %s carries a shard label", series)
+		}
+	}
 	for series, want := range map[string]float64{
-		`plane_queries_onehop_total{shard="0"}`: 12, // 10 direct + 2 binary pairs
-		`plane_queries_onehop_total{shard="1"}`: 0,
-		`plane_queries_route_total{shard="1"}`:  60,
-		`plane_onehop_latency_ns_count`:         10, // binary pairs land in the batch histogram
-		`plane_route_latency_ns_count`:          60,
-		`plane_batch_latency_ns_count`:          1,
-		`plane_publish_latency_ns_count`:        1,
-		`plane_snapshot_epoch`:                  7,
-		`plane_snapshot_live`:                   float64(n),
+		"plane_queries_onehop_total":       12, // 10 direct + 2 binary pairs
+		"plane_queries_route_total":        60,
+		"plane_queries_failed_total":       0,
+		"plane_binary_conns_refused_total": 0,
+		"plane_onehop_latency_ns_count":    10, // binary pairs land in the batch histogram
+		"plane_route_latency_ns_count":     60,
+		"plane_batch_latency_ns_count":     1,
+		"plane_publish_latency_ns_count":   1,
+		"plane_snapshot_epoch":             7,
+		"plane_snapshot_live":              float64(n),
 	} {
 		if got, ok := m[series]; !ok || got != want {
 			t.Errorf("series %s = %v (present=%v), want %v", series, got, ok, want)
@@ -84,20 +94,20 @@ func TestServerMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestSnapshotEndpointPerShard pins the GET /snapshot additions: the
-// per-shard counter breakdown, the row-cache counters, and the
-// snapshot age ride alongside the summed totals.
-func TestSnapshotEndpointPerShard(t *testing.T) {
+// TestSnapshotEndpoint pins GET /snapshot: the query totals, the
+// row-cache counters and the snapshot age, and no key beyond the
+// snapshot's metadata (no per-shard breakdown).
+func TestSnapshotEndpoint(t *testing.T) {
 	const n, k = 60, 4
 	net := testNet(t, n)
-	srv := NewServerShards(2)
+	srv := NewServer()
 	srv.Publish(Compile(3, randomWiring(n, k, rand.New(rand.NewSource(9))), nil, net, Options{}))
 	for i := 0; i < 5; i++ {
-		if _, _, err := srv.Shard(0).OneHop(i, n-1); err != nil {
+		if _, _, err := srv.OneHop(i, n-1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := srv.Shard(1).RouteCost(0, n-1); err != nil {
+	if _, _, err := srv.RouteCost(0, n-1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -108,35 +118,39 @@ func TestSnapshotEndpointPerShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var info struct {
-		QueriesOneHop int64 `json:"queries_onehop"`
-		PerShard      []struct {
-			Shard  int   `json:"shard"`
-			OneHop int64 `json:"onehop"`
-			Routes int64 `json:"routes"`
-		} `json:"per_shard"`
-		Cache      CacheStats `json:"cache"`
-		AgeSeconds *float64   `json:"age_seconds"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if info.QueriesOneHop != 5 {
-		t.Fatalf("summed onehop = %d, want 5", info.QueriesOneHop)
+	var info struct {
+		QueriesOneHop int64      `json:"queries_onehop"`
+		QueriesRoute  int64      `json:"queries_route"`
+		Cache         CacheStats `json:"cache"`
+		AgeSeconds    *float64   `json:"age_seconds"`
 	}
-	if len(info.PerShard) != 2 {
-		t.Fatalf("per_shard has %d rows, want 2", len(info.PerShard))
+	if err := json.Unmarshal(body, &info); err != nil {
+		t.Fatal(err)
 	}
-	if info.PerShard[0].OneHop != 5 || info.PerShard[1].OneHop != 0 {
-		t.Fatalf("per-shard onehop = %d/%d, want 5/0", info.PerShard[0].OneHop, info.PerShard[1].OneHop)
-	}
-	if info.PerShard[1].Routes != 1 {
-		t.Fatalf("shard 1 routes = %d, want 1", info.PerShard[1].Routes)
+	if info.QueriesOneHop != 5 || info.QueriesRoute != 1 {
+		t.Fatalf("onehop/route totals = %d/%d, want 5/1", info.QueriesOneHop, info.QueriesRoute)
 	}
 	if info.Cache.Misses != 1 {
 		t.Fatalf("cache misses = %d, want 1", info.Cache.Misses)
 	}
 	if info.AgeSeconds == nil || *info.AgeSeconds < 0 {
 		t.Fatalf("age_seconds = %v, want present and >= 0", info.AgeSeconds)
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(body, &keys); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for key := range keys {
+		got = append(got, key)
+	}
+	sort.Strings(got)
+	want := "age_seconds arcs cache epoch live nodes published queries_failed queries_onehop queries_route"
+	if strings.Join(got, " ") != want {
+		t.Fatalf("/snapshot keys = %v, want exactly %s", got, want)
 	}
 }

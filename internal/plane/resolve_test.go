@@ -57,14 +57,14 @@ func answersOf(t *testing.T, snap *Snapshot, src, dst int) routeAnswer {
 	return ans
 }
 
-// binaryAnswers asks one shard for the panel in route mode.
-func binaryAnswers(t *testing.T, h Shard, panel [][2]int) []routeAnswer {
+// binaryAnswers asks the server for the panel in route mode.
+func binaryAnswers(t *testing.T, srv *Server, panel [][2]int) []routeAnswer {
 	t.Helper()
 	var pairs []uint32
 	for _, p := range panel {
 		pairs = append(pairs, uint32(p[0]), uint32(p[1]))
 	}
-	resp, err := h.AnswerBinary(AppendBatchRequest(nil, BinModeRoute, pairs), nil)
+	resp, err := srv.AnswerBinary(AppendBatchRequest(nil, BinModeRoute, pairs), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,18 +86,17 @@ func binaryAnswers(t *testing.T, h Shard, panel [][2]int) []routeAnswer {
 }
 
 // TestRouteAnswersAgreeAcrossCacheStates is the serve-path
-// differential: along a Compile → 20×Patch chain served by two shards,
-// every route answer — cost bits, node ids, path order — is the same
-// whether it came from a pair search on a cold cache, from the row the
-// source earned once it crossed the fill threshold, from a carried row
-// in either shard's view, or from a fresh Compile whose rows were all
-// computed up front.
+// differential: along a served Compile → 20×Patch chain, every route
+// answer — cost bits, node ids, path order — is the same whether it
+// came from a pair search on a cold cache, from the row the source
+// earned once it crossed the fill threshold, from a row Patch carried,
+// or from a fresh Compile whose rows were all computed up front.
 func TestRouteAnswersAgreeAcrossCacheStates(t *testing.T) {
 	const n, k = 90, 3
 	net := testNet(t, n)
 	rng := rand.New(rand.NewSource(61))
 	m := newMutableWiring(rng, n, k)
-	srv := NewServerShards(2)
+	srv := NewServer()
 	chain := Compile(-1, m.wiring, m.active, net, Options{})
 	srv.Publish(chain)
 	for step := 0; step <= 20; step++ {
@@ -146,24 +145,22 @@ func TestRouteAnswersAgreeAcrossCacheStates(t *testing.T) {
 				t.Fatalf("step %d (%d,%d): filled row says %+v, want %+v", step, p[0], p[1], got, want[i])
 			}
 		}
-		// The served chain, two private caches: the panel plus one busy
-		// source, so searches, a fill and hits on carried or fresh rows
-		// all answer within one batch.
+		// The served chain: the panel plus one busy source, so searches,
+		// a fill and hits on carried or fresh rows all answer within one
+		// batch — asked through the server first, while the chain's cache
+		// is as Patch left it, then through the snapshot API.
 		for q := 0; q < 16; q++ {
 			p := [2]int{panel[1][0], rng.Intn(n)}
 			panel, want = append(panel, p), append(want, answersOf(t, full, p[0], p[1]))
 		}
-		for i, p := range panel {
-			// The chain's own cache is the one Patch carries rows from.
-			if got := answersOf(t, chain, p[0], p[1]); !sameAnswer(got, want[i]) {
-				t.Fatalf("step %d (%d,%d): the patched chain says %+v, want %+v", step, p[0], p[1], got, want[i])
+		for i, got := range binaryAnswers(t, srv, panel) {
+			if !sameAnswer(got, want[i]) {
+				t.Fatalf("step %d (%d,%d): AnswerBinary says %+v, want %+v", step, panel[i][0], panel[i][1], got, want[i])
 			}
 		}
-		for shard := 0; shard < 2; shard++ {
-			for i, got := range binaryAnswers(t, srv.Shard(shard), panel) {
-				if !sameAnswer(got, want[i]) {
-					t.Fatalf("step %d shard %d (%d,%d): AnswerBinary says %+v, want %+v", step, shard, panel[i][0], panel[i][1], got, want[i])
-				}
+		for i, p := range panel {
+			if got := answersOf(t, chain, p[0], p[1]); !sameAnswer(got, want[i]) {
+				t.Fatalf("step %d (%d,%d): the patched chain says %+v, want %+v", step, p[0], p[1], got, want[i])
 			}
 		}
 	}
@@ -238,33 +235,32 @@ func TestColdRoutesZeroAlloc(t *testing.T) {
 		t.Skip("race instrumentation allocates on otherwise allocation-free paths")
 	}
 	const n, k, runs = 700, 4, 100
-	srv := NewServerShards(2)
+	srv := NewServer()
 	srv.EnableMetrics(obs.NewRegistry())
 	srv.Publish(Compile(0, randomWiring(n, k, rand.New(rand.NewSource(83))), nil, testNet(t, n), Options{}))
-	h := srv.Shard(0)
 	src := 0
 	next := func() int { src++; return src % n }
 
 	if got := testing.AllocsPerRun(runs, func() {
-		if _, _, err := h.RouteCost(next(), n/2); err != nil {
+		if _, _, err := srv.RouteCost(next(), n/2); err != nil {
 			t.Fatal(err)
 		}
 	}); got != 0 {
-		t.Fatalf("Shard.RouteCost allocates %.1f/op on cold sources, want 0", got)
+		t.Fatalf("Server.RouteCost allocates %.1f/op on cold sources, want 0", got)
 	}
 	buf := make([]int32, 0, n)
 	if got := testing.AllocsPerRun(runs, func() {
-		path, _, _, err := h.AppendRoute(next(), n/2, buf)
+		path, _, _, err := srv.AppendRoute(next(), n/2, buf)
 		if err != nil {
 			t.Fatal(err)
 		}
 		buf = path[:0]
 	}); got != 0 {
-		t.Fatalf("Shard.AppendRoute allocates %.1f/op on cold sources, want 0", got)
+		t.Fatalf("Server.AppendRoute allocates %.1f/op on cold sources, want 0", got)
 	}
 	pairs := make([]uint32, 8)
 	var req []byte
-	resp, err := h.AnswerBinary(AppendBatchRequest(nil, BinModeRoute, []uint32{1, 2, 3, 4, 5, 6, 7, 8}), nil)
+	resp, err := srv.AnswerBinary(AppendBatchRequest(nil, BinModeRoute, []uint32{1, 2, 3, 4, 5, 6, 7, 8}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,13 +269,13 @@ func TestColdRoutesZeroAlloc(t *testing.T) {
 			pairs[i], pairs[i+1] = uint32(next()), uint32(n/2)
 		}
 		req = AppendBatchRequest(req[:0], BinModeRoute, pairs)
-		out, err := h.AnswerBinary(req, resp[:0])
+		out, err := srv.AnswerBinary(req, resp[:0])
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp = out
 	}); got != 0 {
-		t.Fatalf("Shard.AnswerBinary(route) allocates %.1f/op on cold sources, want 0", got)
+		t.Fatalf("Server.AnswerBinary(route) allocates %.1f/op on cold sources, want 0", got)
 	}
 	if st := srv.CacheStats(); st.Fills != 0 || st.Hits != 0 || st.PairSearches < 6*runs {
 		t.Fatalf("the gates did not run on pair searches alone: %+v", st)

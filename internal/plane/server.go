@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -24,253 +23,127 @@ const (
 	maxBatchBytes = 1 << 20 // comfortably holds maxBatchPairs of JSON pairs
 )
 
-// Server is the query-serving layer, sharded per core: each shard owns
-// an atomic snapshot pointer, its own shortest-path row cache (a
-// per-shard view of the published snapshot), and its own counters, so
-// readers pinned to different shards share no mutable state — no
-// rowCache mutex contention, no counter cache-line ping-pong. Publish
-// swaps every shard's pointer (RCU-style): queries in flight finish on
-// the snapshot they started with, a batch grabs one shard's pointer
-// once and answers every pair from that epoch, and old snapshots are
-// garbage once their readers drain.
-//
-// Decisions are identical at any shard count: shards differ only in
-// cache and counter placement, never in answers (pinned by the plane
-// equivalence suite). One Server is safe for any number of concurrent
-// Publish-ers and query-ers, though the engines publish from a single
-// goroutine.
+// Server is the query-serving layer: one atomic snapshot pointer, the
+// query counters and the metrics hooks. Publish swaps the pointer
+// (RCU-style): queries in flight finish on the snapshot they started
+// with, a batch loads the pointer once and answers every pair from that
+// epoch, and old snapshots are garbage once their readers drain. The
+// published snapshot itself serves, so its row cache is the one a later
+// Patch carries rows from. One Server is safe for any number of
+// concurrent Publish-ers and query-ers, though the engines publish from
+// a single goroutine.
 type Server struct {
-	shards  []*shard
-	base    atomic.Pointer[Snapshot]
-	rr      atomic.Uint32 // round-robin shard pick for unpinned callers
-	mu      sync.Mutex    // serializes Publish bookkeeping
-	pubTime atomic.Int64  // UnixNano of the last Publish (0 = never)
-	cstats  cacheStats    // row-cache counters, threaded through every publish
+	cur        atomic.Pointer[Snapshot]
+	onehop     atomic.Int64
+	routes     atomic.Int64
+	failed     atomic.Int64
+	binRefused atomic.Int64   // binary connections closed over the cap
+	m          *serverMetrics // nil until EnableMetrics
+	mu         sync.Mutex     // serializes Publish bookkeeping
+	pubTime    atomic.Int64   // UnixNano of the last Publish (0 = never)
+	cstats     cacheStats     // row-cache counters, threaded through every publish
 }
 
-// shard is one core's serving state. The counters of different shards
-// live in different allocations (and the trailing pad keeps a shard's
-// hot fields from sharing a line with a neighboring allocation), so
-// shard-pinned readers never contend.
-type shard struct {
-	cur    atomic.Pointer[Snapshot]
-	onehop atomic.Int64
-	routes atomic.Int64
-	failed atomic.Int64
-	idx    int            // this shard's index (metrics cell selector)
-	m      *serverMetrics // nil until Server.EnableMetrics
-	_      [64]byte
-}
+// NewServer returns a Server with no snapshot published.
+func NewServer() *Server { return new(Server) }
 
-// NewServer returns a single-shard Server with no snapshot published —
-// the zero-contention layout for single-goroutine callers, and the
-// exact pre-sharding behavior (the published snapshot itself serves,
-// so its row cache carries across Patch chains).
-func NewServer() *Server { return NewServerShards(1) }
+// Shard is what the benchmark module's probes still call a serving
+// handle: the Server itself. It and Server.Shard go with the benchmark
+// revision that stops passing egoist-route -cores 1.
+type Shard = *Server
 
-// NewServerShards returns a Server with p independent serving shards
-// (p <= 0 means GOMAXPROCS). Callers that want multi-core throughput
-// pin each worker to one Shard handle; unpinned Server-level calls and
-// HTTP requests are spread round-robin.
-func NewServerShards(p int) *Server {
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	s := &Server{shards: make([]*shard, p)}
-	for i := range s.shards {
-		s.shards[i] = &shard{idx: i}
-	}
-	return s
-}
+// Shard returns s.
+func (s *Server) Shard(int) Shard { return s }
 
-// Shards reports the shard count.
-func (s *Server) Shards() int { return len(s.shards) }
-
-// Shard returns a handle pinned to shard i mod Shards() — the
-// multi-core serving API: one handle per worker, no shared mutable
-// state between handles of different shards.
-func (s *Server) Shard(i int) Shard {
-	if i < 0 {
-		i = 0
-	}
-	return Shard{sh: s.shards[i%len(s.shards)]}
-}
-
-// pick spreads unpinned callers across shards. The round-robin counter
-// is the one shared atomic on this path — callers that care about the
-// last nanoseconds hold a Shard handle instead.
-func (s *Server) pick() *shard {
-	if len(s.shards) == 1 {
-		return s.shards[0]
-	}
-	return s.shards[int(s.rr.Add(1))%len(s.shards)]
-}
-
-// Publish installs snap as the serving snapshot on every shard, handing
-// each its own view: same immutable topology, a private row cache
-// seeded with every row snap already has (the rows a Patch carried
-// over, typically) shared by reference, so the per-shard caches start
-// as warm as snap without copying a byte. With one shard, snap itself
-// serves (exact pre-sharding behavior). Nothing is computed here: a
-// source whose row a change crossed is answered by pair searches until
-// it has earned the row back.
+// Publish installs snap as the serving snapshot. Nothing is computed
+// here: rows a Patch carried over keep serving, and a source whose row
+// a change crossed is answered by pair searches until it has earned the
+// row back.
 func (s *Server) Publish(snap *Snapshot) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t0 := time.Now()
 	snap.rows.setStats(&s.cstats)
-	s.base.Store(snap)
-	if len(s.shards) == 1 {
-		s.shards[0].cur.Store(snap)
-	} else {
-		for _, sh := range s.shards {
-			view := snap.shardView()
-			view.rows.setStats(&s.cstats)
-			sh.cur.Store(view)
-		}
-	}
+	s.cur.Store(snap)
 	s.pubTime.Store(time.Now().UnixNano())
-	if m := s.shards[0].m; m != nil {
-		m.publishNs.Observe(time.Since(t0).Nanoseconds())
+	if s.m != nil {
+		s.m.publishNs.Observe(time.Since(t0).Nanoseconds())
 	}
 }
 
-// Current returns the published base snapshot, or nil before the first
+// Current returns the serving snapshot, or nil before the first
 // Publish. It stays valid (immutable) even after later publishes — and
-// it is the snapshot to Patch when chaining delta publications, since
-// its row cache is the one Publish seeds the per-shard views from.
-func (s *Server) Current() *Snapshot { return s.base.Load() }
+// it is the snapshot to Patch when chaining delta publications.
+func (s *Server) Current() *Snapshot { return s.cur.Load() }
 
-// Stats reports the served-query counters summed across shards; failed
-// counts queries with no published snapshot or invalid node ids. The
-// counter contract: a tallied onehop/routes query is a delivered
-// result — queries rejected before an answer (bad ids, no snapshot)
-// only ever increment failed.
+// Stats reports the served-query counters; failed counts queries with
+// no published snapshot or invalid node ids. The counter contract: a
+// tallied onehop/routes query is a delivered result — queries rejected
+// before an answer (bad ids, no snapshot) only ever increment failed.
 func (s *Server) Stats() (onehop, routes, failed int64) {
-	for _, sh := range s.shards {
-		onehop += sh.onehop.Load()
-		routes += sh.routes.Load()
-		failed += sh.failed.Load()
-	}
-	return
+	return s.onehop.Load(), s.routes.Load(), s.failed.Load()
 }
 
-// OneHop answers one O(k) source-routing query from a round-robin
-// shard's current snapshot. Pinned callers use Shard.OneHop.
+// admit is every single-query path's preamble: it loads the serving
+// snapshot and validates src and dst against it, counting a rejected
+// query as failed. epoch is the snapshot's, or -1 before the first
+// Publish.
+func (s *Server) admit(src, dst int) (snap *Snapshot, epoch int64, err error) {
+	snap = s.cur.Load()
+	if snap == nil {
+		s.failed.Add(1)
+		return nil, -1, ErrNoSnapshot
+	}
+	if err := snap.checkPair(src, dst); err != nil {
+		s.failed.Add(1)
+		return nil, snap.epoch, err
+	}
+	return snap, snap.epoch, nil
+}
+
+// OneHop answers one O(k) source-routing query from the current
+// snapshot — zero allocations end-to-end (gated by
+// TestServeHotPathsZeroAlloc).
 func (s *Server) OneHop(src, dst int) (Decision, int64, error) {
-	return Shard{sh: s.pick()}.OneHop(src, dst)
+	snap, epoch, err := s.admit(src, dst)
+	if err != nil {
+		return Decision{}, epoch, err
+	}
+	s.onehop.Add(1)
+	t0 := s.m.start()
+	d := snap.OneHop(src, dst)
+	s.m.onehop(t0)
+	return d, epoch, nil
 }
 
-// Route answers one full shortest-path query from a round-robin
-// shard's current snapshot. ok=false means dst is not
-// overlay-reachable from src in the serving epoch — still an answered
-// query, unlike an error.
-func (s *Server) Route(src, dst int) (Route, bool, int64, error) {
-	return Shard{sh: s.pick()}.Route(src, dst)
-}
-
-// Shard is a handle pinned to one serving shard: the multi-core hot
-// path. Handles are values; any number may point at the same shard.
-type Shard struct {
-	sh *shard
-}
-
-// Current returns the shard's serving snapshot view (nil before the
-// first Publish). Multi-shard views share topology with the base
-// snapshot but own their row cache.
-func (h Shard) Current() *Snapshot { return h.sh.cur.Load() }
-
-// OneHop answers one one-hop query from this shard — zero allocations
-// end-to-end (gated by TestServeHotPathsZeroAlloc).
-func (h Shard) OneHop(src, dst int) (Decision, int64, error) {
-	snap := h.sh.cur.Load()
-	if snap == nil {
-		h.sh.failed.Add(1)
-		return Decision{}, -1, ErrNoSnapshot
+// RouteCost answers one shortest-path cost query (+Inf when
+// unreachable), skipping path reconstruction — zero allocations whether
+// a row or a pair search answers.
+func (s *Server) RouteCost(src, dst int) (float64, int64, error) {
+	snap, epoch, err := s.admit(src, dst)
+	if err != nil {
+		return graph.Inf, epoch, err
 	}
-	if err := snap.checkPair(src, dst); err != nil {
-		h.sh.failed.Add(1)
-		return Decision{}, snap.epoch, err
-	}
-	h.sh.onehop.Add(1)
-	if m := h.sh.m; m != nil {
-		t0 := time.Now()
-		d := snap.OneHop(src, dst)
-		m.onehopNs.ObserveShard(h.sh.idx, time.Since(t0).Nanoseconds())
-		return d, snap.epoch, nil
-	}
-	return snap.OneHop(src, dst), snap.epoch, nil
-}
-
-// Route answers one full shortest-path query from this shard. The
-// returned path is freshly allocated; the serving hot loop uses
-// AppendRoute instead.
-func (h Shard) Route(src, dst int) (Route, bool, int64, error) {
-	snap := h.sh.cur.Load()
-	if snap == nil {
-		h.sh.failed.Add(1)
-		return Route{}, false, -1, ErrNoSnapshot
-	}
-	if err := snap.checkPair(src, dst); err != nil {
-		h.sh.failed.Add(1)
-		return Route{}, false, snap.epoch, err
-	}
-	h.sh.routes.Add(1)
-	if m := h.sh.m; m != nil {
-		t0 := time.Now()
-		r, ok := snap.Route(src, dst)
-		m.routeNs.ObserveShard(h.sh.idx, time.Since(t0).Nanoseconds())
-		return r, ok, snap.epoch, nil
-	}
-	r, ok := snap.Route(src, dst)
-	return r, ok, snap.epoch, nil
-}
-
-// RouteCost answers one shortest-path cost query from this shard
-// (+Inf when unreachable), skipping path reconstruction — zero
-// allocations whether a row or a pair search answers.
-func (h Shard) RouteCost(src, dst int) (float64, int64, error) {
-	snap := h.sh.cur.Load()
-	if snap == nil {
-		h.sh.failed.Add(1)
-		return graph.Inf, -1, ErrNoSnapshot
-	}
-	if err := snap.checkPair(src, dst); err != nil {
-		h.sh.failed.Add(1)
-		return graph.Inf, snap.epoch, err
-	}
-	h.sh.routes.Add(1)
-	if m := h.sh.m; m != nil {
-		t0 := time.Now()
-		c := snap.RouteCost(src, dst)
-		m.routeNs.ObserveShard(h.sh.idx, time.Since(t0).Nanoseconds())
-		return c, snap.epoch, nil
-	}
-	return snap.RouteCost(src, dst), snap.epoch, nil
+	s.routes.Add(1)
+	t0 := s.m.start()
+	c := snap.RouteCost(src, dst)
+	s.m.route(t0)
+	return c, epoch, nil
 }
 
 // AppendRoute answers one full shortest-path query, appending the path
 // to buf (pass the previous call's path[:0] to reuse storage) — the
 // zero-allocation serving path. ok=false means unreachable (cost +Inf,
 // empty path).
-func (h Shard) AppendRoute(src, dst int, buf []int32) (path []int32, cost float64, ok bool, err error) {
-	snap := h.sh.cur.Load()
-	if snap == nil {
-		h.sh.failed.Add(1)
-		return buf[:0], graph.Inf, false, ErrNoSnapshot
-	}
-	if err := snap.checkPair(src, dst); err != nil {
-		h.sh.failed.Add(1)
+func (s *Server) AppendRoute(src, dst int, buf []int32) (path []int32, cost float64, ok bool, err error) {
+	snap, _, err := s.admit(src, dst)
+	if err != nil {
 		return buf[:0], graph.Inf, false, err
 	}
-	h.sh.routes.Add(1)
-	if m := h.sh.m; m != nil {
-		t0 := time.Now()
-		path, cost, ok = snap.RouteInto(src, dst, buf)
-		m.routeNs.ObserveShard(h.sh.idx, time.Since(t0).Nanoseconds())
-		return path, cost, ok, nil
-	}
+	s.routes.Add(1)
+	t0 := s.m.start()
 	path, cost, ok = snap.RouteInto(src, dst, buf)
+	s.m.route(t0)
 	return path, cost, ok, nil
 }
 
@@ -308,9 +181,6 @@ type batchResponse struct {
 //	POST /routes {"mode":"onehop","pairs":[[i,j],...]}  batch, one epoch
 //	POST /routes.bin  binary batch (see binary.go for the frame format)
 //	GET  /snapshot  serving-snapshot metadata and query counters
-//
-// Each request is answered by one round-robin shard, so concurrent
-// HTTP load spreads across the per-shard caches.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/route", s.handleRoute)
@@ -326,32 +196,27 @@ func validMode(mode string) bool {
 }
 
 // answerPair resolves one pre-validated-mode query against an explicit
-// snapshot (so batches stay on one epoch) and tallies the shard's
-// counters under the contract that a tallied onehop/routes query is a
-// delivered result: an invalid pair is answered in-band (Ok=false,
-// Error set, Cost -1) and only increments failed.
-func answerPair(sh *shard, snap *Snapshot, mode string, src, dst int) routeResult {
+// snapshot (so batches stay on one epoch) and tallies the counters
+// under the contract that a tallied onehop/routes query is a delivered
+// result: an invalid pair is answered in-band (Ok=false, Error set,
+// Cost -1) and only increments failed.
+func (s *Server) answerPair(snap *Snapshot, mode string, src, dst int) routeResult {
 	res := routeResult{Src: src, Dst: dst, Mode: mode, Epoch: snap.epoch}
 	if res.Mode == "" {
 		res.Mode = "onehop"
 	}
 	if err := snap.checkPair(src, dst); err != nil {
-		sh.failed.Add(1)
+		s.failed.Add(1)
 		res.Cost = -1
 		res.Error = err.Error()
 		return res
 	}
 	switch mode {
 	case "", "onehop":
-		sh.onehop.Add(1)
-		t0 := time.Time{}
-		if sh.m != nil {
-			t0 = time.Now()
-		}
+		s.onehop.Add(1)
+		t0 := s.m.start()
 		d := snap.OneHop(src, dst)
-		if sh.m != nil {
-			sh.m.onehopNs.ObserveShard(sh.idx, time.Since(t0).Nanoseconds())
-		}
+		s.m.onehop(t0)
 		res.Cost = d.Cost
 		res.Ok = d.Cost < graph.Inf
 		if !res.Ok {
@@ -362,15 +227,10 @@ func answerPair(sh *shard, snap *Snapshot, mode string, src, dst int) routeResul
 			res.Via = &via
 		}
 	case "route":
-		sh.routes.Add(1)
-		t0 := time.Time{}
-		if sh.m != nil {
-			t0 = time.Now()
-		}
+		s.routes.Add(1)
+		t0 := s.m.start()
 		r, ok := snap.Route(src, dst)
-		if sh.m != nil {
-			sh.m.routeNs.ObserveShard(sh.idx, time.Since(t0).Nanoseconds())
-		}
+		s.m.route(t0)
 		res.Cost = r.Cost
 		res.Path = r.Path
 		res.Ok = ok
@@ -382,32 +242,31 @@ func answerPair(sh *shard, snap *Snapshot, mode string, src, dst int) routeResul
 }
 
 func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
-	sh := s.pick()
-	snap := sh.cur.Load()
+	snap := s.cur.Load()
 	if snap == nil {
-		sh.failed.Add(1)
+		s.failed.Add(1)
 		http.Error(w, ErrNoSnapshot.Error(), http.StatusServiceUnavailable)
 		return
 	}
 	mode := r.URL.Query().Get("mode")
 	if !validMode(mode) {
-		sh.failed.Add(1)
+		s.failed.Add(1)
 		http.Error(w, fmt.Sprintf("plane: unknown mode %q (want onehop or route)", mode), http.StatusBadRequest)
 		return
 	}
 	src, err := strconv.Atoi(r.URL.Query().Get("src"))
 	if err != nil {
-		sh.failed.Add(1)
+		s.failed.Add(1)
 		http.Error(w, "plane: bad src: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	dst, err := strconv.Atoi(r.URL.Query().Get("dst"))
 	if err != nil {
-		sh.failed.Add(1)
+		s.failed.Add(1)
 		http.Error(w, "plane: bad dst: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	res := answerPair(sh, snap, mode, src, dst)
+	res := s.answerPair(snap, mode, src, dst)
 	if res.Error != "" {
 		// Single-query endpoint: an invalid pair is the whole request.
 		http.Error(w, res.Error, http.StatusBadRequest)
@@ -421,10 +280,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "plane: POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	sh := s.pick()
-	snap := sh.cur.Load()
+	snap := s.cur.Load()
 	if snap == nil {
-		sh.failed.Add(1)
+		s.failed.Add(1)
 		http.Error(w, ErrNoSnapshot.Error(), http.StatusServiceUnavailable)
 		return
 	}
@@ -441,7 +299,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !validMode(req.Mode) {
-		sh.failed.Add(1)
+		s.failed.Add(1)
 		http.Error(w, fmt.Sprintf("plane: unknown mode %q (want onehop or route)", req.Mode), http.StatusBadRequest)
 		return
 	}
@@ -450,40 +308,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// onehop/routes counters only tally results the client receives.
 	resp := batchResponse{Epoch: snap.epoch, Results: make([]routeResult, 0, len(req.Pairs))}
 	for _, p := range req.Pairs {
-		resp.Results = append(resp.Results, answerPair(sh, snap, req.Mode, p[0], p[1]))
+		resp.Results = append(resp.Results, s.answerPair(snap, req.Mode, p[0], p[1]))
 	}
 	writeJSON(w, resp)
 }
 
-// shardCounters is one shard's query-counter row in GET /snapshot —
-// the per-shard breakdown that makes shard imbalance visible next to
-// the summed totals.
-type shardCounters struct {
-	Shard  int   `json:"shard"`
-	OneHop int64 `json:"onehop"`
-	Routes int64 `json:"routes"`
-	Failed int64 `json:"failed"`
-}
-
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	snap := s.base.Load()
+	snap := s.cur.Load()
 	onehop, routes, failed := s.Stats()
-	perShard := make([]shardCounters, len(s.shards))
-	for i, sh := range s.shards {
-		perShard[i] = shardCounters{
-			Shard:  i,
-			OneHop: sh.onehop.Load(),
-			Routes: sh.routes.Load(),
-			Failed: sh.failed.Load(),
-		}
-	}
 	info := map[string]interface{}{
 		"published":      snap != nil,
-		"shards":         len(s.shards),
 		"queries_onehop": onehop,
 		"queries_route":  routes,
 		"queries_failed": failed,
-		"per_shard":      perShard,
 		"cache":          s.cstats.read(),
 	}
 	if snap != nil {

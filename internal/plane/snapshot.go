@@ -270,19 +270,6 @@ func (s *Snapshot) RouteInto(src, dst int, buf []int32) (path []int32, cost floa
 	return path, cost, cost < graph.Inf
 }
 
-// shardView returns a serving view of s for one server shard: the same
-// immutable topology (CSR, liveness, delay oracle — shared pointers)
-// behind a private row cache, seeded with every row s has computed so
-// far, shared by reference in s's LRU order. Views of different shards
-// therefore answer identically and start equally warm, but their cache
-// mutexes and LRU state never contend.
-func (s *Snapshot) shardView() *Snapshot {
-	view := &Snapshot{epoch: s.epoch, csr: s.csr, net: s.net, live: s.live, nLive: s.nLive}
-	view.rows = newRowCache(view, s.rows.cap)
-	s.rows.carryInto(view.rows, func(int, []float64, []int32) bool { return true })
-	return view
-}
-
 // checkPair validates a query's node ids.
 func (s *Snapshot) checkPair(src, dst int) error {
 	if n := s.csr.N(); src < 0 || src >= n || dst < 0 || dst >= n {

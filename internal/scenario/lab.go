@@ -53,9 +53,8 @@ type LabOptions struct {
 	Logf func(format string, args ...interface{})
 }
 
-// labScrapeSeries is the per-daemon series kept in the fleet timeline.
-// A lab daemon's plane runs unsharded, so the plane query counters
-// render unlabeled.
+// labScrapeSeries is the per-daemon series kept in the fleet timeline
+// (every one renders unlabeled).
 var labScrapeSeries = []string{
 	"egoistd_probes_total",
 	"egoistd_probe_latency_ns_count",
