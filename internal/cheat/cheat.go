@@ -1,13 +1,9 @@
 // Package cheat models the free riders of Sect. 4.5: nodes that announce
 // false costs for their outgoing links through the link-state protocol to
-// discourage others from selecting them as upstream neighbors, plus the
-// audit countermeasure sketched in Sect. 3.4.
+// discourage others from selecting them as upstream neighbors.
 package cheat
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // Model describes a population of cost-misrepresenting free riders.
 type Model struct {
@@ -71,45 +67,4 @@ func (m *Model) Announced(from int, trueCost float64, bottleneck bool) float64 {
 		return trueCost / m.Factor
 	}
 	return trueCost * m.Factor
-}
-
-// Audit compares a node's announced cost against an independent estimate
-// (e.g. from the virtual coordinate system, Sect. 3.4) and reports whether
-// the discrepancy exceeds tolerance (a relative threshold such as 0.5).
-// It is the detection mechanism the paper argues EGOIST can do without.
-func Audit(announced, independent, tolerance float64) bool {
-	if independent <= 0 {
-		return false
-	}
-	return math.Abs(announced-independent)/independent > tolerance
-}
-
-// AuditSweep audits a random subset of nodes' announced outgoing costs and
-// returns the detected cheater ids. announce(i,j) is the cost node i
-// declares for its link to j; estimate(i,j) is the auditor's independent
-// estimate. Each audited node is checked on up to probes random outgoing
-// links.
-func AuditSweep(n, audits, probes int, tolerance float64, rng *rand.Rand,
-	announce, estimate func(i, j int) float64) []int {
-	var detected []int
-	perm := rng.Perm(n)
-	if audits > n {
-		audits = n
-	}
-	for _, i := range perm[:audits] {
-		flagged := 0
-		for p := 0; p < probes; p++ {
-			j := rng.Intn(n)
-			if j == i {
-				continue
-			}
-			if Audit(announce(i, j), estimate(i, j), tolerance) {
-				flagged++
-			}
-		}
-		if flagged > probes/2 {
-			detected = append(detected, i)
-		}
-	}
-	return detected
 }

@@ -51,44 +51,3 @@ func TestPopulationCount(t *testing.T) {
 		t.Fatalf("over-population = %d, want clamped to 5", got)
 	}
 }
-
-func TestAudit(t *testing.T) {
-	if Audit(10, 10, 0.5) {
-		t.Fatal("exact match flagged")
-	}
-	if !Audit(25, 10, 0.5) {
-		t.Fatal("2.5x inflation not flagged at 50% tolerance")
-	}
-	if Audit(25, 0, 0.5) {
-		t.Fatal("zero independent estimate should not flag")
-	}
-}
-
-func TestAuditSweepFindsInflators(t *testing.T) {
-	const n = 20
-	m := Single(n, 7, 3)
-	truth := func(i, j int) float64 { return 10 }
-	announce := func(i, j int) float64 { return m.Announced(i, truth(i, j), false) }
-	rng := rand.New(rand.NewSource(2))
-	detected := AuditSweep(n, n, 8, 0.5, rng, announce, truth)
-	found := false
-	for _, d := range detected {
-		if d == 7 {
-			found = true
-		} else {
-			t.Fatalf("honest node %d flagged", d)
-		}
-	}
-	if !found {
-		t.Fatal("cheater 7 escaped a full audit sweep")
-	}
-}
-
-func TestAuditSweepHonestPopulationClean(t *testing.T) {
-	const n = 15
-	truth := func(i, j int) float64 { return 5 }
-	rng := rand.New(rand.NewSource(3))
-	if detected := AuditSweep(n, n, 6, 0.5, rng, truth, truth); len(detected) != 0 {
-		t.Fatalf("false positives: %v", detected)
-	}
-}

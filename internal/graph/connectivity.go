@@ -1,24 +1,5 @@
 package graph
 
-// Reachable returns the set of nodes reachable from src by directed paths,
-// including src itself, as a boolean membership slice.
-func Reachable(g *Digraph, src NodeID) []bool {
-	seen := make([]bool, g.N())
-	stack := []NodeID{src}
-	seen[src] = true
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, a := range g.Out(u) {
-			if !seen[a.To] {
-				seen[a.To] = true
-				stack = append(stack, a.To)
-			}
-		}
-	}
-	return seen
-}
-
 // StronglyConnected reports whether every node can reach every other node.
 // It uses the standard two-pass reachability check (forward from node 0 and
 // forward from node 0 in the transpose graph). Graphs with fewer than two
@@ -45,6 +26,8 @@ func StronglyConnected(g *Digraph, active []bool) bool {
 	return coversActive(reachableMasked(transpose(g), root, active), active, count)
 }
 
+// reachableMasked returns the nodes reachable from src by directed paths
+// (src included) that stay inside active, when active is non-nil.
 func reachableMasked(g *Digraph, src NodeID, active []bool) []bool {
 	seen := make([]bool, g.N())
 	stack := []NodeID{src}
@@ -85,39 +68,9 @@ func transpose(g *Digraph) *Digraph {
 	return t
 }
 
-// HopDistances returns the hop-count (unweighted BFS) distances from src.
-// Unreachable nodes get -1.
-func HopDistances(g *Digraph, src NodeID) []int {
-	n := g.N()
-	dist := make([]int, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, a := range g.Out(u) {
-			if dist[a.To] == -1 {
-				dist[a.To] = dist[u] + 1
-				queue = append(queue, a.To)
-			}
-		}
-	}
-	return dist
-}
-
-// NeighborhoodSize returns |F(v)|: the number of distinct nodes reachable
-// from v within r hops, excluding v itself. It is the quantity that the
-// topology-biased sampling of Sect. 5 ranks candidates by.
-func NeighborhoodSize(g *Digraph, v NodeID, r int) int {
-	members := Neighborhood(g, v, r)
-	return len(members)
-}
-
-// Neighborhood returns the set of distinct nodes reachable from v within r
-// hops, excluding v itself.
+// Neighborhood returns F(v): the distinct nodes reachable from v within
+// r hops, excluding v itself — the set whose size the topology-biased
+// sampling of Sect. 5 ranks candidates by.
 func Neighborhood(g *Digraph, v NodeID, r int) []NodeID {
 	dist := boundedBFS(g, v, r)
 	var out []NodeID
@@ -129,6 +82,8 @@ func Neighborhood(g *Digraph, v NodeID, r int) []NodeID {
 	return out
 }
 
+// boundedBFS returns the hop distances from src out to r hops; nodes
+// further away or unreachable get -1.
 func boundedBFS(g *Digraph, src NodeID, r int) []int {
 	n := g.N()
 	dist := make([]int, n)

@@ -96,12 +96,9 @@ type dynEdit struct {
 
 // dynScratch is one worker's repair state.
 type dynScratch struct {
-	childHead []int32
-	childNext []int32
-	queue     []int32
-	oldDist   []float64
-	affected  []bool
-	sp        SPScratch // dheap backing array, reused across rows
+	cut     treeCut
+	oldDist []float64 // the cut region's labels before the repair, in queue order
+	sp      SPScratch // dheap backing array, reused across rows
 }
 
 // RowEdit is one node's new out-arc set for Apply.
@@ -401,99 +398,49 @@ func (e *dynEdit) stillHas(v int) bool {
 
 // repairRow fixes row i after the recorded edits, on the worker's
 // scratch: subtree invalidation and boundary re-relaxation for removed
-// tree arcs, then a global insertion relaxation for the added arcs.
+// tree arcs, then a global insertion relaxation for the added arcs. Both
+// passes end in settleMin, the loop a fresh row is built by.
 func (r *DynamicRows) repairRow(worker, i int) {
 	sc := r.scratch[worker]
-	n := r.g.N()
 	dist, parent := r.rows[i].dist, r.rows[i].parent
 	// The heap lives in a local for the duration: workers' scratch
 	// structs can share a cache line, and a heap pushed and popped through
 	// the pointer would write its header there on every operation.
-	h := dheap{items: sc.sp.items}
+	h := dheap{items: sc.sp.items[:0]}
 
 	// Cut roots: former tree children of an edited node that lost their
-	// tree arc. The queue is deduplicated via the affected marks so the
-	// old-value bookkeeping below is exact.
-	if cap(sc.affected) < n {
-		sc.childHead = make([]int32, n)
-		sc.childNext = make([]int32, n)
-		sc.affected = make([]bool, n)
-	}
-	sc.affected = sc.affected[:n]
-	sc.queue = sc.queue[:0]
+	// tree arc, deduplicated by the cut so the old-value bookkeeping below
+	// is exact.
+	c := &sc.cut
+	c.size(r.g.N())
 	for ei := range r.edits {
 		e := &r.edits[ei]
 		for _, a := range e.old {
-			if parent[a.To] == int32(e.node) && !e.stillHas(a.To) && !sc.affected[a.To] {
-				sc.affected[a.To] = true
-				sc.queue = append(sc.queue, int32(a.To))
+			if parent[a.To] == int32(e.node) && !e.stillHas(a.To) {
+				c.add(a.To)
 			}
 		}
 	}
-	if len(sc.queue) > 0 {
-		// Collect descendants via one child-list pass.
-		sc.childHead = sc.childHead[:n]
-		sc.childNext = sc.childNext[:n]
-		for v := range sc.childHead {
-			sc.childHead[v] = -1
-		}
-		for v := 0; v < n; v++ {
-			if p := parent[v]; p >= 0 {
-				sc.childNext[v] = sc.childHead[p]
-				sc.childHead[p] = int32(v)
-			}
-		}
-		for qi := 0; qi < len(sc.queue); qi++ {
-			v := sc.queue[qi]
-			for c := sc.childHead[v]; c >= 0; c = sc.childNext[c] {
-				if !sc.affected[c] {
-					sc.affected[c] = true
-					sc.queue = append(sc.queue, c)
-				}
-			}
-		}
+	if len(c.queue) > 0 {
+		c.collect(parent)
 		sc.oldDist = sc.oldDist[:0]
-		for _, v := range sc.queue {
+		for _, v := range c.queue {
 			sc.oldDist = append(sc.oldDist, dist[v])
 			dist[v] = Inf
 			parent[v] = -1
 		}
-		// Boundary seeding via the reverse adjacency, then a Dijkstra
-		// restricted to the affected region.
-		h.items = h.items[:0]
-		for _, v := range sc.queue {
+		// Boundary seeding via the reverse adjacency, then the settle loop
+		// confined to the cut region.
+		for _, v := range c.queue {
 			for _, a := range r.rev[v] {
-				x := a.To
-				if sc.affected[x] || dist[x] >= Inf {
-					continue
-				}
-				if nd := dist[x] + a.W; nd < dist[v] {
+				if nd := dist[a.To] + a.W; nd < dist[v] && !c.affected[a.To] {
 					dist[v] = nd
-					parent[v] = int32(x)
+					parent[v] = int32(a.To)
 					h.pushMin(int(v), nd)
 				}
 			}
 		}
-		for len(h.items) > 0 {
-			it := h.popMin()
-			u := it.node
-			if it.key != dist[u] {
-				continue
-			}
-			for _, a := range r.g.Out(u) {
-				if !sc.affected[a.To] {
-					continue
-				}
-				if nd := it.key + a.W; nd < dist[a.To] {
-					dist[a.To] = nd
-					parent[a.To] = int32(u)
-					h.pushMin(a.To, nd)
-				}
-			}
-		}
-		for _, v := range sc.queue {
-			sc.affected[v] = false
-		}
+		settleMin(&h, r.g.out, dist, parent, c.affected)
 	}
 
 	// Propagation relaxation: added arcs — and any affected node whose
@@ -502,41 +449,18 @@ func (r *DynamicRows) repairRow(worker, i int) {
 	// the edited graph, so a repaired node can come back cheaper
 	// through a freshly inserted arc; without re-seeding those
 	// decreases here they would stop at the region boundary (the
-	// restricted Dijkstra never relaxes outward), leaving violated arcs
+	// confined settle never relaxes outward), leaving violated arcs
 	// into untouched territory.
-	h.items = h.items[:0]
-	for qi, v := range sc.queue {
+	for qi, v := range c.queue {
 		if dist[v] < sc.oldDist[qi] {
 			h.pushMin(int(v), dist[v])
 		}
 	}
+	c.clear()
 	for ei := range r.edits {
 		e := &r.edits[ei]
-		du := dist[e.node]
-		if du >= Inf {
-			continue
-		}
-		for _, a := range e.newOut {
-			if nd := du + a.W; nd < dist[a.To] {
-				dist[a.To] = nd
-				parent[a.To] = int32(e.node)
-				h.pushMin(a.To, nd)
-			}
-		}
+		relaxMin(&h, e.node, dist[e.node], e.newOut, dist, parent, nil)
 	}
-	for len(h.items) > 0 {
-		it := h.popMin()
-		u := it.node
-		if it.key != dist[u] {
-			continue
-		}
-		for _, a := range r.g.Out(u) {
-			if nd := it.key + a.W; nd < dist[a.To] {
-				dist[a.To] = nd
-				parent[a.To] = int32(u)
-				h.pushMin(a.To, nd)
-			}
-		}
-	}
+	settleMin(&h, r.g.out, dist, parent, nil)
 	sc.sp.items = h.items
 }

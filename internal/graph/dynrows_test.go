@@ -181,6 +181,41 @@ func TestDynamicRowsDisconnection(t *testing.T) {
 	if r.Row(2) != nil {
 		t.Fatal("non-source Row should be nil")
 	}
+	// An empty batch and a non-source removal change nothing.
+	applies := r.Applies()
+	r.Apply(nil)
+	r.RemoveSource(2)
+	if r.Applies() != applies || len(r.Sources()) != 1 || r.RowAt(0)[3] != 6 {
+		t.Fatalf("no-op calls changed the rows: applies %d → %d, sources %v", applies, r.Applies(), r.Sources())
+	}
+}
+
+// TestDynamicRowsMutationGuard pins the loud half of the concurrency
+// contract: a read or a second mutation that observes a mutation in
+// flight panics instead of returning half-repaired distances.
+func TestDynamicRowsMutationGuard(t *testing.T) {
+	g := New(3)
+	g.AddArc(0, 1, 1)
+	r := NewDynamicRows()
+	r.Reset(g, []int{0}, 1)
+	done := r.beginMutate()
+	for name, call := range map[string]func(){
+		"Row":   func() { r.Row(0) },
+		"Apply": func() { r.Apply([]RowEdit{{Node: 1}}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s during a mutation did not panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+	done()
+	if r.Row(0)[1] != 1 {
+		t.Fatal("row changed by the refused calls")
+	}
 }
 
 // TestDynamicRowsSourceChurn drives AddSource/RemoveSource interleaved

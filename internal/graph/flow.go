@@ -82,18 +82,3 @@ func VertexDisjointPaths(g *Digraph, s, t NodeID) int {
 	}
 	return int(MaxFlow(split, s, t+n) + 0.5)
 }
-
-// EdgeDisjointPaths returns the maximum number of s-t paths that share no
-// edges, via unit-capacity max-flow.
-func EdgeDisjointPaths(g *Digraph, s, t NodeID) int {
-	if s == t {
-		return 0
-	}
-	unit := New(g.N())
-	for u := 0; u < g.N(); u++ {
-		for _, a := range g.Out(u) {
-			unit.AddArc(u, a.To, 1)
-		}
-	}
-	return int(MaxFlow(unit, s, t) + 0.5)
-}

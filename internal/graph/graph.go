@@ -1,8 +1,15 @@
 // Package graph provides the directed weighted graph engine underlying the
 // EGOIST overlay: shortest-path and widest-path (maximum bottleneck
 // bandwidth) routing, r-hop neighborhoods for topology-biased sampling,
-// disjoint-path counting and max-flow for the multipath applications, and
-// connectivity checks used by the wiring policies.
+// vertex-disjoint path counting and max-flow for the multipath
+// applications, and connectivity checks used by the wiring policies.
+//
+// Every search and every repair over Digraph rows runs one settle loop
+// per path algebra: settleMin (additive) for shortest, SPForest's
+// additive repairs and both passes of DynamicRows' repairs; settleMax
+// (bottleneck) for widest and SPForest's bottleneck repairs. A repaired
+// row therefore equals a fresh search bit for bit by construction. The
+// data plane's packed CSR has its own pair, DijkstraCSR and PairCSR.
 //
 // Node identifiers are dense integers in [0, N). Edges are directed and
 // weighted; the interpretation of a weight (delay, load, bandwidth) is up to

@@ -62,9 +62,27 @@ func TestClearNode(t *testing.T) {
 	g.AddArc(1, 2, 1)
 	g.AddArc(2, 1, 1)
 	g.AddArc(3, 1, 1)
+	g.AddArc(3, 2, 1)
 	g.ClearNode(1)
-	if g.NumArcs() != 0 {
-		t.Fatalf("NumArcs = %d, want 0 after clearing the only connected node", g.NumArcs())
+	if g.NumArcs() != 1 || !g.HasArc(3, 2) {
+		t.Fatalf("NumArcs = %d, want only 3->2 left after clearing node 1", g.NumArcs())
+	}
+}
+
+func TestNodeRangePanics(t *testing.T) {
+	for name, call := range map[string]func(){
+		"New(-1)":      func() { New(-1) },
+		"Out(3)":       func() { New(3).Out(3) },
+		"AddArc(0,-1)": func() { New(3).AddArc(0, -1, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			call()
+		}()
 	}
 }
 
@@ -123,6 +141,13 @@ func TestDijkstraLine(t *testing.T) {
 	path := PathTo(parent, 0, 3)
 	if len(path) != 4 || path[0] != 0 || path[3] != 3 {
 		t.Errorf("PathTo = %v, want [0 1 2 3]", path)
+	}
+	if path := PathTo(parent, 2, 2); len(path) != 1 || path[0] != 2 {
+		t.Errorf("PathTo(2, 2) = %v, want [2]", path)
+	}
+	// Node 2's tree path from 0 does not pass through 3.
+	if path := PathTo(parent, 3, 2); path != nil {
+		t.Errorf("PathTo(3, 2) over 0's tree = %v, want nil", path)
 	}
 }
 
@@ -216,7 +241,9 @@ func TestStronglyConnectedMasked(t *testing.T) {
 	g := New(4)
 	g.AddArc(0, 1, 1)
 	g.AddArc(1, 0, 1)
-	// node 2,3 isolated but inactive.
+	// node 2,3 isolated but inactive; an arc into inactive 2 does not
+	// count it in.
+	g.AddArc(0, 2, 1)
 	active := []bool{true, true, false, false}
 	if !StronglyConnected(g, active) {
 		t.Fatal("active subgraph {0,1} should be strongly connected")
@@ -240,7 +267,7 @@ func TestHopDistances(t *testing.T) {
 	g := New(4)
 	g.AddArc(0, 1, 99)
 	g.AddArc(1, 2, 99)
-	dist := HopDistances(g, 0)
+	dist := boundedBFS(g, 0, g.N()) // a radius of n bounds nothing
 	want := []int{0, 1, 2, -1}
 	for i, w := range want {
 		if dist[i] != w {
@@ -255,13 +282,13 @@ func TestNeighborhoodRadius(t *testing.T) {
 	g.AddArc(0, 1, 1)
 	g.AddArc(1, 2, 1)
 	g.AddArc(2, 3, 1)
-	if got := NeighborhoodSize(g, 0, 1); got != 1 {
+	if got := len(Neighborhood(g, 0, 1)); got != 1 {
 		t.Errorf("r=1: |F| = %d, want 1", got)
 	}
-	if got := NeighborhoodSize(g, 0, 2); got != 2 {
+	if got := len(Neighborhood(g, 0, 2)); got != 2 {
 		t.Errorf("r=2: |F| = %d, want 2", got)
 	}
-	if got := NeighborhoodSize(g, 0, 10); got != 3 {
+	if got := len(Neighborhood(g, 0, 10)); got != 3 {
 		t.Errorf("r=10: |F| = %d, want 3", got)
 	}
 }
@@ -284,6 +311,12 @@ func TestMaxFlowDisconnected(t *testing.T) {
 	g.AddArc(0, 1, 1)
 	if f := MaxFlow(g, 0, 2); f != 0 {
 		t.Fatalf("MaxFlow = %v, want 0", f)
+	}
+	if f := MaxFlow(g, 1, 1); !math.IsInf(f, 1) {
+		t.Fatalf("MaxFlow to itself = %v, want +Inf", f)
+	}
+	if p := VertexDisjointPaths(g, 1, 1); p != 0 {
+		t.Fatalf("VertexDisjointPaths to itself = %d, want 0", p)
 	}
 }
 
@@ -310,8 +343,9 @@ func TestVertexDisjointSharedIntermediate(t *testing.T) {
 	if p := VertexDisjointPaths(g, 0, 3); p != 1 {
 		t.Fatalf("VertexDisjointPaths = %d, want 1", p)
 	}
-	if p := EdgeDisjointPaths(g, 0, 3); p != 1 {
-		t.Fatalf("EdgeDisjointPaths = %d, want 1 (single out-edge at source)", p)
+	// Unit capacities: the max flow counts edge-disjoint paths.
+	if f := MaxFlow(g, 0, 3); f != 1 {
+		t.Fatalf("MaxFlow = %v, want 1 (single out-edge at source)", f)
 	}
 }
 
@@ -324,8 +358,9 @@ func TestEdgeDisjointMoreThanVertexDisjoint(t *testing.T) {
 	g.AddArc(2, 1, 1)
 	g.AddArc(1, 3, 1)
 	g.AddArc(3, 4, 1)
-	if p := EdgeDisjointPaths(g, 0, 4); p != 2 {
-		t.Fatalf("EdgeDisjointPaths = %d, want 2", p)
+	// Unit capacities: the max flow counts edge-disjoint paths.
+	if f := MaxFlow(g, 0, 4); f != 2 {
+		t.Fatalf("MaxFlow = %v, want 2 edge-disjoint paths", f)
 	}
 	if p := VertexDisjointPaths(g, 0, 4); p != 1 {
 		t.Fatalf("VertexDisjointPaths = %d, want 1 (all paths cross node 1)", p)
@@ -435,17 +470,19 @@ func bruteWidest(g *Digraph, s, t NodeID) float64 {
 	return dfs(s, math.Inf(1))
 }
 
-// Property: max-flow equals the sum of vertex-disjoint path counts when all
-// capacities are 1 and the graph has no direct structure sharing — weaker
-// sanity: maxflow >= edge-disjoint >= vertex-disjoint.
+// Property: vertex-disjoint paths are edge-disjoint, so their count is at
+// most the unit-capacity max flow, which counts edge-disjoint paths.
 func TestFlowOrderingProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(rng, 4+rng.Intn(8), 0.35)
+		for u := 0; u < g.N(); u++ {
+			for _, a := range g.Out(u) {
+				g.AddArc(u, a.To, 1)
+			}
+		}
 		s, tt := 0, g.N()-1
-		ed := EdgeDisjointPaths(g, s, tt)
-		vd := VertexDisjointPaths(g, s, tt)
-		return vd <= ed
+		return float64(VertexDisjointPaths(g, s, tt)) <= MaxFlow(g, s, tt)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
@@ -459,7 +496,7 @@ func TestDisjointPositiveIffReachable(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(rng, 4+rng.Intn(8), 0.25)
 		s, tt := 0, g.N()-1
-		reach := Reachable(g, s)[tt]
+		reach := reachableMasked(g, s, nil)[tt]
 		return (VertexDisjointPaths(g, s, tt) > 0) == reach
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {

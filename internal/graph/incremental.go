@@ -32,11 +32,8 @@ type SPForest struct {
 	undo        []undoEntry
 
 	// Reusable per-repair scratch.
-	affected  []bool
-	childHead []int32
-	childNext []int32
-	queue     []int32
-	sp        SPScratch // its heap serves Reset's rows and the repairs
+	cut treeCut
+	sp  SPScratch // its heap serves Reset's rows and the repairs
 }
 
 // undoEntry records one overwritten (source, node) distance/parent pair.
@@ -66,9 +63,6 @@ func (f *SPForest) Reset(g *Digraph, widest bool) {
 	f.removed = f.removed[:0]
 	f.removedFrom = -1
 	f.undo = f.undo[:0]
-	f.affected = boolsN(f.affected, n)
-	f.childHead = int32sN(f.childHead, n)
-	f.childNext = int32sN(f.childNext, n)
 	for src := 0; src < n; src++ {
 		f.sssp(src)
 	}
@@ -82,36 +76,9 @@ func (f *SPForest) Dist() [][]float64 { return f.dist }
 // N returns the node count of the current graph.
 func (f *SPForest) N() int { return f.n }
 
-// worstVal is the algebra's unreachable marker.
-func (f *SPForest) worstVal() float64 {
-	if f.widest {
-		return 0
-	}
-	return Inf
-}
-
-// better reports whether a beats b under the algebra.
-func (f *SPForest) better(a, b float64) bool {
-	if f.widest {
-		return a > b
-	}
-	return a < b
-}
-
-// extend folds an arc weight onto a path value.
-func (f *SPForest) extend(base, w float64) float64 {
-	if f.widest {
-		if w < base {
-			return w
-		}
-		return base
-	}
-	return base + w
-}
-
 // sssp runs a full single-source computation for src into the forest's
-// matrices (used by Reset): the shared Digraph kernel, whose heap and
-// strict-improvement parent rule the repairs below follow.
+// matrices (used by Reset): the fresh search whose settle loop the
+// repairs below run too.
 func (f *SPForest) sssp(src int) {
 	if f.widest {
 		f.sp.widest(f.g, src, f.dist[src], f.parent[src])
@@ -119,26 +86,6 @@ func (f *SPForest) sssp(src int) {
 		f.sp.shortest(f.g, src, f.g.Out(src), f.dist[src], f.parent[src])
 	}
 }
-
-// push and pop dispatch to the heap order matching the algebra.
-func (f *SPForest) push(h *dheap, node NodeID, key float64) {
-	if f.widest {
-		h.pushMax(node, key)
-	} else {
-		h.pushMin(node, key)
-	}
-}
-
-func (f *SPForest) pop(h *dheap) heapItem {
-	if f.widest {
-		return h.popMax()
-	}
-	return h.popMin()
-}
-
-// sameKey compares a heap key against the current distance, treating the
-// widest-path +Inf self value correctly.
-func sameKey(a, b float64) bool { return a == b }
 
 // RemoveOut removes node u's out-arcs from the maintained graph and
 // repairs every affected shortest-path tree, logging exact undo
@@ -155,6 +102,7 @@ func (f *SPForest) RemoveOut(u int) {
 	if len(f.removed) == 0 {
 		return
 	}
+	f.cut.size(f.n)
 	for src := 0; src < f.n; src++ {
 		f.repairAfterRemove(src, u)
 	}
@@ -166,86 +114,39 @@ func (f *SPForest) RemoveOut(u int) {
 // O(out-degree).
 func (f *SPForest) repairAfterRemove(src, u int) {
 	dist, parent := f.dist[src], f.parent[src]
-	cut := false
+	c := &f.cut
 	for _, a := range f.removed {
 		if parent[a.To] == int32(u) {
-			cut = true
-			break
+			c.add(a.To)
 		}
 	}
-	if !cut {
+	if len(c.queue) == 0 {
 		return
 	}
-	// Build the tree's child lists in one pass, then collect the
-	// descendants of u's cut children.
-	for i := range f.childHead {
-		f.childHead[i] = -1
-	}
-	for v := 0; v < f.n; v++ {
-		if p := parent[v]; p >= 0 {
-			f.childNext[v] = f.childHead[p]
-			f.childHead[p] = int32(v)
-		}
-	}
-	f.queue = f.queue[:0]
-	for _, a := range f.removed {
-		if parent[a.To] == int32(u) {
-			f.queue = append(f.queue, int32(a.To))
-		}
-	}
-	for qi := 0; qi < len(f.queue); qi++ {
-		v := f.queue[qi]
-		f.affected[v] = true
-		for c := f.childHead[v]; c >= 0; c = f.childNext[c] {
-			f.queue = append(f.queue, c)
-		}
+	// Cut the subtrees hanging off u's removed tree arcs.
+	c.collect(parent)
+	relax, settle, worst := relaxMin, settleMin, Inf
+	if f.widest {
+		relax, settle, worst = relaxMax, settleMax, 0
 	}
 	// Invalidate the affected region, logging prior values for the undo.
-	for _, v := range f.queue {
+	for _, v := range c.queue {
 		f.undo = append(f.undo, undoEntry{src: int32(src), node: v, dist: dist[v], parent: parent[v]})
-		dist[v] = f.worstVal()
+		dist[v] = worst
 		parent[v] = -1
 	}
 	// Re-relax from the unaffected boundary: any arc x->w with x intact
-	// and w affected seeds the repair heap, then a restricted Dijkstra
-	// settles the region (arcs between affected nodes included).
+	// and w affected seeds the repair heap, then the settle loop confined
+	// to the region settles it (arcs between affected nodes included).
 	h := dheap{items: f.sp.items[:0]}
 	for x := 0; x < f.n; x++ {
-		if f.affected[x] || dist[x] == f.worstVal() {
-			continue
-		}
-		for _, a := range f.g.Out(x) {
-			if !f.affected[a.To] {
-				continue
-			}
-			if nd := f.extend(dist[x], a.W); f.better(nd, dist[a.To]) {
-				dist[a.To] = nd
-				parent[a.To] = int32(x)
-				f.push(&h, a.To, nd)
-			}
+		if !c.affected[x] {
+			relax(&h, x, dist[x], f.g.out[x], dist, parent, c.affected)
 		}
 	}
-	for len(h.items) > 0 {
-		it := f.pop(&h)
-		w := it.node
-		if !sameKey(it.key, dist[w]) {
-			continue
-		}
-		for _, a := range f.g.Out(w) {
-			if !f.affected[a.To] {
-				continue
-			}
-			if nd := f.extend(dist[w], a.W); f.better(nd, dist[a.To]) {
-				dist[a.To] = nd
-				parent[a.To] = int32(w)
-				f.push(&h, a.To, nd)
-			}
-		}
-	}
+	settle(&h, f.g.out, dist, parent, c.affected)
 	f.sp.items = h.items[:0]
-	for _, v := range f.queue {
-		f.affected[v] = false
-	}
+	c.clear()
 }
 
 // RestoreOut re-adds the arcs removed by the last RemoveOut and replays
@@ -285,22 +186,61 @@ func reshapeInt32(dst [][]int32, n int) [][]int32 {
 	return dst
 }
 
-// boolsN resizes a bool scratch slice to n, all false.
-func boolsN(buf []bool, n int) []bool {
-	if cap(buf) < n {
-		return make([]bool, n)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = false
-	}
-	return buf
+// treeCut is the scratch of a subtree invalidation, shared by SPForest
+// and DynamicRows: both repair a row by cutting the shortest-path
+// subtrees that hung off removed tree arcs and re-settling that region.
+// affected marks the region, queue lists it in discovery order (the
+// roots first), and the child lists are what collect walks.
+type treeCut struct {
+	affected             []bool
+	queue                []int32
+	childHead, childNext []int32
 }
 
-// int32sN resizes an int32 scratch slice to n.
-func int32sN(buf []int32, n int) []int32 {
-	if cap(buf) < n {
-		return make([]int32, n)
+// size readies the cut for rows of n nodes. The region is empty between
+// cuts: clear unmarks it and resets the queue.
+func (c *treeCut) size(n int) {
+	if cap(c.affected) < n {
+		c.affected = make([]bool, n)
+		c.childHead = make([]int32, n)
+		c.childNext = make([]int32, n)
 	}
-	return buf[:n]
+	c.affected = c.affected[:n]
+	c.childHead = c.childHead[:n]
+	c.childNext = c.childNext[:n]
+}
+
+// add makes v a root of the cut unless it is already in the region.
+func (c *treeCut) add(v int) {
+	if !c.affected[v] {
+		c.affected[v] = true
+		c.queue = append(c.queue, int32(v))
+	}
+}
+
+// collect extends the region from its roots to every descendant in the
+// tree that parent encodes, building the tree's child lists in one pass.
+func (c *treeCut) collect(parent []int32) {
+	for v := range c.childHead {
+		c.childHead[v] = -1
+	}
+	for v, p := range parent {
+		if p >= 0 {
+			c.childNext[v] = c.childHead[p]
+			c.childHead[p] = int32(v)
+		}
+	}
+	for qi := 0; qi < len(c.queue); qi++ {
+		for x := c.childHead[c.queue[qi]]; x >= 0; x = c.childNext[x] {
+			c.add(int(x))
+		}
+	}
+}
+
+// clear empties the region.
+func (c *treeCut) clear() {
+	for _, v := range c.queue {
+		c.affected[v] = false
+	}
+	c.queue = c.queue[:0]
 }

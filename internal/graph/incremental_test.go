@@ -103,3 +103,29 @@ func checkEqualMatrix(t *testing.T, where string, got, want [][]float64) {
 		}
 	}
 }
+
+// TestSPForestRemovalDiscipline: one removal outstanding at a time, and
+// no restore without one — misuse panics rather than corrupting the
+// undo log.
+func TestSPForestRemovalDiscipline(t *testing.T) {
+	g := New(3)
+	g.AddArc(0, 1, 1)
+	f := NewSPForest()
+	f.Reset(g, false)
+	mustPanic := func(name string, call func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		call()
+	}
+	mustPanic("RestoreOut without a removal", f.RestoreOut)
+	f.RemoveOut(0)
+	mustPanic("a second RemoveOut", func() { f.RemoveOut(1) })
+	f.RestoreOut()
+	if f.Dist()[0][1] != 1 {
+		t.Fatalf("restored distance %v, want 1", f.Dist()[0][1])
+	}
+}

@@ -99,19 +99,86 @@ type SPScratch struct {
 	items []heapItem
 }
 
-// shortest is the one additive Dijkstra loop over a Digraph; every
+// settleMin is the one additive settle loop over Digraph rows: it pops
+// h until empty, skips every stale entry (a key above the node's current
+// label — cheaper than a done-array, which would cost an O(n) clear per
+// run) and relaxes the popped node's out-arcs in out with relaxMin.
+// within, when non-nil, confines the relaxation to the nodes it marks: a
+// repair's invalidated region. Every Digraph search and repair ends in
+// it — shortest, SPForest's additive repairs and both passes of
+// DynamicRows.repairRow — so a repaired label is the label a fresh
+// search computes by construction, not by keeping copies in step.
+func settleMin(h *dheap, out [][]Arc, dist []float64, parent []int32, within []bool) {
+	for len(h.items) > 0 {
+		it := h.popMin()
+		if it.key != dist[it.node] {
+			continue
+		}
+		relaxMin(h, it.node, it.key, out[it.node], dist, parent, within)
+	}
+}
+
+// relaxMin is settleMin's relax step for one node u at label du: every
+// arc of arcs that lowers its head's label (among the nodes within
+// marks, when within is non-nil) records du+W, u as the parent when
+// parent is non-nil, and a heap entry. Searches and repairs also call it
+// directly to seed their heaps.
+func relaxMin(h *dheap, u NodeID, du float64, arcs []Arc, dist []float64, parent []int32, within []bool) {
+	for _, a := range arcs {
+		if within != nil && !within[a.To] {
+			continue
+		}
+		if nd := du + a.W; nd < dist[a.To] {
+			dist[a.To] = nd
+			if parent != nil {
+				parent[a.To] = int32(u)
+			}
+			h.pushMin(a.To, nd)
+		}
+	}
+}
+
+// settleMax is settleMin under the bottleneck algebra, on the max-order
+// heap: widest and SPForest's bottleneck repairs end in it.
+func settleMax(h *dheap, out [][]Arc, width []float64, parent []int32, within []bool) {
+	for len(h.items) > 0 {
+		it := h.popMax()
+		if it.key != width[it.node] {
+			continue
+		}
+		relaxMax(h, it.node, it.key, out[it.node], width, parent, within)
+	}
+}
+
+// relaxMax is relaxMin under the bottleneck algebra: an arc's head is
+// improved to min(wu, W) when that is wider than its label.
+func relaxMax(h *dheap, u NodeID, wu float64, arcs []Arc, width []float64, parent []int32, within []bool) {
+	for _, a := range arcs {
+		if within != nil && !within[a.To] {
+			continue
+		}
+		if nw := math.Min(wu, a.W); nw > width[a.To] {
+			width[a.To] = nw
+			if parent != nil {
+				parent[a.To] = int32(u)
+			}
+			h.pushMax(a.To, nw)
+		}
+	}
+}
+
+// shortest is the one additive Dijkstra search over a Digraph; every
 // exported variant is a call of it. It fills dist (length g.N()) with
 // the single-source distances from src over g with src's out-arc list
 // replaced by seeds, and, when parent is non-nil, parent[v] with v's
 // predecessor on a shortest path (-1 for src and unreachable nodes). A
 // shortest path never revisits src under non-negative weights, so src is
-// expanded exactly once, first, and g's stored out-arcs of src are never
-// read. It runs on the specialized inline heap with no allocations beyond
-// first-use heap growth: at 10⁴-node scale the engine spends most of its
-// profile here, and container/heap's per-push interface boxing plus
-// per-comparison closure dispatch were ~half of that cost. Stale heap
-// entries are skipped by key comparison instead of a done-array, saving
-// an O(n) clear per run.
+// expanded exactly once, first, from seeds, and g's stored out-arcs of
+// src are never read. It runs on the specialized inline heap with no
+// allocations beyond first-use heap growth: at 10⁴-node scale the
+// engine spends most of its profile here, and container/heap's per-push
+// interface boxing plus per-comparison closure dispatch were ~half of
+// that cost.
 func (s *SPScratch) shortest(g *Digraph, src NodeID, seeds []Arc, dist []float64, parent []int32) {
 	for i := range dist {
 		dist[i] = Inf
@@ -121,27 +188,8 @@ func (s *SPScratch) shortest(g *Digraph, src NodeID, seeds []Arc, dist []float64
 	}
 	dist[src] = 0
 	h := dheap{items: s.items[:0]}
-	h.pushMin(src, 0)
-	for len(h.items) > 0 {
-		it := h.popMin()
-		u := it.node
-		if it.key != dist[u] {
-			continue
-		}
-		arcs := g.Out(u)
-		if u == src {
-			arcs = seeds
-		}
-		for _, a := range arcs {
-			if nd := it.key + a.W; nd < dist[a.To] {
-				dist[a.To] = nd
-				if parent != nil {
-					parent[a.To] = int32(u)
-				}
-				h.pushMin(a.To, nd)
-			}
-		}
-	}
+	relaxMin(&h, src, 0, seeds, dist, parent, nil)
+	settleMin(&h, g.out, dist, parent, nil)
 	s.items = h.items[:0]
 }
 
@@ -174,22 +222,7 @@ func (s *SPScratch) widest(g *Digraph, src NodeID, width []float64, parent []int
 	width[src] = Inf
 	h := dheap{items: s.items[:0]}
 	h.pushMax(src, Inf)
-	for len(h.items) > 0 {
-		it := h.popMax()
-		u := it.node
-		if it.key != width[u] {
-			continue
-		}
-		for _, a := range g.Out(u) {
-			if nw := math.Min(it.key, a.W); nw > width[a.To] {
-				width[a.To] = nw
-				if parent != nil {
-					parent[a.To] = int32(u)
-				}
-				h.pushMax(a.To, nw)
-			}
-		}
-	}
+	settleMax(&h, g.out, width, parent, nil)
 	s.items = h.items[:0]
 }
 

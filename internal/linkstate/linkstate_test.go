@@ -37,7 +37,7 @@ func TestLSARoundTrip(t *testing.T) {
 func TestLSASizeMatchesPaperAccounting(t *testing.T) {
 	l := &LSA{Origin: 1, Seq: 1, Neighbors: make([]Neighbor, 5)}
 	// Paper: 192 bits header + 32 bits per neighbor.
-	if bits := l.SizeBits(); bits != 192+32*5 {
+	if bits := 8 * l.Size(); bits != 192+32*5 {
 		t.Fatalf("LSA size = %d bits, want %d", bits, 192+32*5)
 	}
 	if len(l.Marshal()) != l.Size() {

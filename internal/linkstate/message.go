@@ -61,10 +61,6 @@ type LSA struct {
 // Size returns the encoded size in bytes.
 func (l *LSA) Size() int { return HeaderBytes + NeighborBytes*len(l.Neighbors) }
 
-// SizeBits returns the encoded size in bits, the unit of the paper's
-// overhead formulas.
-func (l *LSA) SizeBits() int { return 8 * l.Size() }
-
 // Marshal encodes the LSA in the 24-byte-header + 4-bytes-per-neighbor
 // wire format. Costs saturate at the fixed-point maximum.
 func (l *LSA) Marshal() []byte {

@@ -95,15 +95,6 @@ func (h *Histogram) Count() int64 {
 	return n
 }
 
-// Sum reports the total of all observed values (nanoseconds).
-func (h *Histogram) Sum() int64 {
-	var s int64
-	for i := range h.cells {
-		s += h.cells[i].sum.Load()
-	}
-	return s
-}
-
 // Merged folds every cell into one bucket vector.
 func (h *Histogram) Merged() [NumBuckets]int64 {
 	var out [NumBuckets]int64

@@ -31,7 +31,7 @@ func TestCounterConcurrentStorm(t *testing.T) {
 			for i := 0; i < perWriter; i++ {
 				c.Add(1)
 				h.ObserveShard(w, int64(50+i%1000))
-				g.SetInt(int64(i))
+				g.Set(float64(i))
 			}
 		}(w)
 	}
@@ -129,7 +129,7 @@ func TestPrometheusExpositionGolden(t *testing.T) {
 
 	c.Add(41)
 	c.Inc()
-	g.SetInt(9)
+	g.Set(9)
 	h.Observe(1000)
 	h.Observe(1000)
 

@@ -118,9 +118,6 @@ func (g *Gauge) metricHelp() string { return g.help }
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// SetInt stores an integer value.
-func (g *Gauge) SetInt(v int64) { g.Set(float64(v)) }
-
 // Value reports the stored value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 

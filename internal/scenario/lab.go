@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"math/rand"
 	"net/http"
 	"os"
 	"os/exec"
@@ -121,8 +120,7 @@ type labEvent struct {
 
 // lowerLabEvents replays the event timeline over the initial
 // membership exactly as compile() does — same staticSchedule, same
-// per-event RNG derivation, same pickWave — returning per-event victim
-// sets the harness can act on. The lab supports static membership only
+// lowerWave — returning per-event victim sets the harness can act on. The lab supports static membership only
 // (background churn processes need sub-epoch timing fidelity no real
 // deployment reproduces deterministically) and uniform demand (live
 // nodes measure cost, they do not weigh it).
@@ -141,35 +139,7 @@ func (s *Spec) lowerLabEvents() (initialOn []bool, events []labEvent, lastEvent 
 		if e.Kind == DemandFlip {
 			return nil, nil, 0, fmt.Errorf("scenario %s: lab engine cannot flip demand", s.Name)
 		}
-		rng := rand.New(rand.NewSource(s.Seed + 7919*int64(evi+1)))
-		var picked []int
-		switch e.Kind {
-		case JoinWave:
-			picked = pickWave(rng, on, false, int(math.Round(e.Frac*float64(s.N))))
-		case LeaveWave:
-			alive := 0
-			for _, b := range on {
-				if b {
-					alive++
-				}
-			}
-			picked = pickWave(rng, on, true, int(math.Round(e.Frac*float64(alive))))
-		case Outage, Heal:
-			regions := e.Regions
-			if regions == 0 {
-				regions = 4
-			}
-			lo, hi := e.Region*s.N/regions, (e.Region+1)*s.N/regions
-			for v := lo; v < hi; v++ {
-				if on[v] == (e.Kind == Outage) {
-					picked = append(picked, v)
-				}
-			}
-		}
-		turnOn := e.Kind == JoinWave || e.Kind == Heal
-		for _, v := range picked {
-			on[v] = turnOn
-		}
+		picked, _ := s.lowerWave(evi, on)
 		events = append(events, labEvent{at: e.Epoch, kind: e.Kind, victims: picked})
 		lastEvent = e.Epoch
 	}

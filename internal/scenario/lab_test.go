@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"egoist/internal/churn"
 )
 
 // buildEgoistd compiles the real daemon for the deployment tests. The
@@ -114,7 +116,8 @@ func TestRunLabRejects(t *testing.T) {
 
 // TestLowerLabEventsDeterministic pins the victim-selection contract:
 // the lab must draw the exact victims the sim leg's compile() draws, so
-// both legs play one membership trajectory.
+// both legs play one membership trajectory. compile() injects each
+// wave's victims, in order, as single-node events at the wave's epoch.
 func TestLowerLabEventsDeterministic(t *testing.T) {
 	spec := Spec{
 		Name: "d", N: 40, K: 3, Seed: 2008, Epochs: 6,
@@ -122,32 +125,42 @@ func TestLowerLabEventsDeterministic(t *testing.T) {
 			{Epoch: 2.3, Kind: LeaveWave, Frac: 0.2},
 			{Epoch: 3.1, Kind: JoinWave, Frac: 0.1},
 			{Epoch: 4.0, Kind: Outage, Region: 1},
+			{Epoch: 5.0, Kind: Heal, Region: 1},
 		},
 	}
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	on1, ev1, last1, err := spec.lowerLabEvents()
+	on, events, last, err := spec.lowerLabEvents()
 	if err != nil {
 		t.Fatal(err)
 	}
-	on2, ev2, last2, err := spec.lowerLabEvents()
+	c, err := spec.compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(on1, on2) || !reflect.DeepEqual(ev1, ev2) || last1 != last2 {
-		t.Fatal("two lowerings of one spec disagree")
+	if !reflect.DeepEqual(on, c.sched.InitialOn) || last != c.lastEvent {
+		t.Fatalf("initial membership or last event differ from compile(): last %v vs %v", last, c.lastEvent)
 	}
-	if len(ev1) != 3 || ev1[2].at != 4.0 || last1 != 4.0 {
-		t.Fatalf("timeline shape: %+v last=%v", ev1, last1)
-	}
-	if want := 8; len(ev1[0].victims) != want { // 0.2 of 40 alive
-		t.Errorf("leave wave picked %d victims, want %d", len(ev1[0].victims), want)
-	}
-	for _, v := range ev1[0].victims {
-		if v < 0 || v >= spec.N {
-			t.Errorf("victim %d out of range", v)
+	var lab []churn.Event
+	for _, ev := range events {
+		turnOn := ev.kind == JoinWave || ev.kind == Heal
+		for _, v := range ev.victims {
+			lab = append(lab, churn.Event{Time: ev.at, Node: v, On: turnOn})
 		}
+	}
+	if !reflect.DeepEqual(lab, c.sched.Events) {
+		t.Fatalf("lab victims differ from compile()'s events:\n lab     %v\n compile %v", lab, c.sched.Events)
+	}
+	if len(events) != 4 || last != 5.0 {
+		t.Fatalf("timeline shape: %+v last=%v", events, last)
+	}
+	if want := 8; len(events[0].victims) != want { // 0.2 of 40 alive
+		t.Errorf("leave wave picked %d victims, want %d", len(events[0].victims), want)
+	}
+	spec.Events = append(spec.Events, Event{Epoch: 5.5, Kind: DemandFlip})
+	if _, _, _, err := spec.lowerLabEvents(); err == nil {
+		t.Error("a demand flip lowered onto the lab, which measures uniform demand only")
 	}
 }
 

@@ -174,35 +174,9 @@ func (s *Spec) compile() (*compiled, error) {
 			on[ev.Node] = ev.On
 			replayAt++
 		}
-		rng := rand.New(rand.NewSource(s.Seed + 7919*int64(evi+1)))
-		var picked []int
-		switch e.Kind {
-		case JoinWave:
-			picked = pickWave(rng, on, false, int(math.Round(e.Frac*float64(s.N))))
-		case LeaveWave:
-			alive := 0
-			for _, b := range on {
-				if b {
-					alive++
-				}
-			}
-			picked = pickWave(rng, on, true, int(math.Round(e.Frac*float64(alive))))
-		case Outage, Heal:
-			regions := e.Regions
-			if regions == 0 {
-				regions = 4
-			}
-			lo, hi := e.Region*s.N/regions, (e.Region+1)*s.N/regions
-			for v := lo; v < hi; v++ {
-				if on[v] == (e.Kind == Outage) {
-					picked = append(picked, v)
-				}
-			}
-		}
-		turnOn := e.Kind == JoinWave || e.Kind == Heal
+		picked, turnOn := s.lowerWave(evi, on)
 		for _, v := range picked {
 			injected = append(injected, churn.Event{Time: e.Epoch, Node: v, On: turnOn})
-			on[v] = turnOn
 		}
 		out.lastEvent = e.Epoch
 	}
@@ -234,6 +208,45 @@ func (s *Spec) compile() (*compiled, error) {
 		}
 	}
 	return out, nil
+}
+
+// lowerWave lowers membership event evi of the timeline over the state
+// on, replayed to the event's epoch: it draws the wave's victims from
+// the event's own seeded RNG (a region's for an outage or heal),
+// applies the wave to on, and reports the victims and the state they
+// were turned to. compile() and lowerLabEvents both lower through it, so
+// the sim and lab legs play one membership trajectory.
+func (s *Spec) lowerWave(evi int, on []bool) (picked []int, turnOn bool) {
+	e := s.Events[evi]
+	rng := rand.New(rand.NewSource(s.Seed + 7919*int64(evi+1)))
+	switch e.Kind {
+	case JoinWave:
+		picked = pickWave(rng, on, false, int(math.Round(e.Frac*float64(s.N))))
+	case LeaveWave:
+		alive := 0
+		for _, b := range on {
+			if b {
+				alive++
+			}
+		}
+		picked = pickWave(rng, on, true, int(math.Round(e.Frac*float64(alive))))
+	case Outage, Heal:
+		regions := e.Regions
+		if regions == 0 {
+			regions = 4
+		}
+		lo, hi := e.Region*s.N/regions, (e.Region+1)*s.N/regions
+		for v := lo; v < hi; v++ {
+			if on[v] == (e.Kind == Outage) {
+				picked = append(picked, v)
+			}
+		}
+	}
+	turnOn = e.Kind == JoinWave || e.Kind == Heal
+	for _, v := range picked {
+		on[v] = turnOn
+	}
+	return picked, turnOn
 }
 
 // staticSchedule is membership without background events: all nodes on

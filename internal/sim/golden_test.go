@@ -2,9 +2,14 @@ package sim
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"math"
+	"math/rand"
 	"testing"
 
+	"egoist/internal/cheat"
+	"egoist/internal/core"
 	"egoist/internal/sampling"
 )
 
@@ -49,6 +54,94 @@ func TestScaleGoldenDigest(t *testing.T) {
 			got := hex.EncodeToString(sum[:])
 			if want := goldenDigests[name]; got != want {
 				t.Fatalf("ScaleResult digest drifted from the pinned engine trajectory:\n got %s\nwant %s", got, want)
+			}
+		})
+	}
+}
+
+// fullGoldenConfigs returns the full engine's pinned configurations, one
+// per path through its exact re-wiring loop: the speculative pool under
+// the additive and the bottleneck algebra, the ε gate, churn with
+// HybridBR's backbone repair and immediate victims, and the
+// heuristic-policy path with the connectivity fallback and preferences.
+func fullGoldenConfigs() map[string]Config {
+	base := func(p core.Policy, workers int) Config {
+		return Config{
+			N: 30, K: 3, Seed: 13, Metric: DelayPing, Policy: p,
+			WarmEpochs: 3, MeasureEpochs: 4, Workers: workers,
+		}
+	}
+	eps := base(core.BRPolicy{}, 3)
+	eps.Epsilon = 0.1
+	hybrid := base(core.BRPolicy{Donated: 2}, 2)
+	hybrid.N = 36
+	hybrid.Churn = testChurn(hybrid.N)
+	hybrid.Immediate = true
+	bw := base(core.BRPolicy{}, 2)
+	bw.Metric = Bandwidth
+	bw.Cheat = cheat.Population(bw.N, 3, 2, rand.New(rand.NewSource(4)))
+	closest := base(core.KClosest{}, 2)
+	closest.EnforceCycle = true
+	closest.PrefAt = staticPref(func(i, j int) float64 { return 1 + float64((i*j)%7) })
+	return map[string]Config{
+		"BR/delay-ping":        base(core.BRPolicy{}, 2),
+		"BR/epsilon":           eps,
+		"HybridBR/churn/immed": hybrid,
+		"BR/bandwidth/cheat":   bw,
+		"kClosest/cycle/pref":  closest,
+	}
+}
+
+// fullGoldenDigests were recorded before the graph kernels these runs
+// exercise (the repaired forest, the APSP rows) were last rewritten; the
+// same rule as goldenDigests applies.
+var fullGoldenDigests = map[string]string{
+	"BR/delay-ping":        "b6da03acc429b5c6e33e50e3acb9c7bfc3a23863a2b737af6506ced637ee5cfe",
+	"BR/epsilon":           "c6c65be17cdf2d3e3b40060d2756cf61c084116328a7533cf35a8a2bc10eaba9",
+	"HybridBR/churn/immed": "5a53b2773f34d4ddd525f57a9f5913c0ab18b1c8241446091fb5ade7ccba3080",
+	"BR/bandwidth/cheat":   "f4235a2da5cbb29142ec8554a4e831651cbb6229af2d67832b007d84d2ed0237",
+	"kClosest/cycle/pref":  "14cee8c6eee61c0d0c6cd736c7ae4a804b2141fe748d3dcb2de754eb3edc9f10",
+}
+
+// fullDigest hashes what a full-engine run decided and measured: the
+// final wiring, the per-epoch re-wiring counts and the exact bits of the
+// per-node and per-epoch series (NaN marks never-alive nodes and empty
+// epochs, which rules out plain JSON).
+func fullDigest(res *Result) string {
+	h := sha256.New()
+	put := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
+	put(uint64(len(res.FinalWiring)))
+	for _, ws := range res.FinalWiring {
+		put(uint64(len(ws)))
+		for _, v := range ws {
+			put(uint64(v))
+		}
+	}
+	rewires := res.Rewires.PerEpoch()
+	put(uint64(len(rewires)))
+	for _, r := range rewires {
+		put(uint64(r))
+	}
+	for _, xs := range [][]float64{res.PerNodeCost, res.PerNodeEfficiency, res.PerEpochCost} {
+		put(uint64(len(xs)))
+		for _, x := range xs {
+			put(math.Float64bits(x))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestFullGoldenDigest pins the full engine's trajectory the way
+// TestScaleGoldenDigest pins the scale engine's.
+func TestFullGoldenDigest(t *testing.T) {
+	for name, cfg := range fullGoldenConfigs() {
+		t.Run(name, func(t *testing.T) {
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := fullDigest(res), fullGoldenDigests[name]; got != want {
+				t.Fatalf("Result digest drifted from the pinned engine trajectory:\n got %s\nwant %s", got, want)
 			}
 		})
 	}

@@ -198,8 +198,9 @@ func HeadlineRecipe(n, k int) (int, sampling.Spec) {
 type scaleProbe struct {
 	// checkRows makes a proposer that reads its live row from the
 	// directory run the seeded Dijkstra as well, and fails the run on any
-	// bit difference between the two rows; and makes every churn drain
-	// fail the run if it leaves a wiring row pointing at a departed node.
+	// bit difference between the two rows; makes every churn drain fail
+	// the run if it leaves a wiring row pointing at a departed node; and
+	// runs checkDirectory after every adopt batch and live churn drain.
 	checkRows bool
 	// seeded counts the seeded Dijkstras run for proposers that hold no
 	// directory row (checkRows' extra runs are not counted).
@@ -603,6 +604,31 @@ func (e *scaleEngine) runScaleChurn(t float64, poolLive bool) error {
 					}
 				}
 			}
+			if poolLive {
+				return e.checkDirectory("churn drain", t)
+			}
+		}
+	}
+	return nil
+}
+
+// checkDirectory is the checkRows probe of the directory graph at time
+// t, after the named phase: every node's out-arcs there must be its
+// wiring priced by Net.Delay, in wiring order — so a departed node has
+// none. The proposers' rows are only as exact as this graph.
+func (e *scaleEngine) checkDirectory(phase string, t float64) error {
+	if e.c.probe == nil || !e.c.probe.checkRows {
+		return nil
+	}
+	g := e.pool.dir.Graph()
+	for u, w := range e.wiring {
+		out := g.Out(u)
+		same := len(out) == len(w)
+		for x := 0; same && x < len(w); x++ {
+			same = out[x] == graph.Arc{To: w[x], W: e.c.Net.Delay(u, w[x])}
+		}
+		if !same {
+			return fmt.Errorf("sim: after %s at t=%v the directory holds arcs %v for node %d, whose wiring is %v", phase, t, out, u, w)
 		}
 	}
 	return nil
@@ -890,6 +916,9 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 				a, s := eng.adoptBatch(batch, props, &ep)
 				acted += a
 				samples += s
+				if err := eng.checkDirectory("adopt", float64(epoch)+float64(b)/float64(len(batches))); err != nil {
+					return nil, err
+				}
 				if trace != nil {
 					trace(PhaseEvent{Epoch: epoch, Sub: b, Phase: "adopt", NS: time.Since(t0).Nanoseconds(),
 						Rewires: ep.Rewires - before})

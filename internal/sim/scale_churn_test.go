@@ -383,3 +383,90 @@ func TestScaleChurnRejectsBadConfig(t *testing.T) {
 		t.Error("out-of-order schedule accepted")
 	}
 }
+
+// churnScript decodes a fuzz input into a churn schedule over at most
+// 120 nodes. Byte 0 sizes the overlay (48..120), byte 1 sets how many of
+// its top ids start off (fresh joiners), and each later byte pair is one
+// step: the first byte's low two bits pick a leave, a join, or a leave
+// then join of the same node at the same instant, its next two bits
+// advance the clock — which starts mid-epoch 0, where events repair the
+// live directory — by 0..3 sixteenths of an epoch (0 lands in the
+// previous event's sub-round window, the same-window leave→join shape),
+// and the second byte names the node. Naming a departed node in a join
+// is a rejoin.
+func churnScript(data []byte) *churn.Schedule {
+	if len(data) < 2 {
+		data = append(data, 0, 0)
+	}
+	n := 48 + int(data[0])%73
+	s := emptySchedule(n)
+	for v := n - int(data[1])%(n/3); v < n; v++ {
+		s.InitialOn[v] = false
+	}
+	t := 0.5
+	for x := 2; x+1 < len(data) && x < 2+2*48; x += 2 {
+		op, node := data[x], int(data[x+1])%n
+		t += float64(op>>2&3) / 16
+		switch op & 3 {
+		case 0:
+			s.Events = append(s.Events, churn.Event{Time: t, Node: node, On: false})
+		case 1:
+			s.Events = append(s.Events, churn.Event{Time: t, Node: node, On: true})
+		default:
+			s.Events = append(s.Events, churn.Event{Time: t, Node: node, On: false}, churn.Event{Time: t, Node: node, On: true})
+		}
+	}
+	return s
+}
+
+// FuzzScaleChurnSchedule plays byte-scripted churn schedules through the
+// scale engine with checkRows on — every member proposer's directory row
+// re-derived, the directory graph checked against the wiring after every
+// adopt batch and live churn drain — and requires no error, no final
+// wiring row of or to a departed node, and the same ScaleResult JSON at
+// workers 1 and 3.
+func FuzzScaleChurnSchedule(f *testing.F) {
+	f.Add([]byte{72, 10, 0, 3, 4, 9, 1, 3, 5, 11, 8, 40})
+	// Leaves, then joins of fresh ids, all in one window.
+	f.Add([]byte{12, 30, 0, 0, 0, 1, 0, 2, 0, 3, 1, 58, 1, 59, 1, 3})
+	// Same-node leave→join, then a rejoin after the clock moved on.
+	f.Add([]byte{0, 0, 2, 5, 12, 6, 0, 7, 13, 7, 2, 7})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sched := churnScript(data)
+		run := func(workers int) *ScaleResult {
+			res, err := RunScale(ScaleConfig{
+				N: sched.N, K: 3, Seed: 7, Workers: workers, MaxEpochs: 3,
+				Sample:         sampling.Spec{Strategy: sampling.Uniform, M: 12},
+				StaggerBatches: 8,
+				ConvergedFrac:  -1,
+				Churn:          sched,
+				probe:          &scaleProbe{checkRows: true},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		ref := run(1)
+		// Every event before the horizon was drained by the final epoch.
+		alive := append([]bool(nil), sched.InitialOn...)
+		for _, ev := range sched.Events {
+			if ev.Time < 3 {
+				alive[ev.Node] = ev.On
+			}
+		}
+		for u, w := range ref.Wiring {
+			if !alive[u] && len(w) > 0 {
+				t.Fatalf("departed node %d ended wired to %v", u, w)
+			}
+			for _, v := range w {
+				if !alive[v] {
+					t.Fatalf("node %d ended wired to departed node %d", u, v)
+				}
+			}
+		}
+		if !bytes.Equal(resultJSON(t, ref), resultJSON(t, run(3))) {
+			t.Fatal("workers 1 and 3 diverged")
+		}
+	})
+}

@@ -54,7 +54,6 @@ type Manager struct {
 	outgoing   map[uint64]*txState
 	incoming   map[rxKey]*rxState
 	onComplete func(src int, id uint64, data []byte)
-	onProgress func(id uint64, got, total int)
 }
 
 type rxKey struct {
@@ -91,13 +90,6 @@ func (m *Manager) OnComplete(f func(src int, id uint64, data []byte)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.onComplete = f
-}
-
-// OnProgress installs an optional receive-side progress callback.
-func (m *Manager) OnProgress(f func(id uint64, got, total int)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.onProgress = f
 }
 
 // Transfer starts sending data to dst in chunks of chunkSize bytes.
@@ -237,7 +229,6 @@ func (m *Manager) handleChunk(src int, payload []byte) {
 	}
 	key := rxKey{src: src, id: id}
 	var complete []byte
-	var progress func(uint64, int, int)
 	var completeCB func(int, uint64, []byte)
 
 	m.mu.Lock()
@@ -249,7 +240,6 @@ func (m *Manager) handleChunk(src int, payload []byte) {
 	if len(rx.chunks) == total && rx.chunks[idx] == nil {
 		rx.chunks[idx] = append([]byte(nil), payload[chunkHeader:]...)
 		rx.got++
-		progress = m.onProgress
 		if rx.got == total {
 			for _, c := range rx.chunks {
 				complete = append(complete, c...)
@@ -258,12 +248,8 @@ func (m *Manager) handleChunk(src int, payload []byte) {
 			delete(m.incoming, key)
 		}
 	}
-	got, tot := rx.got, len(rx.chunks)
 	m.mu.Unlock()
 
-	if progress != nil {
-		progress(id, got, tot)
-	}
 	if complete != nil {
 		// Acknowledge completion so the sender can drop its buffers.
 		done := make([]byte, 9)

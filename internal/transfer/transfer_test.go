@@ -246,24 +246,3 @@ func TestConcurrentTransfers(t *testing.T) {
 		t.Fatal("concurrent transfers corrupted")
 	}
 }
-
-func TestProgressCallback(t *testing.T) {
-	net := newFakeNet(2, 0, 12)
-	tx := New(net.planes[0])
-	rx := New(net.planes[1])
-	var mu sync.Mutex
-	updates := 0
-	rx.OnProgress(func(id uint64, got, total int) {
-		mu.Lock()
-		updates++
-		mu.Unlock()
-	})
-	if _, err := tx.Transfer(1, payload(5000, 13), 1000, false); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if updates != 5 {
-		t.Fatalf("progress updates = %d, want 5", updates)
-	}
-}

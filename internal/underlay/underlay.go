@@ -188,10 +188,8 @@ type Underlay struct {
 	load      []float64   // current per-node load
 	availBW   [][]float64 // current available bandwidth in Mbps
 
-	asPeers   map[[2]int]bool // unordered AS adjacency
-	asOfSite  []int
-	asHomed   []int // number of distinct peering ASes per AS (multihoming degree)
-	asMembers [][]int
+	asPeers  map[[2]int]bool // unordered AS adjacency
+	asOfSite []int
 }
 
 // New builds a synthetic underlay from cfg. It returns an error if the
@@ -214,13 +212,6 @@ func (u *Underlay) N() int { return u.cfg.N }
 
 // Site returns the i-th site descriptor.
 func (u *Underlay) Site(i int) Site { return u.sites[i] }
-
-// ASOf returns the AS identifier of site i.
-func (u *Underlay) ASOf(i int) int { return u.asOfSite[i] }
-
-// MultihomingDegree returns the number of distinct ASes site i's AS peers
-// with (|AS_i| in the paper's Fig. 10 discussion).
-func (u *Underlay) MultihomingDegree(i int) int { return u.asHomed[u.asOfSite[i]] }
 
 func (u *Underlay) placeSites() {
 	mix := PlanetLabMix(u.cfg.N)
@@ -245,13 +236,10 @@ func (u *Underlay) placeSites() {
 func (u *Underlay) buildASTopology() {
 	n := u.cfg.N
 	u.asOfSite = make([]int, n)
-	u.asMembers = make([][]int, u.cfg.ASCount)
 	for i := 0; i < n; i++ {
 		// Sites in the same region tend to share ASes: hash region into the
 		// AS choice so ASes are geographically coherent.
-		as := (int(u.sites[i].Region)*7 + u.rng.Intn(u.cfg.ASCount)) % u.cfg.ASCount
-		u.asOfSite[i] = as
-		u.asMembers[as] = append(u.asMembers[as], i)
+		u.asOfSite[i] = (int(u.sites[i].Region)*7 + u.rng.Intn(u.cfg.ASCount)) % u.cfg.ASCount
 	}
 	// Peering: ring over ASes for connectivity plus random extra peerings,
 	// controlled by PeeringPerASMean and MultihomeProb.
@@ -269,11 +257,6 @@ func (u *Underlay) buildASTopology() {
 		if a != b {
 			u.addPeering(a, b)
 		}
-	}
-	u.asHomed = make([]int, u.cfg.ASCount)
-	for pair := range u.asPeers {
-		u.asHomed[pair[0]]++
-		u.asHomed[pair[1]]++
 	}
 }
 

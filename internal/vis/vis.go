@@ -1,8 +1,7 @@
 // Package vis renders overlay topology snapshots as SVG — the equivalent
 // of the live topology demonstration the paper's Sect. 7 describes on the
-// EGOIST project site. Nodes are laid out by geographic coordinates when
-// available, or on a circle otherwise; directed overlay links are drawn
-// with their costs encoded in stroke intensity.
+// EGOIST project site. Nodes are laid out on a circle; directed overlay
+// links are drawn with their costs encoded in stroke intensity.
 package vis
 
 import (
@@ -28,20 +27,6 @@ func CirclePositions(n int) []NodePos {
 		out[i] = NodePos{
 			X:     0.5 + 0.45*math.Cos(angle),
 			Y:     0.5 + 0.45*math.Sin(angle),
-			Label: fmt.Sprintf("%d", i),
-		}
-	}
-	return out
-}
-
-// GeoPositions projects (lat, lon) pairs onto the canvas with a simple
-// equirectangular projection.
-func GeoPositions(lats, lons []float64) []NodePos {
-	out := make([]NodePos, len(lats))
-	for i := range out {
-		out[i] = NodePos{
-			X:     (lons[i] + 180) / 360,
-			Y:     (90 - lats[i]) / 180,
 			Label: fmt.Sprintf("%d", i),
 		}
 	}

@@ -22,16 +22,6 @@ func TestCirclePositions(t *testing.T) {
 	}
 }
 
-func TestGeoPositions(t *testing.T) {
-	pos := GeoPositions([]float64{0, 90, -90}, []float64{0, 180, -180})
-	if pos[0].X != 0.5 || pos[0].Y != 0.5 {
-		t.Fatalf("equator/prime meridian not centered: %+v", pos[0])
-	}
-	if pos[1].Y != 0 || pos[2].Y != 1 {
-		t.Fatalf("poles wrong: %+v %+v", pos[1], pos[2])
-	}
-}
-
 func TestTopologySVGWellFormed(t *testing.T) {
 	g := graph.New(5)
 	for v := 0; v < 5; v++ {
