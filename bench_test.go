@@ -169,13 +169,15 @@ func BenchmarkBestResponseParallel(b *testing.B) {
 	b.Run(fmt.Sprintf("parallel-%d", runtime.NumCPU()), func(b *testing.B) { run(b, runtime.NumCPU()) })
 }
 
-// BenchmarkResidIncremental contrasts the full engine's two
-// residual-matrix constructions at one epoch's scale: a full APSP per node
-// (BuildResidScratch, the sequential re-wiring path) versus one
-// shortest-path forest repaired per node (SPForest.RemoveOut/RestoreOut,
-// the speculative proposal phase). Both produce bit-identical matrices;
-// the forest pays one APSP up front and then only the affected-subtree
-// repairs.
+// BenchmarkResidIncremental prices one epoch's worth of residual
+// matrices three ways: a full APSP per node (BuildResidScratch, what the
+// BR policy computes when handed no matrix); one shortest-path forest
+// repaired per node and restored (SPForest.RemoveOut/RestoreOut, a slot
+// that keeps its wiring); and the same forest with every node
+// committing a changed out-set (SPForest.CommitOut, a slot that
+// re-wires, the live forest's worst case). All produce bit-identical
+// matrices; the forest pays one APSP up front and then only the
+// affected-subtree repairs and insertions.
 func BenchmarkResidIncremental(b *testing.B) {
 	const n = 192
 	rng := rand.New(rand.NewSource(11))
@@ -205,6 +207,22 @@ func BenchmarkResidIncremental(b *testing.B) {
 				f.RemoveOut(u)
 				_ = f.Dist()
 				f.RestoreOut()
+			}
+		}
+	})
+	b.Run("forest-commit-per-node", func(b *testing.B) {
+		f := graph.NewSPForest()
+		var next []graph.Arc
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			f.Reset(g, false)
+			for u := 0; u < n; u++ {
+				// Re-wire: the same links, the first moved one node on.
+				next = append(next[:0], g.Out(u)...)
+				next[0].To = (next[0].To + 1) % n
+				f.RemoveOut(u)
+				_ = f.Dist()
+				f.CommitOut(next)
 			}
 		}
 	})

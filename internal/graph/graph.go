@@ -6,9 +6,10 @@
 //
 // Every search and every repair over Digraph rows runs one settle loop
 // per path algebra: settleMin (additive) for shortest, SPForest's
-// additive repairs and both passes of DynamicRows' repairs; settleMax
-// (bottleneck) for widest and SPForest's bottleneck repairs. A repaired
-// row therefore equals a fresh search bit for bit by construction. The
+// additive removal repairs and commits and both passes of DynamicRows'
+// repairs; settleMax (bottleneck) for widest and SPForest's bottleneck
+// repairs and commits. A repaired row therefore equals a fresh search
+// bit for bit by construction. The
 // data plane's packed CSR has its own pair, DijkstraCSR and PairCSR.
 //
 // Node identifiers are dense integers in [0, N). Edges are directed and

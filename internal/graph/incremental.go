@@ -2,23 +2,25 @@ package graph
 
 // SPForest maintains all-pairs shortest-path (or widest-path) distances
 // with parent trees under the one edit pattern of the best-response
-// engine: temporarily removing one node's out-arcs (the residual graph
-// G−i of the SNS formulation) and then restoring them. A removal repairs
-// only the shortest-path trees that actually routed through the removed
-// arcs — for most (source, removed-node) pairs an O(out-degree) check —
-// instead of recomputing the full APSP per node, and the restore replays
-// an exact undo log, so the matrix after RestoreOut is bit-identical to
-// the one before RemoveOut.
+// engine: removing one node's out-arcs (the residual graph G−i of the SNS
+// formulation), reading the residual matrix, and then either restoring
+// the arcs (the node kept its wiring) or committing its new ones (it
+// re-wired). A removal repairs only the shortest-path trees that actually
+// routed through the removed arcs — for most (source, removed-node) pairs
+// an O(out-degree) check — instead of recomputing the full APSP per node;
+// the restore replays an exact undo log, so the matrix after RestoreOut
+// is bit-identical to the one before RemoveOut; a commit relaxes the new
+// arcs into every tree.
 //
-// Distances computed after a removal equal a from-scratch APSP of the
+// Distances computed after any edit equal a from-scratch APSP of the
 // edited graph exactly (not just approximately): additive path costs are
-// folded left-to-right along the path in both algorithms, so the
-// floating-point values agree — which is what lets the parallel
-// simulation engine swap this in for BuildResid without perturbing its
-// byte-identical determinism contract.
+// folded left-to-right along the path in every algorithm, so the
+// floating-point values agree — which is what lets the full engine price
+// every re-wiring off forests instead of BuildResid without perturbing
+// its byte-identical determinism contract.
 //
-// A forest serves one goroutine; the parallel engine keeps one per
-// worker.
+// A forest serves one goroutine; the full engine keeps one per worker of
+// its speculative phase and one live forest its sequential slots edit.
 type SPForest struct {
 	widest bool
 	n      int
@@ -69,8 +71,8 @@ func (f *SPForest) Reset(g *Digraph, widest bool) {
 }
 
 // Dist exposes the maintained distance matrix, indexed [src][dst]. The
-// rows are valid until the next Reset/RemoveOut/RestoreOut call and must
-// not be modified.
+// rows are valid until the next Reset/RemoveOut/RestoreOut/CommitOut call
+// and must not be modified.
 func (f *SPForest) Dist() [][]float64 { return f.dist }
 
 // N returns the node count of the current graph.
@@ -89,8 +91,8 @@ func (f *SPForest) sssp(src int) {
 
 // RemoveOut removes node u's out-arcs from the maintained graph and
 // repairs every affected shortest-path tree, logging exact undo
-// information. Only one removal may be outstanding; call RestoreOut
-// before the next RemoveOut.
+// information. Only one removal may be outstanding; end it with
+// RestoreOut or CommitOut before the next RemoveOut.
 func (f *SPForest) RemoveOut(u int) {
 	if f.removedFrom >= 0 {
 		panic("graph: SPForest.RemoveOut with a removal outstanding")
@@ -125,9 +127,9 @@ func (f *SPForest) repairAfterRemove(src, u int) {
 	}
 	// Cut the subtrees hanging off u's removed tree arcs.
 	c.collect(parent)
-	relax, settle, worst := relaxMin, settleMin, Inf
+	worst := Inf
 	if f.widest {
-		relax, settle, worst = relaxMax, settleMax, 0
+		worst = 0
 	}
 	// Invalidate the affected region, logging prior values for the undo.
 	for _, v := range c.queue {
@@ -138,13 +140,23 @@ func (f *SPForest) repairAfterRemove(src, u int) {
 	// Re-relax from the unaffected boundary: any arc x->w with x intact
 	// and w affected seeds the repair heap, then the settle loop confined
 	// to the region settles it (arcs between affected nodes included).
+	// The kernels are called directly, not through function values, so
+	// the heap header stays on the stack.
 	h := dheap{items: f.sp.items[:0]}
 	for x := 0; x < f.n; x++ {
-		if !c.affected[x] {
-			relax(&h, x, dist[x], f.g.out[x], dist, parent, c.affected)
+		switch {
+		case c.affected[x]:
+		case f.widest:
+			relaxMax(&h, x, dist[x], f.g.out[x], dist, parent, c.affected)
+		default:
+			relaxMin(&h, x, dist[x], f.g.out[x], dist, parent, c.affected)
 		}
 	}
-	settle(&h, f.g.out, dist, parent, c.affected)
+	if f.widest {
+		settleMax(&h, f.g.out, dist, parent, c.affected)
+	} else {
+		settleMin(&h, f.g.out, dist, parent, c.affected)
+	}
 	f.sp.items = h.items[:0]
 	c.clear()
 }
@@ -167,6 +179,38 @@ func (f *SPForest) RestoreOut() {
 		f.dist[e.src][e.node] = e.dist
 		f.parent[e.src][e.node] = e.parent
 	}
+	f.removed = f.removed[:0]
+	f.removedFrom = -1
+	f.undo = f.undo[:0]
+}
+
+// CommitOut ends the outstanding removal the other way: arcs become the
+// removed node's new out-arcs, the undo log is dropped, and every tree
+// relaxes the new arcs from the node's label and settles what they
+// improve. Adding arcs only lowers additive labels (widens bottleneck
+// ones), and every label that moves is reached through one of them, so
+// the matrix equals a fresh Reset of the edited graph.
+func (f *SPForest) CommitOut(arcs []Arc) {
+	u := f.removedFrom
+	if u < 0 {
+		panic("graph: SPForest.CommitOut without a removal outstanding")
+	}
+	for _, a := range arcs {
+		f.g.AddArc(u, a.To, a.W)
+	}
+	out := f.g.out[u]
+	h := dheap{items: f.sp.items[:0]}
+	for src := 0; src < f.n; src++ {
+		dist, parent := f.dist[src], f.parent[src]
+		if f.widest {
+			relaxMax(&h, u, dist[u], out, dist, parent, nil)
+			settleMax(&h, f.g.out, dist, parent, nil)
+		} else {
+			relaxMin(&h, u, dist[u], out, dist, parent, nil)
+			settleMin(&h, f.g.out, dist, parent, nil)
+		}
+	}
+	f.sp.items = h.items[:0]
 	f.removed = f.removed[:0]
 	f.removedFrom = -1
 	f.undo = f.undo[:0]

@@ -61,6 +61,134 @@ func TestSPForestMatchesAPSP(t *testing.T) {
 	}
 }
 
+// forestAPSP is the ground truth for a forest over g: a from-scratch
+// all-pairs computation under the forest's algebra.
+func forestAPSP(g *Digraph, widest bool) [][]float64 {
+	if widest {
+		return APWidest(g)
+	}
+	return APSP(g)
+}
+
+// TestSPForestCommitMatchesAPSP mimics the full engine's live forest: a
+// long sequence of re-wirings, each a removal then either a restore or a
+// commit of a fresh random out-set, must leave the forest equal to a
+// from-scratch APSP of the edited graph after every step — for both
+// algebras and across many random graphs.
+func TestSPForestCommitMatchesAPSP(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, widest := range []bool{false, true} {
+		f := NewSPForest()
+		for trial := 0; trial < 12; trial++ {
+			n := 6 + rng.Intn(36)
+			deg := 1 + rng.Intn(3)
+			g := randomDigraphInc(rng, n, deg)
+			f.Reset(g, widest)
+			for round := 0; round < 3*n; round++ {
+				u := rng.Intn(n)
+				f.RemoveOut(u)
+				if rng.Intn(3) == 0 {
+					f.RestoreOut()
+					checkEqualMatrix(t, "after RestoreOut", f.Dist(), forestAPSP(g, widest))
+					continue
+				}
+				g.ClearOut(u)
+				var arcs []Arc
+				for x := rng.Intn(deg + 2); x > 0; x-- {
+					if v := rng.Intn(n); v != u {
+						// Integral weights make equal-cost ties common.
+						w := float64(1 + rng.Intn(6))
+						g.AddArc(u, v, w)
+						arcs = append(arcs, Arc{To: v, W: w})
+					}
+				}
+				f.CommitOut(arcs)
+				checkEqualMatrix(t, "after CommitOut", f.Dist(), forestAPSP(g, widest))
+			}
+		}
+	}
+}
+
+// TestSPForestEditsAllocs pins the forest's steady state, the full
+// engine's per-slot cost: once its buffers are warm, a removal with its
+// restore, and a removal with a commit, allocate nothing — under both
+// algebras.
+func TestSPForestEditsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	rng := rand.New(rand.NewSource(4))
+	g := randomDigraphInc(rng, 80, 4)
+	for _, widest := range []bool{false, true} {
+		f := NewSPForest()
+		f.Reset(g, widest)
+		u := 0
+		for len(g.Out(u)) < 2 {
+			u++
+		}
+		forward := append([]Arc(nil), g.Out(u)[1:]...)
+		back := append([]Arc(nil), g.Out(u)...)
+		edits := func() {
+			for v := 0; v < g.N(); v++ {
+				f.RemoveOut(v)
+				f.RestoreOut()
+			}
+			f.RemoveOut(u)
+			f.CommitOut(forward)
+			f.RemoveOut(u)
+			f.CommitOut(back)
+		}
+		edits() // the undo log and heap reach their size
+		if got := testing.AllocsPerRun(10, edits); got != 0 {
+			t.Errorf("widest=%v: %v allocs per sweep and commit pair, want 0", widest, got)
+		}
+	}
+}
+
+// FuzzSPForestEdits drives a forest through a byte-scripted sequence of
+// removals, restores and commits, with zero-weight arcs and ties allowed,
+// and checks every step against a from-scratch APSP. Each script byte
+// pair is one edit: the node, then the action and the new out-set.
+func FuzzSPForestEdits(f *testing.F) {
+	f.Add(uint8(5), false, []byte{0, 1, 1, 2, 2, 0, 3, 7, 4, 200})
+	f.Add(uint8(9), true, []byte{1, 9, 2, 40, 8, 255, 3, 3, 0, 0, 7, 128})
+	f.Fuzz(func(t *testing.T, size uint8, widest bool, script []byte) {
+		n := 2 + int(size%30)
+		rng := rand.New(rand.NewSource(int64(len(script))))
+		g := New(n)
+		for u := 0; u < n; u++ {
+			for x := 0; x < 2; x++ {
+				if v := rng.Intn(n); v != u {
+					g.AddArc(u, v, float64(rng.Intn(4)))
+				}
+			}
+		}
+		forest := NewSPForest()
+		forest.Reset(g, widest)
+		for x := 0; x+1 < len(script) && x < 400; x += 2 {
+			u, op := int(script[x])%n, script[x+1]
+			forest.RemoveOut(u)
+			if op&3 == 0 {
+				forest.RestoreOut()
+			} else {
+				g.ClearOut(u)
+				var arcs []Arc
+				for y := 0; y < int(op>>2)%4; y++ {
+					v := (u + 1 + int(op)*(y+1)) % n
+					if v == u {
+						continue
+					}
+					w := float64((int(op) >> y) % 3) // zero weights included
+					g.AddArc(u, v, w)
+					arcs = append(arcs, Arc{To: v, W: w})
+				}
+				forest.CommitOut(arcs)
+			}
+			checkEqualMatrix(t, "script step", forest.Dist(), forestAPSP(g, widest))
+		}
+	})
+}
+
 // TestSPForestAllNodesSweep mimics the proposal phase: remove and
 // restore every node in turn on one forest, checking each residual
 // matrix exactly.
@@ -122,6 +250,7 @@ func TestSPForestRemovalDiscipline(t *testing.T) {
 		call()
 	}
 	mustPanic("RestoreOut without a removal", f.RestoreOut)
+	mustPanic("CommitOut without a removal", func() { f.CommitOut(nil) })
 	f.RemoveOut(0)
 	mustPanic("a second RemoveOut", func() { f.RemoveOut(1) })
 	f.RestoreOut()

@@ -15,19 +15,28 @@ import (
 // time, as optimistic concurrency over the paper's staggered (one node
 // after another) re-wiring semantics.
 //
+// Every residual matrix G−i comes out of a shortest-path forest of the
+// announced link-state: cutting i's out-links repairs only the trees that
+// routed through them, the distances of a from-scratch all-pairs
+// computation at a fraction of the work. The sequential slots share one
+// live forest (state.live) that follows the announced view: a slot cuts
+// its node, prices the proposal, and then restores the links or, when
+// the node re-wires, commits its new ones into the forest. Changes made
+// outside a slot (fresh estimates at the epoch boundary, membership
+// events, backbone and cycle repairs) mark the forest stale, and the next
+// slot that needs it rebuilds it once.
+//
 // At the epoch boundary every node's best response is speculatively
 // computed against the announced link-state snapshot, fanned out over a
 // worker pool (Config.Workers); per-node best responses share no mutable
-// state, so the phase parallelizes perfectly. Each worker keeps one
-// shortest-path forest of the snapshot and obtains a node's residual
-// matrix by cutting that node's out-links, repairing only the affected
-// trees, and undoing exactly — the distances of a from-scratch all-pairs
-// computation at a fraction of the work. Adoption then replays the
-// stagger order sequentially. A node's speculative proposal is used only
-// while the announced view is still exactly the snapshot — i.e. no earlier
-// node re-wired, churned, or had its wiring repaired this epoch. The first
-// such change marks the epoch dirty and every later node proposes again at
-// its slot, against the live view (rewire).
+// state, so the phase parallelizes perfectly. Each worker keeps its own
+// forest of the snapshot and undoes every cut exactly; one of them becomes
+// the epoch's live forest afterwards. Adoption then replays the stagger
+// order sequentially. A node's speculative proposal is used only while the
+// announced view is still exactly the snapshot — i.e. no earlier node
+// re-wired, churned, or had its wiring repaired this epoch. The first such
+// change marks the epoch dirty and every later node proposes again at its
+// slot, against the live forest (rewire).
 //
 // Because a clean slot sees inputs identical to the snapshot and policy
 // randomness is a pure function of (seed, epoch, node), the speculative
@@ -35,17 +44,9 @@ import (
 // results are byte-identical for any worker count, including Workers: 1
 // (which skips speculation entirely). Best-response dynamics converge, so
 // in the common steady-state epoch no node re-wires and the whole epoch's
-// solver work runs parallel; transient epochs degrade gracefully toward
-// the sequential engine.
-
-// view is the announced link-state a proposal is computed against.
-type view struct {
-	g      *graph.Digraph
-	active []bool
-	// forest, when non-nil, maintains all-pairs distances over g; a node's
-	// residual matrix is then repaired out of it instead of recomputed.
-	forest *graph.SPForest
-}
+// solver work runs parallel; an epoch after a transient one, whose early
+// slots re-wired, skips the phase and runs as the sequential engine (see
+// computeProposals).
 
 // proposal is the outcome of one propose call: the proposed wiring and —
 // for BR policies — the BR(ε) adoption-test values, both evaluated on the
@@ -56,40 +57,33 @@ type proposal struct {
 	newVal float64 // objective of set on the view
 }
 
-// propose computes node i's proposal against v: the policy's selection
-// and, for BR policies, the objective of cur and of the selection on the
-// node's one residual matrix. It mutates nothing but sc and (transiently)
-// v.forest, so distinct workers may run it concurrently.
-func (st *state) propose(i, epoch int, v view, cur []int, sc *core.Scratch) (proposal, error) {
+// propose computes node i's proposal over the announced view whose
+// residual matrix G−i is resid (supplied exactly for BR policies, nil for
+// the policies that read none): the policy's selection and, for BR, the
+// objective of cur and of the selection on that matrix. It mutates
+// nothing but sc, so distinct workers may run it concurrently.
+func (st *state) propose(i, epoch int, active []bool, resid [][]float64, cur []int, sc *core.Scratch) (proposal, error) {
 	kind := st.cfg.Metric.Kind()
 	req := &core.Request{
 		Self:    i,
 		K:       st.cfg.K,
 		Kind:    kind,
 		Direct:  st.est[i],
-		Graph:   v.g,
-		Active:  v.active,
+		Active:  active,
 		Pref:    st.prefRow(i),
 		Rng:     policyRNG(st.cfg.Seed, epoch, i),
 		Scratch: sc,
-	}
-	_, isBR := st.cfg.Policy.(core.BRPolicy)
-	if isBR && v.forest != nil {
-		v.forest.RemoveOut(i)
-		defer v.forest.RestoreOut()
-		req.Resid = v.forest.Dist()
-	} else if isBR {
-		req.Resid = core.BuildResidScratch(v.g, i, kind, v.active, sc)
+		Resid:   resid,
 	}
 	set, err := st.cfg.Policy.Select(req)
 	if err != nil {
 		return proposal{}, fmt.Errorf("sim: node %d: %w", i, err)
 	}
 	p := proposal{set: set}
-	if isBR {
+	if resid != nil {
 		inst := &core.Instance{
 			Self: i, Kind: kind, Direct: st.est[i],
-			Resid: req.Resid, Pref: req.Pref,
+			Resid: resid, Pref: req.Pref,
 		}
 		p.curVal = inst.EvalScratch(cur, sc)
 		p.newVal = inst.EvalScratch(set, sc)
@@ -99,8 +93,9 @@ func (st *state) propose(i, epoch int, v view, cur []int, sc *core.Scratch) (pro
 
 // decide applies the adoption rule to node i's proposal and, when it
 // adopts, installs the wiring. join marks a fresh (re)join, which always
-// adopts. counter, when non-nil, records established links.
-func (st *state) decide(i int, p *proposal, join bool, counter func(links int)) {
+// adopts. counter, when non-nil, records established links. It reports
+// whether i's announced links changed.
+func (st *state) decide(i int, p *proposal, join bool, counter func(links int)) bool {
 	cur := st.wiring[i]
 	adopt := join || len(cur) == 0
 	if !adopt {
@@ -133,34 +128,45 @@ func (st *state) decide(i int, p *proposal, join bool, counter func(links int)) 
 		}
 	}
 	if !adopt {
-		return
+		return false
 	}
 	added := measure.LinkDiff(st.wiring[i], p.set)
 	if added > 0 && counter != nil {
 		counter(added)
 	}
-	if added > 0 || len(p.set) != len(st.wiring[i]) {
-		st.wiring[i] = p.set
-		st.epochDirty = true
+	if added == 0 && len(p.set) == len(st.wiring[i]) {
+		return false
 	}
+	st.wiring[i] = p.set
+	st.epochDirty = true
+	return true
 }
 
 // computeProposals runs the speculative best-response phase for one epoch
-// and returns one proposal per node (set == nil for inactive nodes). With
-// an effective worker count of 1 it returns nil: speculation would only
-// duplicate the sequential work it is meant to hide. It also resets the
-// epoch's dirty flag for the adoption phase.
+// and returns one proposal per node (set == nil for inactive nodes). It
+// returns nil — every slot then proposes at its turn — with an effective
+// worker count of 1, where speculation would only duplicate the
+// sequential work it is meant to hide, and when fewer than n/workers
+// slots of the previous epoch (none before the first) began clean: the
+// phase costs about n/workers slots of wall time and saves only the
+// clean ones, so a short clean prefix predicts a loss. Under BR at ε = 0
+// with probe noise some node re-wires within the first few slots of
+// nearly every epoch. It also resets the epoch's dirty flag and clean
+// count for the adoption phase.
 func (st *state) computeProposals(epoch int) ([]proposal, error) {
 	st.epochDirty = false
+	n := st.cfg.N
 	workers := par.Workers(st.cfg.Workers)
-	if workers <= 1 {
+	clean := st.cleanSlots
+	st.cleanSlots = 0
+	if workers <= 1 || clean*workers < n {
 		return nil, nil
 	}
-	n := st.cfg.N
-	snap := view{g: st.announcedGraph(), active: append([]bool(nil), st.active...)}
+	snap := st.announcedGraph()
+	active := append([]bool(nil), st.active...)
 	jobs := make([]int, 0, n)
 	for i := 0; i < n; i++ {
-		if snap.active[i] {
+		if active[i] {
 			jobs = append(jobs, i)
 		}
 	}
@@ -174,40 +180,61 @@ func (st *state) computeProposals(epoch int) ([]proposal, error) {
 	}
 	// Only BR policies read a residual matrix; a worker builds its forest
 	// of this epoch's snapshot when it takes its first job.
-	_, isBR := st.cfg.Policy.(core.BRPolicy)
+	isBR := st.isBR()
 	built := make([]bool, workers)
 	props := make([]proposal, n)
 	err := par.DoErr(len(jobs), workers, func(worker, ji int) error {
 		i := jobs[ji]
-		v := snap
+		var resid [][]float64
+		f := st.forests[worker]
 		if isBR {
-			v.forest = st.forests[worker]
 			if !built[worker] {
-				v.forest.Reset(snap.g, st.cfg.Metric.Kind() == core.Bottleneck)
+				f.Reset(snap, st.bottleneck())
 				built[worker] = true
 			}
+			f.RemoveOut(i)
+			defer f.RestoreOut()
+			resid = f.Dist()
 		}
 		// st.wiring is not written during this phase, so the node's row is
 		// read in place; curVal is only consulted on a clean slot, where
 		// the row is still what it was here.
 		var err error
-		props[i], err = st.propose(i, epoch, v, st.wiring[i], st.scratches[worker])
+		props[i], err = st.propose(i, epoch, active, resid, st.wiring[i], st.scratches[worker])
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
+	// Every cut was undone, so a built forest is the snapshot: it becomes
+	// the live forest the adoption phase edits, and the old live forest
+	// takes its place in the pool.
+	for w, ok := range built {
+		if ok {
+			st.live, st.forests[w] = st.forests[w], st.live
+			if st.forests[w] == nil {
+				st.forests[w] = graph.NewSPForest()
+			}
+			st.liveOK = true
+			break
+		}
+	}
 	return props, nil
 }
 
 // adopt decides node i's re-wiring at its stagger slot: while the epoch is
-// clean the speculative proposal is authoritative; once it is dirty (or no
-// proposals were computed) the node proposes again against the live view.
+// clean the speculative proposal is authoritative, and an adoption is
+// committed into the live forest; once it is dirty (or no proposals were
+// computed) the node proposes again against the live forest.
 func (st *state) adopt(i, epoch int, prop *proposal, counter func(links int)) error {
 	if prop == nil || prop.set == nil || st.epochDirty {
 		return st.rewire(i, epoch, false, counter)
 	}
-	st.decide(i, prop, false, counter)
+	if st.decide(i, prop, false, counter) && st.liveOK {
+		st.live.RemoveOut(i)
+		st.live.CommitOut(st.announcedOut(i))
+		return st.checkLive(i)
+	}
 	return nil
 }
 

@@ -98,9 +98,9 @@ func workerDeterminismConfigs() map[string]Config {
 		"kClosest/cycle": base(core.KClosest{}),
 		"kRegular":       base(core.KRegular{}),
 		"BR/churn/immed": base(core.BRPolicy{}),
-		// Two larger rows so that Workers 1 (from-scratch residual per
-		// slot) against Workers 8 (repaired forest) pins "forest residual ≡
-		// BuildResid" end to end, under churn and the bottleneck algebra.
+		// Two larger rows: churn under the ε gate, whose clean epochs
+		// let Workers 8 speculate, and the bottleneck algebra under
+		// HybridBR's backbone repairs, which rebuild the live forest.
 		"BR/epsilon/churn":   base(core.BRPolicy{}),
 		"HybridBR/bandwidth": base(core.BRPolicy{Donated: 2}),
 	}
@@ -161,6 +161,84 @@ func TestWorkerCountDoesNotChangeResults(t *testing.T) {
 	}
 }
 
+// TestLiveForestTracksAnnouncedView runs every BR row of the determinism
+// matrix with the checkLive probe on: after each slot that edited the
+// live forest — a restored cut or a committed re-wiring, on the
+// sequential path and after a clean speculative adoption — the forest
+// must equal a from-scratch all-pairs computation of the announced view.
+// This is the "live forest ≡ BuildResid" contract the worker-count suite
+// no longer pins on its own, now that Workers: 1 prices on the forest too.
+func TestLiveForestTracksAnnouncedView(t *testing.T) {
+	for name, cfg := range workerDeterminismConfigs() {
+		if _, ok := cfg.Policy.(core.BRPolicy); !ok {
+			continue
+		}
+		for _, workers := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
+				cfg := cfg
+				cfg.Workers = workers
+				cfg.checkLive = true
+				if _, err := Run(cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
+// FuzzFullChurnSchedule plays byte-scripted churn schedules (churnScript,
+// at 10..39 nodes) through the full engine with the checkLive probe on,
+// so every membership event, backbone repair, immediate victim and
+// adoption exercises the live forest's rebuild and commit paths. mode
+// picks the variant: bit 0 HybridBR, bit 1 immediate repair, bit 2 the
+// bottleneck algebra, bit 3 ε = 0.1. It requires no error, a departed
+// node ending with no wiring, and deep-equal Results at workers 1 and 3.
+func FuzzFullChurnSchedule(f *testing.F) {
+	f.Add(uint8(0), []byte{20, 4, 0, 3, 4, 9, 1, 3, 5, 11, 8, 40})
+	f.Add(uint8(3), []byte{12, 9, 0, 0, 0, 1, 0, 2, 0, 3, 1, 38, 1, 39, 1, 3})
+	f.Add(uint8(14), []byte{0, 0, 2, 5, 12, 6, 0, 7, 13, 7, 2, 7})
+	f.Fuzz(func(t *testing.T, mode uint8, data []byte) {
+		sched := churnScript(data, 10, 30)
+		cfg := Config{
+			N: sched.N, K: 3, Seed: 7, Metric: DelayPing, Policy: core.BRPolicy{},
+			WarmEpochs: 1, MeasureEpochs: 2, Churn: sched, checkLive: true,
+		}
+		if mode&1 != 0 {
+			cfg.Policy = core.BRPolicy{Donated: 2}
+		}
+		cfg.Immediate = mode&2 != 0
+		if mode&4 != 0 {
+			cfg.Metric = Bandwidth
+		}
+		if mode&8 != 0 {
+			cfg.Epsilon = 0.1
+		}
+		run := func(workers int) *Result {
+			cfg.Workers = workers
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		ref := run(1)
+		alive := append([]bool(nil), sched.InitialOn...)
+		for _, ev := range sched.Events {
+			if ev.Time < 3 {
+				alive[ev.Node] = ev.On
+			}
+		}
+		for u, w := range ref.FinalWiring {
+			if !alive[u] && len(w) > 0 {
+				t.Fatalf("departed node %d ended wired to %v", u, w)
+			}
+		}
+		if d := diffResults(ref, run(3)); d != "" {
+			t.Fatalf("workers 1 and 3 diverged: %s", d)
+		}
+	})
+}
+
 // TestIntermediateWorkerCountsAgree pins a few more pool shapes, including
 // the NumCPU default (Workers: 0), against the sequential engine.
 func TestIntermediateWorkerCountsAgree(t *testing.T) {
@@ -188,7 +266,7 @@ func TestIntermediateWorkerCountsAgree(t *testing.T) {
 // phase directly and checks the clean-slot equivalence invariant: with no
 // churn and no prior adoption, every node's speculative proposal (forest
 // residual, per-worker scratch) equals, bit for bit, what propose computes
-// against the untouched live view (from-scratch residual) — the wiring
+// on a from-scratch residual of the untouched announced view — the wiring
 // and both BR(ε) test values.
 func TestSpeculativeProposalsMatchSequentialSlots(t *testing.T) {
 	for _, metric := range []Metric{DelayPing, Bandwidth} {
@@ -201,6 +279,7 @@ func TestSpeculativeProposalsMatchSequentialSlots(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			st.cleanSlots = cfg.N // as after a clean epoch: speculate
 			props, err := st.computeProposals(0)
 			if err != nil {
 				t.Fatal(err)
@@ -208,13 +287,14 @@ func TestSpeculativeProposalsMatchSequentialSlots(t *testing.T) {
 			if props == nil {
 				t.Fatal("no proposals at Workers: 4")
 			}
-			live := view{g: st.announcedGraph(), active: st.active}
+			g := st.announcedGraph()
 			for i := 0; i < cfg.N; i++ {
 				spec := props[i]
 				if spec.set == nil {
 					t.Fatalf("active node %d got no proposal", i)
 				}
-				seq, err := st.propose(i, 0, live, st.wiring[i], &st.scratch)
+				resid := core.BuildResid(g, i, metric.Kind(), st.active)
+				seq, err := st.propose(i, 0, st.active, resid, st.wiring[i], &st.scratch)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -384,21 +384,21 @@ func TestScaleChurnRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// churnScript decodes a fuzz input into a churn schedule over at most
-// 120 nodes. Byte 0 sizes the overlay (48..120), byte 1 sets how many of
-// its top ids start off (fresh joiners), and each later byte pair is one
-// step: the first byte's low two bits pick a leave, a join, or a leave
-// then join of the same node at the same instant, its next two bits
-// advance the clock — which starts mid-epoch 0, where events repair the
-// live directory — by 0..3 sixteenths of an epoch (0 lands in the
-// previous event's sub-round window, the same-window leave→join shape),
-// and the second byte names the node. Naming a departed node in a join
-// is a rejoin.
-func churnScript(data []byte) *churn.Schedule {
+// churnScript decodes a fuzz input into a churn schedule over lo to
+// lo+span-1 nodes. Byte 0 sizes the overlay in that range, byte 1 sets
+// how many of its top ids start off (fresh joiners), and each later byte
+// pair is one step: the first byte's low two bits pick a leave, a join,
+// or a leave then join of the same node at the same instant, its next
+// two bits advance the clock — which starts mid-epoch 0, where events
+// repair the live directory — by 0..3 sixteenths of an epoch (0 lands in
+// the previous event's sub-round window, the same-window leave→join
+// shape), and the second byte names the node. Naming a departed node in
+// a join is a rejoin.
+func churnScript(data []byte, lo, span int) *churn.Schedule {
 	if len(data) < 2 {
 		data = append(data, 0, 0)
 	}
-	n := 48 + int(data[0])%73
+	n := lo + int(data[0])%span
 	s := emptySchedule(n)
 	for v := n - int(data[1])%(n/3); v < n; v++ {
 		s.InitialOn[v] = false
@@ -432,7 +432,7 @@ func FuzzScaleChurnSchedule(f *testing.F) {
 	// Same-node leave→join, then a rejoin after the clock moved on.
 	f.Add([]byte{0, 0, 2, 5, 12, 6, 0, 7, 13, 7, 2, 7})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sched := churnScript(data)
+		sched := churnScript(data, 48, 73)
 		run := func(workers int) *ScaleResult {
 			res, err := RunScale(ScaleConfig{
 				N: sched.N, K: 3, Seed: 7, Workers: workers, MaxEpochs: 3,

@@ -118,13 +118,21 @@ type Config struct {
 	// every node's proposal is computed concurrently against the
 	// epoch-start link-state snapshot by up to Workers goroutines, each
 	// repairing its own shortest-path forest of the snapshot instead of
-	// recomputing all pairs per node. Zero (or negative) selects
-	// runtime.NumCPU(); with one worker there is no speculative phase and
-	// every node re-wires against the live view at its slot. Results are
-	// byte-identical for any value — parallelism changes wall-clock time,
-	// never measurements. Custom Policy implementations must be safe for
-	// concurrent Select calls on distinct Requests.
+	// recomputing all pairs per node. A proposal is used only while no
+	// earlier slot has changed the view, so the phase runs only in an
+	// epoch after one whose first n/Workers slots all found it unchanged;
+	// otherwise, and always with one worker, every node re-wires against
+	// the live view at its slot. Zero (or negative) selects
+	// runtime.NumCPU(). Results are byte-identical for any value —
+	// parallelism changes wall-clock time, never measurements. Custom
+	// Policy implementations must be safe for concurrent Select calls on
+	// distinct Requests.
 	Workers int
+
+	// checkLive makes every edit of the live forest verify it against a
+	// from-scratch all-pairs computation of the announced view, failing
+	// the run on the first difference (tests only).
+	checkLive bool
 }
 
 func (c *Config) validate() error {
@@ -202,6 +210,18 @@ type state struct {
 	// changed, a cycle was enforced); once set, adoption falls back to the
 	// sequential re-wiring path (see parallel.go).
 	epochDirty bool
+	// cleanSlots counts the current epoch's slots that began with the
+	// epoch still clean; computeProposals reads the previous epoch's.
+	cleanSlots int
+
+	// live is the shortest-path forest of the announced view the
+	// sequential slots price BR proposals on (see parallel.go); liveOK
+	// reports that it still matches that view. Changes made outside a
+	// slot clear liveOK, and the next slot rebuilds the forest.
+	live   *graph.SPForest
+	liveOK bool
+	// arcs is announcedOut's buffer.
+	arcs []graph.Arc
 
 	// scratch serves the sequential re-wiring path; forests and scratches
 	// hold one shortest-path forest and one solver scratch per worker of
@@ -299,6 +319,7 @@ func newState(cfg Config) (*state, error) {
 // way the paper's measurement schedule does: one probe per pair per epoch.
 func (st *state) refreshEstimates() {
 	n := st.cfg.N
+	st.liveOK = false
 	if st.cfg.Metric == Load {
 		// Every node samples its local loadavg once per epoch and announces
 		// the EWMA via the link-state protocol (no network probing).
@@ -340,25 +361,33 @@ func (st *state) estimateOne(i, j int) float64 {
 }
 
 // announcedGraph materializes the link-state view: every active node's
-// established links with the costs their owners announce (cheaters
-// misrepresent theirs).
+// announced out-arcs.
 func (st *state) announcedGraph() *graph.Digraph {
 	g := graph.New(st.cfg.N)
-	bottleneck := st.cfg.Metric.Kind() == core.Bottleneck
-	for u, ws := range st.wiring {
-		if !st.active[u] {
-			continue
-		}
-		for _, v := range ws {
-			if !st.active[v] {
-				continue
-			}
-			cost := st.est[u][v]
-			cost = st.cfg.Cheat.Announced(u, cost, bottleneck)
-			g.AddArc(u, v, cost)
+	for u := range st.wiring {
+		for _, a := range st.announcedOut(u) {
+			g.AddArc(u, a.To, a.W)
 		}
 	}
 	return g
+}
+
+// announcedOut returns node u's part of the link-state view: its
+// established links to active nodes with the costs it announces
+// (cheaters misrepresent theirs), none while u is inactive. The slice is
+// reused by the next call.
+func (st *state) announcedOut(u int) []graph.Arc {
+	arcs := st.arcs[:0]
+	if st.active[u] {
+		bottleneck := st.bottleneck()
+		for _, v := range st.wiring[u] {
+			if st.active[v] {
+				arcs = append(arcs, graph.Arc{To: v, W: st.cfg.Cheat.Announced(u, st.est[u][v], bottleneck)})
+			}
+		}
+	}
+	st.arcs = arcs
+	return arcs
 }
 
 // trueGraph materializes the real current cost of every established link,
@@ -393,17 +422,71 @@ func (st *state) trueCost(u, v int) float64 {
 // rewire re-evaluates node i's wiring against the current (not snapshot)
 // link-state view — the sequential path used for initial joins, immediate
 // failure repair, and every stagger slot whose speculative proposal is
-// missing or stale (see adopt). join indicates a fresh (re)join, which
-// always adopts the proposal. counter, when non-nil, records established
-// links. epoch seeds the per-(epoch,node) policy RNG (-1 for the initial
-// join).
+// missing or stale (see adopt). A BR proposal is priced on the live
+// forest with i's out-links cut; the cut is then committed with i's new
+// links if i re-wires and restored otherwise. join indicates a fresh
+// (re)join, which always adopts the proposal. counter, when non-nil,
+// records established links. epoch seeds the per-(epoch,node) policy RNG
+// (-1 for the initial join).
 func (st *state) rewire(i, epoch int, join bool, counter func(links int)) error {
-	live := view{g: st.announcedGraph(), active: st.active}
-	p, err := st.propose(i, epoch, live, st.wiring[i], &st.scratch)
+	var resid [][]float64
+	if st.isBR() {
+		if !st.liveOK {
+			if st.live == nil {
+				st.live = graph.NewSPForest()
+			}
+			st.live.Reset(st.announcedGraph(), st.bottleneck())
+			st.liveOK = true
+		}
+		st.live.RemoveOut(i)
+		resid = st.live.Dist()
+	}
+	p, err := st.propose(i, epoch, st.active, resid, st.wiring[i], &st.scratch)
 	if err != nil {
 		return err
 	}
-	st.decide(i, &p, join, counter)
+	changed := st.decide(i, &p, join, counter)
+	switch {
+	case resid == nil:
+		return nil
+	case changed:
+		st.live.CommitOut(st.announcedOut(i))
+	default:
+		st.live.RestoreOut()
+	}
+	return st.checkLive(i)
+}
+
+// isBR reports whether the policy prices proposals on residual matrices.
+func (st *state) isBR() bool {
+	_, ok := st.cfg.Policy.(core.BRPolicy)
+	return ok
+}
+
+// bottleneck reports whether the metric's paths are widest paths.
+func (st *state) bottleneck() bool { return st.cfg.Metric.Kind() == core.Bottleneck }
+
+// checkLive is the checkLive probe, run after node i's slot edited the
+// live forest: the forest must equal a from-scratch all-pairs computation
+// of the announced view, bit for bit.
+func (st *state) checkLive(i int) error {
+	if !st.cfg.checkLive {
+		return nil
+	}
+	var want [][]float64
+	if g := st.announcedGraph(); st.bottleneck() {
+		want = graph.APWidest(g)
+	} else {
+		want = graph.APSP(g)
+	}
+	got := st.live.Dist()
+	for s := range want {
+		for d := range want[s] {
+			if math.Float64bits(got[s][d]) != math.Float64bits(want[s][d]) {
+				return fmt.Errorf("sim: live forest after node %d's slot: dist[%d][%d] = %v, fresh %v", i, s, d, got[s][d], want[s][d])
+			}
+		}
+	}
 	return nil
 }
 
@@ -415,6 +498,7 @@ func (st *state) enforceCycleIfNeeded() {
 		return st.est[i][j]
 	}) {
 		st.epochDirty = true
+		st.liveOK = false
 	}
 }
 
@@ -435,6 +519,7 @@ func (st *state) applyChurn(t float64, counter func(links int)) (bool, error) {
 		st.active[e.Node] = e.On
 		changed = true
 		st.epochDirty = true
+		st.liveOK = false
 		epoch := int(e.Time) // the wiring epoch the event falls in
 		if e.On {
 			// Re-join: measure candidates, then connect to a single
@@ -559,6 +644,7 @@ func (st *state) repairBackbone(counter func(links int)) {
 			counter(added)
 		}
 		st.wiring[i] = next
+		st.liveOK = false
 	}
 }
 
@@ -636,6 +722,9 @@ func (st *state) run() (*Result, error) {
 				// disconnections show up in the measurements the way the
 				// paper's continuous monitoring sees them.
 				snapshot(false)
+			}
+			if !st.epochDirty {
+				st.cleanSlots = p + 1
 			}
 			if st.active[i] {
 				var prop *proposal
