@@ -11,10 +11,10 @@ import (
 // Greedy and local search spend their time pricing candidates that lose.
 // For the sum objective two bounds let them skip most of those without
 // changing one output bit: every value that is compared for acceptance,
-// stored or returned still comes from the evaluators below (greedy's inner
-// loop, swapValue) in their fixed summation order, candidates are still
-// scanned in the same order with the same first-strictly-better tie-break,
-// and a skipped candidate is one the evaluator provably would have rejected.
+// stored or returned still comes from the evaluators (greedy's addValue,
+// swapValue) in their fixed summation order, candidates are still scanned
+// in the same order with the same first-strictly-better tie-break, and a
+// skipped candidate is one the evaluator provably would have rejected.
 //
 //  1. Fast swap (Whitaker; Resende & Werneck). With b1, b2 the best and
 //     second-best value per destination under the current set and cv the
@@ -43,10 +43,10 @@ import (
 // The argument needs non-negative weights and costs and a monotone
 // finalize; a finite cost at or above DisconnectedPenalty (the overlay
 // node's stand-in for an unmeasured direct link) ranks above +Inf once
-// finalized and breaks the latter. greedyBR checks the weights and the
-// Fixed rows up front and every candidate's costs in round 0, which visits
-// them all anyway; one irregular value and the whole call runs unpruned.
-// AggWorst is never pruned.
+// finalized and breaks the latter. The block's weigh checks every weight
+// and Fixed cost before the solver starts, and greedy's round 0 every
+// candidate cost on the pass that prices them all anyway; one irregular
+// value and the whole call runs unpruned. AggWorst is never pruned.
 
 // pruneSlack is the relative margin by which a bound must miss the
 // incumbent before its candidate is skipped.
@@ -97,6 +97,18 @@ func (o BROptions) maxCombinations() int64 {
 	return o.MaxCombinations
 }
 
+// checkExact refuses an exact solve whose enumeration of k among n
+// candidates would pass MaxCombinations subsets.
+func (o BROptions) checkExact(n, k int) error {
+	if !o.Exact {
+		return nil
+	}
+	if c := combinations(n, k); c < 0 || c > o.maxCombinations() {
+		return fmt.Errorf("core: exact BR over %d candidates choose %d exceeds limit", n, k)
+	}
+	return nil
+}
+
 // BestResponse computes a wiring of k facilities for the instance: the
 // exact optimum when opts.Exact is set (small instances only), otherwise
 // the greedy + single-swap local search EGOIST deploys (Sect. 3.2), which
@@ -110,11 +122,11 @@ func BestResponse(in *Instance, k int, opts BROptions) ([]int, float64, error) {
 }
 
 // BestResponseScratch is BestResponse with an explicit scratch: all solver
-// working memory (per-destination arrays, membership sets, swap caches)
-// lives in s and is reused by the next call, keeping the per-epoch hot path
-// of the parallel simulation engine allocation-free. The returned set is
-// freshly allocated and remains valid after s is reused. A nil s allocates
-// a scratch for the call.
+// working memory (the dense cost block, per-destination arrays, membership
+// sets, swap caches) lives in s and is reused by the next call, keeping the
+// per-epoch hot path of the parallel simulation engine allocation-free. The
+// returned set is freshly allocated and remains valid after s is reused. A
+// nil s allocates a scratch for the call.
 func BestResponseScratch(in *Instance, k int, opts BROptions, s *Scratch) ([]int, float64, error) {
 	if err := in.Validate(); err != nil {
 		return nil, 0, err
@@ -132,86 +144,87 @@ func BestResponseScratch(in *Instance, k int, opts BROptions, s *Scratch) ([]int
 	if k == 0 {
 		return nil, in.EvalScratch(nil, s), nil
 	}
-	if opts.Exact {
-		return exactBR(in, k, cands, opts, s)
+	if err := opts.checkExact(len(cands), k); err != nil {
+		return nil, 0, err
 	}
-	dests := in.destsInto(s)
-	chosen, prune := greedyBR(in, k, cands, dests, s)
-	chosen, val := localSearch(in, chosen, cands, dests, opts.maxPasses(), prune, s)
+	b := s.fill(in, cands, in.destsInto(s))
+	b.weigh(nil)
+	chosen, val := b.solve(k, opts, s)
+	b.ids = nil // do not pin the caller's candidates
 	sort.Ints(chosen)
 	return chosen, val, nil
 }
 
-// greedyBR builds a k-set by repeatedly adding the facility with the best
-// marginal improvement — the standard k-median greedy warm start. It also
-// reports whether the instance admits the exact pruning described atop
-// this file, which round 0 settles on its way through every candidate ×
-// destination.
-func greedyBR(in *Instance, k int, cands, dests []int, s *Scratch) (chosen []int, prune bool) {
-	s.best = floats(s.best, in.n())
-	best := s.best
-	in.bestPerDestInto(nil, best)
-	s.used = bools(s.used, in.n())
+// solve picks k ≥ 1 of the block's candidates: every k-subset with
+// opts.Exact, greedy plus single-swap local search otherwise. It returns
+// the chosen ids, freshly allocated, and their objective; s.slots holds
+// each one's candidate position, aligned.
+func (b *block) solve(k int, opts BROptions, s *Scratch) ([]int, float64) {
+	if opts.Exact {
+		return b.exact(k, s)
+	}
+	chosen, prune := b.greedyBR(k, s)
+	return b.localSearch(chosen, opts.maxPasses(), prune, s)
+}
+
+// greedyBR builds a k-set by repeatedly adding the candidate with the best
+// marginal improvement — the standard k-median greedy warm start — and
+// reports whether the exact pruning described atop this file applies,
+// which round 0 settles on its way through every candidate.
+func (b *block) greedyBR(k int, s *Scratch) (chosen []int, prune bool) {
+	best := b.bests(nil, s)
+	s.used = bools(s.used, b.nIDs)
 	used := s.used
-	prune = in.Agg == AggSum && s.loadWeights(in, dests)
+	prune = b.regular
 	// base is the objective of the set chosen so far, in the evaluator's
 	// own summation order: Fixed alone before round 0, the previous round's
 	// winning total after.
 	var base float64
 	if prune {
-		s.lazyTot = floats(s.lazyTot, len(cands))
-		s.lazyBase = floats(s.lazyBase, len(cands))
-		for di, j := range dests {
-			base += s.w[di] * in.Kind.finalize(best[j])
-		}
+		s.lazyTot = floats(s.lazyTot, len(b.ids))
+		s.lazyBase = floats(s.lazyBase, len(b.ids))
+		base = b.value(best)
 	}
 	chosen = make([]int, 0, k)
+	s.slots = s.slots[:0]
 	for len(chosen) < k {
-		bestCand := -1
+		bestCI := -1
 		bestTotal := math.NaN()
-		for ci, w := range cands {
-			if used[w] {
+		for ci, id := range b.ids {
+			if used[id] {
 				continue
 			}
 			if prune && len(chosen) > 0 {
-				// Lazy evaluation: the gain w showed when last measured
-				// bounds the gain it can show now.
+				// Lazy evaluation: the gain the candidate showed when last
+				// measured bounds the gain it can show now.
 				tot, was := s.lazyTot[ci], s.lazyBase[ci]
 				slack := pruneSlack * (math.Abs(base) + math.Abs(tot) + math.Abs(was))
-				if bestCand != -1 && in.Kind.misses(base+(tot-was), bestTotal, slack) {
+				if bestCI != -1 && b.kind.misses(base+(tot-was), bestTotal, slack) {
 					s.greedySkips++
 					continue
 				}
 				s.greedyEvals++
 			}
-			acc := newAccum(in.Kind, in.Agg)
-			dw := in.Direct[w]
-			row := in.Resid[w]
-			for _, j := range dests {
-				c := best[j]
-				alt := in.Kind.combine(dw, row[j])
-				if !in.Kind.regular(alt) {
-					prune = false
-				}
-				if in.Kind.better(alt, c) {
-					c = alt
-				}
-				acc.add(in.pref(j), in.Kind.finalize(c))
+			var total float64
+			if prune && len(chosen) == 0 {
+				total, prune = b.addRegular(best, b.row(ci))
+			} else {
+				total = b.addValue(best, b.row(ci))
 			}
-			total := acc.value()
 			if prune {
 				s.lazyTot[ci], s.lazyBase[ci] = total, base
 			}
-			if bestCand == -1 || in.Kind.better(total, bestTotal) {
-				bestCand, bestTotal = w, total
+			if bestCI == -1 || b.kind.better(total, bestTotal) {
+				bestCI, bestTotal = ci, total
 			}
 		}
-		if bestCand == -1 {
+		if bestCI == -1 {
 			break
 		}
-		chosen = append(chosen, bestCand)
-		used[bestCand] = true
-		in.foldFacilities(best, chosen[len(chosen)-1:])
+		chosen = append(chosen, b.ids[bestCI])
+		s.slots = append(s.slots, bestCI)
+		used[b.ids[bestCI]] = true
+		b.fold(best, b.row(bestCI))
 		base = bestTotal
 	}
 	return chosen, prune
@@ -220,7 +233,8 @@ func greedyBR(in *Instance, k int, cands, dests []int, s *Scratch) (chosen []int
 // localSearch improves a wiring with single swaps (drop one chosen
 // facility, add one unchosen candidate) until no swap improves the
 // objective or maxPasses passes elapse. It returns the improved set and
-// its value. chosen must be caller-owned; it is modified in place.
+// its value. cur must be caller-owned, with s.slots holding its candidate
+// positions; both are modified in place.
 //
 // Swap evaluation is incremental: per destination the best and second-best
 // facility values are cached, so swapValue prices one swap in O(|dests|)
@@ -229,44 +243,45 @@ func greedyBR(in *Instance, k int, cands, dests []int, s *Scratch) (chosen []int
 // takes a pass that improves nothing from k·|cands|·|dests| element visits
 // to about 2·|cands|·|dests|: one to index the caches, one spread over the
 // estimates.
-func localSearch(in *Instance, chosen, cands []int, dests []int, maxPasses int, prune bool, s *Scratch) ([]int, float64) {
-	cur := chosen
-	s.used = bools(s.used, in.n())
+func (b *block) localSearch(cur []int, maxPasses int, prune bool, s *Scratch) ([]int, float64) {
+	slots := s.slots
+	s.used = bools(s.used, b.nIDs)
 	inSet := s.used
-	for _, w := range cur {
-		inSet[w] = true
+	for _, id := range cur {
+		inSet[id] = true
 	}
-	st := newSwapState(in, cands, dests, inSet, prune, s)
-	st.rebuild(cur)
+	st := s.swap.reset(b, inSet, prune)
+	st.rebuild(slots)
 	curVal := st.total()
 
 	for pass := 0; pass < maxPasses; pass++ {
 		improved := false
 		for slot, old := range cur {
-			bestC := -1
+			bestCI := -1
 			bestVal := curVal
-			for ci, c := range cands {
-				if inSet[c] {
+			for ci, id := range b.ids {
+				if inSet[id] {
 					continue
 				}
 				if prune {
 					est := st.swapEstimate(slot, ci)
-					if in.Kind.misses(est, bestVal, pruneSlack*(math.Abs(est)+math.Abs(bestVal))) {
+					if b.kind.misses(est, bestVal, pruneSlack*(math.Abs(est)+math.Abs(bestVal))) {
 						s.swapSkips++
 						continue
 					}
 					s.swapEvals++
 				}
-				if v := st.swapValue(slot, c); in.Kind.better(v, bestVal) {
-					bestVal, bestC = v, c
+				if v := st.swapValue(slot, ci); b.kind.better(v, bestVal) {
+					bestVal, bestCI = v, ci
 				}
 			}
-			if bestC >= 0 {
-				cur[slot] = bestC
+			if bestCI >= 0 {
+				id := b.ids[bestCI]
+				cur[slot], slots[slot] = id, bestCI
 				inSet[old] = false
-				inSet[bestC] = true
+				inSet[id] = true
 				curVal = bestVal
-				st.rebuild(cur)
+				st.rebuild(slots)
 				improved = true
 			}
 		}
@@ -274,92 +289,81 @@ func localSearch(in *Instance, chosen, cands []int, dests []int, maxPasses int, 
 			break
 		}
 	}
-	// The state outlives the call inside the Scratch: drop what it borrowed
-	// so it does not pin the caller's instance.
-	st.in, st.cands, st.dests, st.inSet = nil, nil, nil, nil
 	return cur, curVal
 }
 
-// swapState caches, for every destination, the best and second-best
-// facility of the current set, enabling O(|dests|) single-swap evaluation,
-// and — when pruning — the tables behind swapEstimate. It lives in the
-// Scratch, its slices reused from call to call.
+// swapState caches, for every destination position, the best and
+// second-best facility of the current set, enabling O(|dests|) single-swap
+// evaluation, and — when pruning — the tables behind swapEstimate. It lives
+// in the Scratch, its slices reused from call to call.
 type swapState struct {
-	in    *Instance
-	cands []int
-	dests []int
-	inSet []bool // membership of the current set, by node
+	b     *block
+	inSet []bool // membership of the current set, by node id
 	prune bool
-	// Per destination (indexed positionally like dests): the best value,
-	// the slot of the current set that provides it (-1 for a Fixed
-	// facility, which is never swapped out, and for none at all), and the
-	// second-best value.
+	// Per destination position: the best value, the slot of the current
+	// set that provides it (-1 for the Fixed facilities, which are never
+	// swapped out, and for none at all), and the second-best value, read
+	// only where a slot provides the best.
 	best1Slot        []int
 	best1Val, best2V []float64
-	// Pruning tables, valid until the next rebuild. w are the positional
-	// destination weights; addVal[ci] is the objective of the current set
-	// plus cands[ci], for every candidate outside it;
-	// served[off[s]:off[s+1]] are the destination positions slot s serves.
-	w      []float64
+	// Pruning tables, valid until the next rebuild: addVal[ci] is the
+	// objective of the current set plus candidate ci, for every candidate
+	// outside it; served[off[s]:off[s+1]] are the destination positions
+	// slot s serves.
 	addVal []float64
 	served []int
 	off    []int
 }
 
-func newSwapState(in *Instance, cands, dests []int, inSet []bool, prune bool, s *Scratch) *swapState {
-	st := &s.swap
-	st.in, st.cands, st.dests, st.inSet, st.prune, st.w = in, cands, dests, inSet, prune, s.w
-	st.best1Slot = ints(st.best1Slot, len(dests))
-	st.best1Val = floats(st.best1Val, len(dests))
-	st.best2V = floats(st.best2V, len(dests))
+// reset points the state at the block and sizes its tables.
+func (st *swapState) reset(b *block, inSet []bool, prune bool) *swapState {
+	st.b, st.inSet, st.prune = b, inSet, prune
+	st.best1Slot = ints(st.best1Slot, b.d)
+	st.best1Val = floats(st.best1Val, b.d)
+	st.best2V = floats(st.best2V, b.d)
 	if prune {
-		st.addVal = floats(st.addVal, len(cands))
-		st.served = ints(st.served, len(dests))
+		st.addVal = floats(st.addVal, len(b.ids))
+		st.served = ints(st.served, b.d)
 	}
 	return st
 }
 
-// rebuild recomputes the caches for the facility set cur ∪ Fixed.
-func (st *swapState) rebuild(cur []int) {
-	in := st.in
-	for di := range st.dests {
+// rebuild recomputes the caches for the set of candidate positions slots
+// ∪ Fixed. The Fixed facilities enter as the block's starting bests; the
+// second best among them, which that drops, is never read: a slot that
+// takes a destination from them leaves their best as its second.
+func (st *swapState) rebuild(slots []int) {
+	b := st.b
+	kind := b.kind
+	copy(st.best1Val, b.fixed)
+	for di := range st.best1Slot {
 		st.best1Slot[di] = -1
-		st.best1Val[di] = in.Kind.worst()
-		st.best2V[di] = in.Kind.worst()
+		st.best2V[di] = kind.worst()
 	}
-	fold := func(w, slot int) {
-		dw := in.Direct[w]
-		row := in.Resid[w]
-		for di, j := range st.dests {
-			c := in.Kind.combine(dw, row[j])
-			if in.Kind.better(c, st.best1Val[di]) {
+	for slot, ci := range slots {
+		for di, c := range b.row(ci) {
+			if kind.better(c, st.best1Val[di]) {
 				st.best2V[di] = st.best1Val[di]
 				st.best1Val[di] = c
 				st.best1Slot[di] = slot
-			} else if in.Kind.better(c, st.best2V[di]) {
+			} else if kind.better(c, st.best2V[di]) {
 				st.best2V[di] = c
 			}
 		}
 	}
-	for _, w := range in.Fixed {
-		fold(w, -1)
-	}
-	for slot, w := range cur {
-		fold(w, slot)
-	}
 	if st.prune {
-		st.index(len(cur))
+		st.index(len(slots))
 	}
 }
 
 // index builds the pruning tables from the caches rebuild just filled:
-// addVal by pricing every outside candidate as a swap that removes nothing,
+// addVal by pricing every outside candidate added to the current set,
 // served by a counting sort of the destination positions on their serving
 // slot.
 func (st *swapState) index(k int) {
-	for ci, c := range st.cands {
-		if !st.inSet[c] {
-			st.addVal[ci] = st.swapValue(noSlot, c)
+	for ci, id := range st.b.ids {
+		if !st.inSet[id] {
+			st.addVal[ci] = st.b.addValue(st.best1Val, st.b.row(ci))
 		}
 	}
 	off := ints(st.off, k+1)
@@ -388,88 +392,86 @@ func (st *swapState) index(k int) {
 }
 
 // total returns the objective of the current set.
-func (st *swapState) total() float64 {
-	in := st.in
-	acc := newAccum(in.Kind, in.Agg)
-	for di, j := range st.dests {
-		acc.add(in.pref(j), in.Kind.finalize(st.best1Val[di]))
-	}
-	return acc.value()
-}
-
-// noSlot is the slot argument that makes swapValue remove nothing.
-const noSlot = -2
+func (st *swapState) total() float64 { return st.b.value(st.best1Val) }
 
 // swapValue returns the objective after replacing the facility in slot out
-// by facility c, without mutating the caches.
-func (st *swapState) swapValue(out, c int) float64 {
-	in := st.in
-	dc := in.Direct[c]
-	rowC := in.Resid[c]
-	acc := newAccum(in.Kind, in.Agg)
-	for di, j := range st.dests {
-		v := st.best1Val[di]
-		if st.best1Slot[di] == out {
-			v = st.best2V[di]
+// by candidate ci, without mutating the caches.
+func (st *swapState) swapValue(out, ci int) float64 {
+	b := st.b
+	row := b.row(ci)
+	kind, w := b.kind, b.w[:len(row)]
+	b1, b2, slot := st.best1Val[:len(row)], st.best2V[:len(row)], st.best1Slot[:len(row)]
+	if b.agg == AggSum {
+		var tot float64
+		for di, cv := range row {
+			v := b1[di]
+			if slot[di] == out {
+				v = b2[di]
+			}
+			if kind.better(cv, v) {
+				v = cv
+			}
+			tot += w[di] * kind.finalize(v)
 		}
-		if cv := in.Kind.combine(dc, rowC[j]); in.Kind.better(cv, v) {
+		return tot
+	}
+	acc := newAccum(kind, b.agg)
+	for di, cv := range row {
+		v := b1[di]
+		if slot[di] == out {
+			v = b2[di]
+		}
+		if kind.better(cv, v) {
 			v = cv
 		}
-		acc.add(in.pref(j), in.Kind.finalize(v))
+		acc.add(w[di], kind.finalize(v))
 	}
 	return acc.value()
 }
 
-// swapEstimate is swapValue(out, cands[ci]) by the fast-swap identity: the
+// swapEstimate is swapValue(out, ci) by the fast-swap identity: the
 // objective with the candidate added and nothing removed, plus what the
 // destinations slot out serves lose by falling back to their second-best
 // facility (or to the candidate). It visits only those destinations, and
 // sums in a different order than swapValue, so it steers the search but
 // never supplies an accepted value.
 func (st *swapState) swapEstimate(out, ci int) float64 {
-	in := st.in
-	c := st.cands[ci]
-	dc := in.Direct[c]
-	rowC := in.Resid[c]
+	b := st.b
+	kind, row := b.kind, b.row(ci)
 	var loss float64
 	for _, di := range st.served[st.off[out]:st.off[out+1]] {
 		v1 := st.best1Val[di]
-		cv := in.Kind.combine(dc, rowC[st.dests[di]])
-		if in.Kind.better(cv, v1) {
+		cv := row[di]
+		if kind.better(cv, v1) {
 			continue // the candidate serves it either way
 		}
 		v2 := st.best2V[di]
-		if in.Kind.better(cv, v2) {
+		if kind.better(cv, v2) {
 			v2 = cv
 		}
-		loss += st.w[di] * (in.Kind.finalize(v2) - in.Kind.finalize(v1))
+		loss += b.w[di] * (kind.finalize(v2) - kind.finalize(v1))
 	}
 	return st.addVal[ci] + loss
 }
 
-// exactBR enumerates all k-subsets of the candidates.
-func exactBR(in *Instance, k int, cands []int, opts BROptions, s *Scratch) ([]int, float64, error) {
-	if c := combinations(len(cands), k); c < 0 || c > opts.maxCombinations() {
-		return nil, 0, fmt.Errorf("core: exact BR over %d candidates choose %d exceeds limit", len(cands), k)
-	}
+// exact enumerates every k-subset of the candidates and keeps the first
+// best one.
+func (b *block) exact(k int, s *Scratch) ([]int, float64) {
+	n := len(b.ids)
 	idx := make([]int, k)
 	for i := range idx {
 		idx[i] = i
 	}
-	var bestSet []int
+	found := false
 	bestVal := math.NaN()
-	subset := make([]int, k)
 	for {
-		for i, ix := range idx {
-			subset[i] = cands[ix]
-		}
-		if v := in.EvalScratch(subset, s); bestSet == nil || in.Kind.better(v, bestVal) {
-			bestVal = v
-			bestSet = append(bestSet[:0], subset...)
+		if v := b.value(b.bests(idx, s)); !found || b.kind.better(v, bestVal) {
+			found, bestVal = true, v
+			s.slots = append(s.slots[:0], idx...)
 		}
 		// Advance the combination indices.
 		i := k - 1
-		for i >= 0 && idx[i] == len(cands)-k+i {
+		for i >= 0 && idx[i] == n-k+i {
 			i--
 		}
 		if i < 0 {
@@ -480,8 +482,11 @@ func exactBR(in *Instance, k int, cands []int, opts BROptions, s *Scratch) ([]in
 			idx[j] = idx[j-1] + 1
 		}
 	}
-	sort.Ints(bestSet)
-	return bestSet, bestVal, nil
+	chosen := make([]int, k)
+	for x, ci := range s.slots {
+		chosen[x] = b.ids[ci]
+	}
+	return chosen, bestVal
 }
 
 // combinations returns C(n,k), or -1 on overflow.

@@ -175,8 +175,8 @@ type Instance struct {
 	// all-pairs shortest-path costs for Additive, all-pairs widest-path
 	// values for Bottleneck. Resid[w][w] must be 0 (Additive) or +Inf
 	// (Bottleneck). Rows of nodes that can never be facilities (outside
-	// Candidates, Fixed and any evaluated wiring) may be nil — the scale
-	// engine populates only the rows its pool provides.
+	// Candidates, Fixed and any evaluated wiring) may be nil: the solvers
+	// read no other row.
 	Resid [][]float64
 	// Candidates are the nodes Self may link to. Nil means every node
 	// except Self. Sampling policies (Sect. 5) restrict this set.

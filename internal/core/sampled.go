@@ -1,43 +1,17 @@
 package core
 
-import (
-	"fmt"
-
-	"egoist/internal/sampling"
-)
+import "egoist/internal/sampling"
 
 // This file is the sampled best-response solver of the large-scale
 // simulation mode: the node solves the SNS game against a weighted
 // destination sample instead of the full roster (the scaled-input
 // formulation of Sect. 5, generalized from the newcomer experiments to
 // every node's periodic re-wiring). The sample's inverse-probability
-// weights are folded into the preference vector, so the solver's
+// weights are folded into the objective's weights, so the solver's
 // objective is by construction the Horvitz–Thompson estimate of the
 // full-roster cost — unbiased for any fixed wiring — and the companion
 // estimator reports the 95% confidence band the adoption tests and the
 // accuracy property tests consume.
-
-// sampledInstance derives the weighted sampled instance from in: the
-// objective runs over the sampled destinations with pref·invProb
-// weights. Candidates are left as in's (the caller restricts them when
-// the candidate set is sampled too). The weight vector lives in s when
-// one is supplied, keeping the scale engine's hot path allocation-free.
-func sampledInstance(in *Instance, ds *sampling.DestSample, s *Scratch) *Instance {
-	var w []float64
-	if s != nil {
-		s.prefW = floats(s.prefW, in.n())
-		w = s.prefW
-	} else {
-		w = make([]float64, in.n())
-	}
-	for i, j := range ds.Dests {
-		w[j] = in.pref(j) * ds.InvProb[i]
-	}
-	out := *in
-	out.Dests = ds.Dests
-	out.Pref = w
-	return &out
-}
 
 // BestResponseSampled solves the best-response problem against the
 // destination sample ds: the solver sees only the sampled destinations,
@@ -56,15 +30,27 @@ func sampledInstance(in *Instance, ds *sampling.DestSample, s *Scratch) *Instanc
 // pass ds.Dests (or a superset including the current wiring) for the
 // fully sampled game.
 func BestResponseSampled(in *Instance, k int, ds *sampling.DestSample, opts BROptions, s *Scratch) ([]int, sampling.Estimate, error) {
-	if ds == nil || len(ds.Dests) == 0 {
-		return nil, sampling.Estimate{}, fmt.Errorf("core: empty destination sample")
+	if s == nil {
+		s = &Scratch{}
 	}
-	sin := sampledInstance(in, ds, s)
-	chosen, _, err := BestResponseScratch(sin, k, opts, s)
-	if err != nil {
+	if err := s.fillSampled(in, ds); err != nil {
 		return nil, sampling.Estimate{}, err
 	}
-	return chosen, EvalSampled(in, chosen, ds, s), nil
+	chosen, est, _, err := s.BestResponseBlock(k, nil, opts)
+	return chosen, est, err
+}
+
+// fillSampled fills the scratch's block from in over the destination
+// sample ds.
+func (s *Scratch) fillSampled(in *Instance, ds *sampling.DestSample) error {
+	if ds == nil || len(ds.Dests) == 0 {
+		return errEmptySample
+	}
+	if err := in.Validate(); err != nil {
+		return err
+	}
+	s.fill(in, in.candidatesInto(s), ds.Dests).ds = ds
+	return nil
 }
 
 // EvalSampled estimates the full-roster objective of wiring chosen from

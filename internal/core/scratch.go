@@ -1,34 +1,31 @@
 package core
 
-import (
-	"math"
-
-	"egoist/internal/graph"
-)
+import "egoist/internal/graph"
 
 // Scratch holds one worker's reusable buffers for the best-response hot
 // path: the residual graph and matrix of BuildResidScratch, the Dijkstra
-// state behind it, and the per-destination arrays of Eval, greedy and local
-// search. A Scratch may be reused across any number of calls but serves one
-// goroutine at a time; the parallel simulation engine keeps one per worker.
+// state behind it, the solver's dense cost block (block.go) and the
+// per-destination arrays of Eval, greedy and local search. A Scratch may be
+// reused across any number of calls but serves one goroutine at a time; the
+// parallel simulation engine keeps one per worker.
 //
-// The zero value is ready to use. All methods that take a *Scratch accept
-// nil, falling back to per-call allocation.
+// The zero value is ready to use. All functions that take a *Scratch
+// accept nil, falling back to per-call allocation.
 type Scratch struct {
 	sp    graph.SPScratch
 	rg    *graph.Digraph // residual-graph clone of BuildResidScratch
 	resid [][]float64    // residual matrix of BuildResidScratch
 
-	best    []float64 // per-node best-facility cost (Eval, greedy)
-	used    []bool    // membership set (greedy, local search)
+	blk     block     // the current call's dense cost block
+	best    []float64 // best facility cost per destination (Eval, greedy, estimates)
+	used    []bool    // membership set by node id (greedy, local search)
 	candBuf []int     // materialized candidate list
 	destBuf []int     // materialized destination list
-	prefW   []float64 // weighted preference vector (BestResponseSampled)
+	slots   []int     // candidate position of each chosen facility
 
-	// Solver pruning state (see br.go): the positional destination
-	// weights, each candidate's last measured greedy total with the
-	// objective it was measured against, and localSearch's swap caches.
-	w                 []float64
+	// Solver pruning state (see br.go): each candidate's last measured
+	// greedy total with the objective it was measured against, and
+	// localSearch's swap caches.
 	lazyTot, lazyBase []float64
 	swap              swapState
 
@@ -36,31 +33,6 @@ type Scratch struct {
 	// greedy after round 0 and by local search.
 	greedyEvals, greedySkips int
 	swapEvals, swapSkips     int
-}
-
-// loadWeights fills s.w with the destinations' preference weights,
-// indexed positionally like dests, and reports whether the instance's
-// weights and Fixed facilities are regular in the sense the solver's
-// pruning needs: no weight negative or NaN, no irregular Fixed cost.
-func (s *Scratch) loadWeights(in *Instance, dests []int) bool {
-	s.w = floats(s.w, len(dests))
-	ok := true
-	for di, j := range dests {
-		p := in.pref(j)
-		s.w[di] = p
-		if p < 0 || math.IsNaN(p) {
-			ok = false
-		}
-	}
-	for _, f := range in.Fixed {
-		df, row := in.Direct[f], in.Resid[f]
-		for _, j := range dests {
-			if !in.Kind.regular(in.Kind.combine(df, row[j])) {
-				ok = false
-			}
-		}
-	}
-	return ok
 }
 
 // floats returns buf resized to n, reusing its storage when possible.

@@ -629,6 +629,9 @@ func (n *Node) runEpoch() {
 		return // nothing measured yet; keep bootstrap wiring
 	}
 
+	// One residual all-pairs matrix serves the policy's selection and the
+	// BR(ε) test below.
+	resid := core.BuildResid(g, n.cfg.ID, n.cfg.Kind, active)
 	req := &core.Request{
 		Self:   n.cfg.ID,
 		K:      n.cfg.K,
@@ -637,6 +640,7 @@ func (n *Node) runEpoch() {
 		Graph:  g,
 		Active: active,
 		Rng:    n.rng,
+		Resid:  resid,
 	}
 	proposed, err := n.cfg.Policy.Select(req)
 	if err != nil {
@@ -652,7 +656,7 @@ func (n *Node) runEpoch() {
 		Self:   n.cfg.ID,
 		Kind:   n.cfg.Kind,
 		Direct: direct,
-		Resid:  core.BuildResid(g, n.cfg.ID, n.cfg.Kind, active),
+		Resid:  resid,
 	}
 	curVal := inst.Eval(cur)
 	newVal := inst.Eval(proposed)

@@ -479,13 +479,19 @@ func quantile95(df int) float64 {
 // without-replacement (per-stratum) formula for Uniform and Stratified,
 // the exact Poisson HT formula for Demand.
 func (ds *DestSample) Estimate(y func(j int) float64) Estimate {
+	return ds.EstimateAt(func(i int) float64 { return y(ds.Dests[i]) })
+}
+
+// EstimateAt is Estimate with the values given by position: y(i) is the
+// value of destination Dests[i].
+func (ds *DestSample) EstimateAt(y func(i int) float64) Estimate {
 	var est Estimate
 	df := 0
 	switch ds.strategy {
 	case Demand:
 		exhaustive := true
-		for i, j := range ds.Dests {
-			yi := y(j)
+		for i := range ds.Dests {
+			yi := y(i)
 			w := ds.InvProb[i]
 			est.Total += yi * w
 			// Var = Σ (1-π_j) (y_j/π_j)^2 for independent inclusions.
@@ -503,8 +509,8 @@ func (ds *DestSample) Estimate(y func(j int) float64) Estimate {
 		nh := len(ds.popN)
 		sums := make([]float64, nh)
 		sqs := make([]float64, nh)
-		for i, j := range ds.Dests {
-			yi := y(j)
+		for i := range ds.Dests {
+			yi := y(i)
 			est.Total += yi * ds.InvProb[i]
 			h := ds.stratumOf[i]
 			if h == certaintyStratum {

@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// TestRemapPreservesWeights pins the contract the scale engine's local
-// sub-instances rely on: Remap translates destination ids through an
+// TestRemapPreservesWeights pins the contract local sub-instances (the
+// scale engine's block probe, the benchmark's solver probes) rely on:
+// Remap translates destination ids through an
 // injective map while leaving the HT weights and variance bookkeeping
 // untouched, and never mutates the original sample.
 func TestRemapPreservesWeights(t *testing.T) {

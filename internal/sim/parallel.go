@@ -61,8 +61,8 @@ type proposal struct {
 // residual matrix G−i is resid (supplied exactly for BR policies, nil for
 // the policies that read none): the policy's selection and, for BR, the
 // objective of cur and of the selection on that matrix. It mutates
-// nothing but sc, so distinct workers may run it concurrently.
-func (st *state) propose(i, epoch int, active []bool, resid [][]float64, cur []int, sc *core.Scratch) (proposal, error) {
+// nothing but w, so distinct workers may run it concurrently.
+func (st *state) propose(i, epoch int, active []bool, resid [][]float64, cur []int, w *proposer) (proposal, error) {
 	kind := st.cfg.Metric.Kind()
 	req := &core.Request{
 		Self:    i,
@@ -71,8 +71,8 @@ func (st *state) propose(i, epoch int, active []bool, resid [][]float64, cur []i
 		Direct:  st.est[i],
 		Active:  active,
 		Pref:    st.prefRow(i),
-		Rng:     policyRNG(st.cfg.Seed, epoch, i),
-		Scratch: sc,
+		Rng:     w.rng.at(st.cfg.Seed, epoch, i),
+		Scratch: &w.sc,
 		Resid:   resid,
 	}
 	set, err := st.cfg.Policy.Select(req)
@@ -85,8 +85,8 @@ func (st *state) propose(i, epoch int, active []bool, resid [][]float64, cur []i
 			Self: i, Kind: kind, Direct: st.est[i],
 			Resid: resid, Pref: req.Pref,
 		}
-		p.curVal = inst.EvalScratch(cur, sc)
-		p.newVal = inst.EvalScratch(set, sc)
+		p.curVal = inst.EvalScratch(cur, &w.sc)
+		p.newVal = inst.EvalScratch(set, &w.sc)
 	}
 	return p, nil
 }
@@ -172,10 +172,10 @@ func (st *state) computeProposals(epoch int) ([]proposal, error) {
 	}
 	if st.forests == nil {
 		st.forests = make([]*graph.SPForest, workers)
-		st.scratches = make([]*core.Scratch, workers)
+		st.proposers = make([]*proposer, workers)
 		for w := range st.forests {
 			st.forests[w] = graph.NewSPForest()
-			st.scratches[w] = &core.Scratch{}
+			st.proposers[w] = &proposer{}
 		}
 	}
 	// Only BR policies read a residual matrix; a worker builds its forest
@@ -200,7 +200,7 @@ func (st *state) computeProposals(epoch int) ([]proposal, error) {
 		// read in place; curVal is only consulted on a clean slot, where
 		// the row is still what it was here.
 		var err error
-		props[i], err = st.propose(i, epoch, active, resid, st.wiring[i], st.scratches[worker])
+		props[i], err = st.propose(i, epoch, active, resid, st.wiring[i], st.proposers[worker])
 		return err
 	})
 	if err != nil {
@@ -243,10 +243,37 @@ func (st *state) adopt(i, epoch int, prop *proposal, counter func(links int)) er
 // policies (k-Random) independent of both the worker count and the order in
 // which the pool happens to schedule nodes.
 func policyRNG(seed int64, epoch, node int) *rand.Rand {
+	return rand.New(rand.NewSource(policySeed(seed, epoch, node)))
+}
+
+// policySeed is the source seed of policyRNG's (seed, epoch, node) stream.
+func policySeed(seed int64, epoch, node int) int64 {
 	x := uint64(seed) ^ 0x9e3779b97f4a7c15
 	x = splitmix64(x + uint64(int64(epoch))*0xbf58476d1ce4e5b9)
 	x = splitmix64(x + uint64(int64(node))*0x94d049bb133111eb)
-	return rand.New(rand.NewSource(int64(x)))
+	return int64(x)
+}
+
+// policyStream is a worker's reusable policyRNG: at re-seeds one generator
+// to the (seed, epoch, node) stream instead of allocating one per
+// proposal. Seed re-initialises the source exactly as NewSource does, so
+// the draws are policyRNG's.
+type policyStream struct{ r *rand.Rand }
+
+func (p *policyStream) at(seed int64, epoch, node int) *rand.Rand {
+	if p.r == nil {
+		p.r = policyRNG(seed, epoch, node)
+	} else {
+		p.r.Seed(policySeed(seed, epoch, node))
+	}
+	return p.r
+}
+
+// proposer is one worker's reusable proposal state in the full engine:
+// its solver scratch and its policy generator.
+type proposer struct {
+	sc  core.Scratch
+	rng policyStream
 }
 
 // splitmix64 is the finalizer of the SplitMix64 generator — a cheap,

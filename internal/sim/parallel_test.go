@@ -294,7 +294,7 @@ func TestSpeculativeProposalsMatchSequentialSlots(t *testing.T) {
 					t.Fatalf("active node %d got no proposal", i)
 				}
 				resid := core.BuildResid(g, i, metric.Kind(), st.active)
-				seq, err := st.propose(i, 0, st.active, resid, st.wiring[i], &st.scratch)
+				seq, err := st.propose(i, 0, st.active, resid, st.wiring[i], &st.seq)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -347,5 +347,32 @@ func TestPolicyRNGIsStable(t *testing.T) {
 			t.Fatalf("coordinate %v collides with an earlier stream", coord)
 		}
 		seen[v] = true
+	}
+	// A worker re-seeds one generator per proposal instead of allocating
+	// one: after draws of every kind the policies use, its next stream
+	// must be policyRNG's, draw for draw.
+	var ps policyStream
+	for _, c := range []struct {
+		seed        int64
+		epoch, node int
+	}{{42, 3, 7}, {42, 3, 7}, {42, 3, 8}, {7, -1, 0}, {-9, 1 << 20, 599}} {
+		fresh, reused := policyRNG(c.seed, c.epoch, c.node), ps.at(c.seed, c.epoch, c.node)
+		for d := 0; d < 8; d++ {
+			if a, b := fresh.Int63(), reused.Int63(); a != b {
+				t.Fatalf("%+v draw %d: Int63 %d fresh, %d re-seeded", c, d, a, b)
+			}
+			if a, b := fresh.Float64(), reused.Float64(); a != b {
+				t.Fatalf("%+v draw %d: Float64 %v fresh, %v re-seeded", c, d, a, b)
+			}
+		}
+		pa, pb := make([]int, 10), make([]int, 10)
+		for x := range pa {
+			pa[x], pb[x] = x, x
+		}
+		fresh.Shuffle(len(pa), func(x, y int) { pa[x], pa[y] = pa[y], pa[x] })
+		reused.Shuffle(len(pb), func(x, y int) { pb[x], pb[y] = pb[y], pb[x] })
+		if !equalInts(pa, pb) {
+			t.Fatalf("%+v: Shuffle %v fresh, %v re-seeded", c, pa, pb)
+		}
 	}
 }

@@ -380,15 +380,11 @@ type scaleWorker struct {
 	dirBuf  []float64   // roster-length direct-cost row (Stratified)
 	rowI    []float64   // live SSSP row of a proposer outside the directory
 	seeds   []graph.Arc // its current wiring as seed arcs
-	lid     []int32     // global -> local candidate id, -1 when absent
+	lid     []int32     // global id -> candidate position, -1 when absent
+	rng     policyStream
 
-	gcands []int       // global ids of the candidates, in local order
+	gcands []int       // global ids of the candidates, in position order
 	grows  [][]float64 // pool row per candidate (nil: off-pool)
-	resid  [][]float64 // dense local residual matrix
-	flat   []float64   // its backing block
-	direct []float64
-	pref   []float64
-	lcands []int
 	cur    []int
 	perm   []int
 	order  []int
@@ -1067,7 +1063,7 @@ func (w *scaleWorker) seededRow(c *ScaleConfig, g *graph.Digraph, i int, wiring 
 func (c *ScaleConfig) proposeScale(w *scaleWorker, eng *scaleEngine, epoch, i int, demand func(i, j int) float64) (scaleProposal, error) {
 	n := c.N
 	wiring, dir := eng.wiring, eng.pool.dir
-	rng := policyRNG(c.Seed, epoch, i)
+	rng := w.rng.at(c.Seed, epoch, i)
 
 	// Draw the destination sample with the strategy's required inputs.
 	var pref, direct []float64
@@ -1235,81 +1231,59 @@ func (c *ScaleConfig) proposeScale(w *scaleWorker, eng *scaleEngine, epoch, i in
 		addCand(v, nil)
 	}
 
-	// Local id space: candidates first (facilities), then the remaining
-	// sampled destinations (columns of the objective only), self last.
-	C := len(w.gcands)
-	for _, j := range ds.Dests {
-		if w.lid[j] < 0 {
-			w.lid[j] = int32(len(w.gcands))
-			w.gcands = append(w.gcands, j)
+	// The solver's block: cost[a·D+di] is candidate a's direct delay plus
+	// its pool row's distance to ds.Dests[di], with the self-path clamp —
+	// an entry whose shortest path demonstrably runs through i
+	// (d(a→i)+d(i→j) adds up to d(a→j)) is treated as unreachable via that
+	// facility, because those are exactly the paths the node's own
+	// re-wiring is about to invalidate. Trusting them is how an earlier
+	// design collapsed the overlay: every node believed its destinations
+	// stayed covered "through itself" while re-purposing the very links
+	// that carried them. An off-pool candidate reaches only itself.
+	C, D := len(w.gcands), len(ds.Dests)
+	cost, destPref := w.sc.Block(C, ds)
+	for di, j := range ds.Dests {
+		destPref[di] = 1
+		if demand != nil {
+			destPref[di] = demand(i, j)
 		}
 	}
-	L := len(w.gcands) + 1
-	self := L - 1
-
-	// Dense local instance: Resid[a][b] is the pool row's distance with
-	// the self-path clamp — an entry whose shortest path demonstrably
-	// runs through i (d(w→i)+d(i→b) adds up to d(w→b)) is treated as
-	// unreachable via that facility, because those are exactly the
-	// paths the node's own re-wiring is about to invalidate. Trusting
-	// them is how an earlier design collapsed the overlay: every node
-	// believed its destinations stayed covered "through itself" while
-	// re-purposing the very links that carried them.
-	w.resid = w.residMatrix(C, L)
-	w.direct = floatsN(w.direct, L)
-	w.pref = floatsN(w.pref, L)
-	w.lcands = intsN(w.lcands, C)
-	for a := 0; a < C; a++ {
-		row := w.resid[a]
-		grow := w.grows[a]
-		if grow == nil {
-			for b := range row {
-				row[b] = graph.Inf
-			}
-			row[a] = 0
-		} else {
-			toSelf := grow[i]
-			for b := 0; b < L-1; b++ {
-				gb := w.gcands[b]
-				d := grow[gb]
-				if d < graph.Inf && toSelf < graph.Inf {
-					if via := toSelf + rowI[gb]; via <= d*(1+1e-12)+1e-9 && via >= d*(1-1e-12)-1e-9 {
+	for a, v := range w.gcands {
+		dv, grow, row := c.Net.Delay(i, v), w.grows[a], cost[a*D:(a+1)*D]
+		for di, j := range ds.Dests {
+			d := graph.Inf
+			switch {
+			case int(w.lid[j]) == a:
+				d = 0
+			case grow != nil:
+				d = grow[j]
+				if toSelf := grow[i]; d < graph.Inf && toSelf < graph.Inf {
+					if via := toSelf + rowI[j]; via <= d*(1+1e-12)+1e-9 && via >= d*(1-1e-12)-1e-9 {
 						d = graph.Inf
 					}
 				}
-				row[b] = d
 			}
-			row[a] = 0
-			row[self] = graph.Inf
-		}
-		w.lcands[a] = a
-	}
-	for b, gb := range w.gcands {
-		w.direct[b] = c.Net.Delay(i, gb)
-		if demand != nil {
-			w.pref[b] = demand(i, gb)
-		} else {
-			w.pref[b] = 1
+			row[di] = dv + d
 		}
 	}
-	w.direct[self] = 0
-	w.pref[self] = 0
-	localDS := ds.Remap(func(j int) int { return int(w.lid[j]) })
-
-	inst := &core.Instance{
-		Self:       self,
-		Kind:       core.Additive,
-		Direct:     w.direct,
-		Resid:      w.resid,
-		Pref:       w.pref,
-		Candidates: w.lcands,
+	w.cur = w.cur[:0]
+	for _, v := range wiring[i] {
+		w.cur = append(w.cur, int(w.lid[v]))
 	}
-	chosen, estNew, err := core.BestResponseSampled(inst, c.K, localDS, core.BROptions{}, &w.sc)
+	if c.probe != nil && c.probe.checkRows {
+		err = w.checkBlock(c, i, rowI, ds, demand, cost, destPref)
+	}
+	var chosen []int
+	var estNew, estCurM sampling.Estimate
+	if err == nil {
+		chosen, estNew, estCurM, err = w.sc.BestResponseBlock(c.K, w.cur, core.BROptions{})
+	}
+	// Reset the id map now that every lid consumer has run.
+	for _, v := range w.gcands {
+		w.lid[v] = -1
+	}
 	if err != nil {
-		for _, v := range w.gcands {
-			w.lid[v] = -1
-		}
-		return scaleProposal{}, err
+		return scaleProposal{}, fmt.Errorf("sim: epoch %d node %d: %w", epoch, i, err)
 	}
 
 	// The current wiring is priced twice. For reporting: from the live
@@ -1328,15 +1302,6 @@ func (c *ScaleConfig) proposeScale(w *scaleWorker, eng *scaleEngine, epoch, i in
 		}
 		return p * d
 	})
-	w.cur = w.cur[:0]
-	for _, v := range wiring[i] {
-		w.cur = append(w.cur, int(w.lid[v]))
-	}
-	estCurM := core.EvalSampled(inst, w.cur, localDS, &w.sc)
-	// Reset the id map now that every lid consumer has run.
-	for _, v := range w.gcands {
-		w.lid[v] = -1
-	}
 
 	// BR(ε) with a significance gate, anchored on the *more favorable*
 	// of the two views of the current wiring: the exact live price
@@ -1390,26 +1355,76 @@ func (c *ScaleConfig) proposeScale(w *scaleWorker, eng *scaleEngine, epoch, i in
 	return p, nil
 }
 
-// residMatrix sizes the dense local residual matrix over the worker's
-// reusable backing block: L row slots of which only the C facility rows
-// (the candidates, first in the local id space) have storage — the
-// solver reads Resid by facility, never by destination (L varies job to
-// job with the Demand strategy's Poisson draw; the block only ever
-// grows).
-func (w *scaleWorker) residMatrix(C, L int) [][]float64 {
-	if cap(w.flat) < C*L {
-		w.flat = make([]float64, C*L)
+// checkBlock is the checkRows probe of the solver block proposeScale
+// filled straight from the directory rows (cost, pref): it builds the
+// block again through core's own fill, from a dense residual Instance over
+// a local id space of the candidates, the other sampled destinations and
+// self, with the self-path clamp, and reports the first bit difference.
+func (w *scaleWorker) checkBlock(c *ScaleConfig, i int, rowI []float64, ds *sampling.DestSample, demand func(i, j int) float64, cost, pref []float64) error {
+	C := len(w.gcands)
+	local := append([]int(nil), w.gcands...)
+	lid := make(map[int]int, C+len(ds.Dests))
+	for a, v := range local {
+		lid[v] = a
 	}
-	flat := w.flat[:C*L]
-	if cap(w.resid) < L {
-		w.resid = make([][]float64, L)
+	for _, j := range ds.Dests {
+		if _, ok := lid[j]; !ok {
+			lid[j] = len(local)
+			local = append(local, j)
+		}
 	}
-	w.resid = w.resid[:L]
-	for a := range w.resid[:C] {
-		w.resid[a] = flat[a*L : (a+1)*L : (a+1)*L]
+	L := len(local) + 1
+	self := L - 1
+	in := &core.Instance{
+		Self: self, Kind: core.Additive,
+		Direct: make([]float64, L), Pref: make([]float64, L),
+		Resid: make([][]float64, L), Candidates: make([]int, C),
 	}
-	clear(w.resid[C:])
-	return w.resid
+	for a := 0; a < C; a++ {
+		row := make([]float64, L)
+		if grow := w.grows[a]; grow == nil {
+			for b := range row {
+				row[b] = graph.Inf
+			}
+		} else {
+			toSelf := grow[i]
+			for b, gb := range local {
+				d := grow[gb]
+				if d < graph.Inf && toSelf < graph.Inf {
+					if via := toSelf + rowI[gb]; via <= d*(1+1e-12)+1e-9 && via >= d*(1-1e-12)-1e-9 {
+						d = graph.Inf
+					}
+				}
+				row[b] = d
+			}
+			row[self] = graph.Inf
+		}
+		row[a] = 0
+		in.Resid[a], in.Candidates[a] = row, a
+	}
+	for b, gb := range local {
+		in.Direct[b] = c.Net.Delay(i, gb)
+		in.Pref[b] = 1
+		if demand != nil {
+			in.Pref[b] = demand(i, gb)
+		}
+	}
+	want, wantPref, err := core.SampledBlock(in, ds.Remap(func(j int) int { return lid[j] }))
+	if err != nil {
+		return err
+	}
+	D := len(ds.Dests)
+	for x, v := range want {
+		if math.Float64bits(v) != math.Float64bits(cost[x]) {
+			return fmt.Errorf("block cost of candidate %d to node %d is %v, the residual instance's %v", w.gcands[x/D], ds.Dests[x%D], cost[x], v)
+		}
+	}
+	for di, v := range wantPref {
+		if math.Float64bits(v) != math.Float64bits(pref[di]) {
+			return fmt.Errorf("block weight of node %d is %v, the residual instance's %v", ds.Dests[di], pref[di], v)
+		}
+	}
+	return nil
 }
 
 // sameWiring reports whether two sorted wirings are identical.

@@ -223,13 +223,13 @@ type state struct {
 	// arcs is announcedOut's buffer.
 	arcs []graph.Arc
 
-	// scratch serves the sequential re-wiring path; forests and scratches
-	// hold one shortest-path forest and one solver scratch per worker of
-	// the speculative phase. All persist across epochs so their matrices
-	// are reused instead of reallocated.
-	scratch   core.Scratch
+	// seq serves the sequential re-wiring path; forests and proposers
+	// hold one shortest-path forest and one proposer per worker of the
+	// speculative phase. All persist across epochs so their buffers are
+	// reused instead of reallocated.
+	seq       proposer
 	forests   []*graph.SPForest
-	scratches []*core.Scratch
+	proposers []*proposer
 }
 
 // Run executes one simulation and returns its measurements.
@@ -441,7 +441,7 @@ func (st *state) rewire(i, epoch int, join bool, counter func(links int)) error 
 		st.live.RemoveOut(i)
 		resid = st.live.Dist()
 	}
-	p, err := st.propose(i, epoch, st.active, resid, st.wiring[i], &st.scratch)
+	p, err := st.propose(i, epoch, st.active, resid, st.wiring[i], &st.seq)
 	if err != nil {
 		return err
 	}
