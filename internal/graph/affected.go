@@ -9,21 +9,18 @@ package graph
 // row replacements instead of a single removal.
 //
 // The guarantee is exact, not approximate: if RowCrossed reports false
-// for a row against every edit, a from-scratch Dijkstra over the edited
-// graph produces bit-identical distances. Both directions of change are
-// ruled out — the old tree survives arc-for-arc with identical weights
-// (so no label can get worse), and no surviving label admits a strict
-// relaxation through an edited row (so none can get better); additive
-// path costs fold left-to-right identically in both computations.
-// Parent arrays are NOT pinned: an equal-cost tie may resolve to a
-// different predecessor in a fresh computation, so carried rows promise
-// identical costs, not identical paths.
+// for a DijkstraCSR row against every edit, a fresh DijkstraCSR over the
+// edited graph computes the same dist bits and parents. No tree arc was
+// cut or re-weighted and no new arc reaches a label at or below its
+// cost, so every canonical label (settleCSR) is still the least
+// extension over its in-arcs, and those labels are unique. For rows of
+// other producers (SPForest) only the distances are pinned.
 
 // RowCrossed reports whether replacing node u's out-arcs — (oldTo,
 // oldW) became (newTo, newW) — can change the shortest-path row (dist,
 // parent) of some source. The test is conservative only in the cheap
 // direction: it may report true for an edit that happens to leave the
-// row intact, but a false is a proof that every distance is unchanged.
+// row intact, but a false is a proof that the row is unchanged.
 // The algebra is additive shortest paths (DijkstraCSR, the data
 // plane's); widest-path rows need the inverted comparisons.
 func RowCrossed(dist []float64, parent []int32, u int, oldTo []int32, oldW []float64, newTo []int32, newW []float64) bool {
@@ -34,15 +31,15 @@ func RowCrossed(dist []float64, parent []int32, u int, oldTo []int32, oldW []flo
 			return true
 		}
 	}
-	// A new (or cheapened) arc that strictly undercuts a settled label.
-	// An unreachable u (dist +Inf) can never undercut anything: the sum
-	// stays +Inf and the comparison below stays false.
+	// A new (or cheapened) arc that undercuts or ties a label: a tie may
+	// win on hops or predecessor id. An unreachable u (dist +Inf) can
+	// never reach anything: the sum stays +Inf.
 	du := dist[u]
 	for x, v := range newTo {
 		if rowHasArc(oldTo, oldW, v, newW[x]) {
 			continue
 		}
-		if du+newW[x] < dist[v] {
+		if nd := du + newW[x]; nd < Inf && nd <= dist[v] {
 			return true
 		}
 	}

@@ -5,10 +5,13 @@ import (
 	"testing"
 )
 
+// continuousWeight is the tie-free weight of the edit generators.
+func continuousWeight(rng *rand.Rand) float64 { return 0.5 + rng.Float64()*20 }
+
 // randomEdits draws a batch of out-row replacements: each picks a node
 // and rewrites its row to a fresh random arc set (possibly empty — a
-// departure clearing its out-links).
-func randomEdits(rng *rand.Rand, n, batch int) []RowEdit {
+// departure clearing its out-links) weighted by weight.
+func randomEdits(rng *rand.Rand, n, batch int, weight func(*rand.Rand) float64) []RowEdit {
 	edits := make([]RowEdit, 0, batch)
 	seen := make(map[int]bool)
 	for len(edits) < batch {
@@ -21,7 +24,7 @@ func randomEdits(rng *rand.Rand, n, batch int) []RowEdit {
 		for t := rng.Intn(4); t > 0; t-- {
 			v := rng.Intn(n)
 			if v != u && !arcsHaveTarget(arcs, v) {
-				arcs = append(arcs, Arc{To: v, W: 0.5 + rng.Float64()*20})
+				arcs = append(arcs, Arc{To: v, W: weight(rng)})
 			}
 		}
 		edits = append(edits, RowEdit{Node: u, NewOut: arcs})
@@ -74,48 +77,73 @@ func crossedByAny(dist []float64, parent []int32, g *Digraph, edits []RowEdit) b
 
 // TestAffectedSourcesVsBruteForce is the property the delta publisher
 // stands on: every row RowCrossed does NOT flag for any edit of a batch
-// must be bit-identical to the same source's row in a from-scratch
-// recompute of the edited graph. Rows come from both producers — the
-// data plane's DijkstraCSR and the forest — and the truth from APSP.
-// (Flagged rows may or may not actually change — the test additionally
-// counts that the flag is not trivially "everyone", so the skip
-// fast-path is exercised.)
+// must equal the same source's row in a from-scratch recompute of the
+// edited graph — distance bits against APSP for rows of both producers
+// (the data plane's DijkstraCSR and the forest), and for DijkstraCSR
+// rows the whole parent array against a fresh DijkstraCSR. Weights are
+// continuous, small integers and zero-heavy, so carried rows meet ties
+// and zero-weight plateaus. (Flagged rows may or may not actually
+// change — the test additionally counts that the flag is not trivially
+// "everyone", so the skip fast-path is exercised in every class.)
 func TestAffectedSourcesVsBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	f := NewSPForest()
 	var sc SPScratch
-	skipped, total := 0, 0
-	for trial := 0; trial < 40; trial++ {
+	classes := []int{pairContinuous, pairSmallInt, pairZeroHeavy}
+	var skipped, total [pairClasses]int
+	for trial := 0; trial < 120; trial++ {
+		class := classes[trial%len(classes)]
+		weight := func(rng *rand.Rand) float64 { return pairWeight(class, rng) }
+		if class == pairContinuous {
+			weight = continuousWeight
+		}
 		n := 8 + rng.Intn(40)
-		g := randomDigraphInc(rng, n, 1+rng.Intn(3))
+		g := New(n)
+		for u, deg := 0, 1+rng.Intn(3); u < n; u++ {
+			for a := 0; a < deg; a++ {
+				if v := rng.Intn(n); v != u {
+					g.AddArc(u, v, weight(rng))
+				}
+			}
+		}
 		f.Reset(g, false)
-		c := NewCSR(n, func(u int) []Arc { return g.Out(u) })
-		edits := randomEdits(rng, n, 1+rng.Intn(3))
-		truth := APSP(applyEditsTo(g, edits))
+		c := NewCSR(n, g.Out)
+		edits := randomEdits(rng, n, 1+rng.Intn(3), weight)
+		edited := applyEditsTo(g, edits)
+		truth := APSP(edited)
+		fresh := NewCSR(n, edited.Out)
 		dist, parent := make([]float64, n), make([]int32, n)
+		wantDist, wantParent := make([]float64, n), make([]int32, n)
 		for src := 0; src < n; src++ {
 			sc.DijkstraCSR(c, src, dist, parent)
+			sc.DijkstraCSR(fresh, src, wantDist, wantParent)
 			for _, row := range []struct {
 				name   string
 				dist   []float64
 				parent []int32
 			}{{"csr", dist, parent}, {"forest", f.dist[src], f.parent[src]}} {
-				total++
+				total[class]++
 				if crossedByAny(row.dist, row.parent, g, edits) {
 					continue
 				}
-				skipped++
+				skipped[class]++
 				for dst := 0; dst < n; dst++ {
 					if row.dist[dst] != truth[src][dst] {
-						t.Fatalf("trial %d: %s row of source %d not flagged but dist[%d] changed: %v -> %v (edits %v)",
-							trial, row.name, src, dst, row.dist[dst], truth[src][dst], edits)
+						t.Fatalf("trial %d (class %d): %s row of source %d not flagged but dist[%d] changed: %v -> %v (edits %v)",
+							trial, class, row.name, src, dst, row.dist[dst], truth[src][dst], edits)
+					}
+					if row.name == "csr" && row.parent[dst] != wantParent[dst] {
+						t.Fatalf("trial %d (class %d): csr row of source %d not flagged but parent[%d] changed: %d -> %d (edits %v)",
+							trial, class, src, dst, row.parent[dst], wantParent[dst], edits)
 					}
 				}
 			}
 		}
 	}
-	if skipped == 0 {
-		t.Fatalf("no row was ever skipped across %d — the fast path never ran", total)
+	for _, class := range classes {
+		if skipped[class] == 0 {
+			t.Fatalf("class %d: no row was ever skipped across %d — the fast path never ran", class, total[class])
+		}
 	}
 }
 
@@ -146,7 +174,7 @@ func TestPatchCSR(t *testing.T) {
 		g := randomDigraphInc(rng, n, 1+rng.Intn(3))
 		base := NewCSR(n, func(u int) []Arc { return g.Out(u) })
 		baseCopy := NewCSR(n, func(u int) []Arc { return g.Out(u) })
-		edits := randomEdits(rng, n, 1+rng.Intn(4))
+		edits := randomEdits(rng, n, 1+rng.Intn(4), continuousWeight)
 		edited := applyEditsTo(g, edits)
 		changed := make([]int, len(edits))
 		rows := make(map[int][]Arc, len(edits))

@@ -122,32 +122,75 @@ func (c *CSR) Reverse() *CSR {
 // src over a CSR graph into dist and parent, which must both have
 // length c.N(). parent[v] is the predecessor of v on a shortest path
 // (-1 for src and unreachable nodes), so callers can reconstruct
-// routes by walking it back from the destination. It is DijkstraDist on the packed layout plus
-// parent tracking — the inline 4-ary heap, stale entries skipped by
-// key comparison, no allocations beyond first-use heap growth.
+// routes by walking it back from the destination. The tree is
+// settleCSR's canonical one, a function of the graph alone. No
+// allocations beyond first-use growth of the heap and hop arrays.
 func (s *SPScratch) DijkstraCSR(c *CSR, src NodeID, dist []float64, parent []int32) {
 	for i := range dist {
 		dist[i] = Inf
 		parent[i] = -1
 	}
-	dist[src] = 0
-	h := dheap{items: s.items[:0]}
-	h.pushMin(src, 0)
+	s.settleCSR(c, src, dist, parent, nil)
+}
+
+// settleCSR is the one settle loop over CSR rows: it searches from src
+// into dist and parent, which the caller has set to +Inf and -1 wherever
+// the search can reach, and returns the number of nodes it expanded.
+// DijkstraCSR runs it to exhaustion; PairCSR runs it with p, its
+// backward side and pruning bound, and stops at the pop of p's dst.
+//
+// Labels are ordered canonically by (dist, hops, parent): the heap pops
+// by (dist, hops), a stale entry's (dist, hops) is no longer its node's,
+// and a relaxation that ties on both keeps the lower predecessor id.
+// Every arc adds a hop, so an extension is strictly greater than the
+// label it extends: a popped label is final, no parent cycle can close
+// (zero weights, absorbed sums), and the labels are the unique solution
+// of "each label is the least extension over its in-arcs" — fixed by
+// the graph, not by arc order or by relaxations a search skipped. hops
+// is read only where this run wrote a finite dist: it is never reset.
+func (s *SPScratch) settleCSR(c *CSR, src NodeID, dist []float64, parent []int32, p *PairScratch) (settled int) {
+	if len(s.hops) < c.n {
+		s.hops = make([]int32, c.n)
+	}
+	hops, parent := s.hops[:len(dist)], parent[:len(dist)] // one bounds check covers all three
+	dist[src], hops[src] = 0, 0
+	h := dheap{items: append(s.items[:0], heapItem{node: int32(src)})}
 	for len(h.items) > 0 {
-		it := h.popMin()
+		if p != nil && !p.backStep(&h) {
+			break
+		}
+		it := h.popLabel()
 		u := it.node
-		if it.key != dist[u] {
+		if it.key != dist[u] || it.hops != hops[u] {
 			continue
 		}
+		if p != nil {
+			if u == p.dst {
+				break
+			}
+			if it.key+min(p.bdist[u], p.radius) > p.mu*(1+pairEps) {
+				continue // no path through u can come within pairEps of mu
+			}
+		}
+		settled++
+		nh := it.hops + 1
 		lo, hi := c.off[u], c.off[u+1]
 		for x := lo; x < hi; x++ {
 			v := c.to[x]
-			if nd := it.key + c.w[x]; nd < dist[v] {
-				dist[v] = nd
-				parent[v] = int32(u)
-				h.pushMin(int(v), nd)
+			nd, dv := it.key+c.w[x], dist[v]
+			if !(nd <= dv) || nd == dv && (nd == Inf || nh > hops[v] || nh == hops[v] && u >= parent[v]) {
+				continue
+			}
+			if p != nil && !p.admit(v, nd) {
+				continue
+			}
+			dist[v], parent[v] = nd, u
+			if nd < dv || nh < hops[v] {
+				hops[v] = nh
+				h.push(heapItem{node: v, hops: nh, key: nd})
 			}
 		}
 	}
 	s.items = h.items[:0]
+	return settled
 }

@@ -91,3 +91,38 @@ func TestDijkstraCSRMatchesDigraph(t *testing.T) {
 		}
 	}
 }
+
+// TestDijkstraCSRArcOrderFree is the uniqueness claim of the canonical
+// labels: shuffling the arc order of every row leaves every DijkstraCSR
+// distance and parent unchanged, on every weight class — ties, absorbed
+// sums and zero-weight plateaus included.
+func TestDijkstraCSRArcOrderFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	var s SPScratch
+	for trial := 0; trial < 120; trial++ {
+		class := trial % pairClasses
+		n := 2 + rng.Intn(60)
+		c := pairGraph(n, class, rng)
+		shuffled := NewCSR(n, func(u int) []Arc {
+			to, w := c.Out(u)
+			arcs := make([]Arc, len(to))
+			for x := range to {
+				arcs[x] = Arc{To: int(to[x]), W: w[x]}
+			}
+			rng.Shuffle(len(arcs), func(i, j int) { arcs[i], arcs[j] = arcs[j], arcs[i] })
+			return arcs
+		})
+		dist, parent := make([]float64, n), make([]int32, n)
+		sdist, sparent := make([]float64, n), make([]int32, n)
+		for src := 0; src < n; src++ {
+			s.DijkstraCSR(c, src, dist, parent)
+			s.DijkstraCSR(shuffled, src, sdist, sparent)
+			for v := 0; v < n; v++ {
+				if math.Float64bits(dist[v]) != math.Float64bits(sdist[v]) || parent[v] != sparent[v] {
+					t.Fatalf("trial %d (class %d) src %d: node %d is (%v via %d), shuffled (%v via %d)",
+						trial, class, src, v, dist[v], parent[v], sdist[v], sparent[v])
+				}
+			}
+		}
+	}
+}

@@ -1,31 +1,39 @@
 package graph
 
-// dheap is an inlined 4-ary heap of (node, key) entries for the hot
-// Dijkstra variants. container/heap costs an interface allocation per
-// push (boxing heapItem into interface{}) and a dynamic dispatch per
-// comparison; with tens of thousands of single-source runs per epoch in
-// the scale engine those two were nearly half the CPU profile. The
-// 4-ary layout halves the sift-down depth versus a binary heap — pops
-// dominate under Dijkstra's lazy-deletion duplicates — and the min and
-// max orders get separate push/pop pairs so every comparison is a
-// direct float compare the compiler can inline.
+// dheap is an inlined 4-ary heap for the hot Dijkstra variants.
+// container/heap costs an interface allocation per push and a dynamic
+// dispatch per comparison — nearly half the scale engine's CPU profile
+// when it was used. The 4-ary layout halves the sift-down depth versus a
+// binary heap (pops dominate under lazy-deletion duplicates). Each order
+// has its own pop so every comparison inlines: popMin by key (Digraph
+// searches, the pair search's backward side, and the bottleneck algebra
+// on negated widths, all pushing hops = 0), popLabel by (key, hops) for
+// settleCSR. A hop tie-break in popMin would cost a Digraph search ~4%.
 type dheap struct {
 	items []heapItem
 }
 
-// pushMin inserts under the min-key order (shortest paths).
-func (h *dheap) pushMin(node NodeID, key float64) {
-	h.items = append(h.items, heapItem{node: node, key: key})
+// heapItem is a priority-queue entry for Dijkstra variants.
+type heapItem struct {
+	node int32
+	hops int32 // the CSR search's hop count; zero elsewhere
+	key  float64
+}
+
+// push inserts under the (key, hops) order, which is the key order on
+// a heap whose entries all have hops = 0.
+func (h *dheap) push(it heapItem) {
+	h.items = append(h.items, it)
 	i := len(h.items) - 1
 	for i > 0 {
 		p := (i - 1) / 4
-		if h.items[p].key <= key {
+		if !it.before(h.items[p]) {
 			break
 		}
 		h.items[i] = h.items[p]
 		i = p
 	}
-	h.items[i] = heapItem{node: node, key: key}
+	h.items[i] = it
 }
 
 // popMin removes the minimum-key entry.
@@ -64,23 +72,13 @@ func (h *dheap) popMin() heapItem {
 	return top
 }
 
-// pushMax inserts under the max-key order (widest paths).
-func (h *dheap) pushMax(node NodeID, key float64) {
-	h.items = append(h.items, heapItem{node: node, key: key})
-	i := len(h.items) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if h.items[p].key >= key {
-			break
-		}
-		h.items[i] = h.items[p]
-		i = p
-	}
-	h.items[i] = heapItem{node: node, key: key}
+// before reports whether a pops ahead of b under the (key, hops) order.
+func (a heapItem) before(b heapItem) bool {
+	return a.key < b.key || a.key == b.key && a.hops < b.hops
 }
 
-// popMax removes the maximum-key entry.
-func (h *dheap) popMax() heapItem {
+// popLabel removes the minimum entry under the (key, hops) order.
+func (h *dheap) popLabel() heapItem {
 	top := h.items[0]
 	last := h.items[len(h.items)-1]
 	h.items = h.items[:len(h.items)-1]
@@ -98,14 +96,13 @@ func (h *dheap) popMax() heapItem {
 		if end > n {
 			end = n
 		}
-		best := c
-		bk := h.items[c].key
+		best, b := c, h.items[c]
 		for x := c + 1; x < end; x++ {
-			if k := h.items[x].key; k > bk {
-				best, bk = x, k
+			if it := h.items[x]; it.before(b) {
+				best, b = x, it
 			}
 		}
-		if bk <= last.key {
+		if !b.before(last) {
 			break
 		}
 		h.items[i] = h.items[best]

@@ -436,7 +436,7 @@ func (r *DynamicRows) repairRow(worker, i int) {
 				if nd := dist[a.To] + a.W; nd < dist[v] && !c.affected[a.To] {
 					dist[v] = nd
 					parent[v] = int32(a.To)
-					h.pushMin(int(v), nd)
+					h.push(heapItem{node: int32(v), key: nd})
 				}
 			}
 		}
@@ -453,7 +453,7 @@ func (r *DynamicRows) repairRow(worker, i int) {
 	// into untouched territory.
 	for qi, v := range c.queue {
 		if dist[v] < sc.oldDist[qi] {
-			h.pushMin(int(v), dist[v])
+			h.push(heapItem{node: int32(v), key: dist[v]})
 		}
 	}
 	c.clear()

@@ -9,8 +9,9 @@
 // additive removal repairs and commits and both passes of DynamicRows'
 // repairs; settleMax (bottleneck) for widest and SPForest's bottleneck
 // repairs and commits. A repaired row therefore equals a fresh search
-// bit for bit by construction. The
-// data plane's packed CSR has its own pair, DijkstraCSR and PairCSR.
+// bit for bit by construction. The data plane's packed CSR has one
+// settle loop of its own, settleCSR, which DijkstraCSR and PairCSR both
+// run and which breaks equal-cost ties canonically.
 //
 // Node identifiers are dense integers in [0, N). Edges are directed and
 // weighted; the interpretation of a weight (delay, load, bandwidth) is up to

@@ -1,35 +1,26 @@
 package graph
 
 // Exact point-to-point search on a CSR: the answer DijkstraCSR's row
-// would hold at one destination, for a fraction of the row's work.
+// would hold at one destination, path included, for a fraction of the
+// row's work.
 //
 // A backward Dijkstra from dst over the in-arcs alternates with the
-// ordinary forward loop from src. Every arc one side relaxes into a
-// node the other side has labelled closes a real src→dst path, and mu
-// is the shortest one seen — an upper bound on the answer. Once the two
-// frontiers' radii sum past mu no shorter meeting exists and the
-// backward side stops; the forward side then runs on to the pop of
-// dst, skipping every node v whose label plus a lower bound on v→dst
-// exceeds mu. That bound is min(bdist[v], radius): exact for nodes the
-// backward side settled, its radius for all the rest.
+// forward settle loop from src. Every arc one side relaxes into a node
+// the other side has labelled closes a real src→dst path; mu is the
+// shortest one seen. Once the two frontiers' radii sum past mu the
+// backward side stops, and the forward side runs on to the pop of dst,
+// skipping every node v whose label plus a lower bound on v→dst —
+// min(bdist[v], radius) — exceeds mu.
 //
-// Why the result is DijkstraCSR's, bit for bit. The distance returned
-// is the forward search's own label of dst — the same left-to-right
-// float sums over the same arcs in the same order — so it can differ
-// from the row's only if a node on dst's chain of tight predecessors
-// was skipped. Each node on that chain has label + (rest of the chain)
-// equal to the answer up to re-association of one float sum, which
-// moves a 10⁵-hop path by less than 2e-11 relative; the skip test
-// leaves pairEps = 1e-9 of slack, so none of them is
-// skipped, each is expanded with its final label, and dst's label is
-// the row's. Parents depend on pop order only under ties, so PairCSR
-// reports exact=false — the caller then reads a full row instead —
-// whenever an expanded relaxation reached a node at its current label
-// from a second predecessor, or failed to raise the label at all (a
-// zero-weight or absorbed arc: that is what lets an equal-label
-// predecessor pop after dst here and before it in the row's search).
-// With no such event every node on the path has exactly one tight
-// predecessor, the one both searches record.
+// Why the result is DijkstraCSR's, parents included. Only a label whose
+// path runs within float rounding of the answer can reach dst's chain;
+// any other arrives with a strictly larger dist. Re-association moves a
+// 10⁵-hop sum by less than 2e-11 relative and the skip tests leave
+// pairEps = 1e-9 of slack, so no such node is skipped; the forward loop
+// makes the row's relaxations among them, and since settleCSR's labels
+// are unique it assigns the row's labels. Where that argument fails
+// (sums overflowing to +Inf) the loop ends without popping dst though
+// mu says a path exists, and PairCSR re-runs it unpruned.
 
 // pairEps is the relative slack of PairCSR's pruning tests.
 const pairEps = 1e-9
@@ -40,12 +31,19 @@ const pairEps = 1e-9
 // sometimes needs the whole row. One scratch serves one goroutine.
 type PairScratch struct {
 	SPScratch
-	back    []heapItem
+	bh      dheap
 	fdist   []float64
 	bdist   []float64
 	fparent []int32
 	touched []int32 // nodes labelled by either side since the last reset
 	settled int
+
+	// The backward side and the bound it gives the forward loop.
+	rev      *CSR
+	dst      int32
+	mu       float64 // shortest src→dst path closed so far
+	radius   float64 // no node the backward side has not settled is closer to dst
+	backward bool    // the backward side still runs
 }
 
 // reset returns the label arrays to +Inf by undoing the previous
@@ -73,119 +71,93 @@ func (s *PairScratch) Settled() int { return s.settled }
 
 // Parent returns the forward parent array of the last PairCSR call,
 // valid along the path to its dst (walk it like DijkstraCSR's parent)
-// when that call returned a finite distance and exact=true, until the
-// next call.
+// when that call returned a finite distance, until the next call.
 func (s *PairScratch) Parent() []int32 { return s.fparent }
 
 // PairCSR returns the shortest additive distance src→dst over c, +Inf
-// when dst is unreachable. When exact is true, dist and the parent
-// chain from dst back to src (Parent) are bit-identical to what
-// DijkstraCSR(c, src) records; when it is false a tie made the parents
-// order-dependent and the caller must take both from a full row.
-func (s *PairScratch) PairCSR(c *CSR, src, dst NodeID) (dist float64, exact bool) {
+// when dst is unreachable. The distance and the parent chain from dst
+// back to src (Parent) are bit-identical to what DijkstraCSR(c, src)
+// records.
+func (s *PairScratch) PairCSR(c *CSR, src, dst NodeID) float64 {
 	s.reset(c.n)
 	if src == dst {
-		return 0, true
+		return 0
 	}
-	r := c.Reverse()
-	fd, bd, fp := s.fdist, s.bdist, s.fparent
-	fh := dheap{items: s.items[:0]}
-	bh := dheap{items: s.back[:0]}
-	fd[src], fp[src], bd[dst] = 0, -1, 0
+	s.rev, s.dst = c.Reverse(), int32(dst)
+	s.mu, s.radius, s.backward = Inf, 0, true
+	s.fparent[src], s.bdist[dst] = -1, 0
 	s.touched = append(s.touched, int32(src), int32(dst))
-	fh.pushMin(src, 0)
-	bh.pushMin(dst, 0)
-
-	mu := Inf     // shortest src→dst path closed so far
-	radius := 0.0 // no node the backward side has not settled is closer to dst
-	backward := true
-	settled := 0
-	dist, exact = Inf, true
-	for len(fh.items) > 0 {
-		if backward {
-			switch {
-			case len(bh.items) == 0:
-				// Every node that reaches dst is settled.
-				backward, radius = false, Inf
-			case fh.items[0].key+bh.items[0].key > mu*(1+pairEps):
-				backward, radius = false, bh.items[0].key
-			default:
-				it := bh.popMin()
-				v := it.node
-				if it.key != bd[v] {
-					break
-				}
-				settled++
-				radius = it.key
-				for x := r.off[v]; x < r.off[v+1]; x++ {
-					u := r.to[x]
-					nb := it.key + r.w[x]
-					if !(nb < bd[u]) {
-						continue
-					}
-					if bd[u] == Inf && fd[u] == Inf {
-						s.touched = append(s.touched, u)
-					}
-					bd[u] = nb
-					bh.pushMin(int(u), nb)
-					if m := fd[u] + nb; m < mu {
-						mu = m
-					}
-				}
-			}
-			if mu == Inf && !backward {
-				break // src cannot reach dst
+	s.bh.items = append(s.bh.items[:0], heapItem{node: int32(dst)})
+	s.settled += s.settleCSR(c, src, s.fdist, s.fparent, s)
+	if s.fdist[dst] == Inf && s.mu < Inf {
+		// A closed path exists but the forward loop never popped dst:
+		// the pruning argument above does not hold on this input.
+		for _, v := range s.touched {
+			s.fdist[v] = Inf
+		}
+		s.settled += s.settleCSR(c, src, s.fdist, s.fparent, nil)
+		for v, d := range s.fdist {
+			if d < Inf {
+				s.touched = append(s.touched, int32(v))
 			}
 		}
+	}
+	return s.fdist[dst]
+}
 
-		it := fh.popMin()
-		u := it.node
-		if it.key != fd[u] {
-			continue
-		}
-		if u == dst {
-			dist = it.key
+// backStep advances the backward side by one settle before each forward
+// pop, or stops it once the radii sum past mu (fh is the forward heap).
+// It reports false when src provably cannot reach dst.
+func (s *PairScratch) backStep(fh *dheap) bool {
+	if !s.backward {
+		return true
+	}
+	bh, bd, fd := &s.bh, s.bdist, s.fdist
+	switch {
+	case len(bh.items) == 0:
+		// Every node that reaches dst is settled.
+		s.backward, s.radius = false, Inf
+	case fh.items[0].key+bh.items[0].key > s.mu*(1+pairEps):
+		s.backward, s.radius = false, bh.items[0].key
+	default:
+		it := bh.popMin()
+		v := it.node
+		if it.key != bd[v] {
 			break
 		}
-		bound := mu * (1 + pairEps)
-		if it.key+min(bd[u], radius) > bound {
-			continue
-		}
-		settled++
-		for x := c.off[u]; x < c.off[u+1]; x++ {
-			v := c.to[x]
-			nd := it.key + c.w[x]
-			if !(nd < fd[v]) {
-				if nd == fd[v] && fp[v] != int32(u) {
-					exact = false
-				}
+		s.settled++
+		s.radius = it.key
+		for x := s.rev.off[v]; x < s.rev.off[v+1]; x++ {
+			u := s.rev.to[x]
+			nb := it.key + s.rev.w[x]
+			if !(nb < bd[u]) {
 				continue
 			}
-			if nd == it.key {
-				exact = false
+			if bd[u] == Inf && fd[u] == Inf {
+				s.touched = append(s.touched, u)
 			}
-			if m := nd + bd[v]; m < mu {
-				mu = m
-				bound = mu * (1 + pairEps)
+			bd[u] = nb
+			bh.push(heapItem{node: u, key: nb})
+			if m := fd[u] + nb; m < s.mu {
+				s.mu = m
 			}
-			if nd+min(bd[v], radius) > bound {
-				continue
-			}
-			if fd[v] == Inf && bd[v] == Inf {
-				s.touched = append(s.touched, v)
-			}
-			fd[v], fp[v] = nd, int32(u)
-			fh.pushMin(int(v), nd)
 		}
 	}
-	if dist == Inf && mu < Inf {
-		// A closed path exists but the forward search never popped dst:
-		// the pruning argument above does not hold on this input (sums
-		// overflowing to +Inf, a path long enough for rounding to
-		// outgrow pairEps). Send the caller to the row.
-		exact = false
+	return s.backward || s.mu < Inf
+}
+
+// admit records the path a forward relaxation of v to nd closes and
+// reports whether v is worth labelling.
+func (s *PairScratch) admit(v int32, nd float64) bool {
+	bd := s.bdist[v]
+	if m := nd + bd; m < s.mu {
+		s.mu = m
 	}
-	s.items, s.back = fh.items[:0], bh.items[:0]
-	s.settled = settled
-	return dist, exact
+	if nd+min(bd, s.radius) > s.mu*(1+pairEps) {
+		return false
+	}
+	if s.fdist[v] == Inf && bd == Inf {
+		s.touched = append(s.touched, v)
+	}
+	return true
 }

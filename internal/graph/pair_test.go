@@ -10,11 +10,11 @@ import (
 	"egoist/internal/underlay"
 )
 
-// Weight classes of the PairCSR differential. Continuous weights are
-// what the data plane serves (tie-free, so the pair search must answer
-// itself); the other three manufacture ties, absorbed sums and
-// zero-weight plateaus — where exact=false is the only honest answer —
-// and sums whose float value depends on association.
+// Weight classes of the CSR differentials. Continuous weights are what
+// the data plane serves (tie-free); the other three manufacture ties,
+// absorbed sums and zero-weight plateaus — where only the canonical
+// tie rule keeps the parents order-independent — and sums whose float
+// value depends on association.
 const (
 	pairContinuous = iota
 	pairSmallInt
@@ -59,36 +59,27 @@ func pairGraph(n, class int, rng *rand.Rand) *CSR {
 	})
 }
 
-// pairTally counts what a differential run saw.
-type pairTally struct{ pairs, exact, reachable int }
-
 // checkAllPairs compares PairCSR with DijkstraCSR's row for every
-// ordered pair of c, on the caller's (reused) scratch.
-func checkAllPairs(t *testing.T, c *CSR, ps *PairScratch, tally *pairTally) {
+// ordered pair of c, on the caller's (reused) scratch: distance bits
+// and the whole parent chain. It returns how many pairs had a path.
+func checkAllPairs(t *testing.T, c *CSR, ps *PairScratch) (reachable int) {
 	t.Helper()
 	n := c.N()
 	dist, parent := make([]float64, n), make([]int32, n)
 	for src := 0; src < n; src++ {
 		ps.DijkstraCSR(c, src, dist, parent)
 		for dst := 0; dst < n; dst++ {
-			d, exact := ps.PairCSR(c, src, dst)
-			tally.pairs++
-			// The distance is the forward search's own label, so it is
-			// the row's whether or not the parents are pinned.
+			d := ps.PairCSR(c, src, dst)
 			if math.Float64bits(d) != math.Float64bits(dist[dst]) {
-				t.Fatalf("n=%d (%d,%d): PairCSR dist %v (%x), row says %v (%x), exact=%v", n, src, dst, d, math.Float64bits(d), dist[dst], math.Float64bits(dist[dst]), exact)
+				t.Fatalf("n=%d (%d,%d): PairCSR dist %v (%x), row says %v (%x)", n, src, dst, d, math.Float64bits(d), dist[dst], math.Float64bits(dist[dst]))
 			}
 			if ps.Settled() > 2*n {
 				t.Fatalf("n=%d (%d,%d): settled %d nodes, two searches can settle at most %d", n, src, dst, ps.Settled(), 2*n)
 			}
-			if !exact {
-				continue
-			}
-			tally.exact++
 			if d >= Inf || src == dst {
 				continue
 			}
-			tally.reachable++
+			reachable++
 			got := ps.Parent()
 			for v, hops := dst, 0; v != src; v, hops = int(parent[v]), hops+1 {
 				if got[v] != parent[v] {
@@ -100,33 +91,26 @@ func checkAllPairs(t *testing.T, c *CSR, ps *PairScratch, tally *pairTally) {
 			}
 		}
 	}
+	return reachable
 }
 
 // TestPairCSRMatchesRow is the exactness pin: on every ordered pair of
-// random graphs of every weight class, PairCSR's distance is
-// Float64bits-equal to the row's (so unreachable ⇔ +Inf), and whenever
-// it says exact every parent on the path is the row's. On continuous
-// weights it must say exact on ≥ 99% of pairs, or the row fallback has
-// quietly become the path.
+// random graphs of every weight class — ties, absorbed sums and
+// zero-weight plateaus included — PairCSR's distance is Float64bits-equal
+// to the row's (so unreachable ⇔ +Inf) and its parent chain is the
+// row's, node for node.
 func TestPairCSRMatchesRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	var ps PairScratch
-	var tallies [pairClasses]pairTally
+	var reachable [pairClasses]int
 	for trial := 0; trial < 240; trial++ {
 		class := trial % pairClasses
-		checkAllPairs(t, pairGraph(2+rng.Intn(45), class, rng), &ps, &tallies[class])
+		reachable[class] += checkAllPairs(t, pairGraph(2+rng.Intn(45), class, rng), &ps)
 	}
-	for class, ta := range tallies {
-		t.Logf("class %d: %d pairs, %d exact, %d exact with a path", class, ta.pairs, ta.exact, ta.reachable)
-		if ta.reachable == 0 {
-			t.Fatalf("class %d: no exact reachable pair — the generator stopped exercising the path check", class)
+	for class, r := range reachable {
+		if r == 0 {
+			t.Fatalf("class %d: no reachable pair — the generator stopped exercising the path check", class)
 		}
-	}
-	if c := tallies[pairContinuous]; float64(c.exact) < 0.99*float64(c.pairs) {
-		t.Fatalf("continuous weights: exact on %d of %d pairs, want >= 99%%", c.exact, c.pairs)
-	}
-	if z := tallies[pairZeroHeavy]; z.exact == z.pairs {
-		t.Fatal("zero-heavy weights never reported exact=false")
 	}
 }
 
@@ -160,8 +144,7 @@ func FuzzPairCSR(f *testing.F) {
 			adj[u] = append(adj[u], Arc{To: v, W: w})
 		}
 		var ps PairScratch
-		var ta pairTally
-		checkAllPairs(t, NewCSR(n, func(u int) []Arc { return adj[u] }), &ps, &ta)
+		checkAllPairs(t, NewCSR(n, func(u int) []Arc { return adj[u] }), &ps)
 	})
 }
 
@@ -237,7 +220,8 @@ func servedFixture(tb testing.TB) *CSR {
 
 // BenchmarkPairCSR is the kernel ratio the serve path's miss policy
 // rests on: one whole row against one pair search on the served
-// fixture, with the nodes each settles.
+// fixture, with the nodes each settles. A pair search that settles half
+// a row or more fails it: renting would then never pay.
 func BenchmarkPairCSR(b *testing.B) {
 	c := servedFixture(b)
 	n := c.N()
@@ -263,17 +247,15 @@ func BenchmarkPairCSR(b *testing.B) {
 	b.Run("pair", func(b *testing.B) {
 		c.Reverse()
 		b.ResetTimer()
-		settled, inexact := 0, 0
+		settled := 0
 		for i := 0; i < b.N; i++ {
 			p := pairs[i%len(pairs)]
-			if _, exact := ps.PairCSR(c, p[0], p[1]); !exact {
-				inexact++
-			}
+			ps.PairCSR(c, p[0], p[1])
 			settled += ps.Settled()
 		}
 		b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
-		if inexact > b.N/100 {
-			b.Fatalf("%d of %d searches on continuous delays asked for the row", inexact, b.N)
+		if settled/b.N >= n/2 {
+			b.Fatalf("a pair search settles %d nodes on average, half a row is %d", settled/b.N, n/2)
 		}
 	})
 }
@@ -292,9 +274,9 @@ func TestPairCSRServedFixture(t *testing.T) {
 		ps.DijkstraCSR(c, src, dist, parent)
 		for q := 0; q < 75; q++ {
 			dst := rng.Intn(n)
-			d, exact := ps.PairCSR(c, src, dst)
-			if !exact || math.Float64bits(d) != math.Float64bits(dist[dst]) {
-				t.Fatalf("(%d,%d): PairCSR %v exact=%v, row says %v", src, dst, d, exact, dist[dst])
+			d := ps.PairCSR(c, src, dst)
+			if math.Float64bits(d) != math.Float64bits(dist[dst]) {
+				t.Fatalf("(%d,%d): PairCSR %v, row says %v", src, dst, d, dist[dst])
 			}
 			for v := dst; v != src; v = int(parent[v]) {
 				if ps.Parent()[v] != parent[v] {

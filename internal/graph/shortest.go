@@ -93,10 +93,12 @@ func reshape(dst [][]float64, n int) [][]float64 {
 }
 
 // SPScratch holds the reusable per-run state of the Dijkstra variants:
-// the priority-queue backing array. One scratch serves one goroutine;
-// concurrent searches need one scratch each.
+// the priority-queue backing array, and the hop counts of the CSR
+// search's labels. One scratch serves one goroutine; concurrent
+// searches need one scratch each.
 type SPScratch struct {
 	items []heapItem
+	hops  []int32
 }
 
 // settleMin is the one additive settle loop over Digraph rows: it pops
@@ -115,7 +117,7 @@ func settleMin(h *dheap, out [][]Arc, dist []float64, parent []int32, within []b
 		if it.key != dist[it.node] {
 			continue
 		}
-		relaxMin(h, it.node, it.key, out[it.node], dist, parent, within)
+		relaxMin(h, int(it.node), it.key, out[it.node], dist, parent, within)
 	}
 }
 
@@ -134,20 +136,21 @@ func relaxMin(h *dheap, u NodeID, du float64, arcs []Arc, dist []float64, parent
 			if parent != nil {
 				parent[a.To] = int32(u)
 			}
-			h.pushMin(a.To, nd)
+			h.push(heapItem{node: int32(a.To), key: nd})
 		}
 	}
 }
 
-// settleMax is settleMin under the bottleneck algebra, on the max-order
-// heap: widest and SPForest's bottleneck repairs and commits end in it.
+// settleMax is settleMin under the bottleneck algebra, on negated keys
+// (widest first): widest and SPForest's bottleneck repairs and commits
+// end in it.
 func settleMax(h *dheap, out [][]Arc, width []float64, parent []int32, within []bool) {
 	for len(h.items) > 0 {
-		it := h.popMax()
-		if it.key != width[it.node] {
+		it := h.popMin()
+		if -it.key != width[it.node] {
 			continue
 		}
-		relaxMax(h, it.node, it.key, out[it.node], width, parent, within)
+		relaxMax(h, int(it.node), -it.key, out[it.node], width, parent, within)
 	}
 }
 
@@ -163,7 +166,7 @@ func relaxMax(h *dheap, u NodeID, wu float64, arcs []Arc, width []float64, paren
 			if parent != nil {
 				parent[a.To] = int32(u)
 			}
-			h.pushMax(a.To, nw)
+			h.push(heapItem{node: int32(a.To), key: -nw})
 		}
 	}
 }
@@ -222,7 +225,7 @@ func (s *SPScratch) widest(g *Digraph, src NodeID, width []float64, parent []int
 	}
 	width[src] = Inf
 	h := dheap{items: s.items[:0]}
-	h.pushMax(src, Inf)
+	h.push(heapItem{node: int32(src), key: -Inf})
 	settleMax(&h, g.out, width, parent, nil)
 	s.items = h.items[:0]
 }
@@ -257,10 +260,4 @@ func PathTo(parent []NodeID, src, dst NodeID) []NodeID {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
 	return rev
-}
-
-// heapItem is a priority-queue entry for Dijkstra variants.
-type heapItem struct {
-	node NodeID
-	key  float64
 }

@@ -139,23 +139,17 @@ func (n *Node) nextHop(dst int) int {
 	return table[dst]
 }
 
-// recomputeRoutes rebuilds the next-hop table from the link-state view
-// plus the node's own links and estimates.
+// recomputeRoutes rebuilds the next-hop table from AnnouncedView, the
+// graph the daemon's route snapshots are compiled from, taking every
+// first hop from the canonical shortest-path row (graph.DijkstraCSR)
+// those snapshots serve: under equal-cost ties a packet still leaves
+// on the first hop of the route /route reports for it.
 func (n *Node) recomputeRoutes() []int {
-	g := n.db.Graph()
-	n.mu.Lock()
-	for _, nb := range n.neighbors {
-		w := 1.0
-		if e, ok := n.est[nb]; ok {
-			w = e.v
-		}
-		g.AddArc(n.cfg.ID, nb, w)
-	}
-	n.mu.Unlock()
-
-	_, parent := graph.Dijkstra(g, n.cfg.ID)
+	g := n.AnnouncedView()
+	dist, parent := make([]float64, g.N()), make([]int32, g.N())
+	new(graph.SPScratch).DijkstraCSR(graph.NewCSR(g.N(), g.Out), n.cfg.ID, dist, parent)
 	table := make([]int, n.cfg.N)
-	for dst := 0; dst < n.cfg.N; dst++ {
+	for dst := range table {
 		table[dst] = firstHop(parent, n.cfg.ID, dst)
 	}
 	n.fwd.mu.Lock()
@@ -174,15 +168,15 @@ func (n *Node) invalidateRoutes() {
 
 // firstHop walks the Dijkstra parent tree from dst back to src and returns
 // the first hop on the path, or -1 when unreachable.
-func firstHop(parent []int, src, dst int) int {
+func firstHop(parent []int32, src, dst int) int {
 	if src == dst {
 		return -1
 	}
 	hop := dst
-	for parent[hop] != -1 && parent[hop] != src {
-		hop = parent[hop]
+	for parent[hop] != -1 && int(parent[hop]) != src {
+		hop = int(parent[hop])
 	}
-	if parent[hop] != src {
+	if int(parent[hop]) != src {
 		return -1
 	}
 	return hop

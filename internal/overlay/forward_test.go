@@ -7,6 +7,7 @@ import (
 
 	"egoist/internal/core"
 	"egoist/internal/linkstate"
+	"egoist/internal/plane"
 )
 
 func TestDataRoundTripMarshal(t *testing.T) {
@@ -170,4 +171,34 @@ func TestSendViaForcesFirstHop(t *testing.T) {
 		defer mu.Unlock()
 		return got
 	}, "redirected payload never arrived")
+}
+
+// TestNextHopIsServedRouteFirstHop: on a unit-cost view where equal-cost
+// paths are the norm (a 4-cube, rows announced in descending id order,
+// the node's own links at the default estimate), the hop a packet leaves
+// on is the first hop of the route the daemon's /route serves for it.
+func TestNextHopIsServedRouteFirstHop(t *testing.T) {
+	const n, dim = 16, 4
+	node := &Node{cfg: Config{ID: 0, N: n}, db: linkstate.NewDB(n, time.Hour, nil), est: map[int]*ewma{}}
+	for b := 0; b < dim; b++ {
+		node.neighbors = append(node.neighbors, 1<<b)
+	}
+	for u := 1; u < n; u++ {
+		lsa := &linkstate.LSA{Origin: uint16(u), Seq: 1}
+		for b := dim - 1; b >= 0; b-- {
+			lsa.Neighbors = append(lsa.Neighbors, linkstate.Neighbor{ID: uint16(u ^ 1<<b), Cost: 1})
+		}
+		node.db.Apply(lsa)
+	}
+	view := node.AnnouncedView()
+	snap := plane.CompileGraph(0, view, plane.GraphDelays(view), plane.Options{})
+	for dst := 1; dst < n; dst++ {
+		r, ok := snap.Route(0, dst)
+		if !ok {
+			t.Fatalf("no served route to %d", dst)
+		}
+		if hop := node.nextHop(dst); hop != r.Path[1] {
+			t.Fatalf("dst %d: next hop %d, served route %v", dst, hop, r.Path)
+		}
+	}
 }

@@ -47,9 +47,8 @@ var searchScratch = sync.Pool{New: func() any { return new(graph.PairScratch) }}
 // exactly one of: a hit (found a computed row), a collapse (joined a
 // row another goroutine was still computing — the miss-storm signal),
 // or a miss (no row for the source). What a miss then paid is counted
-// beside it: a pair search (with the nodes it settled), a row fill, or
-// — a fallback — both, when a tie kept the search from pinning the
-// path. Rows carried over by Patch are not demand traffic and are not
+// beside it: a pair search (with the nodes it settled) or a row fill.
+// Rows carried over by Patch are not demand traffic and are not
 // counted.
 type cacheStats struct {
 	hits      atomic.Int64
@@ -59,31 +58,28 @@ type cacheStats struct {
 	fills     atomic.Int64
 	searches  atomic.Int64
 	settled   atomic.Int64
-	fallbacks atomic.Int64
 }
 
 // CacheStats is one consistent-enough read of the route-path counters.
 type CacheStats struct {
-	Hits          int64 `json:"hits"`
-	Misses        int64 `json:"misses"`
-	Evictions     int64 `json:"evictions"`
-	Collapses     int64 `json:"collapses"`
-	Fills         int64 `json:"fills"`
-	PairSearches  int64 `json:"pair_searches"`
-	PairSettled   int64 `json:"pair_settled"`
-	PairFallbacks int64 `json:"pair_fallbacks"`
+	Hits         int64 `json:"hits"`
+	Misses       int64 `json:"misses"`
+	Evictions    int64 `json:"evictions"`
+	Collapses    int64 `json:"collapses"`
+	Fills        int64 `json:"fills"`
+	PairSearches int64 `json:"pair_searches"`
+	PairSettled  int64 `json:"pair_settled"`
 }
 
 func (st *cacheStats) read() CacheStats {
 	return CacheStats{
-		Hits:          st.hits.Load(),
-		Misses:        st.misses.Load(),
-		Evictions:     st.evictions.Load(),
-		Collapses:     st.collapses.Load(),
-		Fills:         st.fills.Load(),
-		PairSearches:  st.searches.Load(),
-		PairSettled:   st.settled.Load(),
-		PairFallbacks: st.fallbacks.Load(),
+		Hits:         st.hits.Load(),
+		Misses:       st.misses.Load(),
+		Evictions:    st.evictions.Load(),
+		Collapses:    st.collapses.Load(),
+		Fills:        st.fills.Load(),
+		PairSearches: st.searches.Load(),
+		PairSettled:  st.settled.Load(),
 	}
 }
 
@@ -116,24 +112,21 @@ func newRowCache(s *Snapshot, capRows int) *rowCache {
 // resolve answers src→dst (src != dst, both in range): the cost, +Inf
 // when dst is unreachable, and when wantPath the nodes src..dst
 // appended to buf. Whichever way the answer is produced it is the one
-// src's DijkstraCSR row holds, bit for bit (graph.PairCSR says why).
+// src's DijkstraCSR row holds, path included (graph.PairCSR says why).
 func (c *rowCache) resolve(src, dst int, buf []int32, wantPath bool) ([]int32, float64) {
 	st := c.stats.Load()
 	e := c.find(src, st)
 	if e == nil && int(c.spent[src].Load()) < c.snap.nLive {
 		ps := searchScratch.Get().(*graph.PairScratch)
-		cost, exact := ps.PairCSR(c.snap.csr, src, dst)
+		cost := ps.PairCSR(c.snap.csr, src, dst)
 		c.spent[src].Add(uint32(ps.Settled()))
 		st.searches.Add(1)
 		st.settled.Add(int64(ps.Settled()))
-		if exact && wantPath && cost < graph.Inf {
+		if wantPath && cost < graph.Inf {
 			buf = appendPath(buf, ps.Parent(), src, dst)
 		}
 		searchScratch.Put(ps)
-		if exact {
-			return buf, cost
-		}
-		st.fallbacks.Add(1)
+		return buf, cost
 	}
 	if e == nil {
 		e = c.fill(src, st)

@@ -13,10 +13,12 @@ import (
 // the compiled CSR (per-row arc lists with their weight bits). The
 // epoch tag and the row-cache state are deliberately excluded — two
 // snapshots with equal digests answer every OneHop, Route and
-// RouteCost query identically (up to equal-cost path ties). This is
-// the delta-publication correctness currency: a chain of Patch calls
-// must stay digest-identical to a from-scratch Compile of the same
-// wiring.
+// RouteCost query identically, Route paths included: a route is the
+// canonical shortest-path tree's (graph.DijkstraCSR), which the graph
+// alone fixes, whether a pair search, a filled row or a carried row
+// answers. This is the delta-publication correctness currency: a chain
+// of Patch calls must stay digest-identical to a from-scratch Compile
+// of the same wiring.
 func (s *Snapshot) Digest() [sha256.Size]byte {
 	h := sha256.New()
 	var buf [8]byte
@@ -49,12 +51,10 @@ func (s *Snapshot) Digest() [sha256.Size]byte {
 // the changed rows are re-priced through the delay oracle (every other
 // CSR row is copied byte-for-byte), and the cached shortest-path rows
 // survive unless a changed arc actually crossed them — the same
-// subtree-crossing test the SPForest repair machinery uses, so a
-// carried row's distances are bit-identical to what a fresh Dijkstra
-// over the patched graph would compute. Equal-cost ties are the one
-// thing not carried exactly: a fresh computation may pick a different
-// equal-cost predecessor, so Route paths are cost-identical, not
-// arc-identical.
+// subtree-crossing test the SPForest repair machinery uses, with an arc
+// that ties a label counting as a crossing — so a carried row is
+// bit-identical, distances and parents, to what a fresh Dijkstra over
+// the patched graph would compute.
 //
 // changed must list, ascending, every node whose wiring row or
 // membership differs from what s was compiled against. Under the

@@ -59,7 +59,7 @@ func (m *serverMetrics) batch(t0 time.Time) {
 //	plane_queries_failed_total          rejected queries
 //	plane_cache_{hits,misses,collapses}_total  route lookups, by what they found
 //	plane_cache_{fills,evictions}_total        rows computed on demand / dropped
-//	plane_pair_{searches,settled,fallbacks}_total  pair searches a miss paid
+//	plane_pair_{searches,settled}_total  pair searches a miss paid
 //	plane_binary_conns_refused_total    binary connections closed over the cap
 //	plane_snapshot_epoch / _age_seconds / _live  serving snapshot
 //	plane_{onehop,route,batch,publish}_latency_ns  summaries
@@ -78,7 +78,6 @@ func (s *Server) EnableMetrics(reg *obs.Registry) {
 	reg.CounterFunc("plane_cache_fills_total", "shortest-path rows computed on demand (one Dijkstra each)", s.cstats.fills.Load)
 	reg.CounterFunc("plane_pair_searches_total", "misses answered by an exact pair search", s.cstats.searches.Load)
 	reg.CounterFunc("plane_pair_settled_total", "nodes settled by pair searches (a filled row settles every live node)", s.cstats.settled.Load)
-	reg.CounterFunc("plane_pair_fallbacks_total", "pair searches that hit a tie and were answered from a filled row instead", s.cstats.fallbacks.Load)
 	reg.CounterFunc("plane_cache_evictions_total", "row-cache rows dropped under the cap", s.cstats.evictions.Load)
 	reg.CounterFunc("plane_cache_collapses_total", "row-cache lookups that joined an in-flight compute (singleflight)", s.cstats.collapses.Load)
 	reg.CounterFunc("plane_binary_conns_refused_total", "binary-protocol connections closed at accept because the connection cap was reached", s.binRefused.Load)

@@ -71,14 +71,13 @@ func TestServerMetricsExposition(t *testing.T) {
 	// pair searches until they have settled a row's worth of nodes (the
 	// 80 live ones), then its row is filled once and every later lookup
 	// hits it: 18 searches + 3 fills are the 21 misses, the other 39 are
-	// hits, and continuous delays never tie, so no search fell back.
+	// hits.
 	for series, want := range map[string]float64{
 		"plane_cache_hits_total":      39,
 		"plane_cache_misses_total":    21,
 		"plane_cache_fills_total":     3,
 		"plane_pair_searches_total":   18,
 		"plane_pair_settled_total":    253,
-		"plane_pair_fallbacks_total":  0,
 		"plane_cache_evictions_total": 0,
 	} {
 		if got, ok := m[series]; !ok || got != want {

@@ -90,10 +90,27 @@ func binaryAnswers(t *testing.T, srv *Server, panel [][2]int) []routeAnswer {
 // answer — cost bits, node ids, path order — is the same whether it
 // came from a pair search on a cold cache, from the row the source
 // earned once it crossed the fill threshold, from a row Patch carried,
-// or from a fresh Compile whose rows were all computed up front.
+// or from a fresh Compile whose rows were all computed up front. It
+// runs on measured delays and on a tie-heavy net whose delays are
+// small integers, a quarter of them zero, so equal-cost paths and
+// zero-weight plateaus are everywhere. Every cold-panel source is
+// distinct, so the first of its three entry points is always answered
+// by a pair search; on the tie-heavy net a search settles a larger
+// share of the graph, and the third may already find the source's row
+// earned (coldFills bounds the fills the panel may cause).
 func TestRouteAnswersAgreeAcrossCacheStates(t *testing.T) {
-	const n, k = 90, 3
-	net := testNet(t, n)
+	const n, panel = 90, 40
+	t.Run("delays", func(t *testing.T) { routeAnswersAgree(t, testNet(t, n), 3) })
+	t.Run("ties", func(t *testing.T) {
+		routeAnswersAgree(t, DelayFunc{Nodes: n, Fn: func(i, j int) float64 {
+			return float64((i*7919 + j*104729) % 4)
+		}}, panel)
+	})
+}
+
+func routeAnswersAgree(t *testing.T, net DelayNet, coldFills int64) {
+	const k = 3
+	n := net.N()
 	rng := rand.New(rand.NewSource(61))
 	m := newMutableWiring(rng, n, k)
 	srv := NewServer()
@@ -129,7 +146,7 @@ func TestRouteAnswersAgreeAcrossCacheStates(t *testing.T) {
 				t.Fatalf("step %d (%d,%d): pair search says %+v, the row %+v", step, p[0], p[1], got, want[i])
 			}
 		}
-		if st := coldStats.read(); st.PairFallbacks != 0 || st.Fills > 3 || st.PairSearches+st.Fills != st.Misses || st.PairSearches < 2*int64(len(panel)) {
+		if st := coldStats.read(); st.Fills > coldFills || st.PairSearches+st.Fills != st.Misses || st.PairSearches < 2*int64(len(panel)) {
 			t.Fatalf("step %d: the cold snapshot did not answer (all but) everything by pair search: %+v", step, st)
 		}
 		if st := fullStats.read(); st.Misses != 0 || st.PairSearches != 0 {
@@ -279,39 +296,5 @@ func TestColdRoutesZeroAlloc(t *testing.T) {
 	}
 	if st := srv.CacheStats(); st.Fills != 0 || st.Hits != 0 || st.PairSearches < 6*runs {
 		t.Fatalf("the gates did not run on pair searches alone: %+v", st)
-	}
-}
-
-// TestResolveFallsBackOnTies: on a link-state view with small-integer
-// and zero weights most searches cannot pin a path; those are answered
-// from a filled row, so every answer is still the row's, path included.
-func TestResolveFallsBackOnTies(t *testing.T) {
-	const n = 60
-	rng := rand.New(rand.NewSource(29))
-	g := graph.New(n)
-	for u := 0; u < n; u++ {
-		for a := 0; a < 4; a++ {
-			if v := rng.Intn(n); v != u {
-				g.AddArc(u, v, float64(rng.Intn(3)))
-			}
-		}
-	}
-	cold := CompileGraph(0, g, GraphDelays(g), Options{RouteCacheRows: n})
-	var st cacheStats
-	cold.rows.setStats(&st)
-	full := CompileGraph(0, g, GraphDelays(g), Options{RouteCacheRows: n})
-	for src := 0; src < n; src++ {
-		full.rows.get(src)
-	}
-	for src := 0; src < n; src++ {
-		for q := 0; q < 3; q++ {
-			dst := rng.Intn(n)
-			if got, want := answersOf(t, cold, src, dst), answersOf(t, full, src, dst); !sameAnswer(got, want) {
-				t.Fatalf("(%d,%d): cold cache says %+v, the row %+v", src, dst, got, want)
-			}
-		}
-	}
-	if got := st.read(); got.PairFallbacks == 0 || got.PairFallbacks != got.Fills || got.PairSearches <= got.PairFallbacks {
-		t.Fatalf("want some searches answered outright and every fill a fallback: %+v", got)
 	}
 }

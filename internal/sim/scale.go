@@ -216,6 +216,27 @@ type probeRebuild struct {
 	rows int
 }
 
+// phaseTrace delivers timed PhaseEvents to ScaleConfig.OnPhase. A nil
+// trace takes no clock readings: start returns the zero time and emit
+// does nothing.
+type phaseTrace func(ev PhaseEvent)
+
+// start reads the clock a phase is timed from.
+func (tr phaseTrace) start() time.Time {
+	if tr == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// emit sets ev's duration to the time since t0 and delivers it.
+func (tr phaseTrace) emit(t0 time.Time, ev PhaseEvent) {
+	if tr != nil {
+		ev.NS = time.Since(t0).Nanoseconds()
+		tr(ev)
+	}
+}
+
 // PhaseEvent is one timed engine phase, emitted through
 // ScaleConfig.OnPhase. The JSON tags are the trace-stream (JSONL)
 // schema egoist-bench -trace writes; events are diagnostic output and
@@ -807,26 +828,15 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 			eng.addInlink(v, i)
 		}
 	}
-	// Phase tracing: when OnPhase is nil the engine takes no extra
-	// clock readings; traceStart returns the zero time and every emit
-	// branch is dead.
-	trace := c.OnPhase
-	traceStart := func() time.Time {
-		if trace == nil {
-			return time.Time{}
-		}
-		return time.Now()
-	}
+	trace := phaseTrace(c.OnPhase)
 
 	if c.OnPublish != nil {
 		// The bootstrap publication — see the ordering contract at the
 		// OnPublish field: this Full publication is strictly first, and
 		// every sub-round delta below applies on top of it.
-		t0 := traceStart()
+		t0 := trace.start()
 		c.OnPublish(Publication{Epoch: -1, SubRound: -1, Rounds: c.StaggerBatches, Full: true, Wiring: eng.wiring, Active: eng.active})
-		if trace != nil {
-			trace(PhaseEvent{Epoch: -1, Sub: -1, Phase: "publish", NS: time.Since(t0).Nanoseconds(), Alive: len(eng.aliveIDs)})
-		}
+		trace.emit(t0, PhaseEvent{Epoch: -1, Sub: -1, Phase: "publish", Alive: len(eng.aliveIDs)})
 	}
 
 	// Fixed batch partition: node i acts in sub-round i mod B.
@@ -845,14 +855,12 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 		// previous epoch's end-of-epoch call; this start-of-run sweep
 		// (before the first rebuild, which absorbs it for free) only
 		// catches events scheduled before epoch 0.
-		t0 := traceStart()
+		t0 := trace.start()
 		if err := eng.runScaleChurn(float64(epoch), false); err != nil {
 			return nil, err
 		}
-		if trace != nil {
-			trace(PhaseEvent{Epoch: epoch, Sub: -1, Phase: "churn", NS: time.Since(t0).Nanoseconds(),
-				Alive: len(eng.aliveIDs), Joins: eng.joins, Leaves: eng.leaves})
-		}
+		trace.emit(t0, PhaseEvent{Epoch: epoch, Sub: -1, Phase: "churn",
+			Alive: len(eng.aliveIDs), Joins: eng.joins, Leaves: eng.leaves})
 		// Membership is fixed for the epoch (one Dijkstra per member the
 		// rebuild brings in; the others keep their rows); the sub-round
 		// loop below keeps the rows exact against the live wiring via
@@ -862,14 +870,12 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 		// play — every node re-wires trusting distances that its peers'
 		// simultaneous re-wirings have already invalidated, and the
 		// overlay collapses into a state nobody evaluated.
-		t0 = traceStart()
+		t0 = trace.start()
 		built := eng.pool.dir.FullRows()
 		eng.pool.rebuild(&c, eng, epoch, workers)
 		built = eng.pool.dir.FullRows() - built
-		if trace != nil {
-			trace(PhaseEvent{Epoch: epoch, Sub: -1, Phase: "rebuild", NS: time.Since(t0).Nanoseconds(),
-				Resets: eng.pool.resets, Applies: eng.pool.applies, Rows: built})
-		}
+		trace.emit(t0, PhaseEvent{Epoch: epoch, Sub: -1, Phase: "rebuild",
+			Resets: eng.pool.resets, Applies: eng.pool.applies, Rows: built})
 		if c.probe != nil {
 			c.probe.rebuilds = append(c.probe.rebuilds, probeRebuild{ids: slices.Clone(eng.pool.dir.Sources()), rows: built})
 		}
@@ -884,14 +890,12 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 			if b > 0 {
 				// Mid-epoch membership events land between sub-rounds
 				// and repair the live directory incrementally.
-				t0 = traceStart()
+				t0 = trace.start()
 				if err := eng.runScaleChurn(float64(epoch)+float64(b)/float64(len(batches)), true); err != nil {
 					return nil, err
 				}
-				if trace != nil {
-					trace(PhaseEvent{Epoch: epoch, Sub: b, Phase: "churn", NS: time.Since(t0).Nanoseconds(),
-						Alive: len(eng.aliveIDs), Joins: eng.joins, Leaves: eng.leaves})
-				}
+				trace.emit(t0, PhaseEvent{Epoch: epoch, Sub: b, Phase: "churn",
+					Alive: len(eng.aliveIDs), Joins: eng.joins, Leaves: eng.leaves})
 			}
 			// A drained overlay (fewer alive nodes than a wiring needs)
 			// sits the proposal phase out until joins replenish it.
@@ -900,14 +904,12 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 					props[i].acted = false
 				}
 			} else {
-				t0 = traceStart()
+				t0 = trace.start()
 				if err := eng.proposeBatch(ws, batch, epoch, demand, props); err != nil {
 					return nil, err
 				}
-				if trace != nil {
-					trace(PhaseEvent{Epoch: epoch, Sub: b, Phase: "propose", NS: time.Since(t0).Nanoseconds()})
-				}
-				t0 = traceStart()
+				trace.emit(t0, PhaseEvent{Epoch: epoch, Sub: b, Phase: "propose"})
+				t0 = trace.start()
 				before := ep.Rewires
 				a, s := eng.adoptBatch(batch, props, &ep)
 				acted += a
@@ -915,38 +917,30 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 				if err := eng.checkDirectory("adopt", float64(epoch)+float64(b)/float64(len(batches))); err != nil {
 					return nil, err
 				}
-				if trace != nil {
-					trace(PhaseEvent{Epoch: epoch, Sub: b, Phase: "adopt", NS: time.Since(t0).Nanoseconds(),
-						Rewires: ep.Rewires - before})
-				}
+				trace.emit(t0, PhaseEvent{Epoch: epoch, Sub: b, Phase: "adopt",
+					Rewires: ep.Rewires - before})
 			}
 			// Sub-round publication: the batch's adoptions plus any churn
 			// drained since the previous publication (idle sub-rounds
 			// publish an empty delta so subscribers can pace on them).
-			t0 = traceStart()
+			t0 = trace.start()
 			eng.publish(epoch, b, len(batches))
-			if trace != nil {
-				trace(PhaseEvent{Epoch: epoch, Sub: b, Phase: "publish", NS: time.Since(t0).Nanoseconds()})
-			}
+			trace.emit(t0, PhaseEvent{Epoch: epoch, Sub: b, Phase: "publish"})
 		}
 		// Drain the last sub-round window's events before the epoch
 		// closes: without this, events scheduled inside the final
 		// 1/StaggerBatches of the run's last epoch would silently never
 		// apply while pendingEvents still counted them.
-		t0 = traceStart()
+		t0 = trace.start()
 		if err := eng.runScaleChurn(float64(epoch+1), true); err != nil {
 			return nil, err
 		}
-		if trace != nil {
-			trace(PhaseEvent{Epoch: epoch, Sub: len(batches), Phase: "churn", NS: time.Since(t0).Nanoseconds(),
-				Alive: len(eng.aliveIDs), Joins: eng.joins, Leaves: eng.leaves})
-		}
+		trace.emit(t0, PhaseEvent{Epoch: epoch, Sub: len(batches), Phase: "churn",
+			Alive: len(eng.aliveIDs), Joins: eng.joins, Leaves: eng.leaves})
 		// The epoch-final publication (EpochFinal) carries that drain.
-		t0 = traceStart()
+		t0 = trace.start()
 		eng.publish(epoch, len(batches), len(batches))
-		if trace != nil {
-			trace(PhaseEvent{Epoch: epoch, Sub: len(batches), Phase: "publish", NS: time.Since(t0).Nanoseconds()})
-		}
+		trace.emit(t0, PhaseEvent{Epoch: epoch, Sub: len(batches), Phase: "publish"})
 		if acted > 0 {
 			ep.MeanEstCost /= float64(acted)
 			ep.MeanBand /= float64(acted)
@@ -956,10 +950,8 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 		ep.Joins, ep.Leaves = eng.joins, eng.leaves
 		ep.Alive = len(eng.aliveIDs)
 		ep.WallNS = time.Since(start).Nanoseconds()
-		if trace != nil {
-			trace(PhaseEvent{Epoch: epoch, Sub: -1, Phase: "epoch", NS: ep.WallNS,
-				Rewires: ep.Rewires, Alive: ep.Alive, Joins: ep.Joins, Leaves: ep.Leaves})
-		}
+		trace.emit(start, PhaseEvent{Epoch: epoch, Sub: -1, Phase: "epoch",
+			Rewires: ep.Rewires, Alive: ep.Alive, Joins: ep.Joins, Leaves: ep.Leaves})
 		res.PerEpoch = append(res.PerEpoch, ep)
 		res.Joins += eng.joins
 		res.Leaves += eng.leaves
