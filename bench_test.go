@@ -296,7 +296,7 @@ func BenchmarkAblationSamplingRadius(b *testing.B) {
 			var ratio float64
 			for i := 0; i < b.N; i++ {
 				res, err := sim.RunNewcomer(sim.NewcomerConfig{
-					Delays: delays, K: 3, Grow: sim.GrowKRandom,
+					Delays: delays, K: 3, Grow: core.KRandom{},
 					SampleSize: 10, Radius: r, Seed: int64(i),
 				})
 				if err != nil {

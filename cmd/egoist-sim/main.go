@@ -100,7 +100,7 @@ func main() {
 	}
 	if *churnR > 0 {
 		total := 2 / *churnR
-		sched, err := egoist.MakeChurn(*n, float64(*warm+*epochs), total*5/6, total/6, *seed+1)
+		sched, err := egoist.MakeChurn(opts.N, float64(*warm+*epochs), total*5/6, total/6, *seed+1)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "egoist-sim: churn: %v\n", err)
 			os.Exit(1)

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -8,6 +11,7 @@ import (
 	"testing"
 
 	"egoist/internal/clitest"
+	"egoist/internal/topology"
 )
 
 // TestMainInProcess drives both main() paths in process for coverage
@@ -72,6 +76,30 @@ func TestSmokeAdHocRun(t *testing.T) {
 	for _, want := range []string{"mean cost", "mean efficiency", "final wiring"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("output missing %q:\n%s", want, text)
+		}
+	}
+}
+
+// TestSmokeTraceChurn runs churn over a delay trace whose size differs
+// from -n: the schedule must follow the trace's size, in both directions.
+func TestSmokeTraceChurn(t *testing.T) {
+	bin := clitest.Build(t, "egoist-sim")
+	for _, size := range []int{20, 60} {
+		path := filepath.Join(t.TempDir(), "trace.txt")
+		var buf bytes.Buffer
+		if err := topology.WriteTrace(&buf, topology.Waxman(size, 150, rand.New(rand.NewSource(3)))); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, err := exec.Command(bin, "-delays", path, "-k", "3", "-churn", "0.5",
+			"-warm", "2", "-epochs", "2", "-workers", "2").CombinedOutput()
+		if err != nil {
+			t.Fatalf("%d-node trace with -churn: %v\n%s", size, err, out)
+		}
+		if want := fmt.Sprintf("n=%d k=3", size); !strings.Contains(string(out), want) {
+			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
 }

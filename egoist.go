@@ -145,6 +145,20 @@ type SimOptions struct {
 	Workers int
 }
 
+// resolvePolicy looks kind up by name and applies a non-zero HybridBR
+// donation.
+func resolvePolicy(kind PolicyKind, donated int) (core.Policy, error) {
+	p, err := core.PolicyByName(string(kind))
+	if err != nil {
+		return nil, fmt.Errorf("egoist: %w", err)
+	}
+	if br, ok := p.(core.BRPolicy); ok && br.Donated > 0 && donated != 0 {
+		br.Donated = donated
+		p = br
+	}
+	return p, nil
+}
+
 func (o SimOptions) build() (sim.Config, error) {
 	metric, err := o.Metric.toSim()
 	if err != nil {
@@ -162,28 +176,11 @@ func (o SimOptions) build() (sim.Config, error) {
 	if cfg.MeasureEpochs == 0 {
 		cfg.MeasureEpochs = 10
 	}
-	switch o.Policy {
-	case BR, "":
-		cfg.Policy = core.BRPolicy{}
-	case KRandom:
-		cfg.Policy = core.KRandom{}
-		cfg.EnforceCycle = true
-	case KClosest:
-		cfg.Policy = core.KClosest{}
-		cfg.EnforceCycle = true
-	case KRegular:
-		cfg.Policy = core.KRegular{}
-	case HybridBR:
-		donated := o.Donated
-		if donated == 0 {
-			donated = 2
-		}
-		cfg.Policy = core.BRPolicy{Donated: donated}
-	case FullMesh:
-		cfg.Policy = core.FullMesh{}
+	if cfg.Policy, err = resolvePolicy(o.Policy, o.Donated); err != nil {
+		return sim.Config{}, err
+	}
+	if _, mesh := cfg.Policy.(core.FullMesh); mesh {
 		cfg.K = o.N - 1
-	default:
-		return sim.Config{}, fmt.Errorf("egoist: unknown policy %q", o.Policy)
 	}
 	factor := o.CheatFactor
 	if factor == 0 {
@@ -369,16 +366,10 @@ type SampleJoinResult struct {
 
 // SampleJoin runs one newcomer-join experiment.
 func SampleJoin(opts SampleJoinOptions) (*SampleJoinResult, error) {
-	grow := sim.GrowBR
-	switch opts.Graph {
-	case BR, "":
-	case KRandom:
-		grow = sim.GrowKRandom
-	case KRegular:
-		grow = sim.GrowKRegular
-	case KClosest:
-		grow = sim.GrowKClosest
-	default:
+	// The base graph grows with BR, KRandom, KRegular or KClosest;
+	// sim.RunNewcomer rejects the other two.
+	grow, err := core.PolicyByName(string(opts.Graph))
+	if err != nil {
 		return nil, fmt.Errorf("egoist: unsupported base graph %q", opts.Graph)
 	}
 	delays := opts.Delays

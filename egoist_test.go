@@ -1,7 +1,11 @@
 package egoist
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
+	"sort"
 	"testing"
 	"time"
 
@@ -97,8 +101,10 @@ func TestSampleJoinRatios(t *testing.T) {
 }
 
 func TestSampleJoinUnknownGraph(t *testing.T) {
-	if _, err := SampleJoin(SampleJoinOptions{N: 30, K: 3, SampleSize: 8, Graph: "nope"}); err == nil {
-		t.Fatal("unknown base graph accepted")
+	for _, g := range []PolicyKind{"nope", HybridBR, FullMesh} {
+		if _, err := SampleJoin(SampleJoinOptions{N: 30, K: 3, SampleSize: 8, Graph: g}); err == nil {
+			t.Fatalf("base graph %q accepted", g)
+		}
 	}
 }
 
@@ -247,5 +253,57 @@ func TestScaleRunWithChurn(t *testing.T) {
 				t.Fatalf("node %d wired to departed node %d", i, v)
 			}
 		}
+	}
+}
+
+// simulateGoldenDigests pin Simulate for every PolicyKind at n = 20,
+// which covers the facade's policy defaults: HybridBR's two donated links
+// and the full mesh's K = N-1.
+var simulateGoldenDigests = map[PolicyKind]string{
+	BR:       "ac14f2c66470f393b25c45332fde2f8e792371f108203b1a514415c8514fc286",
+	KRandom:  "90ae78909feede47bc29271741f5c828c4df5b9838b2cad4994d03f526665002",
+	KClosest: "da8d45ee535ef6a9cda25f64b8ecb0a5f548705e5ac9f84ead232fb645cefc7b",
+	KRegular: "7a384ff25f6251e8e82db5e2719fcc88576434123a7a89de46a4f6b013336bb9",
+	HybridBR: "0918636a43696eb130b6b307526629a41c14ab2b0bf48b2080d56c4a0556d20a",
+	FullMesh: "75a3d0f8b8bfbf8af6dcf1c7eb712b565895cbe27a65a16b9ea236f8f5ea744c",
+}
+
+func TestSimulateGoldenDigest(t *testing.T) {
+	for _, p := range Policies() {
+		t.Run(string(p), func(t *testing.T) {
+			res, err := Simulate(SimOptions{
+				N: 20, K: 3, Seed: 9, Policy: p,
+				WarmEpochs: 3, MeasureEpochs: 3, Workers: 2,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			put := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
+			for _, x := range append([]float64{res.MeanCost, res.CI95, res.MeanEfficiency, res.SteadyRewires, res.LSABits}, res.PerNodeCost...) {
+				put(math.Float64bits(x))
+			}
+			for _, r := range res.RewiresPerEpoch {
+				put(uint64(r))
+			}
+			for _, ws := range res.FinalWiring {
+				put(uint64(len(ws)))
+				for _, v := range ws {
+					put(uint64(v))
+				}
+			}
+			cats := make([]string, 0, len(res.ProbeBits))
+			for c := range res.ProbeBits {
+				cats = append(cats, c)
+			}
+			sort.Strings(cats)
+			for _, c := range cats {
+				h.Write([]byte(c))
+				put(math.Float64bits(res.ProbeBits[c]))
+			}
+			if got, want := hex.EncodeToString(h.Sum(nil)), simulateGoldenDigests[p]; got != want {
+				t.Fatalf("Simulate digest drifted:\n got %s\nwant %s", got, want)
+			}
+		})
 	}
 }

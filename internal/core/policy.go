@@ -71,6 +71,20 @@ type Policy interface {
 	Select(req *Request) ([]int, error)
 }
 
+// PolicyByName returns the policy whose Name is name: "" means BR, and
+// HybridBR donates the paper's default k2 = 2 links.
+func PolicyByName(name string) (Policy, error) {
+	if name == "" {
+		return BRPolicy{}, nil
+	}
+	for _, p := range []Policy{BRPolicy{}, BRPolicy{Donated: 2}, KRandom{}, KClosest{}, KRegular{}, FullMesh{}} {
+		if p.Name() == name {
+			return p, nil
+		}
+	}
+	return nil, fmt.Errorf("core: unknown policy %q", name)
+}
+
 // KRandom selects k alive neighbors uniformly at random.
 type KRandom struct{}
 
@@ -307,12 +321,13 @@ func ringIndex(ring []int, v int) int {
 	return -1
 }
 
-// EnforceCycle implements the connectivity fallback of k-Random and
-// k-Closest (Sect. 3.2): if the directed overlay over the alive nodes is
-// not strongly connected, each alive node's worst out-link is replaced by a
-// link to its alive ring successor, guaranteeing a spanning cycle. wirings
-// is modified in place; weights for new links come from cost(i,j). It
-// reports whether a cycle was enforced.
+// EnforceCycle implements the connectivity fallback of KRandom and
+// KClosest (Sect. 3.2), the only policies that take it: if the directed
+// overlay over the alive nodes is not strongly connected, each alive
+// node's worst out-link is replaced by a link to its alive ring
+// successor, guaranteeing a spanning cycle. wirings is modified in place;
+// weights for new links come from cost(i,j). It reports whether a cycle
+// was enforced.
 func EnforceCycle(wirings [][]int, kind CostKind, active []bool, cost func(i, j int) float64) bool {
 	n := len(wirings)
 	g := graph.New(n)

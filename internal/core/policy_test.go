@@ -318,3 +318,28 @@ func TestEnforceCycleProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPolicyByName: every name resolves to the policy of that Name, ""
+// is plain BR, HybridBR donates two links, and anything else is an error.
+func TestPolicyByName(t *testing.T) {
+	for _, name := range []string{"BR", "HybridBR", "k-Random", "k-Closest", "k-Regular", "Full mesh"} {
+		p, err := PolicyByName(name)
+		if err != nil {
+			t.Fatalf("%q: %v", name, err)
+		}
+		if p.Name() != name {
+			t.Errorf("%q resolved to %q", name, p.Name())
+		}
+	}
+	if p, err := PolicyByName(""); err != nil || p != (BRPolicy{}) {
+		t.Errorf(`"" resolved to %#v, %v; want plain BR`, p, err)
+	}
+	if p, _ := PolicyByName("HybridBR"); p != (BRPolicy{Donated: 2}) {
+		t.Errorf("HybridBR resolved to %#v, want 2 donated links", p)
+	}
+	for _, name := range []string{"banzai", "br", "k-random", "FullMesh"} {
+		if p, err := PolicyByName(name); err == nil {
+			t.Errorf("%q resolved to %q", name, p.Name())
+		}
+	}
+}

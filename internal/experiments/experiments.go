@@ -113,23 +113,29 @@ func (s Scale) params() params {
 }
 
 // fig1Policies are the curves of Fig. 1 (full mesh only in panel a).
-var fig1Policies = []struct {
-	label  string
-	policy func() core.Policy
-	cycle  bool
-}{
-	{"k-Random", func() core.Policy { return core.KRandom{} }, true},
-	{"k-Regular", func() core.Policy { return core.KRegular{} }, false},
-	{"k-Closest", func() core.Policy { return core.KClosest{} }, true},
+var fig1Policies = policies("k-Random", "k-Regular", "k-Closest")
+
+// policies resolves a figure's curve names, which are constants: an
+// unknown one is a programming error.
+func policies(names ...string) []core.Policy {
+	out := make([]core.Policy, len(names))
+	for i, name := range names {
+		p, err := core.PolicyByName(name)
+		if err != nil {
+			panic(err)
+		}
+		out[i] = p
+	}
+	return out
 }
 
 // runPolicy runs one (policy, metric, k) simulation. Figures parallelize
 // across whole simulations (forEach), so each individual run stays on the
 // sequential engine: one level of parallelism, no oversubscription.
-func runPolicy(p params, metric sim.Metric, policy core.Policy, cycle bool, k int, opts func(*sim.Config)) (*sim.Result, error) {
+func runPolicy(p params, metric sim.Metric, policy core.Policy, k int, opts func(*sim.Config)) (*sim.Result, error) {
 	cfg := sim.Config{
 		N: p.n, K: k, Seed: p.seed, Metric: metric, Policy: policy,
-		WarmEpochs: p.warm, MeasureEpochs: p.meas, EnforceCycle: cycle,
+		WarmEpochs: p.warm, MeasureEpochs: p.meas,
 		Workers: 1,
 	}
 	if opts != nil {
@@ -153,7 +159,7 @@ func fig1(p params, id, title string, metric sim.Metric, includeMesh bool) (*Fig
 	}
 	curves := []curve{}
 	for _, pol := range fig1Policies {
-		curves = append(curves, curve{label: pol.label})
+		curves = append(curves, curve{label: pol.Name()})
 	}
 	if includeMesh {
 		curves = append(curves, curve{label: "Full mesh"})
@@ -164,24 +170,23 @@ func fig1(p params, id, title string, metric sim.Metric, includeMesh bool) (*Fig
 	// pool and results merge back by index.
 	type jobSpec struct {
 		policy core.Policy
-		cycle  bool
 		k      int
 	}
 	cols := 1 + len(fig1Policies)
 	jobs := make([]jobSpec, 0, len(p.ks)*cols+1)
 	for _, k := range p.ks {
-		jobs = append(jobs, jobSpec{core.BRPolicy{}, false, k})
+		jobs = append(jobs, jobSpec{core.BRPolicy{}, k})
 		for _, pol := range fig1Policies {
-			jobs = append(jobs, jobSpec{pol.policy(), pol.cycle, k})
+			jobs = append(jobs, jobSpec{pol, k})
 		}
 	}
 	if includeMesh {
-		jobs = append(jobs, jobSpec{core.FullMesh{}, false, p.n - 1})
+		jobs = append(jobs, jobSpec{core.FullMesh{}, p.n - 1})
 	}
 	results := make([]*sim.Result, len(jobs))
 	if err := forEach(len(jobs), func(i int) error {
 		var err error
-		results[i], err = runPolicy(p, metric, jobs[i].policy, jobs[i].cycle, jobs[i].k, nil)
+		results[i], err = runPolicy(p, metric, jobs[i].policy, jobs[i].k, nil)
 		return err
 	}); err != nil {
 		return nil, err
@@ -228,16 +233,7 @@ func Fig1d(s Scale) (*Figure, error) {
 }
 
 // churnPolicies are the Fig. 2 curves (normalized against plain BR).
-var churnPolicies = []struct {
-	label  string
-	policy func() core.Policy
-	cycle  bool
-}{
-	{"k-Random", func() core.Policy { return core.KRandom{} }, true},
-	{"k-Regular", func() core.Policy { return core.KRegular{} }, false},
-	{"k-Closest", func() core.Policy { return core.KClosest{} }, true},
-	{"HybridBR", func() core.Policy { return core.BRPolicy{Donated: 2} }, false},
-}
+var churnPolicies = policies("k-Random", "k-Regular", "k-Closest", "HybridBR")
 
 // traceChurn builds the moderate "PlanetLab-like" schedule of Fig. 2 left.
 func traceChurn(p params, seed int64) (*churn.Schedule, error) {
@@ -271,12 +267,12 @@ func Fig2a(s Scale) (*Figure, error) {
 	results := make([]*sim.Result, len(ks)*cols)
 	if err := forEach(len(results), func(i int) error {
 		k := ks[i/cols]
-		policy, cycle := core.Policy(core.BRPolicy{}), false
+		policy := core.Policy(core.BRPolicy{})
 		if ci := i%cols - 1; ci >= 0 {
-			policy, cycle = churnPolicies[ci].policy(), churnPolicies[ci].cycle
+			policy = churnPolicies[ci]
 		}
 		var err error
-		results[i], err = runPolicy(p, sim.DelayPing, policy, cycle, k, func(c *sim.Config) { c.Churn = sched })
+		results[i], err = runPolicy(p, sim.DelayPing, policy, k, func(c *sim.Config) { c.Churn = sched })
 		return err
 	}); err != nil {
 		return nil, err
@@ -292,7 +288,7 @@ func Fig2a(s Scale) (*Figure, error) {
 		}
 	}
 	for ci, pol := range churnPolicies {
-		fig.Series = append(fig.Series, Series{Label: pol.label, X: xs, Y: curves[ci]})
+		fig.Series = append(fig.Series, Series{Label: pol.Name(), X: xs, Y: curves[ci]})
 	}
 	fig.Notes = fmt.Sprintf("churn rate %.4f per epoch", sched.Rate(float64(p.warm+p.meas)))
 	return fig, nil
@@ -339,12 +335,12 @@ func Fig2b(s Scale) (*Figure, error) {
 	results := make([]*sim.Result, len(targets)*cols)
 	if err := forEach(len(results), func(i int) error {
 		sched := scheds[i/cols]
-		policy, cycle := core.Policy(core.BRPolicy{}), false
+		policy := core.Policy(core.BRPolicy{})
 		if ci := i%cols - 1; ci >= 0 {
-			policy, cycle = churnPolicies[ci].policy(), churnPolicies[ci].cycle
+			policy = churnPolicies[ci]
 		}
 		var err error
-		results[i], err = runPolicy(p, sim.DelayPing, policy, cycle, k, func(c *sim.Config) { c.Churn = sched })
+		results[i], err = runPolicy(p, sim.DelayPing, policy, k, func(c *sim.Config) { c.Churn = sched })
 		return err
 	}); err != nil {
 		return nil, err
@@ -357,7 +353,7 @@ func Fig2b(s Scale) (*Figure, error) {
 		}
 	}
 	for ci, pol := range churnPolicies {
-		fig.Series = append(fig.Series, Series{Label: pol.label, X: xs, Y: curves[ci]})
+		fig.Series = append(fig.Series, Series{Label: pol.Name(), X: xs, Y: curves[ci]})
 	}
 	return fig, nil
 }
@@ -416,9 +412,9 @@ func fig3Tradeoff(p params, id string, eps float64) (*Figure, error) {
 	if err := forEach(len(p.ks)+1, func(i int) error {
 		var err error
 		if i == len(p.ks) {
-			mesh, err = runPolicy(p, sim.DelayPing, core.FullMesh{}, false, p.n-1, nil)
+			mesh, err = runPolicy(p, sim.DelayPing, core.FullMesh{}, p.n-1, nil)
 		} else {
-			brs[i], err = runPolicy(p, sim.DelayPing, core.BRPolicy{}, false, p.ks[i], func(c *sim.Config) {
+			brs[i], err = runPolicy(p, sim.DelayPing, core.BRPolicy{}, p.ks[i], func(c *sim.Config) {
 				c.Epsilon = eps
 				c.WarmEpochs = 0
 				c.MeasureEpochs = p.warm + p.meas
@@ -450,11 +446,11 @@ func Fig3c(s Scale) (*Figure, error) { return fig3Tradeoff(s.params(), "3c", 0.1
 // fig4Run measures per-node cost with a cheat model and without, returning
 // (free-rider ratio, non-free-rider ratio).
 func fig4Run(p params, k int, model *cheat.Model) (riders, others float64, err error) {
-	honest, err := runPolicy(p, sim.DelayPing, core.BRPolicy{}, false, k, nil)
+	honest, err := runPolicy(p, sim.DelayPing, core.BRPolicy{}, k, nil)
 	if err != nil {
 		return 0, 0, err
 	}
-	cheated, err := runPolicy(p, sim.DelayPing, core.BRPolicy{}, false, k, func(c *sim.Config) { c.Cheat = model })
+	cheated, err := runPolicy(p, sim.DelayPing, core.BRPolicy{}, k, func(c *sim.Config) { c.Cheat = model })
 	if err != nil {
 		return 0, 0, err
 	}
@@ -563,7 +559,7 @@ func samplingDelayMatrix(n int, seed int64) (topology.DelayMatrix, error) {
 }
 
 // figSampling builds one of Figs. 5–8 for a base-graph policy.
-func figSampling(p params, id string, grow sim.GrowPolicy) (*Figure, error) {
+func figSampling(p params, id string, grow core.Policy) (*Figure, error) {
 	delays, err := samplingDelayMatrix(p.bigN, p.seed+51)
 	if err != nil {
 		return nil, err
@@ -572,10 +568,10 @@ func figSampling(p params, id string, grow sim.GrowPolicy) (*Figure, error) {
 }
 
 // figSamplingOn builds a sampling figure over an explicit delay matrix.
-func figSamplingOn(p params, id string, grow sim.GrowPolicy, delays topology.DelayMatrix) (*Figure, error) {
+func figSamplingOn(p params, id string, grow core.Policy, delays topology.DelayMatrix) (*Figure, error) {
 	fig := &Figure{
 		ID:     id,
-		Title:  fmt.Sprintf("Newcomer cost vs sample size on a %v graph (n=%d, k=3, r=2)", grow, p.bigN-1),
+		Title:  fmt.Sprintf("Newcomer cost vs sample size on a %s graph (n=%d, k=3, r=2)", grow.Name(), p.bigN-1),
 		XLabel: "size of the sample", YLabel: "newcomer's cost / BR-no-sampling cost",
 	}
 	strategies := []sim.NewcomerStrategy{
@@ -640,14 +636,14 @@ func figSamplingOn(p params, id string, grow sim.GrowPolicy, delays topology.Del
 }
 
 // Fig5 reproduces Fig. 5: sampling strategies joining a BR-grown graph.
-func Fig5(s Scale) (*Figure, error) { return figSampling(s.params(), "5", sim.GrowBR) }
+func Fig5(s Scale) (*Figure, error) { return figSampling(s.params(), "5", core.BRPolicy{}) }
 
 // Fig5BRITE repeats Fig. 5 on a BRITE-like (Barabási–Albert) topology —
 // the paper reports that results on BRITE and AS topologies "were
 // similar" to the PlanetLab trace.
 func Fig5BRITE(s Scale) (*Figure, error) {
 	p := s.params()
-	fig, err := figSamplingOn(p, "5brite", sim.GrowBR,
+	fig, err := figSamplingOn(p, "5brite", core.BRPolicy{},
 		topology.BarabasiAlbert(p.bigN, 2, rand.New(rand.NewSource(p.seed+53))))
 	if err != nil {
 		return nil, err
@@ -657,13 +653,13 @@ func Fig5BRITE(s Scale) (*Figure, error) {
 }
 
 // Fig6 reproduces Fig. 6: joining a k-Random graph.
-func Fig6(s Scale) (*Figure, error) { return figSampling(s.params(), "6", sim.GrowKRandom) }
+func Fig6(s Scale) (*Figure, error) { return figSampling(s.params(), "6", core.KRandom{}) }
 
 // Fig7 reproduces Fig. 7: joining a k-Regular graph.
-func Fig7(s Scale) (*Figure, error) { return figSampling(s.params(), "7", sim.GrowKRegular) }
+func Fig7(s Scale) (*Figure, error) { return figSampling(s.params(), "7", core.KRegular{}) }
 
 // Fig8 reproduces Fig. 8: joining a k-Closest graph.
-func Fig8(s Scale) (*Figure, error) { return figSampling(s.params(), "8", sim.GrowKClosest) }
+func Fig8(s Scale) (*Figure, error) { return figSampling(s.params(), "8", core.KClosest{}) }
 
 // Fig10 reproduces Fig. 10: available-bandwidth gain vs k for multipath
 // transfer via first-hop neighbors and for full multipath redirection.
@@ -679,7 +675,7 @@ func Fig10(s Scale) (*Figure, error) {
 	}
 	var xs, parallel, redirect []float64
 	for _, k := range p.ks {
-		res, err := runPolicy(p, sim.Bandwidth, core.BRPolicy{}, false, k, func(c *sim.Config) {
+		res, err := runPolicy(p, sim.Bandwidth, core.BRPolicy{}, k, func(c *sim.Config) {
 			c.UnderlaySeed = p.seed + 61
 		})
 		if err != nil {
@@ -710,7 +706,7 @@ func Fig11(s Scale) (*Figure, error) {
 	}
 	var xs, ys []float64
 	for _, k := range p.ks {
-		res, err := runPolicy(p, sim.DelayPing, core.BRPolicy{}, false, k, nil)
+		res, err := runPolicy(p, sim.DelayPing, core.BRPolicy{}, k, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -743,7 +739,7 @@ func Streaming(s Scale) (*Figure, error) {
 	if s == Quick {
 		k = 3
 	}
-	res, err := runPolicy(p, sim.DelayPing, core.BRPolicy{}, false, k, func(c *sim.Config) {
+	res, err := runPolicy(p, sim.DelayPing, core.BRPolicy{}, k, func(c *sim.Config) {
 		c.UnderlaySeed = p.seed + 71
 	})
 	if err != nil {
@@ -794,7 +790,7 @@ func Overhead(s Scale) (*Figure, error) {
 		ID: "overhead", Title: fmt.Sprintf("Protocol overhead (n=%d, k=%d, T=60s)", p.n, k),
 		XLabel: "quantity", YLabel: "bits per second per node",
 	}
-	res, err := runPolicy(p, sim.DelayPing, core.BRPolicy{}, false, k, nil)
+	res, err := runPolicy(p, sim.DelayPing, core.BRPolicy{}, k, nil)
 	if err != nil {
 		return nil, err
 	}

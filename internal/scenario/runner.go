@@ -9,7 +9,6 @@ import (
 	"sort"
 
 	"egoist/internal/churn"
-	"egoist/internal/core"
 	"egoist/internal/graph"
 	"egoist/internal/plane"
 	"egoist/internal/sampling"
@@ -629,26 +628,13 @@ func runFullEngine(spec *Spec, comp *compiled, workers int, m *Metrics) error {
 	if spec.Serve != nil {
 		return fmt.Errorf("scenario %s: serve-under-churn requires the scale engine", spec.Name)
 	}
-	var policy core.Policy
-	enforceCycle := false
-	switch spec.Policy {
-	case "", "BR":
-		policy = core.BRPolicy{}
-	case "HybridBR":
-		policy = core.BRPolicy{Donated: 2}
-	case "k-Random":
-		policy, enforceCycle = core.KRandom{}, true
-	case "k-Closest":
-		policy, enforceCycle = core.KClosest{}, true
-	case "k-Regular":
-		policy = core.KRegular{}
-	default:
-		return fmt.Errorf("scenario %s: unknown policy %q", spec.Name, spec.Policy)
+	policy, err := spec.policy()
+	if err != nil {
+		return err
 	}
 	cfg := sim.Config{
 		N: spec.N, K: spec.K, Seed: spec.Seed,
 		Policy: policy, Epsilon: spec.Epsilon,
-		EnforceCycle: enforceCycle,
 		// Warm epochs would shift the event clock; scenarios measure
 		// from epoch 0 so event epochs and cost series line up.
 		WarmEpochs: 0, MeasureEpochs: spec.Epochs,

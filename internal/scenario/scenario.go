@@ -17,6 +17,7 @@ import (
 	"sort"
 	"strings"
 
+	"egoist/internal/core"
 	"egoist/internal/sampling"
 )
 
@@ -206,10 +207,8 @@ func (s *Spec) Validate() error {
 	if s.Epochs < 1 {
 		return fmt.Errorf("scenario %s: epochs = %d, need >= 1", s.Name, s.Epochs)
 	}
-	switch s.Policy {
-	case "", "BR", "HybridBR", "k-Random", "k-Closest", "k-Regular":
-	default:
-		return fmt.Errorf("scenario %s: unknown policy %q", s.Name, s.Policy)
+	if _, err := s.policy(); err != nil {
+		return err
 	}
 	if s.Sample != "" {
 		if _, err := sampling.ParseSpec(s.Sample); err != nil {
@@ -292,6 +291,16 @@ func (s *Spec) Validate() error {
 		}
 	}
 	return nil
+}
+
+// policy resolves the full engine's Policy name. The full mesh is Fig. 1's
+// bound, not a scenario policy.
+func (s *Spec) policy() (core.Policy, error) {
+	p, err := core.PolicyByName(s.Policy)
+	if _, mesh := p.(core.FullMesh); err != nil || mesh {
+		return nil, fmt.Errorf("scenario %s: unknown policy %q", s.Name, s.Policy)
+	}
+	return p, nil
 }
 
 // Load reads and validates one spec file (strict JSON: unknown fields

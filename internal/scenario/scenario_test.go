@@ -67,6 +67,7 @@ func TestValidateRejects(t *testing.T) {
 		func(s *Spec) { s.K = 0 },
 		func(s *Spec) { s.Epochs = 0 },
 		func(s *Spec) { s.Policy = "banzai" },
+		func(s *Spec) { s.Policy = "Full mesh" },
 		func(s *Spec) { s.Sample = "bogus:5" },
 		func(s *Spec) { s.Demand = &DemandModel{Kind: "chaos"} },
 		func(s *Spec) { s.Churn = &ChurnProcess{Process: "warp"} },
@@ -88,6 +89,17 @@ func TestValidateRejects(t *testing.T) {
 		mutate(&s)
 		if err := s.Validate(); err == nil {
 			t.Errorf("case %d: invalid spec accepted", i)
+		}
+	}
+}
+
+// TestValidateAcceptsPolicies: every full-engine policy name validates.
+func TestValidateAcceptsPolicies(t *testing.T) {
+	for _, name := range []string{"", "BR", "HybridBR", "k-Random", "k-Closest", "k-Regular"} {
+		s := smokeSpec()
+		s.Policy = name
+		if err := s.Validate(); err != nil {
+			t.Errorf("policy %q: %v", name, err)
 		}
 	}
 }

@@ -94,8 +94,7 @@ func TestPreferenceAwareBRBeatsUniformBROnWeightedCost(t *testing.T) {
 	// A preference-blind policy measured under the same skewed workload.
 	blind := run(t, Config{
 		N: n, K: 2, Seed: 6, Metric: DelayPing, Policy: core.KClosest{},
-		EnforceCycle: true,
-		WarmEpochs:   6, MeasureEpochs: 4, PrefAt: pref,
+		WarmEpochs: 6, MeasureEpochs: 4, PrefAt: pref,
 	})
 	if aware.WeightedCost.Mean >= blind.WeightedCost.Mean {
 		t.Fatalf("preference-aware BR weighted cost %.0f not below preference-blind %.0f",

@@ -81,14 +81,19 @@ func fullGoldenConfigs() map[string]Config {
 	bw.Metric = Bandwidth
 	bw.Cheat = cheat.Population(bw.N, 3, 2, rand.New(rand.NewSource(4)))
 	closest := base(core.KClosest{}, 2)
-	closest.EnforceCycle = true
 	closest.PrefAt = staticPref(func(i, j int) float64 { return 1 + float64((i*j)%7) })
+	// k-Random at K = 2 under churn: rejoiners wire at random, so the
+	// connectivity fallback has disconnections to repair.
+	random := base(core.KRandom{}, 2)
+	random.K = 2
+	random.Churn = testChurn(random.N)
 	return map[string]Config{
 		"BR/delay-ping":        base(core.BRPolicy{}, 2),
 		"BR/epsilon":           eps,
 		"HybridBR/churn/immed": hybrid,
 		"BR/bandwidth/cheat":   bw,
 		"kClosest/cycle/pref":  closest,
+		"kRandom/cycle":        random,
 	}
 }
 
@@ -101,6 +106,7 @@ var fullGoldenDigests = map[string]string{
 	"HybridBR/churn/immed": "5a53b2773f34d4ddd525f57a9f5913c0ab18b1c8241446091fb5ade7ccba3080",
 	"BR/bandwidth/cheat":   "f4235a2da5cbb29142ec8554a4e831651cbb6229af2d67832b007d84d2ed0237",
 	"kClosest/cycle/pref":  "14cee8c6eee61c0d0c6cd736c7ae4a804b2141fe748d3dcb2de754eb3edc9f10",
+	"kRandom/cycle":        "5cab004f7decc347a051f5ced5c2ccebd57f8fe15979cfeca757ae095792cbe4",
 }
 
 // fullDigest hashes what a full-engine run decided and measured: the
@@ -142,6 +148,45 @@ func TestFullGoldenDigest(t *testing.T) {
 			}
 			if got, want := fullDigest(res), fullGoldenDigests[name]; got != want {
 				t.Fatalf("Result digest drifted from the pinned engine trajectory:\n got %s\nwant %s", got, want)
+			}
+		})
+	}
+}
+
+// newcomerGoldenConfigs pins the Sect. 5 sampling experiment on each
+// base-graph policy at n = 60, k = 3, one seed.
+func newcomerGoldenConfigs() map[string]NewcomerConfig {
+	return map[string]NewcomerConfig{
+		"BR":        newcomerCfg(nil, 10),
+		"k-Random":  newcomerCfg(core.KRandom{}, 10),
+		"k-Regular": newcomerCfg(core.KRegular{}, 10),
+		"k-Closest": newcomerCfg(core.KClosest{}, 10),
+	}
+}
+
+// newcomerGoldenDigests follow the rule of goldenDigests.
+var newcomerGoldenDigests = map[string]string{
+	"BR":        "795c9fd136600c67e783b38887e9e1acad9a20c018093884eb802ba5a915b730",
+	"k-Random":  "e4a7e6577d3b32de9e16227d112492fe30ba4edf1d4fad48c61fc0d4ab453bf9",
+	"k-Regular": "4cd542a7e5fa5c7d7e22fa11df438455709bbe0fe29018e92d37ac04bd5d5f30",
+	"k-Closest": "4fcfd8b4ed77acf9eaaf55cb7f5f1bae06bf03e12942e316d943b5e2c9a54f52",
+}
+
+// TestNewcomerGoldenDigest hashes the exact bits of the newcomer's cost
+// under every strategy, in strategy order.
+func TestNewcomerGoldenDigest(t *testing.T) {
+	for name, cfg := range newcomerGoldenConfigs() {
+		t.Run(name, func(t *testing.T) {
+			res, err := RunNewcomer(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			for s := NewcomerKRandom; s <= NewcomerBRFull; s++ {
+				h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(res.Cost[s])))
+			}
+			if got, want := hex.EncodeToString(h.Sum(nil)), newcomerGoldenDigests[name]; got != want {
+				t.Fatalf("newcomer cost digest drifted:\n got %s\nwant %s", got, want)
 			}
 		})
 	}

@@ -93,22 +93,22 @@ func TestSimNetworkSizeMismatch(t *testing.T) {
 
 func TestBRBeatsHeuristicsOnTrace(t *testing.T) {
 	m := topology.Waxman(24, 150, rand.New(rand.NewSource(7)))
-	runOn := func(policy core.Policy, cycle bool) float64 {
+	runOn := func(policy core.Policy) float64 {
 		net, err := NewTraceNetwork(m, 0.05, 9)
 		if err != nil {
 			t.Fatal(err)
 		}
 		res, err := Run(Config{
 			N: 24, K: 3, Seed: 8, Metric: DelayPing, Policy: policy,
-			WarmEpochs: 5, MeasureEpochs: 4, Network: net, EnforceCycle: cycle,
+			WarmEpochs: 5, MeasureEpochs: 4, Network: net,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Cost.Mean
 	}
-	br := runOn(core.BRPolicy{}, false)
-	krand := runOn(core.KRandom{}, true)
+	br := runOn(core.BRPolicy{})
+	krand := runOn(core.KRandom{})
 	if br >= krand {
 		t.Fatalf("BR %v not better than k-Random %v on trace", br, krand)
 	}

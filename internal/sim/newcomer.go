@@ -10,38 +10,6 @@ import (
 	"egoist/internal/topology"
 )
 
-// GrowPolicy names the strategy used to grow the base overlay of the
-// sampling experiments (Sect. 5): the incremental construction where node
-// i joins the overlay formed by nodes 0..i-1.
-type GrowPolicy int
-
-const (
-	// GrowBR grows the base graph with full best responses (no sampling).
-	GrowBR GrowPolicy = iota
-	// GrowKRandom grows with k-Random joins.
-	GrowKRandom
-	// GrowKRegular grows with k-Regular joins computed over the final ring.
-	GrowKRegular
-	// GrowKClosest grows with k-Closest joins.
-	GrowKClosest
-)
-
-// String names the grow policy.
-func (g GrowPolicy) String() string {
-	switch g {
-	case GrowBR:
-		return "BR"
-	case GrowKRandom:
-		return "k-Random"
-	case GrowKRegular:
-		return "k-Regular"
-	case GrowKClosest:
-		return "k-Closest"
-	default:
-		return fmt.Sprintf("GrowPolicy(%d)", int(g))
-	}
-}
-
 // NewcomerStrategy names the wiring strategy of the joining node in the
 // sampling experiments. All strategies operate on a size-m sample except
 // BRtp, which draws its sample with topology bias.
@@ -91,8 +59,11 @@ type NewcomerConfig struct {
 	Delays topology.DelayMatrix
 	// K is the degree budget (paper: 3).
 	K int
-	// Grow selects the base-graph construction.
-	Grow GrowPolicy
+	// Grow is the policy the base graph grows with (Sect. 5): the
+	// incremental construction where node i joins the overlay formed by
+	// nodes 0..i-1. BR (nil), core.KRandom, core.KRegular or
+	// core.KClosest.
+	Grow core.Policy
 	// SampleSize is m; SamplePrime is m' (default 2m); Radius is r
 	// (default 2).
 	SampleSize, SamplePrime, Radius int
@@ -237,10 +208,14 @@ func RunNewcomer(cfg NewcomerConfig) (*NewcomerResult, error) {
 func growBase(cfg NewcomerConfig, rng *rand.Rand) (*graph.Digraph, error) {
 	n := cfg.Delays.N() - 1 // newcomer excluded
 	g := graph.New(cfg.Delays.N())
+	active := aliveUpTo(cfg.Delays.N(), n)
+	if b, ok := cfg.Grow.(core.BRPolicy); ok && b.Donated > 0 {
+		return nil, fmt.Errorf("sim: a base graph cannot grow with %s", b.Name())
+	}
 	for v := 0; v < n; v++ {
 		var chosen []int
-		switch cfg.Grow {
-		case GrowBR:
+		switch cfg.Grow.(type) {
+		case nil, core.BRPolicy:
 			if v == 0 {
 				break
 			}
@@ -258,9 +233,9 @@ func growBase(cfg NewcomerConfig, rng *rand.Rand) (*graph.Digraph, error) {
 			if err != nil {
 				return nil, err
 			}
-		case GrowKRandom:
+		case core.KRandom:
 			chosen = sampling.Random(rng, seq(0, v), min(cfg.K, v))
-		case GrowKClosest:
+		case core.KClosest:
 			direct := directRow(cfg.Delays, v)
 			req := &core.Request{Self: v, K: min(cfg.K, v), Kind: core.Additive, Direct: direct, Graph: g, Sample: seq(0, v)}
 			var err error
@@ -268,16 +243,17 @@ func growBase(cfg NewcomerConfig, rng *rand.Rand) (*graph.Digraph, error) {
 			if err != nil {
 				return nil, err
 			}
-		case GrowKRegular:
+		case core.KRegular:
 			// Offsets over the final ring of n nodes; forward links to
 			// not-yet-joined nodes are fine for this static construction.
-			for j := 1; j <= cfg.K; j++ {
-				offset := 1 + (j-1)*(n-1)/(cfg.K+1)
-				chosen = append(chosen, (v+offset)%n)
+			req := &core.Request{Self: v, K: cfg.K, Direct: cfg.Delays[v], Active: active}
+			var err error
+			chosen, err = (core.KRegular{}).Select(req)
+			if err != nil {
+				return nil, err
 			}
-			chosen = dedupeExcluding(chosen, v)
 		default:
-			return nil, fmt.Errorf("sim: unknown grow policy %d", cfg.Grow)
+			return nil, fmt.Errorf("sim: a base graph cannot grow with %s", cfg.Grow.Name())
 		}
 		for _, w := range chosen {
 			g.AddArc(v, w, cfg.Delays[v][w])
@@ -292,7 +268,6 @@ func growBase(cfg NewcomerConfig, rng *rand.Rand) (*graph.Digraph, error) {
 	for v := 0; v < n; v++ {
 		wirings[v] = g.Neighbors(v)
 	}
-	active := aliveUpTo(cfg.Delays.N(), n)
 	if core.EnforceCycle(wirings, core.Additive, active, func(i, j int) float64 { return cfg.Delays[i][j] }) {
 		g = graph.New(cfg.Delays.N())
 		for v := 0; v < n; v++ {
@@ -305,13 +280,16 @@ func growBase(cfg NewcomerConfig, rng *rand.Rand) (*graph.Digraph, error) {
 }
 
 // settleBase runs full-membership re-wiring rounds over the grown base
-// graph (newcomer excluded): two best-response rounds for GrowBR, one
-// re-selection round for the heuristics.
+// graph (newcomer excluded): two best-response rounds for BR, one
+// re-selection round for k-Random and k-Closest.
 func settleBase(cfg NewcomerConfig, g *graph.Digraph, rng *rand.Rand) error {
 	n := cfg.Delays.N() - 1
 	active := aliveUpTo(cfg.Delays.N(), n)
 	rounds := 1
-	if cfg.Grow == GrowBR {
+	switch cfg.Grow.(type) {
+	case core.KRegular:
+		return nil // already wired over the final ring
+	case nil, core.BRPolicy:
 		rounds = 2
 	}
 	for round := 0; round < rounds; round++ {
@@ -319,8 +297,8 @@ func settleBase(cfg NewcomerConfig, g *graph.Digraph, rng *rand.Rand) error {
 			direct := directRow(cfg.Delays, v)
 			var chosen []int
 			var err error
-			switch cfg.Grow {
-			case GrowBR:
+			switch cfg.Grow.(type) {
+			case nil, core.BRPolicy:
 				inst := &core.Instance{
 					Self:       v,
 					Kind:       core.Additive,
@@ -330,14 +308,11 @@ func settleBase(cfg NewcomerConfig, g *graph.Digraph, rng *rand.Rand) error {
 					Dests:      seqExcept(0, n, v),
 				}
 				chosen, _, err = core.BestResponse(inst, cfg.K, core.BROptions{})
-			case GrowKRandom:
+			case core.KRandom:
 				chosen = sampling.Random(rng, seqExcept(0, n, v), cfg.K)
-			case GrowKClosest:
+			case core.KClosest:
 				req := &core.Request{Self: v, K: cfg.K, Kind: core.Additive, Direct: direct, Graph: g, Sample: seqExcept(0, n, v)}
 				chosen, err = (core.KClosest{}).Select(req)
-			case GrowKRegular:
-				// Already wired over the final ring; nothing to settle.
-				continue
 			}
 			if err != nil {
 				return err
@@ -346,9 +321,6 @@ func settleBase(cfg NewcomerConfig, g *graph.Digraph, rng *rand.Rand) error {
 			for _, w := range chosen {
 				g.AddArc(v, w, cfg.Delays[v][w])
 			}
-		}
-		if cfg.Grow == GrowKRegular {
-			break
 		}
 	}
 	return nil
@@ -386,18 +358,6 @@ func aliveUpTo(n, hi int) []bool {
 	out := make([]bool, n)
 	for v := 0; v < hi && v < n; v++ {
 		out[v] = true
-	}
-	return out
-}
-
-func dedupeExcluding(xs []int, self int) []int {
-	seen := map[int]bool{self: true}
-	var out []int
-	for _, x := range xs {
-		if !seen[x] {
-			seen[x] = true
-			out = append(out, x)
-		}
 	}
 	return out
 }

@@ -121,8 +121,6 @@ func workerDeterminismConfigs() map[string]Config {
 			cfg.Cheat = cheat.Single(cfg.N, 4, 2)
 		case "BR/pref":
 			cfg.PrefAt = staticPref(func(i, j int) float64 { return 1 + float64((i+j)%5) })
-		case "kRandom/cycle", "kClosest/cycle":
-			cfg.EnforceCycle = true
 		case "BR/epsilon/churn":
 			cfg.N, cfg.Epsilon = 40, 0.1
 			cfg.Churn = testChurn(cfg.N)

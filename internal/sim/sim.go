@@ -82,7 +82,10 @@ type Config struct {
 	UnderlaySeed int64
 	// Metric is the link-cost metric.
 	Metric Metric
-	// Policy selects neighbors. Required.
+	// Policy selects neighbors. Required. core.KRandom and core.KClosest,
+	// and only they, get the paper's connectivity fallback (Sect. 3.2):
+	// core.EnforceCycle runs after the initial wiring, after churn and
+	// before every measurement.
 	Policy core.Policy
 	// Epsilon is the BR(ε) re-wiring threshold; applies to BR policies.
 	Epsilon float64
@@ -92,9 +95,6 @@ type Config struct {
 	Churn *churn.Schedule
 	// Cheat optionally installs the free-rider model.
 	Cheat *cheat.Model
-	// EnforceCycle applies the paper's connectivity fallback after every
-	// epoch (used with k-Random and k-Closest).
-	EnforceCycle bool
 	// Network, when non-nil, replaces the synthetic underlay entirely —
 	// e.g. a TraceNetwork replaying a measured delay matrix. Its node
 	// count must equal N.
@@ -147,6 +147,12 @@ func (c *Config) validate() error {
 	}
 	if c.MeasureEpochs < 1 {
 		return fmt.Errorf("sim: MeasureEpochs = %d, need >= 1", c.MeasureEpochs)
+	}
+	if c.Churn != nil {
+		if c.Churn.N != c.N {
+			return fmt.Errorf("sim: churn schedule has %d nodes, config %d", c.Churn.N, c.N)
+		}
+		return c.Churn.Validate()
 	}
 	return nil
 }
@@ -490,8 +496,12 @@ func (st *state) checkLive(i int) error {
 	return nil
 }
 
+// enforceCycleIfNeeded applies the connectivity fallback of the policies
+// that take it.
 func (st *state) enforceCycleIfNeeded() {
-	if !st.cfg.EnforceCycle {
+	switch st.cfg.Policy.(type) {
+	case core.KRandom, core.KClosest:
+	default:
 		return
 	}
 	if core.EnforceCycle(st.wiring, st.cfg.Metric.Kind(), st.active, func(i, j int) float64 {

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"egoist/internal/cheat"
@@ -43,6 +45,23 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// TestRunRejectsChurnOfWrongSize: a schedule built for another overlay
+// size is an error naming both sizes, not an index panic (larger N) or
+// churn on a prefix of the nodes (smaller N).
+func TestRunRejectsChurnOfWrongSize(t *testing.T) {
+	for _, n := range []int{20, 30} {
+		cfg := baseCfg(core.BRPolicy{})
+		cfg.Churn = testChurn(n)
+		_, err := Run(cfg)
+		if err == nil {
+			t.Fatalf("%d-node schedule accepted for N = %d", n, cfg.N)
+		}
+		if want := fmt.Sprintf("%d nodes, config %d", n, cfg.N); !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name both sizes (%q)", err, want)
+		}
+	}
+}
+
 func TestRunProducesFiniteCosts(t *testing.T) {
 	res := run(t, baseCfg(core.BRPolicy{}))
 	if math.IsNaN(res.Cost.Mean) || res.Cost.Mean <= 0 {
@@ -66,9 +85,7 @@ func TestDeterministicGivenSeed(t *testing.T) {
 
 func TestBRBeatsHeuristicsOnDelay(t *testing.T) {
 	br := run(t, baseCfg(core.BRPolicy{}))
-	cfgRand := baseCfg(core.KRandom{})
-	cfgRand.EnforceCycle = true
-	krand := run(t, cfgRand)
+	krand := run(t, baseCfg(core.KRandom{}))
 	cfgReg := baseCfg(core.KRegular{})
 	kreg := run(t, cfgReg)
 
@@ -259,7 +276,7 @@ func TestFinalWiringRespectsK(t *testing.T) {
 
 // --- newcomer / sampling simulations ---------------------------------------
 
-func newcomerCfg(grow GrowPolicy, m int) NewcomerConfig {
+func newcomerCfg(grow core.Policy, m int) NewcomerConfig {
 	rng := rand.New(rand.NewSource(11))
 	return NewcomerConfig{
 		Delays:     topology.Waxman(60, 150, rng),
@@ -273,7 +290,7 @@ func newcomerCfg(grow GrowPolicy, m int) NewcomerConfig {
 func TestNewcomerFullBRIsBestOnAverage(t *testing.T) {
 	var brWins, trials int
 	for seed := int64(0); seed < 5; seed++ {
-		cfg := newcomerCfg(GrowBR, 10)
+		cfg := newcomerCfg(nil, 10)
 		cfg.Seed = seed
 		res, err := RunNewcomer(cfg)
 		if err != nil {
@@ -298,7 +315,7 @@ func TestNewcomerSampledBRBeatsHeuristics(t *testing.T) {
 	sumBR, sumRand := 0.0, 0.0
 	const trials = 6
 	for seed := int64(0); seed < trials; seed++ {
-		cfg := newcomerCfg(GrowBR, 10)
+		cfg := newcomerCfg(nil, 10)
 		cfg.Seed = seed
 		res, err := RunNewcomer(cfg)
 		if err != nil {
@@ -317,7 +334,7 @@ func TestNewcomerLargerSamplesHelp(t *testing.T) {
 		sum := 0.0
 		const trials = 6
 		for seed := int64(0); seed < trials; seed++ {
-			cfg := newcomerCfg(GrowBR, m)
+			cfg := newcomerCfg(nil, m)
 			cfg.Seed = seed
 			res, err := RunNewcomer(cfg)
 			if err != nil {
@@ -334,14 +351,14 @@ func TestNewcomerLargerSamplesHelp(t *testing.T) {
 }
 
 func TestNewcomerAllGrowPolicies(t *testing.T) {
-	for _, g := range []GrowPolicy{GrowBR, GrowKRandom, GrowKRegular, GrowKClosest} {
+	for _, g := range []core.Policy{core.BRPolicy{}, core.KRandom{}, core.KRegular{}, core.KClosest{}} {
 		cfg := newcomerCfg(g, 10)
 		res, err := RunNewcomer(cfg)
 		if err != nil {
-			t.Fatalf("grow %v: %v", g, err)
+			t.Fatalf("grow %s: %v", g.Name(), err)
 		}
 		if res.Ratio[NewcomerBRFull] != 1 {
-			t.Fatalf("grow %v: baseline ratio %v != 1", g, res.Ratio[NewcomerBRFull])
+			t.Fatalf("grow %s: baseline ratio %v != 1", g.Name(), res.Ratio[NewcomerBRFull])
 		}
 	}
 }
@@ -361,8 +378,24 @@ func TestNewcomerValidation(t *testing.T) {
 	}
 }
 
+// TestGrowBaseKRegularFullBudget: at the largest budget, K = n-2 over the
+// n-1 base nodes, the offset rule wraps onto the node itself and must
+// resolve the collision, so every base node still gets K links.
+func TestGrowBaseKRegularFullBudget(t *testing.T) {
+	cfg := NewcomerConfig{Delays: topology.Waxman(7, 150, rand.New(rand.NewSource(2))), K: 5, Grow: core.KRegular{}}
+	base, err := GrowBase(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < 6; v++ {
+		if got := len(base.Neighbors(v)); got != cfg.K {
+			t.Errorf("node %d has %d links, want %d", v, got, cfg.K)
+		}
+	}
+}
+
 func TestGrowBaseConnected(t *testing.T) {
-	for _, g := range []GrowPolicy{GrowBR, GrowKRandom, GrowKRegular, GrowKClosest} {
+	for _, g := range []core.Policy{core.BRPolicy{}, core.KRandom{}, core.KRegular{}, core.KClosest{}} {
 		cfg := newcomerCfg(g, 10)
 		rng := rand.New(rand.NewSource(3))
 		base, err := growBase(cfg, rng)
@@ -372,7 +405,7 @@ func TestGrowBaseConnected(t *testing.T) {
 		n := cfg.Delays.N()
 		active := aliveUpTo(n, n-1)
 		if !graph.StronglyConnected(base, active) {
-			t.Fatalf("grow %v: base graph disconnected", g)
+			t.Fatalf("grow %s: base graph disconnected", g.Name())
 		}
 	}
 }

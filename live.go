@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"egoist/internal/core"
 	"egoist/internal/linkstate"
 	"egoist/internal/overlay"
 	"egoist/internal/topology"
@@ -46,26 +45,9 @@ func StartLocalOverlay(opts LiveOptions) (*LiveOverlay, error) {
 	if opts.Epoch <= 0 {
 		opts.Epoch = 250 * time.Millisecond
 	}
-	var policy core.Policy
-	switch opts.Policy {
-	case BR, "":
-		policy = core.BRPolicy{}
-	case HybridBR:
-		donated := opts.Donated
-		if donated == 0 {
-			donated = 2
-		}
-		policy = core.BRPolicy{Donated: donated}
-	case KRandom:
-		policy = core.KRandom{}
-	case KClosest:
-		policy = core.KClosest{}
-	case KRegular:
-		policy = core.KRegular{}
-	case FullMesh:
-		policy = core.FullMesh{}
-	default:
-		return nil, fmt.Errorf("egoist: unknown policy %q", opts.Policy)
+	policy, err := resolvePolicy(opts.Policy, opts.Donated)
+	if err != nil {
+		return nil, err
 	}
 
 	lo := &LiveOverlay{
