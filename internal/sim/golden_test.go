@@ -191,3 +191,38 @@ func TestNewcomerGoldenDigest(t *testing.T) {
 		})
 	}
 }
+
+// growBaseGoldenDigests pin the Sect. 5 base overlay itself, one per
+// growth policy at n = 60, k = 3, under the rule of goldenDigests.
+var growBaseGoldenDigests = map[string]string{
+	"BR":        "0ccbebb3a994b7e55e5a81bd854122d72f343bbf01b0ac97bfd8ca28ad3bc3e1",
+	"k-Random":  "86022b3ea5befefbf8fd0dc4329c8e29691a24fbe42db690901b53c9766979f2",
+	"k-Regular": "6329a468b1cec47e9a3f84c68cc99f89fad5509d8a50eeb4ffaf70e9e97d9168",
+	"k-Closest": "6918c307f8e36cea77c822fd2782bb5ad30cd8acc985f74e6b9984910b2b6e05",
+}
+
+// TestGrowBaseGoldenDigest hashes every arc of the grown base graph —
+// tail, head and the weight's bits, in Out order — so a change in how the
+// base grows or settles shows here even when the newcomer's costs hide it.
+func TestGrowBaseGoldenDigest(t *testing.T) {
+	for name, cfg := range newcomerGoldenConfigs() {
+		t.Run(name, func(t *testing.T) {
+			g, err := GrowBase(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			put := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
+			for u := 0; u < g.N(); u++ {
+				for _, a := range g.Out(u) {
+					put(uint64(u))
+					put(uint64(a.To))
+					put(math.Float64bits(a.W))
+				}
+			}
+			if got, want := hex.EncodeToString(h.Sum(nil)), growBaseGoldenDigests[name]; got != want {
+				t.Fatalf("base graph digest drifted:\n got %s\nwant %s", got, want)
+			}
+		})
+	}
+}
