@@ -77,7 +77,7 @@ func brInstance(n int, seed int64) *core.Instance {
 	}
 	return &core.Instance{
 		Self: 0, Kind: core.Additive, Direct: direct,
-		Resid: core.BuildResid(g, 0, core.Additive, nil),
+		Resid: core.BuildResidScratch(g, 0, core.Additive, nil, nil),
 	}
 }
 

@@ -21,7 +21,7 @@ func TestAggWorstPrefersBalancedFacility(t *testing.T) {
 	mk := func(agg AggKind) *Instance {
 		return &Instance{
 			Self: 0, Kind: Additive, Direct: direct,
-			Resid:      BuildResid(g, 0, Additive, nil),
+			Resid:      BuildResidScratch(g, 0, Additive, nil, nil),
 			Candidates: []int{1, 2},
 			Dests:      []int{3, 4},
 			Agg:        agg,
@@ -54,7 +54,7 @@ func TestAggWorstBottleneckMaximizesMinBandwidth(t *testing.T) {
 	mk := func(agg AggKind) *Instance {
 		return &Instance{
 			Self: 0, Kind: Bottleneck, Direct: direct,
-			Resid:      BuildResid(g, 0, Bottleneck, nil),
+			Resid:      BuildResidScratch(g, 0, Bottleneck, nil, nil),
 			Candidates: []int{1, 2},
 			Dests:      []int{3, 4},
 			Agg:        agg,

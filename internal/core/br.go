@@ -507,11 +507,11 @@ func combinations(n, k int) int64 {
 	return c
 }
 
-// ShouldRewire implements BR(ε) (Sect. 4.3): re-wiring happens only when
+// shouldRewire implements BR(ε) (Sect. 4.3): re-wiring happens only when
 // the newly computed wiring improves on the current one by more than
 // epsilon (a fraction of the current cost). With epsilon 0 any strict
 // improvement triggers a re-wire.
-func ShouldRewire(kind CostKind, curVal, newVal, epsilon float64) bool {
+func shouldRewire(kind CostKind, curVal, newVal, epsilon float64) bool {
 	if !kind.better(newVal, curVal) {
 		return false
 	}

@@ -15,8 +15,6 @@ package core
 import (
 	"fmt"
 	"math"
-
-	"egoist/internal/graph"
 )
 
 // CostKind selects the path-cost algebra of the overlay metric.
@@ -363,24 +361,4 @@ func (in *Instance) foldFacilities(best []float64, facilities []int) {
 			}
 		}
 	}
-}
-
-// BuildResid computes the residual-cost matrix for node self over the
-// announced overlay graph g: it removes self's out-links (they are what is
-// being re-chosen) and every link of inactive nodes, then runs all-pairs
-// shortest (Additive) or widest (Bottleneck) paths. active may be nil.
-func BuildResid(g *graph.Digraph, self int, kind CostKind, active []bool) [][]float64 {
-	r := g.Clone()
-	r.ClearOut(self)
-	if active != nil {
-		for v := 0; v < r.N(); v++ {
-			if !active[v] {
-				r.ClearNode(v)
-			}
-		}
-	}
-	if kind == Bottleneck {
-		return graph.APWidest(r)
-	}
-	return graph.APSP(r)
 }

@@ -17,7 +17,7 @@ func buildInstance(g *graph.Digraph, self int, kind CostKind, direct []float64) 
 		Self:   self,
 		Kind:   kind,
 		Direct: direct,
-		Resid:  BuildResid(g, self, kind, nil),
+		Resid:  BuildResidScratch(g, self, kind, nil, nil),
 	}
 }
 
@@ -310,8 +310,8 @@ func TestShouldRewire(t *testing.T) {
 		{Bottleneck, 100, 115, 0.1, true},
 	}
 	for _, c := range cases {
-		if got := ShouldRewire(c.kind, c.cur, c.new, c.eps); got != c.want {
-			t.Errorf("ShouldRewire(%v,%v,%v,%v) = %v, want %v", c.kind, c.cur, c.new, c.eps, got, c.want)
+		if got := shouldRewire(c.kind, c.cur, c.new, c.eps); got != c.want {
+			t.Errorf("shouldRewire(%v,%v,%v,%v) = %v, want %v", c.kind, c.cur, c.new, c.eps, got, c.want)
 		}
 	}
 }
@@ -335,7 +335,7 @@ func TestBuildResidExcludesSelfAndInactive(t *testing.T) {
 	g.AddArc(0, 1, 1) // self's own link must be ignored
 	g.AddArc(1, 2, 1)
 	g.AddArc(2, 3, 1)
-	resid := BuildResid(g, 0, Additive, nil)
+	resid := BuildResidScratch(g, 0, Additive, nil, nil)
 	if !math.IsInf(resid[0][1], 1) {
 		t.Fatal("self out-link leaked into residual graph")
 	}
@@ -343,7 +343,7 @@ func TestBuildResidExcludesSelfAndInactive(t *testing.T) {
 		t.Fatalf("resid[1][3] = %v, want 2", resid[1][3])
 	}
 	active := []bool{true, true, false, true}
-	resid2 := BuildResid(g, 0, Additive, active)
+	resid2 := BuildResidScratch(g, 0, Additive, active, nil)
 	if !math.IsInf(resid2[1][3], 1) {
 		t.Fatal("path through inactive node 2 survived")
 	}

@@ -34,14 +34,14 @@ func runBRDynamics(t *testing.T, cost [][]float64, k, maxRounds int) (int, [][]i
 				Self:   v,
 				Kind:   Additive,
 				Direct: cost[v],
-				Resid:  BuildResid(build(), v, Additive, nil),
+				Resid:  BuildResidScratch(build(), v, Additive, nil, nil),
 			}
 			chosen, newVal, err := BestResponse(inst, k, BROptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			curVal := inst.Eval(wiring[v])
-			if ShouldRewire(Additive, curVal, newVal, 0) {
+			if shouldRewire(Additive, curVal, newVal, 0) {
 				wiring[v] = chosen
 				changed = true
 			}
@@ -118,7 +118,7 @@ func TestBRDynamicsStableStateIsLocalOptimum(t *testing.T) {
 			Self:   v,
 			Kind:   Additive,
 			Direct: cost[v],
-			Resid:  BuildResid(g, v, Additive, nil),
+			Resid:  BuildResidScratch(g, v, Additive, nil, nil),
 		}
 		_, newVal, err := BestResponse(inst, 2, BROptions{})
 		if err != nil {

@@ -104,7 +104,7 @@ func TestEvalWithPrefAndFixedTogether(t *testing.T) {
 		Self:   0,
 		Kind:   Additive,
 		Direct: []float64{0, 5, 50, 50},
-		Resid:  BuildResid(g, 0, Additive, nil),
+		Resid:  BuildResidScratch(g, 0, Additive, nil, nil),
 		Pref:   []float64{0, 1, 2, 3},
 		Fixed:  []int{1},
 	}
@@ -128,7 +128,7 @@ func TestBestResponseRespectsFixedBudget(t *testing.T) {
 		Self:   0,
 		Kind:   Additive,
 		Direct: []float64{0, 1, 2, 3, 4},
-		Resid:  BuildResid(g, 0, Additive, nil),
+		Resid:  BuildResidScratch(g, 0, Additive, nil, nil),
 		Fixed:  []int{4},
 	}
 	chosen, _, err := BestResponse(in, 2, BROptions{})

@@ -29,9 +29,9 @@ type Request struct {
 	Rng    *rand.Rand     // randomness for stochastic policies
 
 	// Resid, when non-nil, is the precomputed residual matrix of
-	// BuildResid(Graph, Self, Kind, Active). Callers that also need the
-	// matrix for the BR(ε) adoption test supply it here so it is computed
-	// once per re-wiring instead of twice.
+	// BuildResidScratch(Graph, Self, Kind, Active, _). Callers that also
+	// need the matrix for the BR(ε) adoption test supply it here so it is
+	// computed once per re-wiring instead of twice.
 	Resid [][]float64
 	// Scratch, when non-nil, provides reusable solver buffers (one per
 	// worker in the parallel engine).
@@ -83,6 +83,29 @@ func PolicyByName(name string) (Policy, error) {
 		}
 	}
 	return nil, fmt.Errorf("core: unknown policy %q", name)
+}
+
+// Adopt is the one re-wiring rule of the simulation engine and the
+// daemon: it reports whether a node whose current wiring holds links
+// links, aliveLinks of them to alive nodes, adopts the proposal its
+// policy p just made. curVal and newVal are the BR(ε) objectives of the
+// current and the proposed wiring under kind; only BR policies read
+// them. An empty wiring (a first join) or one that lost a link always
+// re-wires. Otherwise BR and HybridBR adopt only an ε-improvement
+// (Sect. 4.3), k-Closest follows its measurements every epoch, and
+// k-Random, k-Regular and the full mesh are static (Sect. 3.2).
+func Adopt(p Policy, kind CostKind, epsilon float64, links, aliveLinks int, curVal, newVal float64) bool {
+	if links == 0 || aliveLinks < links {
+		return true
+	}
+	switch p.(type) {
+	case BRPolicy:
+		return shouldRewire(kind, curVal, newVal, epsilon)
+	case KClosest:
+		return true
+	default:
+		return false
+	}
 }
 
 // KRandom selects k alive neighbors uniformly at random.

@@ -175,7 +175,7 @@ func TestBRPolicyBeatsRandomOnCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst := &Instance{Self: 0, Kind: Additive, Direct: direct, Resid: BuildResid(g, 0, Additive, nil)}
+	inst := &Instance{Self: 0, Kind: Additive, Direct: direct, Resid: BuildResidScratch(g, 0, Additive, nil, nil)}
 	brCost := inst.Eval(brOut)
 	worse := 0
 	const trials = 20

@@ -41,7 +41,7 @@ func propInstance(rng *rand.Rand, kind CostKind) *Instance {
 		Self:   self,
 		Kind:   kind,
 		Direct: direct,
-		Resid:  BuildResid(g, self, kind, nil),
+		Resid:  BuildResidScratch(g, self, kind, nil, nil),
 	}
 	others := make([]int, 0, n-1)
 	for j := 0; j < n; j++ {
@@ -256,7 +256,9 @@ func TestConcurrentBestResponseOnSharedInstance(t *testing.T) {
 }
 
 // TestBuildResidScratchMatchesBuildResid pins the scratch-backed residual
-// construction (including alive-mask handling) to the allocating one.
+// construction (including alive-mask handling), reused across graphs of
+// different sizes, to a from-scratch all-pairs run over a fresh clone of
+// the residual graph.
 func TestBuildResidScratchMatchesBuildResid(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	var s Scratch
@@ -282,7 +284,17 @@ func TestBuildResidScratchMatchesBuildResid(t *testing.T) {
 		if trial%2 == 1 {
 			kind = Bottleneck
 		}
-		want := BuildResid(g, self, kind, active)
+		r := g.Clone()
+		r.ClearOut(self)
+		for v := range active {
+			if !active[v] {
+				r.ClearNode(v)
+			}
+		}
+		want := graph.APSP(r)
+		if kind == Bottleneck {
+			want = graph.APWidest(r)
+		}
 		got := BuildResidScratch(g, self, kind, active, &s)
 		for u := range want {
 			for v := range want[u] {

@@ -32,7 +32,7 @@ func randomSampledInstance(rng *rand.Rand, n int, kind CostKind) *Instance {
 		Self:   0,
 		Kind:   kind,
 		Direct: direct,
-		Resid:  BuildResid(g, 0, kind, nil),
+		Resid:  BuildResidScratch(g, 0, kind, nil, nil),
 		Pref:   pref,
 	}
 }

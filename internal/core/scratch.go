@@ -63,14 +63,17 @@ func ints(buf []int, n int) []int {
 	return buf[:n]
 }
 
-// BuildResidScratch is BuildResid with reusable storage: the residual graph
-// clone, the all-pairs matrix and the Dijkstra state all live in s and are
-// overwritten by the next call. The returned matrix is therefore only valid
-// until s is used again — callers that retain it must copy. With a nil
-// scratch it behaves exactly like BuildResid.
+// BuildResidScratch computes the residual-cost matrix for node self over
+// the announced overlay graph g: it removes self's out-links (they are
+// what is being re-chosen) and every link of inactive nodes, then runs
+// all-pairs shortest (Additive) or widest (Bottleneck) paths. active may
+// be nil. The residual graph clone, the matrix and the Dijkstra state all
+// live in s and are overwritten by the next call, so the returned matrix
+// is only valid until s is used again — callers that retain it must copy.
+// A nil s allocates a fresh scratch for the call.
 func BuildResidScratch(g *graph.Digraph, self int, kind CostKind, active []bool, s *Scratch) [][]float64 {
 	if s == nil {
-		return BuildResid(g, self, kind, active)
+		s = &Scratch{}
 	}
 	if s.rg == nil {
 		s.rg = graph.New(g.N())

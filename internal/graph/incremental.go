@@ -16,7 +16,7 @@ package graph
 // edited graph exactly (not just approximately): additive path costs are
 // folded left-to-right along the path in every algorithm, so the
 // floating-point values agree — which is what lets the full engine price
-// every re-wiring off forests instead of BuildResid without perturbing
+// every re-wiring off forests instead of all-pairs runs without perturbing
 // its byte-identical determinism contract.
 //
 // A forest serves one goroutine; the full engine keeps one per worker of

@@ -142,6 +142,10 @@ type Node struct {
 
 	fwd forwarding // data plane
 
+	// sc is runEpoch's residual matrix and solver scratch. Only the timer
+	// loop runs epochs, so it needs no lock.
+	sc core.Scratch
+
 	stop chan struct{}
 	done sync.WaitGroup
 }
@@ -630,17 +634,18 @@ func (n *Node) runEpoch() {
 	}
 
 	// One residual all-pairs matrix serves the policy's selection and the
-	// BR(ε) test below.
-	resid := core.BuildResid(g, n.cfg.ID, n.cfg.Kind, active)
+	// adoption rule below.
+	resid := core.BuildResidScratch(g, n.cfg.ID, n.cfg.Kind, active, &n.sc)
 	req := &core.Request{
-		Self:   n.cfg.ID,
-		K:      n.cfg.K,
-		Kind:   n.cfg.Kind,
-		Direct: direct,
-		Graph:  g,
-		Active: active,
-		Rng:    n.rng,
-		Resid:  resid,
+		Self:    n.cfg.ID,
+		K:       n.cfg.K,
+		Kind:    n.cfg.Kind,
+		Direct:  direct,
+		Graph:   g,
+		Active:  active,
+		Rng:     n.rng,
+		Resid:   resid,
+		Scratch: &n.sc,
 	}
 	proposed, err := n.cfg.Policy.Select(req)
 	if err != nil {
@@ -651,16 +656,21 @@ func (n *Node) runEpoch() {
 		return
 	}
 
-	// BR(ε): adopt only when the improvement is worth it.
 	inst := &core.Instance{
 		Self:   n.cfg.ID,
 		Kind:   n.cfg.Kind,
 		Direct: direct,
 		Resid:  resid,
 	}
-	curVal := inst.Eval(cur)
-	newVal := inst.Eval(proposed)
-	adopt := len(cur) == 0 || core.ShouldRewire(n.cfg.Kind, curVal, newVal, n.cfg.Epsilon)
+	curVal := inst.EvalScratch(cur, &n.sc)
+	newVal := inst.EvalScratch(proposed, &n.sc)
+	aliveLinks := 0
+	for _, v := range cur {
+		if active[v] {
+			aliveLinks++
+		}
+	}
+	adopt := core.Adopt(n.cfg.Policy, n.cfg.Kind, n.cfg.Epsilon, len(cur), aliveLinks, curVal, newVal)
 
 	n.mu.Lock()
 	n.epochs++

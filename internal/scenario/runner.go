@@ -373,20 +373,12 @@ func (s *Spec) recoverTol() float64 {
 }
 
 func runScaleEngine(spec *Spec, comp *compiled, opts Options, m *Metrics) error {
-	sampleStr := spec.Sample
-	if sampleStr == "" {
-		ms := spec.N / 20
-		if ms < spec.K+2 {
-			ms = spec.K + 2
+	_, sample := sim.HeadlineRecipe(spec.N, spec.K)
+	if spec.Sample != "" {
+		var err error
+		if sample, err = sampling.ParseSpec(spec.Sample); err != nil {
+			return err
 		}
-		if ms > 500 {
-			ms = 500
-		}
-		sampleStr = fmt.Sprintf("demand:%d", ms)
-	}
-	sample, err := sampling.ParseSpec(sampleStr)
-	if err != nil {
-		return err
 	}
 	cfg := sim.ScaleConfig{
 		N: spec.N, K: spec.K, Seed: spec.Seed,

@@ -123,7 +123,7 @@ func RunNewcomer(cfg NewcomerConfig) (*NewcomerResult, error) {
 		cands = append(cands, j)
 	}
 
-	resid := core.BuildResid(base, newcomer, core.Additive, nil)
+	resid := core.BuildResidScratch(base, newcomer, core.Additive, nil, nil)
 	// brInst builds the scaled-input instance of Sect. 5: when a sample is
 	// in play, both the candidate set and the objective's destination pairs
 	// are limited to the sample.
@@ -196,71 +196,89 @@ func RunNewcomer(cfg NewcomerConfig) (*NewcomerResult, error) {
 	return res, nil
 }
 
-// growBase grows the overlay of nodes 0..n-2 incrementally with the
-// configured policy, using true delays as direct costs (the static-trace
-// setting of Sect. 5). After the incremental joins, every node re-wires
-// with its policy over the full membership for a few rounds: a node that
-// joined early chose among the handful of nodes present at the time, and
-// without these rounds the base graph keeps degenerate early wirings no
-// deployed system (which re-wires every epoch) would retain. For BR this
-// is the best-response dynamics converging toward the SNS equilibria of
-// the underlying game.
+// growBase grows the overlay of nodes 0..n-2 with the configured policy,
+// using true delays as direct costs (the static-trace setting of Sect. 5),
+// in one loop of passes. Pass 0 is the incremental join: node v picks
+// over the nodes 0..v-1 that joined before it. Each settle pass after it
+// re-wires every node over the whole base: a node that joined early chose
+// among the handful of nodes present at the time, and without these
+// passes the base keeps degenerate early wirings no deployed system
+// (which re-wires every epoch) would retain. BR settles twice — the
+// best-response dynamics converging toward the SNS equilibria of the
+// underlying game — and k-Random and k-Closest once. k-Regular's offsets
+// are taken over the final ring, so it skips the join and wires in one
+// pass.
+//
+// Under BR every step is priced on one shortest-path forest carried
+// through the growth, the full engine's slot: cut v's out-links, read the
+// residual matrix, commit v's new links.
 func growBase(cfg NewcomerConfig, rng *rand.Rand) (*graph.Digraph, error) {
 	n := cfg.Delays.N() - 1 // newcomer excluded
 	g := graph.New(cfg.Delays.N())
 	active := aliveUpTo(cfg.Delays.N(), n)
+	var live *graph.SPForest
+	var sc core.Scratch
 	if b, ok := cfg.Grow.(core.BRPolicy); ok && b.Donated > 0 {
 		return nil, fmt.Errorf("sim: a base graph cannot grow with %s", b.Name())
 	}
-	for v := 0; v < n; v++ {
-		var chosen []int
-		switch cfg.Grow.(type) {
-		case nil, core.BRPolicy:
-			if v == 0 {
-				break
-			}
-			direct := directRow(cfg.Delays, v)
-			inst := &core.Instance{
-				Self:       v,
-				Kind:       core.Additive,
-				Direct:     direct,
-				Resid:      core.BuildResid(g, v, core.Additive, aliveUpTo(cfg.Delays.N(), v)),
-				Candidates: seq(0, v),
-				Dests:      seq(0, v),
-			}
-			var err error
-			chosen, _, err = core.BestResponse(inst, min(cfg.K, v), core.BROptions{})
-			if err != nil {
-				return nil, err
-			}
-		case core.KRandom:
-			chosen = sampling.Random(rng, seq(0, v), min(cfg.K, v))
-		case core.KClosest:
-			direct := directRow(cfg.Delays, v)
-			req := &core.Request{Self: v, K: min(cfg.K, v), Kind: core.Additive, Direct: direct, Graph: g, Sample: seq(0, v)}
-			var err error
-			chosen, err = (core.KClosest{}).Select(req)
-			if err != nil {
-				return nil, err
-			}
-		case core.KRegular:
-			// Offsets over the final ring of n nodes; forward links to
-			// not-yet-joined nodes are fine for this static construction.
-			req := &core.Request{Self: v, K: cfg.K, Direct: cfg.Delays[v], Active: active}
-			var err error
-			chosen, err = (core.KRegular{}).Select(req)
-			if err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("sim: a base graph cannot grow with %s", cfg.Grow.Name())
-		}
-		for _, w := range chosen {
-			g.AddArc(v, w, cfg.Delays[v][w])
-		}
+	first, last := 0, 1
+	switch cfg.Grow.(type) {
+	case nil, core.BRPolicy:
+		live = graph.NewSPForest()
+		live.Reset(g, false)
+		last = 2
+	case core.KRandom, core.KClosest:
+	case core.KRegular:
+		first = 1
+	default:
+		return nil, fmt.Errorf("sim: a base graph cannot grow with %s", cfg.Grow.Name())
 	}
-	if err := settleBase(cfg, g, rng); err != nil {
-		return nil, err
+	pick := func(v int, pool []int, k int, resid [][]float64) ([]int, error) {
+		switch cfg.Grow.(type) {
+		case core.KRandom:
+			return sampling.Random(rng, pool, k), nil
+		case core.KClosest:
+			return core.KClosest{}.Select(&core.Request{Self: v, K: k, Kind: core.Additive, Direct: directRow(cfg.Delays, v), Sample: pool})
+		case core.KRegular:
+			return core.KRegular{}.Select(&core.Request{Self: v, K: k, Direct: cfg.Delays[v], Active: active})
+		}
+		inst := &core.Instance{
+			Self: v, Kind: core.Additive, Direct: directRow(cfg.Delays, v),
+			Resid: resid, Candidates: pool, Dests: pool,
+		}
+		chosen, _, err := core.BestResponseScratch(inst, k, core.BROptions{}, &sc)
+		return chosen, err
+	}
+	var arcs []graph.Arc
+	for pass := first; pass <= last; pass++ {
+		for v := 0; v < n; v++ {
+			pool := seq(0, v)
+			if pass > 0 {
+				pool = seqExcept(0, n, v)
+			}
+			k := min(cfg.K, len(pool))
+			if k == 0 {
+				continue
+			}
+			var resid [][]float64
+			if live != nil {
+				live.RemoveOut(v)
+				resid = live.Dist()
+			}
+			chosen, err := pick(v, pool, k, resid)
+			if err != nil {
+				return nil, err
+			}
+			g.ClearOut(v)
+			arcs = arcs[:0]
+			for _, w := range chosen {
+				g.AddArc(v, w, cfg.Delays[v][w])
+				arcs = append(arcs, graph.Arc{To: w, W: cfg.Delays[v][w]})
+			}
+			if live != nil {
+				live.CommitOut(arcs)
+			}
+		}
 	}
 	// The paper's growth processes keep the graph connected (BR reconnects
 	// via the disconnection penalty); enforce a cycle for the heuristics.
@@ -277,53 +295,6 @@ func growBase(cfg NewcomerConfig, rng *rand.Rand) (*graph.Digraph, error) {
 		}
 	}
 	return g, nil
-}
-
-// settleBase runs full-membership re-wiring rounds over the grown base
-// graph (newcomer excluded): two best-response rounds for BR, one
-// re-selection round for k-Random and k-Closest.
-func settleBase(cfg NewcomerConfig, g *graph.Digraph, rng *rand.Rand) error {
-	n := cfg.Delays.N() - 1
-	active := aliveUpTo(cfg.Delays.N(), n)
-	rounds := 1
-	switch cfg.Grow.(type) {
-	case core.KRegular:
-		return nil // already wired over the final ring
-	case nil, core.BRPolicy:
-		rounds = 2
-	}
-	for round := 0; round < rounds; round++ {
-		for v := 0; v < n; v++ {
-			direct := directRow(cfg.Delays, v)
-			var chosen []int
-			var err error
-			switch cfg.Grow.(type) {
-			case nil, core.BRPolicy:
-				inst := &core.Instance{
-					Self:       v,
-					Kind:       core.Additive,
-					Direct:     direct,
-					Resid:      core.BuildResid(g, v, core.Additive, active),
-					Candidates: seqExcept(0, n, v),
-					Dests:      seqExcept(0, n, v),
-				}
-				chosen, _, err = core.BestResponse(inst, cfg.K, core.BROptions{})
-			case core.KRandom:
-				chosen = sampling.Random(rng, seqExcept(0, n, v), cfg.K)
-			case core.KClosest:
-				req := &core.Request{Self: v, K: cfg.K, Kind: core.Additive, Direct: direct, Graph: g, Sample: seqExcept(0, n, v)}
-				chosen, err = (core.KClosest{}).Select(req)
-			}
-			if err != nil {
-				return err
-			}
-			g.ClearOut(v)
-			for _, w := range chosen {
-				g.AddArc(v, w, cfg.Delays[v][w])
-			}
-		}
-	}
-	return nil
 }
 
 func seqExcept(lo, hi, skip int) []int {

@@ -91,43 +91,24 @@ func (st *state) propose(i, epoch int, active []bool, resid [][]float64, cur []i
 	return p, nil
 }
 
-// decide applies the adoption rule to node i's proposal and, when it
-// adopts, installs the wiring. join marks a fresh (re)join, which always
-// adopts. counter, when non-nil, records established links. It reports
-// whether i's announced links changed.
-func (st *state) decide(i int, p *proposal, join bool, counter func(links int)) bool {
+// decide applies core.Adopt to node i's proposal and, when it adopts,
+// installs the wiring. counter, when non-nil, records established links.
+// It reports whether i's announced links changed.
+func (st *state) decide(i int, p *proposal, counter func(links int)) bool {
+	// Drop dead neighbors from the current wiring before deciding. (Links
+	// to dead nodes are not announced, so this does not dirty the epoch
+	// for later nodes.)
 	cur := st.wiring[i]
-	adopt := join || len(cur) == 0
-	if !adopt {
-		// Drop dead neighbors from the current wiring before comparing.
-		// (Links to dead nodes are not announced, so this does not dirty
-		// the epoch for later nodes.)
-		aliveCur := cur[:0:0]
-		for _, v := range cur {
-			if st.active[v] {
-				aliveCur = append(aliveCur, v)
-			}
-		}
-		if len(aliveCur) < len(cur) {
-			st.wiring[i] = aliveCur
-			adopt = true // lost links: must re-wire
+	alive := cur[:0:0]
+	for _, v := range cur {
+		if st.active[v] {
+			alive = append(alive, v)
 		}
 	}
-	if !adopt {
-		switch st.cfg.Policy.(type) {
-		case core.BRPolicy:
-			// BR(ε): adopt only a sufficient improvement, measured on the
-			// node's own announced view.
-			adopt = core.ShouldRewire(st.cfg.Metric.Kind(), p.curVal, p.newVal, st.cfg.Epsilon)
-		case core.KClosest:
-			adopt = true // tracks measurement changes every epoch
-		default:
-			// k-Random / k-Regular / full mesh: wiring is static absent
-			// churn, per the paper's baseline.
-			adopt = false
-		}
+	if len(alive) < len(cur) {
+		st.wiring[i] = alive
 	}
-	if !adopt {
+	if !core.Adopt(st.cfg.Policy, st.cfg.Metric.Kind(), st.cfg.Epsilon, len(cur), len(alive), p.curVal, p.newVal) {
 		return false
 	}
 	added := measure.LinkDiff(st.wiring[i], p.set)
@@ -228,9 +209,9 @@ func (st *state) computeProposals(epoch int) ([]proposal, error) {
 // computed) the node proposes again against the live forest.
 func (st *state) adopt(i, epoch int, prop *proposal, counter func(links int)) error {
 	if prop == nil || prop.set == nil || st.epochDirty {
-		return st.rewire(i, epoch, false, counter)
+		return st.rewire(i, epoch, counter)
 	}
-	if st.decide(i, prop, false, counter) && st.liveOK {
+	if st.decide(i, prop, counter) && st.liveOK {
 		st.live.RemoveOut(i)
 		st.live.CommitOut(st.announcedOut(i))
 		return st.checkLive(i)

@@ -164,7 +164,7 @@ func TestWorkerCountDoesNotChangeResults(t *testing.T) {
 // live forest — a restored cut or a committed re-wiring, on the
 // sequential path and after a clean speculative adoption — the forest
 // must equal a from-scratch all-pairs computation of the announced view.
-// This is the "live forest ≡ BuildResid" contract the worker-count suite
+// This is the "live forest ≡ BuildResidScratch" contract the worker-count suite
 // no longer pins on its own, now that Workers: 1 prices on the forest too.
 func TestLiveForestTracksAnnouncedView(t *testing.T) {
 	for name, cfg := range workerDeterminismConfigs() {
@@ -291,7 +291,7 @@ func TestSpeculativeProposalsMatchSequentialSlots(t *testing.T) {
 				if spec.set == nil {
 					t.Fatalf("active node %d got no proposal", i)
 				}
-				resid := core.BuildResid(g, i, metric.Kind(), st.active)
+				resid := core.BuildResidScratch(g, i, metric.Kind(), st.active, nil)
 				seq, err := st.propose(i, 0, st.active, resid, st.wiring[i], &st.seq)
 				if err != nil {
 					t.Fatal(err)

@@ -312,7 +312,7 @@ func newState(cfg Config) (*state, error) {
 	// the join epoch is tagged -1 in the policy-RNG derivation).
 	for _, i := range st.order {
 		if st.active[i] {
-			if err := st.rewire(i, -1, true, nil); err != nil {
+			if err := st.rewire(i, -1, nil); err != nil {
 				return nil, err
 			}
 		}
@@ -430,11 +430,10 @@ func (st *state) trueCost(u, v int) float64 {
 // failure repair, and every stagger slot whose speculative proposal is
 // missing or stale (see adopt). A BR proposal is priced on the live
 // forest with i's out-links cut; the cut is then committed with i's new
-// links if i re-wires and restored otherwise. join indicates a fresh
-// (re)join, which always adopts the proposal. counter, when non-nil,
+// links if i re-wires and restored otherwise. counter, when non-nil,
 // records established links. epoch seeds the per-(epoch,node) policy RNG
-// (-1 for the initial join).
-func (st *state) rewire(i, epoch int, join bool, counter func(links int)) error {
+// (-1 for the initial join, where the wiring is empty and always adopts).
+func (st *state) rewire(i, epoch int, counter func(links int)) error {
 	var resid [][]float64
 	if st.isBR() {
 		if !st.liveOK {
@@ -451,7 +450,7 @@ func (st *state) rewire(i, epoch int, join bool, counter func(links int)) error 
 	if err != nil {
 		return err
 	}
-	changed := st.decide(i, &p, join, counter)
+	changed := st.decide(i, &p, counter)
 	switch {
 	case resid == nil:
 		return nil
@@ -557,7 +556,7 @@ func (st *state) applyChurn(t float64, counter func(links int)) (bool, error) {
 					if i == e.Node || !st.active[i] || !hasLink(st.wiring[i], e.Node) {
 						continue
 					}
-					if err := st.rewire(i, epoch, false, counter); err != nil {
+					if err := st.rewire(i, epoch, counter); err != nil {
 						return changed, err
 					}
 				}
