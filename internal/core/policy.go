@@ -88,14 +88,18 @@ func PolicyByName(name string) (Policy, error) {
 // Adopt is the one re-wiring rule of the simulation engine and the
 // daemon: it reports whether a node whose current wiring holds links
 // links, aliveLinks of them to alive nodes, adopts the proposal its
-// policy p just made. curVal and newVal are the BR(ε) objectives of the
+// policy p just made, with a degree budget of k and others alive nodes
+// besides itself. curVal and newVal are the BR(ε) objectives of the
 // current and the proposed wiring under kind; only BR policies read
-// them. An empty wiring (a first join) or one that lost a link always
-// re-wires. Otherwise BR and HybridBR adopt only an ε-improvement
-// (Sect. 4.3), k-Closest follows its measurements every epoch, and
-// k-Random, k-Regular and the full mesh are static (Sect. 3.2).
-func Adopt(p Policy, kind CostKind, epsilon float64, links, aliveLinks int, curVal, newVal float64) bool {
-	if links == 0 || aliveLinks < links {
+// them. A node re-wires whenever its wiring is empty (a first join),
+// lost a link, or is a stub of fewer than min(k, others) links — the
+// single bootstrap link of a re-join (Sect. 3.1), which the node replaces
+// with its full policy wiring at its next epoch. Otherwise BR and
+// HybridBR adopt only an ε-improvement (Sect. 4.3), k-Closest follows
+// its measurements every epoch, and k-Random, k-Regular and the full
+// mesh are static (Sect. 3.2).
+func Adopt(p Policy, kind CostKind, epsilon float64, k, others, links, aliveLinks int, curVal, newVal float64) bool {
+	if links == 0 || aliveLinks < links || aliveLinks < min(k, others) {
 		return true
 	}
 	switch p.(type) {

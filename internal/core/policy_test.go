@@ -343,3 +343,55 @@ func TestPolicyByName(t *testing.T) {
 		}
 	}
 }
+
+// TestAdopt is the adoption rule's table: every policy against an empty
+// wiring, one that lost a link, a bootstrap stub and a full wiring, each
+// with an ε-improving and a non-improving proposal (k = 3, ten others).
+func TestAdopt(t *testing.T) {
+	const k, others, eps = 3, 10, 0.1
+	wirings := []struct {
+		name              string
+		links, aliveLinks int
+		always            bool // re-wires whatever the policy
+	}{
+		{"empty", 0, 0, true},
+		{"lost", 3, 2, true},
+		{"stub", 1, 1, true},
+		{"full", 3, 3, false},
+	}
+	proposals := []struct {
+		name           string
+		curVal, newVal float64
+		improves       bool
+	}{
+		{"improving", 10, 5, true},
+		{"non-improving", 10, 9.5, false},
+	}
+	policies := []struct {
+		p    Policy
+		full func(improves bool) bool // verdict on a full wiring
+	}{
+		{BRPolicy{}, func(improves bool) bool { return improves }},
+		{BRPolicy{Donated: 2}, func(improves bool) bool { return improves }},
+		{KClosest{}, func(bool) bool { return true }},
+		{KRandom{}, func(bool) bool { return false }},
+		{KRegular{}, func(bool) bool { return false }},
+		{FullMesh{}, func(bool) bool { return false }},
+	}
+	for _, pc := range policies {
+		for _, w := range wirings {
+			for _, pr := range proposals {
+				want := w.always || pc.full(pr.improves)
+				got := Adopt(pc.p, Additive, eps, k, others, w.links, w.aliveLinks, pr.curVal, pr.newVal)
+				if got != want {
+					t.Errorf("%s, %s wiring, %s proposal: Adopt = %v, want %v", pc.p.Name(), w.name, pr.name, got, want)
+				}
+			}
+		}
+	}
+	// Fewer alive others than k: holding all of them is a full wiring,
+	// not a stub.
+	if Adopt(KRandom{}, Additive, eps, k, 2, 2, 2, 10, 5) {
+		t.Error("k-Random re-wired a wiring that holds every other alive node")
+	}
+}

@@ -664,13 +664,18 @@ func (n *Node) runEpoch() {
 	}
 	curVal := inst.EvalScratch(cur, &n.sc)
 	newVal := inst.EvalScratch(proposed, &n.sc)
-	aliveLinks := 0
+	others, aliveLinks := 0, 0
+	for j, on := range active {
+		if on && j != n.cfg.ID {
+			others++
+		}
+	}
 	for _, v := range cur {
 		if active[v] {
 			aliveLinks++
 		}
 	}
-	adopt := core.Adopt(n.cfg.Policy, n.cfg.Kind, n.cfg.Epsilon, len(cur), aliveLinks, curVal, newVal)
+	adopt := core.Adopt(n.cfg.Policy, n.cfg.Kind, n.cfg.Epsilon, n.cfg.K, others, len(cur), aliveLinks, curVal, newVal)
 
 	n.mu.Lock()
 	n.epochs++

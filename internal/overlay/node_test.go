@@ -240,3 +240,45 @@ func wirings(nodes []*Node) string {
 	}
 	return s
 }
+
+// TestKRandomClusterSettles pins the daemon to the adoption rule of the
+// simulation engine: k-Random is static (Sect. 3.2), so once every node
+// holds its K links no node re-wires again.
+func TestKRandomClusterSettles(t *testing.T) {
+	const n, k = 8, 2
+	nodes, bus, _ := startCluster(t, n, k, core.KRandom{}, Delayed)
+	defer bus.Close()
+	defer stopAll(nodes)
+
+	waitFor(t, 10*time.Second, func() bool {
+		for _, node := range nodes {
+			if node.Epochs() < 2 || len(node.Neighbors()) < k {
+				return false
+			}
+		}
+		return true
+	}, "k-Random nodes never held K links")
+	rewires := make([]int, n)
+	epochs := make([]int, n)
+	for i, node := range nodes {
+		rewires[i] = node.Rewires()
+		epochs[i] = node.Epochs()
+	}
+	before := wirings(nodes)
+	waitFor(t, 10*time.Second, func() bool {
+		for i, node := range nodes {
+			if node.Epochs() < epochs[i]+4 {
+				return false
+			}
+		}
+		return true
+	}, "nodes stopped running epochs")
+	for i, node := range nodes {
+		if got := node.Rewires(); got != rewires[i] {
+			t.Errorf("node %d re-wired %d more links after holding K", i, got-rewires[i])
+		}
+	}
+	if after := wirings(nodes); after != before {
+		t.Errorf("wiring moved after every node held K links:\nbefore %s\nafter  %s", before, after)
+	}
+}

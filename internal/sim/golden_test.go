@@ -99,14 +99,17 @@ func fullGoldenConfigs() map[string]Config {
 
 // fullGoldenDigests were recorded before the graph kernels these runs
 // exercise (the repaired forest, the APSP rows) were last rewritten; the
-// same rule as goldenDigests applies.
+// same rule as goldenDigests applies. One deliberate change: kRandom/cycle
+// was re-recorded when core.Adopt began re-wiring a stub — a re-joiner's
+// single bootstrap link — into the full policy wiring at the node's next
+// epoch; before that, a re-joined k-Random node kept one link for good.
 var fullGoldenDigests = map[string]string{
 	"BR/delay-ping":        "b6da03acc429b5c6e33e50e3acb9c7bfc3a23863a2b737af6506ced637ee5cfe",
 	"BR/epsilon":           "c6c65be17cdf2d3e3b40060d2756cf61c084116328a7533cf35a8a2bc10eaba9",
 	"HybridBR/churn/immed": "5a53b2773f34d4ddd525f57a9f5913c0ab18b1c8241446091fb5ade7ccba3080",
 	"BR/bandwidth/cheat":   "f4235a2da5cbb29142ec8554a4e831651cbb6229af2d67832b007d84d2ed0237",
 	"kClosest/cycle/pref":  "14cee8c6eee61c0d0c6cd736c7ae4a804b2141fe748d3dcb2de754eb3edc9f10",
-	"kRandom/cycle":        "5cab004f7decc347a051f5ced5c2ccebd57f8fe15979cfeca757ae095792cbe4",
+	"kRandom/cycle":        "64f59edc1171b126304ea5d937cd09b87d987eb8bc0b93e36013b7bd2c916666",
 }
 
 // fullDigest hashes what a full-engine run decided and measured: the

@@ -108,7 +108,13 @@ func (st *state) decide(i int, p *proposal, counter func(links int)) bool {
 	if len(alive) < len(cur) {
 		st.wiring[i] = alive
 	}
-	if !core.Adopt(st.cfg.Policy, st.cfg.Metric.Kind(), st.cfg.Epsilon, len(cur), len(alive), p.curVal, p.newVal) {
+	others := 0
+	for j, on := range st.active {
+		if on && j != i {
+			others++
+		}
+	}
+	if !core.Adopt(st.cfg.Policy, st.cfg.Metric.Kind(), st.cfg.Epsilon, st.cfg.K, others, len(cur), len(alive), p.curVal, p.newVal) {
 		return false
 	}
 	added := measure.LinkDiff(st.wiring[i], p.set)

@@ -82,10 +82,13 @@ type Config struct {
 	UnderlaySeed int64
 	// Metric is the link-cost metric.
 	Metric Metric
-	// Policy selects neighbors. Required. core.KRandom and core.KClosest,
-	// and only they, get the paper's connectivity fallback (Sect. 3.2):
-	// core.EnforceCycle runs after the initial wiring, after churn and
-	// before every measurement.
+	// Policy selects neighbors. Required. core.Adopt decides at each
+	// node's slot whether its proposal is installed: an empty wiring, a
+	// lost link or a stub of fewer than min(K, alive others) links — a
+	// re-joiner's bootstrap link — always re-wires, whatever the policy.
+	// core.KRandom and core.KClosest, and only they, get the paper's
+	// connectivity fallback (Sect. 3.2): core.EnforceCycle runs after the
+	// initial wiring, after churn and before every measurement.
 	Policy core.Policy
 	// Epsilon is the BR(ε) re-wiring threshold; applies to BR policies.
 	Epsilon float64
@@ -533,7 +536,8 @@ func (st *state) applyChurn(t float64, counter func(links int)) (bool, error) {
 		if e.On {
 			// Re-join: measure candidates, then connect to a single
 			// bootstrap neighbor (Sect. 3.1). The full policy wiring
-			// happens at the node's next wiring epoch; until then the
+			// happens at the node's next wiring slot, where core.Adopt
+			// re-wires the stub whatever the policy; until then the
 			// newcomer is only as connected as its bootstrap link — and,
 			// under HybridBR, its immediately re-formed backbone cycles.
 			for j := 0; j < st.cfg.N; j++ {

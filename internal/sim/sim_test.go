@@ -426,3 +426,31 @@ func contains(xs []int, v int) bool {
 	}
 	return false
 }
+
+// TestRejoinerWiresFullyAtNextEpoch pins the join rule of Sect. 3.1 on a
+// hand-written schedule: node 5 leaves in epoch 1 and re-joins early in
+// epoch 2 with one bootstrap link. After its next wiring slot it must
+// hold the full K links, under the static policies as under the others.
+func TestRejoinerWiresFullyAtNextEpoch(t *testing.T) {
+	const n, k, node = 12, 3, 5
+	on := make([]bool, n)
+	for i := range on {
+		on[i] = true
+	}
+	sched := &churn.Schedule{N: n, InitialOn: on, Events: []churn.Event{
+		{Time: 1.05, Node: node, On: false},
+		{Time: 2.05, Node: node, On: true},
+	}}
+	for _, p := range []core.Policy{core.KRandom{}, core.KRegular{}, core.KClosest{}, core.BRPolicy{}} {
+		res, err := Run(Config{
+			N: n, K: k, Seed: 7, Metric: DelayPing, Policy: p,
+			WarmEpochs: 2, MeasureEpochs: 2, Churn: sched,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.FinalWiring[node]; len(got) != k {
+			t.Errorf("%s: re-joined node %d holds %v after a full epoch, want %d links", p.Name(), node, got, k)
+		}
+	}
+}
