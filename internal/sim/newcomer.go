@@ -249,7 +249,6 @@ func growBase(cfg NewcomerConfig, rng *rand.Rand) (*graph.Digraph, error) {
 		chosen, _, err := core.BestResponseScratch(inst, k, core.BROptions{}, &sc)
 		return chosen, err
 	}
-	var arcs []graph.Arc
 	for pass := first; pass <= last; pass++ {
 		for v := 0; v < n; v++ {
 			pool := seq(0, v)
@@ -270,13 +269,11 @@ func growBase(cfg NewcomerConfig, rng *rand.Rand) (*graph.Digraph, error) {
 				return nil, err
 			}
 			g.ClearOut(v)
-			arcs = arcs[:0]
 			for _, w := range chosen {
 				g.AddArc(v, w, cfg.Delays[v][w])
-				arcs = append(arcs, graph.Arc{To: w, W: cfg.Delays[v][w]})
 			}
 			if live != nil {
-				live.CommitOut(arcs)
+				live.CommitOut(g.Out(v))
 			}
 		}
 	}
