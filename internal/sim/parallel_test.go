@@ -164,8 +164,9 @@ func TestWorkerCountDoesNotChangeResults(t *testing.T) {
 // live forest — a restored cut or a committed re-wiring, on the
 // sequential path and after a clean speculative adoption — the forest
 // must equal a from-scratch all-pairs computation of the announced view.
-// This is the "live forest ≡ BuildResidScratch" contract the worker-count suite
-// no longer pins on its own, now that Workers: 1 prices on the forest too.
+// This is the "live forest ≡ BuildResidScratch" contract the
+// worker-count suite no longer pins on its own, now that Workers: 1
+// prices on the forest too.
 func TestLiveForestTracksAnnouncedView(t *testing.T) {
 	for name, cfg := range workerDeterminismConfigs() {
 		if _, ok := cfg.Policy.(core.BRPolicy); !ok {
