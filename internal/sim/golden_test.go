@@ -23,22 +23,35 @@ import (
 // goldenConfigs returns the pinned configurations. The churn-heavy one
 // exercises every serial mutation path (leaves, rejoins, fresh joins,
 // demand flips, directory repair between sub-rounds); the static one is
-// the plain convergence path most callers run.
+// the plain convergence path most callers run. Both draw Demand samples;
+// uniform (the static config) and strat (the churn-heavy one) pin the
+// two strategies whose variance estimator is the without-replacement one.
 func goldenConfigs() map[string]ScaleConfig {
+	static := ScaleConfig{
+		N: 200, K: 3, Seed: 5,
+		Sample:    sampling.Spec{Strategy: sampling.Demand, M: 40},
+		MaxEpochs: 10, Workers: 2,
+	}
+	uniform := static
+	uniform.Sample.Strategy = sampling.Uniform
+	strat := churnHeavyConfig(2)
+	strat.Sample.Strategy = sampling.Stratified
 	return map[string]ScaleConfig{
 		"churn-heavy": churnHeavyConfig(2),
-		"static": {
-			N: 200, K: 3, Seed: 5,
-			Sample:    sampling.Spec{Strategy: sampling.Demand, M: 40},
-			MaxEpochs: 10, Workers: 2,
-		},
+		"static":      static,
+		"uniform":     uniform,
+		"strat":       strat,
 	}
 }
 
-// goldenDigests are the pre-PR-7 reference digests (see file comment).
+// goldenDigests are the pre-PR-7 reference digests (see file comment);
+// uniform and strat were recorded later, before the engine learned to
+// keep a wiring without solving, and the same rule applies to them.
 var goldenDigests = map[string]string{
 	"churn-heavy": "ea40cffbb49f7086f7dffebb33b99e687c5046815cf8bf2b4ba57992d82fece0",
 	"static":      "3ff027fa3381426679d273c8914cc24aa33c55e2d22cf812061b49c783c29db6",
+	"uniform":     "0c7e0f17157427a7369c4dd5676e034c86dc2153226e76a5f7c79618ef40a105",
+	"strat":       "f950b8eb846fea330f88a5ae89cd1a6836a1758e134154d076d8fc9d91862cc8",
 }
 
 // TestScaleGoldenDigest runs each pinned config and compares the result
