@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -28,8 +29,32 @@ func TestMainInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	clitest.RunMain(t, main, "egoist-bench", "-list")
+	tracePath := filepath.Join(dir, "trace.jsonl")
 	clitest.RunMain(t, main, "egoist-bench", "-scale", "80", "-sample", "uniform:10", "-k", "2", "-epochs", "2", "-workers", "2",
-		"-bench-json", filepath.Join(dir, "scale.json"))
+		"-bench-json", filepath.Join(dir, "scale.json"), "-trace", tracePath)
+	// Propose events carry the proposers that solved and those kept on
+	// the bound; the bootstrap epoch solves.
+	trace, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solved := 0
+	for _, line := range strings.Split(strings.TrimSpace(string(trace)), "\n") {
+		var ev struct {
+			Phase  string
+			Kept   int
+			Solved int
+		}
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("trace line %q: %v", line, err)
+		}
+		if ev.Phase == "propose" {
+			solved += ev.Solved
+		}
+	}
+	if solved == 0 {
+		t.Fatalf("no propose event in the trace reports a solve:\n%s", trace)
+	}
 
 	// The n-sweep path: both sizes converge well inside 24 epochs, and
 	// the artifact carries one record per size with the RSS column set.

@@ -23,8 +23,10 @@ import (
 // fill turns an Instance into its block (BestResponseScratch,
 // BestResponseSampled). The scale engine, whose Instance would only be a
 // copy of its facility directory's rows, fills a block straight from those
-// rows instead: Block sizes it, BestResponseBlock solves it, and
-// SampledBlock is the Instance-built block its probe compares with.
+// rows instead: Block sizes it, BestResponseBlock solves it — or, when the
+// caller's keep test rejects a bound every solution must meet, skips the
+// solve — and SampledBlock is the Instance-built block its probe compares
+// with.
 
 // block is one best response in the solver's dense form. It lives in the
 // Scratch and is rebuilt by every call.
@@ -242,12 +244,17 @@ var (
 // chosen candidates (ascending ids), the estimate of their full-roster
 // objective and, on the same block, that of the set cur (candidate
 // positions, folded in order).
-func (s *Scratch) BestResponseBlock(k int, cur []int, opts BROptions) (chosen []int, est, estCur sampling.Estimate, err error) {
+//
+// A non-nil keep is asked before the solve, with a lower bound on the
+// estimate of every set the solver could return (keepBound) and the
+// estimate of cur. When it returns true the solve is skipped: chosen is
+// nil and est is that bound. estCur is the same bits either way.
+func (s *Scratch) BestResponseBlock(k int, cur []int, opts BROptions, keep func(bound, estCur sampling.Estimate) bool) (chosen []int, est, estCur sampling.Estimate, err error) {
 	b := &s.blk
 	if b.ds == nil {
 		return nil, est, estCur, errNoBlock
 	}
-	chosen, est, estCur, err = b.solveSampled(k, cur, opts, s)
+	chosen, est, estCur, err = b.solveSampled(k, cur, opts, keep, s)
 	// The block outlives the call inside the Scratch: drop what it
 	// borrowed, so it pins neither the caller's candidates nor the sample
 	// and cannot be solved twice.
@@ -255,7 +262,7 @@ func (s *Scratch) BestResponseBlock(k int, cur []int, opts BROptions) (chosen []
 	return chosen, est, estCur, err
 }
 
-func (b *block) solveSampled(k int, cur []int, opts BROptions, s *Scratch) (chosen []int, est, estCur sampling.Estimate, err error) {
+func (b *block) solveSampled(k int, cur []int, opts BROptions, keep func(bound, estCur sampling.Estimate) bool, s *Scratch) (chosen []int, est, estCur sampling.Estimate, err error) {
 	if len(b.ds.Dests) == 0 {
 		return nil, est, estCur, errEmptySample
 	}
@@ -268,6 +275,13 @@ func (b *block) solveSampled(k int, cur []int, opts BROptions, s *Scratch) (chos
 	if err := opts.checkExact(len(b.ids), k); err != nil {
 		return nil, est, estCur, err
 	}
+	if keep != nil {
+		if bound, ok := b.keepBound(s); ok {
+			if estCur = b.estimate(cur, s); keep(bound, estCur) {
+				return nil, bound, estCur, nil
+			}
+		}
+	}
 	b.weigh(b.ds.InvProb)
 	s.slots = s.slots[:0]
 	if k > 0 {
@@ -275,6 +289,37 @@ func (b *block) solveSampled(k int, cur []int, opts BROptions, s *Scratch) (chos
 	}
 	sortSet(chosen, s.slots)
 	return chosen, b.estimate(s.slots, s), b.estimate(cur, s), nil
+}
+
+// keepBound is the estimate of a per-destination lower bound on the cost
+// of every set of the block's candidates: the best over every candidate
+// row, folded from the Fixed start as any set's bests are. Any set's best
+// is one of the values that fold compared, so it is no better than theirs,
+// bit for bit. finalize maps an unreachable destination to
+// DisconnectedPenalty but leaves a finite cost above it alone, so it is
+// not monotone there; the bound caps at the penalty instead, which is
+// finalize wherever a cost is at most the penalty and below it elsewhere.
+// A weight that is negative, NaN or infinite could turn a larger cost into
+// a smaller or undefined term, and Bottleneck bests run the other way, so
+// ok is false for those and the caller gets no bound.
+func (b *block) keepBound(s *Scratch) (bound sampling.Estimate, ok bool) {
+	if b.kind != Additive {
+		return bound, false
+	}
+	for _, p := range b.pref {
+		if !(p >= 0) || math.IsInf(p, 1) {
+			return bound, false
+		}
+	}
+	s.best = floats(s.best, b.d)
+	best := s.best
+	copy(best, b.fixed)
+	for ci := range b.ids {
+		b.fold(best, b.row(ci))
+	}
+	return b.ds.EstimateAt(func(di int) float64 {
+		return b.pref[di] * math.Min(best[di], DisconnectedPenalty)
+	}), true
 }
 
 // SampledBlock returns, freshly allocated, the block BestResponseSampled

@@ -404,17 +404,9 @@ func TestBestResponseBlockMatchesReference(t *testing.T) {
 	var s Scratch
 	for seed := int64(1); seed <= 8; seed++ {
 		in, ds, k := scaleShapedInstance(seed)
-		C := len(in.Candidates)
-		cost, pref := s.Block(C, ds)
-		D := len(ds.Dests)
-		for di, j := range ds.Dests {
-			pref[di] = in.Pref[j]
-			for a := 0; a < C; a++ {
-				cost[a*D+di] = in.Direct[a] + in.Resid[a][j]
-			}
-		}
-		cur := rng.Perm(C)[:k]
-		got, gotEst, gotCur, err := s.BestResponseBlock(k, cur, BROptions{})
+		fillBlock(&s, in, ds)
+		cur := rng.Perm(len(in.Candidates))[:k]
+		got, gotEst, gotCur, err := s.BestResponseBlock(k, cur, BROptions{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -425,11 +417,72 @@ func TestBestResponseBlockMatchesReference(t *testing.T) {
 		if wantCur := EvalSampled(in, cur, ds, nil); !sameEstimate(gotCur, wantCur) {
 			t.Fatalf("seed %d: current set %v estimated %+v on the block, EvalSampled %+v", seed, cur, gotCur, wantCur)
 		}
-		if _, _, _, err := s.BestResponseBlock(k, cur, BROptions{}); err == nil {
+		if _, _, _, err := s.BestResponseBlock(k, cur, BROptions{}, nil); err == nil {
 			t.Fatalf("seed %d: a consumed block was solved again", seed)
 		}
 		// Interleave an Instance-path call on the same scratch.
 		checkSampled(t, in, k, ds, &s)
+	}
+}
+
+// fillBlock fills s's block by hand from an engine-shaped instance, as
+// the scale engine fills it from its directory rows.
+func fillBlock(s *Scratch, in *Instance, ds *sampling.DestSample) {
+	C, D := len(in.Candidates), len(ds.Dests)
+	cost, pref := s.Block(C, ds)
+	for di, j := range ds.Dests {
+		pref[di] = in.Pref[j]
+		for a := 0; a < C; a++ {
+			cost[a*D+di] = in.Direct[a] + in.Resid[a][j]
+		}
+	}
+}
+
+// TestBestResponseBlockKeep pins the bound BestResponseBlock hands its
+// keep test: its Total is no larger than the estimate of the solver's
+// choice, of the current set and of random sets, and under Demand neither
+// is its half-width. A keep that says yes skips the solve — no set, the
+// bound as the estimate, the current set's estimate in the same bits as a
+// solve's — and still consumes the block.
+func TestBestResponseBlockKeep(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var s Scratch
+	for seed := int64(1); seed <= 8; seed++ {
+		in, ds, k := scaleShapedInstance(seed)
+		C := len(in.Candidates)
+		cur := rng.Perm(C)[:k]
+		var bound sampling.Estimate
+		asked := false
+		fillBlock(&s, in, ds)
+		got, est, estCur, err := s.BestResponseBlock(k, cur, BROptions{}, func(b, c sampling.Estimate) bool {
+			bound, asked = b, true
+			return false
+		})
+		if err != nil || !asked {
+			t.Fatalf("seed %d: err %v, keep asked %v", seed, err, asked)
+		}
+		below := func(what string, e sampling.Estimate) {
+			if bound.Total > e.Total || bound.Hi-bound.Total > (e.Hi-e.Total)+1e-12*e.Hi {
+				t.Fatalf("seed %d: bound %+v above the %s's estimate %+v", seed, bound, what, e)
+			}
+		}
+		below("chosen set", est)
+		below("current set", estCur)
+		for trial := 0; trial < 20; trial++ {
+			below("random set", EvalSampled(in, rng.Perm(C)[:1+rng.Intn(k)], ds, nil))
+		}
+
+		fillBlock(&s, in, ds)
+		kept, keptEst, keptCur, err := s.BestResponseBlock(k, cur, BROptions{}, func(sampling.Estimate, sampling.Estimate) bool { return true })
+		if err != nil || kept != nil || !sameEstimate(keptEst, bound) || !sameEstimate(keptCur, estCur) {
+			t.Fatalf("seed %d: kept call returned %v %+v %+v %v, want no set, the bound %+v and %+v", seed, kept, keptEst, keptCur, err, bound, estCur)
+		}
+		if _, _, _, err := s.BestResponseBlock(k, cur, BROptions{}, nil); err == nil {
+			t.Fatalf("seed %d: a kept block was solved again", seed)
+		}
+		if len(got) == 0 {
+			t.Fatalf("seed %d: solver chose nothing", seed)
+		}
 	}
 }
 

@@ -36,7 +36,7 @@ func BestResponseSampled(in *Instance, k int, ds *sampling.DestSample, opts BROp
 	if err := s.fillSampled(in, ds); err != nil {
 		return nil, sampling.Estimate{}, err
 	}
-	chosen, est, _, err := s.BestResponseBlock(k, nil, opts)
+	chosen, est, _, err := s.BestResponseBlock(k, nil, opts, nil)
 	return chosen, est, err
 }
 

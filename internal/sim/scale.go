@@ -202,6 +202,12 @@ type scaleProbe struct {
 	// the run if it leaves a wiring row pointing at a departed node; and
 	// runs checkDirectory after every adopt batch and live churn drain.
 	checkRows bool
+	// checkKeep makes a proposer whose wiring the keep bound certifies
+	// solve as well, and fails the run if the gate would have adopted
+	// the solved wiring; certified counts the certified proposals,
+	// checked or not.
+	checkKeep bool
+	certified atomic.Int64
 	// seeded counts the seeded Dijkstras run for proposers that hold no
 	// directory row (checkRows' extra runs are not counted).
 	seeded atomic.Int64
@@ -271,6 +277,11 @@ type PhaseEvent struct {
 	// far (churn and epoch events).
 	Joins  int `json:"joins,omitempty"`
 	Leaves int `json:"leaves,omitempty"`
+	// Kept / Solved split the sub-round's acting proposers (propose
+	// events): Kept kept their wiring on the bound alone, Solved ran the
+	// sampled best response.
+	Kept   int `json:"kept,omitempty"`
+	Solved int `json:"solved,omitempty"`
 }
 
 func (c *ScaleConfig) withDefaults() (ScaleConfig, error) {
@@ -416,6 +427,7 @@ type scaleWorker struct {
 type scaleProposal struct {
 	set     []int // nil: keep current wiring
 	acted   bool  // false: node was inactive (or skipped) this epoch
+	kept    bool  // acted, and kept its wiring without solving
 	estCost float64
 	estBand float64
 	samples int
@@ -908,7 +920,15 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 				if err := eng.proposeBatch(ws, batch, epoch, demand, props); err != nil {
 					return nil, err
 				}
-				trace.emit(t0, PhaseEvent{Epoch: epoch, Sub: b, Phase: "propose"})
+				ev := PhaseEvent{Epoch: epoch, Sub: b, Phase: "propose"}
+				for _, i := range batch {
+					if props[i].kept {
+						ev.Kept++
+					} else if props[i].acted {
+						ev.Solved++
+					}
+				}
+				trace.emit(t0, ev)
 				t0 = trace.start()
 				before := ep.Rewires
 				a, s := eng.adoptBatch(batch, props, &ep)
@@ -1265,24 +1285,12 @@ func (c *ScaleConfig) proposeScale(w *scaleWorker, eng *scaleEngine, epoch, i in
 	if c.probe != nil && c.probe.checkRows {
 		err = w.checkBlock(c, i, rowI, ds, demand, cost, destPref)
 	}
-	var chosen []int
-	var estNew, estCurM sampling.Estimate
-	if err == nil {
-		chosen, estNew, estCurM, err = w.sc.BestResponseBlock(c.K, w.cur, core.BROptions{})
-	}
-	// Reset the id map now that every lid consumer has run.
-	for _, v := range w.gcands {
-		w.lid[v] = -1
-	}
-	if err != nil {
-		return scaleProposal{}, fmt.Errorf("sim: epoch %d node %d: %w", epoch, i, err)
-	}
 
 	// The current wiring is priced twice. For reporting: from the live
 	// row — rowI[j] is the true routed cost to j with the links the node
 	// holds right now. For the adoption test: under the same clamped-row
-	// model and sample as the proposal, so model mismatch and sampling
-	// noise cancel in the comparison.
+	// model and sample as the proposal (estCurM, from the solver's block),
+	// so model mismatch and sampling noise cancel in the comparison.
 	estCur := ds.Estimate(func(j int) float64 {
 		d := rowI[j]
 		if d >= graph.Inf {
@@ -1295,43 +1303,46 @@ func (c *ScaleConfig) proposeScale(w *scaleWorker, eng *scaleEngine, epoch, i in
 		return p * d
 	})
 
-	// BR(ε) with a significance gate, anchored on the *more favorable*
-	// of the two views of the current wiring: the exact live price
-	// (rowI) and the model price on the proposal's own sample. The
-	// model view alone inflates current neighbors that sit outside the
-	// facility directory (their rows are direct-credit-only), which at
-	// 10k nodes made every directory rotation trigger mass re-wiring;
-	// the exact view alone leaves a model-vs-model mismatch the
-	// proposal can game. A proposal must beat whichever view defends
-	// the current wiring best.
-	//
-	// While the anchor is penalty-laden (some sampled destination
-	// unreachable) any improvement is adopted: a relative threshold
-	// against a cost dominated by M·n disconnection penalties would
-	// veto the very re-wirings that restore connectivity. Otherwise the
-	// improvement must clear both the ε fraction and the estimate's own
-	// 95% half-width: the proposal was *selected* to minimize this
-	// sample's objective, so gains inside the band are winner's-curse
-	// noise — re-wiring on them is how small-m runs churn forever at a
-	// converged cost.
-	anchor := estCurM.Total
-	if estCur.Total < anchor {
-		anchor = estCur.Total
-	}
-	improve := anchor - estNew.Total
-	var adopt bool
-	if len(wiring[i]) == 0 {
-		adopt = true
-	} else if anchor >= core.DisconnectedPenalty/2 {
-		adopt = improve > 0
-	} else {
-		threshold := c.Epsilon * anchor
-		if noise := estNew.Hi - estNew.Total; noise > threshold {
-			threshold = noise
+	// Keep without solving when the gate rejects a bound every proposal
+	// meets (scaleAdopts states why that is safe). An empty wiring always
+	// adopts, so it is never certified. checkKeep solves the certified
+	// proposals as well, and the run fails if the gate would have adopted.
+	var keep func(bound, estCurM sampling.Estimate) bool
+	certified := false
+	checkKeep := c.probe != nil && c.probe.checkKeep
+	if len(wiring[i]) > 0 {
+		keep = func(bound, estCurM sampling.Estimate) bool {
+			anchor := scaleAnchor(estCurM, estCur)
+			band := 0.0
+			if ds.Strategy() == sampling.Demand {
+				band = bound.Hi - bound.Total - 1e-9*anchor
+			}
+			certified = !scaleAdopts(c.Epsilon, anchor, bound.Total, band)
+			return certified && !checkKeep
 		}
-		adopt = improve > threshold
 	}
-	p := scaleProposal{acted: true, samples: len(ds.Dests)}
+	var chosen []int
+	var estNew, estCurM sampling.Estimate
+	if err == nil {
+		chosen, estNew, estCurM, err = w.sc.BestResponseBlock(c.K, w.cur, core.BROptions{}, keep)
+	}
+	// Reset the id map now that every lid consumer has run.
+	for _, v := range w.gcands {
+		w.lid[v] = -1
+	}
+	if err != nil {
+		return scaleProposal{}, fmt.Errorf("sim: epoch %d node %d: %w", epoch, i, err)
+	}
+	kept := certified && !checkKeep
+	adopt := !kept && (len(wiring[i]) == 0 ||
+		scaleAdopts(c.Epsilon, scaleAnchor(estCurM, estCur), estNew.Total, estNew.Hi-estNew.Total))
+	if certified && c.probe != nil {
+		c.probe.certified.Add(1)
+		if adopt {
+			return scaleProposal{}, fmt.Errorf("sim: epoch %d node %d: kept by the bound, but the gate adopts the solved wiring at %v against %v", epoch, i, estNew.Total, scaleAnchor(estCurM, estCur))
+		}
+	}
+	p := scaleProposal{acted: true, kept: kept, samples: len(ds.Dests)}
 	if adopt {
 		p.set = make([]int, len(chosen))
 		for x, l := range chosen {
@@ -1345,6 +1356,62 @@ func (c *ScaleConfig) proposeScale(w *scaleWorker, eng *scaleEngine, epoch, i in
 		p.estBand = estCur.Hi - estCur.Total
 	}
 	return p, nil
+}
+
+// scaleAnchor is the price a proposal must beat: the more favorable of
+// the two views of the current wiring, the model price on the proposal's
+// own sample (estCurM) and the exact live price (estCur). The model view
+// alone inflates current neighbors that sit outside the facility
+// directory (their rows are direct-credit-only), which at 10k nodes made
+// every directory rotation trigger mass re-wiring; the exact view alone
+// leaves a model-vs-model mismatch the proposal can game.
+func scaleAnchor(estCurM, estCur sampling.Estimate) float64 {
+	if estCur.Total < estCurM.Total {
+		return estCur.Total
+	}
+	return estCurM.Total
+}
+
+// scaleAdopts is the scale engine's BR(ε) gate with its significance
+// test: does a proposal estimated at total, with 95% half-width band,
+// beat anchor? While the anchor is penalty-laden (some sampled
+// destination unreachable) any improvement is adopted: a relative
+// threshold against a cost dominated by M·n disconnection penalties
+// would veto the very re-wirings that restore connectivity. Otherwise
+// the improvement must clear both the ε fraction and the estimate's own
+// half-width: the proposal was *selected* to minimize this sample's
+// objective, so gains inside the band are winner's-curse noise —
+// re-wiring on them is how small-m runs churn forever at a converged
+// cost. (A node with no wiring adopts without asking.)
+//
+// proposeScale also asks it before solving, at a lower bound L on the
+// estimate of every set the solver could return (core's keepBound), and
+// keeps the wiring without solving when it says no. That is safe because
+// it would say no to the solver's result R as well:
+//   - per destination L's cost is the best over every candidate row, so
+//     no set's is lower; the estimate's terms are non-negative weights
+//     times those costs, summed in the same order, and IEEE rounding is
+//     monotone, so R.Total >= L.Total bit for bit, and anchor − R.Total
+//     <= anchor − L.Total;
+//   - under Demand the Poisson variance Σ(1−π)(y/π)² grows with every
+//     y >= 0, so R's half-width is at least L's. Forming Hi − Total
+//     rounds, by a few ulps of the totals; those stay below 3·anchor
+//     whenever the half-width could decide, so L's half-width enters less
+//     1e-9·anchor. Under Uniform and Stratified the variance measures
+//     spread, not size, and can fall as a cost rises, so L's enters as 0;
+//   - either way L's threshold is at most R's and L's improvement at
+//     least R's, so rejecting L rejects R; the penalty branch compares
+//     the totals alone.
+func scaleAdopts(eps, anchor, total, band float64) bool {
+	improve := anchor - total
+	if anchor >= core.DisconnectedPenalty/2 {
+		return improve > 0
+	}
+	threshold := eps * anchor
+	if band > threshold {
+		threshold = band
+	}
+	return improve > threshold
 }
 
 // checkBlock is the checkRows probe of the solver block proposeScale
