@@ -11,12 +11,24 @@ import (
 // off a hot path pays one predictable branch and no clock reading, and
 // it stays allocation-free either way (gated by
 // TestServeHotPathsZeroAlloc, which runs with metrics enabled).
+//
+// A single query costs about as much as the two clock readings that
+// would time it, so the one-hop and route histograms time one answer in
+// timedEvery: the one whose count — the delivered-answer counter the
+// path increments anyway — is a multiple of it. Their quantiles are those
+// of the answer stream (TestSampledQuantilesTrackAlwaysOn) and their
+// _count is the timed answers; plane_queries_{onehop,route}_total stay
+// exact. Binary batches and publishes are timed every time.
 type serverMetrics struct {
-	onehopNs  *obs.Histogram // per one-hop decision
-	routeNs   *obs.Histogram // per shortest-path answer
+	onehopNs  *obs.Histogram // per timed one-hop decision
+	routeNs   *obs.Histogram // per timed shortest-path answer
 	batchNs   *obs.Histogram // per binary batch answered
 	publishNs *obs.Histogram // per Publish
 }
+
+// timedEvery is the single-query timing period: a power of two, so the
+// test is a mask.
+const timedEvery = 64
 
 // start is the clock reading a timed answer begins at (zero while
 // metrics are off).
@@ -27,15 +39,25 @@ func (m *serverMetrics) start() time.Time {
 	return time.Now()
 }
 
-// onehop, route and batch record the answer begun at t0.
+// startNth is start for the single query counted n: zero unless n is a
+// multiple of timedEvery.
+func (m *serverMetrics) startNth(n int64) time.Time {
+	if n&(timedEvery-1) != 0 {
+		return time.Time{}
+	}
+	return m.start()
+}
+
+// onehop, route and batch record the answer begun at t0; an untimed
+// answer (t0 zero) records nothing.
 func (m *serverMetrics) onehop(t0 time.Time) {
-	if m != nil {
+	if m != nil && !t0.IsZero() {
 		m.onehopNs.Observe(time.Since(t0).Nanoseconds())
 	}
 }
 
 func (m *serverMetrics) route(t0 time.Time) {
-	if m != nil {
+	if m != nil && !t0.IsZero() {
 		m.routeNs.Observe(time.Since(t0).Nanoseconds())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"math/rand"
 	"net/http/httptest"
 	"sort"
@@ -15,9 +16,9 @@ import (
 
 // TestServerMetricsExposition drives queries through an instrumented
 // server and checks the registered series move: query counters track
-// the server's atomics, latency histograms observe, cache counters
-// classify, and the snapshot gauges report the serving epoch. Every
-// series is unlabeled.
+// the server's atomics, latency histograms observe one single query in
+// timedEvery, cache counters classify, and the snapshot gauges report
+// the serving epoch. Every series is unlabeled.
 func TestServerMetricsExposition(t *testing.T) {
 	const n, k = 80, 4
 	net := testNet(t, n)
@@ -26,12 +27,12 @@ func TestServerMetricsExposition(t *testing.T) {
 	srv.EnableMetrics(reg)
 	srv.Publish(Compile(7, randomWiring(n, k, rand.New(rand.NewSource(5))), nil, net, Options{}))
 
-	for i := 0; i < 10; i++ {
-		if _, _, err := srv.OneHop(i, n-1); err != nil {
+	for i := 0; i < 2*timedEvery+10; i++ {
+		if _, _, err := srv.OneHop(i%n, n-1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 60; i++ {
+	for i := 0; i < 2*timedEvery; i++ {
 		if _, _, err := srv.RouteCost(i%3, n-1-i%7); err != nil {
 			t.Fatal(err)
 		}
@@ -52,12 +53,12 @@ func TestServerMetricsExposition(t *testing.T) {
 		}
 	}
 	for series, want := range map[string]float64{
-		"plane_queries_onehop_total":       12, // 10 direct + 2 binary pairs
-		"plane_queries_route_total":        60,
+		"plane_queries_onehop_total":       2*timedEvery + 12, // direct + 2 binary pairs
+		"plane_queries_route_total":        2 * timedEvery,
 		"plane_queries_failed_total":       0,
 		"plane_binary_conns_refused_total": 0,
-		"plane_onehop_latency_ns_count":    10, // binary pairs land in the batch histogram
-		"plane_route_latency_ns_count":     60,
+		"plane_onehop_latency_ns_count":    2, // binary pairs land in the batch histogram
+		"plane_route_latency_ns_count":     2,
 		"plane_batch_latency_ns_count":     1,
 		"plane_publish_latency_ns_count":   1,
 		"plane_snapshot_epoch":             7,
@@ -67,13 +68,13 @@ func TestServerMetricsExposition(t *testing.T) {
 			t.Errorf("series %s = %v (present=%v), want %v", series, got, ok, want)
 		}
 	}
-	// 60 route lookups over 3 cold sources. Each source is answered by
+	// 128 route lookups over 3 cold sources. Each source is answered by
 	// pair searches until they have settled a row's worth of nodes (the
 	// 80 live ones), then its row is filled once and every later lookup
-	// hits it: 18 searches + 3 fills are the 21 misses, the other 39 are
+	// hits it: 18 searches + 3 fills are the 21 misses, the other 107 are
 	// hits.
 	for series, want := range map[string]float64{
-		"plane_cache_hits_total":      39,
+		"plane_cache_hits_total":      107,
 		"plane_cache_misses_total":    21,
 		"plane_cache_fills_total":     3,
 		"plane_pair_searches_total":   18,
@@ -88,8 +89,41 @@ func TestServerMetricsExposition(t *testing.T) {
 		t.Errorf("snapshot age = %v (present=%v), want >= 0", age, ok)
 	}
 	st := srv.CacheStats()
-	if want := (CacheStats{Hits: 39, Misses: 21, Fills: 3, PairSearches: 18, PairSettled: 253}); st != want {
+	if want := (CacheStats{Hits: 107, Misses: 21, Fills: 3, PairSearches: 18, PairSettled: 253}); st != want {
 		t.Errorf("CacheStats() = %+v, want %+v", st, want)
+	}
+}
+
+// TestSampledQuantilesTrackAlwaysOn feeds one latency stream to an
+// always-on histogram and, through the servers' one-in-timedEvery rule,
+// to a sampled one, and requires the sampled median, p90 and p99 to land
+// within one bucket of the always-on ones. The stream is a seeded
+// lognormal around a one-hop answer's ~160 ns with a 3% tail ten times
+// slower: the rule keys on the answer count, so it reads the stream's
+// quantiles unless latency repeats with the timing period.
+func TestSampledQuantilesTrackAlwaysOn(t *testing.T) {
+	reg := obs.NewRegistry()
+	all := reg.Histogram("all_ns", "every answer")
+	m := &serverMetrics{onehopNs: reg.Histogram("sampled_ns", "timed answers")}
+	rng := rand.New(rand.NewSource(11))
+	for n := int64(1); n <= 4096*timedEvery; n++ {
+		ns := int64(160 * math.Exp(0.4*rng.NormFloat64()))
+		if rng.Intn(100) < 3 {
+			ns *= 10
+		}
+		all.Observe(ns)
+		if !m.startNth(n).IsZero() {
+			m.onehopNs.Observe(ns)
+		}
+	}
+	if got, want := m.onehopNs.Count(), all.Count()/timedEvery; got != want {
+		t.Fatalf("sampled histogram holds %d answers, want %d", got, want)
+	}
+	for _, q := range []float64{0.5, 0.9, 0.99} {
+		a, s := all.Quantile(q), m.onehopNs.Quantile(q)
+		if d := obs.BucketIndex(int64(a)) - obs.BucketIndex(int64(s)); d < -1 || d > 1 {
+			t.Errorf("q%v: sampled %v ns, always-on %v ns: %d buckets apart", q, s, a, d)
+		}
 	}
 }
 

@@ -109,8 +109,7 @@ func (s *Server) OneHop(src, dst int) (Decision, int64, error) {
 	if err != nil {
 		return Decision{}, epoch, err
 	}
-	s.onehop.Add(1)
-	t0 := s.m.start()
+	t0 := s.m.startNth(s.onehop.Add(1))
 	d := snap.OneHop(src, dst)
 	s.m.onehop(t0)
 	return d, epoch, nil
@@ -124,8 +123,7 @@ func (s *Server) RouteCost(src, dst int) (float64, int64, error) {
 	if err != nil {
 		return graph.Inf, epoch, err
 	}
-	s.routes.Add(1)
-	t0 := s.m.start()
+	t0 := s.m.startNth(s.routes.Add(1))
 	c := snap.RouteCost(src, dst)
 	s.m.route(t0)
 	return c, epoch, nil
@@ -140,8 +138,7 @@ func (s *Server) AppendRoute(src, dst int, buf []int32) (path []int32, cost floa
 	if err != nil {
 		return buf[:0], graph.Inf, false, err
 	}
-	s.routes.Add(1)
-	t0 := s.m.start()
+	t0 := s.m.startNth(s.routes.Add(1))
 	path, cost, ok = snap.RouteInto(src, dst, buf)
 	s.m.route(t0)
 	return path, cost, ok, nil
@@ -213,8 +210,7 @@ func (s *Server) answerPair(snap *Snapshot, mode string, src, dst int) routeResu
 	}
 	switch mode {
 	case "", "onehop":
-		s.onehop.Add(1)
-		t0 := s.m.start()
+		t0 := s.m.startNth(s.onehop.Add(1))
 		d := snap.OneHop(src, dst)
 		s.m.onehop(t0)
 		res.Cost = d.Cost
@@ -227,8 +223,7 @@ func (s *Server) answerPair(snap *Snapshot, mode string, src, dst int) routeResu
 			res.Via = &via
 		}
 	case "route":
-		s.routes.Add(1)
-		t0 := s.m.start()
+		t0 := s.m.startNth(s.routes.Add(1))
 		r, ok := snap.Route(src, dst)
 		s.m.route(t0)
 		res.Cost = r.Cost
