@@ -275,11 +275,10 @@ func (b *block) solveSampled(k int, cur []int, opts BROptions, keep func(bound, 
 	if err := opts.checkExact(len(b.ids), k); err != nil {
 		return nil, est, estCur, err
 	}
+	estCur = b.estimate(cur, s)
 	if keep != nil {
-		if bound, ok := b.keepBound(s); ok {
-			if estCur = b.estimate(cur, s); keep(bound, estCur) {
-				return nil, bound, estCur, nil
-			}
+		if bound, ok := b.keepBound(s); ok && keep(bound, estCur) {
+			return nil, bound, estCur, nil
 		}
 	}
 	b.weigh(b.ds.InvProb)
@@ -288,7 +287,7 @@ func (b *block) solveSampled(k int, cur []int, opts BROptions, keep func(bound, 
 		chosen, _ = b.solve(k, opts, s)
 	}
 	sortSet(chosen, s.slots)
-	return chosen, b.estimate(s.slots, s), b.estimate(cur, s), nil
+	return chosen, b.estimate(s.slots, s), estCur, nil
 }
 
 // keepBound is the estimate of a per-destination lower bound on the cost
