@@ -1334,12 +1334,13 @@ func (c *ScaleConfig) proposeScale(w *scaleWorker, eng *scaleEngine, epoch, i in
 		return scaleProposal{}, fmt.Errorf("sim: epoch %d node %d: %w", epoch, i, err)
 	}
 	kept := certified && !checkKeep
+	anchor := scaleAnchor(estCurM, estCur)
 	adopt := !kept && (len(wiring[i]) == 0 ||
-		scaleAdopts(c.Epsilon, scaleAnchor(estCurM, estCur), estNew.Total, estNew.Hi-estNew.Total))
+		scaleAdopts(c.Epsilon, anchor, estNew.Total, estNew.Hi-estNew.Total))
 	if certified && c.probe != nil {
 		c.probe.certified.Add(1)
 		if adopt {
-			return scaleProposal{}, fmt.Errorf("sim: epoch %d node %d: kept by the bound, but the gate adopts the solved wiring at %v against %v", epoch, i, estNew.Total, scaleAnchor(estCurM, estCur))
+			return scaleProposal{}, fmt.Errorf("sim: epoch %d node %d: kept by the bound, but the gate adopts the solved wiring at %v against %v", epoch, i, estNew.Total, anchor)
 		}
 	}
 	p := scaleProposal{acted: true, kept: kept, samples: len(ds.Dests)}
