@@ -180,8 +180,9 @@ func (st *refSwapState) swapValue(out, c int) float64 {
 	return acc.value()
 }
 
-// Cost flavours of filterInstance. The first three keep the instance
-// regular, so the pruning must stay on; the rest must each switch it off.
+// Cost flavours of filterInstance. The first three and flavNegZero keep
+// the instance regular, so the pruning must stay on; the rest must each
+// switch it off.
 const (
 	flavContinuous = iota // distinct real costs
 	flavInteger           // small integer costs: exact ties everywhere
@@ -190,6 +191,7 @@ const (
 	flavNaN               // a NaN cost
 	flavNegWeight         // a negative preference weight
 	flavNegCost           // a negative direct cost
+	flavNegZero           // a combined cost of −0 beside a +0 at the same destination
 	numFlavours
 )
 
@@ -280,6 +282,20 @@ func filterInstance(rng *rand.Rand, n int, kind CostKind, agg AggKind, flavour i
 		in.Pref[d] = -0.5
 	case flavNegCost:
 		in.Direct[c] = -100
+	case flavNegZero:
+		// −0 and +0 are equal but not the same bits: the solver must keep
+		// whichever its first-strictly-better rule keeps. c2 reaches d at
+		// +0, c at −0 (−0 + −0 under Additive, min(x, −0) under
+		// Bottleneck).
+		negZero := math.Copysign(0, -1)
+		c2 := cands[rng.Intn(len(cands))]
+		if kind == Additive {
+			in.Direct[c2], in.Resid[c2][d] = 0, 0
+			in.Direct[c] = negZero
+		} else {
+			in.Resid[c2][d] = 0
+		}
+		in.Resid[c][d] = negZero
 	}
 	// Half the draws leave nil every row the solvers must not read, those
 	// of nodes outside Candidates ∪ Fixed, as the scale engine's facility
@@ -528,7 +544,7 @@ func TestFilterMatchesReference(t *testing.T) {
 					instances++
 				}
 				// The penalty is an ordinary bandwidth under Bottleneck.
-				regular := flavour <= flavSparse || (flavour == flavPenalty && kind == Bottleneck)
+				regular := flavour <= flavSparse || flavour == flavNegZero || (flavour == flavPenalty && kind == Bottleneck)
 				switch {
 				case agg == AggSum && regular && pruned == 0:
 					t.Errorf("kind %v flavour %d: nothing was pruned on regular sum instances", kind, flavour)
