@@ -177,7 +177,8 @@ func BenchmarkBestResponseParallel(b *testing.B) {
 // committing a changed out-set (SPForest.CommitOut, a slot that
 // re-wires, the live forest's worst case). All produce bit-identical
 // matrices; the forest pays one APSP up front and then only the
-// affected-subtree repairs and insertions.
+// affected-subtree repairs, each seeded from the in-arcs of its cut
+// region, and insertions.
 func BenchmarkResidIncremental(b *testing.B) {
 	const n = 192
 	rng := rand.New(rand.NewSource(11))

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"egoist/internal/sampling"
 )
@@ -55,6 +56,20 @@ type block struct {
 	// regular reports whether the weights and Fixed costs admit the
 	// pruning bounds (see br.go); greedy's round 0 checks the rest.
 	regular bool
+	// minmax reports that the block is Additive and that no cost and no
+	// Fixed best in it is NaN or −0. There min selects what better's <
+	// selects — a tie between equal values other than zeros of opposite
+	// sign is the same bits — so the sum kernels select with min and max
+	// instead of a branch on better, which the data make unpredictable.
+	// fill settles it on its pass over the costs, keepBound on its fold
+	// of every row; until one of them does, the branching loops run.
+	minmax bool
+}
+
+// minUnsafe reports whether c is a value min and max may select
+// differently than better: NaN, or −0 beside +0.
+func minUnsafe(c float64) bool {
+	return c != c || math.Float64bits(c) == 1<<63
 }
 
 // reset sizes the scratch's block for the candidates ids (all below nIDs)
@@ -62,6 +77,7 @@ type block struct {
 func (s *Scratch) reset(kind CostKind, agg AggKind, ids []int, nIDs, D int) *block {
 	b := &s.blk
 	b.kind, b.agg, b.ids, b.nIDs, b.d, b.ds = kind, agg, ids, nIDs, D, nil
+	b.minmax = false
 	b.cost = floats(b.cost, len(ids)*D)
 	b.pref = floats(b.pref, D)
 	b.fixed = floats(b.fixed, D)
@@ -73,9 +89,12 @@ func (s *Scratch) reset(kind CostKind, agg AggKind, ids []int, nIDs, D int) *blo
 }
 
 // fill builds the block of in over the candidate and destination lists.
-// It reads the Resid rows of the candidates and the Fixed facilities only.
+// It reads the Resid rows of the candidates and the Fixed facilities only,
+// and settles minmax on the way: a Fixed cost that is NaN or −0 rules it
+// out as a Fixed best would.
 func (s *Scratch) fill(in *Instance, cands, dests []int) *block {
 	b := s.reset(in.Kind, in.Agg, cands, in.n(), len(dests))
+	clean := in.Kind == Additive
 	for di, j := range dests {
 		b.pref[di] = in.pref(j)
 	}
@@ -86,18 +105,47 @@ func (s *Scratch) fill(in *Instance, cands, dests []int) *block {
 			if !in.Kind.regular(c) {
 				b.fixedRegular = false
 			}
+			if minUnsafe(c) {
+				clean = false
+			}
 			if in.Kind.better(c, b.fixed[di]) {
 				b.fixed[di] = c
 			}
 		}
 	}
 	for ci, c := range cands {
-		dc, row, out := in.Direct[c], in.Resid[c], b.row(ci)
-		for di, j := range dests {
-			out[di] = in.Kind.combine(dc, row[j])
+		if !fillRow(in.Kind, in.Direct[c], in.Resid[c], dests, b.row(ci)) {
+			clean = false
 		}
 	}
+	b.minmax = clean
 	return b
+}
+
+// fillRow sets out[di] to the cost of reaching dests[di] through a
+// facility at direct cost dc with residual row row, and reports whether
+// the costs admit minmax: the kind is Additive and none of them is NaN
+// or −0. An additive cost is −0 only when both its terms are, so unless
+// dc is −0 the loop looks for NaN alone, with a branch that is never
+// taken; minUnsafe on every cost would cost as much again as the fill.
+func fillRow(kind CostKind, dc float64, row []float64, dests []int, out []float64) bool {
+	out = out[:len(dests)]
+	if kind != Additive {
+		for di, j := range dests {
+			out[di] = kind.combine(dc, row[j])
+		}
+		return false
+	}
+	clean := true
+	negDirect := minUnsafe(dc)
+	for di, j := range dests {
+		v := dc + row[j]
+		if v != v || negDirect && minUnsafe(v) {
+			clean = false
+		}
+		out[di] = v
+	}
+	return clean
 }
 
 // weigh sets the objective weights — the preferences, expanded by inv when
@@ -126,13 +174,36 @@ func (b *block) row(ci int) []float64 {
 
 // fold lowers best to the candidate costs row wherever they are better.
 func (b *block) fold(best, row []float64) {
-	kind := b.kind
 	best = best[:len(row)]
+	if b.minmax {
+		for di, c := range row {
+			best[di] = min(best[di], c)
+		}
+		return
+	}
+	kind := b.kind
 	for di, c := range row {
 		if kind.better(c, best[di]) {
 			best[di] = c
 		}
 	}
+}
+
+// foldChecked is fold's branching loop that also reports whether row is
+// free of the values minUnsafe names.
+func (b *block) foldChecked(best, row []float64) (clean bool) {
+	kind := b.kind
+	best = best[:len(row)]
+	clean = true
+	for di, c := range row {
+		if minUnsafe(c) {
+			clean = false
+		}
+		if kind.better(c, best[di]) {
+			best[di] = c
+		}
+	}
+	return clean
 }
 
 // bests fills the scratch's per-destination array with the bests of the
@@ -165,6 +236,12 @@ func (b *block) addValue(best, row []float64) float64 {
 	kind, w, row := b.kind, b.w[:len(best)], row[:len(best)]
 	if b.agg == AggSum {
 		var tot float64
+		if b.minmax {
+			for di, c := range best {
+				tot += w[di] * kind.finalize(min(c, row[di]))
+			}
+			return tot
+		}
 		for di, c := range best {
 			if alt := row[di]; kind.better(alt, c) {
 				c = alt
@@ -190,6 +267,16 @@ func (b *block) addRegular(best, row []float64) (float64, bool) {
 	kind, w, row := b.kind, b.w[:len(best)], row[:len(best)]
 	var tot float64
 	ok := true
+	if b.minmax {
+		for di, c := range best {
+			alt := row[di]
+			if !kind.regular(alt) {
+				ok = false
+			}
+			tot += w[di] * kind.finalize(min(c, alt))
+		}
+		return tot, ok
+	}
 	for di, c := range best {
 		alt := row[di]
 		if !kind.regular(alt) {
@@ -300,7 +387,9 @@ func (b *block) solveSampled(k int, cur []int, opts BROptions, keep func(bound, 
 // finalize wherever a cost is at most the penalty and below it elsewhere.
 // A weight that is negative, NaN or infinite could turn a larger cost into
 // a smaller or undefined term, and Bottleneck bests run the other way, so
-// ok is false for those and the caller gets no bound.
+// ok is false for those and the caller gets no bound. The fold reads
+// every cost of the block, so it settles minmax for the solve that may
+// follow.
 func (b *block) keepBound(s *Scratch) (bound sampling.Estimate, ok bool) {
 	if b.kind != Additive {
 		return bound, false
@@ -313,9 +402,13 @@ func (b *block) keepBound(s *Scratch) (bound sampling.Estimate, ok bool) {
 	s.best = floats(s.best, b.d)
 	best := s.best
 	copy(best, b.fixed)
+	clean := !slices.ContainsFunc(b.fixed, minUnsafe)
 	for ci := range b.ids {
-		b.fold(best, b.row(ci))
+		if !b.foldChecked(best, b.row(ci)) {
+			clean = false
+		}
 	}
+	b.minmax = clean
 	return b.ds.EstimateAt(func(di int) float64 {
 		return b.pref[di] * math.Min(best[di], DisconnectedPenalty)
 	}), true

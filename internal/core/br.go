@@ -340,6 +340,40 @@ func (st *swapState) rebuild(slots []int) {
 		st.best1Slot[di] = -1
 		st.best2V[di] = kind.worst()
 	}
+	if b.minmax {
+		st.rebuildMinMax(slots)
+	} else {
+		st.rebuildBranching(slots)
+	}
+	if st.prune {
+		st.index(len(slots))
+	}
+}
+
+// rebuildMinMax is rebuild's fold of the slots for a minmax block. With
+// v1 ≤ v2 the best and second best so far, a cost c moves them to
+// min(v1, c) and min(v2, max(c, v1)), which is what the branches of
+// rebuildBranching assign, bit for bit; the slot moves when c < v1.
+func (st *swapState) rebuildMinMax(slots []int) {
+	b := st.b
+	b1, b2, sl := st.best1Val[:b.d], st.best2V[:b.d], st.best1Slot[:b.d]
+	for slot, ci := range slots {
+		for di, c := range b.row(ci) {
+			v1, at := b1[di], sl[di]
+			if c < v1 {
+				at = slot
+			}
+			sl[di] = at
+			b2[di] = min(b2[di], max(c, v1))
+			b1[di] = min(v1, c)
+		}
+	}
+}
+
+// rebuildBranching is rebuild's fold of the slots for any block.
+func (st *swapState) rebuildBranching(slots []int) {
+	b := st.b
+	kind := b.kind
 	for slot, ci := range slots {
 		for di, c := range b.row(ci) {
 			if kind.better(c, st.best1Val[di]) {
@@ -350,9 +384,6 @@ func (st *swapState) rebuild(slots []int) {
 				st.best2V[di] = c
 			}
 		}
-	}
-	if st.prune {
-		st.index(len(slots))
 	}
 }
 
@@ -434,11 +465,21 @@ func (st *swapState) swapValue(out, ci int) float64 {
 // destinations slot out serves lose by falling back to their second-best
 // facility (or to the candidate). It visits only those destinations, and
 // sums in a different order than swapValue, so it steers the search but
-// never supplies an accepted value.
+// never supplies an accepted value. On a minmax block it selects without
+// branching and adds the zero term of a destination the candidate serves
+// either way, which the other loop skips.
 func (st *swapState) swapEstimate(out, ci int) float64 {
 	b := st.b
 	kind, row := b.kind, b.row(ci)
 	var loss float64
+	if b.minmax {
+		for _, di := range st.served[st.off[out]:st.off[out+1]] {
+			v1 := st.best1Val[di]
+			v2 := min(st.best2V[di], max(row[di], v1))
+			loss += b.w[di] * (kind.finalize(v2) - kind.finalize(v1))
+		}
+		return st.addVal[ci] + loss
+	}
 	for _, di := range st.served[st.off[out]:st.off[out+1]] {
 		v1 := st.best1Val[di]
 		cv := row[di]

@@ -484,6 +484,10 @@ func TestBestResponseBlockKeep(t *testing.T) {
 		}
 		below("chosen set", est)
 		below("current set", estCur)
+		// keepBound settled the selection the solve then ran with.
+		if want, wantEst := refSampled(in, k, ds); !equalInts(got, want) || !sameEstimate(est, wantEst) {
+			t.Fatalf("seed %d: solve after the bound chose %v estimate %+v, reference %v estimate %+v", seed, got, est, want, wantEst)
+		}
 		for trial := 0; trial < 20; trial++ {
 			below("random set", EvalSampled(in, rng.Perm(C)[:1+rng.Intn(k)], ds, nil))
 		}
@@ -499,6 +503,50 @@ func TestBestResponseBlockKeep(t *testing.T) {
 		if len(got) == 0 {
 			t.Fatalf("seed %d: solver chose nothing", seed)
 		}
+	}
+}
+
+// TestBlockMinMaxSettled pins which loops a block runs: the min/max
+// selection exactly when it is Additive and holds no NaN or −0 among its
+// costs and Fixed bests — settled by fill, or for a hand-filled block by
+// keepBound — and the branching loops otherwise.
+func TestBlockMinMaxSettled(t *testing.T) {
+	var s Scratch
+	for _, tc := range []struct {
+		kind    CostKind
+		flavour int
+		want    bool
+	}{
+		{Additive, flavContinuous, true},
+		{Additive, flavSparse, true},
+		{Additive, flavPenalty, true},
+		{Additive, flavNegCost, true},
+		{Additive, flavNaN, false},
+		{Additive, flavNegZero, false},
+		{Bottleneck, flavContinuous, false},
+	} {
+		in, _ := filterInstance(rand.New(rand.NewSource(5)), 12, tc.kind, AggSum, tc.flavour)
+		if got := s.fill(in, in.candidates(), in.dests()).minmax; got != tc.want {
+			t.Errorf("kind %v flavour %d: filled block minmax %v, want %v", tc.kind, tc.flavour, got, tc.want)
+		}
+	}
+	in, ds, k := scaleShapedInstance(1)
+	keepWith := func(fixed float64) bool {
+		fillBlock(&s, in, ds)
+		s.blk.fixed[0] = fixed
+		if s.blk.minmax {
+			t.Fatal("a hand-filled block took the min/max loops before keepBound")
+		}
+		if _, _, _, err := s.BestResponseBlock(k, nil, BROptions{}, func(sampling.Estimate, sampling.Estimate) bool { return false }); err != nil {
+			t.Fatal(err)
+		}
+		return s.blk.minmax
+	}
+	if !keepWith(math.Inf(1)) {
+		t.Error("keepBound left a clean hand-filled block on the branching loops")
+	}
+	if keepWith(math.Copysign(0, -1)) {
+		t.Error("keepBound took the min/max loops past a −0 Fixed best")
 	}
 }
 

@@ -36,7 +36,7 @@ import (
 // stress suites hammer concurrent reads against serial mutations.
 type DynamicRows struct {
 	g       *Digraph
-	rev     [][]Arc // reverse adjacency: rev[v] lists arcs u->v as {To: u, W: w}
+	rev     revAdj // reverse adjacency of g
 	sources []int
 	slot    []int32 // node id -> row index, -1 when absent
 	// rows[i] is source i's row. Row storage no source holds at the
@@ -169,18 +169,7 @@ func (r *DynamicRows) Reset(g *Digraph, sources []int, workers int) {
 		r.g = New(n)
 	}
 	r.g.CopyFrom(g)
-	if cap(r.rev) < n {
-		r.rev = make([][]Arc, n)
-	}
-	r.rev = r.rev[:n]
-	for v := range r.rev {
-		r.rev[v] = r.rev[v][:0]
-	}
-	for u := 0; u < n; u++ {
-		for _, a := range r.g.Out(u) {
-			r.rev[a.To] = append(r.rev[a.To], Arc{To: u, W: a.W})
-		}
-	}
+	r.rev.reset(r.g)
 	if cap(r.slot) < n {
 		r.slot = make([]int32, n)
 	}
@@ -320,14 +309,12 @@ func (r *DynamicRows) Apply(edits []RowEdit) {
 		de.old = append(de.old[:0], r.g.Out(e.Node)...)
 		de.newOut = append(de.newOut[:0], e.NewOut...)
 		// Update the graph and the reverse adjacency.
-		for _, a := range de.old {
-			r.removeRev(a.To, e.Node)
-		}
+		r.rev.drop(e.Node, de.old)
 		r.g.ClearOut(e.Node)
 		for _, a := range de.newOut {
 			r.g.AddArc(e.Node, a.To, a.W)
-			r.rev[a.To] = append(r.rev[a.To], Arc{To: e.Node, W: a.W})
 		}
+		r.rev.add(e.Node, r.g.Out(e.Node))
 	}
 	par.Do(len(r.sources), r.workers, r.repairFn)
 }
@@ -372,18 +359,6 @@ func (r *DynamicRows) RemoveSource(v NodeID) {
 	r.slot[v] = -1
 	r.sources = r.sources[:last]
 	r.rows = r.rows[:last]
-}
-
-// removeRev deletes the reverse-adjacency entry v <- u.
-func (r *DynamicRows) removeRev(v, u int) {
-	list := r.rev[v]
-	for x := range list {
-		if list[x].To == u {
-			list[x] = list[len(list)-1]
-			r.rev[v] = list[:len(list)-1]
-			return
-		}
-	}
 }
 
 // stillHas reports whether the edit's new out-set keeps an arc to v.
@@ -431,15 +406,7 @@ func (r *DynamicRows) repairRow(worker, i int) {
 		}
 		// Boundary seeding via the reverse adjacency, then the settle loop
 		// confined to the cut region.
-		for _, v := range c.queue {
-			for _, a := range r.rev[v] {
-				if nd := dist[a.To] + a.W; nd < dist[v] && !c.affected[a.To] {
-					dist[v] = nd
-					parent[v] = int32(a.To)
-					h.push(heapItem{node: int32(v), key: nd})
-				}
-			}
-		}
+		c.seedMin(&h, r.rev, dist, parent)
 		settleMin(&h, r.g.out, dist, parent, c.affected)
 	}
 

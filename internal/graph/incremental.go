@@ -1,5 +1,7 @@
 package graph
 
+import "math"
+
 // SPForest maintains all-pairs shortest-path (or widest-path) distances
 // with parent trees under the one edit pattern of the best-response
 // engine: removing one node's out-arcs (the residual graph G−i of the SNS
@@ -7,9 +9,12 @@ package graph
 // the arcs (the node kept its wiring) or committing its new ones (it
 // re-wired). A removal repairs only the shortest-path trees that actually
 // routed through the removed arcs — for most (source, removed-node) pairs
-// an O(out-degree) check — instead of recomputing the full APSP per node;
-// the restore replays an exact undo log, so the matrix after RestoreOut
-// is bit-identical to the one before RemoveOut; a commit relaxes the new
+// an O(out-degree) check — instead of recomputing the full APSP per node,
+// and a tree it does repair is re-seeded from the in-arcs of its cut
+// region alone, read off a reverse adjacency every edit keeps in step
+// with the graph, as DynamicRows.repairRow seeds its rows. The restore
+// replays an exact undo log, so the matrix after RestoreOut is
+// bit-identical to the one before RemoveOut; a commit relaxes the new
 // arcs into every tree.
 //
 // Distances computed after any edit equal a from-scratch APSP of the
@@ -17,7 +22,10 @@ package graph
 // folded left-to-right along the path in every algorithm, so the
 // floating-point values agree — which is what lets the full engine price
 // every re-wiring off forests instead of all-pairs runs without perturbing
-// its byte-identical determinism contract.
+// its byte-identical determinism contract. The distances are the unique
+// fixed point of the relaxation, so the order a repair seeds its heap in
+// can move only a parent between equal-cost predecessors, and Dist is all
+// a caller reads.
 //
 // A forest serves one goroutine; the full engine keeps one per worker of
 // its speculative phase and one live forest its sequential slots edit.
@@ -25,6 +33,7 @@ type SPForest struct {
 	widest bool
 	n      int
 	g      *Digraph // private copy of the snapshot graph
+	rev    revAdj   // reverse adjacency of g
 	dist   [][]float64
 	parent [][]int32
 
@@ -60,6 +69,7 @@ func (f *SPForest) Reset(g *Digraph, widest bool) {
 		f.g = New(n)
 	}
 	f.g.CopyFrom(g)
+	f.rev.reset(f.g)
 	f.dist = reshape(f.dist, n)
 	f.parent = reshapeInt32(f.parent, n)
 	f.removed = f.removed[:0]
@@ -101,6 +111,7 @@ func (f *SPForest) RemoveOut(u int) {
 	f.removedFrom = u
 	f.undo = f.undo[:0]
 	f.g.ClearOut(u)
+	f.rev.drop(u, f.removed)
 	if len(f.removed) == 0 {
 		return
 	}
@@ -137,24 +148,17 @@ func (f *SPForest) repairAfterRemove(src, u int) {
 		dist[v] = worst
 		parent[v] = -1
 	}
-	// Re-relax from the unaffected boundary: any arc x->w with x intact
-	// and w affected seeds the repair heap, then the settle loop confined
-	// to the region settles it (arcs between affected nodes included).
-	// The kernels are called directly, not through function values, so
-	// the heap header stays on the stack.
+	// Re-relax from the unaffected boundary — the in-arcs of the region
+	// whose tails are intact — then settle the region with the loop
+	// confined to it (arcs between affected nodes included). The kernels
+	// are called directly, not through function values, so the heap
+	// header stays on the stack.
 	h := dheap{items: f.sp.items[:0]}
-	for x := 0; x < f.n; x++ {
-		switch {
-		case c.affected[x]:
-		case f.widest:
-			relaxMax(&h, x, dist[x], f.g.out[x], dist, parent, c.affected)
-		default:
-			relaxMin(&h, x, dist[x], f.g.out[x], dist, parent, c.affected)
-		}
-	}
 	if f.widest {
+		c.seedMax(&h, f.rev, dist, parent)
 		settleMax(&h, f.g.out, dist, parent, c.affected)
 	} else {
+		c.seedMin(&h, f.rev, dist, parent)
 		settleMin(&h, f.g.out, dist, parent, c.affected)
 	}
 	f.sp.items = h.items[:0]
@@ -170,6 +174,7 @@ func (f *SPForest) RestoreOut() {
 	for _, a := range f.removed {
 		f.g.AddArc(f.removedFrom, a.To, a.W)
 	}
+	f.rev.add(f.removedFrom, f.g.out[f.removedFrom])
 	// Reverse replay: entries were appended oldest-first per source, and
 	// a node appears at most once per source, so order within a source
 	// does not matter — but reverse replay stays correct even if that
@@ -198,7 +203,10 @@ func (f *SPForest) CommitOut(arcs []Arc) {
 	for _, a := range arcs {
 		f.g.AddArc(u, a.To, a.W)
 	}
+	// arcs may name a head twice, which AddArc collapses: the reverse
+	// entries come from the arcs the graph kept.
 	out := f.g.out[u]
+	f.rev.add(u, out)
 	h := dheap{items: f.sp.items[:0]}
 	for src := 0; src < f.n; src++ {
 		dist, parent := f.dist[src], f.parent[src]
@@ -281,10 +289,83 @@ func (c *treeCut) collect(parent []int32) {
 	}
 }
 
+// seedMin starts the repair of a cut region under the additive algebra:
+// every in-arc x->v of a region node v whose tail x is outside the region
+// relaxes v as relaxMin would, pushing it on h. The region's labels must
+// already be invalidated.
+func (c *treeCut) seedMin(h *dheap, rev revAdj, dist []float64, parent []int32) {
+	for _, v := range c.queue {
+		for _, a := range rev[v] {
+			if nd := dist[a.To] + a.W; nd < dist[v] && !c.affected[a.To] {
+				dist[v] = nd
+				parent[v] = int32(a.To)
+				h.push(heapItem{node: v, key: nd})
+			}
+		}
+	}
+}
+
+// seedMax is seedMin under the bottleneck algebra, as relaxMax relaxes.
+func (c *treeCut) seedMax(h *dheap, rev revAdj, width []float64, parent []int32) {
+	for _, v := range c.queue {
+		for _, a := range rev[v] {
+			if nw := math.Min(width[a.To], a.W); nw > width[v] && !c.affected[a.To] {
+				width[v] = nw
+				parent[v] = int32(a.To)
+				h.push(heapItem{node: v, key: -nw})
+			}
+		}
+	}
+}
+
 // clear empties the region.
 func (c *treeCut) clear() {
 	for _, v := range c.queue {
 		c.affected[v] = false
 	}
 	c.queue = c.queue[:0]
+}
+
+// revAdj is the reverse adjacency of a Digraph, shared by SPForest and
+// DynamicRows to seed their cut repairs: rev[v] lists every arc u->v as
+// {To: u, W: w}, in no particular order. An owner keeps it in step with
+// its graph through every edit of an out-set.
+type revAdj [][]Arc
+
+// reset rebuilds the adjacency of g, reusing the lists' storage.
+func (r *revAdj) reset(g *Digraph) {
+	n := g.N()
+	if cap(*r) < n {
+		*r = make(revAdj, n)
+	}
+	*r = (*r)[:n]
+	rev := *r
+	for v := range rev {
+		rev[v] = rev[v][:0]
+	}
+	for u := 0; u < n; u++ {
+		rev.add(u, g.out[u])
+	}
+}
+
+// add records u's out-arcs out. out must be u's arc list as the graph
+// holds it — one arc per head — not a list AddArc was handed.
+func (r revAdj) add(u int, out []Arc) {
+	for _, a := range out {
+		r[a.To] = append(r[a.To], Arc{To: u, W: a.W})
+	}
+}
+
+// drop deletes the entries of u's former out-arcs out, one per arc.
+func (r revAdj) drop(u int, out []Arc) {
+	for _, a := range out {
+		list := r[a.To]
+		for x := range list {
+			if list[x].To == u {
+				list[x] = list[len(list)-1]
+				r[a.To] = list[:len(list)-1]
+				break
+			}
+		}
+	}
 }

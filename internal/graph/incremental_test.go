@@ -87,8 +87,10 @@ func TestSPForestCommitMatchesAPSP(t *testing.T) {
 			for round := 0; round < 3*n; round++ {
 				u := rng.Intn(n)
 				f.RemoveOut(u)
+				checkRev(t, "after RemoveOut", f)
 				if rng.Intn(3) == 0 {
 					f.RestoreOut()
+					checkRev(t, "after RestoreOut", f)
 					checkEqualMatrix(t, "after RestoreOut", f.Dist(), forestAPSP(g, widest))
 					continue
 				}
@@ -103,7 +105,71 @@ func TestSPForestCommitMatchesAPSP(t *testing.T) {
 					}
 				}
 				f.CommitOut(arcs)
+				checkRev(t, "after CommitOut", f)
 				checkEqualMatrix(t, "after CommitOut", f.Dist(), forestAPSP(g, widest))
+			}
+		}
+	}
+}
+
+// TestSPForestCommitRepeatedHead commits an out-set that names one head
+// twice, which AddArc collapses to the later weight: the reverse lists
+// must hold that one arc, and the next removal of the node must repair
+// the trees that route through it.
+func TestSPForestCommitRepeatedHead(t *testing.T) {
+	for _, widest := range []bool{false, true} {
+		g := New(4)
+		g.AddArc(0, 1, 5)
+		g.AddArc(1, 2, 5)
+		g.AddArc(2, 3, 5)
+		g.AddArc(3, 0, 5)
+		f := NewSPForest()
+		f.Reset(g, widest)
+		f.RemoveOut(1)
+		arcs := []Arc{{To: 3, W: 9}, {To: 2, W: 4}, {To: 3, W: 2}}
+		g.ClearOut(1)
+		for _, a := range arcs {
+			g.AddArc(1, a.To, a.W)
+		}
+		f.CommitOut(arcs)
+		checkRev(t, "after CommitOut", f)
+		checkEqualMatrix(t, "after CommitOut", f.Dist(), forestAPSP(g, widest))
+		for _, u := range []int{1, 2, 0} {
+			f.RemoveOut(u)
+			checkRev(t, "after RemoveOut", f)
+			r := g.Clone()
+			r.ClearOut(u)
+			checkEqualMatrix(t, "after RemoveOut", f.Dist(), forestAPSP(r, widest))
+			f.RestoreOut()
+			checkRev(t, "after RestoreOut", f)
+		}
+	}
+}
+
+// checkRev requires the forest's reverse lists to be the reverse of its
+// graph: per node, the same multiset of (tail, weight) entries.
+func checkRev(t *testing.T, where string, f *SPForest) {
+	t.Helper()
+	want := make([]map[Arc]int, f.n)
+	for v := range want {
+		want[v] = map[Arc]int{}
+	}
+	for u := 0; u < f.n; u++ {
+		for _, a := range f.g.Out(u) {
+			want[a.To][Arc{To: u, W: a.W}]++
+		}
+	}
+	for v, list := range f.rev {
+		got := map[Arc]int{}
+		for _, a := range list {
+			got[a]++
+		}
+		if len(got) != len(want[v]) {
+			t.Fatalf("%s: reverse list of %d is %v, graph has %v", where, v, list, want[v])
+		}
+		for a, c := range want[v] {
+			if got[a] != c {
+				t.Fatalf("%s: reverse list of %d is %v, graph has %v", where, v, list, want[v])
 			}
 		}
 	}
@@ -168,6 +234,7 @@ func FuzzSPForestEdits(f *testing.F) {
 		for x := 0; x+1 < len(script) && x < 400; x += 2 {
 			u, op := int(script[x])%n, script[x+1]
 			forest.RemoveOut(u)
+			checkRev(t, "script removal", forest)
 			if op&3 == 0 {
 				forest.RestoreOut()
 			} else {
@@ -184,6 +251,7 @@ func FuzzSPForestEdits(f *testing.F) {
 				}
 				forest.CommitOut(arcs)
 			}
+			checkRev(t, "script step", forest)
 			checkEqualMatrix(t, "script step", forest.Dist(), forestAPSP(g, widest))
 		}
 	})
