@@ -297,3 +297,26 @@ func TestDynamicRowsSourceChurn(t *testing.T) {
 		t.Fatal("Applies = 0, want > 0")
 	}
 }
+
+// TestDynamicRowsRepeatedHead applies an out-set that names one head
+// twice, which the graph collapses to one arc. A later edit that drops
+// the arc must leave no trace of it: the repair that re-seeds the head
+// may not reach it through the dropped arc.
+func TestDynamicRowsRepeatedHead(t *testing.T) {
+	g := New(4)
+	g.AddArc(0, 1, 1)
+	g.AddArc(1, 2, 1)
+	g.AddArc(0, 3, 10)
+	g.AddArc(3, 2, 10)
+	r := NewDynamicRows()
+	r.Reset(g, []int{0}, 1)
+	r.Apply([]RowEdit{{Node: 1, NewOut: []Arc{{To: 2, W: 1}, {To: 2, W: 1}}}})
+	r.Apply([]RowEdit{{Node: 1}})
+	want := make([]float64, 4)
+	new(SPScratch).DijkstraDist(r.Graph(), 0, want)
+	for v, d := range r.Row(0) {
+		if d != want[v] {
+			t.Fatalf("dist[%d] = %v after the arc was dropped, want %v", v, d, want[v])
+		}
+	}
+}
