@@ -93,6 +93,9 @@ const (
 	heapFlavours
 )
 
+// heapMasks holds popMin's mask of each popMin flavour.
+var heapMasks = [heapFlavours]uint64{heapAdditive: additiveKeys, heapBottleneck: bottleneckKeys}
+
 // heapScriptKey maps one script byte to a key of the flavour's class:
 // +0 (or −Inf), small integers that tie often, a continuous spread, and
 // subnormals.
@@ -135,7 +138,7 @@ func checkHeapScript(t *testing.T, flavour int, script []byte) {
 		case heapLabel:
 			got, want = h.popLabel(), ref.popLabel()
 		default:
-			got, want = h.popMin(), ref.popMin()
+			got, want = h.popMin(heapMasks[flavour]), ref.popMin()
 		}
 		if got.node != want.node || got.hops != want.hops || math.Float64bits(got.key) != math.Float64bits(want.key) {
 			t.Fatalf("flavour %d, pop %d: got %+v, reference pops %+v", flavour, pops, got, want)

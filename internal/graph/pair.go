@@ -120,7 +120,7 @@ func (s *PairScratch) backStep(fh *dheap) bool {
 	case fh.items[0].key+bh.items[0].key > s.mu*(1+pairEps):
 		s.backward, s.radius = false, bh.items[0].key
 	default:
-		it := bh.popMin()
+		it := bh.popMin(additiveKeys)
 		v := it.node
 		if it.key != bd[v] {
 			break

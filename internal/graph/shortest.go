@@ -113,7 +113,7 @@ type SPScratch struct {
 // in step.
 func settleMin(h *dheap, out [][]Arc, dist []float64, parent []int32, within []bool) {
 	for len(h.items) > 0 {
-		it := h.popMin()
+		it := h.popMin(additiveKeys)
 		if it.key != dist[it.node] {
 			continue
 		}
@@ -146,7 +146,7 @@ func relaxMin(h *dheap, u NodeID, du float64, arcs []Arc, dist []float64, parent
 // end in it.
 func settleMax(h *dheap, out [][]Arc, width []float64, parent []int32, within []bool) {
 	for len(h.items) > 0 {
-		it := h.popMin()
+		it := h.popMin(bottleneckKeys)
 		if -it.key != width[it.node] {
 			continue
 		}
