@@ -69,6 +69,7 @@ var servedSeries = []string{
 	"plane_cache_fills_total", "plane_pair_searches_total", "plane_pair_settled_total",
 	"plane_snapshot_epoch", "plane_snapshot_age_seconds",
 	"plane_onehop_latency_ns_count", "plane_route_latency_ns_count",
+	"plane_cache_fill_latency_ns_count", "plane_pair_search_latency_ns_count",
 }
 
 // scrape fetches /metrics and sums each advertised series over its

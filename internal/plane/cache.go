@@ -3,8 +3,10 @@ package plane
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"egoist/internal/graph"
+	"egoist/internal/obs"
 )
 
 // rowCache answers a snapshot's shortest-path queries and decides,
@@ -58,6 +60,28 @@ type cacheStats struct {
 	fills     atomic.Int64
 	searches  atomic.Int64
 	settled   atomic.Int64
+
+	// The miss path's latency summaries, nil until the owning Server's
+	// EnableMetrics. Every fill and every pair search is timed: two
+	// clock readings beside a search of 100 µs or more.
+	fillNs   *obs.Histogram
+	searchNs *obs.Histogram
+}
+
+// clock reads the time a search timed into h begins at: zero, and no
+// clock reading, while h is nil.
+func clock(h *obs.Histogram) time.Time {
+	if h == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// observeSince records the time since t0 into h when h is non-nil.
+func observeSince(h *obs.Histogram, t0 time.Time) {
+	if h != nil {
+		h.Observe(time.Since(t0).Nanoseconds())
+	}
 }
 
 // CacheStats is one consistent-enough read of the route-path counters.
@@ -118,7 +142,9 @@ func (c *rowCache) resolve(src, dst int, buf []int32, wantPath bool) ([]int32, f
 	e := c.find(src, st)
 	if e == nil && int(c.spent[src].Load()) < c.snap.nLive {
 		ps := searchScratch.Get().(*graph.PairScratch)
+		t0 := clock(st.searchNs)
 		cost := ps.PairCSR(c.snap.csr, src, dst)
+		observeSince(st.searchNs, t0)
 		c.spent[src].Add(uint32(ps.Settled()))
 		st.searches.Add(1)
 		st.settled.Add(int64(ps.Settled()))
@@ -196,12 +222,14 @@ func (c *rowCache) fill(src int, st *cacheStats) *rowEntry {
 	c.mu.Unlock()
 	st.fills.Add(1)
 
+	t0 := clock(st.fillNs)
 	ps := searchScratch.Get().(*graph.PairScratch)
 	n := c.snap.csr.N()
 	e.dist = make([]float64, n)
 	e.parent = make([]int32, n)
 	ps.DijkstraCSR(c.snap.csr, src, e.dist, e.parent)
 	searchScratch.Put(ps)
+	observeSince(st.fillNs, t0)
 
 	c.mu.Lock()
 	c.ready++

@@ -18,7 +18,9 @@ import (
 // path increments anyway — is a multiple of it. Their quantiles are those
 // of the answer stream (TestSampledQuantilesTrackAlwaysOn) and their
 // _count is the timed answers; plane_queries_{onehop,route}_total stay
-// exact. Binary batches and publishes are timed every time.
+// exact. Binary batches and publishes are timed every time, and so are
+// the row cache's fills and pair searches, whose summaries live on
+// cacheStats beside the counters they share a _count with.
 type serverMetrics struct {
 	onehopNs  *obs.Histogram // per timed one-hop decision
 	routeNs   *obs.Histogram // per timed shortest-path answer
@@ -85,6 +87,8 @@ func (m *serverMetrics) batch(t0 time.Time) {
 //	plane_binary_conns_refused_total    binary connections closed over the cap
 //	plane_snapshot_epoch / _age_seconds / _live  serving snapshot
 //	plane_{onehop,route,batch,publish}_latency_ns  summaries
+//	plane_cache_fill_latency_ns         per row fill, every one
+//	plane_pair_search_latency_ns        per pair search, every one
 func (s *Server) EnableMetrics(reg *obs.Registry) {
 	m := &serverMetrics{
 		onehopNs:  reg.Histogram("plane_onehop_latency_ns", "one-hop decision latency"),
@@ -92,6 +96,8 @@ func (s *Server) EnableMetrics(reg *obs.Registry) {
 		batchNs:   reg.Histogram("plane_batch_latency_ns", "binary batch answer latency (whole batch)"),
 		publishNs: reg.Histogram("plane_publish_latency_ns", "snapshot publish latency"),
 	}
+	s.cstats.fillNs = reg.Histogram("plane_cache_fill_latency_ns", "row fill latency (one CSR Dijkstra), every fill")
+	s.cstats.searchNs = reg.Histogram("plane_pair_search_latency_ns", "exact pair search latency, every search")
 	reg.CounterFunc("plane_queries_onehop_total", "delivered one-hop answers", s.onehop.Load)
 	reg.CounterFunc("plane_queries_route_total", "delivered route answers", s.routes.Load)
 	reg.CounterFunc("plane_queries_failed_total", "queries rejected before an answer", s.failed.Load)

@@ -85,6 +85,15 @@ func TestServerMetricsExposition(t *testing.T) {
 			t.Errorf("series %s = %v (present=%v), want %v", series, got, ok, want)
 		}
 	}
+	// The miss-path summaries time every fill and every pair search.
+	for hist, counter := range map[string]string{
+		"plane_cache_fill_latency_ns_count":  "plane_cache_fills_total",
+		"plane_pair_search_latency_ns_count": "plane_pair_searches_total",
+	} {
+		if got, want := m[hist], m[counter]; got != want {
+			t.Errorf("series %s = %v, want %s = %v", hist, got, counter, want)
+		}
+	}
 	if age, ok := m["plane_snapshot_age_seconds"]; !ok || age < 0 {
 		t.Errorf("snapshot age = %v (present=%v), want >= 0", age, ok)
 	}
