@@ -3,10 +3,9 @@ package graph
 // Affected-row detection for incremental snapshot publication: given a
 // settled single-source shortest-path row and a sparse set of out-row
 // replacements, decide which rows the edits can actually change. It is
-// the read-only counterpart of SPForest's subtree repair — the same
-// "did a tree arc get cut, did a new arc undercut a label" test that
-// repairAfterRemove uses to skip untouched trees, applied to arbitrary
-// row replacements instead of a single removal.
+// the read-only counterpart of the repair kernel (rowScratch.repair): a
+// row is crossed where the kernel would cut a tree arc or a new arc
+// would reach a label, tested on parallel-slice CSR rows.
 //
 // The guarantee is exact, not approximate: if RowCrossed reports false
 // for a DijkstraCSR row against every edit, a fresh DijkstraCSR over the

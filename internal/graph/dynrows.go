@@ -11,7 +11,8 @@ import (
 // whole-out-set replacements (a node re-wiring its overlay links) —
 // the workhorse behind the scale engine's facility directory. A full
 // rebuild runs one Dijkstra per source; Apply then repairs each row
-// incrementally after a batch of re-wirings: rows whose shortest-path
+// incrementally after a batch of re-wirings, with the kernel SPForest
+// repairs its trees with (rowScratch.repair): rows whose shortest-path
 // tree never used a changed node are verified untouched in O(k) per
 // edit, and affected rows recompute only the invalidated subtrees plus
 // an insertion relaxation — cost proportional to the churn, not to
@@ -35,8 +36,7 @@ import (
 // misuse fails loudly even without -race), and the race-detector
 // stress suites hammer concurrent reads against serial mutations.
 type DynamicRows struct {
-	g       *Digraph
-	rev     revAdj // reverse adjacency of g
+	liveGraph
 	sources []int
 	slot    []int32 // node id -> row index, -1 when absent
 	// rows[i] is source i's row. Row storage no source holds at the
@@ -47,8 +47,8 @@ type DynamicRows struct {
 	fresh   []int    // row indices reseat has to build
 	workers int
 
-	scratch []*dynScratch
-	edits   []dynEdit // their arc buffers are reused from Apply to Apply
+	scratch []*rowScratch
+	edits   []outEdit // their arc buffers are reused from Apply to Apply
 	// The par.Do bodies (buildFresh and repairRow), bound by the first
 	// reseat: a function value handed to par.Do escapes, so binding at
 	// the call site would allocate on every Apply.
@@ -85,20 +85,6 @@ func (r *DynamicRows) checkRead() {
 type dynRow struct {
 	dist   []float64
 	parent []int32
-}
-
-// dynEdit is one node's out-set replacement with its prior arcs.
-type dynEdit struct {
-	node   int
-	old    []Arc
-	newOut []Arc
-}
-
-// dynScratch is one worker's repair state.
-type dynScratch struct {
-	cut     treeCut
-	oldDist []float64 // the cut region's labels before the repair, in queue order
-	sp      SPScratch // dheap backing array, reused across rows
 }
 
 // RowEdit is one node's new out-arc set for Apply.
@@ -165,11 +151,7 @@ func (r *DynamicRows) Reset(g *Digraph, sources []int, workers int) {
 	defer r.beginMutate()()
 	r.resets++
 	n := g.N()
-	if r.g == nil {
-		r.g = New(n)
-	}
-	r.g.CopyFrom(g)
-	r.rev.reset(r.g)
+	r.liveGraph.reset(g)
 	if cap(r.slot) < n {
 		r.slot = make([]int32, n)
 	}
@@ -231,7 +213,7 @@ func (r *DynamicRows) reseat(sources []int, workers int) {
 	n := r.g.N()
 	r.workers = par.Workers(workers)
 	for len(r.scratch) < r.workers {
-		r.scratch = append(r.scratch, &dynScratch{})
+		r.scratch = append(r.scratch, &rowScratch{})
 	}
 	if r.buildFn == nil {
 		r.buildFn, r.repairFn = r.buildFresh, r.repairRow
@@ -278,7 +260,7 @@ func (r *DynamicRows) buildFresh(worker, x int) { r.fullRow(r.fresh[x], r.scratc
 
 // fullRow runs a fresh Dijkstra with parent tracking for row i,
 // allocating the row's storage if it has none.
-func (r *DynamicRows) fullRow(i int, sc *dynScratch) {
+func (r *DynamicRows) fullRow(i int, sc *rowScratch) {
 	row := &r.rows[i]
 	if row.dist == nil {
 		n := r.g.N()
@@ -289,7 +271,8 @@ func (r *DynamicRows) fullRow(i int, sc *dynScratch) {
 }
 
 // Apply replaces the out-arc sets of the edited nodes and repairs every
-// row. Edits take effect atomically: all rows see all edits.
+// row. Edits take effect atomically: all rows see all edits. A node
+// edited twice in one batch ends with its later out-set.
 func (r *DynamicRows) Apply(edits []RowEdit) {
 	if len(edits) == 0 {
 		return
@@ -298,23 +281,7 @@ func (r *DynamicRows) Apply(edits []RowEdit) {
 	r.applies++
 	r.edits = r.edits[:0]
 	for _, e := range edits {
-		k := len(r.edits)
-		if k < cap(r.edits) {
-			r.edits = r.edits[:k+1]
-		} else {
-			r.edits = append(r.edits, dynEdit{})
-		}
-		de := &r.edits[k]
-		de.node = e.Node
-		de.old = append(de.old[:0], r.g.Out(e.Node)...)
-		de.newOut = append(de.newOut[:0], e.NewOut...)
-		// Update the graph and the reverse adjacency.
-		r.rev.drop(e.Node, de.old)
-		r.g.ClearOut(e.Node)
-		for _, a := range de.newOut {
-			r.g.AddArc(e.Node, a.To, a.W)
-		}
-		r.rev.add(e.Node, r.g.Out(e.Node))
+		r.edits = r.setOut(r.edits, e.Node, e.NewOut)
 	}
 	par.Do(len(r.sources), r.workers, r.repairFn)
 }
@@ -361,73 +328,10 @@ func (r *DynamicRows) RemoveSource(v NodeID) {
 	r.rows = r.rows[:last]
 }
 
-// stillHas reports whether the edit's new out-set keeps an arc to v.
-func (e *dynEdit) stillHas(v int) bool {
-	for _, a := range e.newOut {
-		if a.To == v {
-			return true
-		}
-	}
-	return false
-}
-
-// repairRow fixes row i after the recorded edits, on the worker's
-// scratch: subtree invalidation and boundary re-relaxation for removed
-// tree arcs, then a global insertion relaxation for the added arcs. Both
-// passes end in settleMin, the loop a fresh row is built by.
+// repairRow repairs row i after the recorded edits on the worker's
+// scratch.
 func (r *DynamicRows) repairRow(worker, i int) {
 	sc := r.scratch[worker]
-	dist, parent := r.rows[i].dist, r.rows[i].parent
-	// The heap lives in a local for the duration: workers' scratch
-	// structs can share a cache line, and a heap pushed and popped through
-	// the pointer would write its header there on every operation.
-	h := dheap{items: sc.sp.items[:0]}
-
-	// Cut roots: former tree children of an edited node that lost their
-	// tree arc, deduplicated by the cut so the old-value bookkeeping below
-	// is exact.
-	c := &sc.cut
-	c.size(r.g.N())
-	for ei := range r.edits {
-		e := &r.edits[ei]
-		for _, a := range e.old {
-			if parent[a.To] == int32(e.node) && !e.stillHas(a.To) {
-				c.add(a.To)
-			}
-		}
-	}
-	if len(c.queue) > 0 {
-		c.collect(parent)
-		sc.oldDist = sc.oldDist[:0]
-		for _, v := range c.queue {
-			sc.oldDist = append(sc.oldDist, dist[v])
-			dist[v] = Inf
-			parent[v] = -1
-		}
-		// Boundary seeding via the reverse adjacency, then the settle loop
-		// confined to the cut region.
-		c.seedMin(&h, r.rev, dist, parent)
-		settleMin(&h, r.g.out, dist, parent, c.affected)
-	}
-
-	// Propagation relaxation: added arcs — and any affected node whose
-	// repaired value landed BELOW its pre-edit value — may improve
-	// nodes outside the affected region. The cut-repair above runs on
-	// the edited graph, so a repaired node can come back cheaper
-	// through a freshly inserted arc; without re-seeding those
-	// decreases here they would stop at the region boundary (the
-	// confined settle never relaxes outward), leaving violated arcs
-	// into untouched territory.
-	for qi, v := range c.queue {
-		if dist[v] < sc.oldDist[qi] {
-			h.push(heapItem{node: int32(v), key: dist[v]})
-		}
-	}
-	c.clear()
-	for ei := range r.edits {
-		e := &r.edits[ei]
-		relaxMin(&h, e.node, dist[e.node], e.newOut, dist, parent, nil)
-	}
-	settleMin(&h, r.g.out, dist, parent, nil)
-	sc.sp.items = h.items
+	sc.log = sc.log[:0]
+	sc.repair(false, &r.liveGraph, r.edits, r.sources[i], r.rows[i].dist, r.rows[i].parent)
 }

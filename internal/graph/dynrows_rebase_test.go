@@ -131,15 +131,15 @@ func rebaseScript(t *testing.T, script []byte) {
 				out := randomOut(u, next()%4)
 				edits = append(edits, RowEdit{Node: u, NewOut: out})
 			}
-			for _, e := range edits {
+			// Apply takes the arcs as given; hand each edit the shadow's
+			// view right after it, so self-loops and duplicates never
+			// reach Apply and a node edited twice hands it both out-sets.
+			for x, e := range edits {
 				setOut(g, e.Node, e.NewOut)
-			}
-			// Apply takes the arcs as given; hand it the shadow's view so
-			// self-loops and duplicates never reach it.
-			for x := range edits {
-				edits[x].NewOut = append([]Arc(nil), g.Out(edits[x].Node)...)
+				edits[x].NewOut = append([]Arc(nil), g.Out(e.Node)...)
 			}
 			r.Apply(edits)
+			checkRev(t, "Apply", &r.liveGraph)
 			check("Apply", false)
 		case 2: // AddSource
 			v := next() % n
@@ -338,5 +338,44 @@ func BenchmarkDynamicRowsRebase(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Rebase(g, sourcesAt(i+1), 1)
+	}
+}
+
+// BenchmarkDynamicRowsApply is one directory repair on the same fixture:
+// a batch of 8 distinct nodes each re-wired to 8 fresh heads, repaired
+// in all 456 rows on one worker. 128 nodes take turns in 16 batches,
+// each switching between two out-sets, so every edit changes its node's
+// arcs and every 32 batches leave the graph as it was. After one warm
+// round the buffers have their size and an Apply allocates nothing.
+func BenchmarkDynamicRowsApply(b *testing.B) {
+	const batch, k, rounds = 8, 8, 16
+	g, sourcesAt := rotationFixture()
+	n := g.N()
+	rng := rand.New(rand.NewSource(9))
+	batches := make([][]RowEdit, 2*rounds)
+	for x, u := range rng.Perm(n)[:batch*rounds] {
+		for side := 0; side < 2; side++ {
+			var out []Arc
+			for len(out) < k {
+				if v := rng.Intn(n); v != u && !slices.ContainsFunc(out, func(a Arc) bool { return a.To == v }) {
+					out = append(out, Arc{To: v, W: rebaseWeight(u, v)})
+				}
+			}
+			y := side*rounds + x/batch
+			batches[y] = append(batches[y], RowEdit{Node: u, NewOut: out})
+		}
+	}
+	r := NewDynamicRows()
+	r.Reset(g, sourcesAt(0), 1)
+	for _, edits := range batches[rounds:] { // where every round ends
+		r.Apply(edits)
+	}
+	for _, edits := range batches { // the warm round
+		r.Apply(edits)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Apply(batches[i%len(batches)])
 	}
 }

@@ -320,3 +320,29 @@ func TestDynamicRowsRepeatedHead(t *testing.T) {
 		}
 	}
 }
+
+// TestDynamicRowsRepeatedNode applies a batch that names one node twice:
+// node 0 gains the arc 0->3 and then loses it again. The later edit wins,
+// so the row must not reach 3, or reach 1 through 3, over the arc the
+// batch added and dropped.
+func TestDynamicRowsRepeatedNode(t *testing.T) {
+	g := New(4)
+	g.AddArc(0, 1, 10)
+	g.AddArc(0, 2, 5)
+	g.AddArc(2, 1, 1)
+	g.AddArc(3, 1, 1)
+	r := NewDynamicRows()
+	r.Reset(g, []int{0}, 1)
+	kept := append([]Arc(nil), g.Out(0)...)
+	r.Apply([]RowEdit{
+		{Node: 0, NewOut: append(append([]Arc(nil), kept...), Arc{To: 3, W: 1})},
+		{Node: 0, NewOut: kept},
+	})
+	checkRev(t, "repeated node", &r.liveGraph)
+	want := []float64{0, 6, 5, Inf}
+	for v, d := range r.Row(0) {
+		if d != want[v] {
+			t.Fatalf("dist[%d] = %v, want %v", v, d, want[v])
+		}
+	}
+}

@@ -5,11 +5,11 @@
 // applications, and connectivity checks used by the wiring policies.
 //
 // Every search and every repair over Digraph rows runs one settle loop
-// per path algebra: settleMin (additive) for shortest, SPForest's
-// additive removal repairs and commits and both passes of DynamicRows'
-// repairs; settleMax (bottleneck) for widest and SPForest's bottleneck
-// repairs and commits. A repaired row therefore equals a fresh search
-// bit for bit by construction. The data plane's packed CSR has one
+// per path algebra: settleMin (additive) for shortest, settleMax
+// (bottleneck) for widest, and both for the one repair kernel,
+// rowScratch.repair, which SPForest's removals and commits and
+// DynamicRows.Apply all run. A repaired row therefore equals a fresh
+// search bit for bit by construction. The data plane's packed CSR has one
 // settle loop of its own, settleCSR, which DijkstraCSR and PairCSR both
 // run and which breaks equal-cost ties canonically.
 //

@@ -87,10 +87,10 @@ func TestSPForestCommitMatchesAPSP(t *testing.T) {
 			for round := 0; round < 3*n; round++ {
 				u := rng.Intn(n)
 				f.RemoveOut(u)
-				checkRev(t, "after RemoveOut", f)
+				checkRev(t, "after RemoveOut", &f.liveGraph)
 				if rng.Intn(3) == 0 {
 					f.RestoreOut()
-					checkRev(t, "after RestoreOut", f)
+					checkRev(t, "after RestoreOut", &f.liveGraph)
 					checkEqualMatrix(t, "after RestoreOut", f.Dist(), forestAPSP(g, widest))
 					continue
 				}
@@ -105,7 +105,7 @@ func TestSPForestCommitMatchesAPSP(t *testing.T) {
 					}
 				}
 				f.CommitOut(arcs)
-				checkRev(t, "after CommitOut", f)
+				checkRev(t, "after CommitOut", &f.liveGraph)
 				checkEqualMatrix(t, "after CommitOut", f.Dist(), forestAPSP(g, widest))
 			}
 		}
@@ -132,34 +132,39 @@ func TestSPForestCommitRepeatedHead(t *testing.T) {
 			g.AddArc(1, a.To, a.W)
 		}
 		f.CommitOut(arcs)
-		checkRev(t, "after CommitOut", f)
+		checkRev(t, "after CommitOut", &f.liveGraph)
 		checkEqualMatrix(t, "after CommitOut", f.Dist(), forestAPSP(g, widest))
 		for _, u := range []int{1, 2, 0} {
 			f.RemoveOut(u)
-			checkRev(t, "after RemoveOut", f)
+			checkRev(t, "after RemoveOut", &f.liveGraph)
 			r := g.Clone()
 			r.ClearOut(u)
 			checkEqualMatrix(t, "after RemoveOut", f.Dist(), forestAPSP(r, widest))
 			f.RestoreOut()
-			checkRev(t, "after RestoreOut", f)
+			checkRev(t, "after RestoreOut", &f.liveGraph)
 		}
 	}
 }
 
-// checkRev requires the forest's reverse lists to be the reverse of its
-// graph: per node, the same multiset of (tail, weight) entries.
-func checkRev(t *testing.T, where string, f *SPForest) {
+// checkRev requires a live graph's reverse lists — SPForest's or
+// DynamicRows' — to be the reverse of its graph: per node, the same
+// multiset of (tail, weight) entries.
+func checkRev(t *testing.T, where string, l *liveGraph) {
 	t.Helper()
-	want := make([]map[Arc]int, f.n)
+	n := l.g.N()
+	if len(l.rev) != n {
+		t.Fatalf("%s: %d reverse lists for %d nodes", where, len(l.rev), n)
+	}
+	want := make([]map[Arc]int, n)
 	for v := range want {
 		want[v] = map[Arc]int{}
 	}
-	for u := 0; u < f.n; u++ {
-		for _, a := range f.g.Out(u) {
+	for u := 0; u < n; u++ {
+		for _, a := range l.g.Out(u) {
 			want[a.To][Arc{To: u, W: a.W}]++
 		}
 	}
-	for v, list := range f.rev {
+	for v, list := range l.rev {
 		got := map[Arc]int{}
 		for _, a := range list {
 			got[a]++
@@ -234,7 +239,7 @@ func FuzzSPForestEdits(f *testing.F) {
 		for x := 0; x+1 < len(script) && x < 400; x += 2 {
 			u, op := int(script[x])%n, script[x+1]
 			forest.RemoveOut(u)
-			checkRev(t, "script removal", forest)
+			checkRev(t, "script removal", &forest.liveGraph)
 			if op&3 == 0 {
 				forest.RestoreOut()
 			} else {
@@ -251,7 +256,7 @@ func FuzzSPForestEdits(f *testing.F) {
 				}
 				forest.CommitOut(arcs)
 			}
-			checkRev(t, "script step", forest)
+			checkRev(t, "script step", &forest.liveGraph)
 			checkEqualMatrix(t, "script step", forest.Dist(), forestAPSP(g, widest))
 		}
 	})

@@ -107,10 +107,9 @@ type SPScratch struct {
 // run) and relaxes the popped node's out-arcs in out with relaxMin.
 // within, when non-nil, confines the relaxation to the nodes it marks: a
 // repair's invalidated region. Every Digraph search and repair ends in
-// it — shortest, SPForest's additive removal repairs and commits, and
-// both passes of DynamicRows.repairRow — so a repaired label is the
-// label a fresh search computes by construction, not by keeping copies
-// in step.
+// it — shortest and both passes of the additive repair kernel
+// (rowScratch.repair) — so a repaired label is the label a fresh search
+// computes by construction, not by keeping copies in step.
 func settleMin(h *dheap, out [][]Arc, dist []float64, parent []int32, within []bool) {
 	for len(h.items) > 0 {
 		it := h.popMin(additiveKeys)
@@ -142,8 +141,7 @@ func relaxMin(h *dheap, u NodeID, du float64, arcs []Arc, dist []float64, parent
 }
 
 // settleMax is settleMin under the bottleneck algebra, on negated keys
-// (widest first): widest and SPForest's bottleneck repairs and commits
-// end in it.
+// (widest first): widest and the bottleneck repair kernel end in it.
 func settleMax(h *dheap, out [][]Arc, width []float64, parent []int32, within []bool) {
 	for len(h.items) > 0 {
 		it := h.popMin(bottleneckKeys)
