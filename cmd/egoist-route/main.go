@@ -2,7 +2,9 @@
 // obtains a converged overlay wiring (by running the large-scale
 // sampled engine, or by loading a wiring file saved earlier), compiles
 // it into an immutable plane.Snapshot, and serves route queries from it
-// over HTTP and the binary batch protocol until it is signalled.
+// over HTTP and the binary batch protocol until it is signalled. On
+// SIGINT or SIGTERM it stops accepting, finishes the batches and
+// requests it is answering (for at most a second) and exits 0.
 //
 // Examples:
 //
@@ -14,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -109,6 +112,7 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	defer signal.Stop(sig)
+	var hs *http.Server
 	if *httpAddr != "" {
 		ln, err := net.Listen("tcp", *httpAddr)
 		if err != nil {
@@ -123,9 +127,8 @@ func main() {
 			obs.MountPprof(mux)
 		}
 		fmt.Printf("serving /route /routes /routes.bin /snapshot /metrics on http://%s\n", ln.Addr())
-		hs := obs.NewHTTPServer(mux)
+		hs = obs.NewHTTPServer(mux)
 		go func() { _ = hs.Serve(ln) }()
-		defer hs.Close()
 	}
 	if *binAddr != "" {
 		ln, err := net.Listen("tcp", *binAddr)
@@ -134,9 +137,31 @@ func main() {
 		}
 		fmt.Printf("serving binary batch protocol on tcp://%s\n", ln.Addr())
 		go func() { _ = srv.ServeBinary(ln) }()
-		defer ln.Close()
 	}
 	<-sig
+	drain(srv, hs)
+}
+
+// drainTimeout bounds the drain on SIGINT/SIGTERM: well under the two
+// seconds a supervisor such as benchmark/child.go waits before SIGKILL.
+const drainTimeout = time.Second
+
+// drain stops both listeners accepting, lets every binary frame and
+// HTTP request being answered finish, and closes what is still open
+// when drainTimeout runs out.
+func drain(srv *plane.Server, hs *http.Server) {
+	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	defer cancel()
+	if err := srv.ShutdownBinary(ctx); err != nil {
+		fmt.Fprintf(os.Stderr, "egoist-route: binary drain: %v\n", err)
+	}
+	if hs == nil {
+		return
+	}
+	if err := hs.Shutdown(ctx); err != nil {
+		fmt.Fprintf(os.Stderr, "egoist-route: http drain: %v\n", err)
+		hs.Close()
+	}
 }
 
 // converge runs the scale engine to a converged wiring, publishing

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -290,16 +291,36 @@ func TestSmokeWiringRoundTrip(t *testing.T) {
 // stdout lines it takes the ephemeral addresses from, /snapshot's
 // "published", a binary batch answered, and exit status 0 on SIGTERM.
 func TestSmokeServeContract(t *testing.T) {
+	cmd, httpAddr, binAddr, stderr := startServing(t)
+	if err := waitPublished("http://" + httpAddr); err != nil {
+		t.Fatal(err)
+	}
+	if err := oneHopBatch(binAddr, 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("exit after SIGTERM: %v; stderr:\n%s", err, stderr.String())
+	}
+}
+
+// startServing starts the built binary the way child.go does, on a
+// 4-node wiring, and returns it with the addresses it printed. Its
+// stdout is drained in the background, so cmd.Wait may be called.
+func startServing(t *testing.T) (cmd *exec.Cmd, httpAddr, binAddr string, stderr *bytes.Buffer) {
+	t.Helper()
 	bin := clitest.Build(t, "egoist-route")
 	wiring := filepath.Join(t.TempDir(), "wiring.json")
 	wf := &wiringFile{N: 4, K: 2, Seed: 9, Wiring: [][]int{{1, 2}, {2, 3}, {3, 0}, {0, 1}}}
 	if err := saveWiring(wiring, wf); err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(bin, "-wiring", wiring, "-cores", "1",
+	cmd = exec.Command(bin, "-wiring", wiring, "-cores", "1",
 		"-http", "127.0.0.1:0", "-binary", "127.0.0.1:0")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
+	stderr = new(bytes.Buffer)
+	cmd.Stderr = stderr
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -307,12 +328,11 @@ func TestSmokeServeContract(t *testing.T) {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer cmd.Process.Kill()
+	t.Cleanup(func() { cmd.Process.Kill() })
 	watchdog := time.AfterFunc(60*time.Second, func() { cmd.Process.Kill() })
-	defer watchdog.Stop()
+	t.Cleanup(func() { watchdog.Stop() })
 
 	// The same scan as child.go: the text after "http://" and "tcp://".
-	var httpAddr, binAddr string
 	sc := bufio.NewScanner(stdout)
 	for binAddr == "" && sc.Scan() {
 		line := sc.Text()
@@ -326,18 +346,62 @@ func TestSmokeServeContract(t *testing.T) {
 	if httpAddr == "" || binAddr == "" {
 		t.Fatalf("no serving lines (http %q, tcp %q); stderr:\n%s", httpAddr, binAddr, stderr.String())
 	}
+	go func() { _, _ = io.Copy(io.Discard, stdout) }()
+	return cmd, httpAddr, binAddr, stderr
+}
+
+// TestSmokeDrainOnSIGTERM: a route batch whose frame has begun to
+// arrive when SIGTERM lands is still answered in full, and the process
+// then exits 0 within its one-second drain, well before the two
+// seconds after which child.go sends SIGKILL.
+func TestSmokeDrainOnSIGTERM(t *testing.T) {
+	cmd, httpAddr, binAddr, stderr := startServing(t)
 	if err := waitPublished("http://" + httpAddr); err != nil {
 		t.Fatal(err)
 	}
-	if err := oneHopBatch(binAddr, wf.N); err != nil {
+	conn, err := net.Dial("tcp", binAddr)
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer conn.Close()
+	pairs := []uint32{0, 3, 1, 0, 2, 2, 3, 1}
+	frame := plane.AppendBatchRequest([]byte{0, 0, 0, 0}, plane.BinModeRoute, pairs)
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
+	if _, err := conn.Write(frame[:9]); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(300 * time.Millisecond) // the server reads the header
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	_, _ = io.Copy(io.Discard, stdout)
+	signalled := time.Now()
+	time.Sleep(100 * time.Millisecond) // the drain is under way
+	if _, err := conn.Write(frame[9:]); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	var lenBuf [4]byte
+	if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
+		t.Fatalf("the batch in flight at SIGTERM was not answered: %v; stderr:\n%s", err, stderr.String())
+	}
+	resp := make([]byte, binary.LittleEndian.Uint32(lenBuf[:]))
+	if _, err := io.ReadFull(conn, resp); err != nil {
+		t.Fatal(err)
+	}
+	_, results, err := plane.DecodeBatchResponse(resp, plane.BinModeRoute, nil)
+	if err != nil || len(results) != len(pairs)/2 {
+		t.Fatalf("the drained batch: %d results, %v", len(results), err)
+	}
+	for i, r := range results {
+		if r.Status != plane.BinOK {
+			t.Fatalf("pair %d: status %d", i, r.Status)
+		}
+	}
 	if err := cmd.Wait(); err != nil {
 		t.Fatalf("exit after SIGTERM: %v; stderr:\n%s", err, stderr.String())
+	}
+	if took := time.Since(signalled); took > 2*time.Second {
+		t.Fatalf("exited %v after SIGTERM, past child.go's 2 s SIGKILL", took)
 	}
 }
 

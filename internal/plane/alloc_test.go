@@ -1,11 +1,18 @@
 package plane
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"egoist/internal/obs"
 )
+
+// The testing.AllocsPerRun gates below run at GOMAXPROCS 1 —
+// AllocsPerRun pins it there — so a route batch's misses all run on the
+// caller in them. TestColdRouteBatchAllocsAtWidth2 gates the width-2
+// path, where a batch starts a helper goroutine, with runtime.MemStats.
 
 // allocServer builds a server with a published snapshot and
 // pre-warms the rows the alloc gates will query, so every measured
@@ -103,4 +110,78 @@ func TestServeHotPathsZeroAlloc(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestColdRouteBatchAllocsAtWidth2 is the allocation gate of a route
+// batch's fan-out. testing.AllocsPerRun pins GOMAXPROCS to 1, so the
+// gates above only ever see pass 2 run its misses on the caller; this
+// one counts runtime.MemStats mallocs at GOMAXPROCS 2, where every cold
+// batch starts a helper goroutine. A batch of cold sources (pair
+// searches only) allocates coldBatchAllocs objects, whether it has 16
+// pairs or 64: the helper is started from a function value bound once
+// per pooled scratch, and a goroutine's descriptor and stack are reused
+// by the runtime, not malloc'd. The gate reads the mean per batch of a
+// window of batches, truncated to an integer like AllocsPerRun's, and
+// keeps the least of several windows: a pooled scratch is per P, so the
+// first batch a goroutine answers on a P it has not used yet fills that
+// P's pool once (a one-off that lands in one window), while an
+// allocation every batch shows in all of them.
+func TestColdRouteBatchAllocsAtWidth2(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on otherwise allocation-free paths")
+	}
+	const coldBatchAllocs = 0
+	const n, k, windows, runs = 2000, 4, 5, 20
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	srv := NewServer()
+	srv.EnableMetrics(obs.NewRegistry())
+	snap := Compile(0, randomWiring(n, k, rand.New(rand.NewSource(83))), nil, testNet(t, n), Options{})
+	srv.Publish(snap)
+	// Every source starts each batch renting afresh, so none reaches
+	// its fill threshold.
+	src, asked := 0, int64(0)
+	var pairs []uint32
+	var req, resp []byte
+	batch := func(size int) {
+		for s := range snap.rows.spent {
+			snap.rows.spent[s].Store(0)
+		}
+		pairs = pairs[:0]
+		for i := 0; i < size; i++ {
+			src = src%(n-1) + 1
+			pairs = append(pairs, uint32(src), 0)
+		}
+		req = AppendBatchRequest(req[:0], BinModeRoute, pairs)
+		out, err := srv.AnswerBinary(req, resp[:0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp = out
+		asked += int64(size)
+	}
+	// Drop pooled scratch sized for other tests' snapshots, then let
+	// both Ps' pools hold a scratch of this size.
+	runtime.GC()
+	runtime.GC()
+	for i := 0; i < 8; i++ {
+		batch(64)
+	}
+	for _, size := range []int{16, 64} {
+		least := uint64(math.MaxUint64)
+		for w := 0; w < windows; w++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				batch(size)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, (after.Mallocs-before.Mallocs)/runs)
+		}
+		if least != coldBatchAllocs {
+			t.Errorf("a cold %d-pair route batch at GOMAXPROCS 2 allocates %d objects, want %d", size, least, coldBatchAllocs)
+		}
+	}
+	if st := srv.CacheStats(); st.Fills != 0 || st.Hits != 0 || st.PairSearches != asked {
+		t.Fatalf("the gate did not run on pair searches alone: %+v after %d pairs", st, asked)
+	}
 }

@@ -2,6 +2,7 @@ package plane
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"sync"
 	"time"
 
 	"egoist/internal/graph"
@@ -186,8 +188,13 @@ func (s *Server) AnswerBinary(req, dst []byte) ([]byte, error) {
 	dst = append(dst, binRespOK)
 	dst = appendU64(dst, uint64(snap.epoch))
 	dst = appendU32(dst, uint32(count))
+	if mode == BinModeRoute {
+		dst = s.answerRoutes(snap, req[5:], count, dst)
+		s.m.batch(t0)
+		return dst, nil
+	}
 	n := snap.N()
-	var nOneHop, nRoute, nFail int64
+	var nOneHop, nFail int64
 	for i := 0; i < count; i++ {
 		off := 5 + 8*i
 		src := int(binary.LittleEndian.Uint32(req[off:]))
@@ -196,59 +203,28 @@ func (s *Server) AnswerBinary(req, dst []byte) ([]byte, error) {
 			nFail++
 			dst = append(dst, BinInvalidPair)
 			dst = appendF64(dst, -1)
-			if mode == BinModeOneHop {
-				dst = appendU32(dst, uint32(0xFFFFFFFF)) // via -1
-			} else {
-				dst = appendU32(dst, 0) // empty path
-			}
+			dst = appendU32(dst, uint32(0xFFFFFFFF)) // via -1
 			continue
 		}
-		if mode == BinModeOneHop {
-			nOneHop++
-			d := snap.OneHop(src, dstID)
-			if d.Cost < graph.Inf {
-				dst = append(dst, BinOK)
-				dst = appendF64(dst, d.Cost)
-			} else {
-				dst = append(dst, BinUnreachable)
-				dst = appendF64(dst, -1)
-			}
-			dst = appendU32(dst, uint32(int32(d.Via)))
-			continue
+		nOneHop++
+		d := snap.OneHop(src, dstID)
+		if d.Cost < graph.Inf {
+			dst = append(dst, BinOK)
+			dst = appendF64(dst, d.Cost)
+		} else {
+			dst = append(dst, BinUnreachable)
+			dst = appendF64(dst, -1)
 		}
-		nRoute++
-		dst = appendBinRoute(dst, snap, src, dstID)
+		dst = appendU32(dst, uint32(int32(d.Via)))
 	}
 	if nOneHop > 0 {
 		s.onehop.Add(nOneHop)
-	}
-	if nRoute > 0 {
-		s.routes.Add(nRoute)
 	}
 	if nFail > 0 {
 		s.failed.Add(nFail)
 	}
 	s.m.batch(t0)
 	return dst, nil
-}
-
-// appendBinRoute appends one route-mode result. It is kept out of
-// AnswerBinary's loop so the one-hop batch does not carry its frame.
-func appendBinRoute(dst []byte, snap *Snapshot, src, dstID int) []byte {
-	var hops [32]int32
-	path, cost, ok := snap.RouteInto(src, dstID, hops[:0])
-	if !ok {
-		dst = append(dst, BinUnreachable)
-		dst = appendF64(dst, -1)
-		return appendU32(dst, 0)
-	}
-	dst = append(dst, BinOK)
-	dst = appendF64(dst, cost)
-	dst = appendU32(dst, uint32(len(path)))
-	for _, v := range path {
-		dst = appendU32(dst, uint32(v))
-	}
-	return dst
 }
 
 // handleBatchBin is POST /routes.bin: the binary batch protocol over
@@ -291,8 +267,8 @@ const (
 )
 
 // ServeBinary serves the length-prefixed binary batch protocol on ln
-// until Accept fails (closing the listener is the shutdown path); the
-// error that stopped the accept loop is returned.
+// until Accept fails or ShutdownBinary closes ln; the error that
+// stopped the accept loop is returned.
 func (s *Server) ServeBinary(ln net.Listener) error {
 	return s.serveBinary(ln, maxBinConns, binIdleTimeout, binFrameTimeout)
 }
@@ -300,6 +276,11 @@ func (s *Server) ServeBinary(ln net.Listener) error {
 // serveBinary is ServeBinary's accept loop with its bounds as
 // parameters, so the tests can lower them.
 func (s *Server) serveBinary(ln net.Listener, maxConns int, idle, frame time.Duration) error {
+	if !s.bin.listen(ln) {
+		ln.Close()
+		return net.ErrClosed
+	}
+	defer s.bin.unlisten(ln)
 	slots := make(chan struct{}, maxConns)
 	for {
 		conn, err := ln.Accept()
@@ -313,6 +294,11 @@ func (s *Server) serveBinary(ln net.Listener, maxConns int, idle, frame time.Dur
 			conn.Close()
 			continue
 		}
+		if !s.bin.track(conn) {
+			<-slots
+			conn.Close()
+			continue
+		}
 		go func() {
 			defer func() { <-slots }()
 			s.serveBinaryConn(conn, idle, frame)
@@ -321,10 +307,11 @@ func (s *Server) serveBinary(ln net.Listener, maxConns int, idle, frame time.Dur
 }
 
 // serveBinaryConn answers frames on one connection until read error, a
-// missed deadline or a protocol violation. Request and response buffers
-// are reused across frames, so a steady-state connection allocates
-// nothing per batch.
+// missed deadline, a protocol violation or ShutdownBinary. Request and
+// response buffers are reused across frames, so a steady-state
+// connection allocates nothing per batch.
 func (s *Server) serveBinaryConn(conn net.Conn, idle, frame time.Duration) {
+	defer s.bin.untrack(conn)
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, 64<<10)
 	var lenBuf [4]byte
@@ -334,6 +321,9 @@ func (s *Server) serveBinaryConn(conn net.Conn, idle, frame time.Duration) {
 			return
 		}
 		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
+			return
+		}
+		if !s.bin.answering(conn, true) {
 			return
 		}
 		if conn.SetDeadline(time.Now().Add(frame)) != nil {
@@ -368,6 +358,109 @@ func (s *Server) serveBinaryConn(conn net.Conn, idle, frame time.Duration) {
 		if _, err := conn.Write(resp); err != nil {
 			return
 		}
+		if !s.bin.answering(conn, false) {
+			return
+		}
+	}
+}
+
+// binTracker is the binary listeners' and connections' book for
+// ShutdownBinary. A connection is idle while it waits for a frame's
+// header and answering from the header on until its response is
+// written.
+type binTracker struct {
+	mu      sync.Mutex
+	closing bool
+	lns     map[net.Listener]struct{}
+	conns   map[net.Conn]bool // true while answering
+	drained chan struct{}     // closed once closing and no connection is left
+}
+
+// listen records ln; false once shut down.
+func (t *binTracker) listen(ln net.Listener) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closing {
+		return false
+	}
+	if t.lns == nil {
+		t.lns = make(map[net.Listener]struct{})
+	}
+	t.lns[ln] = struct{}{}
+	return true
+}
+
+func (t *binTracker) unlisten(ln net.Listener) {
+	t.mu.Lock()
+	delete(t.lns, ln)
+	t.mu.Unlock()
+}
+
+// track records a new, idle connection; false once shut down.
+func (t *binTracker) track(conn net.Conn) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closing {
+		return false
+	}
+	if t.conns == nil {
+		t.conns = make(map[net.Conn]bool)
+	}
+	t.conns[conn] = false
+	return true
+}
+
+// untrack forgets a connection that has ended.
+func (t *binTracker) untrack(conn net.Conn) {
+	t.mu.Lock()
+	delete(t.conns, conn)
+	if t.closing && len(t.conns) == 0 {
+		close(t.drained)
+	}
+	t.mu.Unlock()
+}
+
+// answering marks conn answering (a frame's header has arrived) or
+// idle again (its response is written). It reports false once shut
+// down: the connection then ends, after the frame it was answering.
+func (t *binTracker) answering(conn net.Conn, yes bool) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.conns[conn] = yes
+	return !t.closing
+}
+
+// ShutdownBinary drains the binary listeners: it closes every listener
+// ServeBinary runs on and every connection waiting for its next frame,
+// lets each connection answering a frame finish it and write the
+// response, and returns once every connection has ended — or ctx's
+// error when ctx ends first. Later ServeBinary calls and connections
+// are refused.
+func (s *Server) ShutdownBinary(ctx context.Context) error {
+	t := &s.bin
+	t.mu.Lock()
+	if !t.closing {
+		t.closing = true
+		t.drained = make(chan struct{})
+		for ln := range t.lns {
+			ln.Close()
+		}
+		for conn, busy := range t.conns {
+			if !busy {
+				conn.Close()
+			}
+		}
+		if len(t.conns) == 0 {
+			close(t.drained)
+		}
+	}
+	drained := t.drained
+	t.mu.Unlock()
+	select {
+	case <-drained:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 

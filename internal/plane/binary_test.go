@@ -2,6 +2,7 @@ package plane
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -362,6 +363,118 @@ func TestBinaryListenerConnCap(t *testing.T) {
 	}
 	if err := answer(clients[1]); err != nil {
 		t.Fatalf("client 1 after a slot was reused: %v", err)
+	}
+}
+
+// TestBinaryShutdownDrains: ShutdownBinary closes the listener and a
+// connection idle between frames at once, lets a connection whose
+// frame has begun to arrive finish it and read the whole answer, and
+// returns only after that. A frame that never finishes holds it until
+// ctx ends.
+func TestBinaryShutdownDrains(t *testing.T) {
+	srv, snap := testServer(t, 60, 4)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.ServeBinary(ln) }()
+
+	idle, err := DialBinary(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	if _, err := idle.Do(BinModeRoute, binPairs(snap.N())); err != nil {
+		t.Fatal(err)
+	}
+	// Half a frame: the server is answering it from its header on.
+	frame := AppendBatchRequest([]byte{0, 0, 0, 0}, BinModeRoute, binPairs(snap.N()))
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
+	mid, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mid.Close()
+	if _, err := mid.Write(frame[:9]); err != nil {
+		t.Fatal(err)
+	}
+	waitAnswering(t, srv, 1)
+
+	shut := make(chan error, 1)
+	go func() { shut <- srv.ShutdownBinary(context.Background()) }()
+	_ = idle.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := idle.conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("idle connection: read ended with %v, want EOF", err)
+	}
+	if err := <-served; err == nil {
+		t.Fatal("ServeBinary returned nil after the shutdown")
+	}
+	select {
+	case err := <-shut:
+		t.Fatalf("ShutdownBinary returned (%v) with a frame still arriving", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if _, err := mid.Write(frame[9:]); err != nil {
+		t.Fatal(err)
+	}
+	_ = mid.SetReadDeadline(time.Now().Add(10 * time.Second))
+	resp, err := io.ReadAll(mid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp) < 4 || int(binary.LittleEndian.Uint32(resp)) != len(resp)-4 {
+		t.Fatalf("the drained frame's answer is %d bytes, not one whole frame", len(resp))
+	}
+	if _, rs, err := DecodeBatchResponse(resp[4:], BinModeRoute, nil); err != nil || len(rs) != len(binPairs(snap.N()))/2 {
+		t.Fatalf("the drained frame's answer: %d results, %v", len(rs), err)
+	}
+	if err := <-shut; err != nil {
+		t.Fatalf("ShutdownBinary: %v", err)
+	}
+
+	// A frame that stalls keeps the drain waiting until ctx ends.
+	srv2, _ := testServer(t, 60, 4)
+	ln2, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv2.ServeBinary(ln2)
+	stall, err := net.Dial("tcp", ln2.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stall.Close()
+	if _, err := stall.Write(frame[:9]); err != nil {
+		t.Fatal(err)
+	}
+	waitAnswering(t, srv2, 1)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if err := srv2.ShutdownBinary(ctx); err != context.DeadlineExceeded {
+		t.Fatalf("ShutdownBinary with a stalled frame: %v, want the deadline", err)
+	}
+}
+
+// waitAnswering waits until want of srv's binary connections are
+// answering a frame.
+func waitAnswering(t *testing.T, srv *Server, want int) {
+	t.Helper()
+	for start := time.Now(); ; time.Sleep(time.Millisecond) {
+		srv.bin.mu.Lock()
+		got := 0
+		for _, busy := range srv.bin.conns {
+			if busy {
+				got++
+			}
+		}
+		srv.bin.mu.Unlock()
+		if got == want {
+			return
+		}
+		if time.Since(start) > 10*time.Second {
+			t.Fatalf("%d connections answering, want %d", got, want)
+		}
 	}
 }
 

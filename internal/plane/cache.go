@@ -135,33 +135,53 @@ func newRowCache(s *Snapshot, capRows int) *rowCache {
 
 // resolve answers src→dst (src != dst, both in range): the cost, +Inf
 // when dst is unreachable, and when wantPath the nodes src..dst
-// appended to buf. Whichever way the answer is produced it is the one
-// src's DijkstraCSR row holds, path included (graph.PairCSR says why).
+// appended to buf. It is find, then the row find returned or the miss
+// path; whichever way the answer is produced it is the one src's
+// DijkstraCSR row holds, path included (graph.PairCSR says why).
 func (c *rowCache) resolve(src, dst int, buf []int32, wantPath bool) ([]int32, float64) {
 	st := c.stats.Load()
-	e := c.find(src, st)
-	if e == nil && int(c.spent[src].Load()) < c.snap.nLive {
-		ps := searchScratch.Get().(*graph.PairScratch)
-		t0 := clock(st.searchNs)
-		cost := ps.PairCSR(c.snap.csr, src, dst)
-		observeSince(st.searchNs, t0)
-		c.spent[src].Add(uint32(ps.Settled()))
-		st.searches.Add(1)
-		st.settled.Add(int64(ps.Settled()))
-		if wantPath && cost < graph.Inf {
-			buf = appendPath(buf, ps.Parent(), src, dst)
-		}
-		searchScratch.Put(ps)
-		return buf, cost
+	if e := c.find(src, st); e != nil {
+		return e.answer(src, dst, buf, wantPath)
 	}
-	if e == nil {
-		e = c.fill(src, st)
-	}
+	return c.miss(src, dst, buf, wantPath, st)
+}
+
+// answer reads src→dst off the row, appending the path to buf when
+// wantPath and dst is reachable.
+func (e *rowEntry) answer(src, dst int, buf []int32, wantPath bool) ([]int32, float64) {
 	cost := e.dist[dst]
 	if wantPath && cost < graph.Inf {
 		buf = appendPath(buf, e.parent, src, dst)
 	}
 	return buf, cost
+}
+
+// miss answers src→dst for a lookup find counted as a miss: an exact
+// pair search while src's searches have settled fewer nodes than its
+// row would, else the row's fill (rent, then buy). Safe to run
+// concurrently for any sources, one source included.
+func (c *rowCache) miss(src, dst int, buf []int32, wantPath bool, st *cacheStats) ([]int32, float64) {
+	if c.buying(src) {
+		return c.fill(src, st).answer(src, dst, buf, wantPath)
+	}
+	ps := searchScratch.Get().(*graph.PairScratch)
+	t0 := clock(st.searchNs)
+	cost := ps.PairCSR(c.snap.csr, src, dst)
+	observeSince(st.searchNs, t0)
+	c.spent[src].Add(uint32(ps.Settled()))
+	st.searches.Add(1)
+	st.settled.Add(int64(ps.Settled()))
+	if wantPath && cost < graph.Inf {
+		buf = appendPath(buf, ps.Parent(), src, dst)
+	}
+	searchScratch.Put(ps)
+	return buf, cost
+}
+
+// buying reports whether src's searches have settled as many nodes as
+// its row would, so that its next miss fills the row.
+func (c *rowCache) buying(src int) bool {
+	return int(c.spent[src].Load()) >= c.snap.nLive
 }
 
 // appendPath appends the nodes src..dst to buf by walking parent from

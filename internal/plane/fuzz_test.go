@@ -17,7 +17,8 @@ import (
 // pair, in one-hop and in route mode. The snapshot has departed nodes
 // and a 4-row cache, so unreachable pairs, invalid pairs, pair searches,
 // fills and evictions all occur. Seeds are AppendBatchRequest outputs
-// plus truncations and count/length corruption.
+// plus truncations and count/length corruption, and a route batch of
+// cold misses that a repeated source's fill lands in the middle of.
 //
 // CI runs this as a short -fuzztime smoke step; run it longer locally
 // with: go test ./internal/plane -run '^$' -fuzz FuzzBinaryBatch
@@ -46,6 +47,14 @@ func FuzzBinaryBatch(f *testing.F) {
 		}
 	}
 	f.Add([]byte{})
+	// A route batch of misses for pass 2 to spread: one cold source
+	// asked eight times (its searches pass the fill threshold, so it is
+	// filled part-way) beside three cold sources asked once.
+	spread := []uint32{12, 40, 13, 41, 15, 44}
+	for d := uint32(0); d < 8; d++ {
+		spread = append(spread, 11, 20+d)
+	}
+	f.Add(AppendBatchRequest(nil, BinModeRoute, spread))
 
 	f.Fuzz(func(t *testing.T, req []byte) {
 		resp, err := srv.AnswerBinary(req, nil)

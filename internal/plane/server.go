@@ -38,6 +38,8 @@ type Server struct {
 	routes     atomic.Int64
 	failed     atomic.Int64
 	binRefused atomic.Int64   // binary connections closed over the cap
+	bin        binTracker     // binary listeners and connections, for ShutdownBinary
+	helpers    atomic.Int32   // route-batch helper goroutines running
 	m          *serverMetrics // nil until EnableMetrics
 	mu         sync.Mutex     // serializes Publish bookkeeping
 	pubTime    atomic.Int64   // UnixNano of the last Publish (0 = never)
