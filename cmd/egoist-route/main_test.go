@@ -67,7 +67,8 @@ func freeAddr(t *testing.T) string {
 var servedSeries = []string{
 	"plane_queries_onehop_total", "plane_queries_route_total",
 	"plane_queries_failed_total", "plane_cache_hits_total", "plane_cache_misses_total",
-	"plane_cache_fills_total", "plane_pair_searches_total", "plane_pair_settled_total",
+	"plane_cache_fills_total", "plane_cache_refusals_total",
+	"plane_pair_searches_total", "plane_pair_settled_total",
 	"plane_snapshot_epoch", "plane_snapshot_age_seconds",
 	"plane_onehop_latency_ns_count", "plane_route_latency_ns_count",
 	"plane_cache_fill_latency_ns_count", "plane_pair_search_latency_ns_count",
@@ -208,6 +209,9 @@ func TestMainServe(t *testing.T) {
 		}
 		if paid(after) <= paid(before) {
 			t.Errorf("the route burst paid for no search and no row: fills + searches %v → %v", paid(before), paid(after))
+		}
+		if paid(after) != after["plane_cache_misses_total"] {
+			t.Errorf("fills + searches = %v, want plane_cache_misses_total %v", paid(after), after["plane_cache_misses_total"])
 		}
 		if err := oneHopBatch(binAddr, n); err != nil {
 			t.Errorf("binary listener: %v", err)

@@ -26,7 +26,9 @@
 // overlay, and its delay estimates. With -http it serves /status,
 // /topology.svg, the routing data plane (/route, /routes, /snapshot),
 // and the fault-injection control endpoint /ctl/drop used by the lab
-// harness (cmd/egoist-lab) to partition live processes.
+// harness (cmd/egoist-lab) to partition live processes. On SIGINT or
+// SIGTERM the HTTP server drains for at most one second — requests
+// being answered finish — and the daemon exits 0.
 package main
 
 import (
@@ -216,7 +218,11 @@ func main() {
 		if err != nil {
 			log.Fatalf("egoistd: http: %v", err)
 		}
-		defer shutdown()
+		defer func() {
+			if err := shutdown(); err != nil {
+				log.Printf("egoistd: http drain: %v", err)
+			}
+		}()
 		boundHTTP = bound
 		log.Printf("egoistd: status at http://%s/status, routes at http://%s/route, faults at http://%s/ctl/drop", bound, bound, bound)
 	}

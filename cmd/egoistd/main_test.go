@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -9,6 +10,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -209,6 +211,65 @@ func TestSmokePexConvergence(t *testing.T) {
 	resp.Body.Close()
 	if !snap.Published || snap.Nodes != n || snap.Arcs == 0 {
 		t.Fatalf("snapshot %+v, want published n=%d with arcs", snap, n)
+	}
+}
+
+// TestSmokeDrainOnSIGTERM: a POST /routes whose body has begun to
+// arrive when SIGTERM lands is still answered, and the daemon then
+// exits 0 within its one-second drain.
+func TestSmokeDrainOnSIGTERM(t *testing.T) {
+	bin := clitest.Build(t, "egoistd")
+	ready := filepath.Join(t.TempDir(), "node0.json")
+	cmd := exec.Command(bin, "-id", "0", "-n", "3", "-k", "2",
+		"-bind", "127.0.0.1:0", "-http", "127.0.0.1:0",
+		"-epoch", "300ms", "-oracle", "lite:7", "-announce", ready)
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cmd.Process.Kill() })
+	info := readAnnounce(t, ready, 10*time.Second)
+
+	conn, err := net.Dial("tcp", info.HTTP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	body := `{"mode":"route","pairs":[[0,0],[0,1]]}`
+	head := fmt.Sprintf("POST /routes HTTP/1.1\r\nHost: %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n", info.HTTP, len(body))
+	if _, err := conn.Write([]byte(head + body[:10])); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(300 * time.Millisecond) // the handler is reading the body
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	signalled := time.Now()
+	time.Sleep(100 * time.Millisecond) // the drain is under way
+	if _, err := conn.Write([]byte(body[10:])); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("the request in flight at SIGTERM was not answered: %v", err)
+	}
+	defer resp.Body.Close()
+	var batch struct {
+		Results []struct {
+			Error string `json:"error"`
+		} `json:"results"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&batch); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("the drained request: %s, %v", resp.Status, err)
+	}
+	if len(batch.Results) != 2 || batch.Results[0].Error != "" {
+		t.Fatalf("the drained request answered %+v, want two results", batch.Results)
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("exit after SIGTERM: %v", err)
+	}
+	if took := time.Since(signalled); took > 2*time.Second {
+		t.Fatalf("exited %v after SIGTERM, past a supervisor's 2 s SIGKILL", took)
 	}
 }
 

@@ -1,9 +1,11 @@
 package overlay
 
 import (
+	"context"
 	"encoding/json"
 	"net"
 	"net/http"
+	"time"
 
 	"egoist/internal/graph"
 	"egoist/internal/obs"
@@ -49,8 +51,8 @@ func (n *Node) CurrentStatus() Status {
 //	GET /status        node state as JSON
 //	GET /topology.svg  the node's current view of the overlay as SVG
 //
-// The server stops when the node's transport closes the listener via the
-// returned shutdown function.
+// The returned shutdown function drains the server: see
+// ServeHTTPWith.
 func (n *Node) ServeHTTP(addr string) (string, func() error, error) {
 	return n.ServeHTTPWith(addr, nil)
 }
@@ -58,7 +60,9 @@ func (n *Node) ServeHTTP(addr string) (string, func() error, error) {
 // ServeHTTPWith is ServeHTTP with extra handlers mounted on the same
 // mux before the server starts — the daemon uses it to expose the
 // routing data plane (internal/plane) next to the status endpoints.
-// mount may be nil.
+// mount may be nil. The returned shutdown function stops accepting,
+// lets every request being answered finish for up to drainTimeout, and
+// then closes whatever is still open.
 func (n *Node) ServeHTTPWith(addr string, mount func(mux *http.ServeMux)) (string, func() error, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -87,8 +91,21 @@ func (n *Node) ServeHTTPWith(addr string, mount func(mux *http.ServeMux)) (strin
 	go func() {
 		_ = srv.Serve(ln)
 	}()
-	return ln.Addr().String(), srv.Close, nil
+	shutdown := func() error {
+		ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			srv.Close()
+			return err
+		}
+		return nil
+	}
+	return ln.Addr().String(), shutdown, nil
 }
+
+// drainTimeout bounds an HTTP drain: well under the two seconds a
+// supervisor commonly waits after SIGTERM before SIGKILL.
+const drainTimeout = time.Second
 
 // AnnouncedView returns this node's current link-state view of the
 // overlay as a fresh weighted graph, including the node's own links

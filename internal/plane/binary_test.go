@@ -388,6 +388,10 @@ func TestBinaryShutdownDrains(t *testing.T) {
 	if _, err := idle.Do(BinModeRoute, binPairs(snap.N())); err != nil {
 		t.Fatal(err)
 	}
+	// The client reads its answer before the server marks the
+	// connection idle again: wait for that, so the one connection
+	// answering below is mid.
+	waitAnswering(t, srv, 0)
 	// Half a frame: the server is answering it from its header on.
 	frame := AppendBatchRequest([]byte{0, 0, 0, 0}, BinModeRoute, binPairs(snap.N()))
 	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))

@@ -15,19 +15,25 @@ import (
 // concurrent fills of one source cost one Dijkstra); otherwise an exact
 // pair search (graph.PairCSR) answers the one query at a fraction of a
 // row's cost; once a source has spent a whole row's worth of settled
-// nodes on pair searches its row is computed and cached. That is the
-// ski-rental rule — rent until the rent paid equals the purchase price
-// — so whatever the traffic, a source costs at most twice what the
-// better of "always search" and "fill at once" would have, and a source
-// seen once never pushes a hot row out. Rows are immutable once their
-// ready channel closes; eviction only drops the cache's reference, so
-// readers holding a row keep a consistent view for as long as they
-// need it.
+// nodes on pair searches its row is bought — computed and cached — if
+// the cache has room or the source has been looked up more often than
+// the row the purchase would evict (the LRU computed row). A refused
+// source rents again from zero. That is the ski-rental rule — rent
+// until the rent paid equals the purchase price — behind a frequency
+// gate (TinyLFU's admission test): while a source is admitted it costs
+// at most twice what the better of "always search" and "fill at once"
+// would have; while it is refused it costs what "always search" does,
+// because it is looked up no more often than a row the cache already
+// holds. So a source seen once never pushes a hot row out, and neither
+// does a lukewarm one. Rows are immutable once their ready channel
+// closes; eviction only drops the cache's reference, so readers holding
+// a row keep a consistent view for as long as they need it.
 type rowCache struct {
 	snap *Snapshot
 	cap  int
 	// spent[src] is the number of nodes src's pair searches have settled
-	// since its row was last absent; zeroed when the row is evicted.
+	// since its row was last absent; zeroed when the row is evicted or
+	// admission refuses its fill.
 	spent []atomic.Uint32
 
 	mu      sync.Mutex
@@ -36,6 +42,34 @@ type rowCache struct {
 	tail    *rowEntry // least recently used
 	ready   int       // computed entries (only these are evictable)
 	stats   atomic.Pointer[cacheStats]
+	counts  atomic.Pointer[lookupCounts]
+}
+
+// lookupCounts is the admission rule's memory: how often each source
+// has been looked up without a row in the cache. A source's lookups
+// while its row is in the cache are counted on the row (rowEntry.hits,
+// under the cache's lock, so a hit pays no extra atomic) and added here
+// when the row is evicted; a source's count is the sum of the two.
+// Every count is halved once per halveEvery·n misses, so that the rule
+// follows a hot set that moves. Like cacheStats the counts are owned by
+// whoever serves the cache — the Server threads one set through every
+// snapshot it publishes, so they survive publishes — and an unpublished
+// snapshot counts into a private set made at its first miss.
+type lookupCounts []atomic.Uint64
+
+// halveEvery·n misses, n the node count, separate two halvings.
+const halveEvery = 4
+
+// halveLocked halves every count: lc's and those of c's rows. An
+// increment racing with it may be lost, which only makes one count a
+// little low.
+func (c *rowCache) halveLocked(lc lookupCounts) {
+	for i := range lc {
+		lc[i].Store(lc[i].Load() >> 1)
+	}
+	for e := c.head; e != nil; e = e.next {
+		e.hits >>= 1
+	}
 }
 
 // searchScratch recycles search state across queries, caches and
@@ -49,7 +83,9 @@ var searchScratch = sync.Pool{New: func() any { return new(graph.PairScratch) }}
 // exactly one of: a hit (found a computed row), a collapse (joined a
 // row another goroutine was still computing — the miss-storm signal),
 // or a miss (no row for the source). What a miss then paid is counted
-// beside it: a pair search (with the nodes it settled) or a row fill.
+// beside it: a pair search (with the nodes it settled) or a row fill;
+// a fill the admission rule refused is counted too, and its miss is
+// answered by a pair search.
 // Rows carried over by Patch are not demand traffic and are not
 // counted.
 type cacheStats struct {
@@ -58,6 +94,7 @@ type cacheStats struct {
 	evictions atomic.Int64
 	collapses atomic.Int64
 	fills     atomic.Int64
+	refusals  atomic.Int64
 	searches  atomic.Int64
 	settled   atomic.Int64
 
@@ -91,6 +128,7 @@ type CacheStats struct {
 	Evictions    int64 `json:"evictions"`
 	Collapses    int64 `json:"collapses"`
 	Fills        int64 `json:"fills"`
+	Refusals     int64 `json:"refusals"`
 	PairSearches int64 `json:"pair_searches"`
 	PairSettled  int64 `json:"pair_settled"`
 }
@@ -102,6 +140,7 @@ func (st *cacheStats) read() CacheStats {
 		Evictions:    st.evictions.Load(),
 		Collapses:    st.collapses.Load(),
 		Fills:        st.fills.Load(),
+		Refusals:     st.refusals.Load(),
 		PairSearches: st.searches.Load(),
 		PairSettled:  st.settled.Load(),
 	}
@@ -110,11 +149,23 @@ func (st *cacheStats) read() CacheStats {
 // setStats attaches the owner's counters.
 func (c *rowCache) setStats(st *cacheStats) { c.stats.Store(st) }
 
+// lookups returns the cache's lookup counts, making a private set
+// if no owner has attached one.
+func (c *rowCache) lookups() lookupCounts {
+	if lc := c.counts.Load(); lc != nil {
+		return *lc
+	}
+	lc := make(lookupCounts, c.snap.csr.N())
+	c.counts.CompareAndSwap(nil, &lc)
+	return *c.counts.Load()
+}
+
 // rowEntry is one source's distance/parent row plus its LRU links.
 type rowEntry struct {
 	src        int
 	prev, next *rowEntry
 	done       chan struct{} // closed once dist/parent are final
+	hits       uint64        // lookups of src while resident (under mu)
 	dist       []float64
 	parent     []int32
 }
@@ -156,13 +207,15 @@ func (e *rowEntry) answer(src, dst int, buf []int32, wantPath bool) ([]int32, fl
 	return buf, cost
 }
 
-// miss answers src→dst for a lookup find counted as a miss: an exact
-// pair search while src's searches have settled fewer nodes than its
-// row would, else the row's fill (rent, then buy). Safe to run
-// concurrently for any sources, one source included.
+// miss answers src→dst for a lookup find counted as a miss: the row's
+// fill once src's searches have settled as many nodes as its row would
+// and admission lets it in (rent, then buy), else an exact pair search.
+// Safe to run concurrently for any sources, one source included.
 func (c *rowCache) miss(src, dst int, buf []int32, wantPath bool, st *cacheStats) ([]int32, float64) {
 	if c.buying(src) {
-		return c.fill(src, st).answer(src, dst, buf, wantPath)
+		if e := c.fill(src, st, true); e != nil {
+			return e.answer(src, dst, buf, wantPath)
+		}
 	}
 	ps := searchScratch.Get().(*graph.PairScratch)
 	t0 := clock(st.searchNs)
@@ -179,9 +232,32 @@ func (c *rowCache) miss(src, dst int, buf []int32, wantPath bool, st *cacheStats
 }
 
 // buying reports whether src's searches have settled as many nodes as
-// its row would, so that its next miss fills the row.
+// its row would, so that its next miss fills the row if admitted.
 func (c *rowCache) buying(src int) bool {
 	return int(c.spent[src].Load()) >= c.snap.nLive
+}
+
+// admits reports whether a fill of src would be admitted now.
+func (c *rowCache) admits(src int) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.admitsLocked(src)
+}
+
+// admitsLocked is the admission rule for src, which has no row: a new
+// row is admitted while the cache has room, or when src has been looked
+// up more often than the source of the row evictLocked would drop for
+// it (or nothing computed can be dropped).
+func (c *rowCache) admitsLocked(src int) bool {
+	if len(c.entries) < c.cap {
+		return true
+	}
+	v := c.victimLocked()
+	if v == nil {
+		return true
+	}
+	lc := c.lookups()
+	return lc[src].Load() > lc[v.src].Load()+v.hits
 }
 
 // appendPath appends the nodes src..dst to buf by walking parent from
@@ -201,16 +277,22 @@ func appendPath(buf, parent []int32, src, dst int) []int32 {
 }
 
 // find returns src's row if one is resident or being computed (waiting
-// for it in that case), else nil. It classifies the lookup: hit,
-// collapse or miss.
+// for it in that case), else nil. It counts the lookup against src and
+// classifies it: hit, collapse or miss. Every halveEvery·n-th miss
+// halves the lookup counts.
 func (c *rowCache) find(src int, st *cacheStats) *rowEntry {
 	c.mu.Lock()
 	e, ok := c.entries[src]
 	if !ok {
+		lc := c.lookups()
+		lc[src].Add(1)
+		if st.misses.Add(1)%int64(halveEvery*len(lc)) == 0 {
+			c.halveLocked(lc)
+		}
 		c.mu.Unlock()
-		st.misses.Add(1)
 		return nil
 	}
+	e.hits++
 	c.moveFront(e)
 	c.mu.Unlock()
 	// Classify before blocking: a still-open ready channel means this
@@ -227,13 +309,21 @@ func (c *rowCache) find(src int, st *cacheStats) *rowEntry {
 }
 
 // fill computes and caches src's row — or, if another goroutine began
-// to since the caller's find, waits for that one.
-func (c *rowCache) fill(src int, st *cacheStats) *rowEntry {
+// to since the caller's find, waits for that one. With admit set it
+// first applies the admission rule and, if that refuses src, counts the
+// refusal, restarts src's rent from zero and returns nil.
+func (c *rowCache) fill(src int, st *cacheStats, admit bool) *rowEntry {
 	c.mu.Lock()
 	if e, ok := c.entries[src]; ok {
 		c.mu.Unlock()
 		<-e.done
 		return e
+	}
+	if admit && !c.admitsLocked(src) {
+		c.mu.Unlock()
+		c.spent[src].Store(0)
+		st.refusals.Add(1)
+		return nil
 	}
 	e := &rowEntry{src: src, done: make(chan struct{})}
 	c.entries[src] = e
@@ -259,23 +349,38 @@ func (c *rowCache) fill(src int, st *cacheStats) *rowEntry {
 }
 
 // evictLocked drops least-recently-used *computed* rows until the
-// computed population fits the cap. In-flight rows are never evicted —
+// computed population fits the cap, adding each one's hits to its
+// source's lookup count. In-flight rows are never evicted —
 // their waiters hold the entry — so the cache can transiently exceed
 // cap by the number of concurrent distinct-source misses.
 func (c *rowCache) evictLocked() {
-	for e := c.tail; e != nil && c.ready > 0 && len(c.entries) > c.cap; {
-		prev := e.prev
+	for len(c.entries) > c.cap {
+		e := c.victimLocked()
+		if e == nil {
+			return
+		}
+		c.unlink(e)
+		delete(c.entries, e.src)
+		c.ready--
+		c.spent[e.src].Store(0)
+		if lc := c.counts.Load(); lc != nil {
+			(*lc)[e.src].Add(e.hits)
+		}
+		c.stats.Load().evictions.Add(1)
+	}
+}
+
+// victimLocked returns the least recently used computed row — the one
+// evictLocked drops next — or nil if no row is computed.
+func (c *rowCache) victimLocked() *rowEntry {
+	for e := c.tail; e != nil && c.ready > 0; e = e.prev {
 		select {
 		case <-e.done:
-			c.unlink(e)
-			delete(c.entries, e.src)
-			c.ready--
-			c.spent[e.src].Store(0)
-			c.stats.Load().evictions.Add(1)
+			return e
 		default:
 		}
-		e = prev
 	}
+	return nil
 }
 
 func (c *rowCache) pushFront(e *rowEntry) {
@@ -336,15 +441,16 @@ func (c *rowCache) carryInto(dst *rowCache, keep func(src int, dist []float64, p
 			continue
 		}
 		if keep(e.src, e.dist, e.parent) {
-			dst.seed(e.src, e.dist, e.parent)
+			dst.seed(e.src, e.dist, e.parent, e.hits)
 		}
 	}
 }
 
-// seed inserts an already-final row with shared storage.
-func (c *rowCache) seed(src int, dist []float64, parent []int32) {
+// seed inserts an already-final row with shared storage, looked up hits
+// times while resident so far.
+func (c *rowCache) seed(src int, dist []float64, parent []int32, hits uint64) {
 	c.mu.Lock()
-	e := &rowEntry{src: src, done: carriedDone, dist: dist, parent: parent}
+	e := &rowEntry{src: src, done: carriedDone, dist: dist, parent: parent, hits: hits}
 	c.entries[src] = e
 	c.pushFront(e)
 	c.ready++

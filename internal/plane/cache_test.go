@@ -9,13 +9,14 @@ import (
 
 // get returns src's row, computing it (or waiting for the computation
 // another goroutine already started) as needed: resolve without the
-// pair search, for the tests that exercise the row store itself.
+// pair search and the admission rule, for the tests that exercise the
+// row store itself.
 func (c *rowCache) get(src int) *rowEntry {
 	st := c.stats.Load()
 	if e := c.find(src, st); e != nil {
 		return e
 	}
-	return c.fill(src, st)
+	return c.fill(src, st, false)
 }
 
 // cacheSnapshot compiles a small snapshot with a row-cache cap low
@@ -180,7 +181,7 @@ func TestCarryIntoPreservesLRUOrder(t *testing.T) {
 
 	// Seed one more row into the full cache: the coldest carried row
 	// (src 0) must be the one evicted.
-	dst.seed(50, make([]float64, n), make([]int32, n))
+	dst.seed(50, make([]float64, n), make([]int32, n), 0)
 	dst.mu.Lock()
 	_, kept3 := dst.entries[3]
 	_, kept0 := dst.entries[0]
@@ -242,5 +243,101 @@ func TestEvictionSkipsInFlightRows(t *testing.T) {
 	c.get(9)
 	if got := c.size(); got > c.cap+1 {
 		t.Fatalf("cache holds %d entries after rows resolved, want <= cap+1 = %d", got, c.cap+1)
+	}
+}
+
+// TestCacheAdmission pins the admission rule in front of the
+// rent-then-buy fill, at cap 4 with four hot sources resident:
+//   - a stream of one-off cold sources, each asked until its searches
+//     reach the buy threshold, evicts nothing: every fill is refused
+//     and the miss is answered by a pair search;
+//   - a refused source rents again from zero: its spent count is the
+//     one search that answered the refused miss;
+//   - once the hot set moves, the halved counts let the new hot sources
+//     in within 4·halveEvery·n lookups, where without halving the old
+//     rows' counts (2·halveEvery·n lookups each) would hold them off for
+//     twice as long.
+func TestCacheAdmission(t *testing.T) {
+	const n, capRows = 150, 4
+	snap := cacheSnapshot(t, n, capRows)
+	var st cacheStats
+	snap.rows.setStats(&st)
+	period := halveEvery * n
+
+	resident := func(srcs ...int) bool {
+		snap.rows.mu.Lock()
+		defer snap.rows.mu.Unlock()
+		for _, src := range srcs {
+			if e, ok := snap.rows.entries[src]; !ok || !isClosed(e.done) {
+				return false
+			}
+		}
+		return true
+	}
+	ask := func(src, q int) { snap.RouteCost(src, (src+1+q%(n-1))%n) }
+
+	hot := []int{1, 2, 3, 4}
+	for q := 0; q < 2*period; q++ {
+		for _, src := range hot {
+			ask(src, q)
+		}
+	}
+	if !resident(hot...) || st.fills.Load() != capRows || st.evictions.Load() != 0 {
+		t.Fatalf("hot sources %v not all resident after warm-up: %+v", hot, st.read())
+	}
+
+	for cold := 10; cold < 40; cold++ {
+		for q := 0; ; q++ {
+			if q == n {
+				t.Fatalf("cold source %d was never refused", cold)
+			}
+			before := st.read()
+			ask(cold, q)
+			after := st.read()
+			if after.Fills != before.Fills || after.Evictions != 0 {
+				t.Fatalf("cold source %d was filled: %+v → %+v", cold, before, after)
+			}
+			if after.PairSearches != before.PairSearches+1 {
+				t.Fatalf("cold source %d's miss was not answered by a pair search: %+v → %+v", cold, before, after)
+			}
+			if after.Refusals == before.Refusals {
+				continue
+			}
+			if q == 0 {
+				t.Fatalf("cold source %d refused on its first lookup", cold)
+			}
+			if got, want := int64(snap.rows.spent[cold].Load()), after.PairSettled-before.PairSettled; got != want {
+				t.Fatalf("refused source %d spent %d, want the %d its one search settled", cold, got, want)
+			}
+			break
+		}
+	}
+	if !resident(hot...) {
+		t.Fatal("a cold source displaced a hot row")
+	}
+
+	moved := []int{50, 51, 52, 53}
+	lookups := 0
+	for q := 0; !resident(moved...); q++ {
+		if lookups >= 4*period {
+			t.Fatalf("new hot set %v not resident after %d lookups: %+v", moved, lookups, st.read())
+		}
+		for _, src := range moved {
+			ask(src, q)
+			lookups++
+		}
+	}
+	if got := st.read(); got.PairSearches+got.Fills != got.Misses {
+		t.Fatalf("searches + fills = %d, want the %d misses", got.PairSearches+got.Fills, got.Misses)
+	}
+	t.Logf("new hot set resident after %d lookups (halving every %d misses): %+v", lookups, period, st.read())
+}
+
+func isClosed(ch chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
 	}
 }

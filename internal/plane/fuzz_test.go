@@ -4,7 +4,10 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+
+	"egoist/internal/graph"
 )
 
 // FuzzBinaryBatch fuzzes the one decoder in this package that reads
@@ -109,6 +112,145 @@ func FuzzBinaryBatch(f *testing.F) {
 					t.Fatalf("pair %d (%d,%d): path %v, JSON path says %v", i, src, dst, got.Path, want.Path)
 				}
 			}
+		}
+	})
+}
+
+// FuzzRouteCacheAdmission fuzzes the row cache's policy — rent, buy,
+// admission, eviction, halving — through its cap (1 + the first byte
+// mod 8) and a query sequence (the remaining bytes, a source and a
+// destination each, mod n) on a 40-node snapshot with departed nodes.
+// The sequence is asked one query at a time through Server.AppendRoute,
+// then again as one route batch on a fresh server and snapshot, with
+// its misses spread over the caller and helpers. Properties: every
+// answer is the source's DijkstraCSR row, cost bits and path; hits +
+// misses + collapses is the lookups; one at a time, pair searches +
+// fills is the misses and the cache never holds more than cap rows
+// (no row is in flight between queries); in the batch, pair searches +
+// fills are at most the misses (a later miss of a source may join its
+// fill) and the cache holds at most cap rows plus one in flight per
+// worker. Seeds are Zipf-distributed sources whose hot set moves twice,
+// so fills, refusals, evictions and halvings all occur.
+//
+// CI runs this as a short -fuzztime smoke step; run it longer locally
+// with: go test ./internal/plane -run '^$' -fuzz FuzzRouteCacheAdmission
+func FuzzRouteCacheAdmission(f *testing.F) {
+	const n = 40
+	active := make([]bool, n)
+	for i := range active {
+		active[i] = i%7 != 3
+	}
+	wiring := randomWiring(n, 3, rand.New(rand.NewSource(29)))
+	net := testNet(f, n)
+	compile := func(capRows int) *Snapshot {
+		return Compile(1, wiring, active, net, Options{RouteCacheRows: capRows})
+	}
+	ref := compile(1)
+	dist, parent := make([][]float64, n), make([][]int32, n)
+	var ps graph.PairScratch
+	for src := range dist {
+		dist[src], parent[src] = make([]float64, n), make([]int32, n)
+		ps.DijkstraCSR(ref.csr, src, dist[src], parent[src])
+	}
+	check := func(t *testing.T, src, dst int, path []int32, cost float64) {
+		t.Helper()
+		want := dist[src][dst]
+		if src == dst {
+			want = 0
+		}
+		if math.Float64bits(cost) != math.Float64bits(want) {
+			t.Fatalf("(%d,%d): cost %v, DijkstraCSR row says %v", src, dst, cost, want)
+		}
+		if want == graph.Inf {
+			return
+		}
+		wantPath := appendPath(nil, parent[src], src, dst)
+		if len(path) != len(wantPath) {
+			t.Fatalf("(%d,%d): path %v, DijkstraCSR row says %v", src, dst, path, wantPath)
+		}
+		for i := range path {
+			if path[i] != wantPath[i] {
+				t.Fatalf("(%d,%d): path %v, DijkstraCSR row says %v", src, dst, path, wantPath)
+			}
+		}
+	}
+
+	for seed := int64(0); seed < 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		zipf := rand.NewZipf(rng, 1.1, 1, n-1)
+		in := []byte{byte(seed)}
+		var hot []int
+		for q := 0; q < 600; q++ {
+			if q%200 == 0 {
+				hot = rng.Perm(n) // the hot set moves
+			}
+			in = append(in, byte(hot[zipf.Uint64()]), byte(rng.Intn(n)))
+		}
+		f.Add(in)
+	}
+
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) < 3 {
+			return
+		}
+		capRows := 1 + int(in[0]%8)
+		pairs := make([]uint32, 0, len(in)-1)
+		for _, b := range in[1 : len(in)-(len(in)-1)%2] {
+			pairs = append(pairs, uint32(b)%n)
+		}
+
+		srv := NewServer()
+		srv.Publish(compile(capRows))
+		var path []int32
+		lookups := int64(0)
+		for i := 0; i < len(pairs); i += 2 {
+			src, dst := int(pairs[i]), int(pairs[i+1])
+			var cost float64
+			var err error
+			path, cost, _, err = srv.AppendRoute(src, dst, path[:0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, src, dst, path, cost)
+			if src != dst {
+				lookups++
+			}
+			st := srv.CacheStats()
+			if st.Hits+st.Misses+st.Collapses != lookups || st.PairSearches+st.Fills != st.Misses {
+				t.Fatalf("query %d: %+v after %d lookups", i/2, st, lookups)
+			}
+			if held := srv.Current().rows.size(); held > capRows {
+				t.Fatalf("query %d: %d rows resident, cap %d", i/2, held, capRows)
+			}
+		}
+
+		srv = NewServer()
+		srv.Publish(compile(capRows))
+		resp, err := srv.AnswerBinary(AppendBatchRequest(nil, BinModeRoute, pairs), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, results, err := DecodeBatchResponse(resp, BinModeRoute, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range results {
+			cost := graph.Inf
+			if r.Status == BinOK {
+				cost = r.Cost
+			}
+			path = path[:0]
+			for _, v := range r.Path {
+				path = append(path, int32(v))
+			}
+			check(t, int(pairs[2*i]), int(pairs[2*i+1]), path, cost)
+		}
+		st := srv.CacheStats()
+		if st.Hits+st.Misses+st.Collapses != lookups || st.PairSearches+st.Fills > st.Misses {
+			t.Fatalf("batch: %+v after %d lookups", st, lookups)
+		}
+		if held, bound := srv.Current().rows.size(), capRows+runtime.GOMAXPROCS(0); held > bound {
+			t.Fatalf("batch: %d rows resident, cap %d plus %d workers", held, capRows, bound-capRows)
 		}
 	})
 }

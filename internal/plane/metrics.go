@@ -83,6 +83,7 @@ func (m *serverMetrics) batch(t0 time.Time) {
 //	plane_queries_failed_total          rejected queries
 //	plane_cache_{hits,misses,collapses}_total  route lookups, by what they found
 //	plane_cache_{fills,evictions}_total        rows computed on demand / dropped
+//	plane_cache_refusals_total          fills the admission rule refused
 //	plane_pair_{searches,settled}_total  pair searches a miss paid
 //	plane_binary_conns_refused_total    binary connections closed over the cap
 //	plane_snapshot_epoch / _age_seconds / _live  serving snapshot
@@ -104,6 +105,7 @@ func (s *Server) EnableMetrics(reg *obs.Registry) {
 	reg.CounterFunc("plane_cache_hits_total", "row-cache lookups answered from a computed row", s.cstats.hits.Load)
 	reg.CounterFunc("plane_cache_misses_total", "row-cache lookups that found no row for the source (answered by a pair search or a fill)", s.cstats.misses.Load)
 	reg.CounterFunc("plane_cache_fills_total", "shortest-path rows computed on demand (one Dijkstra each)", s.cstats.fills.Load)
+	reg.CounterFunc("plane_cache_refusals_total", "row fills refused by admission: the source was looked up no more often than the row it would evict (the miss is answered by a pair search)", s.cstats.refusals.Load)
 	reg.CounterFunc("plane_pair_searches_total", "misses answered by an exact pair search", s.cstats.searches.Load)
 	reg.CounterFunc("plane_pair_settled_total", "nodes settled by pair searches (a filled row settles every live node)", s.cstats.settled.Load)
 	reg.CounterFunc("plane_cache_evictions_total", "row-cache rows dropped under the cap", s.cstats.evictions.Load)

@@ -80,10 +80,16 @@ func TestServerMetricsExposition(t *testing.T) {
 		"plane_pair_searches_total":   18,
 		"plane_pair_settled_total":    253,
 		"plane_cache_evictions_total": 0,
+		"plane_cache_refusals_total":  0,
 	} {
 		if got, ok := m[series]; !ok || got != want {
 			t.Errorf("series %s = %v (present=%v), want %v", series, got, ok, want)
 		}
+	}
+	// Every miss is paid for once: by a pair search or by a fill (a
+	// refused fill's miss is answered by a search).
+	if searches, fills, misses := m["plane_pair_searches_total"], m["plane_cache_fills_total"], m["plane_cache_misses_total"]; searches+fills != misses {
+		t.Errorf("plane_pair_searches_total %v + plane_cache_fills_total %v, want plane_cache_misses_total %v", searches, fills, misses)
 	}
 	// The miss-path summaries time every fill and every pair search.
 	for hist, counter := range map[string]string{

@@ -17,12 +17,13 @@ import (
 //     (find counts every lookup as a hit, collapse or miss); the
 //     misses' slots are collected.
 //  2. The misses — a pair search or a row fill each, 100 µs and up,
-//     the fills (several searches' worth each) claimed first — run on
-//     the caller plus up to GOMAXPROCS−1 helper goroutines,
-//     taken without blocking from the Server's one helper budget, so
-//     any number of connections adds at most GOMAXPROCS−1 goroutines.
-//     With no helper free, at GOMAXPROCS 1 or with fewer than two
-//     misses the caller runs them alone: no goroutine, no allocation.
+//     the fills admission would let in (several searches' worth each)
+//     claimed first — run on the caller plus up to GOMAXPROCS−1 helper
+//     goroutines, taken without blocking from the Server's one helper
+//     budget, so any number of connections adds at most GOMAXPROCS−1
+//     goroutines. With no helper free, at GOMAXPROCS 1 or with fewer
+//     than two misses the caller runs them alone: no goroutine, no
+//     allocation.
 //  3. Every slot is encoded in request order.
 //
 // Every answer is the canonical DijkstraCSR label whichever way it is
@@ -89,7 +90,7 @@ func (s *Server) answerRoutes(snap *Snapshot, pairs []byte, count int, dst []byt
 				sl.path, sl.cost = e.answer(int(sl.src), int(sl.dst), sl.path, true)
 			} else {
 				b.misses = append(b.misses, int32(i))
-				if b.rows.buying(int(sl.src)) {
+				if b.rows.buying(int(sl.src)) && b.rows.admits(int(sl.src)) {
 					// A fill costs several searches: claimed first, it
 					// overlaps them instead of starting after them.
 					last := len(b.misses) - 1

@@ -44,6 +44,7 @@ type Server struct {
 	mu         sync.Mutex     // serializes Publish bookkeeping
 	pubTime    atomic.Int64   // UnixNano of the last Publish (0 = never)
 	cstats     cacheStats     // row-cache counters, threaded through every publish
+	counts     *lookupCounts  // per-source lookup counts, threaded likewise (under mu)
 }
 
 // NewServer returns a Server with no snapshot published.
@@ -60,12 +61,19 @@ func (s *Server) Shard(int) Shard { return s }
 // Publish installs snap as the serving snapshot. Nothing is computed
 // here: rows a Patch carried over keep serving, and a source whose row
 // a change crossed is answered by pair searches until it has earned the
-// row back.
+// row back. The row cache's counters and lookup counts carry over from
+// the previous snapshot (the counts start afresh when the node count
+// changes).
 func (s *Server) Publish(snap *Snapshot) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t0 := time.Now()
 	snap.rows.setStats(&s.cstats)
+	if s.counts == nil || len(*s.counts) != snap.N() {
+		lc := make(lookupCounts, snap.N())
+		s.counts = &lc
+	}
+	snap.rows.counts.Store(s.counts)
 	s.cur.Store(snap)
 	s.pubTime.Store(time.Now().UnixNano())
 	if s.m != nil {
