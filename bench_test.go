@@ -7,7 +7,6 @@ package egoist
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"egoist/internal/churn"
@@ -113,7 +112,7 @@ func BenchmarkSimulatedEpoch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, err := sim.Run(sim.Config{
 			N: 50, K: 5, Seed: 3, Metric: sim.DelayPing, Policy: core.BRPolicy{},
-			WarmEpochs: 0, MeasureEpochs: 1, Workers: 1,
+			WarmEpochs: 0, MeasureEpochs: 1,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -144,29 +143,6 @@ func BenchmarkBestResponseScratch(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkBestResponseParallel measures a multi-epoch BR simulation —
-// dominated by the per-epoch best-response phase — on the sequential
-// engine versus the speculative worker pool at NumCPU. The warm epochs
-// exercise the fallback-heavy transient, the tail the fully speculative
-// steady state; byte-identical results are pinned by the sim package's
-// determinism tests.
-func BenchmarkBestResponseParallel(b *testing.B) {
-	run := func(b *testing.B, workers int) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_, err := sim.Run(sim.Config{
-				N: 64, K: 4, Seed: 9, Metric: sim.DelayPing, Policy: core.BRPolicy{},
-				WarmEpochs: 6, MeasureEpochs: 2, Workers: workers,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("sequential", func(b *testing.B) { run(b, 1) })
-	b.Run(fmt.Sprintf("parallel-%d", runtime.NumCPU()), func(b *testing.B) { run(b, runtime.NumCPU()) })
 }
 
 // BenchmarkResidIncremental prices one epoch's worth of residual

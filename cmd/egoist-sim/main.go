@@ -70,7 +70,7 @@ func main() {
 		cheaters = flag.Int("cheaters", 0, "number of free riders announcing 2x costs")
 		delays   = flag.String("delays", "", "all-pairs delay trace file (replaces the synthetic underlay; see egoist-trace)")
 		topoSVG  = flag.String("topo", "", "write the final overlay topology as SVG to this file")
-		workers  = flag.Int("workers", 0, "parallel best-response workers per epoch (0 = NumCPU, 1 = sequential; identical results either way)")
+		workers  = flag.Int("workers", 0, "scale-engine workers for a -scenario spec that pins engine scale (0 = NumCPU; identical results either way); the full simulator is sequential")
 		scenFile = flag.String("scenario", "", "run a declarative scenario spec file instead of the ad-hoc flags")
 	)
 	flag.Parse()
@@ -86,7 +86,6 @@ func main() {
 		Epsilon:    *epsilon,
 		WarmEpochs: *warm, MeasureEpochs: *epochs,
 		Cheaters: *cheaters,
-		Workers:  *workers,
 	}
 	if *delays != "" {
 		m, err := egoist.LoadDelayTrace(*delays)

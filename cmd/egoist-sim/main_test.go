@@ -18,7 +18,7 @@ import (
 // (subprocess smoke binaries run uninstrumented; see clitest.RunMain):
 // the ad-hoc flag path and the -scenario path.
 func TestMainInProcess(t *testing.T) {
-	clitest.RunMain(t, main, "egoist-sim", "-n", "16", "-k", "2", "-warm", "1", "-epochs", "2", "-workers", "2")
+	clitest.RunMain(t, main, "egoist-sim", "-n", "16", "-k", "2", "-warm", "1", "-epochs", "2")
 	clitest.RunMain(t, main, "egoist-sim", "-scenario", writeSmokeSpec(t), "-workers", "2")
 }
 
@@ -68,7 +68,7 @@ func TestSmokeScenarioRun(t *testing.T) {
 // TestSmokeAdHocRun runs the classic flag path on a tiny overlay.
 func TestSmokeAdHocRun(t *testing.T) {
 	bin := clitest.Build(t, "egoist-sim")
-	out, err := exec.Command(bin, "-n", "16", "-k", "2", "-warm", "1", "-epochs", "2", "-workers", "2").CombinedOutput()
+	out, err := exec.Command(bin, "-n", "16", "-k", "2", "-warm", "1", "-epochs", "2").CombinedOutput()
 	if err != nil {
 		t.Fatalf("egoist-sim: %v\n%s", err, out)
 	}
@@ -94,7 +94,7 @@ func TestSmokeTraceChurn(t *testing.T) {
 			t.Fatal(err)
 		}
 		out, err := exec.Command(bin, "-delays", path, "-k", "3", "-churn", "0.5",
-			"-warm", "2", "-epochs", "2", "-workers", "2").CombinedOutput()
+			"-warm", "2", "-epochs", "2").CombinedOutput()
 		if err != nil {
 			t.Fatalf("%d-node trace with -churn: %v\n%s", size, err, out)
 		}

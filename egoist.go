@@ -139,9 +139,9 @@ type SimOptions struct {
 	// DelayJitter is the per-epoch relative delay wobble applied on top of
 	// a trace (default 0.05 when Delays is set).
 	DelayJitter float64
-	// Workers bounds the parallelism of the per-epoch best-response phase
-	// (0 = runtime.NumCPU(), 1 = sequential). Results are identical for
-	// any value; see sim.Config.Workers.
+	// Workers is ignored: the full engine re-wires one node after
+	// another, as the paper's staggered dynamics do. It stays only
+	// because the benchmark module still sets it.
 	Workers int
 }
 
@@ -168,7 +168,7 @@ func (o SimOptions) build() (sim.Config, error) {
 		N: o.N, K: o.K, Seed: o.Seed, Metric: metric,
 		Epsilon:    o.Epsilon,
 		WarmEpochs: o.WarmEpochs, MeasureEpochs: o.MeasureEpochs,
-		Churn: o.Churn, Workers: o.Workers,
+		Churn: o.Churn,
 	}
 	if cfg.WarmEpochs == 0 {
 		cfg.WarmEpochs = 10

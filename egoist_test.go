@@ -273,7 +273,7 @@ func TestSimulateGoldenDigest(t *testing.T) {
 		t.Run(string(p), func(t *testing.T) {
 			res, err := Simulate(SimOptions{
 				N: 20, K: 3, Seed: 9, Policy: p,
-				WarmEpochs: 3, MeasureEpochs: 3, Workers: 2,
+				WarmEpochs: 3, MeasureEpochs: 3,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -13,10 +13,9 @@ import (
 // cost measurements, the set of currently-alive nodes, and an optional
 // candidate sample.
 //
-// Distinct Requests may be served concurrently (the parallel simulation
-// engine issues one per node per epoch) as long as each has its own Rng and
-// Scratch and the shared inputs (Graph, Active, Direct, Pref) are not
-// mutated while Select runs.
+// Distinct Requests may be served concurrently as long as each has its
+// own Rng and Scratch and the shared inputs (Graph, Active, Direct, Pref)
+// are not mutated while Select runs.
 type Request struct {
 	Self   int
 	K      int
@@ -34,7 +33,7 @@ type Request struct {
 	// computed once per re-wiring instead of twice.
 	Resid [][]float64
 	// Scratch, when non-nil, provides reusable solver buffers (one per
-	// worker in the parallel engine).
+	// concurrent caller).
 	Scratch *Scratch
 }
 

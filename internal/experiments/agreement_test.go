@@ -50,7 +50,7 @@ func TestEnginesAgreeInCost(t *testing.T) {
 			full, err := sim.Run(sim.Config{
 				N: n, K: k, Seed: seed, Metric: sim.DelayPing,
 				Policy: core.BRPolicy{}, Network: trace,
-				WarmEpochs: 6, MeasureEpochs: 2, Workers: 2,
+				WarmEpochs: 6, MeasureEpochs: 2,
 			})
 			if err != nil {
 				t.Fatal(err)

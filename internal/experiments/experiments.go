@@ -130,13 +130,11 @@ func policies(names ...string) []core.Policy {
 }
 
 // runPolicy runs one (policy, metric, k) simulation. Figures parallelize
-// across whole simulations (forEach), so each individual run stays on the
-// sequential engine: one level of parallelism, no oversubscription.
+// across whole simulations (forEach); each run is sequential.
 func runPolicy(p params, metric sim.Metric, policy core.Policy, k int, opts func(*sim.Config)) (*sim.Result, error) {
 	cfg := sim.Config{
 		N: p.n, K: k, Seed: p.seed, Metric: metric, Policy: policy,
 		WarmEpochs: p.warm, MeasureEpochs: p.meas,
-		Workers: 1,
 	}
 	if opts != nil {
 		opts(&cfg)
@@ -375,7 +373,7 @@ func Fig3a(s Scale) (*Figure, error) {
 		var err error
 		results[i], err = sim.Run(sim.Config{
 			N: p.n, K: ks[i], Seed: p.seed, Metric: sim.DelayPing, Policy: core.BRPolicy{},
-			WarmEpochs: 0, MeasureEpochs: p.longEpochs, Workers: 1,
+			WarmEpochs: 0, MeasureEpochs: p.longEpochs,
 		})
 		return err
 	}); err != nil {

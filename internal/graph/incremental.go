@@ -25,8 +25,8 @@ package graph
 // can move only a parent between equal-cost predecessors, and Dist is all
 // a caller reads.
 //
-// A forest serves one goroutine; the full engine keeps one per worker of
-// its speculative phase and one live forest its sequential slots edit.
+// A forest serves one goroutine; the full engine keeps one live forest
+// that its stagger slots edit in turn.
 type SPForest struct {
 	liveGraph // private copy of the snapshot graph
 	widest    bool

@@ -79,13 +79,16 @@ var searchScratch = sync.Pool{New: func() any { return new(graph.PairScratch) }}
 // cacheStats are the route path's counters, owned by whoever serves
 // the cache (the Server threads one instance through every snapshot it
 // publishes, so the series survives publishes; an unpublished snapshot
-// counts into a private one). Every lookup is
-// exactly one of: a hit (found a computed row), a collapse (joined a
-// row another goroutine was still computing — the miss-storm signal),
-// or a miss (no row for the source). What a miss then paid is counted
-// beside it: a pair search (with the nodes it settled) or a row fill;
-// a fill the admission rule refused is counted too, and its miss is
-// answered by a pair search.
+// counts into a private one). Every lookup is exactly one of: a hit
+// (found a computed row), a collapse (joined a row another goroutine
+// was still computing — the miss-storm signal), or a miss (paid for its
+// answer). A lookup is classified where that is decided: one that finds
+// no row but whose source another lookup begins to fill before it pays
+// joins that fill as a collapse (or a hit, once the row is done). What
+// a miss paid is counted beside it, so misses = pair searches + fills:
+// a pair search (with the nodes it settled) or a row fill; a fill the
+// admission rule refused is counted too, and its miss is answered by a
+// pair search.
 // Rows carried over by Patch are not demand traffic and are not
 // counted.
 type cacheStats struct {
@@ -207,7 +210,7 @@ func (e *rowEntry) answer(src, dst int, buf []int32, wantPath bool) ([]int32, fl
 	return buf, cost
 }
 
-// miss answers src→dst for a lookup find counted as a miss: the row's
+// miss answers src→dst for a lookup find found no row for: the row's
 // fill once src's searches have settled as many nodes as its row would
 // and admission lets it in (rent, then buy), else an exact pair search.
 // Safe to run concurrently for any sources, one source included.
@@ -216,6 +219,10 @@ func (c *rowCache) miss(src, dst int, buf []int32, wantPath bool, st *cacheStats
 		if e := c.fill(src, st, true); e != nil {
 			return e.answer(src, dst, buf, wantPath)
 		}
+	} else if c.missed(st) {
+		c.mu.Lock()
+		c.halveLocked(c.lookups())
+		c.mu.Unlock()
 	}
 	ps := searchScratch.Get().(*graph.PairScratch)
 	t0 := clock(st.searchNs)
@@ -277,27 +284,27 @@ func appendPath(buf, parent []int32, src, dst int) []int32 {
 }
 
 // find returns src's row if one is resident or being computed (waiting
-// for it in that case), else nil. It counts the lookup against src and
-// classifies it: hit, collapse or miss. Every halveEvery·n-th miss
-// halves the lookup counts.
+// for it in that case), else nil. It counts the lookup against src and,
+// when it finds a row, classifies it (join); a lookup that finds none
+// is classified by miss or fill.
 func (c *rowCache) find(src int, st *cacheStats) *rowEntry {
 	c.mu.Lock()
 	e, ok := c.entries[src]
 	if !ok {
-		lc := c.lookups()
-		lc[src].Add(1)
-		if st.misses.Add(1)%int64(halveEvery*len(lc)) == 0 {
-			c.halveLocked(lc)
-		}
+		c.lookups()[src].Add(1)
 		c.mu.Unlock()
 		return nil
 	}
 	e.hits++
 	c.moveFront(e)
 	c.mu.Unlock()
-	// Classify before blocking: a still-open ready channel means this
-	// query joined an in-flight compute — the singleflight collapse the
-	// miss-storm diagnostics watch.
+	return e.join(st)
+}
+
+// join waits for e's row and counts the lookup: a hit, or a collapse
+// when the row was still in flight — the singleflight collapse the
+// miss-storm diagnostics watch. It classifies before blocking.
+func (e *rowEntry) join(st *cacheStats) *rowEntry {
 	select {
 	case <-e.done:
 		st.hits.Add(1)
@@ -308,16 +315,26 @@ func (c *rowCache) find(src int, st *cacheStats) *rowEntry {
 	return e
 }
 
-// fill computes and caches src's row — or, if another goroutine began
-// to since the caller's find, waits for that one. With admit set it
-// first applies the admission rule and, if that refuses src, counts the
-// refusal, restarts src's rent from zero and returns nil.
+// missed counts a miss and reports whether it is a halveEvery·n-th
+// one, after which the caller halves the lookup counts.
+func (c *rowCache) missed(st *cacheStats) bool {
+	return st.misses.Add(1)%int64(halveEvery*len(c.spent)) == 0
+}
+
+// fill computes and caches src's row for a lookup find found no row
+// for, counting the lookup as a miss — or, if another goroutine began
+// to fill the row since that find, joins that fill instead. With admit
+// set it first applies the admission rule and, if that refuses src,
+// counts the refusal, restarts src's rent from zero and returns nil
+// (the miss is then answered by a pair search).
 func (c *rowCache) fill(src int, st *cacheStats, admit bool) *rowEntry {
 	c.mu.Lock()
 	if e, ok := c.entries[src]; ok {
 		c.mu.Unlock()
-		<-e.done
-		return e
+		return e.join(st)
+	}
+	if c.missed(st) {
+		c.halveLocked(c.lookups())
 	}
 	if admit && !c.admitsLocked(src) {
 		c.mu.Unlock()

@@ -124,11 +124,11 @@ func FuzzBinaryBatch(f *testing.F) {
 // then again as one route batch on a fresh server and snapshot, with
 // its misses spread over the caller and helpers. Properties: every
 // answer is the source's DijkstraCSR row, cost bits and path; hits +
-// misses + collapses is the lookups; one at a time, pair searches +
-// fills is the misses and the cache never holds more than cap rows
-// (no row is in flight between queries); in the batch, pair searches +
-// fills are at most the misses (a later miss of a source may join its
-// fill) and the cache holds at most cap rows plus one in flight per
+// misses + collapses is the lookups and pair searches + fills is the
+// misses, one at a time and in the batch (where a later lookup of a
+// source may join its fill as a collapse); one at a time the cache
+// never holds more than cap rows (no row is in flight between
+// queries), in the batch at most cap rows plus one in flight per
 // worker. Seeds are Zipf-distributed sources whose hot set moves twice,
 // so fills, refusals, evictions and halvings all occur.
 //
@@ -246,7 +246,7 @@ func FuzzRouteCacheAdmission(f *testing.F) {
 			check(t, int(pairs[2*i]), int(pairs[2*i+1]), path, cost)
 		}
 		st := srv.CacheStats()
-		if st.Hits+st.Misses+st.Collapses != lookups || st.PairSearches+st.Fills > st.Misses {
+		if st.Hits+st.Misses+st.Collapses != lookups || st.PairSearches+st.Fills != st.Misses {
 			t.Fatalf("batch: %+v after %d lookups", st, lookups)
 		}
 		if held, bound := srv.Current().rows.size(), capRows+runtime.GOMAXPROCS(0); held > bound {

@@ -29,7 +29,7 @@ type serverMetrics struct {
 }
 
 // timedEvery is the single-query timing period: a power of two, so the
-// test is a mask.
+// test is a mask. The two sampled histograms' HELP texts state it.
 const timedEvery = 64
 
 // start is the clock reading a timed answer begins at (zero while
@@ -87,13 +87,14 @@ func (m *serverMetrics) batch(t0 time.Time) {
 //	plane_pair_{searches,settled}_total  pair searches a miss paid
 //	plane_binary_conns_refused_total    binary connections closed over the cap
 //	plane_snapshot_epoch / _age_seconds / _live  serving snapshot
-//	plane_{onehop,route,batch,publish}_latency_ns  summaries
+//	plane_{onehop,route}_latency_ns     one answer in timedEvery
+//	plane_{batch,publish}_latency_ns    summaries, every one
 //	plane_cache_fill_latency_ns         per row fill, every one
 //	plane_pair_search_latency_ns        per pair search, every one
 func (s *Server) EnableMetrics(reg *obs.Registry) {
 	m := &serverMetrics{
-		onehopNs:  reg.Histogram("plane_onehop_latency_ns", "one-hop decision latency"),
-		routeNs:   reg.Histogram("plane_route_latency_ns", "shortest-path answer latency (cache-warm or not)"),
+		onehopNs:  reg.Histogram("plane_onehop_latency_ns", "one-hop decision latency; one answer in 64 is timed, so _count is plane_queries_onehop_total/64, not the answer count"),
+		routeNs:   reg.Histogram("plane_route_latency_ns", "shortest-path answer latency (cache-warm or not); one answer in 64 is timed, so _count is plane_queries_route_total/64, not the answer count"),
 		batchNs:   reg.Histogram("plane_batch_latency_ns", "binary batch answer latency (whole batch)"),
 		publishNs: reg.Histogram("plane_publish_latency_ns", "snapshot publish latency"),
 	}
@@ -103,7 +104,7 @@ func (s *Server) EnableMetrics(reg *obs.Registry) {
 	reg.CounterFunc("plane_queries_route_total", "delivered route answers", s.routes.Load)
 	reg.CounterFunc("plane_queries_failed_total", "queries rejected before an answer", s.failed.Load)
 	reg.CounterFunc("plane_cache_hits_total", "row-cache lookups answered from a computed row", s.cstats.hits.Load)
-	reg.CounterFunc("plane_cache_misses_total", "row-cache lookups that found no row for the source (answered by a pair search or a fill)", s.cstats.misses.Load)
+	reg.CounterFunc("plane_cache_misses_total", "row-cache lookups that found no row for the source and paid for their answer: a pair search or a fill", s.cstats.misses.Load)
 	reg.CounterFunc("plane_cache_fills_total", "shortest-path rows computed on demand (one Dijkstra each)", s.cstats.fills.Load)
 	reg.CounterFunc("plane_cache_refusals_total", "row fills refused by admission: the source was looked up no more often than the row it would evict (the miss is answered by a pair search)", s.cstats.refusals.Load)
 	reg.CounterFunc("plane_pair_searches_total", "misses answered by an exact pair search", s.cstats.searches.Load)

@@ -3,6 +3,7 @@ package plane
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -57,8 +58,6 @@ func TestServerMetricsExposition(t *testing.T) {
 		"plane_queries_route_total":        2 * timedEvery,
 		"plane_queries_failed_total":       0,
 		"plane_binary_conns_refused_total": 0,
-		"plane_onehop_latency_ns_count":    2, // binary pairs land in the batch histogram
-		"plane_route_latency_ns_count":     2,
 		"plane_batch_latency_ns_count":     1,
 		"plane_publish_latency_ns_count":   1,
 		"plane_snapshot_epoch":             7,
@@ -66,6 +65,28 @@ func TestServerMetricsExposition(t *testing.T) {
 	} {
 		if got, ok := m[series]; !ok || got != want {
 			t.Errorf("series %s = %v (present=%v), want %v", series, got, ok, want)
+		}
+	}
+	helps := map[string]string{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
+			name, help, _ := strings.Cut(rest, " ")
+			helps[name] = help
+		}
+	}
+	// The sampled summaries time one answer in timedEvery, and say so:
+	// their _count is the answer total over timedEvery, rounded down
+	// (the two binary one-hop pairs are counted but land in the batch
+	// histogram).
+	for hist, total := range map[string]string{
+		"plane_onehop_latency_ns": "plane_queries_onehop_total",
+		"plane_route_latency_ns":  "plane_queries_route_total",
+	} {
+		if got, want := m[hist+"_count"], math.Floor(m[total]/timedEvery); got != want {
+			t.Errorf("series %s_count = %v, want floor(%s / %d) = %v", hist, got, total, timedEvery, want)
+		}
+		if !strings.Contains(helps[hist], fmt.Sprintf("one answer in %d is timed", timedEvery)) {
+			t.Errorf("%s HELP %q does not state the sampling", hist, helps[hist])
 		}
 	}
 	// 128 route lookups over 3 cold sources. Each source is answered by

@@ -14,8 +14,8 @@ import (
 //
 //  1. In request order, on the calling goroutine: invalid pairs,
 //     src == dst and sources whose row is resident are answered at once
-//     (find counts every lookup as a hit, collapse or miss); the
-//     misses' slots are collected.
+//     (find counts each as a hit or collapse); the slots of the others,
+//     the misses, are collected.
 //  2. The misses — a pair search or a row fill each, 100 µs and up,
 //     the fills admission would let in (several searches' worth each)
 //     claimed first — run on the caller plus up to GOMAXPROCS−1 helper
@@ -28,9 +28,10 @@ import (
 //
 // Every answer is the canonical DijkstraCSR label whichever way it is
 // produced, so the response bytes do not depend on how the misses were
-// spread. Only the counters can: two misses of one cold source in one
-// batch are two misses, where answering them in turn could make the
-// second a hit on the row the first filled.
+// spread. Only the counters can: the second of two lookups of one cold
+// source in one batch may collapse onto the row the first is filling
+// where, answered in turn, it would hit that row. Either way each
+// lookup is counted once, and misses = pair searches + fills.
 
 // routeSlot is one pair of a route batch between the passes.
 type routeSlot struct {

@@ -20,8 +20,8 @@ import (
 type Options struct {
 	// Engine overrides the spec's engine ("" keeps it).
 	Engine string
-	// Workers is the engine parallelism (0 = NumCPU). Metrics are
-	// byte-identical for any value.
+	// Workers is the scale engine's parallelism (0 = NumCPU; the full
+	// engine is sequential). Metrics are byte-identical for any value.
 	Workers int
 }
 
@@ -353,7 +353,7 @@ func Run(spec Spec, opts Options) (*Metrics, error) {
 	case EngineScale:
 		err = runScaleEngine(&spec, comp, opts, m)
 	case EngineFull:
-		err = runFullEngine(&spec, comp, opts.Workers, m)
+		err = runFullEngine(&spec, comp, m)
 	default:
 		return nil, fmt.Errorf("scenario %s: unknown engine %q", spec.Name, engine)
 	}
@@ -616,7 +616,7 @@ func (sp *servePlane) finish() *ServeMetrics {
 	return m
 }
 
-func runFullEngine(spec *Spec, comp *compiled, workers int, m *Metrics) error {
+func runFullEngine(spec *Spec, comp *compiled, m *Metrics) error {
 	if spec.Serve != nil {
 		return fmt.Errorf("scenario %s: serve-under-churn requires the scale engine", spec.Name)
 	}
@@ -630,9 +630,8 @@ func runFullEngine(spec *Spec, comp *compiled, workers int, m *Metrics) error {
 		// Warm epochs would shift the event clock; scenarios measure
 		// from epoch 0 so event epochs and cost series line up.
 		WarmEpochs: 0, MeasureEpochs: spec.Epochs,
-		Churn:   comp.sched,
-		PrefAt:  comp.demandAt,
-		Workers: workers,
+		Churn:  comp.sched,
+		PrefAt: comp.demandAt,
 	}
 	res, err := sim.Run(cfg)
 	if err != nil {

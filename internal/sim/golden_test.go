@@ -73,35 +73,35 @@ func TestScaleGoldenDigest(t *testing.T) {
 }
 
 // fullGoldenConfigs returns the full engine's pinned configurations, one
-// per path through its exact re-wiring loop: the speculative pool under
-// the additive and the bottleneck algebra, the ε gate, churn with
-// HybridBR's backbone repair and immediate victims, and the
-// heuristic-policy path with the connectivity fallback and preferences.
+// per path through its exact re-wiring loop: the live forest under the
+// additive and the bottleneck algebra, the ε gate, churn with HybridBR's
+// backbone repair and immediate victims, and the heuristic-policy path
+// with the connectivity fallback and preferences.
 func fullGoldenConfigs() map[string]Config {
-	base := func(p core.Policy, workers int) Config {
+	base := func(p core.Policy) Config {
 		return Config{
 			N: 30, K: 3, Seed: 13, Metric: DelayPing, Policy: p,
-			WarmEpochs: 3, MeasureEpochs: 4, Workers: workers,
+			WarmEpochs: 3, MeasureEpochs: 4,
 		}
 	}
-	eps := base(core.BRPolicy{}, 3)
+	eps := base(core.BRPolicy{})
 	eps.Epsilon = 0.1
-	hybrid := base(core.BRPolicy{Donated: 2}, 2)
+	hybrid := base(core.BRPolicy{Donated: 2})
 	hybrid.N = 36
 	hybrid.Churn = testChurn(hybrid.N)
 	hybrid.Immediate = true
-	bw := base(core.BRPolicy{}, 2)
+	bw := base(core.BRPolicy{})
 	bw.Metric = Bandwidth
 	bw.Cheat = cheat.Population(bw.N, 3, 2, rand.New(rand.NewSource(4)))
-	closest := base(core.KClosest{}, 2)
+	closest := base(core.KClosest{})
 	closest.PrefAt = staticPref(func(i, j int) float64 { return 1 + float64((i*j)%7) })
 	// k-Random at K = 2 under churn: rejoiners wire at random, so the
 	// connectivity fallback has disconnections to repair.
-	random := base(core.KRandom{}, 2)
+	random := base(core.KRandom{})
 	random.K = 2
 	random.Churn = testChurn(random.N)
 	return map[string]Config{
-		"BR/delay-ping":        base(core.BRPolicy{}, 2),
+		"BR/delay-ping":        base(core.BRPolicy{}),
 		"BR/epsilon":           eps,
 		"HybridBR/churn/immed": hybrid,
 		"BR/bandwidth/cheat":   bw,

@@ -423,6 +423,48 @@ type scaleWorker struct {
 	delay  []float64
 }
 
+// policyRNG derives the deterministic per-(epoch,node) policy randomness.
+// Seeding per node rather than sharing one stream is what makes stochastic
+// choices independent of both the worker count and the order in which the
+// pool happens to schedule nodes.
+func policyRNG(seed int64, epoch, node int) *rand.Rand {
+	return rand.New(rand.NewSource(policySeed(seed, epoch, node)))
+}
+
+// policySeed is the source seed of policyRNG's (seed, epoch, node) stream.
+func policySeed(seed int64, epoch, node int) int64 {
+	x := uint64(seed) ^ 0x9e3779b97f4a7c15
+	x = splitmix64(x + uint64(int64(epoch))*0xbf58476d1ce4e5b9)
+	x = splitmix64(x + uint64(int64(node))*0x94d049bb133111eb)
+	return int64(x)
+}
+
+// policyStream is a reusable policyRNG: at re-seeds one generator to the
+// (seed, epoch, node) stream instead of allocating one per proposal. Seed
+// re-initialises the source exactly as NewSource does, so the draws are
+// policyRNG's.
+type policyStream struct{ r *rand.Rand }
+
+func (p *policyStream) at(seed int64, epoch, node int) *rand.Rand {
+	if p.r == nil {
+		p.r = policyRNG(seed, epoch, node)
+	} else {
+		p.r.Seed(policySeed(seed, epoch, node))
+	}
+	return p.r
+}
+
+// splitmix64 is the finalizer of the SplitMix64 generator — a cheap,
+// well-mixed 64-bit hash.
+func splitmix64(z uint64) uint64 {
+	z ^= z >> 30
+	z *= 0xbf58476d1ce4e5b9
+	z ^= z >> 27
+	z *= 0x94d049bb133111eb
+	z ^= z >> 31
+	return z
+}
+
 // scaleProposal is one node's phase output.
 type scaleProposal struct {
 	set     []int // nil: keep current wiring

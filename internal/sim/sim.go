@@ -6,7 +6,8 @@
 //
 // Time advances in wiring epochs of length T. Like the paper's deployment,
 // nodes are unsynchronized: each epoch the nodes re-wire one after another
-// in a fixed stagger order (one re-wiring every T/n on average). Underlay
+// in a fixed stagger order (one re-wiring every T/n on average), each
+// against the link-state its predecessors left (see rewire). Underlay
 // dynamics (delay jitter, load drift, bandwidth wobble) advance once per
 // epoch. Estimated costs (what policies see) are produced by the probe
 // layer and differ from the true costs (what the measurement layer
@@ -114,23 +115,8 @@ type Config struct {
 	// resolved once at the epoch boundary. Measurement reporting stays
 	// uniform (the paper's conservative choice, footnote 8), but
 	// Result.WeightedCost additionally reports that epoch's
-	// preference-weighted cost. The returned function must be safe for
-	// concurrent calls.
+	// preference-weighted cost.
 	PrefAt func(epoch int) func(i, j int) float64
-	// Workers sets the parallelism of the per-epoch best-response phase:
-	// every node's proposal is computed concurrently against the
-	// epoch-start link-state snapshot by up to Workers goroutines, each
-	// repairing its own shortest-path forest of the snapshot instead of
-	// recomputing all pairs per node. A proposal is used only while no
-	// earlier slot has changed the view, so the phase runs only in an
-	// epoch after one whose first n/Workers slots all found it unchanged;
-	// otherwise, and always with one worker, every node re-wires against
-	// the live view at its slot. Zero (or negative) selects
-	// runtime.NumCPU(). Results are byte-identical for any value —
-	// parallelism changes wall-clock time, never measurements. Custom
-	// Policy implementations must be safe for concurrent Select calls on
-	// distinct Requests.
-	Workers int
 
 	// checkLive makes every edit of the live forest verify it against a
 	// from-scratch all-pairs computation of the announced view, failing
@@ -214,31 +200,18 @@ type state struct {
 	order   []int       // staggered re-wire order
 	pref    func(i, j int) float64
 
-	// epochDirty records whether the announced link-state has changed since
-	// the current epoch's proposal snapshot (a node re-wired, membership
-	// changed, a cycle was enforced); once set, adoption falls back to the
-	// sequential re-wiring path (see parallel.go).
-	epochDirty bool
-	// cleanSlots counts the current epoch's slots that began with the
-	// epoch still clean; computeProposals reads the previous epoch's.
-	cleanSlots int
-
-	// live is the shortest-path forest of the announced view the
-	// sequential slots price BR proposals on (see parallel.go); liveOK
-	// reports that it still matches that view. Changes made outside a
-	// slot clear liveOK, and the next slot rebuilds the forest.
+	// live is the shortest-path forest of the announced view the slots
+	// price BR proposals on (see rewire); liveOK reports that it still
+	// matches that view. Changes made outside a slot clear liveOK, and
+	// the next slot rebuilds the forest.
 	live   *graph.SPForest
 	liveOK bool
-	// arcs is announcedOut's buffer.
-	arcs []graph.Arc
-
-	// seq serves the sequential re-wiring path; forests and proposers
-	// hold one shortest-path forest and one proposer per worker of the
-	// speculative phase. All persist across epochs so their buffers are
-	// reused instead of reallocated.
-	seq       proposer
-	forests   []*graph.SPForest
-	proposers []*proposer
+	// arcs is announcedOut's buffer; sc and slotRNG are the slots'
+	// solver scratch and policy generator. All persist across epochs so
+	// their buffers are reused instead of reallocated.
+	arcs    []graph.Arc
+	sc      core.Scratch
+	slotRNG policyStream
 }
 
 // Run executes one simulation and returns its measurements.
@@ -428,15 +401,19 @@ func (st *state) trueCost(u, v int) float64 {
 	}
 }
 
-// rewire re-evaluates node i's wiring against the current (not snapshot)
-// link-state view — the sequential path used for initial joins, immediate
-// failure repair, and every stagger slot whose speculative proposal is
-// missing or stale (see adopt). A BR proposal is priced on the live
-// forest with i's out-links cut; the cut is then committed with i's new
-// links if i re-wires and restored otherwise. counter, when non-nil,
-// records established links. epoch seeds the per-(epoch,node) policy RNG
-// (-1 for the initial join, where the wiring is empty and always adopts).
+// rewire is node i's re-wiring slot: the policy selects against the
+// current link-state view, core.Adopt decides, and an adopted wiring is
+// installed. It serves initial joins, immediate failure repair and every
+// stagger slot. Every residual matrix G−i comes out of the live
+// shortest-path forest of the announced view: cutting i's out-links
+// repairs only the trees that routed through them, the distances of a
+// from-scratch all-pairs computation at a fraction of the work. The cut
+// is then committed with i's new links if i re-wires and restored
+// otherwise. counter, when non-nil, records established links. epoch
+// seeds the per-(epoch,node) policy RNG (-1 for the initial join, where
+// the wiring is empty and always adopts).
 func (st *state) rewire(i, epoch int, counter func(links int)) error {
+	kind := st.cfg.Metric.Kind()
 	var resid [][]float64
 	if st.isBR() {
 		if !st.liveOK {
@@ -449,11 +426,25 @@ func (st *state) rewire(i, epoch int, counter func(links int)) error {
 		st.live.RemoveOut(i)
 		resid = st.live.Dist()
 	}
-	p, err := st.propose(i, epoch, st.active, resid, st.wiring[i], &st.seq)
-	if err != nil {
-		return err
+	req := &core.Request{
+		Self: i, K: st.cfg.K, Kind: kind,
+		Direct: st.est[i], Active: st.active, Pref: st.prefRow(i),
+		Rng: st.slotRNG.at(st.cfg.Seed, epoch, i), Scratch: &st.sc, Resid: resid,
 	}
-	changed := st.decide(i, &p, counter)
+	set, err := st.cfg.Policy.Select(req)
+	if err != nil {
+		return fmt.Errorf("sim: node %d: %w", i, err)
+	}
+	// The BR(ε) adoption test values, both on the matrix set was
+	// selected on; cur still holds links to departed nodes.
+	cur := st.wiring[i]
+	var curVal, newVal float64
+	if resid != nil {
+		inst := &core.Instance{Self: i, Kind: kind, Direct: st.est[i], Resid: resid, Pref: req.Pref}
+		curVal = inst.EvalScratch(cur, &st.sc)
+		newVal = inst.EvalScratch(set, &st.sc)
+	}
+	changed := st.install(i, set, curVal, newVal, counter)
 	switch {
 	case resid == nil:
 		return nil
@@ -463,6 +454,43 @@ func (st *state) rewire(i, epoch int, counter func(links int)) error {
 		st.live.RestoreOut()
 	}
 	return st.checkLive(i)
+}
+
+// install drops node i's links to departed nodes, applies core.Adopt to
+// the proposal set and, when it adopts, installs it. counter, when
+// non-nil, records established links. It reports whether i's announced
+// links changed.
+func (st *state) install(i int, set []int, curVal, newVal float64, counter func(links int)) bool {
+	// Links to dead nodes are not announced, so dropping them leaves the
+	// view unchanged.
+	cur := st.wiring[i]
+	alive := cur[:0:0]
+	for _, v := range cur {
+		if st.active[v] {
+			alive = append(alive, v)
+		}
+	}
+	if len(alive) < len(cur) {
+		st.wiring[i] = alive
+	}
+	others := 0
+	for j, on := range st.active {
+		if on && j != i {
+			others++
+		}
+	}
+	if !core.Adopt(st.cfg.Policy, st.cfg.Metric.Kind(), st.cfg.Epsilon, st.cfg.K, others, len(cur), len(alive), curVal, newVal) {
+		return false
+	}
+	added := measure.LinkDiff(st.wiring[i], set)
+	if added > 0 && counter != nil {
+		counter(added)
+	}
+	if added == 0 && len(set) == len(st.wiring[i]) {
+		return false
+	}
+	st.wiring[i] = set
+	return true
 }
 
 // isBR reports whether the policy prices proposals on residual matrices.
@@ -509,7 +537,6 @@ func (st *state) enforceCycleIfNeeded() {
 	if core.EnforceCycle(st.wiring, st.cfg.Metric.Kind(), st.active, func(i, j int) float64 {
 		return st.est[i][j]
 	}) {
-		st.epochDirty = true
 		st.liveOK = false
 	}
 }
@@ -530,7 +557,6 @@ func (st *state) applyChurn(t float64, counter func(links int)) (bool, error) {
 		}
 		st.active[e.Node] = e.On
 		changed = true
-		st.epochDirty = true
 		st.liveOK = false
 		epoch := int(e.Time) // the wiring epoch the event falls in
 		if e.On {
@@ -715,15 +741,7 @@ func (st *state) run() (*Result, error) {
 		st.refreshEstimates()
 		counter := func(links int) { res.Rewires.Record(epoch, links) }
 
-		// Speculative best-response phase: every node's proposal is
-		// computed concurrently against the epoch-start link-state
-		// snapshot (nil with a single worker; see parallel.go).
-		props, err := st.computeProposals(epoch)
-		if err != nil {
-			return nil, err
-		}
-
-		// Staggered adoption: node order[p] acts at time epoch + p/n.
+		// Staggered re-wiring: node order[p] acts at time epoch + p/n.
 		for p, i := range st.order {
 			t := float64(epoch) + float64(p)/float64(cfg.N)
 			if _, err := st.applyChurn(t, counter); err != nil {
@@ -736,15 +754,8 @@ func (st *state) run() (*Result, error) {
 				// paper's continuous monitoring sees them.
 				snapshot(false)
 			}
-			if !st.epochDirty {
-				st.cleanSlots = p + 1
-			}
 			if st.active[i] {
-				var prop *proposal
-				if props != nil {
-					prop = &props[i]
-				}
-				if err := st.adopt(i, epoch, prop, counter); err != nil {
+				if err := st.rewire(i, epoch, counter); err != nil {
 					return nil, err
 				}
 			}
