@@ -179,6 +179,9 @@ func main() {
 	reg.CounterFunc("egoistd_epochs_total", "wiring epochs run", func() int64 {
 		return int64(node.Epochs())
 	})
+	reg.CounterFunc("egoistd_epoch_decision_us_total", "time wiring epochs spent deciding, from the link-state view to the adoption result", func() int64 {
+		return node.DecisionTime().Microseconds()
+	})
 	reg.CounterFunc("egoistd_fault_drops_send_total", "datagrams discarded on send by injected fault rules", func() int64 {
 		send, _ := transport.FaultDrops()
 		return send

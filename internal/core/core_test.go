@@ -348,3 +348,63 @@ func TestBuildResidExcludesSelfAndInactive(t *testing.T) {
 		t.Fatal("path through inactive node 2 survived")
 	}
 }
+
+// BenchmarkResidIncremental prices one epoch's worth of residual
+// matrices three ways: a full APSP per node (BuildResidScratch, the
+// from-scratch reference); one shortest-path forest
+// repaired per node and restored (SPForest.RemoveOut/RestoreOut, a slot
+// that keeps its wiring); and the same forest with every node
+// committing a changed out-set (SPForest.CommitOut, a slot that
+// re-wires, the live forest's worst case). All produce bit-identical
+// matrices; the forest pays one APSP up front and then only the
+// affected-subtree repairs, each seeded from the in-arcs of its cut
+// region, and insertions.
+func BenchmarkResidIncremental(b *testing.B) {
+	const n = 192
+	rng := rand.New(rand.NewSource(11))
+	g := graph.New(n)
+	for u := 0; u < n; u++ {
+		for _, w := range []int{(u + 1) % n, (u + 11) % n, (u + n/3) % n, (u + n/2) % n} {
+			if w != u {
+				g.AddArc(u, w, 1+rng.Float64()*40)
+			}
+		}
+	}
+	b.Run("full-apsp-per-node", func(b *testing.B) {
+		var s Scratch
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for u := 0; u < n; u++ {
+				BuildResidScratch(g, u, Additive, nil, &s)
+			}
+		}
+	})
+	b.Run("forest-repair-per-node", func(b *testing.B) {
+		f := graph.NewSPForest()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			f.Reset(g, false)
+			for u := 0; u < n; u++ {
+				f.RemoveOut(u)
+				_ = f.Dist()
+				f.RestoreOut()
+			}
+		}
+	})
+	b.Run("forest-commit-per-node", func(b *testing.B) {
+		f := graph.NewSPForest()
+		var next []graph.Arc
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			f.Reset(g, false)
+			for u := 0; u < n; u++ {
+				// Re-wire: the same links, the first moved one node on.
+				next = append(next[:0], g.Out(u)...)
+				next[0].To = (next[0].To + 1) % n
+				f.RemoveOut(u)
+				_ = f.Dist()
+				f.CommitOut(next)
+			}
+		}
+	})
+}

@@ -54,7 +54,7 @@ func TestBRPolicyBottleneck(t *testing.T) {
 		}
 	}
 	direct := []float64{0, 100, 1, 1, 1, 1}
-	req := &Request{Self: 0, K: 1, Kind: Bottleneck, Direct: direct, Graph: g}
+	req := &Request{Self: 0, K: 1, Kind: Bottleneck, Direct: direct, Resid: BuildResidScratch(g, 0, Bottleneck, nil, nil)}
 	out, err := (BRPolicy{}).Select(req)
 	if err != nil {
 		t.Fatal(err)

@@ -3,34 +3,34 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"egoist/internal/graph"
 )
 
 // Request carries everything a neighbor-selection policy may consult when
-// (re-)wiring one node: the announced overlay graph, the node's own direct
-// cost measurements, the set of currently-alive nodes, and an optional
-// candidate sample.
+// (re-)wiring one node: the node's own direct cost measurements, the
+// residual matrix of the announced overlay, the set of currently-alive
+// nodes, and an optional candidate sample.
 //
 // Distinct Requests may be served concurrently as long as each has its
-// own Rng and Scratch and the shared inputs (Graph, Active, Direct, Pref)
+// own Rng and Scratch and the shared inputs (Resid, Active, Direct, Pref)
 // are not mutated while Select runs.
 type Request struct {
 	Self   int
 	K      int
 	Kind   CostKind
-	Direct []float64      // measured direct costs Self->j
-	Graph  *graph.Digraph // announced overlay graph (link-state view)
-	Active []bool         // alive mask; nil = all alive
-	Pref   []float64      // preference weights; nil = uniform
-	Sample []int          // candidate restriction from the sampling layer
-	Rng    *rand.Rand     // randomness for stochastic policies
+	Direct []float64  // measured direct costs Self->j
+	Active []bool     // alive mask; nil = all alive
+	Pref   []float64  // preference weights; nil = uniform
+	Sample []int      // candidate restriction from the sampling layer
+	Rng    *rand.Rand // randomness for stochastic policies
 
-	// Resid, when non-nil, is the precomputed residual matrix of
-	// BuildResidScratch(Graph, Self, Kind, Active, _). Callers that also
-	// need the matrix for the BR(ε) adoption test supply it here so it is
-	// computed once per re-wiring instead of twice.
+	// Resid is the residual matrix of G−Self, the announced overlay
+	// without Self's out-links and without inactive nodes: BR policies
+	// price on it and the others ignore it. Rewire fills it from the
+	// view's shortest-path forest.
 	Resid [][]float64
 	// Scratch, when non-nil, provides reusable solver buffers (one per
 	// concurrent caller).
@@ -111,6 +111,77 @@ func Adopt(p Policy, kind CostKind, epsilon float64, k, others, links, aliveLink
 	}
 }
 
+// Rewiring is what Rewire decided for one node.
+type Rewiring struct {
+	Proposal []int // the policy's selection
+	Adopted  bool  // Adopt accepted the proposal
+	// Wiring is the wiring to install: the proposal when adopted, else
+	// the current wiring less its links to inactive nodes (not announced,
+	// so dropping them leaves the view as it was). Changed reports that
+	// its links differ from those alive links; Added counts its new ones.
+	Wiring  []int
+	Changed bool
+	Added   int
+	// Cut reports that the node's out-arcs were removed from the view's
+	// forest; the caller ends the removal with CommitOut (the arcs it
+	// announces for Wiring) or RestoreOut.
+	Cut bool
+}
+
+// Rewire is the one re-wiring slot of the full engine and the daemon
+// (Sects. 3.1 and 4.3): node req.Self, wired to cur, asks policy p for a
+// neighbor set, and Adopt decides with threshold epsilon whether to
+// take it. BR policies price both sets on the residual graph G−i: view
+// returns the shortest-path forest of the announced view, and Rewire
+// cuts req.Self's out-arcs from it and reads the residual matrix into
+// req.Resid. Other policies never call view. req carries the node's K,
+// Kind, Direct, Active, Pref, Rng and Scratch. On an error the forest
+// is restored.
+func Rewire(view func() *graph.SPForest, p Policy, epsilon float64, cur []int, req *Request) (Rewiring, error) {
+	var f *graph.SPForest
+	if _, ok := p.(BRPolicy); ok {
+		f = view()
+		f.RemoveOut(req.Self)
+		req.Resid = f.Dist()
+	}
+	set, err := p.Select(req)
+	if err != nil {
+		if f != nil {
+			f.RestoreOut()
+		}
+		return Rewiring{}, err
+	}
+	var curVal, newVal float64
+	if f != nil {
+		inst := &Instance{Self: req.Self, Kind: req.Kind, Direct: req.Direct, Resid: req.Resid, Pref: req.Pref}
+		curVal, newVal = inst.EvalScratch(cur, req.Scratch), inst.EvalScratch(set, req.Scratch)
+	}
+	dead := func(v int) bool { return !req.alive(v) }
+	alive := cur
+	if slices.ContainsFunc(cur, dead) {
+		alive = slices.DeleteFunc(slices.Clone(cur), dead)
+	}
+	others := 0
+	for j := range req.Direct {
+		if j != req.Self && req.alive(j) {
+			others++
+		}
+	}
+	d := Rewiring{Proposal: set, Wiring: alive, Cut: f != nil}
+	d.Adopted = Adopt(p, req.Kind, epsilon, req.K, others, len(cur), len(alive), curVal, newVal)
+	if d.Adopted {
+		for _, v := range set {
+			if !slices.Contains(alive, v) {
+				d.Added++
+			}
+		}
+		if d.Added > 0 || len(set) != len(alive) {
+			d.Wiring, d.Changed = set, true
+		}
+	}
+	return d, nil
+}
+
 // KRandom selects k alive neighbors uniformly at random.
 type KRandom struct{}
 
@@ -165,8 +236,8 @@ func (KRegular) Name() string { return "k-Regular" }
 
 // Select implements Policy.
 func (KRegular) Select(req *Request) ([]int, error) {
-	ring := aliveRing(req)
-	pos := ringIndex(ring, req.Self)
+	ring := aliveRing(len(req.Direct), req.Active)
+	pos := slices.Index(ring, req.Self)
 	if pos < 0 {
 		return nil, fmt.Errorf("core: node %d not in alive ring", req.Self)
 	}
@@ -224,15 +295,11 @@ func (p BRPolicy) Select(req *Request) ([]int, error) {
 	if k1 < 0 {
 		k1 = 0
 	}
-	resid := req.Resid
-	if resid == nil {
-		resid = BuildResidScratch(req.Graph, req.Self, req.Kind, req.Active, req.Scratch)
-	}
 	inst := &Instance{
 		Self:   req.Self,
 		Kind:   req.Kind,
 		Direct: req.Direct,
-		Resid:  resid,
+		Resid:  req.Resid,
 		Pref:   req.Pref,
 		Fixed:  donated,
 	}
@@ -281,17 +348,12 @@ func DonatedTargets(self, n, donated int, active []bool) []int {
 	if donated <= 0 {
 		return nil
 	}
-	var ring []int
-	for v := 0; v < n; v++ {
-		if active == nil || active[v] {
-			ring = append(ring, v)
-		}
-	}
+	ring := aliveRing(n, active)
 	rn := len(ring)
 	if rn <= 1 {
 		return nil
 	}
-	pos := ringIndex(ring, self)
+	pos := slices.Index(ring, self)
 	if pos < 0 {
 		return nil
 	}
@@ -326,25 +388,17 @@ func (FullMesh) Select(req *Request) ([]int, error) {
 	return out, nil
 }
 
-// aliveRing returns the alive node ids in increasing order — the DHT-style
-// identifier ring the k-Regular and HybridBR backbones are built on.
-func aliveRing(req *Request) []int {
+// aliveRing returns the alive ids of an n-id overlay in increasing
+// order (active nil = all alive) — the DHT-style identifier ring the
+// k-Regular and HybridBR backbones and the cycle fallback are built on.
+func aliveRing(n int, active []bool) []int {
 	var ring []int
-	for v := 0; v < len(req.Direct); v++ {
-		if req.alive(v) {
+	for v := 0; v < n; v++ {
+		if active == nil || active[v] {
 			ring = append(ring, v)
 		}
 	}
 	return ring
-}
-
-func ringIndex(ring []int, v int) int {
-	for i, u := range ring {
-		if u == v {
-			return i
-		}
-	}
-	return -1
 }
 
 // EnforceCycle implements the connectivity fallback of KRandom and
@@ -368,18 +422,13 @@ func EnforceCycle(wirings [][]int, kind CostKind, active []bool, cost func(i, j 
 	if graph.StronglyConnected(g, active) {
 		return false
 	}
-	var ring []int
-	for v := 0; v < n; v++ {
-		if active == nil || active[v] {
-			ring = append(ring, v)
-		}
-	}
+	ring := aliveRing(n, active)
 	if len(ring) <= 1 {
 		return false
 	}
 	for idx, i := range ring {
 		succ := ring[(idx+1)%len(ring)]
-		if i == succ || containsInt(wirings[i], succ) {
+		if i == succ || slices.Contains(wirings[i], succ) {
 			continue
 		}
 		if len(wirings[i]) == 0 {
@@ -397,13 +446,4 @@ func EnforceCycle(wirings [][]int, kind CostKind, active []bool, cost func(i, j 
 		sort.Ints(wirings[i])
 	}
 	return true
-}
-
-func containsInt(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -20,7 +21,7 @@ func testRequest(rng *rand.Rand, n, k int) *Request {
 			direct[v] = 1 + rng.Float64()*10
 		}
 	}
-	return &Request{Self: 0, K: k, Kind: Additive, Direct: direct, Graph: g, Rng: rng}
+	return &Request{Self: 0, K: k, Kind: Additive, Direct: direct, Resid: BuildResidScratch(g, 0, Additive, nil, nil), Rng: rng}
 }
 
 func checkWellFormed(t *testing.T, name string, out []int, req *Request) {
@@ -170,12 +171,13 @@ func TestBRPolicyBeatsRandomOnCost(t *testing.T) {
 			direct[v] = 1 + rng.Float64()*30
 		}
 	}
-	req := &Request{Self: 0, K: k, Kind: Additive, Direct: direct, Graph: g, Rng: rng}
+	resid := BuildResidScratch(g, 0, Additive, nil, nil)
+	req := &Request{Self: 0, K: k, Kind: Additive, Direct: direct, Resid: resid, Rng: rng}
 	brOut, err := (BRPolicy{}).Select(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst := &Instance{Self: 0, Kind: Additive, Direct: direct, Resid: BuildResidScratch(g, 0, Additive, nil, nil)}
+	inst := &Instance{Self: 0, Kind: Additive, Direct: direct, Resid: resid}
 	brCost := inst.Eval(brOut)
 	worse := 0
 	const trials = 20
@@ -201,7 +203,7 @@ func TestHybridBRDonatedLinksPresent(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Donated cycle with offset 1 over full ring: neighbors 1 and 11.
-	if !containsInt(out, 1) || !containsInt(out, 11) {
+	if !slices.Contains(out, 1) || !slices.Contains(out, 11) {
 		t.Fatalf("HybridBR output %v missing donated ring links 1,11", out)
 	}
 	if len(out) != 5 {
@@ -231,7 +233,7 @@ func TestBRPolicySampleRestrictsChoices(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range out {
-		if !containsInt(req.Sample, v) {
+		if !slices.Contains(req.Sample, v) {
 			t.Fatalf("BR chose %d outside sample %v", v, req.Sample)
 		}
 	}

@@ -71,6 +71,12 @@ func ints(buf []int, n int) []int {
 // live in s and are overwritten by the next call, so the returned matrix
 // is only valid until s is used again — callers that retain it must copy.
 // A nil s allocates a fresh scratch for the call.
+//
+// It is the from-scratch reference the forest-priced slot (Rewire) is
+// tested against. The full engine, the daemon and the newcomer price on
+// a graph.SPForest instead; the one caller outside tests is the
+// benchmark module's solver probe, and the export stays for it until
+// that probe is rewritten.
 func BuildResidScratch(g *graph.Digraph, self int, kind CostKind, active []bool, s *Scratch) [][]float64 {
 	if s == nil {
 		s = &Scratch{}

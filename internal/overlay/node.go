@@ -139,12 +139,15 @@ type Node struct {
 	donated   []int
 	rewires   int // cumulative established links
 	epochs    int
+	decision  time.Duration // cumulative epoch decision time
 
 	fwd forwarding // data plane
 
-	// sc is runEpoch's residual matrix and solver scratch. Only the timer
-	// loop runs epochs, so it needs no lock.
-	sc core.Scratch
+	// view is the shortest-path forest runEpoch prices BR proposals on,
+	// reset on the masked link-state view every epoch, and sc its solver
+	// scratch. Only the timer loop runs epochs, so they need no lock.
+	view graph.SPForest
+	sc   core.Scratch
 
 	stop chan struct{}
 	done sync.WaitGroup
@@ -260,6 +263,14 @@ func (n *Node) Epochs() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.epochs
+}
+
+// DecisionTime returns the cumulative time the wiring epochs spent
+// deciding: from building the link-state view to the adoption result.
+func (n *Node) DecisionTime() time.Duration {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.decision
 }
 
 // Seq returns the sequence number of the node's latest LSA. It only
@@ -594,6 +605,7 @@ func (n *Node) probeAll() {
 // runEpoch re-evaluates the node's wiring with the configured policy.
 func (n *Node) runEpoch() {
 	n.db.Expire()
+	start := time.Now()
 	g := n.db.Graph()
 	active := n.db.Active()
 	active[n.cfg.ID] = true
@@ -633,63 +645,48 @@ func (n *Node) runEpoch() {
 		return // nothing measured yet; keep bootstrap wiring
 	}
 
-	// One residual all-pairs matrix serves the policy's selection and the
-	// adoption rule below.
-	resid := core.BuildResidScratch(g, n.cfg.ID, n.cfg.Kind, active, &n.sc)
-	req := &core.Request{
-		Self:    n.cfg.ID,
-		K:       n.cfg.K,
-		Kind:    n.cfg.Kind,
-		Direct:  direct,
-		Graph:   g,
-		Active:  active,
-		Rng:     n.rng,
-		Resid:   resid,
-		Scratch: &n.sc,
-	}
-	proposed, err := n.cfg.Policy.Select(req)
+	d, err := decide(&n.view, g, &n.cfg, direct, active, cur, n.rng, &n.sc)
 	if err != nil {
 		n.logf("node %d: policy: %v", n.cfg.ID, err)
 		return
 	}
-	if len(proposed) == 0 {
-		return
-	}
-
-	inst := &core.Instance{
-		Self:   n.cfg.ID,
-		Kind:   n.cfg.Kind,
-		Direct: direct,
-		Resid:  resid,
-	}
-	curVal := inst.EvalScratch(cur, &n.sc)
-	newVal := inst.EvalScratch(proposed, &n.sc)
-	others, aliveLinks := 0, 0
-	for j, on := range active {
-		if on && j != n.cfg.ID {
-			others++
-		}
-	}
-	for _, v := range cur {
-		if active[v] {
-			aliveLinks++
-		}
-	}
-	adopt := core.Adopt(n.cfg.Policy, n.cfg.Kind, n.cfg.Epsilon, n.cfg.K, others, len(cur), aliveLinks, curVal, newVal)
+	took := time.Since(start)
 
 	n.mu.Lock()
 	n.epochs++
-	if adopt {
-		added := diffCount(n.neighbors, proposed)
-		if added > 0 {
-			n.rewires += added
-			n.neighbors = proposed
-			n.invalidateRoutes()
-			n.logf("node %d: rewired to %v (cost %.1f -> %.1f)", n.cfg.ID, proposed, curVal, newVal)
-		}
+	n.decision += took
+	n.rewires += d.Added
+	n.neighbors = d.Wiring
+	if d.Changed || len(d.Wiring) < len(cur) {
+		n.invalidateRoutes()
+	}
+	if d.Changed {
+		n.logf("node %d: rewired to %v (+%d links)", n.cfg.ID, d.Wiring, d.Added)
 	}
 	n.announceLocked()
 	n.mu.Unlock()
+}
+
+// decide is the daemon's epoch decision, apart from the measurement and
+// the locking around it: every inactive node is cleared from the
+// announced view g (which decide edits), f is reset on that masked view
+// when the policy prices on it, and core.Rewire decides for cur. The
+// forest is reset every epoch, so the cut Rewire leaves is not ended.
+func decide(f *graph.SPForest, g *graph.Digraph, cfg *Config, direct []float64, active []bool, cur []int, rng *rand.Rand, sc *core.Scratch) (core.Rewiring, error) {
+	view := func() *graph.SPForest {
+		for v, on := range active {
+			if !on {
+				g.ClearNode(v)
+			}
+		}
+		f.Reset(g, cfg.Kind == core.Bottleneck)
+		return f
+	}
+	req := &core.Request{
+		Self: cfg.ID, K: cfg.K, Kind: cfg.Kind,
+		Direct: direct, Active: active, Rng: rng, Scratch: sc,
+	}
+	return core.Rewire(view, cfg.Policy, cfg.Epsilon, cur, req)
 }
 
 // heartbeat probes donated/backbone links aggressively and, in Immediate
@@ -782,18 +779,4 @@ func (n *Node) send(to int, data []byte) {
 	if err := n.cfg.Transport.Send(to, data); err != nil {
 		n.logf("node %d: send to %d: %v", n.cfg.ID, to, err)
 	}
-}
-
-func diffCount(old, new []int) int {
-	om := make(map[int]bool, len(old))
-	for _, v := range old {
-		om[v] = true
-	}
-	added := 0
-	for _, v := range new {
-		if !om[v] {
-			added++
-		}
-	}
-	return added
 }

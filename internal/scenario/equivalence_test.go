@@ -8,12 +8,13 @@ import (
 	"testing"
 )
 
-// This file is the harness side of the PR-4 engine-equivalence suite:
-// every committed CI scenario spec is twin-run at workers=1 and
-// workers=4 and the resulting Metrics records must marshal to
-// byte-identical JSON. Together with the ScaleResult suite in
-// internal/sim this pins the acceptance criterion end to end — the
-// worker knob changes wall-clock time, never a single output byte.
+// The harness side of the scale engine's worker-count contract: every
+// committed CI scenario spec that runs on the scale engine is twin-run
+// at workers=1 and workers=4, and the resulting Metrics records must
+// marshal to byte-identical JSON. Together with the ScaleResult suite
+// in internal/sim this pins the contract end to end — the worker knob
+// changes wall-clock time, never a single output byte. The full engine
+// is sequential and has no worker knob; its goldens pin its bytes.
 
 // ciSpecs loads the committed CI matrix, skipping when the test runs
 // outside the repository layout.
@@ -30,52 +31,35 @@ func ciSpecs(t *testing.T) []Spec {
 	return specs
 }
 
-// specEngines resolves the engine list a spec runs on in the CI matrix:
-// its pinned engine, or both.
-func specEngines(s *Spec) []string {
-	if s.Engine != "" {
-		return []string{s.Engine}
-	}
-	return []string{EngineScale, EngineFull}
-}
-
 // TestCIScenariosByteIdenticalAcrossWorkers twin-runs every spec in
-// ci/scenarios/ across its engines with workers=1 vs workers=4. The
-// full-engine legs are skipped in -short mode and under the race
-// detector: they cost minutes under -race (the O(n²) engine twin-run
-// at n=120–400) while full-engine worker determinism is already
-// race-pinned at smoke size by TestMetricsByteIdenticalAcrossWorkers
-// and by the sim package's own parallel suite. The scale-engine legs —
-// the propose/apply split this PR locks down — always run.
+// ci/scenarios/ that the scale engine runs (all but those pinned to
+// another engine) with workers=1 vs workers=4.
 func TestCIScenariosByteIdenticalAcrossWorkers(t *testing.T) {
 	for _, spec := range ciSpecs(t) {
 		spec := spec
-		for _, engine := range specEngines(&spec) {
-			if (testing.Short() || raceEnabled) && engine == EngineFull {
-				continue
-			}
-			engine := engine
-			t.Run(spec.Name+"/"+engine, func(t *testing.T) {
-				a, err := Run(spec, Options{Engine: engine, Workers: 1})
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, err := Run(spec, Options{Engine: engine, Workers: 4})
-				if err != nil {
-					t.Fatal(err)
-				}
-				ja, err := json.Marshal(a)
-				if err != nil {
-					t.Fatal(err)
-				}
-				jb, err := json.Marshal(b)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(ja, jb) {
-					t.Fatalf("workers 1 vs 4 metrics diverged:\n%s\n%s", ja, jb)
-				}
-			})
+		if spec.Engine != "" && spec.Engine != EngineScale {
+			continue
 		}
+		t.Run(spec.Name+"/"+EngineScale, func(t *testing.T) {
+			a, err := Run(spec, Options{Engine: EngineScale, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := Run(spec, Options{Engine: EngineScale, Workers: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ja, err := json.Marshal(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jb, err := json.Marshal(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(ja, jb) {
+				t.Fatalf("workers 1 vs 4 metrics diverged:\n%s\n%s", ja, jb)
+			}
+		})
 	}
 }

@@ -62,6 +62,7 @@ var labScrapeSeries = []string{
 	"egoistd_lsa_seq",
 	"egoistd_rewires_total",
 	"egoistd_epochs_total",
+	"egoistd_epoch_decision_us_total",
 	"egoistd_fault_drops_send_total",
 	"egoistd_fault_drops_recv_total",
 	"plane_queries_onehop_total",

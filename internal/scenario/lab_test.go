@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -44,9 +45,10 @@ func TestRunLabSmall(t *testing.T) {
 		Sample: "demand:8",
 		Events: []Event{{Epoch: 1.5, Kind: LeaveWave, Frac: 0.2}},
 	}
+	timeline := filepath.Join(t.TempDir(), "fleet.json")
 	m, err := RunLab(spec, LabOptions{
 		Bin: bin, Epoch: 300 * time.Millisecond, Bound: 0.6,
-		Logf: t.Logf,
+		MetricsJSON: timeline, Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatalf("RunLab: %v", err)
@@ -77,6 +79,39 @@ func TestRunLabSmall(t *testing.T) {
 	}
 	if lab.BootstrapSeconds <= 0 || lab.WallSeconds <= lab.BootstrapSeconds {
 		t.Errorf("clock bookkeeping: bootstrap=%v wall=%v", lab.BootstrapSeconds, lab.WallSeconds)
+	}
+	checkDecisionTime(t, timeline)
+}
+
+// checkDecisionTime reads a fleet timeline and requires every daemon
+// that has run an epoch to report the time its epochs spent deciding.
+func checkDecisionTime(t *testing.T, path string) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("fleet timeline: %v", err)
+	}
+	var dump struct {
+		Samples []LabMetricsSample `json:"samples"`
+	}
+	if err := json.Unmarshal(raw, &dump); err != nil {
+		t.Fatalf("fleet timeline: %v", err)
+	}
+	checked := 0
+	for _, s := range dump.Samples {
+		for id, series := range s.Nodes {
+			if series["egoistd_epochs_total"] == 0 {
+				continue
+			}
+			checked++
+			if us, ok := series["egoistd_epoch_decision_us_total"]; !ok || us <= 0 {
+				t.Fatalf("epoch %d node %d: %v epochs but decision time %v (present %v)",
+					s.Epoch, id, series["egoistd_epochs_total"], us, ok)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no daemon in the timeline ran an epoch")
 	}
 }
 

@@ -212,30 +212,29 @@ func TestRunBothEngines(t *testing.T) {
 
 // TestMetricsByteIdenticalAcrossWorkers is the determinism contract of
 // the whole harness: identical specs must produce byte-identical
-// metric records at any worker count, on both engines.
+// metric records at any worker count. Only the scale engine has workers;
+// the full engine's goldens pin its bytes.
 func TestMetricsByteIdenticalAcrossWorkers(t *testing.T) {
-	for _, engine := range []string{EngineScale, EngineFull} {
-		a, err := Run(smokeSpec(), Options{Engine: engine, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Run(smokeSpec(), Options{Engine: engine, Workers: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pa := filepath.Join(t.TempDir(), "a.json")
-		pb := filepath.Join(t.TempDir(), "b.json")
-		if err := WriteMetricsJSON(pa, []*Metrics{a}); err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteMetricsJSON(pb, []*Metrics{b}); err != nil {
-			t.Fatal(err)
-		}
-		da, _ := os.ReadFile(pa)
-		db, _ := os.ReadFile(pb)
-		if !bytes.Equal(da, db) {
-			t.Fatalf("%s: workers 1 vs 7 records differ:\n%s\n%s", engine, da, db)
-		}
+	a, err := Run(smokeSpec(), Options{Engine: EngineScale, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Run(smokeSpec(), Options{Engine: EngineScale, Workers: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pa := filepath.Join(t.TempDir(), "a.json")
+	pb := filepath.Join(t.TempDir(), "b.json")
+	if err := WriteMetricsJSON(pa, []*Metrics{a}); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteMetricsJSON(pb, []*Metrics{b}); err != nil {
+		t.Fatal(err)
+	}
+	da, _ := os.ReadFile(pa)
+	db, _ := os.ReadFile(pb)
+	if !bytes.Equal(da, db) {
+		t.Fatalf("workers 1 vs 7 records differ:\n%s\n%s", da, db)
 	}
 }
 

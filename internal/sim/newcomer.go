@@ -123,7 +123,12 @@ func RunNewcomer(cfg NewcomerConfig) (*NewcomerResult, error) {
 		cands = append(cands, j)
 	}
 
-	resid := core.BuildResidScratch(base, newcomer, core.Additive, nil, nil)
+	// The residual graph G−newcomer: a forest of the base, cut at the
+	// newcomer.
+	live := graph.NewSPForest()
+	live.Reset(base, false)
+	live.RemoveOut(newcomer)
+	resid := live.Dist()
 	// brInst builds the scaled-input instance of Sect. 5: when a sample is
 	// in play, both the candidate set and the objective's destination pairs
 	// are limited to the sample.
@@ -163,7 +168,7 @@ func RunNewcomer(cfg NewcomerConfig) (*NewcomerResult, error) {
 			return sampling.Random(rng, sample, cfg.K), nil
 		case NewcomerKClosest:
 			sample := sampling.Random(rng, cands, cfg.SampleSize)
-			req := &core.Request{Self: newcomer, K: cfg.K, Kind: core.Additive, Direct: direct, Graph: base, Sample: sample}
+			req := &core.Request{Self: newcomer, K: cfg.K, Kind: core.Additive, Direct: direct, Sample: sample}
 			return core.KClosest{}.Select(req)
 		case NewcomerKRegular:
 			sample := sampling.Random(rng, cands, cfg.SampleSize)

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"egoist/internal/cheat"
@@ -401,54 +402,33 @@ func (st *state) trueCost(u, v int) float64 {
 	}
 }
 
-// rewire is node i's re-wiring slot: the policy selects against the
-// current link-state view, core.Adopt decides, and an adopted wiring is
-// installed. It serves initial joins, immediate failure repair and every
-// stagger slot. Every residual matrix G−i comes out of the live
+// rewire is node i's re-wiring slot, core.Rewire on the live
 // shortest-path forest of the announced view: cutting i's out-links
 // repairs only the trees that routed through them, the distances of a
-// from-scratch all-pairs computation at a fraction of the work. The cut
-// is then committed with i's new links if i re-wires and restored
-// otherwise. counter, when non-nil, records established links. epoch
-// seeds the per-(epoch,node) policy RNG (-1 for the initial join, where
-// the wiring is empty and always adopts).
+// from-scratch all-pairs computation at a fraction of the work. The slot
+// serves initial joins, immediate failure repair and every stagger slot.
+// The cut is then committed with i's new links if i re-wires and
+// restored otherwise. counter, when non-nil, records established links.
+// epoch seeds the per-(epoch,node) policy RNG (-1 for the initial join,
+// where the wiring is empty and always adopts).
 func (st *state) rewire(i, epoch int, counter func(links int)) error {
-	kind := st.cfg.Metric.Kind()
-	var resid [][]float64
-	if st.isBR() {
-		if !st.liveOK {
-			if st.live == nil {
-				st.live = graph.NewSPForest()
-			}
-			st.live.Reset(st.announcedGraph(), st.bottleneck())
-			st.liveOK = true
-		}
-		st.live.RemoveOut(i)
-		resid = st.live.Dist()
-	}
 	req := &core.Request{
-		Self: i, K: st.cfg.K, Kind: kind,
+		Self: i, K: st.cfg.K, Kind: st.cfg.Metric.Kind(),
 		Direct: st.est[i], Active: st.active, Pref: st.prefRow(i),
-		Rng: st.slotRNG.at(st.cfg.Seed, epoch, i), Scratch: &st.sc, Resid: resid,
+		Rng: st.slotRNG.at(st.cfg.Seed, epoch, i), Scratch: &st.sc,
 	}
-	set, err := st.cfg.Policy.Select(req)
+	d, err := core.Rewire(st.liveForest, st.cfg.Policy, st.cfg.Epsilon, st.wiring[i], req)
 	if err != nil {
 		return fmt.Errorf("sim: node %d: %w", i, err)
 	}
-	// The BR(ε) adoption test values, both on the matrix set was
-	// selected on; cur still holds links to departed nodes.
-	cur := st.wiring[i]
-	var curVal, newVal float64
-	if resid != nil {
-		inst := &core.Instance{Self: i, Kind: kind, Direct: st.est[i], Resid: resid, Pref: req.Pref}
-		curVal = inst.EvalScratch(cur, &st.sc)
-		newVal = inst.EvalScratch(set, &st.sc)
+	st.wiring[i] = d.Wiring
+	if d.Added > 0 && counter != nil {
+		counter(d.Added)
 	}
-	changed := st.install(i, set, curVal, newVal, counter)
 	switch {
-	case resid == nil:
+	case !d.Cut:
 		return nil
-	case changed:
+	case d.Changed:
 		st.live.CommitOut(st.announcedOut(i))
 	default:
 		st.live.RestoreOut()
@@ -456,47 +436,17 @@ func (st *state) rewire(i, epoch int, counter func(links int)) error {
 	return st.checkLive(i)
 }
 
-// install drops node i's links to departed nodes, applies core.Adopt to
-// the proposal set and, when it adopts, installs it. counter, when
-// non-nil, records established links. It reports whether i's announced
-// links changed.
-func (st *state) install(i int, set []int, curVal, newVal float64, counter func(links int)) bool {
-	// Links to dead nodes are not announced, so dropping them leaves the
-	// view unchanged.
-	cur := st.wiring[i]
-	alive := cur[:0:0]
-	for _, v := range cur {
-		if st.active[v] {
-			alive = append(alive, v)
+// liveForest returns the live forest, rebuilt from the announced view
+// when a change made outside the slots left it stale.
+func (st *state) liveForest() *graph.SPForest {
+	if !st.liveOK {
+		if st.live == nil {
+			st.live = graph.NewSPForest()
 		}
+		st.live.Reset(st.announcedGraph(), st.bottleneck())
+		st.liveOK = true
 	}
-	if len(alive) < len(cur) {
-		st.wiring[i] = alive
-	}
-	others := 0
-	for j, on := range st.active {
-		if on && j != i {
-			others++
-		}
-	}
-	if !core.Adopt(st.cfg.Policy, st.cfg.Metric.Kind(), st.cfg.Epsilon, st.cfg.K, others, len(cur), len(alive), curVal, newVal) {
-		return false
-	}
-	added := measure.LinkDiff(st.wiring[i], set)
-	if added > 0 && counter != nil {
-		counter(added)
-	}
-	if added == 0 && len(set) == len(st.wiring[i]) {
-		return false
-	}
-	st.wiring[i] = set
-	return true
-}
-
-// isBR reports whether the policy prices proposals on residual matrices.
-func (st *state) isBR() bool {
-	_, ok := st.cfg.Policy.(core.BRPolicy)
-	return ok
+	return st.live
 }
 
 // bottleneck reports whether the metric's paths are widest paths.
@@ -583,7 +533,7 @@ func (st *state) applyChurn(t float64, counter func(links int)) (bool, error) {
 				// Immediate mode: every victim of the failure re-wires as
 				// soon as the heartbeat monitor would detect it.
 				for i := 0; i < st.cfg.N; i++ {
-					if i == e.Node || !st.active[i] || !hasLink(st.wiring[i], e.Node) {
+					if i == e.Node || !st.active[i] || !slices.Contains(st.wiring[i], e.Node) {
 						continue
 					}
 					if err := st.rewire(i, epoch, counter); err != nil {
@@ -610,15 +560,6 @@ func (st *state) prefRow(i int) []float64 {
 		}
 	}
 	return row
-}
-
-func hasLink(ws []int, v int) bool {
-	for _, w := range ws {
-		if w == v {
-			return true
-		}
-	}
-	return false
 }
 
 // randomAlive returns a random alive node other than self, or -1.
