@@ -78,8 +78,7 @@ func runScenarios(specs []scenario.Spec, engines []string, workers int, outJSON 
 	}
 	if outJSON != "" {
 		if err := scenario.WriteMetricsJSON(outJSON, recs); err != nil {
-			fmt.Fprintf(os.Stderr, "egoist-bench: %v\n", err)
-			os.Exit(1)
+			die(1, "%v", err)
 		}
 		fmt.Printf("wrote %s (%d records)\n", outJSON, len(recs))
 	}
@@ -132,8 +131,7 @@ func runScaleSize(n int, spec sampling.Spec, epochs, k, workers int, tracePath s
 		defer tw.Close()
 		cfg.OnPhase = func(ev sim.PhaseEvent) {
 			if err := tw.Emit(ev); err != nil {
-				fmt.Fprintf(os.Stderr, "egoist-bench: trace: %v\n", err)
-				os.Exit(1)
+				die(1, "trace: %v", err)
 			}
 		}
 	}
@@ -159,18 +157,15 @@ func runScaleSize(n int, spec sampling.Spec, epochs, k, workers int, tracePath s
 func runScaleMode(n int, sampleSpec string, epochs, k, workers int, benchJSON, tracePath string) {
 	spec, err := sampling.ParseSpec(sampleSpec)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "egoist-bench: %v\n", err)
-		os.Exit(2)
+		die(2, "%v", err)
 	}
 	rec, _, err := runScaleSize(n, spec, epochs, k, workers, tracePath)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "egoist-bench: scale run: %v\n", err)
-		os.Exit(1)
+		die(1, "scale run: %v", err)
 	}
 	if benchJSON != "" {
 		if err := experiments.WriteBenchJSON(benchJSON, []experiments.BenchRecord{rec}); err != nil {
-			fmt.Fprintf(os.Stderr, "egoist-bench: %v\n", err)
-			os.Exit(1)
+			die(1, "%v", err)
 		}
 		fmt.Printf("wrote %s\n", benchJSON)
 	}
@@ -187,8 +182,7 @@ func runScaleSweep(sizesCSV string, epochs, k, workers int, benchJSON string) {
 	for _, f := range strings.Split(sizesCSV, ",") {
 		n, err := parsePositiveInt(strings.TrimSpace(f))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "egoist-bench: bad -scale-sweep size %q: %v\n", f, err)
-			os.Exit(2)
+			die(2, "bad -scale-sweep size %q: %v", f, err)
 		}
 		sizes = append(sizes, n)
 	}
@@ -201,15 +195,13 @@ func runScaleSweep(sizesCSV string, epochs, k, workers int, benchJSON string) {
 			err = fmt.Errorf("n=%d did not converge in %d epochs", n, rec.N)
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "egoist-bench: scale sweep: %v\n", err)
-			os.Exit(1)
+			die(1, "scale sweep: %v", err)
 		}
 		recs = append(recs, rec)
 	}
 	if benchJSON != "" {
 		if err := experiments.WriteBenchJSON(benchJSON, recs); err != nil {
-			fmt.Fprintf(os.Stderr, "egoist-bench: %v\n", err)
-			os.Exit(1)
+			die(1, "%v", err)
 		}
 		fmt.Printf("wrote %s (%d records)\n", benchJSON, len(recs))
 	}
@@ -240,23 +232,20 @@ func main() {
 	if *scenOne != "" || *scenDir != "" {
 		engines, err := scenario.EngineList(*enginesF)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "egoist-bench: %v\n", err)
-			os.Exit(2)
+			die(2, "%v", err)
 		}
 		var specs []scenario.Spec
 		if *scenOne != "" {
 			spec, err := loadScenario(*scenOne)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "egoist-bench: %v\n", err)
-				os.Exit(2)
+				die(2, "%v", err)
 			}
 			specs = append(specs, spec)
 		}
 		if *scenDir != "" {
 			dirSpecs, err := scenario.LoadDir(*scenDir)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "egoist-bench: %v\n", err)
-				os.Exit(2)
+				die(2, "%v", err)
 			}
 			specs = append(specs, dirSpecs...)
 		}
@@ -287,8 +276,7 @@ func main() {
 	case "quick":
 		sc = experiments.Quick
 	default:
-		fmt.Fprintf(os.Stderr, "egoist-bench: unknown scale %q (want full or quick)\n", *scale)
-		os.Exit(2)
+		die(2, "unknown scale %q (want full or quick)", *scale)
 	}
 
 	ids := []string{*figID}
@@ -298,8 +286,7 @@ func main() {
 	for _, id := range ids {
 		runner, ok := experiments.Registry[id]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "egoist-bench: unknown figure %q (use -list)\n", id)
-			os.Exit(2)
+			die(2, "unknown figure %q (use -list)", id)
 		}
 		start := time.Now()
 		var fig *experiments.Figure
@@ -314,19 +301,22 @@ func main() {
 			fig, err = runner(sc)
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "egoist-bench: figure %s: %v\n", id, err)
-			os.Exit(1)
+			die(1, "figure %s: %v", id, err)
 		}
 		if err := experiments.Render(os.Stdout, fig, *maxRows); err != nil {
-			fmt.Fprintf(os.Stderr, "egoist-bench: render %s: %v\n", id, err)
-			os.Exit(1)
+			die(1, "render %s: %v", id, err)
 		}
 		if *svgDir != "" {
 			if err := writeSVG(*svgDir, fig); err != nil {
-				fmt.Fprintf(os.Stderr, "egoist-bench: svg %s: %v\n", id, err)
-				os.Exit(1)
+				die(1, "svg %s: %v", id, err)
 			}
 		}
 		fmt.Printf("  [figure %s computed in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
+}
+
+// die reports a fatal error on stderr and exits with code.
+func die(code int, format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "egoist-bench: "+format+"\n", args...)
+	os.Exit(code)
 }

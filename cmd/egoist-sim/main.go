@@ -29,8 +29,7 @@ import (
 func runScenario(path string, workers int) {
 	spec, err := scenario.Load(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "egoist-sim: %v\n", err)
-		os.Exit(2)
+		die(2, "%v", err)
 	}
 	engine := spec.Engine
 	if engine == "" {
@@ -51,8 +50,7 @@ func runScenario(path string, workers int) {
 	if runErr != nil {
 		// Expectation violations still print the record above for
 		// diagnosis, then fail.
-		fmt.Fprintf(os.Stderr, "egoist-sim: %v\n", runErr)
-		os.Exit(1)
+		die(1, "%v", runErr)
 	}
 }
 
@@ -90,8 +88,7 @@ func main() {
 	if *delays != "" {
 		m, err := egoist.LoadDelayTrace(*delays)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "egoist-sim: %v\n", err)
-			os.Exit(1)
+			die(1, "%v", err)
 		}
 		opts.Delays = m
 		opts.N = m.N()
@@ -101,8 +98,7 @@ func main() {
 		total := 2 / *churnR
 		sched, err := egoist.MakeChurn(opts.N, float64(*warm+*epochs), total*5/6, total/6, *seed+1)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "egoist-sim: churn: %v\n", err)
-			os.Exit(1)
+			die(1, "churn: %v", err)
 		}
 		opts.Churn = sched
 		fmt.Printf("churn: requested %.4f, generated %.4f events/epoch\n",
@@ -111,8 +107,7 @@ func main() {
 
 	res, err := egoist.Simulate(opts)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "egoist-sim: %v\n", err)
-		os.Exit(1)
+		die(1, "%v", err)
 	}
 
 	dir := "lower is better"
@@ -134,15 +129,19 @@ func main() {
 	if *topoSVG != "" {
 		f, err := os.Create(*topoSVG)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "egoist-sim: %v\n", err)
-			os.Exit(1)
+			die(1, "%v", err)
 		}
 		defer f.Close()
 		g := vis.FromWiring(res.FinalWiring, nil)
 		if err := vis.Topology(f, g, vis.CirclePositions(len(res.FinalWiring)), -1); err != nil {
-			fmt.Fprintf(os.Stderr, "egoist-sim: %v\n", err)
-			os.Exit(1)
+			die(1, "%v", err)
 		}
 		fmt.Printf("topology written to %s\n", *topoSVG)
 	}
+}
+
+// die reports a fatal error on stderr and exits with code.
+func die(code int, format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "egoist-sim: "+format+"\n", args...)
+	os.Exit(code)
 }

@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 
@@ -78,18 +79,7 @@ func delaysCmd(args []string) {
 	default:
 		fatal(fmt.Errorf("unknown model %q", *model))
 	}
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := topology.WriteTrace(w, m); err != nil {
-		fatal(err)
-	}
+	writeOut(*out, func(w io.Writer) error { return topology.WriteTrace(w, m) })
 }
 
 func churnCmd(args []string) {
@@ -117,18 +107,7 @@ func churnCmd(args []string) {
 	}
 	fmt.Fprintf(os.Stderr, "generated %d events, churn rate %.5f per epoch\n",
 		len(s.Events), s.Rate(*horizon))
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := churn.WriteTrace(w, s); err != nil {
-		fatal(err)
-	}
+	writeOut(*out, func(w io.Writer) error { return churn.WriteTrace(w, s) })
 }
 
 func infoCmd(args []string) {
@@ -186,6 +165,23 @@ func infoCmd(args []string) {
 		return
 	}
 	fatal(fmt.Errorf("%s: not a recognized delay or churn trace", *in))
+}
+
+// writeOut runs write on a new file at path, or on stdout when path is
+// empty.
+func writeOut(path string, write func(io.Writer) error) {
+	var w io.Writer = os.Stdout
+	if path != "" {
+		f, err := os.Create(path)
+		if err != nil {
+			fatal(err)
+		}
+		defer f.Close()
+		w = f
+	}
+	if err := write(w); err != nil {
+		fatal(err)
+	}
 }
 
 func fatal(err error) {

@@ -317,14 +317,7 @@ func (in *Instance) Eval(chosen []int) float64 {
 // EvalScratch is Eval with reusable buffers. A nil scratch falls back to
 // per-call allocation.
 func (in *Instance) EvalScratch(chosen []int, s *Scratch) float64 {
-	var best []float64
-	if s != nil {
-		s.best = floats(s.best, in.n())
-		best = s.best
-	} else {
-		best = make([]float64, in.n())
-	}
-	in.bestPerDestInto(chosen, best)
+	best := in.bestPerDest(chosen, s)
 	acc := newAccum(in.Kind, in.Agg)
 	if in.Dests == nil {
 		for j := 0; j < in.n(); j++ {
@@ -340,15 +333,23 @@ func (in *Instance) EvalScratch(chosen []int, s *Scratch) float64 {
 	return acc.value()
 }
 
-// bestPerDestInto fills best (length n) with, for every node j, the best
-// achievable cost to j via any facility in chosen ∪ Fixed (indexed by node
-// id; non-destination entries are still filled, harmlessly).
-func (in *Instance) bestPerDestInto(chosen []int, best []float64) {
+// bestPerDest returns, for every node j, the best achievable cost to j
+// via any facility in chosen ∪ Fixed (indexed by node id; non-destination
+// entries are still filled, harmlessly), in s's buffer when s is non-nil.
+func (in *Instance) bestPerDest(chosen []int, s *Scratch) []float64 {
+	var best []float64
+	if s != nil {
+		s.best = floats(s.best, in.n())
+		best = s.best
+	} else {
+		best = make([]float64, in.n())
+	}
 	for j := range best {
 		best[j] = in.Kind.worst()
 	}
 	in.foldFacilities(best, in.Fixed)
 	in.foldFacilities(best, chosen)
+	return best
 }
 
 func (in *Instance) foldFacilities(best []float64, facilities []int) {

@@ -33,8 +33,7 @@ func refBestResponse(in *Instance, k int, opts BROptions) ([]int, float64) {
 }
 
 func refGreedy(in *Instance, k int, cands, dests []int) []int {
-	best := make([]float64, in.n())
-	in.bestPerDestInto(nil, best)
+	best := in.bestPerDest(nil, nil)
 	used := make([]bool, in.n())
 	chosen := make([]int, 0, k)
 	for len(chosen) < k {

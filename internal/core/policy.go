@@ -195,13 +195,7 @@ func (KRandom) Select(req *Request) ([]int, error) {
 	}
 	cands := req.aliveCandidates()
 	req.Rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
-	k := req.K
-	if k > len(cands) {
-		k = len(cands)
-	}
-	out := append([]int(nil), cands[:k]...)
-	sort.Ints(out)
-	return out, nil
+	return sortedPrefix(cands, req.K), nil
 }
 
 // KClosest selects the k candidates with the best direct cost (minimum
@@ -217,13 +211,15 @@ func (KClosest) Select(req *Request) ([]int, error) {
 	sort.SliceStable(cands, func(a, b int) bool {
 		return req.Kind.better(req.Direct[cands[a]], req.Direct[cands[b]])
 	})
-	k := req.K
-	if k > len(cands) {
-		k = len(cands)
-	}
-	out := append([]int(nil), cands[:k]...)
+	return sortedPrefix(cands, req.K), nil
+}
+
+// sortedPrefix returns the first k of cands (all of them when fewer),
+// ascending, in a fresh slice.
+func sortedPrefix(cands []int, k int) []int {
+	out := append([]int(nil), cands[:min(k, len(cands))]...)
 	sort.Ints(out)
-	return out, nil
+	return out
 }
 
 // KRegular wires every node with the same offset vector

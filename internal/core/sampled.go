@@ -58,14 +58,7 @@ func (s *Scratch) fillSampled(in *Instance, ds *sampling.DestSample) error {
 // per-destination weighted costs, with its 95% band. For AggSum the
 // estimate is unbiased for Eval's full-roster value of the same wiring.
 func EvalSampled(in *Instance, chosen []int, ds *sampling.DestSample, s *Scratch) sampling.Estimate {
-	var best []float64
-	if s != nil {
-		s.best = floats(s.best, in.n())
-		best = s.best
-	} else {
-		best = make([]float64, in.n())
-	}
-	in.bestPerDestInto(chosen, best)
+	best := in.bestPerDest(chosen, s)
 	return ds.Estimate(func(j int) float64 {
 		return in.pref(j) * in.Kind.finalize(best[j])
 	})

@@ -79,6 +79,7 @@ type Figure struct {
 type params struct {
 	n          int
 	ks         []int
+	k          int // the degree of the fixed-k figures
 	warm, meas int
 	bigN       int // sampling-simulation size
 	sampleMs   []int
@@ -90,7 +91,7 @@ type params struct {
 func (s Scale) params() params {
 	if s == Full {
 		return params{
-			n:    50,
+			n: 50, k: 5,
 			ks:   []int{2, 3, 4, 5, 6, 7, 8},
 			warm: 15, meas: 10,
 			bigN:       296,
@@ -101,7 +102,7 @@ func (s Scale) params() params {
 		}
 	}
 	return params{
-		n:    26,
+		n: 26, k: 3,
 		ks:   []int{2, 4, 6},
 		warm: 5, meas: 4,
 		bigN:       80,
@@ -261,32 +262,12 @@ func Fig2a(s Scale) (*Figure, error) {
 	if s == Full {
 		ks = []int{3, 4, 5, 6, 7, 8} // paper's Fig. 2 left starts at k=3
 	}
-	cols := 1 + len(churnPolicies)
-	results := make([]*sim.Result, len(ks)*cols)
-	if err := forEach(len(results), func(i int) error {
-		k := ks[i/cols]
-		policy := core.Policy(core.BRPolicy{})
-		if ci := i%cols - 1; ci >= 0 {
-			policy = churnPolicies[ci]
-		}
-		var err error
-		results[i], err = runPolicy(p, sim.DelayPing, policy, k, func(c *sim.Config) { c.Churn = sched })
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	curves := make([][]float64, len(churnPolicies))
-	xs := []float64{}
+	xs := make([]float64, len(ks))
 	for ki, k := range ks {
-		br := results[ki*cols]
-		xs = append(xs, float64(k))
-		for ci := range churnPolicies {
-			res := results[ki*cols+1+ci]
-			curves[ci] = append(curves[ci], res.Efficiency.Mean/br.Efficiency.Mean)
-		}
+		xs[ki] = float64(k)
 	}
-	for ci, pol := range churnPolicies {
-		fig.Series = append(fig.Series, Series{Label: pol.Name(), X: xs, Y: curves[ci]})
+	if err := churnSeries(p, fig, xs, func(x int) (int, *churn.Schedule) { return ks[x], sched }); err != nil {
+		return nil, err
 	}
 	fig.Notes = fmt.Sprintf("churn rate %.4f per epoch", sched.Rate(float64(p.warm+p.meas)))
 	return fig, nil
@@ -296,10 +277,7 @@ func Fig2a(s Scale) (*Figure, error) {
 // at fixed k=5 (k=3 at Quick scale).
 func Fig2b(s Scale) (*Figure, error) {
 	p := s.params()
-	k := 5
-	if s == Quick {
-		k = 3
-	}
+	k := p.k
 	fig := &Figure{
 		ID: "2b", Title: fmt.Sprintf("Efficiency / BR efficiency vs churn — k=%d", k),
 		XLabel: "churn (events/epoch, normalized)", YLabel: "Node efficiency / BR efficiency",
@@ -309,7 +287,6 @@ func Fig2b(s Scale) (*Figure, error) {
 	if s == Quick {
 		targets = []float64{0.02, 0.5}
 	}
-	curves := make([][]float64, len(churnPolicies))
 	var xs []float64
 	horizon := float64(p.warm + p.meas)
 	// Schedules are generated up front (their seeds are fixed per target),
@@ -329,10 +306,20 @@ func Fig2b(s Scale) (*Figure, error) {
 		scheds[ti] = sched
 		xs = append(xs, sched.Rate(horizon))
 	}
+	if err := churnSeries(p, fig, xs, func(x int) (int, *churn.Schedule) { return k, scheds[x] }); err != nil {
+		return nil, err
+	}
+	return fig, nil
+}
+
+// churnSeries plays plain BR and every churnPolicies curve at each point
+// x of xs — degree and churn schedule given by at(x) — and adds one
+// series per policy: its efficiency over BR's.
+func churnSeries(p params, fig *Figure, xs []float64, at func(x int) (int, *churn.Schedule)) error {
 	cols := 1 + len(churnPolicies)
-	results := make([]*sim.Result, len(targets)*cols)
+	results := make([]*sim.Result, len(xs)*cols)
 	if err := forEach(len(results), func(i int) error {
-		sched := scheds[i/cols]
+		k, sched := at(i / cols)
 		policy := core.Policy(core.BRPolicy{})
 		if ci := i%cols - 1; ci >= 0 {
 			policy = churnPolicies[ci]
@@ -341,19 +328,16 @@ func Fig2b(s Scale) (*Figure, error) {
 		results[i], err = runPolicy(p, sim.DelayPing, policy, k, func(c *sim.Config) { c.Churn = sched })
 		return err
 	}); err != nil {
-		return nil, err
-	}
-	for ti := range targets {
-		br := results[ti*cols]
-		for ci := range churnPolicies {
-			res := results[ti*cols+1+ci]
-			curves[ci] = append(curves[ci], res.Efficiency.Mean/br.Efficiency.Mean)
-		}
+		return err
 	}
 	for ci, pol := range churnPolicies {
-		fig.Series = append(fig.Series, Series{Label: pol.Name(), X: xs, Y: curves[ci]})
+		y := make([]float64, len(xs))
+		for x := range xs {
+			y[x] = results[x*cols+1+ci].Efficiency.Mean / results[x*cols].Efficiency.Mean
+		}
+		fig.Series = append(fig.Series, Series{Label: pol.Name(), X: xs, Y: y})
 	}
-	return fig, nil
+	return nil
 }
 
 // Fig3a reproduces Fig. 3 left: total re-wirings per epoch over time for a
@@ -733,10 +717,7 @@ func Streaming(s Scale) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	k := 5
-	if s == Quick {
-		k = 3
-	}
+	k := p.k
 	res, err := runPolicy(p, sim.DelayPing, core.BRPolicy{}, k, func(c *sim.Config) {
 		c.UnderlaySeed = p.seed + 71
 	})
@@ -778,10 +759,7 @@ func Streaming(s Scale) (*Figure, error) {
 // analytic bps-per-node formulas next to the simulator's measured traffic.
 func Overhead(s Scale) (*Figure, error) {
 	p := s.params()
-	k := 5
-	if s == Quick {
-		k = 3
-	}
+	k := p.k
 	const epochSeconds = 60.0   // T
 	const announceSeconds = 20. // Tannounce
 	fig := &Figure{

@@ -1,6 +1,7 @@
 package linkstate
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -85,6 +86,30 @@ func (db *DB) Graph() *graph.Digraph {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	g := graph.New(db.n)
+	db.eachArc(func(u int, nb Neighbor) { g.AddArc(u, int(nb.ID), nb.Cost) })
+	return g
+}
+
+// InNeighbors returns, ascending, the nodes whose unexpired LSA
+// announces an arc to v: v's in-neighbours in Graph, without building
+// it.
+func (db *DB) InNeighbors(v int) []int {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	var in []int
+	db.eachArc(func(u int, nb Neighbor) {
+		if int(nb.ID) == v {
+			in = append(in, u)
+		}
+	})
+	slices.Sort(in)
+	return slices.Compact(in)
+}
+
+// eachArc calls fn for every arc of the announced graph: the neighbours
+// an unexpired LSA lists, both ends in [0, n), self-loops dropped. The
+// caller holds mu.
+func (db *DB) eachArc(fn func(u int, nb Neighbor)) {
 	cutoff := db.cutoff()
 	for _, e := range db.entries {
 		if !cutoff.IsZero() && !e.seen.After(cutoff) {
@@ -96,11 +121,10 @@ func (db *DB) Graph() *graph.Digraph {
 		}
 		for _, nb := range e.lsa.Neighbors {
 			if int(nb.ID) < db.n && int(nb.ID) != u {
-				g.AddArc(u, int(nb.ID), nb.Cost)
+				fn(u, nb)
 			}
 		}
 	}
-	return g
 }
 
 // Active returns the alive mask implied by the database: nodes with an

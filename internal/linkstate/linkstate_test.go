@@ -2,6 +2,8 @@ package linkstate
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -205,6 +207,46 @@ func TestDBForget(t *testing.T) {
 	// After Forget, the same seq is fresh again (re-join case).
 	if !db.Apply(&LSA{Origin: 1, Seq: 5}) {
 		t.Fatal("re-join LSA rejected after Forget")
+	}
+}
+
+// TestDBInNeighborsMatchesGraph: InNeighbors(v) is, for every v, the
+// set of u with an arc u→v in Graph, across Apply (fresh and stale
+// LSAs, self-loops, out-of-range ids and origins, repeated neighbours),
+// Forget and expiry by age.
+func TestDBInNeighborsMatchesGraph(t *testing.T) {
+	const n = 12
+	now := time.Unix(0, 0)
+	db := NewDB(n, 10*time.Second, func() time.Time { return now })
+	rng := rand.New(rand.NewSource(4))
+	seq := map[uint16]uint64{}
+	for step := 0; step < 400; step++ {
+		switch op := rng.Intn(10); {
+		case op < 7:
+			origin := uint16(rng.Intn(n + 2))
+			seq[origin] += uint64(rng.Intn(3)) // 0: a stale repeat
+			lsa := &LSA{Origin: origin, Seq: seq[origin]}
+			for d := rng.Intn(5); d > 0; d-- {
+				lsa.Neighbors = append(lsa.Neighbors, Neighbor{ID: uint16(rng.Intn(n + 2)), Cost: 1})
+			}
+			db.Apply(lsa)
+		case op < 8:
+			db.Forget(uint16(rng.Intn(n)))
+		default:
+			now = now.Add(time.Duration(rng.Intn(4)) * time.Second)
+		}
+		g := db.Graph()
+		for v := 0; v < n; v++ {
+			var want []int
+			for u := 0; u < n; u++ {
+				if u != v && g.HasArc(u, v) {
+					want = append(want, u)
+				}
+			}
+			if got := db.InNeighbors(v); !slices.Equal(got, want) {
+				t.Fatalf("step %d: InNeighbors(%d) = %v, Graph has %v", step, v, got, want)
+			}
+		}
 	}
 }
 

@@ -27,15 +27,7 @@ func NodeCosts(g *graph.Digraph, kind core.CostKind, active []bool) []float64 {
 // p_ij = pref(i,j); nil pref means uniform weights of 1.
 func WeightedNodeCosts(g *graph.Digraph, kind core.CostKind, active []bool, pref func(i, j int) float64) []float64 {
 	n := g.N()
-	work := g
-	if active != nil {
-		work = g.Clone()
-		for v := 0; v < n; v++ {
-			if !active[v] {
-				work.ClearNode(v)
-			}
-		}
-	}
+	work, _ := members(g, active)
 	out := make([]float64, n)
 	for i := 0; i < n; i++ {
 		if active != nil && !active[i] {
@@ -76,19 +68,7 @@ func WeightedNodeCosts(g *graph.Digraph, kind core.CostKind, active []bool, pref
 // pairs. Dead nodes get NaN.
 func Efficiency(g *graph.Digraph, active []bool) []float64 {
 	n := g.N()
-	work := g
-	alive := n
-	if active != nil {
-		work = g.Clone()
-		alive = 0
-		for v := 0; v < n; v++ {
-			if !active[v] {
-				work.ClearNode(v)
-			} else {
-				alive++
-			}
-		}
-	}
+	work, alive := members(g, active)
 	out := make([]float64, n)
 	for i := 0; i < n; i++ {
 		if active != nil && !active[i] {
@@ -112,6 +92,23 @@ func Efficiency(g *graph.Digraph, active []bool) []float64 {
 		out[i] = sum / float64(alive-1)
 	}
 	return out
+}
+
+// members returns g with every non-member's arcs cleared (g itself when
+// active is nil) and the member count.
+func members(g *graph.Digraph, active []bool) (*graph.Digraph, int) {
+	if active == nil {
+		return g, g.N()
+	}
+	work, alive := g.Clone(), 0
+	for v := 0; v < g.N(); v++ {
+		if active[v] {
+			alive++
+		} else {
+			work.ClearNode(v)
+		}
+	}
+	return work, alive
 }
 
 // Summary is a mean with a 95 % confidence interval, the form in which

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -757,22 +758,9 @@ func (n *Node) floodTargets() []int {
 }
 
 func (n *Node) floodTargetsLocked() []int {
-	set := make(map[int]bool, len(n.neighbors)*2)
-	for _, nb := range n.neighbors {
-		set[nb] = true
-	}
-	g := n.db.Graph()
-	for u := 0; u < g.N(); u++ {
-		if u != n.cfg.ID && g.HasArc(u, n.cfg.ID) {
-			set[u] = true
-		}
-	}
-	out := make([]int, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
+	out := append(n.db.InNeighbors(n.cfg.ID), n.neighbors...)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 func (n *Node) send(to int, data []byte) {

@@ -1,8 +1,10 @@
 package plane
 
 import (
+	"io"
 	"math"
 	"math/rand"
+	"net"
 	"runtime"
 	"testing"
 
@@ -108,6 +110,40 @@ func TestServeHotPathsZeroAlloc(t *testing.T) {
 			}); got != 0 {
 				t.Fatalf("Server.AnswerBinary(mode=%d) allocates %.1f/op on warm rows, want 0", mode, got)
 			}
+		}
+	})
+
+	// The TCP connection loop answering a pipelined burst with one
+	// coalesced write: its reader, deadlines and buffers included.
+	t.Run("binary-conn-burst", func(t *testing.T) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		go srv.ServeBinary(ln)
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		burst, want := binBurst(t, srv, n, 4)
+		answers := 0
+		for _, w := range want {
+			answers += 4 + len(w)
+		}
+		in := make([]byte, answers)
+		round := func() {
+			if _, err := conn.Write(burst); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := io.ReadFull(conn, in); err != nil {
+				t.Fatal(err)
+			}
+		}
+		round() // grows the server's buffers
+		if got := testing.AllocsPerRun(200, round); got != 0 {
+			t.Fatalf("a binary connection answering a 4-frame burst allocates %.1f/op, want 0", got)
 		}
 	})
 }

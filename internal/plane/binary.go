@@ -115,7 +115,7 @@ func DecodeBatchResponse(payload []byte, mode byte, buf []BinResult) (epoch int6
 	results = buf[:0]
 	off := 13
 	for i := 0; i < count; i++ {
-		if off+9 > len(payload) {
+		if off+13 > len(payload) {
 			return 0, nil, fmt.Errorf("plane: truncated result %d of %d", i, count)
 		}
 		var res BinResult
@@ -124,20 +124,13 @@ func DecodeBatchResponse(payload []byte, mode byte, buf []BinResult) (epoch int6
 		}
 		res.Status = payload[off]
 		res.Cost = math.Float64frombits(binary.LittleEndian.Uint64(payload[off+1 : off+9]))
-		off += 9
+		word := binary.LittleEndian.Uint32(payload[off+9 : off+13]) // via, or path length
+		off += 13
 		switch mode {
 		case BinModeOneHop:
-			if off+4 > len(payload) {
-				return 0, nil, fmt.Errorf("plane: truncated result %d of %d", i, count)
-			}
-			res.Via = int32(binary.LittleEndian.Uint32(payload[off : off+4]))
-			off += 4
+			res.Via = int32(word)
 		case BinModeRoute:
-			if off+4 > len(payload) {
-				return 0, nil, fmt.Errorf("plane: truncated result %d of %d", i, count)
-			}
-			plen := int(binary.LittleEndian.Uint32(payload[off : off+4]))
-			off += 4
+			plen := int(word)
 			if off+4*plen > len(payload) {
 				return 0, nil, fmt.Errorf("plane: truncated path in result %d", i)
 			}
@@ -259,11 +252,14 @@ func (s *Server) handleBatchBin(w http.ResponseWriter, r *http.Request) {
 // body must follow and its response be taken within binFrameTimeout.
 // At most maxBinConns connections are served at once (each holds a
 // goroutine and a 64 KiB reader); one accepted over the cap is closed
-// at once and counted in plane_binary_conns_refused_total.
+// at once and counted in plane_binary_conns_refused_total. The answers
+// to frames a client pipelined go out together, in one write of at most
+// maxBinWriteBytes plus the last frame's answer.
 const (
-	binIdleTimeout  = 2 * time.Minute
-	binFrameTimeout = 5 * time.Second
-	maxBinConns     = 1024
+	binIdleTimeout   = 2 * time.Minute
+	binFrameTimeout  = 5 * time.Second
+	maxBinConns      = 1024
+	maxBinWriteBytes = 64 << 10
 )
 
 // ServeBinary serves the length-prefixed binary batch protocol on ln
@@ -307,20 +303,23 @@ func (s *Server) serveBinary(ln net.Listener, maxConns int, idle, frame time.Dur
 }
 
 // serveBinaryConn answers frames on one connection until read error, a
-// missed deadline, a protocol violation or ShutdownBinary. Request and
-// response buffers are reused across frames, so a steady-state
-// connection allocates nothing per batch.
+// missed deadline, a protocol violation or ShutdownBinary. Once a
+// frame's header has arrived it answers that frame and then every
+// further frame already whole in the reader — never reading the socket
+// to look for one, so half a frame cannot hold back answers computed
+// before it — and sends the answers, in request order, in one write.
+// Request and response buffers are reused across frames, so a
+// steady-state connection allocates nothing per batch.
 func (s *Server) serveBinaryConn(conn net.Conn, idle, frame time.Duration) {
 	defer s.bin.untrack(conn)
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, 64<<10)
-	var lenBuf [4]byte
 	var req, resp []byte
 	for {
 		if conn.SetReadDeadline(time.Now().Add(idle)) != nil {
 			return
 		}
-		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
+		if _, err := br.Peek(4); err != nil {
 			return
 		}
 		if !s.bin.answering(conn, true) {
@@ -329,39 +328,54 @@ func (s *Server) serveBinaryConn(conn net.Conn, idle, frame time.Duration) {
 		if conn.SetDeadline(time.Now().Add(frame)) != nil {
 			return
 		}
-		frameLen := int(binary.LittleEndian.Uint32(lenBuf[:]))
-		if frameLen > maxBatchBytes {
-			return
+		ok, more := true, true
+		for resp = resp[:0]; ok && more; {
+			req, resp, ok = s.answerFrame(br, req, resp)
+			// Another frame goes in this write only if it is whole in br.
+			hdr, _ := br.Peek(min(4, br.Buffered()))
+			more = len(hdr) == 4 && 4+int(binary.LittleEndian.Uint32(hdr)) <= br.Buffered() && len(resp) < maxBinWriteBytes
 		}
-		if cap(req) < frameLen {
-			req = make([]byte, frameLen)
+		if len(resp) > 0 {
+			s.binWrites.Add(1)
+			if _, err := conn.Write(resp); err != nil {
+				return
+			}
 		}
-		req = req[:frameLen]
-		if _, err := io.ReadFull(br, req); err != nil {
-			return
-		}
-		// Leave room for the length prefix so the frame goes out in one
-		// write.
-		resp = resp[:0]
-		resp = append(resp, 0, 0, 0, 0)
-		out, err := s.AnswerBinary(req, resp)
-		if err != nil {
-			// Protocol violation: report in-band, then drop the
-			// connection — framing can no longer be trusted.
-			out = appendBinError(resp, err.Error())
-			binary.LittleEndian.PutUint32(out[:4], uint32(len(out)-4))
-			_, _ = conn.Write(out)
-			return
-		}
-		resp = out
-		binary.LittleEndian.PutUint32(resp[:4], uint32(len(resp)-4))
-		if _, err := conn.Write(resp); err != nil {
-			return
-		}
-		if !s.bin.answering(conn, false) {
+		if !ok || !s.bin.answering(conn, false) {
 			return
 		}
 	}
+}
+
+// answerFrame reads one frame from br and appends its length-prefixed
+// answer to resp. ok is false when the connection must end: the read
+// failed or the frame is over the size cap (nothing appended), or the
+// request is malformed — a protocol violation, answered in-band, after
+// which framing can no longer be trusted.
+func (s *Server) answerFrame(br *bufio.Reader, req, resp []byte) (_, _ []byte, ok bool) {
+	hdr, err := br.Peek(4)
+	if err != nil {
+		return req, resp, false
+	}
+	frameLen := int(binary.LittleEndian.Uint32(hdr))
+	if frameLen > maxBatchBytes {
+		return req, resp, false
+	}
+	_, _ = br.Discard(4)
+	if cap(req) < frameLen {
+		req = make([]byte, frameLen)
+	}
+	req = req[:frameLen]
+	if _, err := io.ReadFull(br, req); err != nil {
+		return req, resp, false
+	}
+	at := len(resp)
+	out, err := s.AnswerBinary(req, append(resp, 0, 0, 0, 0))
+	if err != nil {
+		out = appendBinError(out, err.Error())
+	}
+	binary.LittleEndian.PutUint32(out[at:], uint32(len(out)-at-4))
+	return req, out, err == nil
 }
 
 // binTracker is the binary listeners' and connections' book for

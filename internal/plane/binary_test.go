@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -457,6 +458,155 @@ func TestBinaryShutdownDrains(t *testing.T) {
 	defer cancel()
 	if err := srv2.ShutdownBinary(ctx); err != context.DeadlineExceeded {
 		t.Fatalf("ShutdownBinary with a stalled frame: %v, want the deadline", err)
+	}
+
+	// A coalesced burst in flight holds the drain until its one write
+	// returns: over a pipe the server's write blocks until the client
+	// reads, so the connection stays answering while the drain starts.
+	srv3, snap3 := testServer(t, 60, 4)
+	client, server := net.Pipe()
+	defer client.Close()
+	srv3.bin.track(server)
+	go srv3.serveBinaryConn(server, binIdleTimeout, binFrameTimeout)
+	burst, want := binBurst(t, srv3, snap3.N(), 5)
+	if _, err := client.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	waitAnswering(t, srv3, 1)
+	go func() { shut <- srv3.ShutdownBinary(context.Background()) }()
+	select {
+	case err := <-shut:
+		t.Fatalf("ShutdownBinary returned (%v) with a coalesced write unread", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	readAnswers(t, client, want)
+	if _, err := client.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("after the drained burst: read ended with %v, want EOF", err)
+	}
+	if err := <-shut; err != nil {
+		t.Fatalf("ShutdownBinary after the burst: %v", err)
+	}
+}
+
+// binBurst builds count frames of alternating mode, random pairs and
+// an invalid pair, back to back as a client pipelines them, and the
+// answer each gets alone.
+func binBurst(t *testing.T, srv *Server, n, count int) (burst []byte, answers [][]byte) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(count)))
+	for f := 0; f < count; f++ {
+		pairs := []uint32{uint32(n), 0}
+		for p := 0; p < 8; p++ {
+			pairs = append(pairs, uint32(rng.Intn(n)), uint32(rng.Intn(n)))
+		}
+		at := len(burst)
+		burst = AppendBatchRequest(append(burst, 0, 0, 0, 0), byte(f%2), pairs)
+		binary.LittleEndian.PutUint32(burst[at:], uint32(len(burst)-at-4))
+		resp, err := srv.AnswerBinary(burst[at+4:], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		answers = append(answers, resp)
+	}
+	return burst, answers
+}
+
+// readAnswers reads one length-prefixed answer per want, in order, and
+// requires each to carry want's bytes.
+func readAnswers(t *testing.T, conn net.Conn, want [][]byte) {
+	t.Helper()
+	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	for f, w := range want {
+		var hdr [4]byte
+		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+			t.Fatalf("answer %d: %v", f, err)
+		}
+		got := make([]byte, binary.LittleEndian.Uint32(hdr[:]))
+		if _, err := io.ReadFull(conn, got); err != nil {
+			t.Fatalf("answer %d: %v", f, err)
+		}
+		if !bytes.Equal(got, w) {
+			t.Fatalf("answer %d: %d bytes, not the %d its frame gets alone", f, len(got), len(w))
+		}
+	}
+}
+
+// TestBinaryCoalescedWrites: frames a client sends in one write are
+// answered in request order in one response write, each answer the
+// bytes the same frame gets in a lone round trip; a frame of which only
+// part has arrived does not hold back the answers before it; and a
+// malformed frame after two good ones gets the two answers, then the
+// in-band error, then a close. The connection runs over a pipe, whose
+// one write reaches the server's reader in one read.
+func TestBinaryCoalescedWrites(t *testing.T) {
+	srv, snap := testServer(t, 60, 4)
+	serve := func() net.Conn {
+		client, server := net.Pipe()
+		t.Cleanup(func() { client.Close() })
+		srv.bin.track(server)
+		go srv.serveBinaryConn(server, binIdleTimeout, binFrameTimeout)
+		return client
+	}
+	client := serve()
+	burst, want := binBurst(t, srv, snap.N(), 6)
+	if _, err := client.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	readAnswers(t, client, want)
+	if got := srv.binWrites.Load(); got != 1 {
+		t.Fatalf("6 pipelined frames took %d writes, want 1", got)
+	}
+	// The same frames one at a time: one write each, the same bytes.
+	for at, f := 0, 0; at < len(burst); f++ {
+		end := at + 4 + int(binary.LittleEndian.Uint32(burst[at:]))
+		if _, err := client.Write(burst[at:end]); err != nil {
+			t.Fatal(err)
+		}
+		readAnswers(t, client, want[f:f+1])
+		at = end
+	}
+	if got := srv.binWrites.Load(); got != 7 {
+		t.Fatalf("6 lone frames after the burst: %d writes in all, want 7", got)
+	}
+
+	// One whole frame and the first 9 bytes of the next: the first
+	// answer comes without the rest, the second once it arrives.
+	first := 4 + int(binary.LittleEndian.Uint32(burst))
+	second := first + 4 + int(binary.LittleEndian.Uint32(burst[first:]))
+	if _, err := client.Write(burst[:first+9]); err != nil {
+		t.Fatal(err)
+	}
+	readAnswers(t, client, want[:1])
+	if _, err := client.Write(burst[first+9 : second]); err != nil {
+		t.Fatal(err)
+	}
+	readAnswers(t, client, want[1:2])
+
+	// Two good frames, then one with an unknown mode, in one write.
+	bad := AppendBatchRequest([]byte{0, 0, 0, 0}, 9, []uint32{1, 2})
+	binary.LittleEndian.PutUint32(bad, uint32(len(bad)-4))
+	client = serve()
+	writes := srv.binWrites.Load()
+	if _, err := client.Write(append(burst[:second:second], bad...)); err != nil {
+		t.Fatal(err)
+	}
+	readAnswers(t, client, want[:2])
+	var hdr [4]byte
+	if _, err := io.ReadFull(client, hdr[:]); err != nil {
+		t.Fatal(err)
+	}
+	errFrame := make([]byte, binary.LittleEndian.Uint32(hdr[:]))
+	if _, err := io.ReadFull(client, errFrame); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := DecodeBatchResponse(errFrame, BinModeOneHop, nil); err == nil || !strings.Contains(err.Error(), "unknown binary mode") {
+		t.Fatalf("the malformed frame's answer decodes to %v, want the in-band mode error", err)
+	}
+	if _, err := client.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("after the in-band error: read ended with %v, want EOF", err)
+	}
+	if got := srv.binWrites.Load() - writes; got != 1 {
+		t.Fatalf("two answers and an error took %d writes, want 1", got)
 	}
 }
 

@@ -80,8 +80,8 @@ func (s *Snapshot) Patch(epoch int64, changed []int, wiring [][]int, active []bo
 		clone.epoch = epoch
 		return &clone
 	}
-	ns := &Snapshot{epoch: epoch, net: s.net, nLive: s.nLive}
-	ns.live = make([]bool, n)
+	ns := newSnapshot(epoch, s.net, n)
+	ns.nLive = s.nLive
 	copy(ns.live, s.live)
 	isChanged := make(map[int]bool, len(changed))
 	for _, u := range changed {
@@ -103,19 +103,7 @@ func (s *Snapshot) Patch(epoch int64, changed []int, wiring [][]int, active []bo
 			}
 		}
 	}
-	var arcs []graph.Arc
-	ns.csr = graph.PatchCSR(s.csr, changed, func(u int) []graph.Arc {
-		arcs = arcs[:0]
-		if !ns.live[u] || u >= len(wiring) {
-			return nil
-		}
-		for _, v := range wiring[u] {
-			if ns.live[v] {
-				arcs = append(arcs, graph.Arc{To: v, W: s.net.Delay(u, v)})
-			}
-		}
-		return arcs
-	})
+	ns.csr = graph.PatchCSR(s.csr, changed, ns.arcsOf(wiring))
 	ns.rows = newRowCache(ns, s.rows.cap)
 	s.rows.carryInto(ns.rows, func(src int, dist []float64, parent []int32) bool {
 		if isChanged[src] {

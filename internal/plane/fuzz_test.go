@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"egoist/internal/graph"
+	"egoist/internal/underlay"
 )
 
 // FuzzBinaryBatch fuzzes the one decoder in this package that reads
@@ -251,6 +252,56 @@ func FuzzRouteCacheAdmission(f *testing.F) {
 		}
 		if held, bound := srv.Current().rows.size(), capRows+runtime.GOMAXPROCS(0); held > bound {
 			t.Fatalf("batch: %d rows resident, cap %d plus %d workers", held, capRows, bound-capRows)
+		}
+	})
+}
+
+// FuzzOneHopPruned is the exactness net of the bound-pruned one-hop
+// decision: over fuzzed sizes, degrees, underlay and wiring seeds, with
+// about one node in eight departed, Snapshot.OneHop must equal the
+// unpruned oneHopReference bit for bit, in Via and in the cost's bits.
+// Each neighbour the decision weighs is also put to the bound at
+// thresholds built to tie: for best at the float64 sum w + Delay(v, dst)
+// and up to two ulps either side, a proven DelayAtLeast(v, dst, best−w)
+// must mean the sum is ≥ best — the skip the strict < would have made.
+//
+// CI runs this as a short -fuzztime smoke step; run it longer locally
+// with: go test ./internal/plane -run '^$' -fuzz FuzzOneHopPruned
+func FuzzOneHopPruned(f *testing.F) {
+	f.Add(uint8(58), uint8(3), int64(11), int64(5))
+	f.Add(uint8(198), uint8(7), int64(2009), int64(1))
+	f.Add(uint8(0), uint8(0), int64(-3), int64(0))
+	f.Fuzz(func(t *testing.T, nRaw, kRaw uint8, netSeed, wireSeed int64) {
+		n := 2 + int(nRaw)
+		k := 1 + int(kRaw)%min(n-1, 12)
+		net, err := underlay.NewLite(n, netSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(wireSeed))
+		wiring := randomWiring(n, k, rng)
+		active := make([]bool, n)
+		for u := range active {
+			active[u] = rng.Intn(8) != 0
+		}
+		snap := Compile(0, wiring, active, net, Options{})
+		for q := 0; q < 300; q++ {
+			src, dst := rng.Intn(n), rng.Intn(n)
+			got, want := snap.OneHop(src, dst), oneHopReference(net, wiring, active, src, dst)
+			if math.Float64bits(got.Cost) != math.Float64bits(want.Cost) || got.Via != want.Via {
+				t.Fatalf("onehop %d->%d: pruned %+v, reference %+v", src, dst, got, want)
+			}
+			to, w := snap.csr.Out(src)
+			for x, v := range to {
+				sum := w[x] + net.Delay(int(v), dst)
+				best := math.Nextafter(math.Nextafter(sum, math.Inf(-1)), math.Inf(-1))
+				for step := 0; step < 5; step++ {
+					if net.DelayAtLeast(int(v), dst, best-w[x]) && sum < best {
+						t.Fatalf("neighbour %d of %d toward %d: sum %v < best %v, yet the bound skips it", v, src, dst, sum, best)
+					}
+					best = math.Nextafter(best, math.Inf(1))
+				}
+			}
 		}
 	})
 }

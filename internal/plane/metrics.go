@@ -86,6 +86,7 @@ func (m *serverMetrics) batch(t0 time.Time) {
 //	plane_cache_refusals_total          fills the admission rule refused
 //	plane_pair_{searches,settled}_total  pair searches a miss paid
 //	plane_binary_conns_refused_total    binary connections closed over the cap
+//	plane_binary_writes_total           binary TCP response writes (pipelined frames share one)
 //	plane_snapshot_epoch / _age_seconds / _live  serving snapshot
 //	plane_{onehop,route}_latency_ns     one answer in timedEvery
 //	plane_{batch,publish}_latency_ns    summaries, every one
@@ -111,6 +112,7 @@ func (s *Server) EnableMetrics(reg *obs.Registry) {
 	reg.CounterFunc("plane_pair_settled_total", "nodes settled by pair searches (a filled row settles every live node)", s.cstats.settled.Load)
 	reg.CounterFunc("plane_cache_evictions_total", "row-cache rows dropped under the cap", s.cstats.evictions.Load)
 	reg.CounterFunc("plane_cache_collapses_total", "row-cache lookups that joined an in-flight compute (singleflight)", s.cstats.collapses.Load)
+	reg.CounterFunc("plane_binary_writes_total", "binary-protocol TCP response writes (the answers to frames a client pipelined share one)", s.binWrites.Load)
 	reg.CounterFunc("plane_binary_conns_refused_total", "binary-protocol connections closed at accept because the connection cap was reached", s.binRefused.Load)
 	reg.GaugeFunc("plane_snapshot_epoch", "serving snapshot epoch (-1 before the first publish)", func() float64 {
 		if snap := s.cur.Load(); snap != nil {

@@ -58,6 +58,7 @@ func TestServerMetricsExposition(t *testing.T) {
 		"plane_queries_route_total":        2 * timedEvery,
 		"plane_queries_failed_total":       0,
 		"plane_binary_conns_refused_total": 0,
+		"plane_binary_writes_total":        0, // AnswerBinary alone writes nothing
 		"plane_batch_latency_ns_count":     1,
 		"plane_publish_latency_ns_count":   1,
 		"plane_snapshot_epoch":             7,

@@ -38,6 +38,7 @@ type Server struct {
 	routes     atomic.Int64
 	failed     atomic.Int64
 	binRefused atomic.Int64   // binary connections closed over the cap
+	binWrites  atomic.Int64   // binary TCP response writes
 	bin        binTracker     // binary listeners and connections, for ShutdownBinary
 	helpers    atomic.Int32   // route-batch helper goroutines running
 	m          *serverMetrics // nil until EnableMetrics
@@ -247,28 +248,25 @@ func (s *Server) answerPair(snap *Snapshot, mode string, src, dst int) routeResu
 }
 
 func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query()
+	mode := q.Get("mode")
+	src, srcErr := strconv.Atoi(q.Get("src"))
+	dst, dstErr := strconv.Atoi(q.Get("dst"))
 	snap := s.cur.Load()
-	if snap == nil {
-		s.failed.Add(1)
-		http.Error(w, ErrNoSnapshot.Error(), http.StatusServiceUnavailable)
-		return
+	code, msg := http.StatusBadRequest, ""
+	switch {
+	case snap == nil:
+		code, msg = http.StatusServiceUnavailable, ErrNoSnapshot.Error()
+	case !validMode(mode):
+		msg = fmt.Sprintf("plane: unknown mode %q (want onehop or route)", mode)
+	case srcErr != nil:
+		msg = "plane: bad src: " + srcErr.Error()
+	case dstErr != nil:
+		msg = "plane: bad dst: " + dstErr.Error()
 	}
-	mode := r.URL.Query().Get("mode")
-	if !validMode(mode) {
+	if msg != "" {
 		s.failed.Add(1)
-		http.Error(w, fmt.Sprintf("plane: unknown mode %q (want onehop or route)", mode), http.StatusBadRequest)
-		return
-	}
-	src, err := strconv.Atoi(r.URL.Query().Get("src"))
-	if err != nil {
-		s.failed.Add(1)
-		http.Error(w, "plane: bad src: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	dst, err := strconv.Atoi(r.URL.Query().Get("dst"))
-	if err != nil {
-		s.failed.Add(1)
-		http.Error(w, "plane: bad dst: "+err.Error(), http.StatusBadRequest)
+		http.Error(w, msg, code)
 		return
 	}
 	res := s.answerPair(snap, mode, src, dst)

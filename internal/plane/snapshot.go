@@ -40,6 +40,13 @@ type DelayNet interface {
 	Delay(i, j int) float64
 }
 
+// delayBound is a DelayNet that proves Delay(i, j) ≥ c cheaper than
+// Delay (underlay.Lite.DelayAtLeast, its contract). A table-backed net
+// answers Delay with one lookup, so no test could pay there.
+type delayBound interface {
+	DelayAtLeast(i, j int, c float64) bool
+}
+
 // DelayFunc adapts a plain function (a delay matrix row lookup, a
 // link-state estimate table) to a DelayNet.
 type DelayFunc struct {
@@ -70,6 +77,7 @@ type Snapshot struct {
 	epoch int64
 	csr   *graph.CSR
 	net   DelayNet
+	bound delayBound // net's own, or nil: resolved once per snapshot
 	live  []bool
 	nLive int
 	rows  *rowCache
@@ -85,7 +93,7 @@ type Snapshot struct {
 // wiring and keep mutating it afterwards.
 func Compile(epoch int64, wiring [][]int, active []bool, net DelayNet, opts Options) *Snapshot {
 	n := net.N()
-	s := &Snapshot{epoch: epoch, net: net, live: make([]bool, n)}
+	s := newSnapshot(epoch, net, n)
 	for u := 0; u < n; u++ {
 		if active != nil {
 			s.live[u] = active[u]
@@ -96,21 +104,35 @@ func Compile(epoch int64, wiring [][]int, active []bool, net DelayNet, opts Opti
 			s.nLive++
 		}
 	}
+	s.csr = graph.NewCSR(n, s.arcsOf(wiring))
+	s.rows = newRowCache(s, opts.RouteCacheRows)
+	return s
+}
+
+// newSnapshot is the header every constructor starts from.
+func newSnapshot(epoch int64, net DelayNet, n int) *Snapshot {
+	s := &Snapshot{epoch: epoch, net: net, live: make([]bool, n)}
+	s.bound, _ = net.(delayBound)
+	return s
+}
+
+// arcsOf is the CSR row source of a wiring under s.live: u's arcs to
+// live neighbours, priced by the delay oracle (none when u is not
+// live). The returned slice is reused from call to call.
+func (s *Snapshot) arcsOf(wiring [][]int) func(u int) []graph.Arc {
 	var arcs []graph.Arc
-	s.csr = graph.NewCSR(n, func(u int) []graph.Arc {
+	return func(u int) []graph.Arc {
 		arcs = arcs[:0]
 		if !s.live[u] || u >= len(wiring) {
 			return nil
 		}
 		for _, v := range wiring[u] {
 			if s.live[v] {
-				arcs = append(arcs, graph.Arc{To: v, W: net.Delay(u, v)})
+				arcs = append(arcs, graph.Arc{To: v, W: s.net.Delay(u, v)})
 			}
 		}
 		return arcs
-	})
-	s.rows = newRowCache(s, opts.RouteCacheRows)
-	return s
+	}
 }
 
 // CompileGraph builds a Snapshot from an already-weighted overlay graph
@@ -120,7 +142,7 @@ func Compile(epoch int64, wiring [][]int, active []bool, net DelayNet, opts Opti
 // announced arcs are the only delay knowledge available.
 func CompileGraph(epoch int64, g *graph.Digraph, net DelayNet, opts Options) *Snapshot {
 	n := g.N()
-	s := &Snapshot{epoch: epoch, net: net, live: make([]bool, n)}
+	s := newSnapshot(epoch, net, n)
 	for u := 0; u < n; u++ {
 		if g.OutDegree(u) > 0 {
 			s.live[u] = true
@@ -195,7 +217,9 @@ type Decision struct {
 // the direct underlay path, or one hop via whichever of src's overlay
 // neighbors is cheapest. Ties go to the direct path, then to the
 // earliest arc in the snapshot's adjacency order (the compiled wiring
-// order) — deterministic for the equivalence suites.
+// order) — deterministic for the equivalence suites. A neighbour the
+// net's bound proves cannot undercut the best so far is not priced: its
+// float64 sum would be ≥ best, so the strict < passes it over anyway.
 // Out-of-range ids panic with a clear message (Server validates and
 // returns errors instead).
 func (s *Snapshot) OneHop(src, dst int) Decision {
@@ -211,6 +235,9 @@ func (s *Snapshot) OneHop(src, dst int) Decision {
 			if w[x] < best.Cost {
 				best = Decision{Via: -1, Cost: w[x]}
 			}
+			continue
+		}
+		if s.bound != nil && s.bound.DelayAtLeast(int(v), dst, best.Cost-w[x]) {
 			continue
 		}
 		if c := w[x] + s.net.Delay(int(v), dst); c < best.Cost {

@@ -93,47 +93,54 @@ func TestRouteMatchesGraphDijkstra(t *testing.T) {
 	}
 }
 
-// TestOneHopMatchesReference checks the O(k) decision against a naive
-// reference over the same wiring.
+// TestOneHopMatchesReference checks the O(k) decision, bound-pruned,
+// against a naive unpruned reference over the same wiring, bit for bit:
+// on a small overlay and on one the size of the benchmark fixture (n =
+// 2,500, k = 8).
 func TestOneHopMatchesReference(t *testing.T) {
-	const n, k = 60, 4
-	net := testNet(t, n)
-	wiring := randomWiring(n, k, rand.New(rand.NewSource(5)))
-	snap := Compile(0, wiring, nil, net, Options{})
-	rng := rand.New(rand.NewSource(6))
-	for q := 0; q < 2000; q++ {
-		src, dst := rng.Intn(n), rng.Intn(n)
-		got := snap.OneHop(src, dst)
-		if src == dst {
-			if got.Cost != 0 || got.Via != -1 {
-				t.Fatalf("self decision: %+v", got)
+	for _, size := range []struct{ n, k, queries int }{{60, 4, 2000}, {2500, 8, 20000}} {
+		net := testNet(t, size.n)
+		wiring := randomWiring(size.n, size.k, rand.New(rand.NewSource(5)))
+		snap := Compile(0, wiring, nil, net, Options{})
+		rng := rand.New(rand.NewSource(6))
+		for q := 0; q < size.queries; q++ {
+			src, dst := rng.Intn(size.n), rng.Intn(size.n)
+			got, want := snap.OneHop(src, dst), oneHopReference(net, wiring, nil, src, dst)
+			if math.Float64bits(got.Cost) != math.Float64bits(want.Cost) || got.Via != want.Via {
+				t.Fatalf("n=%d: onehop %d->%d: got %+v, want %+v", size.n, src, dst, got, want)
 			}
-			continue
-		}
-		bestCost, bestVia := net.Delay(src, dst), -1
-		for _, v := range wiring[src] {
-			var c float64
-			if v == dst {
-				c = net.Delay(src, v)
-			} else {
-				c = net.Delay(src, v) + net.Delay(v, dst)
+			if got.Cost > net.Delay(src, dst) {
+				t.Fatalf("n=%d: onehop %d->%d worse than direct", size.n, src, dst)
 			}
-			if c < bestCost {
-				bestCost = c
-				if v == dst {
-					bestVia = -1
-				} else {
-					bestVia = v
-				}
-			}
-		}
-		if math.Float64bits(got.Cost) != math.Float64bits(bestCost) || got.Via != bestVia {
-			t.Fatalf("onehop %d->%d: got %+v, want via=%d cost=%v", src, dst, got, bestVia, bestCost)
-		}
-		if got.Cost > net.Delay(src, dst) {
-			t.Fatalf("onehop %d->%d worse than direct", src, dst)
 		}
 	}
+}
+
+// oneHopReference is the one-hop decision priced in full: the direct
+// delay, then every live neighbour in wiring order, strict < (active nil
+// means every node is live).
+func oneHopReference(net DelayNet, wiring [][]int, active []bool, src, dst int) Decision {
+	if src == dst {
+		return Decision{Via: -1, Cost: 0}
+	}
+	live := func(u int) bool { return active == nil || active[u] }
+	best := Decision{Via: -1, Cost: net.Delay(src, dst)}
+	if !live(src) {
+		return best
+	}
+	for _, v := range wiring[src] {
+		if !live(v) {
+			continue
+		}
+		c, via := net.Delay(src, v), -1
+		if v != dst {
+			c, via = c+net.Delay(v, dst), v
+		}
+		if c < best.Cost {
+			best = Decision{Via: via, Cost: c}
+		}
+	}
+	return best
 }
 
 // TestCompileFiltersDeparted: arcs from or to non-members must not

@@ -256,7 +256,7 @@ func growBase(cfg NewcomerConfig, rng *rand.Rand) (*graph.Digraph, error) {
 	}
 	for pass := first; pass <= last; pass++ {
 		for v := 0; v < n; v++ {
-			pool := seq(0, v)
+			pool := seqExcept(0, v, -1)
 			if pass > 0 {
 				pool = seqExcept(0, n, v)
 			}
@@ -299,6 +299,7 @@ func growBase(cfg NewcomerConfig, rng *rand.Rand) (*graph.Digraph, error) {
 	return g, nil
 }
 
+// seqExcept returns lo..hi-1 without skip.
 func seqExcept(lo, hi, skip int) []int {
 	var out []int
 	for v := lo; v < hi; v++ {
@@ -315,14 +316,6 @@ func directRow(m topology.DelayMatrix, v int) []float64 {
 		if j != v {
 			out[j] = m[v][j]
 		}
-	}
-	return out
-}
-
-func seq(lo, hi int) []int {
-	var out []int
-	for v := lo; v < hi; v++ {
-		out = append(out, v)
 	}
 	return out
 }

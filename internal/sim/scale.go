@@ -440,18 +440,36 @@ func policySeed(seed int64, epoch, node int) int64 {
 }
 
 // policyStream is a reusable policyRNG: at re-seeds one generator to the
-// (seed, epoch, node) stream instead of allocating one per proposal. Seed
-// re-initialises the source exactly as NewSource does, so the draws are
+// (seed, epoch, node) stream instead of allocating one per proposal. The
+// source seeds itself exactly as NewSource does, so the draws are
 // policyRNG's.
 type policyStream struct{ r *rand.Rand }
 
 func (p *policyStream) at(seed int64, epoch, node int) *rand.Rand {
 	if p.r == nil {
-		p.r = policyRNG(seed, epoch, node)
-	} else {
-		p.r.Seed(policySeed(seed, epoch, node))
+		p.r = rand.New(&lazySource{Source64: rand.NewSource(0).(rand.Source64)})
 	}
+	p.r.Seed(policySeed(seed, epoch, node))
 	return p.r
+}
+
+// lazySource records its seed and seeds the source on the first draw
+// after it: a proposal that draws nothing — a full-engine slot under
+// any policy but k-Random — skips Seed's fill of the 607-word state.
+type lazySource struct {
+	rand.Source64
+	seed   int64
+	seeded bool
+}
+
+func (s *lazySource) Seed(seed int64) { s.seed, s.seeded = seed, false }
+func (s *lazySource) Int63() int64    { s.ready(); return s.Source64.Int63() }
+func (s *lazySource) Uint64() uint64  { s.ready(); return s.Source64.Uint64() }
+func (s *lazySource) ready() {
+	if !s.seeded {
+		s.Source64.Seed(s.seed)
+		s.seeded = true
+	}
 }
 
 // splitmix64 is the finalizer of the SplitMix64 generator — a cheap,

@@ -373,19 +373,13 @@ func (st *state) announcedOut(u int) []graph.Arc {
 	return arcs
 }
 
-// trueGraph materializes the real current cost of every established link,
-// used only by the measurement layer.
+// trueGraph materializes the real current cost of every link of the
+// announced view, used only by the measurement layer.
 func (st *state) trueGraph() *graph.Digraph {
 	g := graph.New(st.cfg.N)
-	for u, ws := range st.wiring {
-		if !st.active[u] {
-			continue
-		}
-		for _, v := range ws {
-			if !st.active[v] {
-				continue
-			}
-			g.AddArc(u, v, st.trueCost(u, v))
+	for u := range st.wiring {
+		for _, a := range st.announcedOut(u) {
+			g.AddArc(u, a.To, st.trueCost(u, a.To))
 		}
 	}
 	return g
@@ -592,29 +586,15 @@ func (st *state) repairBackbone(counter func(links int)) {
 		}
 		targets := core.DonatedTargets(i, st.cfg.N, pol.Donated, st.active)
 		cur := st.wiring[i]
-		missing := 0
-		have := make(map[int]bool, len(cur))
-		for _, v := range cur {
-			have[v] = true
-		}
-		for _, t := range targets {
-			if !have[t] {
-				missing++
-			}
-		}
-		if missing == 0 {
+		if !slices.ContainsFunc(targets, func(t int) bool { return !slices.Contains(cur, t) }) {
 			continue
 		}
 		// Keep alive non-backbone links up to the remaining budget, then
 		// add the backbone targets.
-		isTarget := make(map[int]bool, len(targets))
-		for _, t := range targets {
-			isTarget[t] = true
-		}
 		var kept []int
 		budget := st.cfg.K - len(targets)
 		for _, v := range cur {
-			if !isTarget[v] && st.active[v] && len(kept) < budget {
+			if !slices.Contains(targets, v) && st.active[v] && len(kept) < budget {
 				kept = append(kept, v)
 			}
 		}
@@ -634,8 +614,7 @@ func (st *state) run() (*Result, error) {
 		PerNodeCost:       make([]float64, cfg.N),
 		PerNodeEfficiency: make([]float64, cfg.N),
 	}
-	costSamples := make([]int, cfg.N)
-	effSamples := make([]int, cfg.N)
+	costSamples := make([]int, cfg.N) // snapshots each node was alive in
 	weighted := make([]float64, cfg.N)
 
 	snapshot := func(endOfEpoch bool) {
@@ -655,7 +634,6 @@ func (st *state) run() (*Result, error) {
 				res.PerNodeCost[i] += costs[i]
 				costSamples[i]++
 				res.PerNodeEfficiency[i] += effs[i]
-				effSamples[i]++
 				epochSum += costs[i]
 				epochAlive++
 				if wcosts != nil {
@@ -718,26 +696,22 @@ func (st *state) run() (*Result, error) {
 		}
 	}
 
-	for i := 0; i < cfg.N; i++ {
-		if costSamples[i] > 0 {
-			res.PerNodeCost[i] /= float64(costSamples[i])
-			res.PerNodeEfficiency[i] /= float64(effSamples[i])
-		} else {
-			res.PerNodeCost[i] = nan()
-			res.PerNodeEfficiency[i] = nan()
-		}
-	}
-	res.Cost = measure.Summarize(res.PerNodeCost)
-	res.Efficiency = measure.Summarize(res.PerNodeEfficiency)
-	if cfg.PrefAt != nil {
-		for i := 0; i < cfg.N; i++ {
-			if costSamples[i] > 0 {
-				weighted[i] /= float64(costSamples[i])
+	// mean turns per-node sums over the snapshots into means (NaN for a
+	// node never alive in one) and summarizes them.
+	mean := func(sums []float64) measure.Summary {
+		for i, c := range costSamples {
+			if c > 0 {
+				sums[i] /= float64(c)
 			} else {
-				weighted[i] = nan()
+				sums[i] = nan()
 			}
 		}
-		res.WeightedCost = measure.Summarize(weighted)
+		return measure.Summarize(sums)
+	}
+	res.Cost = mean(res.PerNodeCost)
+	res.Efficiency = mean(res.PerNodeEfficiency)
+	if cfg.PrefAt != nil {
+		res.WeightedCost = mean(weighted)
 	}
 	res.FinalWiring = make([][]int, cfg.N)
 	for i := range st.wiring {

@@ -31,21 +31,7 @@ func NewLite(n int, seed int64) (*Lite, error) {
 		propagationFactor: 0.015,
 		accessDelayMS:     2,
 	}
-	rng := rand.New(rand.NewSource(seed))
-	mix := PlanetLabMix(n)
-	l.sites = make([]Site, 0, n)
-	for r := Region(0); r < numRegions; r++ {
-		for j := 0; j < mix[r]; j++ {
-			l.sites = append(l.sites, Site{
-				Region: r,
-				Lat:    clampLat(regionCenter[r][0] + rng.NormFloat64()*regionSpread[r]),
-				Lon:    wrapLon(regionCenter[r][1] + rng.NormFloat64()*regionSpread[r]*2),
-			})
-		}
-	}
-	rng.Shuffle(len(l.sites), func(i, j int) {
-		l.sites[i], l.sites[j] = l.sites[j], l.sites[i]
-	})
+	l.sites = placeSites(n, rand.New(rand.NewSource(seed)))
 	l.unit = make([][3]float64, n)
 	rad := math.Pi / 180
 	for i, s := range l.sites {
@@ -65,6 +51,8 @@ func (l *Lite) N() int { return len(l.sites) }
 // Site returns the i-th site descriptor.
 func (l *Lite) Site(i int) Site { return l.sites[i] }
 
+const earthRadiusKM = 6371
+
 // Delay returns the static one-way delay in ms from i to j: access delay
 // plus great-circle propagation inflated by a deterministic per-pair
 // routing factor. Asymmetric (the (i,j) and (j,i) inflations differ),
@@ -73,20 +61,57 @@ func (l *Lite) Delay(i, j int) float64 {
 	if i == j {
 		return 0
 	}
-	const earthRadiusKM = 6371
-	a, b := l.unit[i], l.unit[j]
-	dot := a[0]*b[0] + a[1]*b[1] + a[2]*b[2]
+	dot := l.cos(i, j)
 	if dot > 1 {
 		dot = 1
 	} else if dot < -1 {
 		dot = -1
 	}
 	km := earthRadiusKM * math.Acos(dot)
-	// Hash (seed, i, j) into an inflation factor in [1, 1.36): the same
-	// scale as Underlay's |N(0,1)|·0.15 lognormal-ish inflation.
+	return l.accessDelayMS + km*l.propagationFactor*l.inflation(i, j)
+}
+
+// DelayAtLeast reports that Delay(i, j) ≥ c without Delay's Acos, sqrt
+// or division; false means only "not proven". A true answer holds for c
+// taken 2^-50 larger too, so c may be the rounded best − w of two
+// float64s: then w + Delay(i, j) ≥ best in reals, so also in float64.
+//
+// With x the float64 cosine Delay clamps (cos is the one expression
+// both read), θ = acos(clamp(x)) and K = 6371·0.015·inflation < 2^8:
+// the chord never exceeds the arc, 2(1−x) ≤ θ² since 1 − cos θ =
+// 2 sin²(θ/2) ≤ θ²/2; a product rounding past 1 makes 2(1−x) negative,
+// past −1 it stays within ulps of 4 < π². math.Acos errs by a few ulps
+// plus the cancellation in its 1 − x·x, which moves √(1−x²) by at most
+// 2^-54/sin θ and never below 0: under 2^-27 rad, 2^-19 ms. The test
+// asks K·chord ≥ t = c + 2^-16 − access with 2^-18 to spare on the
+// squares: the 2^-16 ms covers that error, the rounding of Delay's sum
+// near the 2 ms access delay and c's 2^-50 (no c over 2^10 can pass),
+// the 2^-18 every relative rounding here and in Delay. t ≤ 0 needs no
+// distance: Delay is never below the access delay.
+func (l *Lite) DelayAtLeast(i, j int, c float64) bool {
+	if i == j {
+		return c <= 0
+	}
+	t := c + 0x1p-16 - l.accessDelayMS
+	if t <= 0 {
+		return true
+	}
+	s := earthRadiusKM * l.propagationFactor * l.inflation(i, j)
+	return 2*(1-l.cos(i, j))*s*s >= t*t*(1+0x1p-18)
+}
+
+// cos is the cosine of the angle between sites i and j.
+func (l *Lite) cos(i, j int) float64 {
+	a, b := l.unit[i], l.unit[j]
+	return a[0]*b[0] + a[1]*b[1] + a[2]*b[2]
+}
+
+// inflation hashes (seed, i, j) into the pair's routing factor in
+// [1, 1.36): the same scale as Underlay's |N(0,1)|·0.15 lognormal-ish
+// inflation.
+func (l *Lite) inflation(i, j int) float64 {
 	h := liteMix(uint64(l.seed) ^ 0x9e3779b97f4a7c15 + uint64(i)*0xbf58476d1ce4e5b9 + uint64(j)*0x94d049bb133111eb)
-	inflation := 1 + 0.36*float64(h>>11)/float64(1<<53)
-	return l.accessDelayMS + km*l.propagationFactor*inflation
+	return 1 + 0.36*float64(h>>11)/float64(1<<53)
 }
 
 // liteMix is the SplitMix64 finalizer.

@@ -76,6 +76,97 @@ func TestLiteDelayProperties(t *testing.T) {
 	}
 }
 
+// TestLiteDelayAtLeastSound is the exactness net of the Acos-free
+// bound: a true DelayAtLeast(i, j, c) must mean Delay(i, j) ≥ c(1+2^-50),
+// and for a sum w + Delay compared with a best that ties it or sits an
+// ulp or a few away, a true DelayAtLeast(i, j, best−w) must mean the
+// float64 sum is ≥ best. Thresholds sit at Delay ± a few ulps, at the
+// access delay ± a few ulps and a relative hair below Delay; the sites
+// include NewLite's own, near-coincident pairs from 1e-15 rad to
+// 1e-2 rad apart, near-antipodal ones and unit vectors scaled so their
+// dot product rounds past +1 or −1 (Delay clamps it). The bound must
+// also prove the easy cases: 60% of the propagation part is always
+// within the chord.
+func TestLiteDelayAtLeastSound(t *testing.T) {
+	l, err := NewLite(50, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Sites 0..19 stay where NewLite put them; 20..49 are crafted
+	// around site 0 and site 1.
+	scale := func(v [3]float64, f float64) [3]float64 { return [3]float64{v[0] * f, v[1] * f, v[2] * f} }
+	near := func(a [3]float64, eps float64) [3]float64 {
+		// Rotate a by eps about an axis orthogonal to it.
+		p := [3]float64{-a[1], a[0], 0}
+		pn := math.Hypot(p[0], p[1])
+		p = scale(p, 1/pn)
+		return [3]float64{a[0]*math.Cos(eps) + p[0]*math.Sin(eps), a[1]*math.Cos(eps) + p[1]*math.Sin(eps), a[2] * math.Cos(eps)}
+	}
+	at := 20
+	for _, base := range []int{0, 1} {
+		a := l.unit[base]
+		for _, eps := range []float64{1e-15, 1e-12, 1e-9, 1e-6, 1e-4, 1e-2} {
+			l.unit[at] = near(a, eps)
+			l.unit[at+1] = near(scale(a, -1), eps)
+			at += 2
+		}
+		l.unit[at] = scale(a, -1)
+		l.unit[at+1] = scale(a, 1+0x1p-51)  // dot with a rounds past +1
+		l.unit[at+2] = scale(a, -1-0x1p-51) // dot with a rounds past −1
+		at += 3
+	}
+	access := l.accessDelayMS
+	ulps := func(x float64, k int) float64 {
+		for ; k > 0; k-- {
+			x = math.Nextafter(x, math.Inf(1))
+		}
+		for ; k < 0; k++ {
+			x = math.Nextafter(x, math.Inf(-1))
+		}
+		return x
+	}
+	proved := 0
+	for i := 0; i < at; i++ {
+		for j := 0; j < at; j++ {
+			d := l.Delay(i, j)
+			var cs []float64
+			for k := -4; k <= 4; k++ {
+				cs = append(cs, ulps(d, k), ulps(access, k))
+			}
+			cs = append(cs, d*(1-1e-12), d*(1-0x1p-40), d-1e-9, 0, -1)
+			for _, c := range cs {
+				if l.DelayAtLeast(i, j, c) && (d < c || d-c < c*0x1p-50) {
+					t.Fatalf("DelayAtLeast(%d, %d, %v) = true, but Delay is %v (%d ulps from c)", i, j, c, d, ulpDist(c, d))
+				}
+			}
+			if i != j {
+				c := access + 0.6*(d-access) - 1e-3
+				if !l.DelayAtLeast(i, j, c) {
+					t.Fatalf("DelayAtLeast(%d, %d, %v) = false with Delay %v: 60%% of the arc is within the chord", i, j, c, d)
+				}
+				proved++
+			}
+			for _, w := range []float64{0, 0.7, 13.1, 250} {
+				sum := w + d
+				for k := -3; k <= 3; k++ {
+					best := ulps(sum, k)
+					if l.DelayAtLeast(i, j, best-w) && sum < best {
+						t.Fatalf("pair (%d, %d), w = %v: the bound skips a sum %v below best %v", i, j, w, sum, best)
+					}
+				}
+			}
+		}
+	}
+	if proved == 0 {
+		t.Fatal("no pair checked")
+	}
+}
+
+// ulpDist is the signed number of float64 steps from a to b (both > 0).
+func ulpDist(a, b float64) int64 {
+	return int64(math.Float64bits(b)) - int64(math.Float64bits(a))
+}
+
 func TestRegionString(t *testing.T) {
 	seen := map[string]bool{}
 	for r := Region(0); r < numRegions; r++ {

@@ -200,7 +200,7 @@ func New(cfg Config) (*Underlay, error) {
 	}
 	cfg.applyDefaults()
 	u := &Underlay{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
-	u.placeSites()
+	u.sites = placeSites(cfg.N, u.rng)
 	u.buildASTopology()
 	u.computeBaseDelays()
 	u.initDynamics()
@@ -213,24 +213,24 @@ func (u *Underlay) N() int { return u.cfg.N }
 // Site returns the i-th site descriptor.
 func (u *Underlay) Site(i int) Site { return u.sites[i] }
 
-func (u *Underlay) placeSites() {
-	mix := PlanetLabMix(u.cfg.N)
-	u.sites = make([]Site, 0, u.cfg.N)
+// placeSites draws n sites with the PlanetLab regional mix from rng.
+func placeSites(n int, rng *rand.Rand) []Site {
+	mix := PlanetLabMix(n)
+	sites := make([]Site, 0, n)
 	for r := Region(0); r < numRegions; r++ {
 		for j := 0; j < mix[r]; j++ {
-			u.sites = append(u.sites, Site{
+			sites = append(sites, Site{
 				Region: r,
-				Lat:    clampLat(regionCenter[r][0] + u.rng.NormFloat64()*regionSpread[r]),
-				Lon:    wrapLon(regionCenter[r][1] + u.rng.NormFloat64()*regionSpread[r]*2),
+				Lat:    clampLat(regionCenter[r][0] + rng.NormFloat64()*regionSpread[r]),
+				Lon:    wrapLon(regionCenter[r][1] + rng.NormFloat64()*regionSpread[r]*2),
 			})
 		}
 	}
 	// Node identifiers are not geographically sorted on real testbeds;
 	// shuffle so id-ring constructions (k-Regular, enforced cycles,
 	// HybridBR backbones) cross regions the way they would on PlanetLab.
-	u.rng.Shuffle(len(u.sites), func(i, j int) {
-		u.sites[i], u.sites[j] = u.sites[j], u.sites[i]
-	})
+	rng.Shuffle(len(sites), func(i, j int) { sites[i], sites[j] = sites[j], sites[i] })
+	return sites
 }
 
 func (u *Underlay) buildASTopology() {
@@ -443,7 +443,6 @@ func wrapLon(lon float64) float64 {
 // greatCircleKM returns the great-circle distance between two
 // (lat, lon) points in kilometers (haversine formula).
 func greatCircleKM(lat1, lon1, lat2, lon2 float64) float64 {
-	const earthRadiusKM = 6371
 	rad := math.Pi / 180
 	dLat := (lat2 - lat1) * rad
 	dLon := (lon2 - lon1) * rad
