@@ -168,7 +168,7 @@ func (s *SPScratch) settleCSR(c *CSR, src NodeID, dist []float64, parent []int32
 			if u == p.dst {
 				break
 			}
-			if it.key+min(p.bdist[u], p.radius) > p.mu*(1+pairEps) {
+			if p.cut(u, it.key) {
 				continue // no path through u can come within pairEps of mu
 			}
 		}

@@ -10,20 +10,33 @@ package graph
 // shortest one seen. Once the two frontiers' radii sum past mu the
 // backward side stops, and the forward side runs on to the pop of dst,
 // skipping every node v whose label plus a lower bound on v→dst —
-// min(bdist[v], radius) — exceeds mu.
+// min(bdist[v], radius), or an optional PathBound's — exceeds mu. The
+// PathBound also stops the backward side labelling a node u whose label
+// plus its bound on src→u exceeds mu; it never enters a heap key.
 //
 // Why the result is DijkstraCSR's, parents included. Only a label whose
 // path runs within float rounding of the answer can reach dst's chain;
 // any other arrives with a strictly larger dist. Re-association moves a
 // 10⁵-hop sum by less than 2e-11 relative and the skip tests leave
-// pairEps = 1e-9 of slack, so no such node is skipped; the forward loop
-// makes the row's relaxations among them, and since settleCSR's labels
-// are unique it assigns the row's labels. Where that argument fails
-// (sums overflowing to +Inf) the loop ends without popping dst though
-// mu says a path exists, and PairCSR re-runs it unpruned.
+// pairEps = 1e-9 of slack, so no such node is skipped, nor refused a
+// backward label: each gets its exact one or sits behind a heap entry
+// no cheaper, so min(bdist, radius) stays below its distance to dst. The
+// forward loop makes the row's relaxations among them, and since
+// settleCSR's labels are unique it assigns the row's labels. Where that
+// argument fails (sums overflowing to +Inf) the loop ends without
+// popping dst though mu says a path exists, and PairCSR re-runs it
+// unpruned.
 
 // pairEps is the relative slack of PairCSR's pruning tests.
 const pairEps = 1e-9
+
+// PathBound bounds a CSR's paths from below: PathAtLeast(u, v, c)
+// reports that every u→v path, the empty one when u = v, costs at
+// least c up to pairEps of its float fold; false means only "not
+// proven". underlay.Lite is one for the arcs it prices.
+type PathBound interface {
+	PathAtLeast(u, v int, c float64) bool
+}
 
 // PairScratch holds the reusable state of PairCSR; after a call it
 // also holds the path found (Parent). The embedded SPScratch is the
@@ -40,7 +53,8 @@ type PairScratch struct {
 
 	// The backward side and the bound it gives the forward loop.
 	rev      *CSR
-	dst      int32
+	bound    PathBound // nil: no bound beyond the backward side's
+	src, dst int32
 	mu       float64 // shortest src→dst path closed so far
 	radius   float64 // no node the backward side has not settled is closer to dst
 	backward bool    // the backward side still runs
@@ -77,13 +91,13 @@ func (s *PairScratch) Parent() []int32 { return s.fparent }
 // PairCSR returns the shortest additive distance src→dst over c, +Inf
 // when dst is unreachable. The distance and the parent chain from dst
 // back to src (Parent) are bit-identical to what DijkstraCSR(c, src)
-// records.
-func (s *PairScratch) PairCSR(c *CSR, src, dst NodeID) float64 {
+// records. b, when non-nil, must hold for c's paths; it only prunes.
+func (s *PairScratch) PairCSR(c *CSR, src, dst NodeID, b PathBound) float64 {
 	s.reset(c.n)
 	if src == dst {
 		return 0
 	}
-	s.rev, s.dst = c.Reverse(), int32(dst)
+	s.rev, s.bound, s.src, s.dst = c.Reverse(), b, int32(src), int32(dst)
 	s.mu, s.radius, s.backward = Inf, 0, true
 	s.fparent[src], s.bdist[dst] = -1, 0
 	s.touched = append(s.touched, int32(src), int32(dst))
@@ -133,14 +147,17 @@ func (s *PairScratch) backStep(fh *dheap) bool {
 			if !(nb < bd[u]) {
 				continue
 			}
+			if m := fd[u] + nb; m < s.mu {
+				s.mu = m
+			}
+			if s.bound != nil && s.bound.PathAtLeast(int(s.src), int(u), s.mu*(1+pairEps)-nb) {
+				continue
+			}
 			if bd[u] == Inf && fd[u] == Inf {
 				s.touched = append(s.touched, u)
 			}
 			bd[u] = nb
 			bh.push(heapItem{node: u, key: nb})
-			if m := fd[u] + nb; m < s.mu {
-				s.mu = m
-			}
 		}
 	}
 	return s.backward || s.mu < Inf
@@ -153,11 +170,18 @@ func (s *PairScratch) admit(v int32, nd float64) bool {
 	if m := nd + bd; m < s.mu {
 		s.mu = m
 	}
-	if nd+min(bd, s.radius) > s.mu*(1+pairEps) {
+	if s.cut(v, nd) {
 		return false
 	}
 	if s.fdist[v] == Inf && bd == Inf {
 		s.touched = append(s.touched, v)
 	}
 	return true
+}
+
+// cut reports that no path through a forward label of v at d comes
+// within pairEps of mu, by the backward side's bound on v→dst or b's.
+func (s *PairScratch) cut(v int32, d float64) bool {
+	lim := s.mu * (1 + pairEps)
+	return d+min(s.bdist[v], s.radius) > lim || s.bound != nil && s.bound.PathAtLeast(int(v), int(s.dst), lim-d)
 }

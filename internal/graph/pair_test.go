@@ -59,17 +59,45 @@ func pairGraph(n, class int, rng *rand.Rand) *CSR {
 	})
 }
 
-// checkAllPairs compares PairCSR with DijkstraCSR's row for every
-// ordered pair of c, on the caller's (reused) scratch: distance bits
-// and the whole parent chain. It returns how many pairs had a path.
-func checkAllPairs(t *testing.T, c *CSR, ps *PairScratch) (reachable int) {
+// liteGraph is the data plane's shape in small: n Lite sites (underlay
+// seed useed), each live node wired to up to k random live others
+// (wiring seed wseed), about depart tenths of the nodes departed with
+// no arcs in or out, every arc priced by Delay. The Lite is the bound
+// such a graph is searched under.
+func liteGraph(n, k int, useed, wseed int64, depart int) (*CSR, *underlay.Lite) {
+	net, err := underlay.NewLite(n, useed)
+	if err != nil {
+		panic(err)
+	}
+	rng := rand.New(rand.NewSource(wseed))
+	live := make([]bool, n)
+	for u := range live {
+		live[u] = rng.Intn(10) >= depart
+	}
+	var arcs []Arc
+	return NewCSR(n, func(u int) []Arc {
+		arcs = arcs[:0]
+		for a := 0; a < k && live[u]; a++ {
+			if v := rng.Intn(n); v != u && live[v] {
+				arcs = append(arcs, Arc{To: v, W: net.Delay(u, v)})
+			}
+		}
+		return arcs
+	}), net
+}
+
+// checkAllPairs compares PairCSR under bound b (nil: none) with
+// DijkstraCSR's row for every ordered pair of c, on the caller's
+// (reused) scratch: distance bits and the whole parent chain. It
+// returns how many pairs had a path.
+func checkAllPairs(t *testing.T, c *CSR, ps *PairScratch, b PathBound) (reachable int) {
 	t.Helper()
 	n := c.N()
 	dist, parent := make([]float64, n), make([]int32, n)
 	for src := 0; src < n; src++ {
 		ps.DijkstraCSR(c, src, dist, parent)
 		for dst := 0; dst < n; dst++ {
-			d := ps.PairCSR(c, src, dst)
+			d := ps.PairCSR(c, src, dst, b)
 			if math.Float64bits(d) != math.Float64bits(dist[dst]) {
 				t.Fatalf("n=%d (%d,%d): PairCSR dist %v (%x), row says %v (%x)", n, src, dst, d, math.Float64bits(d), dist[dst], math.Float64bits(dist[dst]))
 			}
@@ -98,14 +126,20 @@ func checkAllPairs(t *testing.T, c *CSR, ps *PairScratch) (reachable int) {
 // random graphs of every weight class — ties, absorbed sums and
 // zero-weight plateaus included — PairCSR's distance is Float64bits-equal
 // to the row's (so unreachable ⇔ +Inf) and its parent chain is the
-// row's, node for node.
+// row's, node for node. Lite-priced graphs are searched under the
+// Lite's path bound.
 func TestPairCSRMatchesRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	var ps PairScratch
-	var reachable [pairClasses]int
-	for trial := 0; trial < 240; trial++ {
-		class := trial % pairClasses
-		reachable[class] += checkAllPairs(t, pairGraph(2+rng.Intn(45), class, rng), &ps)
+	var reachable [pairClasses + 1]int
+	for trial := 0; trial < 300; trial++ {
+		class := trial % (pairClasses + 1)
+		if class == pairClasses {
+			c, net := liteGraph(2+rng.Intn(60), 1+rng.Intn(6), rng.Int63(), rng.Int63(), rng.Intn(4))
+			reachable[class] += checkAllPairs(t, c, &ps, net)
+			continue
+		}
+		reachable[class] += checkAllPairs(t, pairGraph(2+rng.Intn(45), class, rng), &ps, nil)
 	}
 	for class, r := range reachable {
 		if r == 0 {
@@ -116,16 +150,28 @@ func TestPairCSRMatchesRow(t *testing.T) {
 
 // FuzzPairCSR builds the graph from the fuzzer's bytes: n, weight
 // class, then (tail, head, weight) triples, isolated nodes and parallel
-// arcs falling out of whatever the bytes say.
+// arcs falling out of whatever the bytes say. One class past the weight
+// classes is the Lite leg: then the bytes are n, k, underlay seed,
+// wiring seed and departed tenths of a liteGraph searched under its
+// Lite's path bound.
 func FuzzPairCSR(f *testing.F) {
 	f.Add([]byte{5, pairZeroHeavy, 0, 1, 0, 1, 2, 0, 0, 2, 0, 2, 4, 1, 3, 4, 2})
 	f.Add([]byte{9, pairFractional, 0, 1, 3, 1, 2, 4, 0, 2, 7, 2, 3, 1, 0, 3, 9, 3, 8, 2})
 	f.Add([]byte{12, pairContinuous, 0, 5, 200, 5, 7, 13, 7, 0, 99, 0, 7, 45, 11, 5, 1})
+	f.Add([]byte{40, pairClasses, 3, 7, 11, 2})
+	f.Add([]byte{60, pairClasses, 7, 42, 5, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
 		}
-		n, class := 2+int(data[0])%30, int(data[1])%pairClasses
+		n, class := 2+int(data[0])%30, int(data[1])%(pairClasses+1)
+		if class == pairClasses {
+			data = append(data[:len(data):len(data)], 0, 0, 0, 0) // a copy: bytes the fuzzer left out read 0
+			c, net := liteGraph(2+int(data[0])%80, 1+int(data[2])%8, int64(data[3]), int64(data[4]), int(data[5])%5)
+			var ps PairScratch
+			checkAllPairs(t, c, &ps, net)
+			return
+		}
 		adj := make([][]Arc, n)
 		for x := 2; x+2 < len(data); x += 3 {
 			u, v, b := int(data[x])%n, int(data[x+1])%n, float64(data[x+2])
@@ -144,7 +190,7 @@ func FuzzPairCSR(f *testing.F) {
 			adj[u] = append(adj[u], Arc{To: v, W: w})
 		}
 		var ps PairScratch
-		checkAllPairs(t, NewCSR(n, func(u int) []Arc { return adj[u] }), &ps)
+		checkAllPairs(t, NewCSR(n, func(u int) []Arc { return adj[u] }), &ps, nil)
 	})
 }
 
@@ -189,8 +235,8 @@ func TestReverseCSR(t *testing.T) {
 
 // servedFixture loads the overlay the repository benchmark serves
 // (read-only, from the nested module's directory) priced the way
-// egoist-route prices it, or skips.
-func servedFixture(tb testing.TB) *CSR {
+// egoist-route prices it, with the Lite that prices it, or skips.
+func servedFixture(tb testing.TB) (*CSR, *underlay.Lite) {
 	tb.Helper()
 	data, err := os.ReadFile("../../benchmark/fixtures/wiring-n2500-k8.json")
 	if err != nil {
@@ -215,15 +261,16 @@ func servedFixture(tb testing.TB) *CSR {
 			arcs = append(arcs, Arc{To: v, W: net.Delay(u, v)})
 		}
 		return arcs
-	})
+	}), net
 }
 
 // BenchmarkPairCSR is the kernel ratio the serve path's miss policy
 // rests on: one whole row against one pair search on the served
-// fixture, with the nodes each settles. A pair search that settles half
-// a row or more fails it: renting would then never pay.
+// fixture, unbounded and under the Lite's path bound, with the nodes
+// each settles. A pair search that settles half a row or more fails
+// it: renting would then never pay.
 func BenchmarkPairCSR(b *testing.B) {
-	c := servedFixture(b)
+	c, net := servedFixture(b)
 	n := c.N()
 	rng := rand.New(rand.NewSource(1))
 	pairs := make([][2]int, 1024)
@@ -244,50 +291,65 @@ func BenchmarkPairCSR(b *testing.B) {
 		}
 		b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
 	})
-	b.Run("pair", func(b *testing.B) {
-		c.Reverse()
-		b.ResetTimer()
-		settled := 0
-		for i := 0; i < b.N; i++ {
-			p := pairs[i%len(pairs)]
-			ps.PairCSR(c, p[0], p[1])
-			settled += ps.Settled()
-		}
-		b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
-		if settled/b.N >= n/2 {
-			b.Fatalf("a pair search settles %d nodes on average, half a row is %d", settled/b.N, n/2)
-		}
-	})
+	for _, leg := range []struct {
+		name  string
+		bound PathBound
+	}{{"pair", nil}, {"pair-bound", net}} {
+		b.Run(leg.name, func(b *testing.B) {
+			c.Reverse()
+			b.ResetTimer()
+			settled := 0
+			for i := 0; i < b.N; i++ {
+				p := pairs[i%len(pairs)]
+				ps.PairCSR(c, p[0], p[1], leg.bound)
+				settled += ps.Settled()
+			}
+			b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
+			if settled/b.N >= n/2 {
+				b.Fatalf("a pair search settles %d nodes on average, half a row is %d", settled/b.N, n/2)
+			}
+		})
+	}
 }
 
 // TestPairCSRServedFixture runs the differential where it matters: on
-// the served overlay, 40 sources × 75 destinations.
+// the served overlay, 40 sources × 75 destinations, unbounded and under
+// the Lite's path bound. Both must be the row; the bound must settle at
+// most 3/4 of what the unbounded search does.
 func TestPairCSRServedFixture(t *testing.T) {
-	c := servedFixture(t)
+	c, net := servedFixture(t)
 	n := c.N()
 	rng := rand.New(rand.NewSource(5))
 	var ps PairScratch
 	dist, parent := make([]float64, n), make([]int32, n)
-	settled, pairs := 0, 0
+	var settled [2]int
+	pairs := 0
 	for s := 0; s < 40; s++ {
 		src := rng.Intn(n)
 		ps.DijkstraCSR(c, src, dist, parent)
 		for q := 0; q < 75; q++ {
 			dst := rng.Intn(n)
-			d := ps.PairCSR(c, src, dst)
-			if math.Float64bits(d) != math.Float64bits(dist[dst]) {
-				t.Fatalf("(%d,%d): PairCSR %v, row says %v", src, dst, d, dist[dst])
-			}
-			for v := dst; v != src; v = int(parent[v]) {
-				if ps.Parent()[v] != parent[v] {
-					t.Fatalf("(%d,%d): parent[%d] = %d, row says %d", src, dst, v, ps.Parent()[v], parent[v])
+			for leg, b := range []PathBound{nil, net} {
+				d := ps.PairCSR(c, src, dst, b)
+				if math.Float64bits(d) != math.Float64bits(dist[dst]) {
+					t.Fatalf("(%d,%d) bound %v: PairCSR %v, row says %v", src, dst, b != nil, d, dist[dst])
 				}
+				for v := dst; v != src; v = int(parent[v]) {
+					if ps.Parent()[v] != parent[v] {
+						t.Fatalf("(%d,%d) bound %v: parent[%d] = %d, row says %d", src, dst, b != nil, v, ps.Parent()[v], parent[v])
+					}
+				}
+				settled[leg] += ps.Settled()
 			}
-			settled += ps.Settled()
 			pairs++
 		}
 	}
-	if mean := settled / pairs; mean > n/2 {
-		t.Fatalf("a pair search settles %d nodes on average, more than half a row (%d)", mean, n)
+	plain, bounded := float64(settled[0])/float64(pairs), float64(settled[1])/float64(pairs)
+	t.Logf("settled per pair: %.1f unbounded, %.1f bounded", plain, bounded)
+	if plain > float64(n/2) {
+		t.Fatalf("a pair search settles %.0f nodes on average, more than half a row (%d)", plain, n)
+	}
+	if bounded > 0.75*plain {
+		t.Fatalf("the path bound settles %.1f nodes per pair, more than 3/4 of the unbounded %.1f", bounded, plain)
 	}
 }

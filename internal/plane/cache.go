@@ -1,6 +1,7 @@
 package plane
 
 import (
+	"container/list"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,8 +39,7 @@ type rowCache struct {
 
 	mu      sync.Mutex
 	entries map[int]*rowEntry
-	head    *rowEntry // most recently used
-	tail    *rowEntry // least recently used
+	lru     list.List // the entries' rows, most recently used first
 	ready   int       // computed entries (only these are evictable)
 	stats   atomic.Pointer[cacheStats]
 	counts  atomic.Pointer[lookupCounts]
@@ -67,8 +67,8 @@ func (c *rowCache) halveLocked(lc lookupCounts) {
 	for i := range lc {
 		lc[i].Store(lc[i].Load() >> 1)
 	}
-	for e := c.head; e != nil; e = e.next {
-		e.hits >>= 1
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		el.Value.(*rowEntry).hits >>= 1
 	}
 }
 
@@ -163,14 +163,14 @@ func (c *rowCache) lookups() lookupCounts {
 	return *c.counts.Load()
 }
 
-// rowEntry is one source's distance/parent row plus its LRU links.
+// rowEntry is one source's distance/parent row plus its LRU element.
 type rowEntry struct {
-	src        int
-	prev, next *rowEntry
-	done       chan struct{} // closed once dist/parent are final
-	hits       uint64        // lookups of src while resident (under mu)
-	dist       []float64
-	parent     []int32
+	src    int
+	el     *list.Element // its place in the LRU
+	done   chan struct{} // closed once dist/parent are final
+	hits   uint64        // lookups of src while resident (under mu)
+	dist   []float64
+	parent []int32
 }
 
 func newRowCache(s *Snapshot, capRows int) *rowCache {
@@ -226,7 +226,7 @@ func (c *rowCache) miss(src, dst int, buf []int32, wantPath bool, st *cacheStats
 	}
 	ps := searchScratch.Get().(*graph.PairScratch)
 	t0 := clock(st.searchNs)
-	cost := ps.PairCSR(c.snap.csr, src, dst)
+	cost := ps.PairCSR(c.snap.csr, src, dst, c.snap.paths)
 	observeSince(st.searchNs, t0)
 	c.spent[src].Add(uint32(ps.Settled()))
 	st.searches.Add(1)
@@ -296,7 +296,7 @@ func (c *rowCache) find(src int, st *cacheStats) *rowEntry {
 		return nil
 	}
 	e.hits++
-	c.moveFront(e)
+	c.lru.MoveToFront(e.el)
 	c.mu.Unlock()
 	return e.join(st)
 }
@@ -344,7 +344,7 @@ func (c *rowCache) fill(src int, st *cacheStats, admit bool) *rowEntry {
 	}
 	e := &rowEntry{src: src, done: make(chan struct{})}
 	c.entries[src] = e
-	c.pushFront(e)
+	e.el = c.lru.PushFront(e)
 	c.evictLocked()
 	c.mu.Unlock()
 	st.fills.Add(1)
@@ -376,7 +376,7 @@ func (c *rowCache) evictLocked() {
 		if e == nil {
 			return
 		}
-		c.unlink(e)
+		c.lru.Remove(e.el)
 		delete(c.entries, e.src)
 		c.ready--
 		c.spent[e.src].Store(0)
@@ -390,7 +390,8 @@ func (c *rowCache) evictLocked() {
 // victimLocked returns the least recently used computed row — the one
 // evictLocked drops next — or nil if no row is computed.
 func (c *rowCache) victimLocked() *rowEntry {
-	for e := c.tail; e != nil && c.ready > 0; e = e.prev {
+	for el := c.lru.Back(); el != nil && c.ready > 0; el = el.Prev() {
+		e := el.Value.(*rowEntry)
 		select {
 		case <-e.done:
 			return e
@@ -398,40 +399,6 @@ func (c *rowCache) victimLocked() *rowEntry {
 		}
 	}
 	return nil
-}
-
-func (c *rowCache) pushFront(e *rowEntry) {
-	e.prev = nil
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-func (c *rowCache) unlink(e *rowEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (c *rowCache) moveFront(e *rowEntry) {
-	if c.head == e {
-		return
-	}
-	c.unlink(e)
-	c.pushFront(e)
 }
 
 // carriedDone is the shared already-closed ready channel of carried
@@ -446,12 +413,13 @@ var carriedDone = func() chan struct{} {
 // the delta publisher's carry-over path. Rows are shared, not copied
 // (they are immutable once their ready channel closes), and LRU order
 // is preserved: the iteration walks least-recent first so the
-// most-recent row ends up at dst's head. In-flight rows are skipped;
+// most-recent row ends up in front. In-flight rows are skipped;
 // whoever wants them from the new snapshot recomputes on demand.
 func (c *rowCache) carryInto(dst *rowCache, keep func(src int, dist []float64, parent []int32) bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for e := c.tail; e != nil; e = e.prev {
+	for el := c.lru.Back(); el != nil; el = el.Prev() {
+		e := el.Value.(*rowEntry)
 		select {
 		case <-e.done:
 		default:
@@ -469,15 +437,8 @@ func (c *rowCache) seed(src int, dist []float64, parent []int32, hits uint64) {
 	c.mu.Lock()
 	e := &rowEntry{src: src, done: carriedDone, dist: dist, parent: parent, hits: hits}
 	c.entries[src] = e
-	c.pushFront(e)
+	e.el = c.lru.PushFront(e)
 	c.ready++
 	c.evictLocked()
 	c.mu.Unlock()
-}
-
-// size reports the current entry count (tests).
-func (c *rowCache) size() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
 }

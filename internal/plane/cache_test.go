@@ -7,6 +7,13 @@ import (
 	"time"
 )
 
+// size reports the current entry count.
+func (c *rowCache) size() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
+}
+
 // get returns src's row, computing it (or waiting for the computation
 // another goroutine already started) as needed: resolve without the
 // pair search and the admission rule, for the tests that exercise the
@@ -104,7 +111,7 @@ func TestRowCacheCollapseCounter(t *testing.T) {
 	c.mu.Lock()
 	e := &rowEntry{src: 5, done: make(chan struct{})}
 	c.entries[5] = e
-	c.pushFront(e)
+	e.el = c.lru.PushFront(e)
 	c.mu.Unlock()
 
 	got := make(chan *rowEntry)
@@ -170,8 +177,8 @@ func TestCarryIntoPreservesLRUOrder(t *testing.T) {
 	want := []int{3, 9, 8, 7, 6, 5, 4, 2, 1, 0}
 	i := 0
 	dst.mu.Lock()
-	for e := dst.head; e != nil; e = e.next {
-		if i >= len(want) || e.src != want[i] {
+	for el := dst.lru.Front(); el != nil; el = el.Next() {
+		if e := el.Value.(*rowEntry); i >= len(want) || e.src != want[i] {
 			dst.mu.Unlock()
 			t.Fatalf("LRU position %d holds src %d, want %d", i, e.src, want[i])
 		}
@@ -206,7 +213,7 @@ func TestEvictionSkipsInFlightRows(t *testing.T) {
 	for src := 30; src < 32; src++ {
 		e := &rowEntry{src: src, done: make(chan struct{})}
 		c.entries[src] = e
-		c.pushFront(e)
+		e.el = c.lru.PushFront(e)
 	}
 	c.mu.Unlock()
 

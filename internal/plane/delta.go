@@ -81,7 +81,7 @@ func (s *Snapshot) Patch(epoch int64, changed []int, wiring [][]int, active []bo
 		return &clone
 	}
 	ns := newSnapshot(epoch, s.net, n)
-	ns.nLive = s.nLive
+	ns.nLive, ns.paths = s.nLive, s.paths
 	copy(ns.live, s.live)
 	isChanged := make(map[int]bool, len(changed))
 	for _, u := range changed {

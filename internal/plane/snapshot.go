@@ -77,7 +77,8 @@ type Snapshot struct {
 	epoch int64
 	csr   *graph.CSR
 	net   DelayNet
-	bound delayBound // net's own, or nil: resolved once per snapshot
+	bound delayBound      // net's own, or nil: resolved once per snapshot
+	paths graph.PathBound // net's if net.Delay prices every arc (Compile, its patches)
 	live  []bool
 	nLive int
 	rows  *rowCache
@@ -104,6 +105,7 @@ func Compile(epoch int64, wiring [][]int, active []bool, net DelayNet, opts Opti
 			s.nLive++
 		}
 	}
+	s.paths, _ = net.(graph.PathBound)
 	s.csr = graph.NewCSR(n, s.arcsOf(wiring))
 	s.rows = newRowCache(s, opts.RouteCacheRows)
 	return s

@@ -208,6 +208,59 @@ func TestCompileGraphLinkState(t *testing.T) {
 	}
 }
 
+// TestGraphWeightedSnapshotsSkipPathBound: a CompileGraph snapshot
+// takes its arc weights from the graph, not from net, so net's path
+// bound says nothing about its paths and must not prune their search —
+// nor in a Patch of it, whose unchanged rows keep the graph's weights.
+// Here three arcs in four weigh a quarter of net's delay, far below the
+// bound, the fourth its full delay, so that a bound-pruned search
+// settles for a heavy arc where light ones win. Every route of both
+// snapshots must still be the DijkstraCSR row of the snapshot's own CSR,
+// distance bits and path.
+func TestGraphWeightedSnapshotsSkipPathBound(t *testing.T) {
+	const n, k = 150, 5
+	net := testNet(t, n)
+	rng := rand.New(rand.NewSource(29))
+	wiring := randomWiring(n, k, rng)
+	g := graph.New(n)
+	for u, ws := range wiring {
+		for _, v := range ws {
+			w := net.Delay(u, v)
+			if (u+v)%4 != 0 {
+				w /= 4
+			}
+			g.AddArc(u, v, w)
+		}
+	}
+	snap := CompileGraph(0, g, net, Options{})
+	changed := []int{3, 17, 40, n - 9}
+	for _, u := range changed {
+		wiring[u] = randomWiring(n, k, rng)[u]
+	}
+	var sp graph.SPScratch
+	dist, parent := make([]float64, n), make([]int32, n)
+	for _, s := range []*Snapshot{snap, snap.Patch(1, changed, wiring, nil)} {
+		for src := 0; src < n; src++ {
+			sp.DijkstraCSR(s.csr, src, dist, parent)
+			for q := 1; q < n; q += 7 {
+				dst := (src + q) % n
+				path, cost, ok := s.RouteInto(src, dst, nil)
+				if math.Float64bits(cost) != math.Float64bits(dist[dst]) || ok != (dist[dst] < graph.Inf) {
+					t.Fatalf("epoch %d (%d,%d): cost %v, row says %v", s.Epoch(), src, dst, cost, dist[dst])
+				}
+				for x, v := len(path)-1, dst; ok && v != -1; x, v = x-1, int(parent[v]) {
+					if x < 0 || path[x] != int32(v) {
+						t.Fatalf("epoch %d (%d,%d): path %v is not the row's", s.Epoch(), src, dst, path)
+					}
+				}
+			}
+		}
+	}
+	if st := snap.rows.stats.Load(); st.searches.Load() == 0 {
+		t.Fatal("no route was answered by a pair search")
+	}
+}
+
 // TestRowCacheBoundsAndSingleflight hammers one snapshot from many
 // goroutines over more sources than the cache holds: the cache must
 // stay bounded, answers must stay correct, and a popular source must

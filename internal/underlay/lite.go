@@ -88,16 +88,29 @@ func (l *Lite) Delay(i, j int) float64 {
 // near the 2 ms access delay and c's 2^-50 (no c over 2^10 can pass),
 // the 2^-18 every relative rounding here and in Delay. t ≤ 0 needs no
 // distance: Delay is never below the access delay.
-func (l *Lite) DelayAtLeast(i, j int, c float64) bool {
+func (l *Lite) DelayAtLeast(i, j int, c float64) bool { return l.atLeast(i, j, c, true) }
+
+// PathAtLeast reports that every path i→j of arcs priced by Delay sums
+// to at least c (a graph.PathBound): DelayAtLeast's test at inflation
+// 1, which no pair's is below. One arc is DelayAtLeast's case. On h ≥ 2
+// arcs the exact angles between the unit vectors obey the triangle
+// inequality, and each cosine's rounding (2^-50) and Acos's error move
+// an arc's angle, or the chord's, by under 2^-24 rad, 2^-17 ms: h + 1
+// such errors, which the (h−1)·2 ms of access delay the test never
+// counts covers. The bound is on the real sum of the arcs' delays; a
+// caller folding them in float64 leaves slack for that (pairEps).
+func (l *Lite) PathAtLeast(i, j int, c float64) bool { return l.atLeast(i, j, c, false) }
+
+// atLeast is the chord test of both, at the pair's inflation or at 1.
+func (l *Lite) atLeast(i, j int, c float64, inflated bool) bool {
 	if i == j {
 		return c <= 0
 	}
-	t := c + 0x1p-16 - l.accessDelayMS
-	if t <= 0 {
-		return true
+	t, s := c+0x1p-16-l.accessDelayMS, earthRadiusKM*l.propagationFactor
+	if inflated && t > 0 {
+		s *= l.inflation(i, j)
 	}
-	s := earthRadiusKM * l.propagationFactor * l.inflation(i, j)
-	return 2*(1-l.cos(i, j))*s*s >= t*t*(1+0x1p-18)
+	return t <= 0 || 2*(1-l.cos(i, j))*s*s >= t*t*(1+0x1p-18)
 }
 
 // cos is the cosine of the angle between sites i and j.

@@ -2,6 +2,7 @@ package underlay
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -159,6 +160,126 @@ func TestLiteDelayAtLeastSound(t *testing.T) {
 	}
 	if proved == 0 {
 		t.Fatal("no pair checked")
+	}
+}
+
+// TestLitePathAtLeastSound is the exactness net of the path bound: a
+// true PathAtLeast(i, j, c) must mean that the float64 left fold of the
+// Delays along the path i→…→j is ≥ c. Paths of 1 to 6 arcs are random
+// walks over NewLite's sites, sites 1e-15 to 1e-2 rad from them, near
+// their antipodes and on the great circle between two of them — the
+// sites where the chord test is tightest: there the path's angles add
+// up to the chord's. Thresholds sit at the fold ± 4 ulps, and a one-arc
+// path also at the access delay ± 4 ulps, where the shared test runs at
+// the pair's own inflation too (DelayAtLeast). The bound must also prove
+// the easy cases: on a great-circle path, the access delay plus 60% of
+// the chord's propagation at inflation 1.
+func TestLitePathAtLeastSound(t *testing.T) {
+	l, err := NewLite(120, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scale := func(v [3]float64, f float64) [3]float64 { return [3]float64{v[0] * f, v[1] * f, v[2] * f} }
+	add := func(a, b [3]float64) [3]float64 { return [3]float64{a[0] + b[0], a[1] + b[1], a[2] + b[2]} }
+	// slerp is the point a fraction f along the great circle a→b.
+	slerp := func(a, b [3]float64, f float64) [3]float64 {
+		om := math.Acos(a[0]*b[0] + a[1]*b[1] + a[2]*b[2])
+		return add(scale(a, math.Sin((1-f)*om)/math.Sin(om)), scale(b, math.Sin(f*om)/math.Sin(om)))
+	}
+	// near rotates a by eps about an axis orthogonal to it.
+	near := func(a [3]float64, eps float64) [3]float64 {
+		p := [3]float64{-a[1], a[0], 0}
+		p = scale(p, 1/math.Hypot(p[0], p[1]))
+		return add(scale(a, math.Cos(eps)), scale(p, math.Sin(eps)))
+	}
+	// Sites 0..9 stay where NewLite put them; 10..57 sit near 0..3 and
+	// near their antipodes, 58..117 on great circles between 4..9.
+	at := 10
+	for base := 0; base < 4; base++ {
+		for _, eps := range []float64{1e-15, 1e-12, 1e-9, 1e-6, 1e-4, 1e-2} {
+			l.unit[at] = near(l.unit[base], eps)
+			l.unit[at+1] = near(scale(l.unit[base], -1), eps)
+			at += 2
+		}
+	}
+	var circles [][]int // site ids along one great circle, in order
+	for a := 4; a < 10; a++ {
+		for b := a + 1; b < 10 && at+6 <= l.N(); b++ {
+			circle := []int{a}
+			for _, f := range []float64{0.1, 0.3, 0.5, 0.55, 0.8, 0.999} {
+				l.unit[at] = slerp(l.unit[a], l.unit[b], f)
+				circle = append(circle, at)
+				at++
+			}
+			circles = append(circles, append(circle, b))
+		}
+	}
+	access := l.accessDelayMS
+	ulps := func(x float64, k int) float64 {
+		for ; k > 0; k-- {
+			x = math.Nextafter(x, math.Inf(1))
+		}
+		for ; k < 0; k++ {
+			x = math.Nextafter(x, math.Inf(-1))
+		}
+		return x
+	}
+	check := func(path []int) {
+		fold := 0.0
+		for x := 1; x < len(path); x++ {
+			fold += l.Delay(path[x-1], path[x])
+		}
+		i, j := path[0], path[len(path)-1]
+		var cs []float64
+		for k := -4; k <= 4; k++ {
+			cs = append(cs, ulps(fold, k))
+			if len(path) == 2 {
+				cs = append(cs, ulps(access, k))
+			}
+		}
+		for _, c := range cs {
+			if l.PathAtLeast(i, j, c) && fold < c {
+				t.Fatalf("PathAtLeast(%d, %d, %v) = true, but the path %v folds to %v", i, j, c, path, fold)
+			}
+			if len(path) == 2 && l.DelayAtLeast(i, j, c) && fold < c {
+				t.Fatalf("DelayAtLeast(%d, %d, %v) = true, but Delay is %v", i, j, c, fold)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 20000; trial++ {
+		path := []int{rng.Intn(at)}
+		for h := 1 + rng.Intn(6); h > 0; h-- {
+			if v := rng.Intn(at); v != path[len(path)-1] {
+				path = append(path, v)
+			}
+		}
+		check(path)
+	}
+	proved := 0
+	for _, circle := range circles {
+		// Every in-order sub-path: the arcs' angles add up to the chord's.
+		for mask := 0; mask < 1<<len(circle); mask++ {
+			var path []int
+			for x, v := range circle {
+				if mask&(1<<x) != 0 {
+					path = append(path, v)
+				}
+			}
+			if len(path) < 2 {
+				continue
+			}
+			check(path)
+			i, j := path[0], path[len(path)-1]
+			chord := math.Sqrt(2 * (1 - l.cos(i, j)))
+			if c := access + 0.6*chord*earthRadiusKM*l.propagationFactor; !l.PathAtLeast(i, j, c) {
+				t.Fatalf("PathAtLeast(%d, %d, %v) = false: 60%% of the chord is proven", i, j, c)
+			}
+			proved++
+		}
+	}
+	if proved == 0 {
+		t.Fatal("no great-circle path checked")
 	}
 }
 
