@@ -68,7 +68,8 @@ var servedSeries = []string{
 	"plane_queries_onehop_total", "plane_queries_route_total",
 	"plane_queries_failed_total", "plane_cache_hits_total", "plane_cache_misses_total",
 	"plane_cache_fills_total", "plane_cache_refusals_total",
-	"plane_pair_searches_total", "plane_pair_settled_total", "plane_binary_writes_total",
+	"plane_pair_searches_total", "plane_pair_settled_total", "plane_pair_fallbacks_total",
+	"plane_binary_writes_total",
 	"plane_snapshot_epoch", "plane_snapshot_age_seconds",
 	"plane_onehop_latency_ns_count", "plane_route_latency_ns_count",
 	"plane_cache_fill_latency_ns_count", "plane_pair_search_latency_ns_count",

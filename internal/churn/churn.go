@@ -36,7 +36,10 @@ type Schedule struct {
 	Events    []Event
 }
 
-// Validate checks event ordering and node ranges.
+// Validate checks event times, ordering and node ranges. A time is an
+// epoch count from the run's start: finite and not negative. (A NaN
+// would pass every order check after it and stop a replay's cursor,
+// which waits for Time < t, for good.)
 func (s *Schedule) Validate() error {
 	if s.N < 1 {
 		return fmt.Errorf("churn: bad node count %d", s.N)
@@ -46,6 +49,9 @@ func (s *Schedule) Validate() error {
 	}
 	last := math.Inf(-1)
 	for i, e := range s.Events {
+		if !(e.Time >= 0 && e.Time <= math.MaxFloat64) {
+			return fmt.Errorf("churn: event %d at time %v, want a finite time >= 0", i, e.Time)
+		}
 		if e.Time < last {
 			return fmt.Errorf("churn: event %d out of order (%.3f < %.3f)", i, e.Time, last)
 		}

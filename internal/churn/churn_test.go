@@ -2,6 +2,7 @@ package churn
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -206,6 +207,40 @@ func TestReadTraceRejectsGarbage(t *testing.T) {
 	for _, in := range cases {
 		if _, err := ReadTrace(strings.NewReader(in)); err == nil {
 			t.Fatalf("expected error for %q", in)
+		}
+	}
+}
+
+// TestValidateRejectsBadTimes: a time must be a finite epoch count from
+// the run's start. A NaN is the case an order check alone misses: it
+// compares false both ways, so it passes, and so does the out-of-order
+// event behind it. Each case is checked as a Schedule and as a trace.
+func TestValidateRejectsBadTimes(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		times []float64
+		ok    bool
+	}{
+		{"ordered", []float64{0, 0.5, 0.5, 3}, true},
+		{"NaN hides disorder", []float64{1, math.NaN(), 0.5}, false},
+		{"NaN last", []float64{1, math.NaN()}, false},
+		{"+Inf", []float64{1, math.Inf(1)}, false},
+		{"-Inf", []float64{math.Inf(-1), 1}, false},
+		{"negative", []float64{-0.25, 1}, false},
+		{"negative zero", []float64{math.Copysign(0, -1), 1}, true},
+	} {
+		s := &Schedule{N: 3, InitialOn: []bool{true, true, true}}
+		var trace strings.Builder
+		trace.WriteString("churn 3\ninit 1 1 1\n")
+		for i, tm := range tc.times {
+			s.Events = append(s.Events, Event{Time: tm, Node: i % 3})
+			fmt.Fprintf(&trace, "%v %d 0\n", tm, i%3)
+		}
+		if err := s.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate = %v, want ok %v", tc.name, err, tc.ok)
+		}
+		if _, err := ReadTrace(strings.NewReader(trace.String())); (err == nil) != tc.ok {
+			t.Errorf("%s: ReadTrace of %q = %v, want ok %v", tc.name, trace.String(), err, tc.ok)
 		}
 	}
 }

@@ -16,7 +16,7 @@ import (
 // tree never used a changed node are verified untouched in O(k) per
 // edit, and affected rows recompute only the invalidated subtrees plus
 // an insertion relaxation — cost proportional to the churn, not to
-// |sources|·n. Rebase changes the source set over an unchanged graph
+// |sources|·n. Rebase changes the source set over the maintained graph
 // and builds rows only for the sources that are new. Arc weights must
 // be stable per (u,v) pair (the scale engine's delays are static); only
 // the arc sets change.
@@ -27,7 +27,7 @@ import (
 //
 // Concurrency contract: Reset, Rebase, Apply, AddSource and RemoveSource
 // are mutations and must run with no other call in flight. Between
-// mutations, every read — Row, RowAt, Graph, Sources, SlotOf — is safe
+// mutations, every read — Row, RowAt, Graph, In, Sources, SlotOf — is safe
 // from any number of goroutines concurrently: the scale engine's
 // parallel proposal phase prices candidates off these rows from all
 // workers at once, and the adoption/churn mutations run strictly
@@ -54,9 +54,9 @@ type DynamicRows struct {
 	// the call site would allocate on every Apply.
 	buildFn, repairFn func(worker, i int)
 
-	// resets counts full rebuilds (Reset calls, Rebase's fall-through
-	// included), applies incremental repairs (Apply calls). fullRows
-	// counts the fresh Dijkstra rows built by any path.
+	// resets counts full rebuilds (Reset calls), applies incremental
+	// repairs (Apply calls), fullRows the fresh Dijkstra rows built by
+	// any path.
 	resets, applies, fullRows int
 
 	// mutating is set for the duration of every mutation; readers check
@@ -93,8 +93,7 @@ type RowEdit struct {
 	NewOut []Arc
 }
 
-// NewDynamicRows returns an empty row set; call Reset or Rebase before
-// use.
+// NewDynamicRows returns an empty row set; call Reset before use.
 func NewDynamicRows() *DynamicRows { return &DynamicRows{} }
 
 // Graph exposes the maintained graph. Callers may read it (e.g. run
@@ -128,14 +127,21 @@ func (r *DynamicRows) RowAt(i int) []float64 {
 	return r.rows[i].dist
 }
 
+// In returns the arcs into v, each as {To: tail, W: weight}, in no
+// particular order (aliased; do not modify). Valid until the next
+// mutation.
+func (r *DynamicRows) In(v NodeID) []Arc {
+	r.checkRead()
+	return r.rev[v]
+}
+
 // SlotOf returns the row index of source v, or -1 if v is not a source.
 func (r *DynamicRows) SlotOf(v NodeID) int {
 	r.checkRead()
 	return int(r.slot[v])
 }
 
-// Resets reports how many full rebuilds have run: Reset calls, and
-// Rebase calls that found a changed graph.
+// Resets reports how many full rebuilds (Reset calls) have run.
 func (r *DynamicRows) Resets() int { return r.resets }
 
 // Applies reports how many incremental repairs (Apply calls) have run.
@@ -165,43 +171,18 @@ func (r *DynamicRows) Reset(g *Digraph, sources []int, workers int) {
 	r.reseat(sources, workers)
 }
 
-// Rebase makes sources the source set over graph g, like Reset, but
-// when g equals the maintained graph arc for arc it keeps the row of
-// every source that already has one and builds rows only for the new
-// sources, on the storage the departed sources leave behind. A kept row
-// is exact by the contract above — no edit has touched the graph since
-// it was last repaired. When g differs (or nothing is maintained yet)
-// Rebase is Reset. Either way the result is what a fresh Reset(g,
-// sources) holds: same source order, same slots, same distances.
-func (r *DynamicRows) Rebase(g *Digraph, sources []int, workers int) {
-	if r.g == nil || !sameArcs(r.g, g) {
-		r.Reset(g, sources, workers)
-		return
+// Rebase makes sources the source set over the maintained graph. It
+// keeps the row of every source that already has one and builds rows
+// only for the new sources, on the storage the departed sources leave
+// behind; a kept row is exact by the contract above. The result is what
+// a fresh Reset(Graph(), sources) holds: same source order, same slots,
+// same distances. Rebase panics before the first Reset.
+func (r *DynamicRows) Rebase(sources []int, workers int) {
+	if r.g == nil {
+		panic("graph: DynamicRows.Rebase before Reset: no graph is maintained")
 	}
 	defer r.beginMutate()()
 	r.reseat(sources, workers)
-}
-
-// sameArcs reports whether a and b have the same nodes and, per node,
-// the same out-arcs in the same order. Order matters only in that a
-// reordered list reads as a difference, which costs Rebase a Reset and
-// nothing else.
-func sameArcs(a, b *Digraph) bool {
-	if a.n != b.n {
-		return false
-	}
-	for u, arcs := range a.out {
-		other := b.out[u]
-		if len(arcs) != len(other) {
-			return false
-		}
-		for x := range arcs {
-			if arcs[x] != other[x] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // reseat installs sources as the source set, in order, over the

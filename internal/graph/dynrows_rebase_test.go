@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -17,9 +18,10 @@ func rebaseWeight(u, v int) float64 { return 0.5 + float64((u*31+v*17)%23)/4 }
 // fresh NewDynamicRows().Reset on the same graph and sources: every
 // dist row Float64bits-equal, Sources/SlotOf/Row consistent, and after
 // a Rebase the source order exactly the one passed in. The Rebase
-// flavours are the ones the carry has to get right: same graph with
-// rotated sources, same graph with disjoint sources, an edited graph, a
-// graph of another size, and the first call on an empty instance.
+// flavours are the ones the carry has to get right: rotated sources and
+// disjoint sources. Moving onto an edited graph, a graph of another
+// size, or seeding an empty instance goes through rebaseOnto, which
+// resets when the graph differs.
 func rebaseScript(t *testing.T, script []byte) {
 	t.Helper()
 	next := func() int {
@@ -81,6 +83,21 @@ func rebaseScript(t *testing.T, script []byte) {
 		if !sameArcs(r.Graph(), g) {
 			t.Fatalf("%s: maintained graph diverged from the shadow graph", when)
 		}
+		// In(v) is the shadow's in-arcs of v, in some order.
+		in := make([][]Arc, n)
+		for u := 0; u < n; u++ {
+			for _, a := range g.Out(u) {
+				in[a.To] = append(in[a.To], Arc{To: u, W: a.W})
+			}
+		}
+		byTail := func(a, b Arc) int { return a.To - b.To }
+		for v := range in {
+			got := slices.Clone(r.In(v))
+			slices.SortFunc(got, byTail)
+			if slices.SortFunc(in[v], byTail); !slices.Equal(got, in[v]) {
+				t.Fatalf("%s: In(%d) = %v, the shadow's in-arcs are %v", when, v, got, in[v])
+			}
+		}
 		got := r.Sources()
 		if len(got) != len(sources) {
 			t.Fatalf("%s: Sources() = %v, want the set %v", when, got, sources)
@@ -119,7 +136,7 @@ func rebaseScript(t *testing.T, script []byte) {
 
 	// First call on an empty instance.
 	sources = pickSources(next(), 1+next()%5, 1+next()%3)
-	r.Rebase(g, sources, 1+next()%3)
+	rebaseOnto(r, g, sources, 1+next()%3)
 	check("first Rebase", true)
 
 	for step := 0; step < 40 && len(script) > 0; step++ {
@@ -173,7 +190,7 @@ func rebaseScript(t *testing.T, script []byte) {
 					fresh++
 				}
 			}
-			r.Rebase(g.Clone(), sources, 1+next()%3)
+			r.Rebase(sources, 1+next()%3)
 			check("Rebase/rotated", true)
 			if built := r.FullRows() - fullBefore; built != fresh || r.Resets() != resetsBefore {
 				t.Fatalf("Rebase/rotated built %d rows (%d resets) for %d new sources of %d",
@@ -193,7 +210,7 @@ func rebaseScript(t *testing.T, script []byte) {
 			}
 			if len(disjoint) > 0 {
 				sources = disjoint
-				r.Rebase(g, sources, 1)
+				r.Rebase(sources, 1)
 				check("Rebase/disjoint", true)
 			}
 		case 6: // Rebase onto an edited graph: every row must be recomputed
@@ -201,7 +218,7 @@ func rebaseScript(t *testing.T, script []byte) {
 			setOut(g, u, randomOut(u, next()%4))
 			resetsBefore := r.Resets()
 			changed := !sameArcs(r.Graph(), g)
-			r.Rebase(g, sources, 1+next()%3)
+			rebaseOnto(r, g, sources, 1+next()%3)
 			check("Rebase/edited", true)
 			if changed && r.Resets() != resetsBefore+1 {
 				t.Fatalf("Rebase onto an edited graph did not reset (resets %d -> %d)", resetsBefore, r.Resets())
@@ -213,10 +230,46 @@ func rebaseScript(t *testing.T, script []byte) {
 				setOut(g, u, randomOut(u, 1+next()%3))
 			}
 			sources = pickSources(next(), 1+next()%5, 1+next()%3)
-			r.Rebase(g, sources, 1+next()%3)
+			rebaseOnto(r, g, sources, 1+next()%3)
 			check("Rebase/resized", true)
 		}
 	}
+}
+
+// rebaseOnto makes sources the source set over g: a Rebase when g is
+// the maintained graph arc for arc, else a Reset.
+func rebaseOnto(r *DynamicRows, g *Digraph, sources []int, workers int) {
+	if r.g == nil || !sameArcs(r.g, g) {
+		r.Reset(g, sources, workers)
+		return
+	}
+	r.Rebase(sources, workers)
+}
+
+// sameArcs reports whether a and b have the same nodes and, per node,
+// the same out-arcs in the same order.
+func sameArcs(a, b *Digraph) bool {
+	if a.n != b.n {
+		return false
+	}
+	for u, arcs := range a.out {
+		if !slices.Equal(arcs, b.out[u]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestDynamicRowsRebaseBeforeReset: with no graph maintained there is
+// nothing to re-seat sources over, and Rebase says so.
+func TestDynamicRowsRebaseBeforeReset(t *testing.T) {
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "Rebase before Reset") {
+			t.Fatalf("Rebase on an empty instance: recovered %q, want a panic naming Rebase before Reset", msg)
+		}
+	}()
+	NewDynamicRows().Rebase([]int{0}, 1)
 }
 
 // rebaseSeeds are the fuzz corpus and the deterministic test's input:
@@ -310,17 +363,17 @@ func TestDynamicRowsAllocs(t *testing.T) {
 	}
 
 	same := sourcesAt(0)
-	r.Rebase(g, same, 1) // the second header array reaches its size
-	if got := testing.AllocsPerRun(20, func() { r.Rebase(g, same, 1) }); got != 0 {
+	r.Rebase(same, 1) // the second header array reaches its size
+	if got := testing.AllocsPerRun(20, func() { r.Rebase(same, 1) }); got != 0 {
 		t.Errorf("Rebase with unchanged membership: %v allocs, want 0", got)
 	}
 
 	epoch := 0
-	r.Rebase(g, sourcesAt(1), 1)
-	r.Rebase(g, sourcesAt(0), 1)
+	r.Rebase(sourcesAt(1), 1)
+	r.Rebase(sourcesAt(0), 1)
 	if got := testing.AllocsPerRun(20, func() {
 		epoch++
-		r.Rebase(g, sourcesAt(epoch), 1)
+		r.Rebase(sourcesAt(epoch), 1)
 	}); got > 1 { // sourcesAt's own slice
 		t.Errorf("Rebase rotating 60 of 456 sources: %v allocs, want the caller's 1", got)
 	}
@@ -337,7 +390,7 @@ func BenchmarkDynamicRowsRebase(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Rebase(g, sourcesAt(i+1), 1)
+		r.Rebase(sourcesAt(i+1), 1)
 	}
 }
 

@@ -50,6 +50,7 @@ type PairScratch struct {
 	fparent []int32
 	touched []int32 // nodes labelled by either side since the last reset
 	settled int
+	rerun   bool // the last call re-ran its search unpruned
 
 	// The backward side and the bound it gives the forward loop.
 	rev      *CSR
@@ -76,12 +77,19 @@ func (s *PairScratch) reset(n int) {
 	}
 	s.touched = s.touched[:0]
 	s.settled = 0
+	s.rerun = false
 }
 
 // Settled reports how many nodes the last PairCSR call expanded, both
 // sides together — the unit DijkstraCSR spends c.N() of on a connected
 // graph.
 func (s *PairScratch) Settled() int { return s.settled }
+
+// FellBack reports whether the last PairCSR call found its pruned
+// search ending short of dst and re-ran it unpruned: on sane inputs
+// only when sums overflow, so a count of these is how a PathBound that
+// does not hold for the graph shows.
+func (s *PairScratch) FellBack() bool { return s.rerun }
 
 // Parent returns the forward parent array of the last PairCSR call,
 // valid along the path to its dst (walk it like DijkstraCSR's parent)
@@ -106,6 +114,7 @@ func (s *PairScratch) PairCSR(c *CSR, src, dst NodeID, b PathBound) float64 {
 	if s.fdist[dst] == Inf && s.mu < Inf {
 		// A closed path exists but the forward loop never popped dst:
 		// the pruning argument above does not hold on this input.
+		s.rerun = true
 		for _, v := range s.touched {
 			s.fdist[v] = Inf
 		}

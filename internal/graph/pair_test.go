@@ -101,6 +101,9 @@ func checkAllPairs(t *testing.T, c *CSR, ps *PairScratch, b PathBound) (reachabl
 			if math.Float64bits(d) != math.Float64bits(dist[dst]) {
 				t.Fatalf("n=%d (%d,%d): PairCSR dist %v (%x), row says %v (%x)", n, src, dst, d, math.Float64bits(d), dist[dst], math.Float64bits(dist[dst]))
 			}
+			if ps.FellBack() {
+				t.Fatalf("n=%d (%d,%d): the search re-ran unpruned on an input its bound holds for", n, src, dst)
+			}
 			if ps.Settled() > 2*n {
 				t.Fatalf("n=%d (%d,%d): settled %d nodes, two searches can settle at most %d", n, src, dst, ps.Settled(), 2*n)
 			}
@@ -120,6 +123,40 @@ func checkAllPairs(t *testing.T, c *CSR, ps *PairScratch, b PathBound) (reachabl
 		}
 	}
 	return reachable
+}
+
+// TestPairCSRFallbackShowsBadBound: under a bound that does not hold —
+// the Lite of a graph whose arcs weigh Delay/4 — the pruned search cuts
+// dst's in-neighbours and ends short of dst. PairCSR still answers the
+// row, by re-running unpruned, and FellBack says so: that flag is the
+// only trace a misapplied bound leaves.
+func TestPairCSRFallbackShowsBadBound(t *testing.T) {
+	lite, net := liteGraph(60, 4, 3, 4, 1)
+	n := lite.N()
+	c := NewCSR(n, func(u int) (out []Arc) {
+		for x := lite.off[u]; x < lite.off[u+1]; x++ {
+			out = append(out, Arc{To: int(lite.to[x]), W: lite.w[x] / 4})
+		}
+		return out
+	})
+	var ps PairScratch
+	dist, parent := make([]float64, n), make([]int32, n)
+	fellBack := 0
+	for src := 0; src < n; src++ {
+		ps.DijkstraCSR(c, src, dist, parent)
+		for dst := 0; dst < n; dst++ {
+			if d := ps.PairCSR(c, src, dst, net); math.Float64bits(d) != math.Float64bits(dist[dst]) {
+				t.Fatalf("(%d,%d): PairCSR %v under the overstating bound, row says %v", src, dst, d, dist[dst])
+			}
+			if ps.FellBack() {
+				fellBack++
+			}
+		}
+	}
+	t.Logf("%d of %d searches fell back", fellBack, n*n)
+	if fellBack == 0 {
+		t.Fatal("no search fell back under a bound four times the paths it prunes")
+	}
 }
 
 // TestPairCSRMatchesRow is the exactness pin: on every ordered pair of

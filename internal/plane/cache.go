@@ -100,6 +100,7 @@ type cacheStats struct {
 	refusals  atomic.Int64
 	searches  atomic.Int64
 	settled   atomic.Int64
+	fallbacks atomic.Int64
 
 	// The miss path's latency summaries, nil until the owning Server's
 	// EnableMetrics. Every fill and every pair search is timed: two
@@ -231,6 +232,9 @@ func (c *rowCache) miss(src, dst int, buf []int32, wantPath bool, st *cacheStats
 	c.spent[src].Add(uint32(ps.Settled()))
 	st.searches.Add(1)
 	st.settled.Add(int64(ps.Settled()))
+	if ps.FellBack() {
+		st.fallbacks.Add(1)
+	}
 	if wantPath && cost < graph.Inf {
 		buf = appendPath(buf, ps.Parent(), src, dst)
 	}

@@ -85,6 +85,7 @@ func (m *serverMetrics) batch(t0 time.Time) {
 //	plane_cache_{fills,evictions}_total        rows computed on demand / dropped
 //	plane_cache_refusals_total          fills the admission rule refused
 //	plane_pair_{searches,settled}_total  pair searches a miss paid
+//	plane_pair_fallbacks_total          pair searches re-run unpruned (a path bound that does not hold)
 //	plane_binary_conns_refused_total    binary connections closed over the cap
 //	plane_binary_writes_total           binary TCP response writes (pipelined frames share one)
 //	plane_snapshot_epoch / _age_seconds / _live  serving snapshot
@@ -110,6 +111,7 @@ func (s *Server) EnableMetrics(reg *obs.Registry) {
 	reg.CounterFunc("plane_cache_refusals_total", "row fills refused by admission: the source was looked up no more often than the row it would evict (the miss is answered by a pair search)", s.cstats.refusals.Load)
 	reg.CounterFunc("plane_pair_searches_total", "misses answered by an exact pair search", s.cstats.searches.Load)
 	reg.CounterFunc("plane_pair_settled_total", "nodes settled by pair searches (a filled row settles every live node)", s.cstats.settled.Load)
+	reg.CounterFunc("plane_pair_fallbacks_total", "pair searches whose pruned run ended short of the destination and re-ran unpruned; above 0 a path bound does not hold for the snapshot's arcs", s.cstats.fallbacks.Load)
 	reg.CounterFunc("plane_cache_evictions_total", "row-cache rows dropped under the cap", s.cstats.evictions.Load)
 	reg.CounterFunc("plane_cache_collapses_total", "row-cache lookups that joined an in-flight compute (singleflight)", s.cstats.collapses.Load)
 	reg.CounterFunc("plane_binary_writes_total", "binary-protocol TCP response writes (the answers to frames a client pipelined share one)", s.binWrites.Load)

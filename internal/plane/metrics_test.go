@@ -59,6 +59,7 @@ func TestServerMetricsExposition(t *testing.T) {
 		"plane_queries_failed_total":       0,
 		"plane_binary_conns_refused_total": 0,
 		"plane_binary_writes_total":        0, // AnswerBinary alone writes nothing
+		"plane_pair_fallbacks_total":       0, // the Lite bound holds on the fixture
 		"plane_batch_latency_ns_count":     1,
 		"plane_publish_latency_ns_count":   1,
 		"plane_snapshot_epoch":             7,

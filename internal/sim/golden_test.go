@@ -72,6 +72,30 @@ func TestScaleGoldenDigest(t *testing.T) {
 	}
 }
 
+// TestScaleDirectorySeededOnce runs each pinned config with checkRows
+// on: the directory is Reset exactly once, at the seed, so nothing but
+// staging keeps it in step with the wiring, and the probe, which checks
+// the two against each other after every rebuild, adoption and drain,
+// finds no divergence. The probe must not show in the digest.
+func TestScaleDirectorySeededOnce(t *testing.T) {
+	for name, cfg := range goldenConfigs() {
+		t.Run(name, func(t *testing.T) {
+			cfg.probe = &scaleProbe{checkRows: true}
+			res, err := RunScale(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cfg.probe.resets != 1 {
+				t.Fatalf("directory Reset %d times over %d epochs, want once (the seed)", cfg.probe.resets, res.Epochs)
+			}
+			sum := sha256.Sum256(resultJSON(t, res))
+			if got := hex.EncodeToString(sum[:]); got != goldenDigests[name] {
+				t.Fatalf("the probe changed the result: digest %s, want %s", got, goldenDigests[name])
+			}
+		})
+	}
+}
+
 // fullGoldenConfigs returns the full engine's pinned configurations, one
 // per path through its exact re-wiring loop: the live forest under the
 // additive and the bottleneck algebra, the ε gate, churn with HybridBR's

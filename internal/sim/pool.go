@@ -7,76 +7,70 @@ import (
 	"egoist/internal/graph"
 )
 
-// scalePool is the epoch's facility directory: one graph.DynamicRows
-// instance holding the live overlay graph and one exact, incrementally
-// maintained SSSP row per member. Candidate selection iterates the
-// members in the instance's own source order (sorted at rebuild, append
-// on join, swap-remove on leave).
+// scalePool is the facility directory: one graph.DynamicRows instance
+// holding the live overlay graph — the wiring priced by Net.Delay, the
+// engine's only copy of it beside the wiring itself — and one exact,
+// incrementally maintained SSSP row per member. It is seeded once from
+// the bootstrap wiring, and every later change to a wiring is staged
+// into it and committed in the serial section that made it. Candidate
+// selection iterates the members in the instance's own source order
+// (sorted at rebuild, append on join, swap-remove on leave).
 type scalePool struct {
 	dir *graph.DynamicRows
+	net ScaleNet
 
 	// rebuild's scratch.
 	ids    []int
 	member []bool
-	indeg  []int32
-	gbuild *graph.Digraph
-	// apply's scratch.
+	// The staged edits and their arcs, until commit.
 	edits []graph.RowEdit
 	arcs  []graph.Arc
 
 	// resets counts directory rebuilds — one per epoch, whether the
-	// rebuild recomputed every row or only the new members' — and applies
-	// the incremental repairs. They are ScaleResult's
-	// DirectoryResets/DirectoryApplies, on which the churn tests pin the
-	// maintenance invariant (events never trigger a full rebuild).
-	resets, applies int
+	// rebuild built every row or only the new members' — ScaleResult's
+	// DirectoryResets, on which the churn tests pin the maintenance
+	// invariant (events never trigger a rebuild).
+	resets int
 }
 
-// newScalePool returns an empty directory for an n-node overlay; the
-// first rebuild fills it.
-func newScalePool(n int) *scalePool {
-	return &scalePool{
-		dir:    graph.NewDynamicRows(),
-		member: make([]bool, n),
-		indeg:  make([]int32, n),
-		gbuild: graph.New(n),
+// newScalePool seeds the directory with the bootstrap wiring and no
+// members; the first rebuild seats them.
+func newScalePool(c *ScaleConfig, wiring [][]int, workers int) *scalePool {
+	g := graph.New(c.N)
+	for u, ws := range wiring {
+		for _, v := range ws {
+			g.AddArc(u, v, c.Net.Delay(u, v))
+		}
 	}
+	sp := &scalePool{dir: graph.NewDynamicRows(), net: c.Net, member: make([]bool, c.N)}
+	sp.dir.Reset(g, nil, workers)
+	return sp
 }
 
 // rebuild recomputes the directory membership for the epoch — all wired
 // targets (trimmed to the cap by in-degree, ties to lower ids) plus the
 // epoch's explorer rotation and any nodes that joined since the last
-// rebuild — and rebases the directory onto it across the workers: the
+// rebuild — and re-seats the directory on it across the workers: the
 // first rebuild runs every member's Dijkstra, later ones only the new
-// members', because the overlay they would run over is the one the
-// previous epoch's repairs already left the rows exact for. Within the
-// epoch, apply/AddSource/RemoveSource keep the rows exact incrementally.
+// members', because the graph the others' rows are exact for is the one
+// they would run over. Within the epoch, stage/commit and
+// AddSource/RemoveSource keep the rows exact incrementally.
 func (sp *scalePool) rebuild(c *ScaleConfig, eng *scaleEngine, epoch, workers int) {
 	n := c.N
-	for i := range sp.indeg {
-		sp.indeg[i] = 0
-		sp.member[i] = false
-	}
-	sp.gbuild.Resize(n)
 	// Dead nodes hold no out-links and their in-links were dropped at
-	// the leave event, so indeg-driven membership is alive-only.
-	for u, ws := range eng.wiring {
-		for _, v := range ws {
-			sp.gbuild.AddArc(u, v, c.Net.Delay(u, v))
-			sp.indeg[v]++
-		}
-	}
+	// the leave event, so in-degree-driven membership is alive-only.
+	indeg := func(v int) int { return len(sp.dir.In(v)) }
 	sp.ids = sp.ids[:0]
 	for v := 0; v < n; v++ {
-		if sp.indeg[v] > 0 {
-			sp.member[v] = true
+		sp.member[v] = indeg(v) > 0
+		if sp.member[v] {
 			sp.ids = append(sp.ids, v)
 		}
 	}
 	if len(sp.ids) > c.poolTarget {
 		// Trim the least-popular wired targets.
 		slices.SortFunc(sp.ids, func(a, b int) int {
-			if d := cmp.Compare(sp.indeg[b], sp.indeg[a]); d != 0 {
+			if d := cmp.Compare(indeg(b), indeg(a)); d != 0 {
 				return d
 			}
 			return a - b
@@ -109,29 +103,22 @@ func (sp *scalePool) rebuild(c *ScaleConfig, eng *scaleEngine, epoch, workers in
 	}
 	slices.Sort(sp.ids)
 	sp.resets++
-	sp.dir.Rebase(sp.gbuild, sp.ids, workers)
+	sp.dir.Rebase(sp.ids, workers)
 }
 
-// applyEdits folds out-set replacements into the directory graph and
-// repairs the member rows incrementally.
-func (sp *scalePool) applyEdits(edits []graph.RowEdit) {
-	if len(edits) == 0 {
-		return
+// stage queues u's out-set replacement by wiring, each arc priced by
+// Net.Delay, for the next commit.
+func (sp *scalePool) stage(u int, wiring []int) {
+	start := len(sp.arcs)
+	for _, v := range wiring {
+		sp.arcs = append(sp.arcs, graph.Arc{To: v, W: sp.net.Delay(u, v)})
 	}
-	sp.applies++
-	sp.dir.Apply(edits)
+	sp.edits = append(sp.edits, graph.RowEdit{Node: u, NewOut: sp.arcs[start:]})
 }
 
-// apply folds one sub-round's adopted re-wirings into the directory.
-func (sp *scalePool) apply(c *ScaleConfig, rewired []int, wiring [][]int) {
-	sp.edits = sp.edits[:0]
-	sp.arcs = sp.arcs[:0]
-	for _, u := range rewired {
-		start := len(sp.arcs)
-		for _, v := range wiring[u] {
-			sp.arcs = append(sp.arcs, graph.Arc{To: v, W: c.Net.Delay(u, v)})
-		}
-		sp.edits = append(sp.edits, graph.RowEdit{Node: u, NewOut: sp.arcs[start:]})
-	}
-	sp.applyEdits(sp.edits)
+// commit folds the staged edits into the directory graph as one batch
+// and repairs the member rows incrementally.
+func (sp *scalePool) commit() {
+	sp.dir.Apply(sp.edits)
+	sp.edits, sp.arcs = sp.edits[:0], sp.arcs[:0]
 }

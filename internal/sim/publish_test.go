@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -88,7 +89,7 @@ func (r *pubRecorder) onPublish(pub Publication) {
 		if r.active[u] != pub.Active[u] {
 			t.Fatalf("(%d,%d): membership of %d flipped outside the changed set", pub.Epoch, pub.SubRound, u)
 		}
-		if !sameWiring(r.wiring[u], pub.Wiring[u]) {
+		if !slices.Equal(r.wiring[u], pub.Wiring[u]) {
 			t.Fatalf("(%d,%d): wiring of %d changed outside the changed set: have %v want %v",
 				pub.Epoch, pub.SubRound, u, r.wiring[u], pub.Wiring[u])
 		}

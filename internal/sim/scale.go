@@ -64,8 +64,10 @@ import (
 // Memory is O(|pool|·n + n·k): pool rows dominate (~110 MB at n=10⁴,
 // |pool|≈1400); there is no n×n anything.
 
-// ScaleNet is the minimal underlay view of the scale engine: static
-// pairwise delays, computable on demand (no n² storage).
+// ScaleNet is the minimal underlay view of the scale engine: pairwise
+// delays, computable on demand (no n² storage). They must be static:
+// the facility directory prices an arc once, when the change that makes
+// it is staged, and never re-prices it.
 type ScaleNet interface {
 	N() int
 	Delay(i, j int) float64
@@ -200,7 +202,8 @@ type scaleProbe struct {
 	// directory run the seeded Dijkstra as well, and fails the run on any
 	// bit difference between the two rows; makes every churn drain fail
 	// the run if it leaves a wiring row pointing at a departed node; and
-	// runs checkDirectory after every adopt batch and live churn drain.
+	// runs checkDirectory after every rebuild, adopt batch and churn
+	// drain that applied an event.
 	checkRows bool
 	// checkKeep makes a proposer whose wiring the keep bound certifies
 	// solve as well, and fails the run if the gate would have adopted
@@ -213,6 +216,9 @@ type scaleProbe struct {
 	seeded atomic.Int64
 	// rebuilds records each directory rebuild, in epoch order.
 	rebuilds []probeRebuild
+	// resets is the directory's DynamicRows.Resets at the end of the run:
+	// 1, the seed, when every change was staged into it.
+	resets int
 }
 
 // probeRebuild is one directory rebuild: the membership it settled on
@@ -251,9 +257,10 @@ type PhaseEvent struct {
 	// Epoch is the epoch being played (-1 covers bootstrap-time work).
 	Epoch int `json:"epoch"`
 	// Sub is the stagger sub-round within the epoch, -1 for
-	// epoch-level phases (the start-of-epoch churn drain, the directory
-	// rebuild, the epoch summary). The epoch-final churn drain and
-	// publication carry Sub == Rounds.
+	// epoch-level phases (the directory rebuild, the epoch summary).
+	// The churn drain before batch b carries Sub == b, the one before
+	// batch 0 included; the epoch-final churn drain and publication
+	// carry Sub == Rounds.
 	Sub int `json:"sub"`
 	// Phase is one of churn | rebuild | propose | adopt | publish |
 	// epoch ("epoch" is the whole-epoch summary event).
@@ -503,20 +510,12 @@ type scaleEngine struct {
 	// aliveIDs is the sorted alive roster (every id when Churn is nil).
 	// Rebuilt after every event batch; proposals read it concurrently in
 	// between.
-	aliveIDs []int
-	// inlinks[v] lists the alive nodes currently wiring v (unordered). It
-	// is what lets a leave event find and orphan the victims in
-	// O(in-degree) instead of O(n·k).
-	inlinks     [][]int32
+	aliveIDs    []int
 	recentJoins []int
-	churnAt     int
+	churn       timeline
 	evIdx       int // monotonically counts applied events (join-RNG derivation)
 	joins       int // per-epoch counters, reset by the epoch loop
 	leaves      int
-
-	editsBuf   []graph.RowEdit
-	arcsBuf    []graph.Arc
-	rewiredBuf []int
 
 	// Pending-publication changed set (nil pubMark: no OnPublish
 	// subscriber, zero cost). pubChanged accumulates marks between
@@ -580,26 +579,24 @@ func (e *scaleEngine) proposeBatch(ws []*scaleWorker, batch []int, epoch int, de
 // directory rows incrementally. It accumulates the epoch measurements
 // into ep and returns the batch's acted-node and sample counts.
 func (e *scaleEngine) adoptBatch(batch []int, props []scaleProposal, ep *ScaleEpoch) (acted, samples int) {
-	rewired := e.rewiredBuf[:0]
 	for _, i := range batch {
 		if !props[i].acted {
 			continue
 		}
 		acted++
-		if props[i].set != nil {
-			if !sameWiring(e.wiring[i], props[i].set) {
+		if set := props[i].set; set != nil {
+			if !slices.Equal(e.wiring[i], set) {
 				ep.Rewires++
-				rewired = append(rewired, i)
+				e.pool.stage(i, set)
 				e.markChanged(i)
 			}
-			e.adoptWiring(i, props[i].set)
+			e.wiring[i] = set
 		}
 		ep.MeanEstCost += props[i].estCost
 		ep.MeanBand += props[i].estBand
 		samples += props[i].samples
 	}
-	e.pool.apply(e.c, rewired, e.wiring)
-	e.rewiredBuf = rewired
+	e.pool.commit()
 	return acted, samples
 }
 
@@ -613,92 +610,42 @@ func (e *scaleEngine) rebuildAlive() {
 	}
 }
 
-func (e *scaleEngine) addInlink(v, u int) {
-	e.inlinks[v] = append(e.inlinks[v], int32(u))
-}
-
-func (e *scaleEngine) removeInlink(v, u int) {
-	l := e.inlinks[v]
-	for x := range l {
-		if l[x] == int32(u) {
-			l[x] = l[len(l)-1]
-			e.inlinks[v] = l[:len(l)-1]
-			return
-		}
-	}
-}
-
-// adoptWiring installs node i's new wiring, keeping the reverse index
-// current (both wirings are sorted; merge-diff).
-func (e *scaleEngine) adoptWiring(i int, set []int) {
-	old := e.wiring[i]
-	a, b := 0, 0
-	for a < len(old) || b < len(set) {
-		switch {
-		case b >= len(set) || (a < len(old) && old[a] < set[b]):
-			e.removeInlink(old[a], i)
-			a++
-		case a >= len(old) || set[b] < old[a]:
-			e.addInlink(set[b], i)
-			b++
-		default:
-			a++
-			b++
-		}
-	}
-	e.wiring[i] = set
-}
-
 // runScaleChurn applies every membership event scheduled before time t
 // (in epoch units).
 //
 // Directory-repair-on-leave invariant: membership events NEVER trigger
-// a full directory rebuild — the per-epoch rebuild is the only caller
-// of DynamicRows.Rebase (pinned by TestScaleChurnIncrementalDirectory).
+// a directory rebuild — the per-epoch rebuild is the only caller of
+// DynamicRows.Rebase (pinned by TestScaleChurnIncrementalDirectory).
 // A leave drops the departed node's row (O(1) swap), clears its
 // out-arcs and rewrites each orphaned in-neighbor's arc set through
-// DynamicRows.Apply, whose repair cost is proportional to the affected
-// shortest-path subtrees; a join costs one Dijkstra row (AddSource)
-// plus one Apply for its bootstrap arcs. poolLive is false at the
-// epoch boundary, where the imminent per-epoch rebuild absorbs the
-// membership change and per-event pool repair would be wasted work.
-func (e *scaleEngine) runScaleChurn(t float64, poolLive bool) error {
-	c := e.c
-	if c.Churn == nil {
-		return nil
-	}
-	events := c.Churn.Events
-	changed := false
-	for e.churnAt < len(events) && events[e.churnAt].Time < t {
-		ev := events[e.churnAt]
-		e.churnAt++
-		if ev.On == e.active[ev.Node] {
-			continue
-		}
+// one commit, whose repair cost is proportional to the affected
+// shortest-path subtrees; a join costs one commit for its bootstrap
+// arcs plus one Dijkstra row (AddSource).
+func (e *scaleEngine) runScaleChurn(t float64) error {
+	applied := e.evIdx
+	err := e.churn.until(t, e.active, func(ev churn.Event) error {
 		e.evIdx++
-		changed = true
 		if ev.On {
-			e.join(ev.Node, poolLive)
+			e.join(ev.Node)
 		} else {
-			e.leave(ev.Node, poolLive)
+			e.leave(ev.Node)
 		}
+		return nil
+	})
+	if err != nil || e.evIdx == applied {
+		return err
 	}
-	if changed {
-		e.rebuildAlive()
-		if c.probe != nil && c.probe.checkRows {
-			for u, w := range e.wiring {
-				for _, v := range w {
-					if !e.active[u] || !e.active[v] {
-						return fmt.Errorf("sim: churn drain before t=%v left link %d→%d with active = %v→%v", t, u, v, e.active[u], e.active[v])
-					}
+	e.rebuildAlive()
+	if c := e.c; c.probe != nil && c.probe.checkRows {
+		for u, w := range e.wiring {
+			for _, v := range w {
+				if !e.active[u] || !e.active[v] {
+					return fmt.Errorf("sim: churn drain before t=%v left link %d→%d with active = %v→%v", t, u, v, e.active[u], e.active[v])
 				}
 			}
-			if poolLive {
-				return e.checkDirectory("churn drain", t)
-			}
 		}
 	}
-	return nil
+	return e.checkDirectory("churn drain", t)
 }
 
 // checkDirectory is the checkRows probe of the directory graph at time
@@ -726,7 +673,7 @@ func (e *scaleEngine) checkDirectory(phase string, t float64) error {
 // join turns v on: bootstrap wiring over the alive roster (same recipe
 // as the epoch -1 bootstrap, from a per-event deterministic RNG) and a
 // seat in the facility directory.
-func (e *scaleEngine) join(v int, poolLive bool) {
+func (e *scaleEngine) join(v int) {
 	c := e.c
 	e.active[v] = true
 	e.joins++
@@ -742,60 +689,33 @@ func (e *scaleEngine) join(v int, poolLive bool) {
 		w = c.bootstrapWiring(rng, v, e.aliveIDs, e.active)
 	}
 	e.wiring[v] = w
-	for _, u := range w {
-		e.addInlink(u, v)
-	}
 	e.recentJoins = append(e.recentJoins, v)
-	if poolLive {
-		e.arcsBuf = e.arcsBuf[:0]
-		for _, u := range w {
-			e.arcsBuf = append(e.arcsBuf, graph.Arc{To: u, W: c.Net.Delay(v, u)})
-		}
-		e.pool.applyEdits([]graph.RowEdit{{Node: v, NewOut: e.arcsBuf}})
-		e.pool.dir.AddSource(v)
-	}
+	e.pool.stage(v, w)
+	e.pool.commit()
+	e.pool.dir.AddSource(v)
 }
 
 // leave turns v off with heartbeat semantics: every in-neighbor drops
 // its link to v immediately, and a node whose last link dies re-wires
-// unconditionally at its next sub-round slot — the rescue path.
-func (e *scaleEngine) leave(v int, poolLive bool) {
+// unconditionally at its next sub-round slot — the rescue path. The
+// directory's in-arcs of v name the victims.
+func (e *scaleEngine) leave(v int) {
 	e.active[v] = false
 	e.leaves++
 	e.markChanged(v)
-	e.editsBuf = e.editsBuf[:0]
-	e.arcsBuf = e.arcsBuf[:0]
-	for _, ui := range e.inlinks[v] {
-		u := int(ui)
+	// Drop the dead member's row first so it is not repaired, then fold
+	// the orphaned re-wirings and v's cleared out-set into the surviving
+	// rows incrementally.
+	e.pool.dir.RemoveSource(v)
+	for _, a := range e.pool.dir.In(v) {
+		u := a.To
 		e.markChanged(u)
-		ws := e.wiring[u]
-		for x, tgt := range ws {
-			if tgt == v {
-				e.wiring[u] = append(ws[:x], ws[x+1:]...)
-				break
-			}
-		}
-		if poolLive {
-			start := len(e.arcsBuf)
-			for _, tgt := range e.wiring[u] {
-				e.arcsBuf = append(e.arcsBuf, graph.Arc{To: tgt, W: e.c.Net.Delay(u, tgt)})
-			}
-			e.editsBuf = append(e.editsBuf, graph.RowEdit{Node: u, NewOut: e.arcsBuf[start:len(e.arcsBuf):len(e.arcsBuf)]})
-		}
-	}
-	e.inlinks[v] = e.inlinks[v][:0]
-	for _, tgt := range e.wiring[v] {
-		e.removeInlink(tgt, v)
+		e.wiring[u] = slices.DeleteFunc(e.wiring[u], func(tgt int) bool { return tgt == v })
+		e.pool.stage(u, e.wiring[u])
 	}
 	e.wiring[v] = nil
-	if poolLive {
-		// Drop the dead member's row first so it is not repaired, then
-		// fold the orphaned re-wirings and v's cleared out-set into the
-		// surviving rows incrementally.
-		e.pool.dir.RemoveSource(v)
-		e.editsBuf = append(e.editsBuf, graph.RowEdit{Node: v})
-		e.pool.applyEdits(e.editsBuf)
-	}
+	e.pool.stage(v, nil)
+	e.pool.commit()
 }
 
 // bootstrapWiring is the shared join recipe: wire the closest member of
@@ -858,17 +778,16 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 	workers := par.Workers(c.Workers)
 	ws := make([]*scaleWorker, workers) // one scratch slot per worker
 	eng := &scaleEngine{
-		c:       &c,
-		wiring:  make([][]int, n),
-		pool:    newScalePool(n),
-		active:  make([]bool, n),
-		inlinks: make([][]int32, n),
+		c:      &c,
+		wiring: make([][]int, n),
+		active: make([]bool, n),
 	}
 	for i := range eng.active {
 		eng.active[i] = true
 	}
 	if c.Churn != nil {
 		copy(eng.active, c.Churn.InitialOn)
+		eng.churn.events = c.Churn.Events
 	}
 	eng.rebuildAlive()
 	if c.OnPublish != nil {
@@ -895,11 +814,7 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, w := range eng.wiring {
-		for _, v := range w {
-			eng.addInlink(v, i)
-		}
-	}
+	eng.pool = newScalePool(&c, eng.wiring, workers)
 	trace := phaseTrace(c.OnPhase)
 
 	if c.OnPublish != nil {
@@ -923,16 +838,6 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 	for epoch := 0; epoch < c.MaxEpochs; epoch++ {
 		start := time.Now()
 		eng.joins, eng.leaves = 0, 0
-		// Later epochs find their past events already drained by the
-		// previous epoch's end-of-epoch call; this start-of-run sweep
-		// (before the first rebuild, which absorbs it for free) only
-		// catches events scheduled before epoch 0.
-		t0 := trace.start()
-		if err := eng.runScaleChurn(float64(epoch), false); err != nil {
-			return nil, err
-		}
-		trace.emit(t0, PhaseEvent{Epoch: epoch, Sub: -1, Phase: "churn",
-			Alive: len(eng.aliveIDs), Joins: eng.joins, Leaves: eng.leaves})
 		// Membership is fixed for the epoch (one Dijkstra per member the
 		// rebuild brings in; the others keep their rows); the sub-round
 		// loop below keeps the rows exact against the live wiring via
@@ -942,14 +847,17 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 		// play — every node re-wires trusting distances that its peers'
 		// simultaneous re-wirings have already invalidated, and the
 		// overlay collapses into a state nobody evaluated.
-		t0 = trace.start()
+		t0 := trace.start()
 		built := eng.pool.dir.FullRows()
 		eng.pool.rebuild(&c, eng, epoch, workers)
 		built = eng.pool.dir.FullRows() - built
 		trace.emit(t0, PhaseEvent{Epoch: epoch, Sub: -1, Phase: "rebuild",
-			Resets: eng.pool.resets, Applies: eng.pool.applies, Rows: built})
+			Resets: eng.pool.resets, Applies: eng.pool.dir.Applies(), Rows: built})
 		if c.probe != nil {
 			c.probe.rebuilds = append(c.probe.rebuilds, probeRebuild{ids: slices.Clone(eng.pool.dir.Sources()), rows: built})
+		}
+		if err := eng.checkDirectory("rebuild", float64(epoch)); err != nil {
+			return nil, err
 		}
 		var demand func(i, j int) float64
 		if c.DemandAt != nil {
@@ -958,69 +866,62 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 		ep := ScaleEpoch{PoolSize: len(eng.pool.dir.Sources())}
 		samples := 0
 		acted := 0
-		for b, batch := range batches {
-			if b > 0 {
-				// Mid-epoch membership events land between sub-rounds
-				// and repair the live directory incrementally.
-				t0 = trace.start()
-				if err := eng.runScaleChurn(float64(epoch)+float64(b)/float64(len(batches)), true); err != nil {
-					return nil, err
-				}
-				trace.emit(t0, PhaseEvent{Epoch: epoch, Sub: b, Phase: "churn",
-					Alive: len(eng.aliveIDs), Joins: eng.joins, Leaves: eng.leaves})
+		err := stagger(epoch, batches, func(t float64, sub int) error {
+			// Membership events land between sub-rounds and repair the
+			// live directory incrementally.
+			t0 := trace.start()
+			if err := eng.runScaleChurn(t); err != nil {
+				return err
 			}
+			trace.emit(t0, PhaseEvent{Epoch: epoch, Sub: sub, Phase: "churn",
+				Alive: len(eng.aliveIDs), Joins: eng.joins, Leaves: eng.leaves})
+			return nil
+		}, func(b int, batch []int) error {
 			// A drained overlay (fewer alive nodes than a wiring needs)
 			// sits the proposal phase out until joins replenish it.
 			if len(eng.aliveIDs) < c.K+2 {
 				for _, i := range batch {
 					props[i].acted = false
 				}
-			} else {
-				t0 = trace.start()
-				if err := eng.proposeBatch(ws, batch, epoch, demand, props); err != nil {
-					return nil, err
-				}
-				ev := PhaseEvent{Epoch: epoch, Sub: b, Phase: "propose"}
-				for _, i := range batch {
-					if props[i].kept {
-						ev.Kept++
-					} else if props[i].acted {
-						ev.Solved++
-					}
-				}
-				trace.emit(t0, ev)
-				t0 = trace.start()
-				before := ep.Rewires
-				a, s := eng.adoptBatch(batch, props, &ep)
-				acted += a
-				samples += s
-				if err := eng.checkDirectory("adopt", float64(epoch)+float64(b)/float64(len(batches))); err != nil {
-					return nil, err
-				}
-				trace.emit(t0, PhaseEvent{Epoch: epoch, Sub: b, Phase: "adopt",
-					Rewires: ep.Rewires - before})
+				return nil
 			}
+			t0 := trace.start()
+			if err := eng.proposeBatch(ws, batch, epoch, demand, props); err != nil {
+				return err
+			}
+			ev := PhaseEvent{Epoch: epoch, Sub: b, Phase: "propose"}
+			for _, i := range batch {
+				if props[i].kept {
+					ev.Kept++
+				} else if props[i].acted {
+					ev.Solved++
+				}
+			}
+			trace.emit(t0, ev)
+			t0 = trace.start()
+			before := ep.Rewires
+			a, s := eng.adoptBatch(batch, props, &ep)
+			acted += a
+			samples += s
+			if err := eng.checkDirectory("adopt", float64(epoch)+float64(b)/float64(len(batches))); err != nil {
+				return err
+			}
+			trace.emit(t0, PhaseEvent{Epoch: epoch, Sub: b, Phase: "adopt",
+				Rewires: ep.Rewires - before})
+			return nil
+		}, func(sub int) {
 			// Sub-round publication: the batch's adoptions plus any churn
 			// drained since the previous publication (idle sub-rounds
 			// publish an empty delta so subscribers can pace on them).
-			t0 = trace.start()
-			eng.publish(epoch, b, len(batches))
-			trace.emit(t0, PhaseEvent{Epoch: epoch, Sub: b, Phase: "publish"})
-		}
-		// Drain the last sub-round window's events before the epoch
-		// closes: without this, events scheduled inside the final
-		// 1/StaggerBatches of the run's last epoch would silently never
-		// apply while pendingEvents still counted them.
-		t0 = trace.start()
-		if err := eng.runScaleChurn(float64(epoch+1), true); err != nil {
+			// The epoch-final one (EpochFinal) carries the epoch's last
+			// drain.
+			t0 := trace.start()
+			eng.publish(epoch, sub, len(batches))
+			trace.emit(t0, PhaseEvent{Epoch: epoch, Sub: sub, Phase: "publish"})
+		})
+		if err != nil {
 			return nil, err
 		}
-		trace.emit(t0, PhaseEvent{Epoch: epoch, Sub: len(batches), Phase: "churn",
-			Alive: len(eng.aliveIDs), Joins: eng.joins, Leaves: eng.leaves})
-		// The epoch-final publication (EpochFinal) carries that drain.
-		t0 = trace.start()
-		eng.publish(epoch, len(batches), len(batches))
-		trace.emit(t0, PhaseEvent{Epoch: epoch, Sub: len(batches), Phase: "publish"})
 		if acted > 0 {
 			ep.MeanEstCost /= float64(acted)
 			ep.MeanBand /= float64(acted)
@@ -1036,7 +937,9 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 		res.Joins += eng.joins
 		res.Leaves += eng.leaves
 		res.Epochs++
-		if float64(ep.Rewires) <= c.ConvergedFrac*float64(len(eng.aliveIDs)) && !eng.pendingEvents() {
+		// Convergence must not stop the run before the schedule has
+		// played out.
+		if float64(ep.Rewires) <= c.ConvergedFrac*float64(len(eng.aliveIDs)) && !eng.churn.pending(float64(c.MaxEpochs)) {
 			res.Converged = true
 			break
 		}
@@ -1046,17 +949,11 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 	}
 	res.Wiring = eng.wiring
 	res.DirectoryResets = eng.pool.resets
-	res.DirectoryApplies = eng.pool.applies
+	res.DirectoryApplies = eng.pool.dir.Applies()
+	if c.probe != nil {
+		c.probe.resets = eng.pool.dir.Resets()
+	}
 	return res, nil
-}
-
-// pendingEvents reports whether unapplied membership events remain
-// inside the run's horizon — convergence must not stop the run before
-// the schedule has played out.
-func (e *scaleEngine) pendingEvents() bool {
-	c := e.c
-	return c.Churn != nil && e.churnAt < len(c.Churn.Events) &&
-		c.Churn.Events[e.churnAt].Time < float64(c.MaxEpochs)
 }
 
 // cmpByKey orders positions by key[x] ascending, ids[x] breaking ties.
@@ -1187,12 +1084,13 @@ func (c *ScaleConfig) proposeScale(w *scaleWorker, eng *scaleEngine, epoch, i in
 	// no pop order changes — so they could differ only if its copy of i's
 	// out-arcs differed from the seeds, and it never does when i
 	// proposes: the directory graph is the live wiring with Net.Delay
-	// weights, built from eng.wiring at the rebuild, and every later
-	// change to a wiring — an adoption (adoptBatch → pool.apply), an
-	// orphaning leave, a join — is folded into it in the same serial
-	// section, before anybody proposes again. A change to wiring[i] that
-	// bypassed the directory would break this read; the probe's checkRows
-	// re-derives the row in the churn and rescue suites to catch it.
+	// weights, seeded from the bootstrap wiring, and every later change
+	// to a wiring — an adoption, an orphaning leave, a join — is staged
+	// into it and committed in the same serial section, before anybody
+	// proposes again. A change to wiring[i] that bypassed the directory
+	// would break this read, and nothing would heal it; the probe's
+	// checkRows re-derives the row and compares the directory graph with
+	// the wiring to catch it.
 	rowI := dir.Row(i)
 	if rowI == nil {
 		rowI = w.seededRow(c, dir.Graph(), i, wiring[i])
@@ -1545,19 +1443,6 @@ func (w *scaleWorker) checkBlock(c *ScaleConfig, i int, rowI []float64, ds *samp
 		}
 	}
 	return nil
-}
-
-// sameWiring reports whether two sorted wirings are identical.
-func sameWiring(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // floatsN resizes a float scratch slice to n.

@@ -85,6 +85,38 @@ func TestScaleChurnDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestCheckDirectoryCatchesUnstagedChange: with the directory seeded
+// once and never rebuilt from the wiring, a wiring change that skips
+// stage leaves the two apart for good; checkRows' directory check is
+// what must see it, and a stage/commit of the change must clear it.
+func TestCheckDirectoryCatchesUnstagedChange(t *testing.T) {
+	c, err := (&ScaleConfig{
+		N: 12, K: 2, Seed: 1,
+		Sample: sampling.Spec{Strategy: sampling.Uniform, M: 4},
+		probe:  &scaleProbe{checkRows: true},
+	}).withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wiring := make([][]int, c.N)
+	for u := range wiring {
+		wiring[u] = []int{(u + 1) % c.N, (u + 2) % c.N}
+	}
+	eng := &scaleEngine{c: &c, wiring: wiring, pool: newScalePool(&c, wiring, 1)}
+	if err := eng.checkDirectory("seed", 0); err != nil {
+		t.Fatal(err)
+	}
+	eng.wiring[3] = []int{5, 7}
+	if err := eng.checkDirectory("unstaged edit", 0); err == nil {
+		t.Fatal("the directory check missed a wiring change that was never staged")
+	}
+	eng.pool.stage(3, eng.wiring[3])
+	eng.pool.commit()
+	if err := eng.checkDirectory("staged edit", 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestScaleChurnIncrementalDirectory pins the directory-maintenance
 // invariant: membership events mid-epoch repair the facility directory
 // incrementally — a full DynamicRows rebuild happens exactly once per

@@ -194,12 +194,12 @@ type state struct {
 	coordSys *coords.System
 	account  *probe.Accountant
 
-	active  []bool
-	wiring  [][]int
-	est     [][]float64 // est[i][j]: i's current estimate of direct cost i->j
-	churnAt int         // next churn event index
-	order   []int       // staggered re-wire order
-	pref    func(i, j int) float64
+	active []bool
+	wiring [][]int
+	est    [][]float64 // est[i][j]: i's current estimate of direct cost i->j
+	churn  timeline
+	order  []int // staggered re-wire order
+	pref   func(i, j int) float64
 
 	// live is the shortest-path forest of the announced view the slots
 	// price BR proposals on (see rewire); liveOK reports that it still
@@ -273,6 +273,7 @@ func newState(cfg Config) (*state, error) {
 	}
 	if cfg.Churn != nil {
 		copy(st.active, cfg.Churn.InitialOn)
+		st.churn.events = cfg.Churn.Events
 	}
 	if cfg.Metric == DelayCoords {
 		st.coordSys = coords.NewSystem(cfg.N)
@@ -485,22 +486,11 @@ func (st *state) enforceCycleIfNeeded() {
 	}
 }
 
-// applyChurn processes all membership events scheduled before time t
-// (epochs) and reports whether membership changed.
-func (st *state) applyChurn(t float64, counter func(links int)) (bool, error) {
-	if st.cfg.Churn == nil {
-		return false, nil
-	}
-	changed := false
-	events := st.cfg.Churn.Events
-	for st.churnAt < len(events) && events[st.churnAt].Time < t {
-		e := events[st.churnAt]
-		st.churnAt++
-		if e.On == st.active[e.Node] {
-			continue
-		}
+// applyChurn plays every membership event scheduled before time t
+// (epochs).
+func (st *state) applyChurn(t float64, counter func(links int)) error {
+	return st.churn.until(t, st.active, func(e churn.Event) error {
 		st.active[e.Node] = e.On
-		changed = true
 		st.liveOK = false
 		epoch := int(e.Time) // the wiring epoch the event falls in
 		if e.On {
@@ -531,14 +521,14 @@ func (st *state) applyChurn(t float64, counter func(links int)) (bool, error) {
 						continue
 					}
 					if err := st.rewire(i, epoch, counter); err != nil {
-						return changed, err
+						return err
 					}
 				}
 			}
 		}
 		st.repairBackbone(counter)
-	}
-	return changed, nil
+		return nil
+	})
 }
 
 // prefRow materializes node i's preference vector for the current
@@ -651,6 +641,10 @@ func (st *state) run() (*Result, error) {
 		}
 	}
 
+	slots := make([][]int, cfg.N) // batches of one, in stagger order
+	for p := range slots {
+		slots[p] = st.order[p : p+1]
+	}
 	total := cfg.WarmEpochs + cfg.MeasureEpochs
 	for epoch := 0; epoch < total; epoch++ {
 		if cfg.PrefAt != nil {
@@ -661,11 +655,9 @@ func (st *state) run() (*Result, error) {
 		counter := func(links int) { res.Rewires.Record(epoch, links) }
 
 		// Staggered re-wiring: node order[p] acts at time epoch + p/n.
-		for p, i := range st.order {
-			t := float64(epoch) + float64(p)/float64(cfg.N)
-			if _, err := st.applyChurn(t, counter); err != nil {
-				return nil, err
-			}
+		err := stagger(epoch, slots, func(t float64, _ int) error {
+			return st.applyChurn(t, counter)
+		}, func(p int, slot []int) error {
 			if p == cfg.N/2 && epoch >= cfg.WarmEpochs {
 				// Mid-epoch snapshot: nodes whose re-wiring slot has not
 				// come yet still carry links broken by churn, so transient
@@ -673,13 +665,12 @@ func (st *state) run() (*Result, error) {
 				// paper's continuous monitoring sees them.
 				snapshot(false)
 			}
-			if st.active[i] {
-				if err := st.rewire(i, epoch, counter); err != nil {
-					return nil, err
-				}
+			if i := slot[0]; st.active[i] {
+				return st.rewire(i, epoch, counter)
 			}
-		}
-		if _, err := st.applyChurn(float64(epoch+1), counter); err != nil {
+			return nil
+		}, func(int) {})
+		if err != nil {
 			return nil, err
 		}
 		st.enforceCycleIfNeeded()
