@@ -389,7 +389,10 @@ func (b *block) solveSampled(k int, cur []int, opts BROptions, keep func(bound, 
 // a smaller or undefined term, and Bottleneck bests run the other way, so
 // ok is false for those and the caller gets no bound. The fold reads
 // every cost of the block, so it settles minmax for the solve that may
-// follow.
+// follow: with min, since Go's min carries a NaN or a −0 anywhere in a
+// column into that column's minimum (as the minimum or below it), and
+// with the branching foldChecked again only when a minimum is NaN or
+// signed.
 func (b *block) keepBound(s *Scratch) (bound sampling.Estimate, ok bool) {
 	if b.kind != Additive {
 		return bound, false
@@ -402,10 +405,19 @@ func (b *block) keepBound(s *Scratch) (bound sampling.Estimate, ok bool) {
 	s.best = floats(s.best, b.d)
 	best := s.best
 	copy(best, b.fixed)
-	clean := !slices.ContainsFunc(b.fixed, minUnsafe)
 	for ci := range b.ids {
-		if !b.foldChecked(best, b.row(ci)) {
-			clean = false
+		for di, c := range b.row(ci) {
+			best[di] = min(best[di], c)
+		}
+	}
+	clean := !slices.ContainsFunc(best, func(c float64) bool { return c != c || math.Signbit(c) })
+	if !clean {
+		copy(best, b.fixed)
+		clean = !slices.ContainsFunc(b.fixed, minUnsafe)
+		for ci := range b.ids {
+			if !b.foldChecked(best, b.row(ci)) {
+				clean = false
+			}
 		}
 	}
 	b.minmax = clean

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -546,6 +547,60 @@ func TestBlockMinMaxSettled(t *testing.T) {
 	}
 	if keepWith(math.Copysign(0, -1)) {
 		t.Error("keepBound took the min/max loops past a −0 Fixed best")
+	}
+}
+
+// TestKeepBoundMatchesBranchingFold pins keepBound's one-pass min fold to
+// the branching fold it stands in for: on scale-shaped blocks seeded with
+// NaN, −0 beside +0 (either first), a −0 Fixed best, negative costs, +Inf
+// and finite costs above DisconnectedPenalty, the per-destination bests,
+// the bound and minmax are those of foldChecked over every row from the
+// Fixed start, bit for bit.
+func TestKeepBoundMatchesBranchingFold(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	rng := rand.New(rand.NewSource(11))
+	var s Scratch
+	for trial := 0; trial < 60; trial++ {
+		in, ds, _ := scaleShapedInstance(int64(1 + trial%4))
+		fillBlock(&s, in, ds)
+		b := &s.blk
+		C, D := len(b.ids), b.d
+		at := func() (int, int) { return rng.Intn(C), rng.Intn(D) }
+		for n := rng.Intn(4); n > 0; n-- {
+			ci, di := at()
+			switch rng.Intn(6) {
+			case 0:
+				b.row(ci)[di] = math.NaN()
+			case 1:
+				cj := rng.Intn(C)
+				b.row(ci)[di], b.row(cj)[di] = negZero, 0
+			case 2:
+				b.fixed[di] = negZero
+			case 3:
+				b.row(ci)[di] = -rng.Float64()
+			case 4:
+				b.row(ci)[di] = math.Inf(1)
+			case 5:
+				b.row(ci)[di] = DisconnectedPenalty * (1 + rng.Float64())
+			}
+		}
+		wantBest := slices.Clone(b.fixed)
+		wantClean := !slices.ContainsFunc(b.fixed, minUnsafe)
+		for ci := 0; ci < C; ci++ {
+			if !b.foldChecked(wantBest, b.row(ci)) {
+				wantClean = false
+			}
+		}
+		want := ds.EstimateAt(func(di int) float64 { return b.pref[di] * math.Min(wantBest[di], DisconnectedPenalty) })
+		got, ok := b.keepBound(&s)
+		if !ok || !sameEstimate(got, want) || b.minmax != wantClean {
+			t.Fatalf("trial %d: bound %+v ok %v minmax %v, branching fold %+v minmax %v", trial, got, ok, b.minmax, want, wantClean)
+		}
+		for di, c := range s.best {
+			if math.Float64bits(c) != math.Float64bits(wantBest[di]) {
+				t.Fatalf("trial %d: best of destination %d is %v, branching fold %v", trial, di, c, wantBest[di])
+			}
+		}
 	}
 }
 

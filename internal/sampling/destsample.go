@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -186,45 +187,70 @@ func (s Spec) Draw(rng *rand.Rand, self, n int, pref, direct []float64) (*DestSa
 	if n < 2 {
 		return nil, fmt.Errorf("sampling: population of %d nodes", n)
 	}
-	return s.draw(rng, newRoster(nil, self, n), pref, direct)
+	ds := new(DestSample)
+	if err := s.draw(ds, rng, newRoster(nil, self, n), pref, direct); err != nil {
+		return nil, err
+	}
+	return ds, nil
 }
 
 // DrawFrom draws like Draw but over the explicit sub-population ids
-// (self is skipped when present) — the alive roster under churn.
+// (self is skipped when present) — the alive roster under churn. ids
+// must be ascending, as Dests are.
 // Inclusion probabilities, HT weights and the variance bookkeeping are
 // all relative to the sub-population, so estimates expand to totals
 // over ids, never crediting departed nodes. pref and direct stay
 // indexed by global node id.
 func (s Spec) DrawFrom(rng *rand.Rand, self int, ids []int, pref, direct []float64) (*DestSample, error) {
-	p := newRoster(ids, self, len(ids)+1)
-	if p.size() < 1 {
-		return nil, fmt.Errorf("sampling: sub-population of %d nodes besides self", p.size())
+	ds := new(DestSample)
+	if err := s.DrawInto(ds, rng, self, ids, pref, direct); err != nil {
+		return nil, err
 	}
-	return s.draw(rng, p, pref, direct)
+	return ds, nil
 }
 
-func (s Spec) draw(rng *rand.Rand, p roster, pref, direct []float64) (*DestSample, error) {
+// DrawInto is DrawFrom writing into ds, whose slices it reuses: a Demand
+// draw into a sample kept from an earlier one of at least its size does
+// not allocate. What ds held before, and any sample sharing its slices,
+// is overwritten.
+func (s Spec) DrawInto(ds *DestSample, rng *rand.Rand, self int, ids []int, pref, direct []float64) error {
+	p := newRoster(ids, self, len(ids)+1)
+	if p.size() < 1 {
+		return fmt.Errorf("sampling: sub-population of %d nodes besides self", p.size())
+	}
+	return s.draw(ds, rng, p, pref, direct)
+}
+
+func (s Spec) draw(ds *DestSample, rng *rand.Rand, p roster, pref, direct []float64) error {
 	if s.M < 1 {
-		return nil, fmt.Errorf("sampling: non-positive sample size %d", s.M)
+		return fmt.Errorf("sampling: non-positive sample size %d", s.M)
 	}
 	switch s.Strategy {
 	case Uniform:
-		return drawUniform(rng, p, s.M), nil
+		drawUniform(ds, rng, p, s.M)
 	case Demand:
-		return drawDemand(rng, p, s.M, pref), nil
+		drawDemand(ds, rng, p, s.M, pref)
 	case Stratified:
 		if direct == nil {
-			return nil, fmt.Errorf("sampling: stratified draw needs direct costs")
+			return fmt.Errorf("sampling: stratified draw needs direct costs")
 		}
-		return drawStratified(rng, p, s.M, direct), nil
+		drawStratified(ds, rng, p, s.M, direct)
 	default:
-		return nil, fmt.Errorf("sampling: unknown strategy %d", int(s.Strategy))
+		return fmt.Errorf("sampling: unknown strategy %d", int(s.Strategy))
 	}
+	return nil
+}
+
+// reset empties ds for a draw by strategy st, keeping its storage.
+func (ds *DestSample) reset(st Strategy) {
+	ds.strategy = st
+	ds.Dests, ds.InvProb = ds.Dests[:0], ds.InvProb[:0]
+	ds.stratumOf, ds.popN, ds.samN = ds.stratumOf[:0], ds.popN[:0], ds.samN[:0]
 }
 
 // drawUniform is simple random sampling without replacement:
 // π_j = m/pop for every destination.
-func drawUniform(rng *rand.Rand, p roster, m int) *DestSample {
+func drawUniform(ds *DestSample, rng *rand.Rand, p roster, m int) {
 	pop := p.size()
 	if m > pop {
 		m = pop
@@ -239,38 +265,33 @@ func drawUniform(rng *rand.Rand, p roster, m int) *DestSample {
 		}
 		picked[j] = true
 	}
-	ds := &DestSample{
-		Dests:     make([]int, 0, m),
-		InvProb:   make([]float64, m),
-		strategy:  Uniform,
-		stratumOf: make([]int, m),
-		popN:      []int{pop},
-		samN:      []int{m},
-	}
+	ds.reset(Uniform)
 	for j := range picked {
 		ds.Dests = append(ds.Dests, p.at(j))
 	}
 	sort.Ints(ds.Dests)
 	w := float64(pop) / float64(m)
-	for i := range ds.InvProb {
-		ds.InvProb[i] = w
+	for range ds.Dests {
+		ds.InvProb = append(ds.InvProb, w)
+		ds.stratumOf = append(ds.stratumOf, 0)
 	}
-	return ds
+	ds.popN = append(ds.popN, pop)
+	ds.samN = append(ds.samN, m)
 }
 
 // drawDemand is Poisson sampling with π_j proportional to pref[j],
 // capped at 1: every destination is included independently with its own
 // probability, so the HT estimator and its variance are exact.
-func drawDemand(rng *rand.Rand, p roster, m int, pref []float64) *DestSample {
+func drawDemand(ds *DestSample, rng *rand.Rand, p roster, m int, pref []float64) {
 	pop := p.size()
 	if m >= pop {
 		// Degenerate: the full roster, zero variance.
-		ds := &DestSample{strategy: Demand}
+		ds.reset(Demand)
 		for x := 0; x < pop; x++ {
 			ds.Dests = append(ds.Dests, p.at(x))
 			ds.InvProb = append(ds.InvProb, 1)
 		}
-		return ds
+		return
 	}
 	weight := func(j int) float64 {
 		if pref == nil {
@@ -285,11 +306,12 @@ func drawDemand(rng *rand.Rand, p roster, m int, pref []float64) *DestSample {
 	for x := 0; x < pop; x++ {
 		total += weight(p.at(x))
 	}
-	ds := &DestSample{strategy: Demand}
 	if total <= 0 {
 		// No demand anywhere: fall back to a uniform draw.
-		return drawUniform(rng, p, m)
+		drawUniform(ds, rng, p, m)
+		return
 	}
+	ds.reset(Demand)
 	// Water-filling for the cap: capping π at 1 frees probability mass
 	// that proportionality would have assigned beyond certainty. One
 	// rescale pass over the uncapped remainder recovers most of the
@@ -324,25 +346,24 @@ func drawDemand(rng *rand.Rand, p roster, m int, pref []float64) *DestSample {
 	}
 	if len(ds.Dests) == 0 {
 		// Pathologically small m on a huge roster: guarantee one draw.
-		j := p.at(rng.Intn(pop))
-		ds.Dests = []int{j}
-		ds.InvProb = []float64{float64(pop)}
+		ds.Dests = append(ds.Dests, p.at(rng.Intn(pop)))
+		ds.InvProb = append(ds.InvProb, float64(pop))
 	}
-	return ds
 }
 
 // drawStratified buckets destinations into numStrata direct-cost quantile
 // bands and draws an equal share uniformly within each (SRSWOR per
 // stratum) via per-stratum reservoir sampling: one O(n) pass, no sort of
 // the full roster.
-func drawStratified(rng *rand.Rand, p roster, m int, direct []float64) *DestSample {
+func drawStratified(ds *DestSample, rng *rand.Rand, p roster, m int, direct []float64) {
 	pop := p.size()
 	if m > pop {
 		m = pop
 	}
 	if m < numStrata {
 		// Too small to stratify meaningfully.
-		return drawUniform(rng, p, m)
+		drawUniform(ds, rng, p, m)
+		return
 	}
 	cuts := stratumCuts(rng, p, direct)
 	per := m / numStrata
@@ -371,7 +392,9 @@ func drawStratified(rng *rand.Rand, p roster, m int, direct []float64) *DestSamp
 			}
 		}
 	}
-	ds := &DestSample{strategy: Stratified, popN: popN, samN: make([]int, numStrata)}
+	ds.reset(Stratified)
+	ds.popN = append(ds.popN, popN...)
+	ds.samN = append(ds.samN, make([]int, numStrata)...)
 	type member struct {
 		dest, stratum int
 	}
@@ -388,7 +411,6 @@ func drawStratified(rng *rand.Rand, p roster, m int, direct []float64) *DestSamp
 		ds.InvProb = append(ds.InvProb, float64(ds.popN[mb.stratum])/float64(ds.samN[mb.stratum]))
 		ds.stratumOf = append(ds.stratumOf, mb.stratum)
 	}
-	return ds
 }
 
 // stratumCuts estimates the quartile cut points of the direct-cost
@@ -561,99 +583,61 @@ func (ds *DestSample) Remap(f func(j int) int) *DestSample {
 // outside the random draw: exact contribution, no variance term.
 const certaintyStratum = -1
 
-// EnsureCertain returns a copy of the sample with the given ids forced
-// in as certainty inclusions (π = 1): their values enter the estimate
-// exactly and contribute no variance, and ids the random draw had
-// already picked are re-weighted to 1. The forced ids form an exact
-// stratum and the rest of the draw keeps its inclusion probabilities;
-// for the without-replacement strategies the original strata still
-// count the forced ids in their populations, an O(|ids|/n) expansion
-// remainder that cancels in paired comparisons (the scale engine's
-// only use). The scale engine forces each node's current
-// neighbors in so that dropping a rarely-sampled neighbor's last link
-// is always priced instead of being invisible in most epochs.
+// EnsureCertain returns a copy of the sample with MakeCertain(ids)
+// applied; the sample itself is left as it was.
 func (ds *DestSample) EnsureCertain(ids []int) *DestSample {
-	force := map[int]bool{}
-	for _, j := range ids {
-		force[j] = true
-	}
 	out := *ds
-	out.Dests = make([]int, 0, len(ds.Dests)+len(ids))
-	out.InvProb = make([]float64, 0, cap(out.Dests))
-	if ds.stratumOf != nil {
-		out.stratumOf = make([]int, 0, cap(out.Dests))
-		// The variance bookkeeping must follow the reclassification:
-		// a drawn member moved to the certainty stratum leaves both its
-		// stratum's sample and (for the finite-population correction)
-		// its population.
-		out.popN = append([]int(nil), ds.popN...)
-		out.samN = append([]int(nil), ds.samN...)
-	}
-	for i, j := range ds.Dests {
-		out.Dests = append(out.Dests, j)
-		if force[j] {
-			out.InvProb = append(out.InvProb, 1)
-			if ds.stratumOf != nil {
-				out.stratumOf = append(out.stratumOf, certaintyStratum)
-				if h := ds.stratumOf[i]; h != certaintyStratum {
-					out.samN[h]--
-					out.popN[h]--
-				}
-			}
-			delete(force, j)
-		} else {
-			out.InvProb = append(out.InvProb, ds.InvProb[i])
-			if ds.stratumOf != nil {
-				out.stratumOf = append(out.stratumOf, ds.stratumOf[i])
-			}
-		}
-	}
+	out.Dests, out.InvProb = slices.Clone(ds.Dests), slices.Clone(ds.InvProb)
+	out.stratumOf, out.popN, out.samN = slices.Clone(ds.stratumOf), slices.Clone(ds.popN), slices.Clone(ds.samN)
+	out.MakeCertain(ids)
+	return &out
+}
+
+// MakeCertain forces the given ids into the sample as certainty
+// inclusions (π = 1): their values enter the estimate exactly and
+// contribute no variance, and ids the random draw had already picked are
+// re-weighted to 1. The forced ids form an exact stratum and the rest of
+// the draw keeps its inclusion probabilities; for the without-replacement
+// strategies the original strata still count the forced ids in their
+// populations, an O(|ids|/n) expansion remainder that cancels in paired
+// comparisons (the scale engine's only use). The scale engine forces each
+// node's current neighbors in so that dropping a rarely-sampled
+// neighbor's last link is always priced instead of being invisible in
+// most epochs.
+//
+// It works in place and merges each id into Dests, which must be sorted
+// ascending as every draw leaves them, by a binary search: it allocates
+// only when the slices must grow. An id listed twice counts once.
+func (ds *DestSample) MakeCertain(ids []int) {
+	strata := ds.strategy != Demand
 	for _, j := range ids {
-		if !force[j] {
+		x, drawn := slices.BinarySearch(ds.Dests, j)
+		if drawn {
+			ds.InvProb[x] = 1
+			// The variance bookkeeping must follow the reclassification:
+			// a drawn member moved to the certainty stratum leaves both
+			// its stratum's sample and (for the finite-population
+			// correction) its population.
+			if h := ds.stratumOf; strata && h[x] != certaintyStratum {
+				ds.samN[h[x]]--
+				ds.popN[h[x]]--
+				h[x] = certaintyStratum
+			}
 			continue
 		}
-		out.Dests = append(out.Dests, j)
-		out.InvProb = append(out.InvProb, 1)
-		if ds.stratumOf != nil {
-			out.stratumOf = append(out.stratumOf, certaintyStratum)
+		ds.Dests = slices.Insert(ds.Dests, x, j)
+		ds.InvProb = slices.Insert(ds.InvProb, x, 1)
+		if strata {
+			ds.stratumOf = slices.Insert(ds.stratumOf, x, certaintyStratum)
 			// An undrawn forced id also leaves the population it would
 			// have been sampled from; its stratum is only identifiable
 			// in the single-stratum (Uniform) case. For Stratified the
 			// uncorrected population overcounts by O(|ids|) — a slight
 			// widening of the finite-population correction, which is
 			// the conservative direction.
-			if len(out.popN) == 1 {
-				out.popN[0]--
+			if len(ds.popN) == 1 {
+				ds.popN[0]--
 			}
 		}
-	}
-	sortSampleByDest(&out)
-	return &out
-}
-
-// sortSampleByDest re-sorts the parallel sample arrays by destination
-// id.
-func sortSampleByDest(ds *DestSample) {
-	idx := make([]int, len(ds.Dests))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return ds.Dests[idx[a]] < ds.Dests[idx[b]] })
-	dests := make([]int, len(idx))
-	inv := make([]float64, len(idx))
-	var strata []int
-	if ds.stratumOf != nil {
-		strata = make([]int, len(idx))
-	}
-	for pos, i := range idx {
-		dests[pos] = ds.Dests[i]
-		inv[pos] = ds.InvProb[i]
-		if strata != nil {
-			strata[pos] = ds.stratumOf[i]
-		}
-	}
-	ds.Dests, ds.InvProb = dests, inv
-	if strata != nil {
-		ds.stratumOf = strata
 	}
 }

@@ -3,6 +3,8 @@ package sampling
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -227,6 +229,127 @@ func TestEnsureCertain(t *testing.T) {
 		est := ds.Estimate(func(j int) float64 { return y[j] })
 		if est.StdErr < 0 || est.Total <= 0 {
 			t.Fatalf("%v: degenerate estimate %+v", spec, est)
+		}
+	}
+}
+
+// refEnsureCertain is the map-and-sort EnsureCertain that MakeCertain's
+// in-place merge replaced: the reference its samples must equal, field
+// for field.
+func refEnsureCertain(ds *DestSample, ids []int) *DestSample {
+	force := map[int]bool{}
+	for _, j := range ids {
+		force[j] = true
+	}
+	out := *ds
+	out.Dests, out.InvProb = nil, nil
+	if ds.stratumOf != nil {
+		out.stratumOf = nil
+		out.popN = append([]int(nil), ds.popN...)
+		out.samN = append([]int(nil), ds.samN...)
+	}
+	for i, j := range ds.Dests {
+		out.Dests = append(out.Dests, j)
+		if force[j] {
+			out.InvProb = append(out.InvProb, 1)
+			if ds.stratumOf != nil {
+				out.stratumOf = append(out.stratumOf, certaintyStratum)
+				if h := ds.stratumOf[i]; h != certaintyStratum {
+					out.samN[h]--
+					out.popN[h]--
+				}
+			}
+			delete(force, j)
+		} else {
+			out.InvProb = append(out.InvProb, ds.InvProb[i])
+			if ds.stratumOf != nil {
+				out.stratumOf = append(out.stratumOf, ds.stratumOf[i])
+			}
+		}
+	}
+	for _, j := range ids {
+		if !force[j] {
+			continue
+		}
+		out.Dests = append(out.Dests, j)
+		out.InvProb = append(out.InvProb, 1)
+		if ds.stratumOf != nil {
+			out.stratumOf = append(out.stratumOf, certaintyStratum)
+			if len(out.popN) == 1 {
+				out.popN[0]--
+			}
+		}
+	}
+	idx := make([]int, len(out.Dests))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool { return out.Dests[idx[a]] < out.Dests[idx[b]] })
+	sorted := DestSample{strategy: out.strategy, popN: out.popN, samN: out.samN}
+	for _, i := range idx {
+		sorted.Dests = append(sorted.Dests, out.Dests[i])
+		sorted.InvProb = append(sorted.InvProb, out.InvProb[i])
+		if out.stratumOf != nil {
+			sorted.stratumOf = append(sorted.stratumOf, out.stratumOf[i])
+		}
+	}
+	return &sorted
+}
+
+// sameSample reports whether two samples agree field for field, weights
+// bit for bit (nil and empty slices alike).
+func sameSample(a, b *DestSample) bool {
+	return a.strategy == b.strategy && slices.Equal(a.Dests, b.Dests) &&
+		slices.EqualFunc(a.InvProb, b.InvProb, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) &&
+		slices.Equal(a.stratumOf, b.stratumOf) && slices.Equal(a.popN, b.popN) && slices.Equal(a.samN, b.samN)
+}
+
+// TestMakeCertainMatchesReference: a draw into one reused sample followed
+// by the in-place MakeCertain equals a fresh Draw followed by the
+// map-and-sort reference, field for field, for every strategy (the
+// reused sample switches strategies between draws), forced sets of drawn
+// and undrawn ids in any order, and forcing twice. EnsureCertain's copy
+// equals it too and leaves its source as drawn.
+func TestMakeCertainMatchesReference(t *testing.T) {
+	_, pref, direct := population(150, 4)
+	rng := rand.New(rand.NewSource(9))
+	var reused DestSample
+	for trial := 0; trial < 300; trial++ {
+		spec := Spec{Strategy(rng.Intn(3)), 1 + rng.Intn(60)}
+		self := rng.Intn(150)
+		ids := rng.Perm(150)[:10+rng.Intn(140)]
+		slices.Sort(ids)
+		seed := rng.Int63()
+		fresh, err := spec.DrawFrom(rand.New(rand.NewSource(seed)), self, ids, pref, direct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := spec.DrawInto(&reused, rand.New(rand.NewSource(seed)), self, ids, pref, direct); err != nil {
+			t.Fatal(err)
+		}
+		if !sameSample(&reused, fresh) {
+			t.Fatalf("trial %d %v: a draw into a reused sample differs from a fresh one", trial, spec)
+		}
+		var forced []int
+		for n := rng.Intn(6); n > 0; n-- {
+			if rng.Intn(2) == 0 && len(fresh.Dests) > 0 {
+				forced = append(forced, fresh.Dests[rng.Intn(len(fresh.Dests))])
+			} else if j := rng.Intn(150); j != self && !slices.Contains(forced, j) {
+				forced = append(forced, j)
+			}
+		}
+		drawn := refEnsureCertain(fresh, nil)
+		want := refEnsureCertain(fresh, forced)
+		if got := fresh.EnsureCertain(forced); !sameSample(got, want) || !sameSample(fresh, drawn) {
+			t.Fatalf("trial %d %v forced %v: EnsureCertain %+v, reference %+v", trial, spec, forced, got, want)
+		}
+		reused.MakeCertain(forced)
+		if !sameSample(&reused, want) {
+			t.Fatalf("trial %d %v forced %v: MakeCertain %+v, reference %+v", trial, spec, forced, reused, want)
+		}
+		reused.MakeCertain(forced)
+		if !sameSample(&reused, refEnsureCertain(want, forced)) {
+			t.Fatalf("trial %d %v forced %v: forcing twice differs from the reference", trial, spec, forced)
 		}
 	}
 }

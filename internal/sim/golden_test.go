@@ -80,7 +80,7 @@ func TestScaleGoldenDigest(t *testing.T) {
 func TestScaleDirectorySeededOnce(t *testing.T) {
 	for name, cfg := range goldenConfigs() {
 		t.Run(name, func(t *testing.T) {
-			cfg.probe = &scaleProbe{checkRows: true}
+			cfg.probe = rowsProbe()
 			res, err := RunScale(cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -95,3 +95,54 @@ func TestScaleProposeCounts(t *testing.T) {
 		t.Fatalf("Workers 1 kept/solved %v/%v, Workers 3 %v/%v", kept, solved, kept3, solved3)
 	}
 }
+
+// TestProposeKeptAllocs is the allocation gate of a kept proposal: on a
+// warm worker, a demand-weighted, demand-sampled proposal that the keep
+// bound settles without a solve allocates nothing — not the draw, its
+// certainty merge, the nearest scans, the block nor the bound — both for
+// a directory member and for a proposer that runs the seeded Dijkstra.
+func TestProposeKeptAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	cfg := scaleConvergeConfig(t)
+	hot := func(i, j int) float64 { return 1 + float64((i+2*j)%5) }
+	cfg.DemandAt = func(int) func(i, j int) float64 { return hot }
+	res, err := RunScale(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := cfg.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The settled overlay, its directory rebuilt as the next epoch would.
+	epoch := res.Epochs
+	eng := &scaleEngine{c: &c, wiring: res.Wiring, active: make([]bool, c.N)}
+	for i := range eng.active {
+		eng.active[i] = true
+	}
+	eng.near, _ = c.Net.(nearBound)
+	eng.rebuildAlive()
+	eng.pool = newScalePool(&c, eng.wiring, 1)
+	eng.pool.rebuild(&c, eng, epoch, 1)
+	var w scaleWorker
+	gated := map[bool]bool{} // by directory membership
+	for i := 0; i < c.N && len(gated) < 2; i++ {
+		p, err := c.proposeScale(&w, eng, epoch, i, hot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		member := eng.pool.dir.Row(i) != nil
+		if !p.kept || gated[member] {
+			continue
+		}
+		gated[member] = true
+		if allocs := testing.AllocsPerRun(20, func() { _, _ = c.proposeScale(&w, eng, epoch, i, hot) }); allocs != 0 {
+			t.Errorf("kept proposal of node %d (member %v): %v allocations, want 0", i, member, allocs)
+		}
+	}
+	if len(gated) < 2 {
+		t.Fatalf("kept proposals found for membership %v only", gated)
+	}
+}

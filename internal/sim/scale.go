@@ -73,6 +73,17 @@ type ScaleNet interface {
 	Delay(i, j int) float64
 }
 
+// nearBound is a ScaleNet that proves Delay(i, j) ≥ c, for i ≠ j, cheaper
+// than Delay: by Cos(i, j) ≤ CosThreshold(c), or by DelayAtLeast
+// (underlay.Lite's, their contracts). The nearest-member scans of a
+// proposal skip what it proves too far; a net without it is priced in
+// full.
+type nearBound interface {
+	Cos(i, j int) float64
+	CosThreshold(c float64) float64
+	DelayAtLeast(i, j int, c float64) bool
+}
+
 // ScaleConfig parameterizes one large-scale run.
 type ScaleConfig struct {
 	// N is the overlay size; K the per-node degree budget.
@@ -198,13 +209,15 @@ func HeadlineRecipe(n, k int) (int, sampling.Spec) {
 // of computing it: a member proposer's live row, and a surviving
 // member's row at the epoch rebuild.
 type scaleProbe struct {
-	// checkRows makes a proposer that reads its live row from the
-	// directory run the seeded Dijkstra as well, and fails the run on any
-	// bit difference between the two rows; makes every churn drain fail
-	// the run if it leaves a wiring row pointing at a departed node; and
-	// runs checkDirectory after every rebuild, adopt batch and churn
-	// drain that applied an event.
-	checkRows bool
+	// checkProposal and checkDirectory are the checkRows probe, which
+	// only the tests set (scale_probe_test.go); each fails the run on the
+	// first difference it finds. checkProposal re-derives, after the
+	// block fill, a member proposer's live row with the seeded Dijkstra
+	// and the solver block through core's own fill. checkDirectory
+	// compares the directory graph with the wiring after every rebuild,
+	// adopt batch and churn drain that applied an event.
+	checkProposal  func(w *scaleWorker, e *scaleEngine, i int, rowI []float64, ds *sampling.DestSample, demand func(i, j int) float64, cost, pref []float64) error
+	checkDirectory func(e *scaleEngine, phase string, t float64) error
 	// checkKeep makes a proposer whose wiring the keep bound certifies
 	// solve as well, and fails the run if the gate would have adopted
 	// the solved wiring; certified counts the certified proposals,
@@ -212,7 +225,7 @@ type scaleProbe struct {
 	checkKeep bool
 	certified atomic.Int64
 	// seeded counts the seeded Dijkstras run for proposers that hold no
-	// directory row (checkRows' extra runs are not counted).
+	// directory row (checkProposal's extra runs are not counted).
 	seeded atomic.Int64
 	// rebuilds records each directory rebuild, in epoch order.
 	rebuilds []probeRebuild
@@ -415,19 +428,22 @@ type ScaleResult struct {
 type scaleWorker struct {
 	sc      core.Scratch
 	sp      graph.SPScratch
-	prefBuf []float64   // roster-length demand row (Demand strategy)
-	dirBuf  []float64   // roster-length direct-cost row (Stratified)
-	rowI    []float64   // live SSSP row of a proposer outside the directory
-	seeds   []graph.Arc // its current wiring as seed arcs
-	lid     []int32     // global id -> candidate position, -1 when absent
+	ds      sampling.DestSample // the proposal's destination sample
+	prefBuf []float64           // roster-length demand row (Demand strategy)
+	dirBuf  []float64           // roster-length direct-cost row (Stratified)
+	rowI    []float64           // live SSSP row of a proposer outside the directory
+	seeds   []graph.Arc         // its current wiring as seed arcs
+	lid     []int32             // global id -> candidate position, -1 when absent
 	rng     policyStream
 
 	gcands []int       // global ids of the candidates, in position order
 	grows  [][]float64 // pool row per candidate (nil: off-pool)
+	direct []float64   // direct delay per candidate
+	own    []int       // per candidate, its position in the sample, or -1
+	rowD   []float64   // the live row at the sampled destinations
+	near   []nearItem
 	cur    []int
 	perm   []int
-	order  []int
-	delay  []float64
 }
 
 // policyRNG derives the deterministic per-(epoch,node) policy randomness.
@@ -507,6 +523,7 @@ type scaleEngine struct {
 	wiring [][]int
 	pool   *scalePool
 	active []bool
+	near   nearBound // Net's delay bound, or nil: resolved once per run
 	// aliveIDs is the sorted alive roster (every id when Churn is nil).
 	// Rebuilt after every event batch; proposals read it concurrently in
 	// between.
@@ -636,36 +653,14 @@ func (e *scaleEngine) runScaleChurn(t float64) error {
 		return err
 	}
 	e.rebuildAlive()
-	if c := e.c; c.probe != nil && c.probe.checkRows {
-		for u, w := range e.wiring {
-			for _, v := range w {
-				if !e.active[u] || !e.active[v] {
-					return fmt.Errorf("sim: churn drain before t=%v left link %d→%d with active = %v→%v", t, u, v, e.active[u], e.active[v])
-				}
-			}
-		}
-	}
-	return e.checkDirectory("churn drain", t)
+	return e.probeDirectory("churn drain", t)
 }
 
-// checkDirectory is the checkRows probe of the directory graph at time
-// t, after the named phase: every node's out-arcs there must be its
-// wiring priced by Net.Delay, in wiring order — so a departed node has
-// none. The proposers' rows are only as exact as this graph.
-func (e *scaleEngine) checkDirectory(phase string, t float64) error {
-	if e.c.probe == nil || !e.c.probe.checkRows {
-		return nil
-	}
-	g := e.pool.dir.Graph()
-	for u, w := range e.wiring {
-		out := g.Out(u)
-		same := len(out) == len(w)
-		for x := 0; same && x < len(w); x++ {
-			same = out[x] == graph.Arc{To: w[x], W: e.c.Net.Delay(u, w[x])}
-		}
-		if !same {
-			return fmt.Errorf("sim: after %s at t=%v the directory holds arcs %v for node %d, whose wiring is %v", phase, t, out, u, w)
-		}
+// probeDirectory runs the checkRows probe's directory check, when a test
+// set one, at time t after the named phase.
+func (e *scaleEngine) probeDirectory(phase string, t float64) error {
+	if p := e.c.probe; p != nil && p.checkDirectory != nil {
+		return p.checkDirectory(e, phase, t)
 	}
 	return nil
 }
@@ -782,6 +777,7 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 		wiring: make([][]int, n),
 		active: make([]bool, n),
 	}
+	eng.near, _ = c.Net.(nearBound)
 	for i := range eng.active {
 		eng.active[i] = true
 	}
@@ -856,7 +852,7 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 		if c.probe != nil {
 			c.probe.rebuilds = append(c.probe.rebuilds, probeRebuild{ids: slices.Clone(eng.pool.dir.Sources()), rows: built})
 		}
-		if err := eng.checkDirectory("rebuild", float64(epoch)); err != nil {
+		if err := eng.probeDirectory("rebuild", float64(epoch)); err != nil {
 			return nil, err
 		}
 		var demand func(i, j int) float64
@@ -903,7 +899,7 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 			a, s := eng.adoptBatch(batch, props, &ep)
 			acted += a
 			samples += s
-			if err := eng.checkDirectory("adopt", float64(epoch)+float64(b)/float64(len(batches))); err != nil {
+			if err := eng.probeDirectory("adopt", float64(epoch)+float64(b)/float64(len(batches))); err != nil {
 				return err
 			}
 			trace.emit(t0, PhaseEvent{Epoch: epoch, Sub: b, Phase: "adopt",
@@ -956,58 +952,86 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 	return res, nil
 }
 
-// cmpByKey orders positions by key[x] ascending, ids[x] breaking ties.
-// Distinct ids make that a strict total order.
-func cmpByKey(key []float64, ids []int, xa, xb int) int {
-	switch {
-	case key[xa] < key[xb]:
-		return -1
-	case key[xa] > key[xb]:
-		return 1
-	}
-	return ids[xa] - ids[xb]
+// nearItem is a member of a nearest selection: its delay from the
+// proposer, its id and its position in the scanned list.
+type nearItem struct {
+	d     float64
+	id, x int
 }
 
-// selectByKey returns the k first positions of order under cmpByKey, in
-// that order — order[:k] of the fully sorted slice, without sorting the
-// rest: a bounded max-heap over order[:k] takes in every later position
-// that beats its root, then only the heap is sorted. The order being
-// strict and total, the result does not depend on how it was selected.
-// order is permuted.
-func selectByKey(order []int, key []float64, ids []int, k int) []int {
-	if k <= 0 {
-		return order[:0]
+// cmpNear orders nearItems by delay, ids breaking ties: a strict total
+// order, so the k first are the same however they are selected.
+func cmpNear(a, b nearItem) int {
+	switch {
+	case a.d < b.d:
+		return -1
+	case a.d > b.d:
+		return 1
 	}
-	if k < len(order) {
-		heap := order[:k]
-		sift := func(x int) {
-			for {
-				top := x
-				for c := 2*x + 1; c <= 2*x+2 && c < k; c++ {
-					if cmpByKey(key, ids, heap[top], heap[c]) < 0 {
-						top = c
-					}
-				}
-				if top == x {
-					return
-				}
-				heap[x], heap[top] = heap[top], heap[x]
-				x = top
+	return a.id - b.id
+}
+
+// siftNear restores the max-heap order of h under cmpNear below x.
+func siftNear(h []nearItem, x int) {
+	for {
+		top := x
+		for c := 2*x + 1; c <= 2*x+2 && c < len(h); c++ {
+			if cmpNear(h[top], h[c]) < 0 {
+				top = c
 			}
 		}
-		for x := k/2 - 1; x >= 0; x-- {
-			sift(x)
+		if top == x {
+			return
 		}
-		for x := k; x < len(order); x++ {
-			if cmpByKey(key, ids, order[x], heap[0]) < 0 {
-				heap[0], order[x] = order[x], heap[0]
-				sift(0)
+		h[x], h[top] = h[top], h[x]
+		x = top
+	}
+}
+
+// nearest returns the k members v of ids with the least delay(i, v),
+// leaving out i and every v with taken[v] ≥ 0 (a nil taken leaves none
+// out), in cmpNear's order: a bounded max-heap takes in every member that
+// beats its root, then only the heap is sorted. A non-nil bound must
+// bound delay from below, as it bounds Net.Delay: once the heap holds k,
+// a member it proves strictly farther than the root — delay ≥ c with c
+// the next float above the root's, since equal delays break by id — is
+// skipped, first by CosThreshold(c), computed again only when the root's
+// delay changes, then by DelayAtLeast. Only the rest cost a delay call.
+func (w *scaleWorker) nearest(delay func(i, j int) float64, bound nearBound, i int, ids []int, k int, taken []int32) []nearItem {
+	h := w.near[:0]
+	var c, tau float64
+	kth := func() {
+		if bound != nil {
+			c = math.Nextafter(h[0].d, math.Inf(1))
+			tau = bound.CosThreshold(c)
+		}
+	}
+	for x, v := range ids {
+		switch {
+		case v == i || taken != nil && taken[v] >= 0 || k <= 0:
+		case len(h) < k:
+			h = append(h, nearItem{delay(i, v), v, x})
+			if len(h) == k {
+				for y := k/2 - 1; y >= 0; y-- {
+					siftNear(h, y)
+				}
+				kth()
+			}
+		case bound != nil && (bound.Cos(i, v) <= tau || bound.DelayAtLeast(i, v, c)):
+		default:
+			if it := (nearItem{delay(i, v), v, x}); cmpNear(it, h[0]) < 0 {
+				d := h[0].d
+				h[0] = it
+				siftNear(h, 0)
+				if h[0].d != d {
+					kth()
+				}
 			}
 		}
-		order = heap
 	}
-	slices.SortFunc(order, func(xa, xb int) int { return cmpByKey(key, ids, xa, xb) })
-	return order
+	slices.SortFunc(h, cmpNear)
+	w.near = h
+	return h
 }
 
 // seededRow computes node i's live routing row into the worker's own
@@ -1061,8 +1085,8 @@ func (c *ScaleConfig) proposeScale(w *scaleWorker, eng *scaleEngine, epoch, i in
 	// Under dynamic membership the draw runs over the alive roster, so
 	// the sample — and with it the certainty-inclusion set and the HT
 	// expansion — prices exactly the overlay that exists right now.
-	ds, err := c.Sample.DrawFrom(rng, i, eng.aliveIDs, pref, direct)
-	if err != nil {
+	ds := &w.ds
+	if err := c.Sample.DrawInto(ds, rng, i, eng.aliveIDs, pref, direct); err != nil {
 		return scaleProposal{}, err
 	}
 	// Current neighbors always enter the objective (certainty
@@ -1070,7 +1094,7 @@ func (c *ScaleConfig) proposeScale(w *scaleWorker, eng *scaleEngine, epoch, i in
 	// neighbor must always be priced — with the neighbor invisible in
 	// most epochs' samples, last links decay and the orphan's rescuers
 	// re-wire en masse next epoch, an oscillation that never settles.
-	ds = ds.EnsureCertain(wiring[i])
+	ds.MakeCertain(wiring[i])
 
 	// The node's live routing row: i's exact shortest-path distances
 	// over the live overlay. It prices the current wiring exactly (estCur
@@ -1097,12 +1121,6 @@ func (c *ScaleConfig) proposeScale(w *scaleWorker, eng *scaleEngine, epoch, i in
 		if c.probe != nil {
 			c.probe.seeded.Add(1)
 		}
-	} else if c.probe != nil && c.probe.checkRows {
-		for v, d := range w.seededRow(c, dir.Graph(), i, wiring[i]) {
-			if math.Float64bits(d) != math.Float64bits(rowI[v]) {
-				return scaleProposal{}, fmt.Errorf("sim: epoch %d node %d: directory row says %v to node %d, seeded Dijkstra %v", epoch, i, rowI[v], v, d)
-			}
-		}
 	}
 	if w.lid == nil {
 		w.lid = make([]int32, n)
@@ -1122,10 +1140,11 @@ func (c *ScaleConfig) proposeScale(w *scaleWorker, eng *scaleEngine, epoch, i in
 	// them out of the candidate set is what holds the per-node solver
 	// at ~100 facilities instead of the full sample size. Pool members
 	// carry exact distance rows; off-pool candidates are creditable as
-	// direct links only, invisible as transit.
-	w.gcands = w.gcands[:0]
-	w.grows = w.grows[:0]
-	addCand := func(v int, row []float64) {
+	// direct links only, invisible as transit. Each candidate's direct
+	// delay is priced once: by the nearest scan that found it, or here
+	// (dv < 0).
+	w.gcands, w.grows, w.direct = w.gcands[:0], w.grows[:0], w.direct[:0]
+	addCand := func(v int, row []float64, dv float64) {
 		// Departed nodes are never candidates: their rows are stale and
 		// a link to them carries nothing.
 		if v == i || w.lid[v] >= 0 || !eng.active[v] {
@@ -1134,38 +1153,32 @@ func (c *ScaleConfig) proposeScale(w *scaleWorker, eng *scaleEngine, epoch, i in
 		if row == nil {
 			row = dir.Row(v)
 		}
+		if dv < 0 {
+			dv = c.Net.Delay(i, v)
+		}
 		w.lid[v] = int32(len(w.gcands))
 		w.gcands = append(w.gcands, v)
 		w.grows = append(w.grows, row)
+		w.direct = append(w.direct, dv)
 	}
 	for _, j := range ds.Dests {
 		if rowI[j] >= graph.Inf {
-			addCand(j, nil) // dark: rescue candidate
+			addCand(j, nil, -1) // dark: rescue candidate
 		}
 	}
 	const nearDests, heavyDests = 32, 16
 	if len(ds.Dests) <= nearDests+heavyDests {
 		for _, j := range ds.Dests {
-			addCand(j, nil)
+			addCand(j, nil, -1)
 		}
 	} else {
-		D := len(ds.Dests)
-		w.delay = floatsN(w.delay, D)
-		w.order = intsN(w.order, D)
-		for x, j := range ds.Dests {
-			w.delay[x] = c.Net.Delay(i, j)
-			w.order[x] = x
-		}
-		for _, x := range selectByKey(w.order, w.delay, ds.Dests, nearDests) {
-			addCand(ds.Dests[x], nil)
+		for _, it := range w.nearest(c.Net.Delay, eng.near, i, ds.Dests, nearDests, nil) {
+			addCand(it.id, nil, it.d)
 		}
 		if demand != nil {
-			for x, j := range ds.Dests {
-				w.delay[x] = -demand(i, j)
-				w.order[x] = x
-			}
-			for _, x := range selectByKey(w.order, w.delay, ds.Dests, heavyDests) {
-				addCand(ds.Dests[x], nil)
+			heavy := func(i, j int) float64 { return -demand(i, j) }
+			for _, it := range w.nearest(heavy, nil, i, ds.Dests, heavyDests, nil) {
+				addCand(it.id, nil, -1)
 			}
 		}
 	}
@@ -1182,23 +1195,15 @@ func (c *ScaleConfig) proposeScale(w *scaleWorker, eng *scaleEngine, epoch, i in
 	}
 	// Uniform half from the directory permutation...
 	for _, x := range w.perm[:m/2] {
-		addCand(ids[x], dir.RowAt(x))
+		addCand(ids[x], dir.RowAt(x), -1)
 	}
 	// ...nearest half: the closest members by direct cost (ids as
 	// tie-break) among those not yet picked.
-	w.delay = floatsN(w.delay, P)
-	w.order = intsN(w.order, P)[:0]
-	for x, v := range ids {
-		if v != i && w.lid[v] < 0 {
-			w.delay[x] = c.Net.Delay(i, v)
-			w.order = append(w.order, x)
-		}
-	}
-	for _, x := range selectByKey(w.order, w.delay, ids, min(m-m/2, len(w.order))) {
-		addCand(ids[x], dir.RowAt(x))
+	for _, it := range w.nearest(c.Net.Delay, eng.near, i, ids, m-m/2, w.lid) {
+		addCand(it.id, dir.RowAt(it.x), it.d)
 	}
 	for _, v := range wiring[i] {
-		addCand(v, nil)
+		addCand(v, nil, -1)
 	}
 
 	// The solver's block: cost[a·D+di] is candidate a's direct delay plus
@@ -1209,39 +1214,61 @@ func (c *ScaleConfig) proposeScale(w *scaleWorker, eng *scaleEngine, epoch, i in
 	// re-wiring is about to invalidate. Trusting them is how an earlier
 	// design collapsed the overlay: every node believed its destinations
 	// stayed covered "through itself" while re-purposing the very links
-	// that carried them. An off-pool candidate reaches only itself.
+	// that carried them. An off-pool candidate reaches only itself. Each
+	// row is filled by the loop its kind needs — off-pool, a row that
+	// cannot reach i (no path of it runs through i), a row that needs the
+	// clamp — and the candidate's own entry, d = 0, is written last.
 	C, D := len(w.gcands), len(ds.Dests)
 	cost, destPref := w.sc.Block(C, ds)
+	w.own = intsN(w.own, C)
+	for a := range w.own {
+		w.own[a] = -1
+	}
+	w.rowD = floatsN(w.rowD, D)
 	for di, j := range ds.Dests {
 		destPref[di] = 1
 		if demand != nil {
 			destPref[di] = demand(i, j)
 		}
+		w.rowD[di] = rowI[j]
+		if a := w.lid[j]; a >= 0 {
+			w.own[a] = di
+		}
 	}
-	for a, v := range w.gcands {
-		dv, grow, row := c.Net.Delay(i, v), w.grows[a], cost[a*D:(a+1)*D]
-		for di, j := range ds.Dests {
-			d := graph.Inf
-			switch {
-			case int(w.lid[j]) == a:
-				d = 0
-			case grow != nil:
-				d = grow[j]
-				if toSelf := grow[i]; d < graph.Inf && toSelf < graph.Inf {
-					if via := toSelf + rowI[j]; via <= d*(1+1e-12)+1e-9 && via >= d*(1-1e-12)-1e-9 {
+	for a, grow := range w.grows {
+		dv, row := w.direct[a], cost[a*D:(a+1)*D]
+		switch {
+		case grow == nil:
+			for di := range row {
+				row[di] = dv + graph.Inf
+			}
+		case !(grow[i] < graph.Inf):
+			for di, j := range ds.Dests {
+				row[di] = dv + grow[j]
+			}
+		default:
+			toSelf, rowD := grow[i], w.rowD[:len(row)]
+			for di, j := range ds.Dests {
+				d := grow[j]
+				if d < graph.Inf {
+					if via := toSelf + rowD[di]; via <= d*(1+1e-12)+1e-9 && via >= d*(1-1e-12)-1e-9 {
 						d = graph.Inf
 					}
 				}
+				row[di] = dv + d
 			}
-			row[di] = dv + d
+		}
+		if x := w.own[a]; x >= 0 {
+			row[x] = dv + 0
 		}
 	}
 	w.cur = w.cur[:0]
 	for _, v := range wiring[i] {
 		w.cur = append(w.cur, int(w.lid[v]))
 	}
-	if c.probe != nil && c.probe.checkRows {
-		err = w.checkBlock(c, i, rowI, ds, demand, cost, destPref)
+	var err error
+	if c.probe != nil && c.probe.checkProposal != nil {
+		err = c.probe.checkProposal(w, eng, i, rowI, ds, demand, cost, destPref)
 	}
 
 	// The current wiring is priced twice. For reporting: from the live
@@ -1371,78 +1398,6 @@ func scaleAdopts(eps, anchor, total, band float64) bool {
 		threshold = band
 	}
 	return improve > threshold
-}
-
-// checkBlock is the checkRows probe of the solver block proposeScale
-// filled straight from the directory rows (cost, pref): it builds the
-// block again through core's own fill, from a dense residual Instance over
-// a local id space of the candidates, the other sampled destinations and
-// self, with the self-path clamp, and reports the first bit difference.
-func (w *scaleWorker) checkBlock(c *ScaleConfig, i int, rowI []float64, ds *sampling.DestSample, demand func(i, j int) float64, cost, pref []float64) error {
-	C := len(w.gcands)
-	local := append([]int(nil), w.gcands...)
-	lid := make(map[int]int, C+len(ds.Dests))
-	for a, v := range local {
-		lid[v] = a
-	}
-	for _, j := range ds.Dests {
-		if _, ok := lid[j]; !ok {
-			lid[j] = len(local)
-			local = append(local, j)
-		}
-	}
-	L := len(local) + 1
-	self := L - 1
-	in := &core.Instance{
-		Self: self, Kind: core.Additive,
-		Direct: make([]float64, L), Pref: make([]float64, L),
-		Resid: make([][]float64, L), Candidates: make([]int, C),
-	}
-	for a := 0; a < C; a++ {
-		row := make([]float64, L)
-		if grow := w.grows[a]; grow == nil {
-			for b := range row {
-				row[b] = graph.Inf
-			}
-		} else {
-			toSelf := grow[i]
-			for b, gb := range local {
-				d := grow[gb]
-				if d < graph.Inf && toSelf < graph.Inf {
-					if via := toSelf + rowI[gb]; via <= d*(1+1e-12)+1e-9 && via >= d*(1-1e-12)-1e-9 {
-						d = graph.Inf
-					}
-				}
-				row[b] = d
-			}
-			row[self] = graph.Inf
-		}
-		row[a] = 0
-		in.Resid[a], in.Candidates[a] = row, a
-	}
-	for b, gb := range local {
-		in.Direct[b] = c.Net.Delay(i, gb)
-		in.Pref[b] = 1
-		if demand != nil {
-			in.Pref[b] = demand(i, gb)
-		}
-	}
-	want, wantPref, err := core.SampledBlock(in, ds.Remap(func(j int) int { return lid[j] }))
-	if err != nil {
-		return err
-	}
-	D := len(ds.Dests)
-	for x, v := range want {
-		if math.Float64bits(v) != math.Float64bits(cost[x]) {
-			return fmt.Errorf("block cost of candidate %d to node %d is %v, the residual instance's %v", w.gcands[x/D], ds.Dests[x%D], cost[x], v)
-		}
-	}
-	for di, v := range wantPref {
-		if math.Float64bits(v) != math.Float64bits(pref[di]) {
-			return fmt.Errorf("block weight of node %d is %v, the residual instance's %v", ds.Dests[di], pref[di], v)
-		}
-	}
-	return nil
 }
 
 // floatsN resizes a float scratch slice to n.

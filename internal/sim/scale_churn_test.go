@@ -68,7 +68,7 @@ func TestScaleChurnDeterministicAcrossWorkers(t *testing.T) {
 	// row with a seeded Dijkstra (and fails the run on a bit difference):
 	// joins, leaves and rebuilds must all leave the directory graph in
 	// step with the wiring. The probe must not show in the result.
-	cfgB.probe = &scaleProbe{checkRows: true}
+	cfgB.probe = rowsProbe()
 	a, err := RunScale(cfgA)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestCheckDirectoryCatchesUnstagedChange(t *testing.T) {
 	c, err := (&ScaleConfig{
 		N: 12, K: 2, Seed: 1,
 		Sample: sampling.Spec{Strategy: sampling.Uniform, M: 4},
-		probe:  &scaleProbe{checkRows: true},
+		probe:  rowsProbe(),
 	}).withDefaults()
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +102,11 @@ func TestCheckDirectoryCatchesUnstagedChange(t *testing.T) {
 	for u := range wiring {
 		wiring[u] = []int{(u + 1) % c.N, (u + 2) % c.N}
 	}
-	eng := &scaleEngine{c: &c, wiring: wiring, pool: newScalePool(&c, wiring, 1)}
+	active := make([]bool, c.N)
+	for u := range active {
+		active[u] = true
+	}
+	eng := &scaleEngine{c: &c, wiring: wiring, active: active, pool: newScalePool(&c, wiring, 1)}
 	if err := eng.checkDirectory("seed", 0); err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +197,7 @@ func TestScaleRescueWithinOneEpoch(t *testing.T) {
 		run := base
 		run.MaxEpochs = preEpochs + 1
 		run.Churn = waveSchedule(n, preEpochs, victims, false)
-		run.probe = &scaleProbe{checkRows: true} // the orphans' rows, re-derived
+		run.probe = rowsProbe() // the orphans' rows, re-derived
 		res, err := RunScale(run)
 		if err != nil {
 			t.Fatal(err)
@@ -288,7 +292,7 @@ func TestScaleJoinWave(t *testing.T) {
 		Churn:  waveSchedule(n, 3.1, joiners, true),
 		// Most joiners act later in the epoch they joined in, reading the
 		// row their join gave them: re-derive it.
-		probe: &scaleProbe{checkRows: true},
+		probe: rowsProbe(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -332,7 +336,7 @@ func TestScaleChurnJoinAfterLeaveSameWindow(t *testing.T) {
 		Sample:        sampling.Spec{Strategy: sampling.Uniform, M: 20},
 		ConvergedFrac: -1,
 		Churn:         sched,
-		probe:         &scaleProbe{checkRows: true},
+		probe:         rowsProbe(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -385,7 +389,7 @@ func TestScaleDrainedBand(t *testing.T) {
 		t.Fatalf("drain schedule did not play out: joins=%d leaves=%d", ref.Joins, ref.Leaves)
 	}
 	cfg := mk(3)
-	cfg.probe = &scaleProbe{checkRows: true}
+	cfg.probe = rowsProbe()
 	got, err := RunScale(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -472,7 +476,7 @@ func FuzzScaleChurnSchedule(f *testing.F) {
 				StaggerBatches: 8,
 				ConvergedFrac:  -1,
 				Churn:          sched,
-				probe:          &scaleProbe{checkRows: true},
+				probe:          rowsProbe(),
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -239,6 +239,7 @@ func scaleConvergeConfig(tb testing.TB) ScaleConfig {
 // "Where a proposal's time goes").
 func BenchmarkScaleConverge(b *testing.B) {
 	cfg := scaleConvergeConfig(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := RunScale(cfg); err != nil {

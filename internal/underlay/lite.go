@@ -61,7 +61,7 @@ func (l *Lite) Delay(i, j int) float64 {
 	if i == j {
 		return 0
 	}
-	dot := l.cos(i, j)
+	dot := l.Cos(i, j)
 	if dot > 1 {
 		dot = 1
 	} else if dot < -1 {
@@ -110,11 +110,30 @@ func (l *Lite) atLeast(i, j int, c float64, inflated bool) bool {
 	if inflated && t > 0 {
 		s *= l.inflation(i, j)
 	}
-	return t <= 0 || 2*(1-l.cos(i, j))*s*s >= t*t*(1+0x1p-18)
+	return t <= 0 || 2*(1-l.Cos(i, j))*s*s >= t*t*(1+0x1p-18)
 }
 
-// cos is the cosine of the angle between sites i and j.
-func (l *Lite) cos(i, j int) float64 {
+// CosThreshold returns a τ with which Cos(i, j) ≤ τ proves Delay(i, j) ≥ c
+// for every pair i ≠ j: PathAtLeast's chord test solved for the cosine,
+// so a scan over many j at one c pays one dot product each. With
+// t = c + 2^-16 − access, s = 6371·0.015 and q = t²(1+2^-17)/(2s²),
+// τ = 1 − q − 2^-52. The 2^-17 covers q's four roundings, and with the
+// 2^-52 the two subtractions' (under 2^-53 together while q ≤ 2, under
+// 2^-52·q past it), so x ≤ τ gives 2(1−x)s² ≥ t²(1+2^-18) in reals: the
+// chord test with its whole 2^-18 to spare, which DelayAtLeast's argument
+// turns into Delay ≥ c. τ is +Inf when t ≤ 0, and NaN, which proves
+// nothing, when c is NaN.
+func (l *Lite) CosThreshold(c float64) float64 {
+	t, s := c+0x1p-16-l.accessDelayMS, earthRadiusKM*l.propagationFactor
+	if t <= 0 {
+		return math.Inf(1)
+	}
+	return 1 - t*t*(1+0x1p-17)/(2*s*s) - 0x1p-52
+}
+
+// Cos is the cosine of the angle between sites i and j: the value Delay
+// clamps and takes the Acos of.
+func (l *Lite) Cos(i, j int) float64 {
 	a, b := l.unit[i], l.unit[j]
 	return a[0]*b[0] + a[1]*b[1] + a[2]*b[2]
 }

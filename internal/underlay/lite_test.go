@@ -2,6 +2,7 @@ package underlay
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
 	"strings"
 	"testing"
@@ -89,43 +90,8 @@ func TestLiteDelayProperties(t *testing.T) {
 // also prove the easy cases: 60% of the propagation part is always
 // within the chord.
 func TestLiteDelayAtLeastSound(t *testing.T) {
-	l, err := NewLite(50, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sites 0..19 stay where NewLite put them; 20..49 are crafted
-	// around site 0 and site 1.
-	scale := func(v [3]float64, f float64) [3]float64 { return [3]float64{v[0] * f, v[1] * f, v[2] * f} }
-	near := func(a [3]float64, eps float64) [3]float64 {
-		// Rotate a by eps about an axis orthogonal to it.
-		p := [3]float64{-a[1], a[0], 0}
-		pn := math.Hypot(p[0], p[1])
-		p = scale(p, 1/pn)
-		return [3]float64{a[0]*math.Cos(eps) + p[0]*math.Sin(eps), a[1]*math.Cos(eps) + p[1]*math.Sin(eps), a[2] * math.Cos(eps)}
-	}
-	at := 20
-	for _, base := range []int{0, 1} {
-		a := l.unit[base]
-		for _, eps := range []float64{1e-15, 1e-12, 1e-9, 1e-6, 1e-4, 1e-2} {
-			l.unit[at] = near(a, eps)
-			l.unit[at+1] = near(scale(a, -1), eps)
-			at += 2
-		}
-		l.unit[at] = scale(a, -1)
-		l.unit[at+1] = scale(a, 1+0x1p-51)  // dot with a rounds past +1
-		l.unit[at+2] = scale(a, -1-0x1p-51) // dot with a rounds past −1
-		at += 3
-	}
+	l, at := craftedLite(t)
 	access := l.accessDelayMS
-	ulps := func(x float64, k int) float64 {
-		for ; k > 0; k-- {
-			x = math.Nextafter(x, math.Inf(1))
-		}
-		for ; k < 0; k++ {
-			x = math.Nextafter(x, math.Inf(-1))
-		}
-		return x
-	}
 	proved := 0
 	for i := 0; i < at; i++ {
 		for j := 0; j < at; j++ {
@@ -160,6 +126,108 @@ func TestLiteDelayAtLeastSound(t *testing.T) {
 	}
 	if proved == 0 {
 		t.Fatal("no pair checked")
+	}
+}
+
+// craftedLite returns a 50-site Lite whose sites 0..19 stay where NewLite
+// put them and 20..at−1 are crafted around sites 0 and 1, where the
+// chord bounds are tightest: near-coincident pairs from 1e-15 rad to
+// 1e-2 rad apart, near-antipodal ones and unit vectors scaled so their
+// dot product rounds past +1 or −1 (Delay clamps it).
+func craftedLite(t *testing.T) (l *Lite, at int) {
+	l, err := NewLite(50, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scale := func(v [3]float64, f float64) [3]float64 { return [3]float64{v[0] * f, v[1] * f, v[2] * f} }
+	near := func(a [3]float64, eps float64) [3]float64 {
+		// Rotate a by eps about an axis orthogonal to it.
+		p := [3]float64{-a[1], a[0], 0}
+		pn := math.Hypot(p[0], p[1])
+		p = scale(p, 1/pn)
+		return [3]float64{a[0]*math.Cos(eps) + p[0]*math.Sin(eps), a[1]*math.Cos(eps) + p[1]*math.Sin(eps), a[2] * math.Cos(eps)}
+	}
+	at = 20
+	for _, base := range []int{0, 1} {
+		a := l.unit[base]
+		for _, eps := range []float64{1e-15, 1e-12, 1e-9, 1e-6, 1e-4, 1e-2} {
+			l.unit[at] = near(a, eps)
+			l.unit[at+1] = near(scale(a, -1), eps)
+			at += 2
+		}
+		l.unit[at] = scale(a, -1)
+		l.unit[at+1] = scale(a, 1+0x1p-51)  // dot with a rounds past +1
+		l.unit[at+2] = scale(a, -1-0x1p-51) // dot with a rounds past −1
+		at += 3
+	}
+	return l, at
+}
+
+// ulps steps x by k float64s, up for k > 0 and down for k < 0.
+func ulps(x float64, k int) float64 {
+	for ; k > 0; k-- {
+		x = math.Nextafter(x, math.Inf(1))
+	}
+	for ; k < 0; k++ {
+		x = math.Nextafter(x, math.Inf(-1))
+	}
+	return x
+}
+
+// TestLiteCosThresholdSound is the exactness net of the cosine form of
+// the chord test: on craftedLite's sites, Cos(i, j) ≤ CosThreshold(c)
+// must mean Delay(i, j) ≥ c and PathAtLeast(i, j, c), for every pair
+// i ≠ j and c at Delay ± 4 ulps and at the access delay ± 4 ulps. It
+// must also prove the easy cases: the access delay plus 60% of the
+// propagation at the largest inflation, 1.36, minus 1e-3 ms.
+func TestLiteCosThresholdSound(t *testing.T) {
+	l, at := craftedLite(t)
+	access := l.accessDelayMS
+	proved := 0
+	for i := 0; i < at; i++ {
+		for j := 0; j < at; j++ {
+			if i == j {
+				continue
+			}
+			d, x := l.Delay(i, j), l.Cos(i, j)
+			for k := -4; k <= 4; k++ {
+				for _, c := range []float64{ulps(d, k), ulps(access, k)} {
+					if x <= l.CosThreshold(c) && (d < c || !l.PathAtLeast(i, j, c)) {
+						t.Fatalf("Cos(%d, %d) = %v ≤ CosThreshold(%v) = %v, but Delay is %v, PathAtLeast %v", i, j, x, c, l.CosThreshold(c), d, l.PathAtLeast(i, j, c))
+					}
+				}
+			}
+			if c := access + 0.6*(d-access)/1.36 - 1e-3; c > access && x > l.CosThreshold(c) {
+				t.Fatalf("Cos(%d, %d) = %v above CosThreshold(%v) = %v with Delay %v: 60%% of the arc is within the chord", i, j, x, c, l.CosThreshold(c), d)
+			} else if c > access {
+				proved++
+			}
+		}
+	}
+	if proved == 0 {
+		t.Fatal("no easy case checked")
+	}
+	if !math.IsInf(l.CosThreshold(access-1e-3), 1) || !math.IsNaN(l.CosThreshold(math.NaN())) {
+		t.Fatal("CosThreshold must prove every pair below the access delay and none at NaN")
+	}
+	// The claim itself, in exact arithmetic at the largest cosine it
+	// admits, x = τ: 2(1−τ)s² ≥ t²(1+2^-18), with t and s the float64s the
+	// chord test uses. Thresholds run from a hair above the access delay,
+	// where q is far below the rounding of 1 − q, past the antipode.
+	s := earthRadiusKM * l.propagationFactor
+	exact := func(x float64) *big.Float { return new(big.Float).SetPrec(2048).SetFloat64(x) }
+	mul := func(a, b *big.Float) *big.Float { return new(big.Float).SetPrec(2048).Mul(a, b) }
+	for e := -70; e <= 10; e++ {
+		for k := -2; k <= 2; k++ {
+			c := ulps(access+math.Ldexp(1.37, e), k)
+			tau := l.CosThreshold(c)
+			tt := c + 0x1p-16 - access
+			lhs := mul(mul(exact(2), new(big.Float).SetPrec(2048).Sub(exact(1), exact(tau))), mul(exact(s), exact(s)))
+			rhs := mul(mul(exact(tt), exact(tt)), exact(1+0x1p-18))
+			if lhs.Cmp(rhs) < 0 {
+				t.Fatalf("c = %v: CosThreshold %v admits a cosine whose chord falls short of t = %v", c, tau, tt)
+			}
+		}
 	}
 }
 
@@ -271,7 +339,7 @@ func TestLitePathAtLeastSound(t *testing.T) {
 			}
 			check(path)
 			i, j := path[0], path[len(path)-1]
-			chord := math.Sqrt(2 * (1 - l.cos(i, j)))
+			chord := math.Sqrt(2 * (1 - l.Cos(i, j)))
 			if c := access + 0.6*chord*earthRadiusKM*l.propagationFactor; !l.PathAtLeast(i, j, c) {
 				t.Fatalf("PathAtLeast(%d, %d, %v) = false: 60%% of the chord is proven", i, j, c)
 			}
