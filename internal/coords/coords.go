@@ -12,7 +12,6 @@ package coords
 
 import (
 	"math"
-	"sort"
 	"sync"
 )
 
@@ -142,16 +141,6 @@ func (s *System) Estimate(i, j int) float64 {
 	return Dist(a.Coord(), b.Coord())
 }
 
-// EstimateAll returns the predicted delays from node i to every node
-// (0 for itself) — the payload of one pyxida query.
-func (s *System) EstimateAll(i int) []float64 {
-	out := make([]float64, s.N())
-	for j := range out {
-		out[j] = s.Estimate(i, j)
-	}
-	return out
-}
-
 // Observe routes a delay observation between nodes i and j into node i's
 // coordinate update.
 func (s *System) Observe(i, j int, measuredMS float64) {
@@ -175,38 +164,4 @@ func (s *System) Calibrate(rounds int, sampler func(i, j int) float64) {
 			}
 		}
 	}
-}
-
-// MedianRelativeError reports the median relative error of the embedding
-// against the true delay function — the standard Vivaldi accuracy metric,
-// exposed for tests and the experiment harness.
-func (s *System) MedianRelativeError(truth func(i, j int) float64) float64 {
-	var errs []float64
-	n := s.N()
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			tr := truth(i, j)
-			if tr <= 0 {
-				continue
-			}
-			errs = append(errs, math.Abs(s.Estimate(i, j)-tr)/tr)
-		}
-	}
-	if len(errs) == 0 {
-		return 0
-	}
-	return median(errs)
-}
-
-func median(xs []float64) float64 {
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	mid := len(c) / 2
-	if len(c)%2 == 1 {
-		return c[mid]
-	}
-	return (c[mid-1] + c[mid]) / 2
 }

@@ -27,7 +27,7 @@ import (
 //
 // Concurrency contract: Reset, Rebase, Apply, AddSource and RemoveSource
 // are mutations and must run with no other call in flight. Between
-// mutations, every read — Row, RowAt, Graph, In, Sources, SlotOf — is safe
+// mutations, every read — Row, RowAt, Graph, In, Sources — is safe
 // from any number of goroutines concurrently: the scale engine's
 // parallel proposal phase prices candidates off these rows from all
 // workers at once, and the adoption/churn mutations run strictly
@@ -133,12 +133,6 @@ func (r *DynamicRows) RowAt(i int) []float64 {
 func (r *DynamicRows) In(v NodeID) []Arc {
 	r.checkRead()
 	return r.rev[v]
-}
-
-// SlotOf returns the row index of source v, or -1 if v is not a source.
-func (r *DynamicRows) SlotOf(v NodeID) int {
-	r.checkRead()
-	return int(r.slot[v])
 }
 
 // Resets reports how many full rebuilds (Reset calls) have run.

@@ -346,3 +346,9 @@ func TestDynamicRowsRepeatedNode(t *testing.T) {
 		}
 	}
 }
+
+// SlotOf returns the row index of source v, or -1 if v is not a source.
+func (r *DynamicRows) SlotOf(v NodeID) int {
+	r.checkRead()
+	return int(r.slot[v])
+}

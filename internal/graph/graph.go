@@ -168,20 +168,6 @@ func (g *Digraph) Clone() *Digraph {
 	return c
 }
 
-// Resize empties the graph and sets its node count to n, reusing arc
-// storage. It is New for callers that rebuild a scratch graph of varying
-// size many times (the scale engine's per-node sub-instances).
-func (g *Digraph) Resize(n int) {
-	if cap(g.out) < n {
-		g.out = make([][]Arc, n)
-	}
-	g.out = g.out[:n]
-	g.n = n
-	for u := range g.out {
-		g.out[u] = g.out[u][:0]
-	}
-}
-
 // CopyFrom overwrites g with a deep copy of src, reusing g's arc storage
 // where possible. It is Clone for callers that keep a scratch graph alive
 // across many residual-graph constructions.

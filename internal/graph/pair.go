@@ -38,12 +38,74 @@ type PathBound interface {
 	PathAtLeast(u, v int, c float64) bool
 }
 
+// rowBoundRows is how many rows a RowBound keeps.
+const rowBoundRows = 4
+
+// RowBound is a PathBound from exact rows of one CSR c: rows DijkstraCSR
+// computed over c, of any sources, held in front of an optional next
+// bound. A row r of source h proves every u→v path costs at least
+// r[v] − r[u] less a margin, when r[v] < +Inf: in reals
+// d(u,v) ≥ d(h,v) − d(h,u). Each finite entry is the float fold of the
+// at most n−1 non-negative arcs of h's tree path, so with γ = (n−1)·2^-53
+// to first order r[u] ≥ (1−γ)·d(h,u), and r[v] ≤ (1+γ)·d(h,v), because a
+// label is at most the fold along any path (rounding is monotone). Hence
+// d(u,v) ≥ r[v] − r[u] − 2γ·(r[u] + r[v]). The margin n·2^-51·(r[u] + r[v])
+// is about twice 2γ's, and the rest covers the test's own roundings
+// (each 2^-53 relative, of terms at most r[u] + r[v]). So the bound is on
+// the real cost, and pairEps covers the float fold of the u→v path the
+// caller compares with. The guard r[v] < +Inf matters where h's sums
+// overflow: there +Inf does not mean v is out of reach.
+type RowBound struct {
+	rows [rowBoundRows][]float64
+	keys [rowBoundRows]float64 // rows[i][dst] − rows[i][src] at Offer, descending
+	k    int
+	next PathBound
+}
+
+// Reset empties b and chains it in front of next (nil: none).
+func (b *RowBound) Reset(next PathBound) { b.k, b.next = 0, next }
+
+// Offer considers row r for a search src→dst and keeps the rowBoundRows
+// rows with the largest r[dst] − r[src], the bound each gives the pair.
+func (b *RowBound) Offer(r []float64, src, dst int) {
+	key := r[dst] - r[src]
+	if !(r[dst] < Inf) || b.k == rowBoundRows && !(key > b.keys[b.k-1]) {
+		return
+	}
+	i := min(b.k, rowBoundRows-1)
+	for ; i > 0 && key > b.keys[i-1]; i-- {
+		b.rows[i], b.keys[i] = b.rows[i-1], b.keys[i-1]
+	}
+	b.rows[i], b.keys[i], b.k = r, key, min(b.k+1, rowBoundRows)
+}
+
+// Bound returns b as a PathBound, or its next bound while it holds no row.
+func (b *RowBound) Bound() PathBound {
+	if b.k == 0 {
+		return b.next
+	}
+	return b
+}
+
+// PathAtLeast reports that some kept row, or the next bound, proves
+// every u→v path costs at least c.
+func (b *RowBound) PathAtLeast(u, v int, c float64) bool {
+	for _, r := range b.rows[:b.k] {
+		if rv, ru := r[v], r[u]; rv < Inf && rv-ru >= c+float64(len(r))*0x1p-51*(rv+ru) {
+			return true
+		}
+	}
+	return b.next != nil && b.next.PathAtLeast(u, v, c)
+}
+
 // PairScratch holds the reusable state of PairCSR; after a call it
 // also holds the path found (Parent). The embedded SPScratch is the
 // forward heap, so one pooled PairScratch serves a caller that
-// sometimes needs the whole row. One scratch serves one goroutine.
+// sometimes needs the whole row; Rows is the row bound a caller may
+// fill and pass to it. One scratch serves one goroutine.
 type PairScratch struct {
 	SPScratch
+	Rows    RowBound
 	bh      dheap
 	fdist   []float64
 	bdist   []float64

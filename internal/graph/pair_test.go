@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"slices"
+	"sort"
 	"testing"
 
 	"egoist/internal/underlay"
@@ -88,16 +90,22 @@ func liteGraph(n, k int, useed, wseed int64, depart int) (*CSR, *underlay.Lite) 
 
 // checkAllPairs compares PairCSR under bound b (nil: none) with
 // DijkstraCSR's row for every ordered pair of c, on the caller's
-// (reused) scratch: distance bits and the whole parent chain. It
-// returns how many pairs had a path.
-func checkAllPairs(t *testing.T, c *CSR, ps *PairScratch, b PathBound) (reachable int) {
+// (reused) scratch: distance bits and the whole parent chain. Each
+// search is also pruned by rows (exact rows of c), offered to ps.Rows
+// the way the route cache offers its resident rows. It returns how many
+// pairs had a path.
+func checkAllPairs(t *testing.T, c *CSR, ps *PairScratch, b PathBound, rows [][]float64) (reachable int) {
 	t.Helper()
 	n := c.N()
 	dist, parent := make([]float64, n), make([]int32, n)
 	for src := 0; src < n; src++ {
 		ps.DijkstraCSR(c, src, dist, parent)
 		for dst := 0; dst < n; dst++ {
-			d := ps.PairCSR(c, src, dst, b)
+			ps.Rows.Reset(b)
+			for _, r := range rows {
+				ps.Rows.Offer(r, src, dst)
+			}
+			d := ps.PairCSR(c, src, dst, ps.Rows.Bound())
 			if math.Float64bits(d) != math.Float64bits(dist[dst]) {
 				t.Fatalf("n=%d (%d,%d): PairCSR dist %v (%x), row says %v (%x)", n, src, dst, d, math.Float64bits(d), dist[dst], math.Float64bits(dist[dst]))
 			}
@@ -173,10 +181,10 @@ func TestPairCSRMatchesRow(t *testing.T) {
 		class := trial % (pairClasses + 1)
 		if class == pairClasses {
 			c, net := liteGraph(2+rng.Intn(60), 1+rng.Intn(6), rng.Int63(), rng.Int63(), rng.Intn(4))
-			reachable[class] += checkAllPairs(t, c, &ps, net)
+			reachable[class] += checkAllPairs(t, c, &ps, net, nil)
 			continue
 		}
-		reachable[class] += checkAllPairs(t, pairGraph(2+rng.Intn(45), class, rng), &ps, nil)
+		reachable[class] += checkAllPairs(t, pairGraph(2+rng.Intn(45), class, rng), &ps, nil, nil)
 	}
 	for class, r := range reachable {
 		if r == 0 {
@@ -190,45 +198,67 @@ func TestPairCSRMatchesRow(t *testing.T) {
 // arcs falling out of whatever the bytes say. One class past the weight
 // classes is the Lite leg: then the bytes are n, k, underlay seed,
 // wiring seed and departed tenths of a liteGraph searched under its
-// Lite's path bound.
+// Lite's path bound. The class after it is the cached-rows leg: byte 2
+// names a Lite graph (odd) or a continuous one, and how many of the
+// last bytes (byte 2 / 2 mod 9) are row sources; the rest, byte 2
+// dropped, builds that graph, whose searches are then pruned by the
+// sources' rows as well.
 func FuzzPairCSR(f *testing.F) {
 	f.Add([]byte{5, pairZeroHeavy, 0, 1, 0, 1, 2, 0, 0, 2, 0, 2, 4, 1, 3, 4, 2})
 	f.Add([]byte{9, pairFractional, 0, 1, 3, 1, 2, 4, 0, 2, 7, 2, 3, 1, 0, 3, 9, 3, 8, 2})
 	f.Add([]byte{12, pairContinuous, 0, 5, 200, 5, 7, 13, 7, 0, 99, 0, 7, 45, 11, 5, 1})
 	f.Add([]byte{40, pairClasses, 3, 7, 11, 2})
 	f.Add([]byte{60, pairClasses, 7, 42, 5, 0})
+	f.Add([]byte{40, pairClasses + 1, 2*5 + 1, 3, 7, 11, 2, 0, 9, 17, 25, 33})
+	f.Add([]byte{12, pairClasses + 1, 2 * 3, 0, 5, 200, 5, 7, 13, 7, 0, 99, 0, 7, 45, 11, 5, 1, 0, 5, 7})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
 		}
-		n, class := 2+int(data[0])%30, int(data[1])%(pairClasses+1)
-		if class == pairClasses {
-			data = append(data[:len(data):len(data)], 0, 0, 0, 0) // a copy: bytes the fuzzer left out read 0
-			c, net := liteGraph(2+int(data[0])%80, 1+int(data[2])%8, int64(data[3]), int64(data[4]), int(data[5])%5)
-			var ps PairScratch
-			checkAllPairs(t, c, &ps, net)
-			return
+		var srcs []byte
+		if data[1]%(pairClasses+2) == pairClasses+1 && len(data) > 2 {
+			m := min(int(data[2]/2)%9, len(data)-3)
+			srcs = data[len(data)-m:]
+			data = append([]byte{data[0], byte(pairContinuous + int(data[2]%2)*pairClasses)}, data[3:len(data)-m]...)
 		}
-		adj := make([][]Arc, n)
-		for x := 2; x+2 < len(data); x += 3 {
-			u, v, b := int(data[x])%n, int(data[x+1])%n, float64(data[x+2])
-			if u == v {
-				continue
-			}
-			w := 1 + b*0.37
-			switch class {
-			case pairSmallInt:
-				w = 1 + math.Mod(b, 4)
-			case pairFractional:
-				w = 0.1*math.Mod(b, 10) + 0.3
-			case pairZeroHeavy:
-				w = math.Mod(b, 3)
-			}
-			adj[u] = append(adj[u], Arc{To: v, W: w})
+		c, b := fuzzGraph(data)
+		var rows [][]float64
+		for _, h := range srcs {
+			row, parent := make([]float64, c.N()), make([]int32, c.N())
+			new(SPScratch).DijkstraCSR(c, int(h)%c.N(), row, parent)
+			rows = append(rows, row)
 		}
 		var ps PairScratch
-		checkAllPairs(t, NewCSR(n, func(u int) []Arc { return adj[u] }), &ps, nil)
+		checkAllPairs(t, c, &ps, b, rows)
 	})
+}
+
+// fuzzGraph is FuzzPairCSR's graph of data and its path bound (nil off
+// the Lite leg).
+func fuzzGraph(data []byte) (*CSR, PathBound) {
+	n, class := 2+int(data[0])%30, int(data[1])%(pairClasses+1)
+	if class == pairClasses {
+		data = append(data[:len(data):len(data)], 0, 0, 0, 0) // a copy: bytes the fuzzer left out read 0
+		return liteGraph(2+int(data[0])%80, 1+int(data[2])%8, int64(data[3]), int64(data[4]), int(data[5])%5)
+	}
+	adj := make([][]Arc, n)
+	for x := 2; x+2 < len(data); x += 3 {
+		u, v, b := int(data[x])%n, int(data[x+1])%n, float64(data[x+2])
+		if u == v {
+			continue
+		}
+		w := 1 + b*0.37
+		switch class {
+		case pairSmallInt:
+			w = 1 + math.Mod(b, 4)
+		case pairFractional:
+			w = 0.1*math.Mod(b, 10) + 0.3
+		case pairZeroHeavy:
+			w = math.Mod(b, 3)
+		}
+		adj[u] = append(adj[u], Arc{To: v, W: w})
+	}
+	return NewCSR(n, func(u int) []Arc { return adj[u] }), nil
 }
 
 // TestReverseCSR: the in-arc view holds every arc once, ascending by
@@ -388,5 +418,130 @@ func TestPairCSRServedFixture(t *testing.T) {
 	}
 	if bounded > 0.75*plain {
 		t.Fatalf("the path bound settles %.1f nodes per pair, more than 3/4 of the unbounded %.1f", bounded, plain)
+	}
+}
+
+// BenchmarkPairCSRRows is the served miss in the kernel: on the served
+// fixture with 256 resident rows, a pair search from a source outside
+// them under the Lite's path bound, without rows and with the rows the
+// route cache would pass (each resident row offered, the best kept), the
+// offering included in the time.
+func BenchmarkPairCSRRows(b *testing.B) {
+	c, net := servedFixture(b)
+	n := c.N()
+	rng := rand.New(rand.NewSource(2))
+	perm := rng.Perm(n)
+	var ps PairScratch
+	rows := make([][]float64, 256)
+	parent := make([]int32, n)
+	for i := range rows {
+		rows[i] = make([]float64, n)
+		ps.DijkstraCSR(c, perm[i], rows[i], parent)
+	}
+	pairs := make([][2]int, 1024)
+	for i := range pairs {
+		pairs[i] = [2]int{perm[len(rows)+rng.Intn(n-len(rows))], rng.Intn(n)}
+	}
+	c.Reverse()
+	for _, leg := range []struct {
+		name string
+		rows [][]float64
+	}{{"no-rows", nil}, {"rows", rows}} {
+		b.Run(leg.name, func(b *testing.B) {
+			settled := 0
+			for i := 0; i < b.N; i++ {
+				p := pairs[i%len(pairs)]
+				ps.Rows.Reset(net)
+				for _, r := range leg.rows {
+					ps.Rows.Offer(r, p[0], p[1])
+				}
+				ps.PairCSR(c, p[0], p[1], ps.Rows.Bound())
+				settled += ps.Settled()
+			}
+			b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
+		})
+	}
+}
+
+// TestRowBoundSound: a row bound never proves a c above the true u→v
+// distance (a fresh DijkstraCSR(u)'s, up to pairEps) on random graphs
+// with zero, tied, tiny and 1e6-scale weights, the last two mixed so
+// that a row's difference carries the rounding of a 1e6 sum into a
+// 1e-9 arc, and weights near the float maximum, whose sums overflow to
+// +Inf in a row though the pair's own arc is finite. Unreachable pairs
+// and u = v are among the pairs. Each row is tried alone and all of
+// them through Offer's selection; Offer must keep the rows with the
+// largest differences.
+func TestRowBoundSound(t *testing.T) {
+	weights := []func(*rand.Rand) float64{
+		func(rng *rand.Rand) float64 { return float64(rng.Intn(3)) },
+		func(rng *rand.Rand) float64 { return float64(1 + rng.Intn(3)) },
+		func(rng *rand.Rand) float64 { return 1e-9 * (1 + rng.Float64()) },
+		func(rng *rand.Rand) float64 { return 1e6 * (1 + rng.Float64()) },
+		func(rng *rand.Rand) float64 { return []float64{1e-9, 1e6}[rng.Intn(2)] * (1 + rng.Float64()) },
+		func(rng *rand.Rand) float64 { return 0x1p1022 * (1 + rng.Float64()) },
+	}
+	rng := rand.New(rand.NewSource(43))
+	var ps PairScratch
+	var rb RowBound
+	proved := 0
+	for trial := 0; trial < 240; trial++ {
+		weight := weights[trial%len(weights)]
+		n := 2 + rng.Intn(30)
+		c := NewCSR(n, func(u int) (arcs []Arc) {
+			for a := rng.Intn(4); a > 0; a-- {
+				if v := rng.Intn(n); v != u {
+					arcs = append(arcs, Arc{To: v, W: weight(rng)})
+				}
+			}
+			return arcs
+		})
+		rows, parent := make([][]float64, n), make([]int32, n)
+		for h := range rows {
+			rows[h] = make([]float64, n)
+			ps.DijkstraCSR(c, h, rows[h], parent)
+		}
+		check := func(b PathBound, u, v int, what string) {
+			d := rows[u][v]
+			if d == Inf {
+				return
+			}
+			if c := math.Nextafter(d*(1+pairEps), Inf); b.PathAtLeast(u, v, c) {
+				t.Fatalf("trial %d %s: proves %d→%d costs at least %v, it costs %v", trial, what, u, v, c, d)
+			}
+			if b.PathAtLeast(u, v, Inf) {
+				t.Fatalf("trial %d %s: proves %d→%d unreachable, it costs %v", trial, what, u, v, d)
+			}
+			if b.PathAtLeast(u, v, d*(1-1e-6)-1e-300) {
+				proved++
+			}
+		}
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				for h := range rows {
+					rb.Reset(nil)
+					rb.Offer(rows[h], h, h) // kept whatever its entries at u and v
+					check(&rb, u, v, "one row")
+				}
+				rb.Reset(nil)
+				for _, r := range rows {
+					rb.Offer(r, u, v)
+				}
+				var keys []float64
+				for _, r := range rows {
+					if r[v] < Inf {
+						keys = append(keys, r[v]-r[u])
+					}
+				}
+				sort.Sort(sort.Reverse(sort.Float64Slice(keys)))
+				if want := min(len(keys), rowBoundRows); rb.k != want || !slices.Equal(rb.keys[:rb.k], keys[:want]) {
+					t.Fatalf("trial %d (%d,%d): Offer kept %v, the largest differences are %v", trial, u, v, rb.keys[:rb.k], keys)
+				}
+				check(&rb, u, v, "offered rows")
+			}
+		}
+	}
+	if proved == 0 {
+		t.Fatal("no bound proved anything: the test exercises nothing")
 	}
 }

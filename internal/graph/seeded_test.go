@@ -137,3 +137,17 @@ func TestSPForestN(t *testing.T) {
 		t.Fatalf("N() = %d, want 5", f.N())
 	}
 }
+
+// Resize empties the graph and sets its node count to n, reusing arc
+// storage. It is New for callers that rebuild a scratch graph of varying
+// size many times (the scale engine's per-node sub-instances).
+func (g *Digraph) Resize(n int) {
+	if cap(g.out) < n {
+		g.out = make([][]Arc, n)
+	}
+	g.out = g.out[:n]
+	g.n = n
+	for u := range g.out {
+		g.out[u] = g.out[u][:0]
+	}
+}

@@ -351,3 +351,11 @@ func TestUDPSendUnknownNode(t *testing.T) {
 		t.Fatal("send to unregistered node accepted")
 	}
 }
+
+// SetDelay installs a per-pair delivery delay function (nil means
+// immediate delivery).
+func (b *Bus) SetDelay(delay func(from, to int) time.Duration) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.delay = delay
+}

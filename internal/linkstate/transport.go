@@ -57,14 +57,6 @@ func (b *Bus) SetLoss(drop func(from, to int) bool) {
 	b.drop = drop
 }
 
-// SetDelay installs a per-pair delivery delay function (nil means
-// immediate delivery).
-func (b *Bus) SetDelay(delay func(from, to int) time.Duration) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.delay = delay
-}
-
 // Endpoint returns the transport for node id.
 func (b *Bus) Endpoint(id int) Transport { return b.eps[id] }
 

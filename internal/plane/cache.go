@@ -29,6 +29,13 @@ import (
 // does a lukewarm one. Rows are immutable once their ready channel
 // closes; eviction only drops the cache's reference, so readers holding
 // a row keep a consistent view for as long as they need it.
+//
+// A pair search is pruned by the rows already resident (graph.RowBound):
+// each is an exact row of this snapshot's CSR — filled here, or carried
+// by Patch, which keeps only rows RowCrossed leaves exact — so it bounds
+// every path from below at no Dijkstra's cost. The searches read them
+// through slots, without the lock; a row evicted while a search reads it
+// stays exact, so the search stays sound.
 type rowCache struct {
 	snap *Snapshot
 	cap  int
@@ -36,6 +43,10 @@ type rowCache struct {
 	// since its row was last absent; zeroed when the row is evicted or
 	// admission refuses its fill.
 	spent []atomic.Uint32
+	// slots hold the done rows, at most cap of them; free lists the
+	// empty ones. Both change only under mu.
+	slots []atomic.Pointer[rowEntry]
+	free  []int
 
 	mu      sync.Mutex
 	entries map[int]*rowEntry
@@ -170,6 +181,7 @@ type rowEntry struct {
 	el     *list.Element // its place in the LRU
 	done   chan struct{} // closed once dist/parent are final
 	hits   uint64        // lookups of src while resident (under mu)
+	slot   int           // its index in slots, -1 for none
 	dist   []float64
 	parent []int32
 }
@@ -182,7 +194,11 @@ func newRowCache(s *Snapshot, capRows int) *rowCache {
 		snap:    s,
 		cap:     capRows,
 		spent:   make([]atomic.Uint32, s.csr.N()),
+		slots:   make([]atomic.Pointer[rowEntry], capRows),
 		entries: make(map[int]*rowEntry),
+	}
+	for i := range c.slots {
+		c.free = append(c.free, i)
 	}
 	c.stats.Store(new(cacheStats))
 	return c
@@ -227,7 +243,13 @@ func (c *rowCache) miss(src, dst int, buf []int32, wantPath bool, st *cacheStats
 	}
 	ps := searchScratch.Get().(*graph.PairScratch)
 	t0 := clock(st.searchNs)
-	cost := ps.PairCSR(c.snap.csr, src, dst, c.snap.paths)
+	ps.Rows.Reset(c.snap.paths)
+	for i := range c.slots {
+		if e := c.slots[i].Load(); e != nil {
+			ps.Rows.Offer(e.dist, src, dst)
+		}
+	}
+	cost := ps.PairCSR(c.snap.csr, src, dst, ps.Rows.Bound())
 	observeSince(st.searchNs, t0)
 	c.spent[src].Add(uint32(ps.Settled()))
 	st.searches.Add(1)
@@ -346,7 +368,7 @@ func (c *rowCache) fill(src int, st *cacheStats, admit bool) *rowEntry {
 		st.refusals.Add(1)
 		return nil
 	}
-	e := &rowEntry{src: src, done: make(chan struct{})}
+	e := &rowEntry{src: src, done: make(chan struct{}), slot: -1}
 	c.entries[src] = e
 	e.el = c.lru.PushFront(e)
 	c.evictLocked()
@@ -363,10 +385,19 @@ func (c *rowCache) fill(src int, st *cacheStats, admit bool) *rowEntry {
 	observeSince(st.fillNs, t0)
 
 	c.mu.Lock()
-	c.ready++
+	c.readyLocked(e)
 	c.mu.Unlock()
 	close(e.done)
 	return e
+}
+
+// readyLocked counts e's row as computed and gives it a free slot.
+func (c *rowCache) readyLocked(e *rowEntry) {
+	c.ready++
+	if k := len(c.free) - 1; k >= 0 {
+		e.slot, c.free = c.free[k], c.free[:k]
+		c.slots[e.slot].Store(e)
+	}
 }
 
 // evictLocked drops least-recently-used *computed* rows until the
@@ -383,6 +414,10 @@ func (c *rowCache) evictLocked() {
 		c.lru.Remove(e.el)
 		delete(c.entries, e.src)
 		c.ready--
+		if e.slot >= 0 {
+			c.slots[e.slot].Store(nil)
+			c.free = append(c.free, e.slot)
+		}
 		c.spent[e.src].Store(0)
 		if lc := c.counts.Load(); lc != nil {
 			(*lc)[e.src].Add(e.hits)
@@ -439,10 +474,10 @@ func (c *rowCache) carryInto(dst *rowCache, keep func(src int, dist []float64, p
 // times while resident so far.
 func (c *rowCache) seed(src int, dist []float64, parent []int32, hits uint64) {
 	c.mu.Lock()
-	e := &rowEntry{src: src, done: carriedDone, dist: dist, parent: parent, hits: hits}
+	e := &rowEntry{src: src, done: carriedDone, dist: dist, parent: parent, hits: hits, slot: -1}
 	c.entries[src] = e
 	e.el = c.lru.PushFront(e)
-	c.ready++
+	c.readyLocked(e)
 	c.evictLocked()
 	c.mu.Unlock()
 }

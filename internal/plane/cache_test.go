@@ -1,10 +1,14 @@
 package plane
 
 import (
+	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"egoist/internal/graph"
 )
 
 // size reports the current entry count.
@@ -347,4 +351,121 @@ func isClosed(ch chan struct{}) bool {
 	default:
 		return false
 	}
+}
+
+// checkRoute fails unless snap's route src→dst is the DijkstraCSR row's:
+// cost bits and path.
+func checkRoute(t *testing.T, snap *Snapshot, src, dst int, dist []float64, parent []int32) {
+	t.Helper()
+	path, cost, ok := snap.RouteInto(src, dst, nil)
+	if math.Float64bits(cost) != math.Float64bits(dist[dst]) || ok != (dist[dst] < graph.Inf) {
+		t.Fatalf("epoch %d (%d,%d): cost %v, row says %v", snap.Epoch(), src, dst, cost, dist[dst])
+	}
+	for x, v := len(path)-1, dst; ok && v != -1; x, v = x-1, int(parent[v]) {
+		if x < 0 || path[x] != int32(v) {
+			t.Fatalf("epoch %d (%d,%d): path %v is not the row's", snap.Epoch(), src, dst, path)
+		}
+	}
+}
+
+// TestResidentRowsPruneMisses: with rows resident, a miss from a source
+// outside them is pruned by them (graph.RowBound) — on a Compile
+// snapshot, chained to the Lite's path bound, and on a CompileGraph one,
+// which has no other bound — and settles fewer nodes than the same
+// queries on a cold snapshot, while every answer stays the DijkstraCSR
+// row's, cost bits and path.
+func TestResidentRowsPruneMisses(t *testing.T) {
+	const n, k, warm = 400, 4, 64
+	net := testNet(t, n)
+	wiring := randomWiring(n, k, rand.New(rand.NewSource(37)))
+	for _, kind := range []struct {
+		name    string
+		compile func() *Snapshot
+	}{
+		{"Compile", func() *Snapshot { return Compile(0, wiring, nil, net, Options{}) }},
+		{"CompileGraph", func() *Snapshot { return CompileGraph(0, overlayGraph(wiring, net), net, Options{}) }},
+	} {
+		t.Run(kind.name, func(t *testing.T) {
+			cold, warmed := kind.compile(), kind.compile()
+			for src := 0; src < warm; src++ {
+				warmed.rows.get(src)
+			}
+			var sp graph.SPScratch
+			dist, parent := make([]float64, n), make([]int32, n)
+			rng := rand.New(rand.NewSource(41))
+			for src := warm; src < n; src++ {
+				sp.DijkstraCSR(cold.csr, src, dist, parent)
+				for q := 0; q < 2; q++ {
+					dst := rng.Intn(n)
+					if dst == src {
+						continue
+					}
+					checkRoute(t, cold, src, dst, dist, parent)
+					checkRoute(t, warmed, src, dst, dist, parent)
+				}
+			}
+			c, w := cold.rows.stats.Load().read(), warmed.rows.stats.Load().read()
+			if c.PairSearches != w.PairSearches || w.Fills != warm {
+				t.Fatalf("cold %+v, warmed %+v: the two did not answer the same misses by searches", c, w)
+			}
+			t.Logf("settled per search: %.1f cold, %.1f with %d rows resident", float64(c.PairSettled)/float64(c.PairSearches), float64(w.PairSettled)/float64(w.PairSearches), warm)
+			if w.PairSettled >= c.PairSettled {
+				t.Fatalf("resident rows left %d of the cold searches' %d settled nodes", w.PairSettled, c.PairSettled)
+			}
+		})
+	}
+}
+
+// TestRowSlotsRace runs pair searches, which read the row slots without
+// the lock, against fills and evictions of a small cache and against
+// Patch, which carries the rows into a new snapshot's slots; every
+// answer must stay the row's. Run it under -race.
+func TestRowSlotsRace(t *testing.T) {
+	const n, k, capRows = 160, 4, 6
+	net := testNet(t, n)
+	rng := rand.New(rand.NewSource(47))
+	wiring := randomWiring(n, k, rng)
+	snap := Compile(0, wiring, nil, net, Options{RouteCacheRows: capRows})
+	changed := []int{5, 77}
+	next := make([][]int, n)
+	copy(next, wiring)
+	for _, u := range changed {
+		next[u] = randomWiring(n, k, rng)[u]
+	}
+	var ref [2][][]float64 // rows of snap's graph and of the patched one
+	for i, s := range []*Snapshot{snap, Compile(1, next, nil, net, Options{})} {
+		ref[i] = make([][]float64, n)
+		for src := range ref[i] {
+			ref[i][src] = make([]float64, n)
+			new(graph.SPScratch).DijkstraCSR(s.csr, src, ref[i][src], make([]int32, n))
+		}
+	}
+	var patched atomic.Pointer[Snapshot]
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for q := 0; q < 600; q++ {
+				s, want := snap, ref[0]
+				if p := patched.Load(); p != nil && q%2 == 0 {
+					s, want = p, ref[1]
+				}
+				switch src, dst := rng.Intn(n), rng.Intn(n); {
+				case w == 0:
+					s.rows.get(src) // fills past the cap: evictions
+				case src != dst:
+					if got := s.RouteCost(src, dst); math.Float64bits(got) != math.Float64bits(want[src][dst]) {
+						t.Errorf("epoch %d (%d,%d): %v, row says %v", s.Epoch(), src, dst, got, want[src][dst])
+						return
+					}
+				}
+				if w == 1 && q == 200 {
+					patched.Store(snap.Patch(1, changed, next, nil))
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -6,7 +6,6 @@
 package probe
 
 import (
-	"math"
 	"math/rand"
 	"sync"
 )
@@ -197,12 +196,4 @@ func (m *LoadMonitor) Value() float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.ewma
-}
-
-// RelativeError returns |est-truth|/truth, a helper shared by tests.
-func RelativeError(est, truth float64) float64 {
-	if truth == 0 {
-		return math.Abs(est)
-	}
-	return math.Abs(est-truth) / math.Abs(truth)
 }

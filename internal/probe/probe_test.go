@@ -155,3 +155,11 @@ func TestNilAccountantSafe(t *testing.T) {
 		t.Fatal("nil accountant total should be 0")
 	}
 }
+
+// RelativeError returns |est-truth|/truth, a helper shared by tests.
+func RelativeError(est, truth float64) float64 {
+	if truth == 0 {
+		return math.Abs(est)
+	}
+	return math.Abs(est-truth) / math.Abs(truth)
+}

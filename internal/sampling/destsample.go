@@ -255,21 +255,21 @@ func drawUniform(ds *DestSample, rng *rand.Rand, p roster, m int) {
 	if m > pop {
 		m = pop
 	}
-	// Floyd's algorithm over the population index space [0, pop), mapped
-	// around self: O(m) time and space regardless of n.
-	picked := make(map[int]bool, m)
+	// Floyd's algorithm over the population index space [0, pop), the
+	// picks kept ascending in Dests (i exceeds every earlier pick), then
+	// mapped around self, which keeps their order: O(m) space whatever n.
+	ds.reset(Uniform)
 	for i := pop - m; i < pop; i++ {
 		j := rng.Intn(i + 1)
-		if picked[j] {
-			j = i
+		if x, picked := slices.BinarySearch(ds.Dests, j); !picked {
+			ds.Dests = slices.Insert(ds.Dests, x, j)
+		} else {
+			ds.Dests = append(ds.Dests, i)
 		}
-		picked[j] = true
 	}
-	ds.reset(Uniform)
-	for j := range picked {
-		ds.Dests = append(ds.Dests, p.at(j))
+	for x, j := range ds.Dests {
+		ds.Dests[x] = p.at(j)
 	}
-	sort.Ints(ds.Dests)
 	w := float64(pop) / float64(m)
 	for range ds.Dests {
 		ds.InvProb = append(ds.InvProb, w)

@@ -344,15 +344,6 @@ func LoadDir(dir string) ([]Spec, error) {
 	return specs, nil
 }
 
-// Save writes the spec as indented JSON.
-func (s Spec) Save(path string) error {
-	data, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // Builtin returns a named built-in scenario. The smoke-sized ones are
 // the CI matrix; "leave-wave-10k" is the headline churn-at-scale run
 // the nightly workflow executes.

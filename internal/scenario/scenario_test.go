@@ -347,3 +347,12 @@ func TestCIScenarioSpecsValid(t *testing.T) {
 		t.Errorf("only %d specs run on both engines, the matrix promises >= 4", both)
 	}
 }
+
+// Save writes the spec as indented JSON.
+func (s Spec) Save(path string) error {
+	data, err := json.MarshalIndent(s, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}

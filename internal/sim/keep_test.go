@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"egoist/internal/churn"
@@ -144,5 +145,36 @@ func TestProposeKeptAllocs(t *testing.T) {
 	}
 	if len(gated) < 2 {
 		t.Fatalf("kept proposals found for membership %v only", gated)
+	}
+}
+
+// TestBootstrapWiringAllocs: a bootstrap, at epoch -1 or on a join,
+// draws its probe into the caller's sample and checks its picks against
+// the wiring so far, so once that sample has grown it allocates only the
+// wiring it returns.
+func TestBootstrapWiringAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	cfg := scaleConvergeConfig(t)
+	c, err := cfg.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]int, c.N)
+	for i := range ids {
+		ids[i] = i
+	}
+	var probe sampling.DestSample
+	rng := rand.New(rand.NewSource(3))
+	c.bootstrapWiring(&probe, rng, 0, ids, nil)
+	i := 0
+	if allocs := testing.AllocsPerRun(50, func() {
+		i = (i + 1) % c.N
+		if w := c.bootstrapWiring(&probe, rng, i, ids, nil); len(w) != c.K {
+			t.Fatalf("node %d wired %v, want %d links", i, w, c.K)
+		}
+	}); allocs != 1 {
+		t.Errorf("a bootstrap allocates %v times, want 1 (its wiring)", allocs)
 	}
 }

@@ -530,8 +530,9 @@ type scaleEngine struct {
 	aliveIDs    []int
 	recentJoins []int
 	churn       timeline
-	evIdx       int // monotonically counts applied events (join-RNG derivation)
-	joins       int // per-epoch counters, reset by the epoch loop
+	evIdx       int                 // monotonically counts applied events (join-RNG derivation)
+	probe       sampling.DestSample // a join's bootstrap probe
+	joins       int                 // per-epoch counters, reset by the epoch loop
 	leaves      int
 
 	// Pending-publication changed set (nil pubMark: no OnPublish
@@ -681,7 +682,7 @@ func (e *scaleEngine) join(v int) {
 	var w []int
 	if len(e.aliveIDs) > 0 {
 		rng := policyRNG(c.Seed, -2-e.evIdx, v)
-		w = c.bootstrapWiring(rng, v, e.aliveIDs, e.active)
+		w = c.bootstrapWiring(&e.probe, rng, v, e.aliveIDs, e.active)
 	}
 	e.wiring[v] = w
 	e.recentJoins = append(e.recentJoins, v)
@@ -719,18 +720,18 @@ func (e *scaleEngine) leave(v int) {
 // connected; see the bootstrap note in RunScale.
 // active, when non-nil, vetoes roster entries that have since left:
 // a vetoed draw is skipped, not replaced, so the RNG stream — and the
-// wiring — is what it always was unless a departed node came up.
-func (c *ScaleConfig) bootstrapWiring(rng *rand.Rand, i int, aliveIDs []int, active []bool) []int {
+// wiring — is what it always was unless a departed node came up. The
+// probe is drawn into the caller's probe sample, so only the wiring
+// returned is allocated.
+func (c *ScaleConfig) bootstrapWiring(probe *sampling.DestSample, rng *rand.Rand, i int, aliveIDs []int, active []bool) []int {
 	probeSpec := sampling.Spec{Strategy: sampling.Uniform, M: 4 * c.K}
-	probe, err := probeSpec.DrawFrom(rng, i, aliveIDs, nil, nil)
-	if err != nil {
+	if err := probeSpec.DrawInto(probe, rng, i, aliveIDs, nil, nil); err != nil {
 		// Unreachable: populations are validated non-empty before any
 		// bootstrap (withDefaults and the K+2 churn floor).
 		panic(err)
 	}
 	gone := func(v int) bool { return active != nil && !active[v] }
-	var w []int
-	have := map[int]bool{i: true}
+	w := make([]int, 0, c.K)
 	closest := -1
 	for _, j := range probe.Dests {
 		if !gone(j) && (closest < 0 || c.Net.Delay(i, j) < c.Net.Delay(i, closest)) {
@@ -739,7 +740,6 @@ func (c *ScaleConfig) bootstrapWiring(rng *rand.Rand, i int, aliveIDs []int, act
 	}
 	if closest >= 0 {
 		w = append(w, closest)
-		have[closest] = true
 	}
 	// The alive population may be smaller than K+1; wire what exists
 	// (counting stops at K: a full-roster bootstrap must not scan the
@@ -753,11 +753,12 @@ func (c *ScaleConfig) bootstrapWiring(rng *rand.Rand, i int, aliveIDs []int, act
 		}
 	}
 	for len(w) < c.K && len(w) < limit {
-		j := aliveIDs[rng.Intn(len(aliveIDs))]
-		if !have[j] && !gone(j) {
-			have[j] = true
+		if j := aliveIDs[rng.Intn(len(aliveIDs))]; j != i && !gone(j) && !slices.Contains(w, j) {
 			w = append(w, j)
 		}
+	}
+	if len(w) == 0 {
+		return nil // no company: unwired, as ever
 	}
 	sort.Ints(w)
 	return w
@@ -799,12 +800,13 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 	// full-roster randomness gives (almost) every node an initial
 	// in-link, which the retention pricing below needs to keep it
 	// reachable.
+	probes := make([]sampling.DestSample, workers)
 	err = par.DoErr(n, c.Workers, func(worker, i int) error {
 		if !eng.active[i] {
 			return nil
 		}
 		rng := policyRNG(c.Seed, -1, i)
-		eng.wiring[i] = c.bootstrapWiring(rng, i, eng.aliveIDs, nil)
+		eng.wiring[i] = c.bootstrapWiring(&probes[worker], rng, i, eng.aliveIDs, nil)
 		return nil
 	})
 	if err != nil {

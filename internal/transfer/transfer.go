@@ -189,19 +189,6 @@ func (m *Manager) Tick() {
 	}
 }
 
-// Pending reports how many outgoing transfers are unacknowledged.
-func (m *Manager) Pending() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for _, tx := range m.outgoing {
-		if !tx.done {
-			n++
-		}
-	}
-	return n
-}
-
 // handle dispatches inbound transfer messages.
 func (m *Manager) handle(src int, payload []byte) {
 	if len(payload) < 1 {

@@ -246,3 +246,16 @@ func TestConcurrentTransfers(t *testing.T) {
 		t.Fatal("concurrent transfers corrupted")
 	}
 }
+
+// Pending reports how many outgoing transfers are unacknowledged.
+func (m *Manager) Pending() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	n := 0
+	for _, tx := range m.outgoing {
+		if !tx.done {
+			n++
+		}
+	}
+	return n
+}
