@@ -126,7 +126,7 @@ func main() {
 		if *pprofFlag {
 			obs.MountPprof(mux)
 		}
-		fmt.Printf("serving /route /routes /routes.bin /snapshot /metrics on http://%s\n", ln.Addr())
+		fmt.Printf("serving /route /routes /snapshot /metrics on http://%s\n", ln.Addr())
 		hs = obs.NewHTTPServer(mux)
 		go func() { _ = hs.Serve(ln) }()
 	}

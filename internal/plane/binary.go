@@ -9,30 +9,24 @@ import (
 	"io"
 	"math"
 	"net"
-	"net/http"
 	"sync"
 	"time"
-
-	"egoist/internal/graph"
 )
 
 // The compact binary batch protocol — the production-rate alternative
-// to the JSON endpoints. One request/response exchange carries one
-// batch, answered from one snapshot (one consistent epoch).
-//
-// Over raw TCP (Server.ServeBinary / DialBinary) every payload is
+// to the JSON endpoints, answered through the same batch pipeline
+// (batch.go). One request/response exchange carries one batch,
+// answered from one snapshot (one consistent epoch). It is served over
+// raw TCP (Server.ServeBinary / DialBinary), every payload
 // length-prefixed:
 //
 //	u32  payload length (little-endian, max 1 MiB requests)
 //	...  payload
 //
-// Over HTTP (POST /routes.bin) the payload is the request/response
-// body and the transport frames it.
-//
 // Request payload:
 //
 //	u8   mode: 0 = onehop, 1 = route
-//	u32  pair count (max 10000, the JSON batch cap)
+//	u32  pair count (max 10000, the JSON batch's cap too)
 //	pair count × (u32 src, u32 dst)
 //
 // Response payload:
@@ -151,97 +145,33 @@ func DecodeBatchResponse(payload []byte, mode byte, buf []BinResult) (epoch int6
 }
 
 // AnswerBinary answers one binary batch request payload from the
-// current snapshot, appending the response payload to dst
-// (pass the previous call's response[:0] to reuse storage — the answer
-// loop allocates nothing once the buffer has grown). A missing
-// snapshot is answered in-band (batch-level error payload, nil error);
-// a malformed request returns a non-nil error and appends nothing —
-// transports treat that as a protocol violation.
+// current snapshot, appending the response payload to dst (pass the
+// previous call's response[:0] to reuse storage: the answer loop then
+// allocates nothing). Before the first Publish the refusal is in-band
+// (an error payload, nil error); a malformed request returns a non-nil
+// error and appends nothing, a protocol violation to transports.
 func (s *Server) AnswerBinary(req, dst []byte) ([]byte, error) {
+	mode, count, bad := byte(0), 0, error(nil)
 	if len(req) < 5 {
-		return dst, fmt.Errorf("plane: binary request of %d bytes is shorter than its header", len(req))
+		bad = fmt.Errorf("plane: binary request of %d bytes is shorter than its header", len(req))
+	} else if mode, count = req[0], int(binary.LittleEndian.Uint32(req[1:5])); len(req) != 5+8*count {
+		bad = fmt.Errorf("plane: binary request length %d does not match %d pairs", len(req), count)
 	}
-	mode := req[0]
-	if mode != BinModeOneHop && mode != BinModeRoute {
-		return dst, fmt.Errorf("plane: unknown binary mode %d (want 0 onehop or 1 route)", mode)
+	snap, _, err := s.admitBatch(mode, count, bad)
+	if errors.Is(err, ErrNoSnapshot) {
+		return appendBinError(dst, err.Error()), nil
 	}
-	count := int(binary.LittleEndian.Uint32(req[1:5]))
-	if count > maxBatchPairs {
-		return dst, fmt.Errorf("plane: batch of %d pairs exceeds the %d cap", count, maxBatchPairs)
+	if err != nil {
+		return dst, err
 	}
-	if len(req) != 5+8*count {
-		return dst, fmt.Errorf("plane: binary request length %d does not match %d pairs", len(req), count)
+	b := s.newBatch(snap, mode, count)
+	for i := range b.slots {
+		b.pair(i, int(binary.LittleEndian.Uint32(req[5+8*i:])), int(binary.LittleEndian.Uint32(req[9+8*i:])))
 	}
-	snap := s.cur.Load()
-	if snap == nil {
-		s.failed.Add(1)
-		return appendBinError(dst, ErrNoSnapshot.Error()), nil
-	}
-	t0 := s.m.start()
-	dst = append(dst, binRespOK)
-	dst = appendU64(dst, uint64(snap.epoch))
-	dst = appendU32(dst, uint32(count))
-	if mode == BinModeRoute {
-		dst = s.answerRoutes(snap, req[5:], count, dst)
-		s.m.batch(t0)
-		return dst, nil
-	}
-	n := snap.N()
-	var nOneHop, nFail int64
-	for i := 0; i < count; i++ {
-		off := 5 + 8*i
-		src := int(binary.LittleEndian.Uint32(req[off:]))
-		dstID := int(binary.LittleEndian.Uint32(req[off+4:]))
-		if src >= n || dstID >= n {
-			nFail++
-			dst = append(dst, BinInvalidPair)
-			dst = appendF64(dst, -1)
-			dst = appendU32(dst, uint32(0xFFFFFFFF)) // via -1
-			continue
-		}
-		nOneHop++
-		d := snap.OneHop(src, dstID)
-		if d.Cost < graph.Inf {
-			dst = append(dst, BinOK)
-			dst = appendF64(dst, d.Cost)
-		} else {
-			dst = append(dst, BinUnreachable)
-			dst = appendF64(dst, -1)
-		}
-		dst = appendU32(dst, uint32(int32(d.Via)))
-	}
-	if nOneHop > 0 {
-		s.onehop.Add(nOneHop)
-	}
-	if nFail > 0 {
-		s.failed.Add(nFail)
-	}
-	s.m.batch(t0)
+	b.answer()
+	dst = b.appendBinary(dst)
+	b.done()
 	return dst, nil
-}
-
-// handleBatchBin is POST /routes.bin: the binary batch protocol over
-// an HTTP body. Batch-level conditions keep their in-band encoding
-// (status 200, error payload) so binary clients parse one shape on
-// either transport; a malformed payload is the transport's problem and
-// 400s.
-func (s *Server) handleBatchBin(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "plane: POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	req, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBatchBytes))
-	if err != nil {
-		http.Error(w, "plane: bad binary batch: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	resp, err := s.AnswerBinary(req, nil)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(resp)
 }
 
 // Bounds of the raw-TCP listener. The deadlines are the two the HTTP
@@ -359,6 +289,9 @@ func (s *Server) answerFrame(br *bufio.Reader, req, resp []byte) (_, _ []byte, o
 	}
 	frameLen := int(binary.LittleEndian.Uint32(hdr))
 	if frameLen > maxBatchBytes {
+		// Refused whole and counted like any batch; its body is never
+		// read, so the connection ends unanswered.
+		_, _, _ = s.admitBatch(BinModeOneHop, 0, errors.New("plane: binary frame over the byte cap"))
 		return req, resp, false
 	}
 	_, _ = br.Discard(4)

@@ -8,8 +8,6 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -139,6 +137,7 @@ func TestBinaryMalformedRequests(t *testing.T) {
 	bad := [][]byte{
 		{},                 // empty
 		{0, 1, 0},          // shorter than the header
+		{9, 9},             // shorter than the header, unknown mode byte
 		{9, 0, 0, 0, 0},    // unknown mode
 		{0, 2, 0, 0, 0},    // count 2, no pairs
 		{1, 1, 0, 0, 0, 1}, // truncated pair
@@ -629,48 +628,5 @@ func waitAnswering(t *testing.T, srv *Server, want int) {
 		if time.Since(start) > 10*time.Second {
 			t.Fatalf("%d connections answering, want %d", got, want)
 		}
-	}
-}
-
-// TestBinaryHTTPRoundTrip: the same payloads over POST /routes.bin.
-func TestBinaryHTTPRoundTrip(t *testing.T) {
-	srv, snap := testServer(t, 60, 4)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	n := snap.N()
-	req := AppendBatchRequest(nil, BinModeRoute, binPairs(n))
-	resp, err := http.Post(ts.URL+"/routes.bin", "application/octet-stream", bytes.NewReader(req))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	payload, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	epoch, results, err := DecodeBatchResponse(payload, BinModeRoute, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if epoch != snap.Epoch() || len(results) != len(binPairs(n))/2 {
-		t.Fatalf("epoch %d, %d results", epoch, len(results))
-	}
-	want, _ := snap.Route(0, n-1)
-	if results[0].Status != BinOK || results[0].Cost != want.Cost {
-		t.Fatalf("result 0 = %+v, snapshot says cost %v", results[0], want.Cost)
-	}
-
-	// Malformed body → 400 (transport problem, not an in-band error).
-	bad, err := http.Post(ts.URL+"/routes.bin", "application/octet-stream", bytes.NewReader([]byte{9, 9}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad.Body.Close()
-	if bad.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed binary body answered %d, want 400", bad.StatusCode)
 	}
 }

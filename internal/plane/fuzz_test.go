@@ -1,9 +1,13 @@
 package plane
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"testing"
 
@@ -13,16 +17,17 @@ import (
 
 // FuzzBinaryBatch fuzzes the one decoder in this package that reads
 // bytes off a raw socket: Server.AnswerBinary, the payload handler behind
-// both ServeBinary and POST /routes.bin. Properties: arbitrary bytes
-// never panic; a rejected request appends nothing; every accepted
+// ServeBinary. Properties: arbitrary bytes never panic; a rejected
+// request appends nothing and counts one failed query; every accepted
 // request's response parses with DecodeBatchResponse, carries one result
-// per pair on the snapshot's epoch, and each result's status, cost, via
-// and path equal what the JSON path (answerPair) answers for the same
-// pair, in one-hop and in route mode. The snapshot has departed nodes
-// and a 4-row cache, so unreachable pairs, invalid pairs, pair searches,
-// fills and evictions all occur. Seeds are AppendBatchRequest outputs
-// plus truncations and count/length corruption, and a route batch of
-// cold misses that a repeated source's fill lands in the middle of.
+// per pair on the snapshot's epoch, and each result equals what the
+// snapshot answers for that pair alone — Snapshot.OneHop's via and cost
+// bits in one-hop mode, Snapshot.RouteInto's cost bits and whole path in
+// route mode. The snapshot has departed nodes and a 4-row cache, so
+// unreachable pairs, invalid pairs, pair searches, fills and evictions
+// all occur. Seeds are AppendBatchRequest outputs plus truncations and
+// count/length corruption, and a route batch of cold misses that a
+// repeated source's fill lands in the middle of.
 //
 // CI runs this as a short -fuzztime smoke step; run it longer locally
 // with: go test ./internal/plane -run '^$' -fuzz FuzzBinaryBatch
@@ -61,17 +66,18 @@ func FuzzBinaryBatch(f *testing.F) {
 	f.Add(AppendBatchRequest(nil, BinModeRoute, spread))
 
 	f.Fuzz(func(t *testing.T, req []byte) {
+		_, _, failed := srv.Stats()
 		resp, err := srv.AnswerBinary(req, nil)
 		if err != nil {
 			if len(resp) != 0 {
 				t.Fatalf("rejected request (%v) appended %d bytes", err, len(resp))
 			}
+			if _, _, now := srv.Stats(); now != failed+1 {
+				t.Fatalf("rejected request (%v) counted %d failed, want 1", err, now-failed)
+			}
 			return
 		}
-		mode, jsonMode := req[0], "onehop"
-		if mode == BinModeRoute {
-			jsonMode = "route"
-		}
+		mode := req[0]
 		count := int(binary.LittleEndian.Uint32(req[1:5]))
 		epoch, results, err := DecodeBatchResponse(resp, mode, nil)
 		if err != nil {
@@ -81,40 +87,185 @@ func FuzzBinaryBatch(f *testing.F) {
 			t.Fatalf("epoch %d with %d results, want epoch %d with %d", epoch, len(results), snap.Epoch(), count)
 		}
 		for i, got := range results {
-			src := int(binary.LittleEndian.Uint32(req[5+8*i:]))
-			dst := int(binary.LittleEndian.Uint32(req[9+8*i:]))
-			want := srv.answerPair(snap, jsonMode, src, dst)
-			status := BinOK
-			switch {
-			case want.Error != "":
-				status = BinInvalidPair
-			case !want.Ok:
-				status = BinUnreachable
+			src := binary.LittleEndian.Uint32(req[5+8*i:])
+			dst := binary.LittleEndian.Uint32(req[9+8*i:])
+			checkBinResult(t, snap, mode, src, dst, got)
+		}
+	})
+}
+
+// checkBinResult requires one binary result to be what snap answers
+// for src→dst alone: status 2 and cost -1 for an id outside [0, n);
+// else Snapshot.OneHop's via and cost bits (one-hop mode) or
+// Snapshot.RouteInto's cost bits and whole path (route mode), with
+// status 1 and cost -1 when unreachable.
+func checkBinResult(t *testing.T, snap *Snapshot, mode byte, src, dst uint32, got BinResult) {
+	t.Helper()
+	if n := uint32(snap.N()); src >= n || dst >= n {
+		if got.Status != BinInvalidPair || got.Cost != -1 || len(got.Path) != 0 || (mode == BinModeOneHop && got.Via != -1) {
+			t.Fatalf("mode %d invalid pair (%d,%d) answered %+v", mode, src, dst, got)
+		}
+		return
+	}
+	var path []int32
+	var cost float64
+	via := int32(-1)
+	if mode == BinModeOneHop {
+		d := snap.OneHop(int(src), int(dst))
+		cost, via = d.Cost, int32(d.Via)
+	} else {
+		path, cost, _ = snap.RouteInto(int(src), int(dst), nil)
+	}
+	status, wantCost := BinOK, cost
+	if cost == graph.Inf {
+		status, wantCost = BinUnreachable, -1
+	}
+	if got.Status != status || math.Float64bits(got.Cost) != math.Float64bits(wantCost) || (mode == BinModeOneHop && got.Via != via) {
+		t.Fatalf("mode %d pair (%d,%d): status %d cost %v via %d, the snapshot says status %d cost %v via %d",
+			mode, src, dst, got.Status, got.Cost, got.Via, status, wantCost, via)
+	}
+	if len(got.Path) != len(path) {
+		t.Fatalf("pair (%d,%d): path %v, RouteInto says %v", src, dst, got.Path, path)
+	}
+	for p, v := range path {
+		if got.Path[p] != uint32(v) {
+			t.Fatalf("pair (%d,%d): path %v, RouteInto says %v", src, dst, got.Path, path)
+		}
+	}
+}
+
+// FuzzJSONBatch fuzzes the JSON batch decoder egoistd exposes
+// publicly: arbitrary bodies POSTed to /routes through Server.Handler.
+// Properties: no body panics; a refused body gets a 4xx status and
+// counts exactly one failed query and no answer; every 200 response
+// parses and has one result per pair of the body (decoded as the
+// server decodes it, with json.Decoder), on the snapshot's epoch; an id
+// that is negative or ≥ n is answered in-band (ok false, error set,
+// cost -1) and counts one failed, every other pair one answer; and each
+// in-range pair's result equals the binary protocol's answer for it —
+// status, cost bits, via and path. The snapshot is FuzzBinaryBatch's:
+// departed nodes and a 4-row cache.
+//
+// CI runs this as a short -fuzztime smoke step; run it longer locally
+// with: go test ./internal/plane -run '^$' -fuzz FuzzJSONBatch
+func FuzzJSONBatch(f *testing.F) {
+	const n = 60
+	active := make([]bool, n)
+	for i := range active {
+		active[i] = i%7 != 3
+	}
+	snap := Compile(5, randomWiring(n, 3, rand.New(rand.NewSource(21))), active, testNet(f, n), Options{RouteCacheRows: 4})
+	srv := NewServer()
+	srv.Publish(snap)
+	h := srv.Handler()
+
+	for _, seed := range []string{
+		`{"mode":"route","pairs":[[0,5],[5,0],[7,7],[1,30],[3,10]]}`,
+		`{"mode":"onehop","pairs":[[0,5],[1,999],[7,7],[-3,2],[1,30]]}`,
+		`{"pairs":[[-4294967291,5],[4294967296,0],[0,60],[59,59]]}`,
+		`{"mode":"route","pairs":[[11,20],[11,21],[12,40],[11,22],[11,23],[13,41],[11,24],[11,25]]}`,
+		`{"mode":null,"pairs":null}`,
+		`{"pairs":[[1,2,3],[4]]}`,
+		`{"pairs":[[1,2]]} trailing`,
+		`{"pairs":[[1.5,2]]}`,
+		`{"mode":"warp","pairs":[[0,1]]}`,
+		`{"mode":"route","pairs":[[0,1]`,
+		`not json`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		onehop0, routes0, failed0 := srv.Stats()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/routes", bytes.NewReader(body)))
+		onehop1, routes1, failed1 := srv.Stats()
+		if rec.Code != http.StatusOK {
+			if rec.Code < 400 || rec.Code >= 500 {
+				t.Fatalf("refused body answered %d", rec.Code)
 			}
-			if got.Status != status || math.Float64bits(got.Cost) != math.Float64bits(want.Cost) {
-				t.Fatalf("mode %d pair %d (%d,%d): status %d cost %v, JSON path says status %d cost %v",
-					mode, i, src, dst, got.Status, got.Cost, status, want.Cost)
+			if failed1 != failed0+1 || onehop1 != onehop0 || routes1 != routes0 {
+				t.Fatalf("refused body (%d) counted %d failed and %d answers, want 1 and 0", rec.Code, failed1-failed0, onehop1+routes1-onehop0-routes0)
 			}
-			if mode == BinModeOneHop {
-				via := -1
-				if want.Via != nil {
-					via = *want.Via
-				}
-				if int(got.Via) != via {
-					t.Fatalf("pair %d (%d,%d): via %d, JSON path says %d", i, src, dst, got.Via, via)
+			return
+		}
+		var req batchRequest
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			t.Fatalf("200 for a body that does not decode: %v", err)
+		}
+		mode := BinModeOneHop
+		if req.Mode == "route" {
+			mode = BinModeRoute
+		}
+		var resp batchResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("200 response does not parse: %v", err)
+		}
+		if resp.Epoch != snap.Epoch() || len(resp.Results) != len(req.Pairs) {
+			t.Fatalf("epoch %d with %d results, want epoch %d with %d", resp.Epoch, len(resp.Results), snap.Epoch(), len(req.Pairs))
+		}
+		var inRange []uint32
+		var at []int
+		for i, p := range req.Pairs {
+			r := resp.Results[i]
+			if r.Src != p[0] || r.Dst != p[1] || r.Mode != modeNames[mode] || r.Epoch != snap.Epoch() {
+				t.Fatalf("pair %d %v answered as %+v", i, p, r)
+			}
+			if p[0] < 0 || p[0] >= n || p[1] < 0 || p[1] >= n {
+				if r.Ok || r.Error == "" || r.Cost != -1 || r.Via != nil || r.Path != nil {
+					t.Fatalf("pair %d %v outside [0,%d) answered %+v, want in-band", i, p, n, r)
 				}
 				continue
 			}
-			if len(got.Path) != len(want.Path) {
-				t.Fatalf("pair %d (%d,%d): path %v, JSON path says %v", i, src, dst, got.Path, want.Path)
-			}
-			for p, v := range got.Path {
-				if int(v) != want.Path[p] {
-					t.Fatalf("pair %d (%d,%d): path %v, JSON path says %v", i, src, dst, got.Path, want.Path)
-				}
-			}
+			inRange = append(inRange, uint32(p[0]), uint32(p[1]))
+			at = append(at, i)
+		}
+		invalid := int64(len(req.Pairs) - len(at))
+		if failed1-failed0 != invalid || onehop1+routes1-onehop0-routes0 != int64(len(at)) {
+			t.Fatalf("%d pairs, %d invalid: counted %d failed and %d answers", len(req.Pairs), invalid, failed1-failed0, onehop1+routes1-onehop0-routes0)
+		}
+		bin, err := srv.AnswerBinary(AppendBatchRequest(nil, mode, inRange), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, results, err := DecodeBatchResponse(bin, mode, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, i := range at {
+			checkJSONMatchesBin(t, mode, resp.Results[i], results[j])
 		}
 	})
+}
+
+// checkJSONMatchesBin requires a JSON result to carry what the binary
+// protocol answered for the same pair: status (an error is status 2,
+// ok false status 1), cost bits, via and path.
+func checkJSONMatchesBin(t *testing.T, mode byte, r routeResult, b BinResult) {
+	t.Helper()
+	status := BinOK
+	switch {
+	case r.Error != "":
+		status = BinInvalidPair
+	case !r.Ok:
+		status = BinUnreachable
+	}
+	via := -1
+	if r.Via != nil {
+		via = *r.Via
+	}
+	if b.Status != status || math.Float64bits(b.Cost) != math.Float64bits(r.Cost) || (mode == BinModeOneHop && int(b.Via) != via) {
+		t.Fatalf("(%d,%d) mode %d: JSON says %+v, binary says %+v", r.Src, r.Dst, mode, r, b)
+	}
+	if len(b.Path) != len(r.Path) {
+		t.Fatalf("(%d,%d): JSON path %v, binary path %v", r.Src, r.Dst, r.Path, b.Path)
+	}
+	for p, v := range r.Path {
+		if int(b.Path[p]) != v {
+			t.Fatalf("(%d,%d): JSON path %v, binary path %v", r.Src, r.Dst, r.Path, b.Path)
+		}
+	}
 }
 
 // FuzzRouteCacheAdmission fuzzes the row cache's policy — rent, buy,

@@ -18,13 +18,15 @@ import (
 // path increments anyway — is a multiple of it. Their quantiles are those
 // of the answer stream (TestSampledQuantilesTrackAlwaysOn) and their
 // _count is the timed answers; plane_queries_{onehop,route}_total stay
-// exact. Binary batches and publishes are timed every time, and so are
-// the row cache's fills and pair searches, whose summaries live on
-// cacheStats beside the counters they share a _count with.
+// exact. Only OneHop, RouteCost and AppendRoute feed them. A batch of
+// either protocol (GET /route's batch of one too), a publish, a row
+// fill and a pair search are timed every time; the last two's
+// summaries live on cacheStats beside the counters they share a _count
+// with.
 type serverMetrics struct {
 	onehopNs  *obs.Histogram // per timed one-hop decision
 	routeNs   *obs.Histogram // per timed shortest-path answer
-	batchNs   *obs.Histogram // per binary batch answered
+	batchNs   *obs.Histogram // per batch answered, binary or JSON
 	publishNs *obs.Histogram // per Publish
 }
 
@@ -80,7 +82,7 @@ func (m *serverMetrics) batch(t0 time.Time) {
 // Registered series:
 //
 //	plane_queries_{onehop,route}_total  delivered answers
-//	plane_queries_failed_total          rejected queries
+//	plane_queries_failed_total          invalid pairs, and batches refused whole (one each)
 //	plane_cache_{hits,misses,collapses}_total  route lookups, by what they found
 //	plane_cache_{fills,evictions}_total        rows computed on demand / dropped
 //	plane_cache_refusals_total          fills the admission rule refused
@@ -95,16 +97,16 @@ func (m *serverMetrics) batch(t0 time.Time) {
 //	plane_pair_search_latency_ns        per pair search, every one
 func (s *Server) EnableMetrics(reg *obs.Registry) {
 	m := &serverMetrics{
-		onehopNs:  reg.Histogram("plane_onehop_latency_ns", "one-hop decision latency; one answer in 64 is timed, so _count is plane_queries_onehop_total/64, not the answer count"),
-		routeNs:   reg.Histogram("plane_route_latency_ns", "shortest-path answer latency (cache-warm or not); one answer in 64 is timed, so _count is plane_queries_route_total/64, not the answer count"),
-		batchNs:   reg.Histogram("plane_batch_latency_ns", "binary batch answer latency (whole batch)"),
+		onehopNs:  reg.Histogram("plane_onehop_latency_ns", "one-hop decision latency of single queries (batches are timed whole in plane_batch_latency_ns); one answer in 64 is timed, so with no batch traffic _count is plane_queries_onehop_total/64"),
+		routeNs:   reg.Histogram("plane_route_latency_ns", "shortest-path answer latency of single queries, cache-warm or not (batches are timed whole in plane_batch_latency_ns); one answer in 64 is timed, so with no batch traffic _count is plane_queries_route_total/64"),
+		batchNs:   reg.Histogram("plane_batch_latency_ns", "batch answer latency (whole batch, binary or JSON; GET /route is a batch of one)"),
 		publishNs: reg.Histogram("plane_publish_latency_ns", "snapshot publish latency"),
 	}
 	s.cstats.fillNs = reg.Histogram("plane_cache_fill_latency_ns", "row fill latency (one CSR Dijkstra), every fill")
 	s.cstats.searchNs = reg.Histogram("plane_pair_search_latency_ns", "exact pair search latency, every search")
 	reg.CounterFunc("plane_queries_onehop_total", "delivered one-hop answers", s.onehop.Load)
 	reg.CounterFunc("plane_queries_route_total", "delivered route answers", s.routes.Load)
-	reg.CounterFunc("plane_queries_failed_total", "queries rejected before an answer", s.failed.Load)
+	reg.CounterFunc("plane_queries_failed_total", "queries rejected before an answer: an invalid pair, or a batch refused whole (counted once)", s.failed.Load)
 	reg.CounterFunc("plane_cache_hits_total", "row-cache lookups answered from a computed row", s.cstats.hits.Load)
 	reg.CounterFunc("plane_cache_misses_total", "row-cache lookups that found no row for the source and paid for their answer: a pair search or a fill", s.cstats.misses.Load)
 	reg.CounterFunc("plane_cache_fills_total", "shortest-path rows computed on demand (one Dijkstra each)", s.cstats.fills.Load)

@@ -17,7 +17,8 @@ import (
 // has published anything.
 var ErrNoSnapshot = errors.New("plane: no snapshot published yet")
 
-// Batch limits of POST /routes and the binary batch protocol.
+// Batch limits of POST /routes and the binary batch protocol
+// (admitBatch holds every batch to maxBatchPairs).
 const (
 	maxBatchPairs = 10000
 	maxBatchBytes = 1 << 20 // comfortably holds maxBatchPairs of JSON pairs
@@ -88,9 +89,10 @@ func (s *Server) Publish(snap *Snapshot) {
 func (s *Server) Current() *Snapshot { return s.cur.Load() }
 
 // Stats reports the served-query counters; failed counts queries with
-// no published snapshot or invalid node ids. The counter contract: a
-// tallied onehop/routes query is a delivered result — queries rejected
-// before an answer (bad ids, no snapshot) only ever increment failed.
+// no published snapshot or invalid node ids, and batches refused whole
+// (admitBatch), one each. The counter contract: a tallied onehop/routes
+// query is a delivered result — queries rejected before an answer only
+// ever increment failed.
 func (s *Server) Stats() (onehop, routes, failed int64) {
 	return s.onehop.Load(), s.routes.Load(), s.failed.Load()
 }
@@ -187,95 +189,73 @@ type batchResponse struct {
 //
 //	GET  /route?src=I&dst=J[&mode=onehop|route]  one query
 //	POST /routes {"mode":"onehop","pairs":[[i,j],...]}  batch, one epoch
-//	POST /routes.bin  binary batch (see binary.go for the frame format)
 //	GET  /snapshot  serving-snapshot metadata and query counters
+//
+// Both query endpoints answer through the batch pipeline (batch.go),
+// /route as a batch of one; the binary protocol (binary.go) is served
+// on its own TCP listener.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/route", s.handleRoute)
 	mux.HandleFunc("/routes", s.handleBatch)
-	mux.HandleFunc("/routes.bin", s.handleBatchBin)
 	mux.HandleFunc("/snapshot", s.handleSnapshot)
 	return mux
 }
 
-// validMode reports whether mode names a lookup path.
-func validMode(mode string) bool {
-	return mode == "" || mode == "onehop" || mode == "route"
+// modeNames are the batch modes' JSON names, indexed by mode byte.
+var modeNames = [...]string{BinModeOneHop: "onehop", BinModeRoute: "route"}
+
+// jsonMode maps a JSON mode name ("" is onehop) to its mode byte.
+func jsonMode(name string) (byte, error) {
+	switch name {
+	case "", "onehop":
+		return BinModeOneHop, nil
+	case "route":
+		return BinModeRoute, nil
+	}
+	return BinModeOneHop, fmt.Errorf("plane: unknown mode %q (want onehop or route)", name)
 }
 
-// answerPair resolves one pre-validated-mode query against an explicit
-// snapshot (so batches stay on one epoch) and tallies the counters
-// under the contract that a tallied onehop/routes query is a delivered
-// result: an invalid pair is answered in-band (Ok=false, Error set,
-// Cost -1) and only increments failed.
-func (s *Server) answerPair(snap *Snapshot, mode string, src, dst int) routeResult {
-	res := routeResult{Src: src, Dst: dst, Mode: mode, Epoch: snap.epoch}
-	if res.Mode == "" {
-		res.Mode = "onehop"
+// answerJSON admits a decoded JSON batch (bad: why it did not decode)
+// and answers it through the batch pipeline. A refused batch is
+// answered on w with its HTTP status, and resp is nil.
+func (s *Server) answerJSON(w http.ResponseWriter, mode byte, pairs [][2]int, bad error) (resp *batchResponse) {
+	snap, code, err := s.admitBatch(mode, len(pairs), bad)
+	if err != nil {
+		http.Error(w, err.Error(), code)
+		return nil
 	}
-	if err := snap.checkPair(src, dst); err != nil {
-		s.failed.Add(1)
-		res.Cost = -1
-		res.Error = err.Error()
-		return res
+	b := s.newBatch(snap, mode, len(pairs))
+	for i, p := range pairs {
+		b.pair(i, p[0], p[1])
 	}
-	switch mode {
-	case "", "onehop":
-		t0 := s.m.startNth(s.onehop.Add(1))
-		d := snap.OneHop(src, dst)
-		s.m.onehop(t0)
-		res.Cost = d.Cost
-		res.Ok = d.Cost < graph.Inf
-		if !res.Ok {
-			res.Cost = -1 // +Inf has no JSON encoding
-		}
-		if d.Via >= 0 {
-			via := d.Via
-			res.Via = &via
-		}
-	case "route":
-		t0 := s.m.startNth(s.routes.Add(1))
-		r, ok := snap.Route(src, dst)
-		s.m.route(t0)
-		res.Cost = r.Cost
-		res.Path = r.Path
-		res.Ok = ok
-		if !ok {
-			res.Cost = -1 // match the one-hop unreachable encoding
-		}
-	}
-	return res
+	b.answer()
+	resp = &batchResponse{Epoch: snap.epoch, Results: b.jsonResults(pairs)}
+	b.done()
+	return resp
 }
 
 func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	mode := q.Get("mode")
+	mode, bad := jsonMode(q.Get("mode"))
 	src, srcErr := strconv.Atoi(q.Get("src"))
 	dst, dstErr := strconv.Atoi(q.Get("dst"))
-	snap := s.cur.Load()
-	code, msg := http.StatusBadRequest, ""
 	switch {
-	case snap == nil:
-		code, msg = http.StatusServiceUnavailable, ErrNoSnapshot.Error()
-	case !validMode(mode):
-		msg = fmt.Sprintf("plane: unknown mode %q (want onehop or route)", mode)
+	case bad != nil:
 	case srcErr != nil:
-		msg = "plane: bad src: " + srcErr.Error()
+		bad = fmt.Errorf("plane: bad src: %w", srcErr)
 	case dstErr != nil:
-		msg = "plane: bad dst: " + dstErr.Error()
+		bad = fmt.Errorf("plane: bad dst: %w", dstErr)
 	}
-	if msg != "" {
-		s.failed.Add(1)
-		http.Error(w, msg, code)
-		return
-	}
-	res := s.answerPair(snap, mode, src, dst)
-	if res.Error != "" {
+	resp := s.answerJSON(w, mode, [][2]int{{src, dst}}, bad)
+	switch {
+	case resp == nil:
+	case resp.Results[0].Error != "":
 		// Single-query endpoint: an invalid pair is the whole request.
-		http.Error(w, res.Error, http.StatusBadRequest)
-		return
+		http.Error(w, resp.Results[0].Error, http.StatusBadRequest)
+	default:
+		writeJSON(w, resp.Results[0])
 	}
-	writeJSON(w, res)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -283,37 +263,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "plane: POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	snap := s.cur.Load()
-	if snap == nil {
-		s.failed.Add(1)
-		http.Error(w, ErrNoSnapshot.Error(), http.StatusServiceUnavailable)
-		return
-	}
 	// Bound the request: egoistd exposes this endpoint publicly, and an
 	// unbounded pairs array is an amplification vector (each route-mode
 	// pair can cost a search).
 	var req batchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBytes)).Decode(&req); err != nil {
-		http.Error(w, "plane: bad batch: "+err.Error(), http.StatusBadRequest)
-		return
+	mode, bad := BinModeOneHop, json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBytes)).Decode(&req)
+	if bad != nil {
+		req, bad = batchRequest{}, fmt.Errorf("plane: bad batch: %w", bad)
+	} else {
+		mode, bad = jsonMode(req.Mode)
 	}
-	if len(req.Pairs) > maxBatchPairs {
-		http.Error(w, fmt.Sprintf("plane: batch of %d pairs exceeds the %d cap", len(req.Pairs), maxBatchPairs), http.StatusRequestEntityTooLarge)
-		return
+	if resp := s.answerJSON(w, mode, req.Pairs, bad); resp != nil {
+		writeJSON(w, resp)
 	}
-	if !validMode(req.Mode) {
-		s.failed.Add(1)
-		http.Error(w, fmt.Sprintf("plane: unknown mode %q (want onehop or route)", req.Mode), http.StatusBadRequest)
-		return
-	}
-	// Invalid pairs are answered in-band (ok=false + error) so one bad
-	// pair can't discard a batch of already-answered results — the
-	// onehop/routes counters only tally results the client receives.
-	resp := batchResponse{Epoch: snap.epoch, Results: make([]routeResult, 0, len(req.Pairs))}
-	for _, p := range req.Pairs {
-		resp.Results = append(resp.Results, s.answerPair(snap, req.Mode, p[0], p[1]))
-	}
-	writeJSON(w, resp)
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
