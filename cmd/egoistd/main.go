@@ -51,7 +51,6 @@ import (
 	"egoist/internal/linkstate"
 	"egoist/internal/obs"
 	"egoist/internal/overlay"
-	"egoist/internal/plane"
 	"egoist/internal/roster"
 	"egoist/internal/underlay"
 )
@@ -191,27 +190,14 @@ func main() {
 		return recv
 	})
 
-	// The daemon's data plane: every epoch the node's link-state view is
-	// compiled into an immutable plane.Snapshot and swapped into the
-	// query server, so /route answers never block on (or observe) a
-	// re-wiring in progress. Direct delays beyond announced links are
-	// unknown to a live node, so one-hop decisions relay through
-	// announced arcs only (plane.GraphDelays).
-	publishPlane := func() {} // snapshots are only compiled when something can query them
+	// The node serves its own routes (/route, /routes, /snapshot): it
+	// compiles its link-state view into an immutable plane.Snapshot on
+	// every change to the view, and forwards packets on the same
+	// snapshot, so /route and the data path never disagree.
 	boundHTTP := ""
 	if *httpAddr != "" {
-		planeSrv := plane.NewServer()
-		planeSrv.EnableMetrics(reg)
-		publishPlane = func() {
-			g := node.AnnouncedView()
-			planeSrv.Publish(plane.CompileGraph(int64(node.Epochs()), g, plane.GraphDelays(g), plane.Options{}))
-		}
-		publishPlane()
-		bound, shutdown, err := node.ServeHTTPWith(*httpAddr, func(mux *http.ServeMux) {
-			h := planeSrv.Handler()
-			mux.Handle("/route", h)
-			mux.Handle("/routes", h)
-			mux.Handle("/snapshot", h)
+		node.EnableMetrics(reg)
+		bound, shutdown, err := node.ServeHTTP(*httpAddr, func(mux *http.ServeMux) {
 			mux.Handle("/metrics", reg.Handler())
 			mux.Handle("/ctl/drop", dropController(transport))
 			if *pprofFlag {
@@ -247,7 +233,6 @@ func main() {
 	for {
 		select {
 		case <-status.C:
-			publishPlane()
 			known := node.KnownNodes()
 			sort.Ints(known)
 			log.Printf("node %d: neighbors=%v known=%v rewires=%d",

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"egoist/internal/graph"
 	"egoist/internal/linkstate"
 )
 
@@ -13,12 +12,10 @@ import (
 // unnamed function type (e.g. transfer.DataPlane).
 type DataHandler = func(src int, payload []byte)
 
-// forwarding is the node's data plane: a next-hop table over the announced
-// overlay, recomputed whenever the link-state view or the node's own
-// wiring changes.
+// forwarding is the node's data-plane bookkeeping; next hops come from
+// the node's published route snapshot (nextHop).
 type forwarding struct {
 	mu      sync.Mutex
-	next    []int // next[dst] = next overlay hop, -1 if unreachable
 	handler DataHandler
 	seq     uint64
 
@@ -124,60 +121,19 @@ func (n *Node) handleData(pkt linkstate.Packet) {
 	n.send(hop, data)
 }
 
-// nextHop returns the current next overlay hop toward dst (-1 when
-// unreachable), computing the route table on demand.
+// nextHop returns the first hop of the route the node's published
+// snapshot serves for dst, or -1 when dst is unreachable or not another
+// node: a packet leaves on the route /route reports for it, equal-cost
+// ties included. The snapshot answers directly, so forwarding is not
+// counted as a served query.
 func (n *Node) nextHop(dst int) int {
-	n.fwd.mu.Lock()
-	table := n.fwd.next
-	n.fwd.mu.Unlock()
-	if table == nil {
-		table = n.recomputeRoutes()
-	}
-	if dst < 0 || dst >= len(table) {
+	if dst < 0 || dst >= n.cfg.N || dst == n.cfg.ID {
 		return -1
 	}
-	return table[dst]
-}
-
-// recomputeRoutes rebuilds the next-hop table from AnnouncedView, the
-// graph the daemon's route snapshots are compiled from, taking every
-// first hop from the canonical shortest-path row (graph.DijkstraCSR)
-// those snapshots serve: under equal-cost ties a packet still leaves
-// on the first hop of the route /route reports for it.
-func (n *Node) recomputeRoutes() []int {
-	g := n.AnnouncedView()
-	dist, parent := make([]float64, g.N()), make([]int32, g.N())
-	new(graph.SPScratch).DijkstraCSR(graph.NewCSR(g.N(), g.Out), n.cfg.ID, dist, parent)
-	table := make([]int, n.cfg.N)
-	for dst := range table {
-		table[dst] = firstHop(parent, n.cfg.ID, dst)
-	}
-	n.fwd.mu.Lock()
-	n.fwd.next = table
-	n.fwd.mu.Unlock()
-	return table
-}
-
-// invalidateRoutes clears the cached table after wiring or topology
-// changes.
-func (n *Node) invalidateRoutes() {
-	n.fwd.mu.Lock()
-	n.fwd.next = nil
-	n.fwd.mu.Unlock()
-}
-
-// firstHop walks the Dijkstra parent tree from dst back to src and returns
-// the first hop on the path, or -1 when unreachable.
-func firstHop(parent []int32, src, dst int) int {
-	if src == dst {
+	var hops [8]int32
+	path, _, ok := n.routes.Current().RouteInto(n.cfg.ID, dst, hops[:0])
+	if !ok {
 		return -1
 	}
-	hop := dst
-	for parent[hop] != -1 && int(parent[hop]) != src {
-		hop = int(parent[hop])
-	}
-	if int(parent[hop]) != src {
-		return -1
-	}
-	return hop
+	return int(path[1])
 }

@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -173,32 +174,118 @@ func TestSendViaForcesFirstHop(t *testing.T) {
 	}, "redirected payload never arrived")
 }
 
-// TestNextHopIsServedRouteFirstHop: on a unit-cost view where equal-cost
-// paths are the norm (a 4-cube, rows announced in descending id order,
-// the node's own links at the default estimate), the hop a packet leaves
-// on is the first hop of the route the daemon's /route serves for it.
+// TestNextHopIsServedRouteFirstHop: forwarding and /route read the one
+// snapshot the node publishes on every change to its view. The view is
+// a unit-cost 4-cube, where equal-cost paths are the norm (rows
+// announced in descending id order, the node's own links at the default
+// estimate). It changes with no epoch deciding anything: the LSAs
+// arrive and are renewed, an origin expires, and the heartbeat monitor
+// drops a neighbour (Immediate mode). After each change the published snapshot
+// is the node's view, a packet Send puts on the wire leaves on the
+// first hop of the route the snapshot serves, for every destination,
+// and no route goes through the node the change removed.
 func TestNextHopIsServedRouteFirstHop(t *testing.T) {
 	const n, dim = 16, 4
-	node := &Node{cfg: Config{ID: 0, N: n}, db: linkstate.NewDB(n, time.Hour, nil), est: map[int]*ewma{}}
+	bus := linkstate.NewBus(n)
+	defer bus.Close()
+	start := time.Unix(0, 0)
+	clock := start
+	node := &Node{
+		cfg:     Config{ID: 0, N: n, Mode: Immediate, Heartbeat: time.Second, Transport: bus.Endpoint(0)},
+		db:      linkstate.NewDB(n, time.Minute, func() time.Time { return clock }),
+		est:     map[int]*ewma{},
+		lastAck: map[int]time.Time{},
+	}
 	for b := 0; b < dim; b++ {
 		node.neighbors = append(node.neighbors, 1<<b)
 	}
-	for u := 1; u < n; u++ {
-		lsa := &linkstate.LSA{Origin: uint16(u), Seq: 1}
-		for b := dim - 1; b >= 0; b-- {
-			lsa.Neighbors = append(lsa.Neighbors, linkstate.Neighbor{ID: uint16(u ^ 1<<b), Cost: 1})
+	node.announce() // the bootstrap publication Start makes
+	announceAll := func(seq uint64, skip int) {
+		for u := 1; u < n; u++ {
+			if u == skip {
+				continue
+			}
+			lsa := &linkstate.LSA{Origin: uint16(u), Seq: seq}
+			for b := dim - 1; b >= 0; b-- {
+				lsa.Neighbors = append(lsa.Neighbors, linkstate.Neighbor{ID: uint16(u ^ 1<<b), Cost: 1})
+			}
+			node.handleLSA(linkstate.Packet{From: u, Data: lsa.Marshal()})
 		}
-		node.db.Apply(lsa)
 	}
-	view := node.AnnouncedView()
-	snap := plane.CompileGraph(0, view, plane.GraphDelays(view), plane.Options{})
-	for dst := 1; dst < n; dst++ {
-		r, ok := snap.Route(0, dst)
+	// sentTo is the node a Send to dst reached, -1 when Send found no
+	// route.
+	sentTo := func(dst int) int {
+		for v := 1; v < n; v++ {
+			for len(bus.Endpoint(v).Recv()) > 0 {
+				<-bus.Endpoint(v).Recv()
+			}
+		}
+		if node.Send(dst, nil) != nil {
+			return -1
+		}
+		for v := 1; v < n; v++ {
+			if len(bus.Endpoint(v).Recv()) > 0 {
+				return v
+			}
+		}
+		t.Fatalf("Send to %d reached nobody", dst)
+		return -1
+	}
+	check := func(step string, gone int) {
+		t.Helper()
+		snap := node.routes.Current()
+		view := node.AnnouncedView()
+		if snap.Digest() != plane.CompileGraph(0, view, plane.GraphDelays(view), plane.Options{}).Digest() {
+			t.Fatalf("%s: the published snapshot is not the node's view", step)
+		}
+		for dst := 1; dst < n; dst++ {
+			path, _, ok := snap.RouteInto(0, dst, nil)
+			want := -1
+			if ok {
+				want = int(path[1])
+			}
+			if got := sentTo(dst); got != want {
+				t.Fatalf("%s: dst %d: sent to %d, served route %v", step, dst, got, path)
+			}
+			if dst != gone && slices.Contains(path, int32(gone)) {
+				t.Fatalf("%s: dst %d: served route %v goes through the removed node %d", step, dst, path, gone)
+			}
+		}
+	}
+	// firstHop is the first hop of the served route to the cube's far
+	// corner, a neighbour each change below takes away.
+	firstHop := func() int {
+		r, ok := node.routes.Current().Route(0, n-1)
 		if !ok {
-			t.Fatalf("no served route to %d", dst)
+			t.Fatal("no served route to the far corner")
 		}
-		if hop := node.nextHop(dst); hop != r.Path[1] {
-			t.Fatalf("dst %d: next hop %d, served route %v", dst, hop, r.Path)
-		}
+		return r.Path[1]
+	}
+
+	announceAll(1, -1)
+	check("LSAs applied", -1)
+
+	// Every origin but x announces again 50 s on; at 70 s x's LSA is
+	// older than the database's one-minute limit. With nothing
+	// measured, the epoch expires it and decides nothing.
+	x := firstHop()
+	clock = start.Add(50 * time.Second)
+	announceAll(2, x)
+	check("LSAs renewed", -1)
+	clock = start.Add(70 * time.Second)
+	node.runEpoch()
+	check("origin expired", x)
+
+	// Neighbour y stopped acking long ago: the heartbeat drops the link
+	// and forgets y's LSA.
+	y := firstHop()
+	node.lastAck[y] = time.Now().Add(-time.Hour)
+	node.heartbeat()
+	if slices.Contains(node.Neighbors(), y) {
+		t.Fatalf("heartbeat kept the dead link to %d", y)
+	}
+	check("neighbour dropped", y)
+	if node.Epochs() != 0 {
+		t.Fatalf("%d epochs decided, want none", node.Epochs())
 	}
 }

@@ -50,20 +50,15 @@ func (n *Node) CurrentStatus() Status {
 //
 //	GET /status        node state as JSON
 //	GET /topology.svg  the node's current view of the overlay as SVG
+//	GET /route, POST /routes, GET /snapshot  the node's route server
+//	                   (plane.Server.Handler)
 //
-// The returned shutdown function drains the server: see
-// ServeHTTPWith.
-func (n *Node) ServeHTTP(addr string) (string, func() error, error) {
-	return n.ServeHTTPWith(addr, nil)
-}
-
-// ServeHTTPWith is ServeHTTP with extra handlers mounted on the same
-// mux before the server starts — the daemon uses it to expose the
-// routing data plane (internal/plane) next to the status endpoints.
-// mount may be nil. The returned shutdown function stops accepting,
-// lets every request being answered finish for up to drainTimeout, and
-// then closes whatever is still open.
-func (n *Node) ServeHTTPWith(addr string, mount func(mux *http.ServeMux)) (string, func() error, error) {
+// mount, when non-nil, adds handlers to the same mux before the server
+// starts (the daemon's metrics and fault-injection endpoints). The
+// returned shutdown function stops accepting, lets every request being
+// answered finish for up to drainTimeout, and then closes whatever is
+// still open.
+func (n *Node) ServeHTTP(addr string, mount func(mux *http.ServeMux)) (string, func() error, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, err
@@ -71,6 +66,10 @@ func (n *Node) ServeHTTPWith(addr string, mount func(mux *http.ServeMux)) (strin
 	mux := http.NewServeMux()
 	if mount != nil {
 		mount(mux)
+	}
+	routes := n.routes.Handler()
+	for _, path := range []string{"/route", "/routes", "/snapshot"} {
+		mux.Handle(path, routes)
 	}
 	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -103,6 +102,10 @@ func (n *Node) ServeHTTPWith(addr string, mount func(mux *http.ServeMux)) (strin
 	return ln.Addr().String(), shutdown, nil
 }
 
+// EnableMetrics registers the node's route server's plane_* series on
+// reg (plane.Server.EnableMetrics). Call it once.
+func (n *Node) EnableMetrics(reg *obs.Registry) { n.routes.EnableMetrics(reg) }
+
 // drainTimeout bounds an HTTP drain: well under the two seconds a
 // supervisor commonly waits after SIGTERM before SIGKILL.
 const drainTimeout = time.Second
@@ -110,8 +113,8 @@ const drainTimeout = time.Second
 // AnnouncedView returns this node's current link-state view of the
 // overlay as a fresh weighted graph, including the node's own links
 // (which its LSA database omits) priced at their delay estimates. It
-// is what the topology rendering shows and what the daemon's data
-// plane compiles route snapshots from.
+// is what the topology rendering shows and what publish compiles the
+// node's route snapshots from.
 func (n *Node) AnnouncedView() *graph.Digraph {
 	g := n.Graph()
 	n.mu.Lock()

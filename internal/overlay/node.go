@@ -22,6 +22,7 @@ import (
 	"egoist/internal/core"
 	"egoist/internal/graph"
 	"egoist/internal/linkstate"
+	"egoist/internal/plane"
 )
 
 // RewireMode selects when a dropped link is replaced (Sect. 3.3).
@@ -144,6 +145,11 @@ type Node struct {
 
 	fwd forwarding // data plane
 
+	// routes serves the node's view, which publish compiles into it on
+	// every change; forwarding and /route read its current snapshot.
+	routes plane.Server
+	pubMu  sync.Mutex
+
 	// view is the shortest-path forest runEpoch prices BR proposals on,
 	// reset on the masked link-state view every epoch, and sc its solver
 	// scratch. Only the timer loop runs epochs, so they need no lock.
@@ -213,9 +219,7 @@ func Start(cfg Config) (*Node, error) {
 		}
 	}
 	sort.Ints(n.neighbors)
-	n.mu.Lock()
-	n.announceLocked()
-	n.mu.Unlock()
+	n.announce()
 	// Query the bootstrap contacts for the membership list (Sect. 3.1).
 	for _, b := range cfg.Bootstrap {
 		if b != cfg.ID && b >= 0 && b < cfg.N {
@@ -338,13 +342,13 @@ func (n *Node) handleLSA(pkt linkstate.Packet) {
 		return
 	}
 	if n.db.Apply(lsa) {
-		n.invalidateRoutes()
 		// Fresh: flood to our protocol peers except the one it came from.
 		for _, t := range n.floodTargets() {
 			if t != pkt.From && t != int(lsa.Origin) {
 				n.send(t, pkt.Data)
 			}
 		}
+		n.publish()
 	}
 }
 
@@ -556,9 +560,7 @@ func (n *Node) timerLoop() {
 		case <-epochC:
 			n.runEpoch()
 		case <-announceT.C:
-			n.mu.Lock()
-			n.announceLocked()
-			n.mu.Unlock()
+			n.announce()
 			n.gossipPeers()
 		case <-heartbeatT.C:
 			n.heartbeat()
@@ -603,9 +605,12 @@ func (n *Node) probeAll() {
 	}
 }
 
-// runEpoch re-evaluates the node's wiring with the configured policy.
+// runEpoch expires stale LSAs, publishing the view when an origin went,
+// and re-evaluates the node's wiring with the configured policy.
 func (n *Node) runEpoch() {
-	n.db.Expire()
+	if n.db.Expire() > 0 {
+		n.publish()
+	}
 	start := time.Now()
 	g := n.db.Graph()
 	active := n.db.Active()
@@ -658,14 +663,11 @@ func (n *Node) runEpoch() {
 	n.decision += took
 	n.rewires += d.Added
 	n.neighbors = d.Wiring
-	if d.Changed || len(d.Wiring) < len(cur) {
-		n.invalidateRoutes()
-	}
+	n.mu.Unlock()
 	if d.Changed {
 		n.logf("node %d: rewired to %v (+%d links)", n.cfg.ID, d.Wiring, d.Added)
 	}
-	n.announceLocked()
-	n.mu.Unlock()
+	n.announce()
 }
 
 // decide is the daemon's epoch decision, apart from the measurement and
@@ -719,18 +721,20 @@ func (n *Node) heartbeat() {
 	if len(dropped) > 0 {
 		n.neighbors = alive
 		n.db.Forget(uint16(dropped[0]))
-		n.announceLocked()
 	}
 	n.mu.Unlock()
 	if len(dropped) > 0 {
+		n.announce()
 		n.logf("node %d: immediate-dropped dead links %v", n.cfg.ID, dropped)
 		n.runEpoch() // immediate repair
 	}
 }
 
-// announceLocked broadcasts a fresh LSA for the current wiring. Callers
-// must hold n.mu.
-func (n *Node) announceLocked() {
+// announce broadcasts a fresh LSA for the current wiring and publishes
+// the view. Every change to the node's own links reaches the view
+// through it. Callers must not hold n.mu.
+func (n *Node) announce() {
+	n.mu.Lock()
 	n.seq++
 	lsa := &linkstate.LSA{Origin: uint16(n.cfg.ID), Seq: n.seq}
 	for _, nb := range n.neighbors {
@@ -741,10 +745,27 @@ func (n *Node) announceLocked() {
 		cost = n.cfg.Cheat.Announced(n.cfg.ID, cost, n.cfg.Kind == core.Bottleneck)
 		lsa.Neighbors = append(lsa.Neighbors, linkstate.Neighbor{ID: uint16(nb), Cost: cost})
 	}
+	targets := n.floodTargetsLocked()
+	n.mu.Unlock()
 	data := lsa.Marshal()
-	for _, nb := range n.floodTargetsLocked() {
+	for _, nb := range targets {
 		n.send(nb, data)
 	}
+	n.publish()
+}
+
+// publish compiles the node's view into its route server, after every
+// change to the view: an applied LSA, an announce (the bootstrap one
+// too) and an expiry that dropped an origin. pubMu, held from reading
+// the view to Publish, keeps a slow compile from overwriting a newer
+// view. A live node knows no delays beyond its announced arcs, so
+// one-hop decisions relay through those only (plane.GraphDelays).
+// Callers must not hold n.mu.
+func (n *Node) publish() {
+	n.pubMu.Lock()
+	defer n.pubMu.Unlock()
+	g := n.AnnouncedView()
+	n.routes.Publish(plane.CompileGraph(int64(n.Epochs()), g, plane.GraphDelays(g), plane.Options{}))
 }
 
 // floodTargets returns the node's protocol peers: its out-neighbors plus

@@ -106,7 +106,7 @@ func (s *Server) newBatch(snap *Snapshot, mode byte, count int) *batch {
 	}
 	b.mode, b.slots, b.misses = mode, b.slots[:count], b.misses[:0]
 	b.snap, b.st, b.srv = snap, snap.rows.stats.Load(), s
-	b.t0 = s.m.start()
+	b.t0 = s.m.Load().start()
 	return b
 }
 
@@ -168,7 +168,7 @@ func (b *batch) answer() {
 
 // done times the batch and hands its scratch back to the pool.
 func (b *batch) done() {
-	b.srv.m.batch(b.t0)
+	b.srv.m.Load().batch(b.t0)
 	b.snap, b.st, b.srv = nil, nil, nil
 	batches.Put(b)
 }
@@ -203,9 +203,10 @@ func (b *batch) appendBinary(dst []byte) []byte {
 // jsonResults is pass 3 for the JSON protocol: one routeResult per
 // slot, pairs being the ids as the request gave them. An unreachable
 // or invalid pair costs -1 (+Inf has no JSON encoding); an invalid one
-// carries the error Server.OneHop would return for it. Every via and
-// path of the batch shares one backing array, sized up front.
-func (b *batch) jsonResults(pairs [][2]int) []routeResult {
+// carries the error Server.OneHop would return for it, or, when it
+// does not hold two ids, src and dst -1 and an error naming it. Every
+// via and path of the batch shares one backing array, sized up front.
+func (b *batch) jsonResults(pairs [][]int) []routeResult {
 	size := 0
 	for i := range b.slots {
 		size += 1 + len(b.slots[i].path)
@@ -214,8 +215,13 @@ func (b *batch) jsonResults(pairs [][2]int) []routeResult {
 	out := make([]routeResult, len(b.slots))
 	for i := range b.slots {
 		sl, r := &b.slots[i], &out[i]
-		*r = routeResult{Src: pairs[i][0], Dst: pairs[i][1], Mode: modeNames[b.mode], Cost: -1, Epoch: b.snap.epoch}
-		if sl.invalid {
+		*r = routeResult{Mode: modeNames[b.mode], Cost: -1, Epoch: b.snap.epoch}
+		r.Src, r.Dst = pairIDs(pairs[i])
+		switch {
+		case len(pairs[i]) != 2:
+			r.Error = fmt.Sprintf("plane: pair %v holds %d ids, want 2", pairs[i], len(pairs[i]))
+			continue
+		case sl.invalid:
 			r.Error = b.snap.checkPair(r.Src, r.Dst).Error()
 			continue
 		}

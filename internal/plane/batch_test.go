@@ -235,11 +235,13 @@ func TestBatchRefusalsCountOnce(t *testing.T) {
 		{name: "json: not JSON", post: `not json`, code: 400, failed: 1},
 		{name: "json: truncated", post: `{"mode":"route","pairs":[[1,2]`, code: 400, failed: 1},
 		{name: "json: id not an integer", post: `{"pairs":[[1.5,2]]}`, code: 400, failed: 1},
+		{name: "json: data after the batch", post: `{"pairs":[[1,2]]} trailing`, code: 400, failed: 1},
 		{name: "json: over the byte cap", post: `{"pairs":[` + strings.Repeat(" ", maxBatchBytes) + `]}`, code: 400, failed: 1},
 		{name: "json: over the pair cap", post: overJSON, code: 413, failed: 1},
 		{name: "json: unknown mode", post: `{"mode":"warp","pairs":[[0,1]]}`, code: 400, failed: 1},
 		{name: "json: no snapshot", srv: empty, post: `{"pairs":[[0,1]]}`, code: 503, failed: 1},
 		{name: "json: invalid pairs in-band", post: `{"pairs":[[0,5],[1,999],[-3,2]]}`, code: 200, failed: 2, answered: 1},
+		{name: "json: pairs without two ids in-band", post: `{"pairs":[[1,2,3],[0,5],[4],[]]}`, code: 200, failed: 3, answered: 1},
 		{name: "get: bad src", get: "src=x&dst=1", code: 400, failed: 1},
 		{name: "get: unknown mode", get: "src=1&dst=2&mode=warp", code: 400, failed: 1},
 		{name: "get: no snapshot", srv: empty, get: "src=0&dst=1", code: 503, failed: 1},

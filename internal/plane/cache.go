@@ -116,8 +116,8 @@ type cacheStats struct {
 	// The miss path's latency summaries, nil until the owning Server's
 	// EnableMetrics. Every fill and every pair search is timed: two
 	// clock readings beside a search of 100 µs or more.
-	fillNs   *obs.Histogram
-	searchNs *obs.Histogram
+	fillNs   atomic.Pointer[obs.Histogram]
+	searchNs atomic.Pointer[obs.Histogram]
 }
 
 // clock reads the time a search timed into h begins at: zero, and no
@@ -242,7 +242,8 @@ func (c *rowCache) miss(src, dst int, buf []int32, wantPath bool, st *cacheStats
 		c.mu.Unlock()
 	}
 	ps := searchScratch.Get().(*graph.PairScratch)
-	t0 := clock(st.searchNs)
+	searchNs := st.searchNs.Load()
+	t0 := clock(searchNs)
 	ps.Rows.Reset(c.snap.paths)
 	for i := range c.slots {
 		if e := c.slots[i].Load(); e != nil {
@@ -250,7 +251,7 @@ func (c *rowCache) miss(src, dst int, buf []int32, wantPath bool, st *cacheStats
 		}
 	}
 	cost := ps.PairCSR(c.snap.csr, src, dst, ps.Rows.Bound())
-	observeSince(st.searchNs, t0)
+	observeSince(searchNs, t0)
 	c.spent[src].Add(uint32(ps.Settled()))
 	st.searches.Add(1)
 	st.settled.Add(int64(ps.Settled()))
@@ -375,14 +376,15 @@ func (c *rowCache) fill(src int, st *cacheStats, admit bool) *rowEntry {
 	c.mu.Unlock()
 	st.fills.Add(1)
 
-	t0 := clock(st.fillNs)
+	fillNs := st.fillNs.Load()
+	t0 := clock(fillNs)
 	ps := searchScratch.Get().(*graph.PairScratch)
 	n := c.snap.csr.N()
 	e.dist = make([]float64, n)
 	e.parent = make([]int32, n)
 	ps.DijkstraCSR(c.snap.csr, src, e.dist, e.parent)
 	searchScratch.Put(ps)
-	observeSince(st.fillNs, t0)
+	observeSince(fillNs, t0)
 
 	c.mu.Lock()
 	c.readyLocked(e)

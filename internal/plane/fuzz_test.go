@@ -137,14 +137,17 @@ func checkBinResult(t *testing.T, snap *Snapshot, mode byte, src, dst uint32, go
 // FuzzJSONBatch fuzzes the JSON batch decoder egoistd exposes
 // publicly: arbitrary bodies POSTed to /routes through Server.Handler.
 // Properties: no body panics; a refused body gets a 4xx status and
-// counts exactly one failed query and no answer; every 200 response
-// parses and has one result per pair of the body (decoded as the
-// server decodes it, with json.Decoder), on the snapshot's epoch; an id
-// that is negative or ≥ n is answered in-band (ok false, error set,
-// cost -1) and counts one failed, every other pair one answer; and each
-// in-range pair's result equals the binary protocol's answer for it —
-// status, cost bits, via and path. The snapshot is FuzzBinaryBatch's:
-// departed nodes and a 4-row cache.
+// counts exactly one failed query and no answer; every 200 response is
+// to a body that is one JSON value (json.Unmarshal accepts it, so
+// nothing trails it), parses and has one result per pair of the body,
+// on the snapshot's epoch; a pair that does not hold exactly two ids
+// (src and dst -1) or has an id that is negative or ≥ n is answered
+// in-band (ok false, error set, cost -1) and counts one failed, every
+// other pair one answer; and each in-range pair's result equals the
+// binary protocol's answer for it — status, cost bits, via and path.
+// The seeds of a trailing value and of wrong-arity pairs must be
+// refused and answered in-band respectively. The snapshot is
+// FuzzBinaryBatch's: departed nodes and a 4-row cache.
 //
 // CI runs this as a short -fuzztime smoke step; run it longer locally
 // with: go test ./internal/plane -run '^$' -fuzz FuzzJSONBatch
@@ -159,14 +162,19 @@ func FuzzJSONBatch(f *testing.F) {
 	srv.Publish(snap)
 	h := srv.Handler()
 
+	const (
+		wrongArity = `{"pairs":[[1,2,3],[4]]}`
+		trailing   = `{"pairs":[[1,2]]} trailing`
+	)
+	wantCode := map[string]int{wrongArity: http.StatusOK, trailing: http.StatusBadRequest}
 	for _, seed := range []string{
 		`{"mode":"route","pairs":[[0,5],[5,0],[7,7],[1,30],[3,10]]}`,
 		`{"mode":"onehop","pairs":[[0,5],[1,999],[7,7],[-3,2],[1,30]]}`,
 		`{"pairs":[[-4294967291,5],[4294967296,0],[0,60],[59,59]]}`,
 		`{"mode":"route","pairs":[[11,20],[11,21],[12,40],[11,22],[11,23],[13,41],[11,24],[11,25]]}`,
 		`{"mode":null,"pairs":null}`,
-		`{"pairs":[[1,2,3],[4]]}`,
-		`{"pairs":[[1,2]]} trailing`,
+		wrongArity,
+		trailing,
 		`{"pairs":[[1.5,2]]}`,
 		`{"mode":"warp","pairs":[[0,1]]}`,
 		`{"mode":"route","pairs":[[0,1]`,
@@ -181,6 +189,9 @@ func FuzzJSONBatch(f *testing.F) {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/routes", bytes.NewReader(body)))
 		onehop1, routes1, failed1 := srv.Stats()
+		if want, ok := wantCode[string(body)]; ok && rec.Code != want {
+			t.Fatalf("%s answered %d, want %d", body, rec.Code, want)
+		}
 		if rec.Code != http.StatusOK {
 			if rec.Code < 400 || rec.Code >= 500 {
 				t.Fatalf("refused body answered %d", rec.Code)
@@ -191,8 +202,8 @@ func FuzzJSONBatch(f *testing.F) {
 			return
 		}
 		var req batchRequest
-		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
-			t.Fatalf("200 for a body that does not decode: %v", err)
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Fatalf("200 for a body that is not one JSON batch: %v", err)
 		}
 		mode := BinModeOneHop
 		if req.Mode == "route" {
@@ -209,16 +220,20 @@ func FuzzJSONBatch(f *testing.F) {
 		var at []int
 		for i, p := range req.Pairs {
 			r := resp.Results[i]
-			if r.Src != p[0] || r.Dst != p[1] || r.Mode != modeNames[mode] || r.Epoch != snap.Epoch() {
+			src, dst := -1, -1
+			if len(p) == 2 {
+				src, dst = p[0], p[1]
+			}
+			if r.Src != src || r.Dst != dst || r.Mode != modeNames[mode] || r.Epoch != snap.Epoch() {
 				t.Fatalf("pair %d %v answered as %+v", i, p, r)
 			}
-			if p[0] < 0 || p[0] >= n || p[1] < 0 || p[1] >= n {
+			if src < 0 || src >= n || dst < 0 || dst >= n {
 				if r.Ok || r.Error == "" || r.Cost != -1 || r.Via != nil || r.Path != nil {
 					t.Fatalf("pair %d %v outside [0,%d) answered %+v, want in-band", i, p, n, r)
 				}
 				continue
 			}
-			inRange = append(inRange, uint32(p[0]), uint32(p[1]))
+			inRange = append(inRange, uint32(src), uint32(dst))
 			at = append(at, i)
 		}
 		invalid := int64(len(req.Pairs) - len(at))

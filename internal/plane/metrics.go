@@ -67,7 +67,7 @@ func (m *serverMetrics) route(t0 time.Time) {
 }
 
 func (m *serverMetrics) batch(t0 time.Time) {
-	if m != nil {
+	if m != nil && !t0.IsZero() {
 		m.batchNs.Observe(time.Since(t0).Nanoseconds())
 	}
 }
@@ -76,8 +76,10 @@ func (m *serverMetrics) batch(t0 time.Time) {
 // and attaches the latency histograms to the hot paths. The query,
 // row-cache and listener counters are exposed as scrape-time callbacks
 // over the atomics the server already maintains — enabling metrics
-// never adds a second counter write to a query. Call once, before
-// serving; a second call panics on duplicate registration.
+// never adds a second counter write to a query. Call once; it may come
+// while the server already serves (a daemon's node publishes and
+// forwards from its start), and answers from then on are timed. A
+// second call panics on duplicate registration.
 //
 // Registered series:
 //
@@ -102,8 +104,8 @@ func (s *Server) EnableMetrics(reg *obs.Registry) {
 		batchNs:   reg.Histogram("plane_batch_latency_ns", "batch answer latency (whole batch, binary or JSON; GET /route is a batch of one)"),
 		publishNs: reg.Histogram("plane_publish_latency_ns", "snapshot publish latency"),
 	}
-	s.cstats.fillNs = reg.Histogram("plane_cache_fill_latency_ns", "row fill latency (one CSR Dijkstra), every fill")
-	s.cstats.searchNs = reg.Histogram("plane_pair_search_latency_ns", "exact pair search latency, every search")
+	s.cstats.fillNs.Store(reg.Histogram("plane_cache_fill_latency_ns", "row fill latency (one CSR Dijkstra), every fill"))
+	s.cstats.searchNs.Store(reg.Histogram("plane_pair_search_latency_ns", "exact pair search latency, every search"))
 	reg.CounterFunc("plane_queries_onehop_total", "delivered one-hop answers", s.onehop.Load)
 	reg.CounterFunc("plane_queries_route_total", "delivered route answers", s.routes.Load)
 	reg.CounterFunc("plane_queries_failed_total", "queries rejected before an answer: an invalid pair, or a batch refused whole (counted once)", s.failed.Load)
@@ -133,7 +135,7 @@ func (s *Server) EnableMetrics(reg *obs.Registry) {
 		}
 		return 0
 	})
-	s.m = m
+	s.m.Store(m)
 }
 
 // CacheStats reads the server-lifetime row-cache counters (they

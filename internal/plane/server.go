@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -38,15 +39,15 @@ type Server struct {
 	onehop     atomic.Int64
 	routes     atomic.Int64
 	failed     atomic.Int64
-	binRefused atomic.Int64   // binary connections closed over the cap
-	binWrites  atomic.Int64   // binary TCP response writes
-	bin        binTracker     // binary listeners and connections, for ShutdownBinary
-	helpers    atomic.Int32   // route-batch helper goroutines running
-	m          *serverMetrics // nil until EnableMetrics
-	mu         sync.Mutex     // serializes Publish bookkeeping
-	pubTime    atomic.Int64   // UnixNano of the last Publish (0 = never)
-	cstats     cacheStats     // row-cache counters, threaded through every publish
-	counts     *lookupCounts  // per-source lookup counts, threaded likewise (under mu)
+	binRefused atomic.Int64                  // binary connections closed over the cap
+	binWrites  atomic.Int64                  // binary TCP response writes
+	bin        binTracker                    // binary listeners and connections, for ShutdownBinary
+	helpers    atomic.Int32                  // route-batch helper goroutines running
+	m          atomic.Pointer[serverMetrics] // nil until EnableMetrics
+	mu         sync.Mutex                    // serializes Publish bookkeeping
+	pubTime    atomic.Int64                  // UnixNano of the last Publish (0 = never)
+	cstats     cacheStats                    // row-cache counters, threaded through every publish
+	counts     *lookupCounts                 // per-source lookup counts, threaded likewise (under mu)
 }
 
 // NewServer returns a Server with no snapshot published.
@@ -78,8 +79,8 @@ func (s *Server) Publish(snap *Snapshot) {
 	snap.rows.counts.Store(s.counts)
 	s.cur.Store(snap)
 	s.pubTime.Store(time.Now().UnixNano())
-	if s.m != nil {
-		s.m.publishNs.Observe(time.Since(t0).Nanoseconds())
+	if m := s.m.Load(); m != nil {
+		m.publishNs.Observe(time.Since(t0).Nanoseconds())
 	}
 }
 
@@ -122,9 +123,10 @@ func (s *Server) OneHop(src, dst int) (Decision, int64, error) {
 	if err != nil {
 		return Decision{}, epoch, err
 	}
-	t0 := s.m.startNth(s.onehop.Add(1))
+	m := s.m.Load()
+	t0 := m.startNth(s.onehop.Add(1))
 	d := snap.OneHop(src, dst)
-	s.m.onehop(t0)
+	m.onehop(t0)
 	return d, epoch, nil
 }
 
@@ -136,9 +138,10 @@ func (s *Server) RouteCost(src, dst int) (float64, int64, error) {
 	if err != nil {
 		return graph.Inf, epoch, err
 	}
-	t0 := s.m.startNth(s.routes.Add(1))
+	m := s.m.Load()
+	t0 := m.startNth(s.routes.Add(1))
 	c := snap.RouteCost(src, dst)
-	s.m.route(t0)
+	m.route(t0)
 	return c, epoch, nil
 }
 
@@ -151,9 +154,10 @@ func (s *Server) AppendRoute(src, dst int, buf []int32) (path []int32, cost floa
 	if err != nil {
 		return buf[:0], graph.Inf, false, err
 	}
-	t0 := s.m.startNth(s.routes.Add(1))
+	m := s.m.Load()
+	t0 := m.startNth(s.routes.Add(1))
 	path, cost, ok = snap.RouteInto(src, dst, buf)
-	s.m.route(t0)
+	m.route(t0)
 	return path, cost, ok, nil
 }
 
@@ -172,10 +176,21 @@ type routeResult struct {
 	Epoch int64  `json:"epoch"`
 }
 
-// batchRequest is the JSON body of POST /routes.
+// batchRequest is the JSON body of POST /routes. A pair decodes as a
+// list, so that one without exactly two ids is answered invalid in its
+// slot instead of being cut or zero-filled to a pair it never named.
 type batchRequest struct {
-	Mode  string   `json:"mode"` // "onehop" (default) or "route"
-	Pairs [][2]int `json:"pairs"`
+	Mode  string  `json:"mode"` // "onehop" (default) or "route"
+	Pairs [][]int `json:"pairs"`
+}
+
+// pairIDs returns a JSON pair's ids, or (-1, -1), outside every
+// snapshot, when it does not hold exactly two.
+func pairIDs(p []int) (src, dst int) {
+	if len(p) != 2 {
+		return -1, -1
+	}
+	return p[0], p[1]
 }
 
 // batchResponse is the JSON reply of POST /routes: every pair answered
@@ -219,7 +234,7 @@ func jsonMode(name string) (byte, error) {
 // answerJSON admits a decoded JSON batch (bad: why it did not decode)
 // and answers it through the batch pipeline. A refused batch is
 // answered on w with its HTTP status, and resp is nil.
-func (s *Server) answerJSON(w http.ResponseWriter, mode byte, pairs [][2]int, bad error) (resp *batchResponse) {
+func (s *Server) answerJSON(w http.ResponseWriter, mode byte, pairs [][]int, bad error) (resp *batchResponse) {
 	snap, code, err := s.admitBatch(mode, len(pairs), bad)
 	if err != nil {
 		http.Error(w, err.Error(), code)
@@ -227,7 +242,8 @@ func (s *Server) answerJSON(w http.ResponseWriter, mode byte, pairs [][2]int, ba
 	}
 	b := s.newBatch(snap, mode, len(pairs))
 	for i, p := range pairs {
-		b.pair(i, p[0], p[1])
+		src, dst := pairIDs(p)
+		b.pair(i, src, dst)
 	}
 	b.answer()
 	resp = &batchResponse{Epoch: snap.epoch, Results: b.jsonResults(pairs)}
@@ -247,7 +263,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	case dstErr != nil:
 		bad = fmt.Errorf("plane: bad dst: %w", dstErr)
 	}
-	resp := s.answerJSON(w, mode, [][2]int{{src, dst}}, bad)
+	resp := s.answerJSON(w, mode, [][]int{{src, dst}}, bad)
 	switch {
 	case resp == nil:
 	case resp.Results[0].Error != "":
@@ -265,9 +281,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// Bound the request: egoistd exposes this endpoint publicly, and an
 	// unbounded pairs array is an amplification vector (each route-mode
-	// pair can cost a search).
+	// pair can cost a search). The body is one JSON value: nothing but
+	// white space may follow it.
 	var req batchRequest
-	mode, bad := BinModeOneHop, json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBytes)).Decode(&req)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBytes))
+	mode, bad := BinModeOneHop, dec.Decode(&req)
+	if _, err := dec.Token(); bad == nil && err != io.EOF {
+		bad = errors.New("data after the batch object")
+	}
 	if bad != nil {
 		req, bad = batchRequest{}, fmt.Errorf("plane: bad batch: %w", bad)
 	} else {

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"egoist/internal/obs"
+	"egoist/internal/overlay"
 	"egoist/internal/sampling"
 )
 
@@ -70,6 +71,7 @@ var labScrapeSeries = []string{
 	"plane_cache_hits_total",
 	"plane_cache_misses_total",
 	"plane_snapshot_epoch",
+	"plane_publish_latency_ns_count",
 }
 
 // LabMetricsSample is one scrape sweep over the fleet: the epoch whose
@@ -482,20 +484,13 @@ func (r *labRun) awaitMembership(ids []int, timeout time.Duration) error {
 	}
 }
 
-type labStatus struct {
-	ID        int   `json:"id"`
-	Neighbors []int `json:"neighbors"`
-	Known     []int `json:"known"`
-	Rewires   int   `json:"rewires"`
-}
-
-func (r *labRun) status(p *labProc) (*labStatus, error) {
+func (r *labRun) status(p *labProc) (*overlay.Status, error) {
 	resp, err := r.client.Get("http://" + p.http + "/status")
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	var st labStatus
+	var st overlay.Status
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		return nil, err
 	}
