@@ -190,10 +190,6 @@ func main() {
 		return recv
 	})
 
-	// The node serves its own routes (/route, /routes, /snapshot): it
-	// compiles its link-state view into an immutable plane.Snapshot on
-	// every change to the view, and forwards packets on the same
-	// snapshot, so /route and the data path never disagree.
 	boundHTTP := ""
 	if *httpAddr != "" {
 		node.EnableMetrics(reg)
@@ -276,19 +272,17 @@ func rosterMembership(id int, path string) (*linkstate.UDPTransport, int, []int,
 		return nil, 0, nil, err
 	}
 	var boot []int
-	for nid, addr := range members {
+	for _, nid := range members.IDs() {
 		if nid == id {
 			continue
 		}
-		ua, err := net.ResolveUDPAddr("udp", addr)
+		ua, err := net.ResolveUDPAddr("udp", members[nid])
 		if err != nil {
 			transport.Close()
 			return nil, 0, nil, fmt.Errorf("roster entry %d: %v", nid, err)
 		}
 		transport.Register(nid, ua)
-	}
-	for _, nid := range members.IDs() {
-		if nid != id && len(boot) < 2 {
+		if len(boot) < 2 {
 			boot = append(boot, nid)
 		}
 	}

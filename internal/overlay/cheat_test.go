@@ -48,7 +48,7 @@ func TestLiveCheaterAnnouncesInflatedCosts(t *testing.T) {
 	// Wait until an honest node has the cheater's LSA with a cost, then
 	// compare against what the cheater actually measured.
 	waitFor(t, 12*time.Second, func() bool {
-		g := nodes[0].Graph()
+		g := nodes[0].db.Graph()
 		for _, nb := range nodes[cheater].Neighbors() {
 			announced, ok := g.Weight(cheater, nb)
 			if !ok {

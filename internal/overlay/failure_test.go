@@ -164,3 +164,35 @@ func TestEpsilonSuppressesLiveRewiring(t *testing.T) {
 		t.Fatalf("re-wiring continued under eps=0.9: %d -> %d", before, after)
 	}
 }
+
+// TestHeartbeatForgetsEveryDeadNeighbour: when two neighbours stop
+// acking in the same heartbeat (Immediate mode), both links go and both
+// LSAs leave the link-state view.
+func TestHeartbeatForgetsEveryDeadNeighbour(t *testing.T) {
+	const n = 4
+	bus := linkstate.NewBus(n)
+	defer bus.Close()
+	node := &Node{
+		cfg:       Config{ID: 0, N: n, Mode: Immediate, Heartbeat: time.Second, Transport: bus.Endpoint(0)},
+		db:        linkstate.NewDB(n, time.Minute, nil),
+		est:       map[int]*ewma{},
+		lastAck:   map[int]time.Time{},
+		lastReply: map[int]time.Time{},
+		changed:   make(chan struct{}, 1),
+		neighbors: []int{1, 2, 3},
+	}
+	for u := 1; u < n; u++ {
+		node.db.Apply(&linkstate.LSA{Origin: uint16(u), Seq: 1, Neighbors: []linkstate.Neighbor{{ID: 0, Cost: 1}}})
+	}
+	node.lastAck[1] = time.Now().Add(-time.Hour)
+	node.lastAck[2] = time.Now().Add(-time.Hour)
+	node.heartbeat()
+	if got := node.Neighbors(); len(got) != 1 || got[0] != 3 {
+		t.Fatalf("neighbours after the heartbeat: %v, want [3]", got)
+	}
+	for _, dead := range []uint16{1, 2} {
+		if _, ok := node.db.Seq(dead); ok {
+			t.Fatalf("the LSA of dead neighbour %d is still in the view", dead)
+		}
+	}
+}

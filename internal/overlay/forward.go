@@ -2,9 +2,10 @@ package overlay
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"egoist/internal/linkstate"
+	"egoist/internal/plane"
 )
 
 // DataHandler receives overlay-routed payloads delivered to this node.
@@ -15,27 +16,21 @@ type DataHandler = func(src int, payload []byte)
 // forwarding is the node's data-plane bookkeeping; next hops come from
 // the node's published route snapshot (nextHop).
 type forwarding struct {
-	mu      sync.Mutex
-	handler DataHandler
-	seq     uint64
+	tree    atomic.Pointer[tree] // of the snapshot last forwarded on
+	handler atomic.Pointer[DataHandler]
+	seq     atomic.Uint64
 
 	// Delivery and drop counters, exported for tests and monitoring.
-	delivered, forwarded, dropped int
+	delivered, forwarded, dropped atomic.Int64
 }
 
 // SetDataHandler installs the callback for payloads addressed to this
 // node. It may be called at any time; a nil handler discards deliveries.
-func (n *Node) SetDataHandler(h DataHandler) {
-	n.fwd.mu.Lock()
-	defer n.fwd.mu.Unlock()
-	n.fwd.handler = h
-}
+func (n *Node) SetDataHandler(h DataHandler) { n.fwd.handler.Store(&h) }
 
 // DataStats returns (delivered, forwarded, dropped) message counts.
 func (n *Node) DataStats() (delivered, forwarded, dropped int) {
-	n.fwd.mu.Lock()
-	defer n.fwd.mu.Unlock()
-	return n.fwd.delivered, n.fwd.forwarded, n.fwd.dropped
+	return int(n.fwd.delivered.Load()), int(n.fwd.forwarded.Load()), int(n.fwd.dropped.Load())
 }
 
 // Send routes a payload to dst over the overlay using shortest-path
@@ -62,13 +57,9 @@ func (n *Node) SendVia(dst, via int, payload []byte) error {
 			return fmt.Errorf("overlay: no route to %d", dst)
 		}
 	}
-	n.fwd.mu.Lock()
-	n.fwd.seq++
-	seq := n.fwd.seq
-	n.fwd.mu.Unlock()
 	msg := &linkstate.Data{
 		Src: uint16(n.cfg.ID), Dst: uint16(dst), Via: linkstate.NoVia,
-		TTL: uint8(2*n.cfg.N + 4), Seq: seq, Payload: payload,
+		TTL: uint8(2*n.cfg.N + 4), Seq: n.fwd.seq.Add(1), Payload: payload,
 	}
 	data, err := msg.Marshal()
 	if err != nil {
@@ -85,19 +76,14 @@ func (n *Node) handleData(pkt linkstate.Packet) {
 		return
 	}
 	if int(msg.Dst) == n.cfg.ID {
-		n.fwd.mu.Lock()
-		n.fwd.delivered++
-		handler := n.fwd.handler
-		n.fwd.mu.Unlock()
-		if handler != nil {
-			handler(int(msg.Src), msg.Payload)
+		n.fwd.delivered.Add(1)
+		if h := n.fwd.handler.Load(); h != nil && *h != nil {
+			(*h)(int(msg.Src), msg.Payload)
 		}
 		return
 	}
 	if msg.TTL == 0 {
-		n.fwd.mu.Lock()
-		n.fwd.dropped++
-		n.fwd.mu.Unlock()
+		n.fwd.dropped.Add(1)
 		return
 	}
 	msg.TTL--
@@ -106,34 +92,41 @@ func (n *Node) handleData(pkt linkstate.Packet) {
 		// No route, or the route points straight back: drop rather than
 		// loop. The link-state view will converge and a retry will go
 		// through.
-		n.fwd.mu.Lock()
-		n.fwd.dropped++
-		n.fwd.mu.Unlock()
+		n.fwd.dropped.Add(1)
 		return
 	}
 	data, err := msg.Marshal()
 	if err != nil {
 		return
 	}
-	n.fwd.mu.Lock()
-	n.fwd.forwarded++
-	n.fwd.mu.Unlock()
+	n.fwd.forwarded.Add(1)
 	n.send(hop, data)
 }
 
-// nextHop returns the first hop of the route the node's published
-// snapshot serves for dst, or -1 when dst is unreachable or not another
-// node: a packet leaves on the route /route reports for it, equal-cost
-// ties included. The snapshot answers directly, so forwarding is not
-// counted as a served query.
+// nextHop is the first hop of the route the published snapshot serves
+// for dst (/route's, ties included), -1 when it serves none. The first
+// packet after a publish builds the snapshot's tree from this node (one
+// Dijkstra, Snapshot.Tree); the rest walk it. No cache counter sees it.
 func (n *Node) nextHop(dst int) int {
-	if dst < 0 || dst >= n.cfg.N || dst == n.cfg.ID {
+	if dst < 0 || dst >= n.cfg.N {
 		return -1
 	}
-	var hops [8]int32
-	path, _, ok := n.routes.Current().RouteInto(n.cfg.ID, dst, hops[:0])
-	if !ok {
-		return -1
+	snap := n.routes.Current()
+	t := n.fwd.tree.Load()
+	if t == nil || t.snap != snap {
+		t = &tree{snap: snap}
+		_, t.parent = snap.Tree(n.cfg.ID)
+		n.fwd.tree.Store(t)
 	}
-	return int(path[1])
+	v := int32(dst)
+	for v >= 0 && t.parent[v] != int32(n.cfg.ID) {
+		v = t.parent[v]
+	}
+	return int(v)
+}
+
+// tree is a published snapshot's shortest-path tree from this node.
+type tree struct {
+	snap   *plane.Snapshot
+	parent []int32
 }

@@ -1,13 +1,16 @@
 package overlay
 
 import (
+	"bytes"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"egoist/internal/core"
 	"egoist/internal/linkstate"
+	"egoist/internal/obs"
 	"egoist/internal/plane"
 )
 
@@ -180,22 +183,29 @@ func TestSendViaForcesFirstHop(t *testing.T) {
 // announced in descending id order, the node's own links at the default
 // estimate). It changes with no epoch deciding anything: the LSAs
 // arrive and are renewed, an origin expires, and the heartbeat monitor
-// drops a neighbour (Immediate mode). After each change the published snapshot
-// is the node's view, a packet Send puts on the wire leaves on the
-// first hop of the route the snapshot serves, for every destination,
-// and no route goes through the node the change removed.
+// drops a neighbour (Immediate mode). After each change the published
+// snapshot becomes the node's view (at once for the node's own changes,
+// through publishLoop for applied LSAs), a packet Send puts on the
+// wire leaves on the first hop of the route the snapshot serves, for
+// every destination, without being counted as a route lookup, and no
+// route goes through the node the change removed.
 func TestNextHopIsServedRouteFirstHop(t *testing.T) {
 	const n, dim = 16, 4
 	bus := linkstate.NewBus(n)
 	defer bus.Close()
 	start := time.Unix(0, 0)
-	clock := start
+	var clock atomic.Int64 // time since start; the publisher reads it too
 	node := &Node{
 		cfg:     Config{ID: 0, N: n, Mode: Immediate, Heartbeat: time.Second, Transport: bus.Endpoint(0)},
-		db:      linkstate.NewDB(n, time.Minute, func() time.Time { return clock }),
+		db:      linkstate.NewDB(n, time.Minute, func() time.Time { return start.Add(time.Duration(clock.Load())) }),
 		est:     map[int]*ewma{},
 		lastAck: map[int]time.Time{},
+		changed: make(chan struct{}, 1),
+		stop:    make(chan struct{}),
 	}
+	node.done.Add(1)
+	go node.publishLoop()
+	defer func() { close(node.stop); node.done.Wait() }()
 	for b := 0; b < dim; b++ {
 		node.neighbors = append(node.neighbors, 1<<b)
 	}
@@ -220,7 +230,12 @@ func TestNextHopIsServedRouteFirstHop(t *testing.T) {
 				<-bus.Endpoint(v).Recv()
 			}
 		}
-		if node.Send(dst, nil) != nil {
+		before := node.routes.CacheStats()
+		err := node.Send(dst, nil)
+		if after := node.routes.CacheStats(); after != before {
+			t.Fatalf("Send to %d moved the route cache counters: %+v, then %+v", dst, before, after)
+		}
+		if err != nil {
 			return -1
 		}
 		for v := 1; v < n; v++ {
@@ -233,11 +248,11 @@ func TestNextHopIsServedRouteFirstHop(t *testing.T) {
 	}
 	check := func(step string, gone int) {
 		t.Helper()
-		snap := node.routes.Current()
 		view := node.AnnouncedView()
-		if snap.Digest() != plane.CompileGraph(0, view, plane.GraphDelays(view), plane.Options{}).Digest() {
-			t.Fatalf("%s: the published snapshot is not the node's view", step)
-		}
+		want := plane.CompileGraph(0, view, plane.GraphDelays(view), plane.Options{}).Digest()
+		waitFor(t, 5*time.Second, func() bool { return node.routes.Current().Digest() == want },
+			step+": the published snapshot never became the node's view")
+		snap := node.routes.Current()
 		for dst := 1; dst < n; dst++ {
 			path, _, ok := snap.RouteInto(0, dst, nil)
 			want := -1
@@ -269,17 +284,19 @@ func TestNextHopIsServedRouteFirstHop(t *testing.T) {
 	// older than the database's one-minute limit. With nothing
 	// measured, the epoch expires it and decides nothing.
 	x := firstHop()
-	clock = start.Add(50 * time.Second)
+	clock.Store(int64(50 * time.Second))
 	announceAll(2, x)
 	check("LSAs renewed", -1)
-	clock = start.Add(70 * time.Second)
+	clock.Store(int64(70 * time.Second))
 	node.runEpoch()
 	check("origin expired", x)
 
 	// Neighbour y stopped acking long ago: the heartbeat drops the link
 	// and forgets y's LSA.
 	y := firstHop()
+	node.mu.Lock()
 	node.lastAck[y] = time.Now().Add(-time.Hour)
+	node.mu.Unlock()
 	node.heartbeat()
 	if slices.Contains(node.Neighbors(), y) {
 		t.Fatalf("heartbeat kept the dead link to %d", y)
@@ -287,5 +304,44 @@ func TestNextHopIsServedRouteFirstHop(t *testing.T) {
 	check("neighbour dropped", y)
 	if node.Epochs() != 0 {
 		t.Fatalf("%d epochs decided, want none", node.Epochs())
+	}
+}
+
+// TestLSABurstSharesPublications: LSAs applied a millisecond apart reach
+// the published snapshot in two publications (the first LSA's, then one
+// for the rest T_announce/pubsPerAnnounce later; three if the burst
+// outlasts that gap), not one per LSA.
+func TestLSABurstSharesPublications(t *testing.T) {
+	const n = 40
+	bus := linkstate.NewBus(n)
+	defer bus.Close()
+	node := &Node{
+		cfg:     Config{ID: 0, N: n, Announce: pubsPerAnnounce * 200 * time.Millisecond, Transport: bus.Endpoint(0)},
+		db:      linkstate.NewDB(n, time.Minute, nil),
+		changed: make(chan struct{}, 1),
+		stop:    make(chan struct{}),
+	}
+	reg := obs.NewRegistry()
+	node.EnableMetrics(reg)
+	node.done.Add(1)
+	go node.publishLoop()
+	defer func() { close(node.stop); node.done.Wait() }()
+	for u := 1; u < n; u++ {
+		lsa := &linkstate.LSA{Origin: uint16(u), Seq: 1, Neighbors: []linkstate.Neighbor{{ID: uint16(u % (n - 1)), Cost: 1}}}
+		node.handleLSA(linkstate.Packet{From: u, Data: lsa.Marshal()})
+		time.Sleep(time.Millisecond) // long enough for a compile
+	}
+	view := node.AnnouncedView()
+	want := plane.CompileGraph(0, view, plane.GraphDelays(view), plane.Options{}).Digest()
+	waitFor(t, 5*time.Second, func() bool {
+		s := node.routes.Current()
+		return s != nil && s.Digest() == want
+	}, "the burst never reached the published snapshot")
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := obs.ParsePrometheus(buf.Bytes())["plane_publish_latency_ns_count"]; got < 1 || got > 3 {
+		t.Fatalf("%d LSAs took %v publications, want at most 3", n-1, got)
 	}
 }

@@ -116,7 +116,7 @@ const drainTimeout = time.Second
 // is what the topology rendering shows and what publish compiles the
 // node's route snapshots from.
 func (n *Node) AnnouncedView() *graph.Digraph {
-	g := n.Graph()
+	g := n.db.Graph()
 	n.mu.Lock()
 	for _, nb := range n.neighbors {
 		cost := 1.0

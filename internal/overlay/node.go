@@ -16,6 +16,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"egoist/internal/cheat"
@@ -139,16 +140,18 @@ type Node struct {
 	lastReply map[int]time.Time // last echo reply per peer, for staleness
 	joined    map[int]bool      // peers learned from bootstrap or PEX
 	donated   []int
-	rewires   int // cumulative established links
-	epochs    int
-	decision  time.Duration // cumulative epoch decision time
+
+	rewires  atomic.Int64 // cumulative established links
+	epochs   atomic.Int64
+	decision atomic.Int64 // cumulative epoch decision time, ns
 
 	fwd forwarding // data plane
 
 	// routes serves the node's view, which publish compiles into it on
 	// every change; forwarding and /route read its current snapshot.
-	routes plane.Server
-	pubMu  sync.Mutex
+	routes  plane.Server
+	pubMu   sync.Mutex
+	changed chan struct{} // a publish applied LSAs wait for (publishLoop)
 
 	// view is the shortest-path forest runEpoch prices BR proposals on,
 	// reset on the masked link-state view every epoch, and sc its solver
@@ -183,17 +186,7 @@ const estWindow = 8
 func (e *ewma) fold(x float64) {
 	e.ring[e.n%estWindow] = x
 	e.n++
-	lim := e.n
-	if lim > estWindow {
-		lim = estWindow
-	}
-	min := e.ring[0]
-	for i := 1; i < lim; i++ {
-		if e.ring[i] < min {
-			min = e.ring[i]
-		}
-	}
-	e.v = min
+	e.v = slices.Min(e.ring[:min(e.n, estWindow)])
 }
 
 // Start launches the node's protocol loops.
@@ -211,6 +204,7 @@ func Start(cfg Config) (*Node, error) {
 		lastAck:   make(map[int]time.Time),
 		lastReply: make(map[int]time.Time),
 		joined:    make(map[int]bool),
+		changed:   make(chan struct{}, 1),
 		stop:      make(chan struct{}),
 	}
 	for _, b := range cfg.Bootstrap {
@@ -227,9 +221,10 @@ func Start(cfg Config) (*Node, error) {
 		}
 	}
 
-	n.done.Add(2)
+	n.done.Add(3)
 	go n.recvLoop()
 	go n.timerLoop()
+	go n.publishLoop()
 	return n, nil
 }
 
@@ -250,33 +245,18 @@ func (n *Node) Neighbors() []int {
 	return append([]int(nil), n.neighbors...)
 }
 
-// Graph returns the node's current view of the announced overlay.
-func (n *Node) Graph() *graph.Digraph { return n.db.Graph() }
-
 // KnownNodes returns the origins present in the link-state database.
 func (n *Node) KnownNodes() []int { return n.db.Origins() }
 
 // Rewires returns the cumulative count of links established after bootstrap.
-func (n *Node) Rewires() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.rewires
-}
+func (n *Node) Rewires() int { return int(n.rewires.Load()) }
 
 // Epochs returns how many wiring epochs have run.
-func (n *Node) Epochs() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.epochs
-}
+func (n *Node) Epochs() int { return int(n.epochs.Load()) }
 
 // DecisionTime returns the cumulative time the wiring epochs spent
 // deciding: from building the link-state view to the adoption result.
-func (n *Node) DecisionTime() time.Duration {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.decision
-}
+func (n *Node) DecisionTime() time.Duration { return time.Duration(n.decision.Load()) }
 
 // Seq returns the sequence number of the node's latest LSA. It only
 // grows (from SeqBase), so a fleet monitor can spot a wedged announcer
@@ -348,7 +328,10 @@ func (n *Node) handleLSA(pkt linkstate.Packet) {
 				n.send(t, pkt.Data)
 			}
 		}
-		n.publish()
+		select { // publishLoop compiles: recvLoop times echo replies
+		case n.changed <- struct{}{}:
+		default: // a publish is pending and will read this LSA too
+		}
 	}
 }
 
@@ -489,9 +472,7 @@ func (n *Node) handleEchoReply(c *linkstate.Control) {
 	now := time.Now()
 	n.mu.Lock()
 	peer, ok := n.pending[c.Token]
-	if ok {
-		delete(n.pending, c.Token)
-	}
+	delete(n.pending, c.Token)
 	n.mu.Unlock()
 	if !ok || peer != int(c.From) {
 		return
@@ -580,7 +561,6 @@ func (n *Node) probeAll() {
 	n.mu.Lock()
 	for m := range n.joined {
 		if !seen[m] {
-			seen[m] = true
 			known = append(known, m)
 		}
 	}
@@ -592,10 +572,7 @@ func (n *Node) probeAll() {
 		token := uint64(time.Now().UnixNano())
 		n.mu.Lock()
 		// Perturb colliding tokens (same-nanosecond sends).
-		for {
-			if _, exists := n.pending[token]; !exists {
-				break
-			}
+		for _, taken := n.pending[token]; taken; _, taken = n.pending[token] {
 			token++
 		}
 		n.pending[token] = peer
@@ -630,10 +607,8 @@ func (n *Node) runEpoch() {
 			continue
 		}
 		e, ok := n.est[j]
-		if ok {
-			if lr, seen := n.lastReply[j]; seen && lr.Before(staleCutoff) {
-				ok = false
-			}
+		if lr, seen := n.lastReply[j]; seen && lr.Before(staleCutoff) {
+			ok = false
 		}
 		if ok {
 			direct[j] = e.v
@@ -659,11 +634,11 @@ func (n *Node) runEpoch() {
 	took := time.Since(start)
 
 	n.mu.Lock()
-	n.epochs++
-	n.decision += took
-	n.rewires += d.Added
 	n.neighbors = d.Wiring
 	n.mu.Unlock()
+	n.rewires.Add(int64(d.Added))
+	n.decision.Add(int64(took))
+	n.epochs.Add(1)
 	if d.Changed {
 		n.logf("node %d: rewired to %v (+%d links)", n.cfg.ID, d.Wiring, d.Added)
 	}
@@ -720,7 +695,9 @@ func (n *Node) heartbeat() {
 	}
 	if len(dropped) > 0 {
 		n.neighbors = alive
-		n.db.Forget(uint16(dropped[0]))
+	}
+	for _, t := range dropped {
+		n.db.Forget(uint16(t))
 	}
 	n.mu.Unlock()
 	if len(dropped) > 0 {
@@ -754,13 +731,37 @@ func (n *Node) announce() {
 	n.publish()
 }
 
-// publish compiles the node's view into its route server, after every
-// change to the view: an applied LSA, an announce (the bootstrap one
-// too) and an expiry that dropped an origin. pubMu, held from reading
-// the view to Publish, keeps a slow compile from overwriting a newer
-// view. A live node knows no delays beyond its announced arcs, so
-// one-hop decisions relay through those only (plane.GraphDelays).
-// Callers must not hold n.mu.
+// publishLoop publishes the view after applied LSAs (handleLSA), at
+// most pubsPerAnnounce times per T_announce: every origin re-announces
+// once a period, so one publish per LSA would be about N a period.
+func (n *Node) publishLoop() {
+	defer n.done.Done()
+	for {
+		select {
+		case <-n.stop:
+			return
+		case <-n.changed:
+			n.publish()
+		}
+		select { // LSAs applied meanwhile share the next publish
+		case <-n.stop:
+			return
+		case <-time.After(n.cfg.Announce / pubsPerAnnounce):
+		}
+	}
+}
+
+// pubsPerAnnounce bounds the LSA-driven publications per T_announce.
+const pubsPerAnnounce = 16
+
+// publish compiles the node's view into its route server, at once for
+// the node's own changes (announce, expiry), from publishLoop for
+// applied LSAs (up to T_announce/pubsPerAnnounce later). pubMu, held
+// from reading the view to Publish, keeps a slow compile from
+// overwriting a newer view. Until a re-wiring is published, packets
+// leave on the previous routes, maybe through a neighbour just dropped.
+// A live node knows no delays beyond its announced arcs
+// (plane.GraphDelays). Callers must not hold n.mu.
 func (n *Node) publish() {
 	n.pubMu.Lock()
 	defer n.pubMu.Unlock()

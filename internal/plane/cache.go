@@ -378,12 +378,7 @@ func (c *rowCache) fill(src int, st *cacheStats, admit bool) *rowEntry {
 
 	fillNs := st.fillNs.Load()
 	t0 := clock(fillNs)
-	ps := searchScratch.Get().(*graph.PairScratch)
-	n := c.snap.csr.N()
-	e.dist = make([]float64, n)
-	e.parent = make([]int32, n)
-	ps.DijkstraCSR(c.snap.csr, src, e.dist, e.parent)
-	searchScratch.Put(ps)
+	e.dist, e.parent = c.snap.Tree(src)
 	observeSince(fillNs, t0)
 
 	c.mu.Lock()

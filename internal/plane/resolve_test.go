@@ -3,6 +3,7 @@ package plane
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"egoist/internal/graph"
@@ -183,6 +184,47 @@ func routeAnswersAgree(t *testing.T, net DelayNet, coldFills int64) {
 	}
 	if st := srv.CacheStats(); st.PairSearches == 0 || st.Fills == 0 || st.Hits == 0 {
 		t.Fatalf("the served chain did not mix searches, fills and hits: %+v", st)
+	}
+}
+
+// TestTreeIsServedRoutes: walking Tree(src) from dst back to src gives
+// the route RouteInto serves for src→dst, equal-cost ties included, and
+// no route when it serves none; computing the tree moves no cache
+// counter and no lookup count of the serving Server.
+func TestTreeIsServedRoutes(t *testing.T) {
+	const n, k = 90, 3
+	nets := map[string]DelayNet{
+		"delays": testNet(t, n),
+		"ties": DelayFunc{Nodes: n, Fn: func(i, j int) float64 {
+			return float64((i*7919 + j*104729) % 4)
+		}},
+	}
+	for name, net := range nets {
+		rng := rand.New(rand.NewSource(62))
+		m := newMutableWiring(rng, n, k)
+		m.churn(rng, k) // some departed nodes, so some are unreachable
+		srv := NewServer()
+		srv.Publish(Compile(0, m.wiring, m.active, net, Options{}))
+		ref := Compile(0, m.wiring, m.active, net, Options{})
+		for _, src := range rng.Perm(n)[:12] {
+			before := srv.CacheStats()
+			_, parent := srv.Current().Tree(src)
+			if after := srv.CacheStats(); after != before || (*srv.counts)[src].Load() != 0 {
+				t.Fatalf("%s: Tree(%d) was counted: %+v → %+v, %d lookups", name, src, before, after, (*srv.counts)[src].Load())
+			}
+			for dst := 0; dst < n; dst++ {
+				want, _, ok := ref.RouteInto(src, dst, nil)
+				var got []int32
+				if ok && dst != src {
+					got = appendPath(nil, parent, src, dst)
+				} else if parent[dst] != -1 {
+					t.Fatalf("%s: Tree(%d) gives %d a parent, %d, with no route served", name, src, dst, parent[dst])
+				}
+				if ok && !slices.Equal(got, want) && dst != src {
+					t.Fatalf("%s: Tree(%d) walks to %d by %v, served route %v", name, src, dst, got, want)
+				}
+			}
+		}
 	}
 }
 

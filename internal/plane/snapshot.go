@@ -299,6 +299,20 @@ func (s *Snapshot) RouteInto(src, dst int, buf []int32) (path []int32, cost floa
 	return path, cost, cost < graph.Inf
 }
 
+// Tree computes src's shortest-path row, the one a cache fill holds:
+// dist[v] is the cost RouteCost answers for src→v and parent[v] the
+// node before v on the route RouteInto answers, ties included (-1 for
+// src and for nodes src cannot reach). Called directly, it is not a
+// served query: no cache counter or lookup count sees it.
+func (s *Snapshot) Tree(src int) (dist []float64, parent []int32) {
+	s.mustPair(src, src)
+	dist, parent = make([]float64, s.csr.N()), make([]int32, s.csr.N())
+	ps := searchScratch.Get().(*graph.PairScratch)
+	ps.DijkstraCSR(s.csr, src, dist, parent)
+	searchScratch.Put(ps)
+	return dist, parent
+}
+
 // checkPair validates a query's node ids.
 func (s *Snapshot) checkPair(src, dst int) error {
 	if n := s.csr.N(); src < 0 || src >= n || dst < 0 || dst >= n {
